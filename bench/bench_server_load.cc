@@ -361,7 +361,7 @@ int main() {
     return 1;
   }
 
-  // A deliberately small serving configuration: 2 reactor workers and a
+  // A deliberately small serving configuration: 2 event loops and a
   // 2-thread engine make per-request dispatch the bottleneck, which is
   // exactly the overhead coalescing amortizes.
   const auto run_mode = [&](bool coalesce) {

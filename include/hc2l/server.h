@@ -3,12 +3,14 @@
 
 /// hc2ld — the HC2L serving front end: line-delimited JSON over TCP.
 ///
-/// QueryServer wraps a Router in an epoll reactor: ONE event thread owns
-/// every socket (accept, nonblocking reads/writes, deadline eviction) and a
-/// small worker pool executes requests off the event thread, each
-/// connection carrying one reusable buffer set (requests parse into and
-/// execute out of the same memory line after line — the zero-copy
-/// request/response facade API end to end). All queries run through one
+/// QueryServer wraps a Router in a few run-to-completion epoll event loops
+/// (ServerOptions::reactor_threads). Each new connection is placed on the
+/// loop with the fewest live connections, and that loop's one thread owns
+/// it outright: nonblocking reads, request execution, nonblocking writes
+/// and deadline eviction, with no hand-off between threads. Each connection
+/// carries one reusable buffer set (requests parse into and execute out of
+/// the same memory line after line — the zero-copy request/response facade
+/// API end to end). All queries run through one
 /// shared ThreadedRouter, so concurrent connections share the engine's
 /// worker pool instead of spawning their own. Small concurrently-arriving
 /// point/batch requests are coalesced into one engine batch (bit-identical
@@ -46,7 +48,7 @@
 /// and unmoved until the server is stopped AND destroyed (after a Reload
 /// the server stops using it but holds index snapshots of its own).
 /// QueryServer is movable, not copyable; Stop() is idempotent and joins
-/// the event thread and every reactor worker before returning.
+/// every event-loop thread before returning.
 
 #include <chrono>
 #include <cstdint>
@@ -122,7 +124,9 @@ struct ServerOptions {
   /// keeps the label arenas file-backed instead of silently deserializing
   /// them onto the heap.
   bool open_mmap = false;
-  /// Reactor worker threads (request execution off the event thread);
+  /// Event loops. Each owns the connections placed on it and reads,
+  /// executes and answers their requests on its own thread; a new
+  /// connection goes to the loop with the fewest live connections.
   /// 0 = clamp(hardware_concurrency / 2, 2, 8).
   uint32_t reactor_threads = 0;
   /// Coalesce small concurrently-arriving default-option point/batch

@@ -6,10 +6,10 @@
 ///
 /// Everything on the hot path is a relaxed atomic increment into a
 /// log2-bucketed histogram: recording a latency costs one countl_zero and
-/// two fetch_adds, never a lock — the reactor's worker threads and event
-/// thread all record concurrently. Reading (the "info" op) scans the
-/// buckets without stopping writers; a scrape racing an increment may be
-/// off by the increment, which is fine for observability.
+/// two fetch_adds, never a lock — the reactor's event-loop threads all
+/// record concurrently. Reading (the "info" op) scans the buckets without
+/// stopping writers; a scrape racing an increment may be off by the
+/// increment, which is fine for observability.
 ///
 /// Quantiles are bucket lower bounds: p99 = 2^k means "99% of samples were
 /// below 2^(k+1) ns". Log buckets keep the histogram tiny (64 counters)
@@ -104,7 +104,8 @@ class ServerMetrics {
   }
 
   /// One reactor event-loop iteration spending `ns` outside epoll_wait —
-  /// the time queued events waited on the loop (loop lag).
+  /// the time queued events waited on the loop (loop lag). Requests
+  /// execute on their loop, so this includes their execution.
   void RecordLoopLag(uint64_t ns) { loop_lag_.Record(ns); }
 
   uint64_t requests_executed() const {

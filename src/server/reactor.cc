@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -12,8 +13,6 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <limits>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -32,21 +31,32 @@ using Clock = std::chrono::steady_clock;
 /// connections.
 constexpr size_t kReadChunk = 16384;
 
-/// A streaming worker blocks (backpressure) while a connection's output
-/// buffer holds more than this; the event thread releases it as the socket
-/// drains. Bounds per-connection memory for arbitrarily large streams.
+/// A connection holding more unsent output than this stops reading new
+/// requests until the socket drains, and a streamed response waits for the
+/// socket before computing its next chunk. Bounds per-connection memory for
+/// arbitrarily large streams and for clients that pipeline without reading.
 constexpr size_t kStreamHighWater = size_t{4} << 20;
-
-/// Extra ready connections one worker pulls into a coalescing group while
-/// it has staged requests pending. Bounds the batching latency and the
-/// parallelism a single worker can absorb.
-constexpr size_t kCoalesceFanIn = 4;
 
 void CloseFd(int fd) {
   if (fd >= 0) {
     while (::close(fd) != 0 && errno == EINTR) {
     }
   }
+}
+
+void Signal(int event_fd) {
+  const uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(event_fd, &one, sizeof(one));
+}
+
+/// Milliseconds until `t`, rounded up so a wakeup never lands just short of
+/// it; -1 (wait forever) for the "no deadline" sentinel.
+int MillisUntil(Clock::time_point t) {
+  if (t == Clock::time_point::max()) return -1;
+  const auto left = t - Clock::now();
+  if (left <= Clock::duration::zero()) return 0;
+  const auto ms = std::chrono::ceil<std::chrono::milliseconds>(left).count();
+  return static_cast<int>(std::min<long long>(ms, 1 << 30));
 }
 
 /// recv() with the "server.recv" fault point in front: the chaos suite can
@@ -87,61 +97,71 @@ void AppendDeadlineResponse(const char* what, std::string* out) {
 }  // namespace
 
 struct Reactor::Impl {
-  /// One client connection. The event thread owns the fd and the fields
-  /// below the mutex comment; the mutex guards the buffer hand-off between
-  /// the event thread and the (at most one) worker the connection is
-  /// scheduled to.
+  /// One client connection, owned outright by the loop it was placed on.
   struct Conn {
     int fd = -1;
-
-    std::mutex mu;
-    std::condition_variable cv;  // streaming backpressure release
-    std::string inbuf;           // guarded by mu: raw bytes from the socket
-    std::string outbuf;          // guarded by mu: responses awaiting write
-    bool scheduled = false;      // guarded by mu: queued for/owned by worker
-    bool more_input = false;     // guarded by mu: input arrived while owned
-    bool discarding = false;     // guarded by mu: dropping an oversized line
-    bool read_closed = false;    // guarded by mu: EOF seen or reads retired
-    bool evict = false;          // guarded by mu: close once output flushed
-    bool dead = false;           // guarded by mu: close now; workers abort
-
-    // Worker-owned (only touched while scheduled).
+    size_t index = 0;  // position in the owning loop's `conns`
     RequestHandler handler;
+    std::string inbuf;    // unconsumed input: at most one partial line
+    std::string outbuf;   // responses the socket has not accepted yet
     uint64_t served = 0;  // responses produced on this connection
-
-    // Event-thread-owned.
-    std::string write_pending;  // bytes handed to the socket write path
-    bool want_out = false;      // EPOLLOUT armed
-    bool in_paused = false;     // EPOLLIN parked: input buffer high water
-    bool in_wake = false;       // guarded by wake_mu: queued for event thread
+    uint32_t events = 0;  // current epoll interest set
+    bool discarding = false;   // dropping an oversized line to its newline
+    bool read_closed = false;  // EOF seen or reads retired by the drain
+    bool evict = false;        // close once output is flushed
+    bool closed = false;       // fd closed; freed at the end of the batch
+    bool in_run = false;       // has requests staged in the loop's run
+    bool touched = false;      // queued for the end-of-batch flush
     Clock::time_point last_byte{};
     Clock::time_point line_start{};
     bool line_open = false;
     Clock::time_point write_blocked_since{};
     bool write_blocked = false;
+  };
 
-    explicit Conn(ServerHooks hooks) : handler(std::move(hooks)) {}
+  /// The coalescing run of one epoll_wait batch: combined pairwise ids plus
+  /// one slot per staged request, in staging order.
+  struct Run {
+    struct Slot {
+      Conn* c;
+      RequestHandler::StagePlan plan;
+    };
+    std::vector<Vertex> sources;
+    std::vector<Vertex> targets;
+    std::vector<Slot> slots;
+    std::vector<Dist> dists;
+  };
+
+  /// One run-to-completion event loop: its own epoll set, the connections
+  /// placed on it, and the thread that reads, executes and writes them.
+  struct Loop {
+    int epoll_fd = -1;
+    int event_fd = -1;  // stop, drain and accept hand-off wakeups
+    std::atomic<uint64_t> live{0};  // placed here and not yet closed
+
+    std::mutex inbox_mu;
+    std::vector<int> inbox;  // guarded by inbox_mu: accepted, not adopted
+
+    // Loop-thread-owned.
+    std::vector<std::unique_ptr<Conn>> conns;
+    std::vector<Conn*> touched;  // output or close check due this batch
+    std::vector<std::unique_ptr<Conn>> graveyard;  // freed after the batch
+    Run run;
+    std::string scratch;
+    Clock::time_point next_sweep = Clock::time_point::max();
+    bool drain_started = false;
+
+    std::thread thread;
   };
 
   int listen_fd = -1;
   ReactorEnv env;
-  int epoll_fd = -1;
-  int wake_fd = -1;
+  std::vector<std::unique_ptr<Loop>> loops;  // fixed once Start() returns
+  const RequestHandler::CoalescePolicy coalesce_policy{};
 
-  std::thread event_thread;
-  std::vector<std::thread> workers;
-
-  // Worker scheduling.
-  std::mutex ready_mu;
-  std::condition_variable ready_cv;
-  std::deque<Conn*> ready;  // guarded by ready_mu
-
-  // Worker -> event thread wakeups (start writing / finished processing).
-  std::mutex wake_mu;
-  std::vector<Conn*> wake_list;  // guarded by wake_mu
-
-  // Event-thread-owned connection registry (deadline sweeps, shutdown).
-  std::vector<Conn*> conns;
+  // Serializes the connection-limit check with placement, so concurrent
+  // accepts on different loops see each other's charges.
+  std::mutex place_mu;
 
   std::atomic<bool> stop{false};
   std::atomic<bool> draining{false};
@@ -152,151 +172,198 @@ struct Reactor::Impl {
   std::mutex drain_mu;
   std::condition_variable drain_cv;  // notified as connections close
 
-  size_t input_high_water = 0;
+  // ----- connection bookkeeping -----
 
-  // ----- shared helpers -----
-
-  void SignalWake(Conn* c) {
-    {
-      std::lock_guard<std::mutex> lock(wake_mu);
-      if (c != nullptr) {
-        if (c->in_wake) {
-          c = nullptr;  // already queued; still poke the eventfd below
-        } else {
-          c->in_wake = true;
-          wake_list.push_back(c);
-        }
-      }
-    }
-    const uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_fd, &one, sizeof(one));
+  void NoteDeadline(Loop* L, Clock::time_point t) {
+    L->next_sweep = std::min(L->next_sweep, t);
   }
 
-  // ----- worker side -----
+  void Touch(Loop* L, Conn* c) {
+    if (!c->touched) {
+      c->touched = true;
+      L->touched.push_back(c);
+    }
+  }
 
-  /// One member of a worker's processing group: the connection, its
-  /// in-order responses for this cycle, and the unconsumed input tail.
-  struct GroupConn {
-    Conn* c = nullptr;
-    std::string pending;
-    std::string leftover;
-    bool evict = false;
-    bool hit_cap = false;
-  };
+  /// Reads while the connection may take more requests; writes while output
+  /// is pending.
+  void SetInterest(Loop* L, Conn* c) {
+    uint32_t want = 0;
+    if (!c->read_closed && c->outbuf.size() <= kStreamHighWater) {
+      want |= EPOLLIN;
+    }
+    if (!c->outbuf.empty()) want |= EPOLLOUT;
+    if (want == c->events) return;
+    c->events = want;
+    epoll_event ev{};
+    ev.data.ptr = c;
+    ev.events = want;
+    ::epoll_ctl(L->epoll_fd, EPOLL_CTL_MOD, c->fd, &ev);
+  }
 
-  /// The coalescing run shared by a group: combined pairwise ids plus one
-  /// slot per staged request, in staging order.
-  struct Run {
-    struct Slot {
-      size_t group_idx;
-      RequestHandler::StagePlan plan;
-    };
-    std::vector<Vertex> sources;
-    std::vector<Vertex> targets;
-    std::vector<Slot> slots;
-    std::vector<Dist> dists;
-    /// Group indices with slots in the run — a later non-staged response on
-    /// one of these connections must flush first to stay in order.
-    bool HasConn(size_t gi) const {
-      for (const Slot& s : slots) {
-        if (s.group_idx == gi) return true;
+  /// Accounts for one connection leaving loop L: closed, or dropped before
+  /// its loop adopted it.
+  void Release(Loop* L) {
+    L->live.fetch_sub(1, std::memory_order_relaxed);
+    env.live_connections->fetch_sub(1, std::memory_order_relaxed);
+    {
+      // Taken so a Drain() caller between its check and its wait cannot
+      // miss this notification.
+      std::lock_guard<std::mutex> lock(drain_mu);
+    }
+    drain_cv.notify_all();
+  }
+
+  /// Closes the socket now; the Conn itself lives until the batch ends, so
+  /// pointers held by this batch's events and run stay valid.
+  void CloseConn(Loop* L, Conn* c) {
+    if (c->closed) return;
+    c->closed = true;
+    ::epoll_ctl(L->epoll_fd, EPOLL_CTL_DEL, c->fd, nullptr);
+    ::shutdown(c->fd, SHUT_RDWR);
+    CloseFd(c->fd);
+    const size_t i = c->index;
+    L->graveyard.push_back(std::move(L->conns[i]));
+    if (i + 1 != L->conns.size()) {
+      L->conns[i] = std::move(L->conns.back());
+      L->conns[i]->index = i;
+    }
+    L->conns.pop_back();
+    Release(L);
+  }
+
+  /// Nonblocking write: moves outbuf into the socket until it would block,
+  /// then arms EPOLLOUT and starts the write-stall clock.
+  void PumpOut(Loop* L, Conn* c) {
+    size_t sent = 0;
+    while (sent < c->outbuf.size()) {
+      const ssize_t n = SendSome(c->fd, c->outbuf.data() + sent,
+                                 c->outbuf.size() - sent);
+      if (n > 0) {
+        sent += static_cast<size_t>(n);
+        continue;
       }
-      return false;
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        c->outbuf.erase(0, sent);
+        if (!c->write_blocked) {
+          c->write_blocked = true;
+          c->write_blocked_since = Clock::now();
+          const std::chrono::milliseconds timeout(
+              env.options.limits.write_timeout_ms);
+          if (timeout.count() != 0) {
+            NoteDeadline(L, c->write_blocked_since + timeout);
+          }
+        }
+        SetInterest(L, c);
+        return;
+      }
+      CloseConn(L, c);  // dead peer (EPIPE/ECONNRESET or injected fault)
+      return;
     }
-    void Clear() {
-      sources.clear();
-      targets.clear();
-      slots.clear();
+    c->outbuf.clear();
+    c->write_blocked = false;
+    SetInterest(L, c);
+  }
+
+  /// Closes a connection that has nothing left to do: output flushed and
+  /// either evicted or past EOF/drain. Every complete request line was
+  /// answered when it arrived; a trailing partial line can never complete.
+  void MaybeClose(Loop* L, Conn* c) {
+    if (!c->closed && c->outbuf.empty() && (c->evict || c->read_closed)) {
+      CloseConn(L, c);
     }
-  };
+  }
+
+  // ----- request processing -----
 
   /// Executes the run's combined pairwise batch and demultiplexes the
   /// distance slices into each staged request's response, in order.
-  void FlushRun(Run* run, std::vector<GroupConn>* group) {
-    if (run->slots.empty()) return;
+  void FlushRun(Loop* L) {
+    Run& run = L->run;
+    if (run.slots.empty()) return;
     const ServingSnapshot snap = env.snapshot();
-    const auto start = Clock::now();
     QueryRequest request;
     request.kind = QueryKind::kPointBatch;
-    request.sources = run->sources;
-    request.targets = run->targets;
-    run->dists.resize(run->targets.size());
+    request.sources = run.sources;
+    request.targets = run.targets;
+    run.dists.resize(run.targets.size());
     QueryOutput output;
-    output.distances = run->dists;
+    output.distances = run.dists;
     const Result<QueryResponse> response =
         snap.threaded->Execute(request, output);
-    const uint64_t ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             start)
-            .count());
     if (env.metrics != nullptr) {
-      env.metrics->RecordCoalescedBatch(run->slots.size());
+      env.metrics->RecordCoalescedBatch(run.slots.size());
     }
-    for (const Run::Slot& slot : run->slots) {
-      GroupConn& g = (*group)[slot.group_idx];
+    for (const Run::Slot& slot : run.slots) {
+      Conn* c = slot.c;
+      c->in_run = false;
       if (response.ok()) {
-        g.c->handler.AppendStagedResponse(slot.plan, run->dists, &g.pending);
+        c->handler.AppendStagedResponse(slot.plan, run.dists, &c->outbuf);
       } else {
         // Cannot happen for staged requests (ids validated, no deadline),
         // but an engine error must still answer every request.
-        AppendWireError(response.status(), &g.pending);
+        AppendWireError(response.status(), &c->outbuf);
       }
-      g.c->handler.ReleaseStaged();
-      if (env.metrics != nullptr) {
-        env.metrics->RecordLatency(slot.plan.is_batch ? "batch" : "point",
-                                   ns);
-      }
+      c->handler.ReleaseStaged();
     }
-    run->Clear();
+    run.sources.clear();
+    run.targets.clear();
+    run.slots.clear();
   }
 
-  /// Streaming flush hook for `c`: moves the stream bytes into the
-  /// connection's output buffer, wakes the event thread, and blocks while
-  /// the buffer is over the high-water mark. Returns false (abort the
-  /// stream) when the connection died or the reactor is stopping.
-  bool FlushStream(Conn* c, std::string* out) {
-    {
-      std::lock_guard<std::mutex> lock(c->mu);
-      if (c->dead) return false;
+  /// The streaming flush hook: hands the frames produced so far to the
+  /// socket and, while more than kStreamHighWater is unsent, waits in poll()
+  /// for the socket or the loop's eventfd. Returns false (abort the stream)
+  /// when the connection died, stalled past write_timeout_ms (it is then
+  /// closed), or the reactor is stopping.
+  bool FlushStream(Loop* L, Conn* c, std::string* out) {
+    // ExecuteParsed normally writes straight into the connection's output.
+    if (out != &c->outbuf) {
       c->outbuf.append(*out);
+      out->clear();
     }
-    out->clear();
-    SignalWake(c);
-    std::unique_lock<std::mutex> lock(c->mu);
-    c->cv.wait(lock, [&] {
-      return c->dead || stop.load(std::memory_order_relaxed) ||
-             c->outbuf.size() <= kStreamHighWater;
-    });
-    return !c->dead && !stop.load(std::memory_order_relaxed);
+    const uint32_t write_timeout = env.options.limits.write_timeout_ms;
+    bool woken = false;  // consumed an eventfd wakeup meant for the loop
+    for (;;) {
+      PumpOut(L, c);
+      if (c->closed || c->outbuf.size() <= kStreamHighWater ||
+          stop.load(std::memory_order_relaxed)) {
+        break;
+      }
+      Clock::time_point deadline = Clock::time_point::max();
+      if (write_timeout != 0) {
+        deadline = c->write_blocked_since +
+                   std::chrono::milliseconds(write_timeout);
+        if (deadline <= Clock::now()) {
+          CloseConn(L, c);
+          break;
+        }
+      }
+      pollfd fds[2] = {{c->fd, POLLOUT, 0}, {L->event_fd, POLLIN, 0}};
+      if (::poll(fds, 2, MillisUntil(deadline)) > 0 &&
+          (fds[1].revents & POLLIN) != 0) {
+        uint64_t counter = 0;
+        [[maybe_unused]] const ssize_t n =
+            ::read(L->event_fd, &counter, sizeof(counter));
+        woken = true;
+      }
+    }
+    // Hand-offs and drain wait for the main loop; re-raise the wakeup.
+    if (woken) Signal(L->event_fd);
+    return !c->closed && !stop.load(std::memory_order_relaxed);
   }
 
-  /// Consumes every complete request line currently buffered on `g->c`,
-  /// appending responses (in request order) to g->pending and staging
-  /// coalescible requests into `run`.
-  void ProcessConn(GroupConn* g, Run* run, size_t group_idx,
-                   const RequestHandler::CoalescePolicy* policy) {
-    Conn* c = g->c;
-    std::string work;
-    {
-      std::lock_guard<std::mutex> lock(c->mu);
-      if (c->dead) return;
-      work.swap(c->inbuf);
-    }
-    size_t consumed = 0;
-    const std::string_view view(work);
-    if (c->discarding) {
-      // Finish dropping the oversized line (state is worker-owned while
-      // scheduled; the event thread also drops bytes arriving mid-discard).
-      const size_t nl = view.find('\n');
-      if (nl == std::string_view::npos) {
-        return;  // still inside the oversized line
-      }
-      consumed = nl + 1;
-      std::lock_guard<std::mutex> lock(c->mu);
-      c->discarding = false;
-    }
-    std::string scratch;
+  /// Answers every complete request line buffered on `c`, in order.
+  /// Coalescible lines are staged into the loop's run; the rest execute
+  /// here, after any staged answers of this connection.
+  void ProcessLines(Loop* L, Conn* c) {
     const ServerLimits& limits = env.options.limits;
+    const RequestHandler::CoalescePolicy* policy =
+        env.options.coalesce ? &coalesce_policy : nullptr;
+    Run& run = L->run;
+    const std::string_view view(c->inbuf);
+    size_t consumed = 0;
     for (;;) {
       const size_t nl = view.find('\n', consumed);
       if (nl == std::string_view::npos) break;
@@ -305,257 +372,53 @@ struct Reactor::Impl {
       // The CURRENT serving snapshot per line: a hot reload lands between
       // requests of one connection.
       const ServingSnapshot snap = env.snapshot();
-      scratch.clear();
+      L->scratch.clear();
       RequestHandler::StagePlan plan;
       const RequestHandler::LineAction action =
           c->handler.Prepare(line, *snap.router, *snap.threaded, policy,
-                             &run->sources, &run->targets, &plan, &scratch);
+                             &run.sources, &run.targets, &plan, &L->scratch);
       if (action == RequestHandler::LineAction::kStaged) {
-        run->slots.push_back({group_idx, plan});
-        ++c->served;
-      } else if (action == RequestHandler::LineAction::kExecute) {
-        // Flush staged work from this connection first: responses must
-        // leave in request order.
-        if (run->HasConn(group_idx)) FlushRun(run, ParentGroup());
-        c->handler.ExecuteParsed(*snap.router, *snap.threaded, &g->pending);
-        ++c->served;
-      } else if (!scratch.empty()) {
-        if (run->HasConn(group_idx)) FlushRun(run, ParentGroup());
-        g->pending.append(scratch);
-        ++c->served;
+        run.slots.push_back({c, plan});
+        c->in_run = true;
       } else {
-        continue;  // blank keepalive line: no response, no budget charge
+        if (action == RequestHandler::LineAction::kDone &&
+            L->scratch.empty()) {
+          continue;  // blank keepalive line: no response, no budget charge
+        }
+        // Responses leave in request order: staged answers go first.
+        if (c->in_run) FlushRun(L);
+        if (action == RequestHandler::LineAction::kExecute) {
+          c->handler.ExecuteParsed(*snap.router, *snap.threaded, &c->outbuf);
+          if (c->closed) return;  // a stalled stream was cut
+        } else {
+          c->outbuf.append(L->scratch);
+        }
       }
+      ++c->served;
       if (limits.max_requests_per_connection != 0 &&
           c->served >= limits.max_requests_per_connection) {
-        g->evict = true;
-        break;
+        c->evict = true;
+        c->read_closed = true;
+        c->inbuf.clear();
+        return;
       }
     }
-    g->leftover.assign(view.substr(consumed));
-  }
-
-  // ProcessConn needs the enclosing group to flush a run mid-connection;
-  // the group lives on the worker's stack, so thread it through a
-  // thread-local (one group per worker at a time).
-  static thread_local std::vector<GroupConn>* tls_group;
-  std::vector<GroupConn>* ParentGroup() { return tls_group; }
-
-  /// Finishes one group connection: hands responses/leftover back under the
-  /// connection mutex, applies the line cap, reschedules if more input
-  /// arrived meanwhile, and wakes the event thread.
-  void FinishConn(GroupConn* g) {
-    Conn* c = g->c;
-    bool repush = false;
-    {
-      std::lock_guard<std::mutex> lock(c->mu);
-      if (!c->dead) {
-        c->outbuf.append(g->pending);
-        // Unconsumed partial line goes back IN FRONT of whatever the event
-        // thread appended while we were processing.
-        if (!g->leftover.empty()) {
-          c->inbuf.insert(0, g->leftover);
-        }
-        if (g->evict) {
-          c->evict = true;
-          c->read_closed = true;
-          c->inbuf.clear();
-        }
-        // The per-line byte cap: a partial line longer than the cap gets
-        // one error response, then its bytes are dropped to the newline.
-        if (!c->evict && !c->discarding &&
-            c->inbuf.find('\n') == std::string::npos &&
-            c->inbuf.size() > env.options.max_line_bytes) {
-          c->outbuf.append(
-              "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":"
-              "\"request line exceeds the per-line byte cap\"}\n");
-          c->inbuf.clear();
-          c->discarding = true;
-        }
-      }
-      if (c->more_input && !c->dead && !c->evict) {
-        c->more_input = false;
-        repush = true;  // keep c->scheduled: straight back onto the queue
-      } else {
-        c->more_input = false;
-        c->scheduled = false;
-      }
-    }
-    if (repush) {
-      {
-        std::lock_guard<std::mutex> lock(ready_mu);
-        ready.push_back(c);
-      }
-      ready_cv.notify_one();
-    }
-    SignalWake(c);
-  }
-
-  void WorkerLoop() {
-    RequestHandler::CoalescePolicy policy;
-    const bool coalesce = env.options.coalesce;
-    std::vector<GroupConn> group;
-    Run run;
-    for (;;) {
-      Conn* first = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(ready_mu);
-        ready_cv.wait(lock, [&] {
-          return !ready.empty() || stop.load(std::memory_order_relaxed);
-        });
-        if (ready.empty()) return;  // stop requested and queue drained
-        first = ready.front();
-        ready.pop_front();
-      }
-      group.clear();
-      run.Clear();
-      tls_group = &group;
-      group.push_back(GroupConn{first});
-      ProcessConn(&group[0], &run, 0, coalesce ? &policy : nullptr);
-      // Pull a few more ready connections into the batch while staged
-      // requests wait: this is the cross-connection coalescing window.
-      while (!run.slots.empty() && group.size() < 1 + kCoalesceFanIn) {
-        Conn* extra = nullptr;
-        {
-          std::lock_guard<std::mutex> lock(ready_mu);
-          if (ready.empty()) break;
-          extra = ready.front();
-          ready.pop_front();
-        }
-        group.push_back(GroupConn{extra});
-        ProcessConn(&group.back(), &run, group.size() - 1, &policy);
-      }
-      FlushRun(&run, &group);
-      for (GroupConn& g : group) FinishConn(&g);
-      tls_group = nullptr;
+    c->inbuf.erase(0, consumed);
+    // The per-line byte cap: a partial line longer than the cap gets one
+    // error response, then its bytes are dropped to the newline.
+    if (c->inbuf.size() > env.options.max_line_bytes) {
+      if (c->in_run) FlushRun(L);
+      c->outbuf.append(
+          "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":"
+          "\"request line exceeds the per-line byte cap\"}\n");
+      c->inbuf.clear();
+      c->discarding = true;
     }
   }
 
-  // ----- event-thread side -----
-
-  void UpdateEvents(Conn* c) {
-    epoll_event ev{};
-    ev.data.ptr = c;
-    ev.events = 0;
-    bool read_open;
-    {
-      std::lock_guard<std::mutex> lock(c->mu);
-      read_open = !c->read_closed;
-    }
-    if (read_open && !c->in_paused) ev.events |= EPOLLIN;
-    if (c->want_out) ev.events |= EPOLLOUT;
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, c->fd, &ev);
-  }
-
-  /// Closes and frees a connection. Deferred (dead=true) while a worker
-  /// owns it; the worker's finish wakeup completes the close.
-  void CloseConn(Conn* c) {
-    bool deferred;
-    {
-      std::lock_guard<std::mutex> lock(c->mu);
-      c->dead = true;
-      deferred = c->scheduled;
-    }
-    c->cv.notify_all();  // abort a blocked streaming worker
-    if (deferred) return;
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, c->fd, nullptr);
-    ::shutdown(c->fd, SHUT_RDWR);
-    CloseFd(c->fd);
-    {
-      std::lock_guard<std::mutex> lock(wake_mu);
-      if (c->in_wake) {
-        wake_list.erase(std::find(wake_list.begin(), wake_list.end(), c));
-        c->in_wake = false;
-      }
-    }
-    conns.erase(std::find(conns.begin(), conns.end(), c));
-    delete c;
-    env.live_connections->fetch_sub(1, std::memory_order_relaxed);
-    drain_cv.notify_all();
-  }
-
-  /// Nonblocking write pump: moves outbuf into the socket until it would
-  /// block. Worker->event-thread wakeups and EPOLLOUT both land here.
-  void PumpOut(Conn* c) {
-    for (;;) {
-      if (c->write_pending.empty()) {
-        bool over_water = false;
-        {
-          std::lock_guard<std::mutex> lock(c->mu);
-          over_water = c->outbuf.size() > kStreamHighWater;
-          c->write_pending.swap(c->outbuf);
-        }
-        if (over_water) c->cv.notify_all();  // backpressure release
-        if (c->write_pending.empty()) {
-          if (c->want_out) {
-            c->want_out = false;
-            UpdateEvents(c);
-          }
-          c->write_blocked = false;
-          return;
-        }
-      }
-      size_t sent = 0;
-      while (sent < c->write_pending.size()) {
-        const ssize_t n = SendSome(c->fd, c->write_pending.data() + sent,
-                                   c->write_pending.size() - sent);
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            c->write_pending.erase(0, sent);
-            if (!c->write_blocked) {
-              c->write_blocked = true;
-              c->write_blocked_since = Clock::now();
-            }
-            if (!c->want_out) {
-              c->want_out = true;
-              UpdateEvents(c);
-            }
-            return;
-          }
-          CloseConn(c);  // dead peer (EPIPE/ECONNRESET or injected fault)
-          return;
-        }
-        if (n == 0) {
-          CloseConn(c);
-          return;
-        }
-        sent += static_cast<size_t>(n);
-      }
-      c->write_pending.clear();
-      c->write_blocked = false;
-    }
-  }
-
-  /// Closes a connection that has nothing left to do: output flushed and
-  /// either evicted or past EOF/drain with no completable input.
-  void MaybeClose(Conn* c) {
-    if (!c->write_pending.empty()) return;
-    bool close_now = false;
-    {
-      std::lock_guard<std::mutex> lock(c->mu);
-      if (c->dead) {
-        close_now = !c->scheduled;
-      } else if (!c->scheduled && c->outbuf.empty()) {
-        if (c->evict) {
-          close_now = true;
-        } else if (c->read_closed) {
-          // Half-close, or the drain sweep retired this socket's reads
-          // (never the draining flag alone: until BeginDrain has swept the
-          // socket, request bytes may still sit unread in the kernel
-          // buffer). All complete requests are answered; a trailing partial
-          // line can never complete.
-          close_now = c->inbuf.find('\n') == std::string::npos;
-        }
-      }
-    }
-    if (close_now) CloseConn(c);
-  }
-
-  /// Appends freshly read bytes to the connection's input buffer, keeps the
-  /// slowloris line clock, and schedules a worker when a complete line (or
-  /// an over-cap partial) is buffered.
-  void HandleInput(Conn* c, const char* data, size_t n) {
+  /// Appends freshly read bytes, keeps the slowloris line clock, and
+  /// answers whatever lines they complete.
+  void HandleInput(Loop* L, Conn* c, const char* data, size_t n) {
     c->last_byte = Clock::now();
     const std::string_view chunk(data, n);
     const size_t last_nl = chunk.rfind('\n');
@@ -570,86 +433,78 @@ struct Reactor::Impl {
       c->line_open = last_nl + 1 < chunk.size();
       c->line_start = c->last_byte;
     }
-    bool schedule = false;
-    {
-      std::lock_guard<std::mutex> lock(c->mu);
-      if (c->evict || c->dead) return;
-      std::string_view rest = chunk;
-      if (c->discarding) {
-        // Keep dropping the oversized line while its bytes stream in.
-        const size_t nl = rest.find('\n');
-        if (nl == std::string_view::npos) return;
-        rest = rest.substr(nl + 1);
-        c->discarding = false;
-        if (rest.empty()) return;
-      }
-      c->inbuf.append(rest);
-      const bool actionable =
-          rest.find('\n') != std::string_view::npos ||
-          c->inbuf.size() > env.options.max_line_bytes;
-      if (actionable) {
-        if (c->scheduled) {
-          c->more_input = true;
-        } else {
-          c->scheduled = true;
-          schedule = true;
-        }
-      }
-      if (c->inbuf.size() > input_high_water && !c->in_paused) {
-        c->in_paused = true;  // read backpressure: stop EPOLLIN until drained
-      }
+    const std::chrono::milliseconds read_timeout(
+        env.options.limits.read_timeout_ms);
+    if (c->line_open && c->line_start == c->last_byte &&
+        read_timeout.count() != 0) {
+      NoteDeadline(L, c->line_start + read_timeout);
     }
-    if (c->in_paused) UpdateEvents(c);
-    if (schedule) {
-      {
-        std::lock_guard<std::mutex> lock(ready_mu);
-        ready.push_back(c);
-      }
-      ready_cv.notify_one();
+    Touch(L, c);
+    if (c->evict) return;
+    std::string_view rest = chunk;
+    if (c->discarding) {
+      // Keep dropping the oversized line while its bytes stream in.
+      const size_t nl = rest.find('\n');
+      if (nl == std::string_view::npos) return;
+      rest.remove_prefix(nl + 1);
+      c->discarding = false;
+    }
+    c->inbuf.append(rest);
+    if (rest.find('\n') != std::string_view::npos ||
+        c->inbuf.size() > env.options.max_line_bytes) {
+      ProcessLines(L, c);
     }
   }
 
-  void HandleReadable(Conn* c) {
+  void HandleReadable(Loop* L, Conn* c) {
     char buf[kReadChunk];
     const ssize_t n = RecvSome(c->fd, buf, sizeof(buf));
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) return;
-      CloseConn(c);
+      CloseConn(L, c);
       return;
     }
     if (n == 0) {
-      // Half-close: answer what is already buffered, then close. Requests
-      // pipelined before the client's shutdown(SHUT_WR) still get answers.
-      bool schedule = false;
-      {
-        std::lock_guard<std::mutex> lock(c->mu);
-        c->read_closed = true;
-        if (!c->inbuf.empty() && !c->scheduled) {
-          c->scheduled = true;
-          schedule = true;
-        }
-      }
-      UpdateEvents(c);
-      if (schedule) {
-        {
-          std::lock_guard<std::mutex> lock(ready_mu);
-          ready.push_back(c);
-        }
-        ready_cv.notify_one();
-      }
-      MaybeClose(c);
+      // Half-close: requests pipelined before the client's shutdown(SHUT_WR)
+      // are already answered or staged; close once the answers flush.
+      c->read_closed = true;
+      SetInterest(L, c);
+      Touch(L, c);
       return;
     }
-    HandleInput(c, buf, static_cast<size_t>(n));
+    HandleInput(L, c, buf, static_cast<size_t>(n));
   }
 
-  void HandleAccept() {
+  // ----- connection placement -----
+
+  /// Charges a new connection to the loop with the fewest live connections
+  /// (lowest index on ties). nullptr: the server is at max_connections.
+  Loop* Place() {
+    std::lock_guard<std::mutex> lock(place_mu);
+    const uint32_t cap = env.options.limits.max_connections;
+    if (cap != 0 &&
+        env.live_connections->load(std::memory_order_relaxed) >= cap) {
+      return nullptr;
+    }
+    Loop* best = loops[0].get();
+    for (const std::unique_ptr<Loop>& l : loops) {
+      if (l->live.load(std::memory_order_relaxed) <
+          best->live.load(std::memory_order_relaxed)) {
+        best = l.get();
+      }
+    }
+    best->live.fetch_add(1, std::memory_order_relaxed);
+    env.live_connections->fetch_add(1, std::memory_order_relaxed);
+    return best;
+  }
+
+  void HandleAccept(Loop* self) {
     for (;;) {
       const int fd =
           ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) {
         if (errno == EINTR) continue;
-        return;  // EAGAIN, or the listener was shut down
+        return;  // EAGAIN (another loop won the race), or listener shut down
       }
       env.accepted->fetch_add(1, std::memory_order_relaxed);
       if (stop.load(std::memory_order_relaxed) ||
@@ -657,8 +512,8 @@ struct Reactor::Impl {
         CloseFd(fd);
         continue;
       }
-      if (env.options.limits.max_connections != 0 &&
-          conns.size() >= env.options.limits.max_connections) {
+      Loop* target = Place();
+      if (target == nullptr) {
         // Connection-level load shedding: one best-effort Overloaded line
         // (the socket's send buffer is empty, so this will not block), then
         // close — never a backlog of accepted-but-unserved sockets.
@@ -672,68 +527,66 @@ struct Reactor::Impl {
       }
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      ServerHooks hooks = env.hooks ? env.hooks() : ServerHooks{};
-      auto* conn = new Conn(ServerHooks{});  // hooks wired below (needs conn)
-      hooks.flush = [this, conn](std::string* out) {
-        return FlushStream(conn, out);
-      };
-      conn->handler = RequestHandler(std::move(hooks));
-      conn->fd = fd;
-      conn->last_byte = Clock::now();
-      conns.push_back(conn);
-      env.live_connections->fetch_add(1, std::memory_order_relaxed);
-      epoll_event ev{};
-      ev.data.ptr = conn;
-      ev.events = EPOLLIN;
-      if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-        CloseConn(conn);
-      }
-    }
-  }
-
-  /// Drains the wakeup queue: connections whose worker produced output,
-  /// finished processing, or released stream chunks.
-  void DrainWakes() {
-    uint64_t counter = 0;
-    [[maybe_unused]] const ssize_t n =
-        ::read(wake_fd, &counter, sizeof(counter));
-    std::vector<Conn*> local;
-    {
-      std::lock_guard<std::mutex> lock(wake_mu);
-      local.swap(wake_list);
-      for (Conn* c : local) c->in_wake = false;
-    }
-    for (Conn* c : local) {
-      // Resume reads if the worker drained the input below the high water.
-      if (c->in_paused) {
-        bool resume;
+      if (target == self) {
+        Adopt(self, fd);
+      } else {
         {
-          std::lock_guard<std::mutex> lock(c->mu);
-          resume = c->inbuf.size() <= input_high_water / 2;
+          std::lock_guard<std::mutex> lock(target->inbox_mu);
+          target->inbox.push_back(fd);
         }
-        if (resume) {
-          c->in_paused = false;
-          UpdateEvents(c);
-        }
+        Signal(target->event_fd);
       }
-      PumpOut(c);
-      // PumpOut may have closed (and freed) c; it removes closed conns
-      // from `conns`, so probe membership before touching c again.
-      if (std::find(conns.begin(), conns.end(), c) == conns.end()) continue;
-      MaybeClose(c);
     }
   }
 
-  /// Deadline sweep: evicts idle and slowloris connections (one polite
-  /// DeadlineExceeded line, flush, close) and hard-closes write-stalled
-  /// ones. Returns the epoll timeout until the nearest future deadline.
-  int SweepDeadlines() {
+  /// Registers an accepted socket with loop L, which owns it from now on.
+  void Adopt(Loop* L, int fd) {
+    auto owned = std::make_unique<Conn>();
+    Conn* c = owned.get();
+    ServerHooks hooks = env.hooks ? env.hooks() : ServerHooks{};
+    hooks.flush = [this, L, c](std::string* out) {
+      return FlushStream(L, c, out);
+    };
+    c->handler = RequestHandler(std::move(hooks));
+    c->fd = fd;
+    c->last_byte = Clock::now();
+    c->index = L->conns.size();
+    c->events = EPOLLIN;
+    L->conns.push_back(std::move(owned));
+    epoll_event ev{};
+    ev.data.ptr = c;
+    ev.events = EPOLLIN;
+    if (::epoll_ctl(L->epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      CloseConn(L, c);
+      return;
+    }
+    const std::chrono::milliseconds idle(env.options.limits.idle_timeout_ms);
+    if (idle.count() != 0) NoteDeadline(L, c->last_byte + idle);
+    if (L->drain_started) DrainConn(L, c);
+  }
+
+  void AdoptPending(Loop* L) {
+    std::vector<int> fds;
+    {
+      std::lock_guard<std::mutex> lock(L->inbox_mu);
+      fds.swap(L->inbox);
+    }
+    for (const int fd : fds) Adopt(L, fd);
+  }
+
+  // ----- deadlines, drain, the loop itself -----
+
+  /// Deadline sweep, run only once the loop's nearest deadline has passed:
+  /// evicts idle and slowloris connections (one polite DeadlineExceeded
+  /// line, flush, close), hard-closes write-stalled ones, and records the
+  /// next nearest deadline.
+  void SweepDeadlines(Loop* L, Clock::time_point now) {
     const ServerLimits& limits = env.options.limits;
-    const Clock::time_point now = Clock::now();
     Clock::time_point nearest = Clock::time_point::max();
     std::vector<Conn*> evict_polite;
     std::vector<Conn*> evict_hard;
-    for (Conn* c : conns) {
+    for (const std::unique_ptr<Conn>& owned : L->conns) {
+      Conn* c = owned.get();
       if (c->write_blocked && limits.write_timeout_ms != 0) {
         const auto deadline =
             c->write_blocked_since +
@@ -744,16 +597,7 @@ struct Reactor::Impl {
         }
         nearest = std::min(nearest, deadline);
       }
-      bool busy;
-      bool evicting;
-      {
-        std::lock_guard<std::mutex> lock(c->mu);
-        busy = c->scheduled;
-        evicting = c->evict || c->dead || c->read_closed;
-      }
-      // A connection being processed (or paused for backpressure) is not
-      // idle; recheck it on a later sweep.
-      if (busy || evicting || c->in_paused) continue;
+      if (c->evict || c->read_closed) continue;
       const char* reason = nullptr;
       Clock::time_point deadline = Clock::time_point::max();
       if (limits.idle_timeout_ms != 0) {
@@ -771,146 +615,122 @@ struct Reactor::Impl {
       }
       if (deadline == Clock::time_point::max()) continue;
       if (deadline <= now) {
-        {
-          std::lock_guard<std::mutex> lock(c->mu);
-          AppendDeadlineResponse(reason, &c->outbuf);
-          c->evict = true;
-          c->read_closed = true;
-        }
+        AppendDeadlineResponse(reason, &c->outbuf);
+        c->evict = true;
+        c->read_closed = true;
         evict_polite.push_back(c);
       } else {
         nearest = std::min(nearest, deadline);
       }
     }
-    for (Conn* c : evict_hard) CloseConn(c);
+    L->next_sweep = nearest;  // the evictions below may only move it closer
+    for (Conn* c : evict_hard) CloseConn(L, c);
     for (Conn* c : evict_polite) {
-      UpdateEvents(c);
-      PumpOut(c);
-      if (std::find(conns.begin(), conns.end(), c) != conns.end()) {
-        MaybeClose(c);
-      }
+      PumpOut(L, c);
+      MaybeClose(L, c);
     }
-    if (nearest == Clock::time_point::max()) return 1000;
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(nearest - now)
-            .count();
-    return static_cast<int>(std::clamp<long long>(left, 0, 1000));
   }
 
-  /// Graceful-drain entry (event thread): retire the listener, sweep every
-  /// connection's socket for requests already sent, then let each close as
-  /// its answers flush.
-  void BeginDrain() {
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
-    ::shutdown(listen_fd, SHUT_RDWR);
+  /// Reads every request `c`'s client already sent, then retires reads so
+  /// the connection closes once those are answered.
+  void DrainConn(Loop* L, Conn* c) {
     char buf[kReadChunk];
-    for (Conn* c : std::vector<Conn*>(conns)) {
-      for (;;) {
-        const ssize_t n = RecvSome(c->fd, buf, sizeof(buf));
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) break;
-        HandleInput(c, buf, static_cast<size_t>(n));
-      }
-      {
-        std::lock_guard<std::mutex> lock(c->mu);
-        c->read_closed = true;
-      }
-      UpdateEvents(c);
-      MaybeClose(c);
+    while (!c->closed) {
+      const ssize_t n = RecvSome(c->fd, buf, sizeof(buf));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      HandleInput(L, c, buf, static_cast<size_t>(n));
     }
+    if (c->closed) return;
+    c->read_closed = true;
+    SetInterest(L, c);
+    Touch(L, c);
   }
 
-  void EventLoop() {
-    bool drain_started = false;
+  /// Graceful-drain entry (per loop): stop accepting, sweep every owned
+  /// socket for requests already sent, then let each close as its answers
+  /// flush.
+  void BeginDrain(Loop* L) {
+    L->drain_started = true;
+    ::epoll_ctl(L->epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
+    ::shutdown(listen_fd, SHUT_RDWR);
+    std::vector<Conn*> owned;
+    for (const std::unique_ptr<Conn>& c : L->conns) owned.push_back(c.get());
+    for (Conn* c : owned) DrainConn(L, c);
+    AdoptPending(L);  // adopted connections are drained as they arrive
+  }
+
+  /// End of an epoll_wait batch: run the coalesced batch, then write every
+  /// connection that produced output and close the finished ones.
+  void FinishBatch(Loop* L) {
+    FlushRun(L);
+    for (Conn* c : L->touched) {
+      c->touched = false;
+      if (c->closed) continue;
+      PumpOut(L, c);
+      MaybeClose(L, c);
+    }
+    L->touched.clear();
+  }
+
+  void RunLoop(Loop* L) {
     epoll_event events[64];
-    int timeout_ms = 1000;
     for (;;) {
-      const int rc = ::epoll_wait(epoll_fd, events,
+      const int rc = ::epoll_wait(L->epoll_fd, events,
                                   static_cast<int>(std::size(events)),
-                                  timeout_ms);
-      const Clock::time_point wake = Clock::now();
+                                  MillisUntil(L->next_sweep));
       if (rc < 0 && errno != EINTR) break;
-      if (stop.load(std::memory_order_relaxed)) {
-        for (Conn* c : std::vector<Conn*>(conns)) CloseConn(c);
-        if (conns.empty()) break;
-        // Workers still own some connections; their finish wakeups complete
-        // the closes. Keep looping (DrainWakes below) until all are gone.
-      }
-      if (draining.load(std::memory_order_relaxed) && !drain_started) {
-        drain_started = true;
-        BeginDrain();
+      const Clock::time_point wake = Clock::now();
+      if (stop.load(std::memory_order_relaxed)) break;
+      if (draining.load(std::memory_order_relaxed) && !L->drain_started) {
+        BeginDrain(L);
       }
       for (int i = 0; i < std::max(rc, 0); ++i) {
         void* ptr = events[i].data.ptr;
         if (ptr == nullptr) {
-          // The listener (events carry nullptr for it; conns carry Conn*).
-          HandleAccept();
+          HandleAccept(L);  // the listener (events carry nullptr for it)
           continue;
         }
-        if (ptr == &wake_fd) {
-          DrainWakes();
+        if (ptr == &L->event_fd) {
+          uint64_t counter = 0;
+          [[maybe_unused]] const ssize_t n =
+              ::read(L->event_fd, &counter, sizeof(counter));
+          AdoptPending(L);
           continue;
         }
         auto* c = static_cast<Conn*>(ptr);
-        // A connection freed by an earlier event in this batch cannot be
-        // in `conns` anymore; skip its stale events.
-        if (std::find(conns.begin(), conns.end(), c) == conns.end()) continue;
-        if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0 &&
-            (events[i].events & EPOLLIN) == 0) {
-          CloseConn(c);
+        if (c->closed) continue;  // closed earlier in this batch
+        const uint32_t ev = events[i].events;
+        if ((ev & (EPOLLHUP | EPOLLERR)) != 0 && (ev & EPOLLIN) == 0) {
+          CloseConn(L, c);
           continue;
         }
-        if ((events[i].events & EPOLLOUT) != 0) {
-          PumpOut(c);
-          if (std::find(conns.begin(), conns.end(), c) == conns.end()) {
-            continue;
-          }
-          MaybeClose(c);
-          if (std::find(conns.begin(), conns.end(), c) == conns.end()) {
-            continue;
-          }
+        if ((ev & EPOLLOUT) != 0) {
+          PumpOut(L, c);
+          Touch(L, c);
+          if (c->closed) continue;
         }
-        if ((events[i].events & EPOLLIN) != 0) HandleReadable(c);
+        if ((ev & EPOLLIN) != 0) HandleReadable(L, c);
       }
-      timeout_ms = SweepDeadlines();
+      FinishBatch(L);
+      const Clock::time_point now = Clock::now();
+      if (now >= L->next_sweep) SweepDeadlines(L, now);
+      L->graveyard.clear();
       if (env.metrics != nullptr) {
         env.metrics->RecordLoopLag(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                 wake)
+            std::chrono::duration_cast<std::chrono::nanoseconds>(now - wake)
                 .count()));
       }
     }
+    // Stopping: disconnect every client this loop owns.
+    while (!L->conns.empty()) CloseConn(L, L->conns.back().get());
+    L->graveyard.clear();
   }
 
   Status Start() {
-    input_high_water = env.options.max_line_bytes + 4 * kReadChunk;
     const int flags = ::fcntl(listen_fd, F_GETFL, 0);
     if (flags < 0 || ::fcntl(listen_fd, F_SETFL, flags | O_NONBLOCK) != 0) {
       return Status::Unavailable(std::string("fcntl(listen): ") +
-                                 std::strerror(errno));
-    }
-    epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd < 0) {
-      return Status::Unavailable(std::string("epoll_create1(): ") +
-                                 std::strerror(errno));
-    }
-    wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (wake_fd < 0) {
-      return Status::Unavailable(std::string("eventfd(): ") +
-                                 std::strerror(errno));
-    }
-    epoll_event lev{};
-    lev.data.ptr = nullptr;  // the listener's marker
-    lev.events = EPOLLIN;
-    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listen_fd, &lev) != 0) {
-      return Status::Unavailable(std::string("epoll_ctl(listen): ") +
-                                 std::strerror(errno));
-    }
-    epoll_event wev{};
-    wev.data.ptr = &wake_fd;  // the eventfd's marker
-    wev.events = EPOLLIN;
-    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, wake_fd, &wev) != 0) {
-      return Status::Unavailable(std::string("epoll_ctl(eventfd): ") +
                                  std::strerror(errno));
     }
     uint32_t n = env.options.reactor_threads;
@@ -919,36 +739,64 @@ struct Reactor::Impl {
       n = std::clamp(hw / 2, 2u, 8u);
     }
     for (uint32_t i = 0; i < n; ++i) {
-      workers.emplace_back([this] { WorkerLoop(); });
+      loops.push_back(std::make_unique<Loop>());
+      Loop* L = loops.back().get();
+      L->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+      if (L->epoll_fd < 0) {
+        return Status::Unavailable(std::string("epoll_create1(): ") +
+                                   std::strerror(errno));
+      }
+      L->event_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+      if (L->event_fd < 0) {
+        return Status::Unavailable(std::string("eventfd(): ") +
+                                   std::strerror(errno));
+      }
+      epoll_event wev{};
+      wev.data.ptr = &L->event_fd;  // the eventfd's marker
+      wev.events = EPOLLIN;
+      if (::epoll_ctl(L->epoll_fd, EPOLL_CTL_ADD, L->event_fd, &wev) != 0) {
+        return Status::Unavailable(std::string("epoll_ctl(eventfd): ") +
+                                   std::strerror(errno));
+      }
+      // Every loop watches the listener; EPOLLEXCLUSIVE wakes one waiting
+      // loop per connection instead of all of them.
+      epoll_event lev{};
+      lev.data.ptr = nullptr;  // the listener's marker
+      lev.events = EPOLLIN | EPOLLEXCLUSIVE;
+      if (::epoll_ctl(L->epoll_fd, EPOLL_CTL_ADD, listen_fd, &lev) != 0) {
+        return Status::Unavailable(std::string("epoll_ctl(listen): ") +
+                                   std::strerror(errno));
+      }
     }
-    event_thread = std::thread([this] { EventLoop(); });
+    for (const std::unique_ptr<Loop>& l : loops) {
+      Loop* L = l.get();
+      L->thread = std::thread([this, L] { RunLoop(L); });
+    }
     return Status::Ok();
   }
 
   void StopLocked() {
     stop.store(true, std::memory_order_relaxed);
-    SignalWake(nullptr);
-    // Unblock any worker parked on streaming backpressure: the event thread
-    // marks its connection dead, but a belt-and-braces broadcast here keeps
-    // shutdown independent of sweep timing.
-    if (event_thread.joinable()) event_thread.join();
-    {
-      std::lock_guard<std::mutex> lock(ready_mu);
+    for (const std::unique_ptr<Loop>& l : loops) {
+      if (l->event_fd >= 0) Signal(l->event_fd);
     }
-    ready_cv.notify_all();
-    for (std::thread& w : workers) {
-      if (w.joinable()) w.join();
+    for (const std::unique_ptr<Loop>& l : loops) {
+      if (l->thread.joinable()) l->thread.join();
     }
-    workers.clear();
-    CloseFd(epoll_fd);
-    epoll_fd = -1;
-    CloseFd(wake_fd);
-    wake_fd = -1;
+    for (const std::unique_ptr<Loop>& l : loops) {
+      // Hand-offs that raced the stop were never adopted.
+      for (const int fd : l->inbox) {
+        CloseFd(fd);
+        Release(l.get());
+      }
+      l->inbox.clear();
+      CloseFd(l->epoll_fd);
+      l->epoll_fd = -1;
+      CloseFd(l->event_fd);
+      l->event_fd = -1;
+    }
   }
 };
-
-thread_local std::vector<Reactor::Impl::GroupConn>* Reactor::Impl::tls_group =
-    nullptr;
 
 Reactor::Reactor(int listen_fd, ReactorEnv env)
     : impl_(std::make_unique<Impl>()) {
@@ -966,7 +814,9 @@ bool Reactor::Drain(std::chrono::milliseconds budget) {
     if (impl_->stopped) return true;
   }
   impl_->draining.store(true, std::memory_order_relaxed);
-  impl_->SignalWake(nullptr);
+  for (const std::unique_ptr<Impl::Loop>& l : impl_->loops) {
+    Signal(l->event_fd);
+  }
   bool drained;
   {
     std::unique_lock<std::mutex> lock(impl_->drain_mu);
@@ -984,6 +834,14 @@ void Reactor::Stop() {
   if (impl_->stopped) return;
   impl_->stopped = true;
   impl_->StopLocked();
+}
+
+std::vector<uint64_t> Reactor::LoopConnections() const {
+  std::vector<uint64_t> counts;
+  for (const std::unique_ptr<Impl::Loop>& l : impl_->loops) {
+    counts.push_back(l->live.load(std::memory_order_relaxed));
+  }
+  return counts;
 }
 
 }  // namespace hc2l

@@ -1,40 +1,43 @@
 #ifndef HC2L_SERVER_REACTOR_H_
 #define HC2L_SERVER_REACTOR_H_
 
-/// The hc2ld connection engine: one epoll event thread, a small worker
-/// pool, nonblocking sockets, per-connection buffers.
+/// The hc2ld connection engine: N run-to-completion epoll event loops,
+/// nonblocking sockets, per-connection buffers.
 ///
-/// Division of labor (the invariant everything below leans on):
+/// Division of labour (the invariant everything below leans on):
 ///
-///  - The EVENT THREAD owns every file descriptor. It accepts, reads
-///    request bytes into per-connection input buffers, writes response
-///    bytes from per-connection output buffers, enforces the idle /
-///    read (slowloris) / write deadlines, and closes sockets. It never
-///    parses or executes a request.
-///  - WORKER THREADS own request processing. A worker pops a scheduled
-///    connection, consumes its complete request lines through the wire
-///    protocol core (server/wire.h), and appends the response bytes to the
-///    connection's output buffer. Workers never touch an fd.
+///  - Each LOOP owns its epoll set and the connections placed on it
+///    outright. Its one thread reads a connection's request bytes, runs
+///    each complete line through the wire protocol core (server/wire.h:
+///    Prepare, then the coalesced batch or ExecuteParsed), and writes the
+///    responses with nonblocking sends, re-arming EPOLLOUT when the socket
+///    is full. No connection state crosses threads, so connections carry no
+///    locks, and responses stay in request order because one thread answers
+///    a connection's lines in arrival order. The same thread enforces the
+///    idle / read (slowloris) / write deadlines, sweeping its connections
+///    only once its nearest deadline has passed.
+///  - PLACEMENT: every loop watches the listener. The loop that accepts a
+///    connection places it on the loop with the fewest live connections
+///    (lowest index on ties) and hands it over through that loop's eventfd,
+///    which carries only stop, drain and these hand-offs.
+///  - A streamed matrix writes to its socket between chunks. Above the
+///    output high-water mark the loop waits in poll() for the socket or its
+///    eventfd, bounded by write_timeout_ms; only the connections on that
+///    loop wait with it.
 ///
-/// The two sides meet at each connection's mutex (input/output buffer
-/// hand-off) and an eventfd (workers wake the event thread to start
-/// writing). A connection is scheduled to at most one worker at a time;
-/// responses therefore stay in request order per connection.
+/// Coalescing: the small default-options point/batch lines that
+/// RequestHandler::Prepare stages (kStaged) — from every connection whose
+/// bytes arrived in one epoll_wait batch of a loop — are merged into ONE
+/// pairwise engine Execute, then the combined distance slice is
+/// demultiplexed into per-connection responses. Eligibility (wire.h)
+/// guarantees the answers are bit-identical to unbatched execution.
 ///
-/// Coalescing: a worker staging small default-options point/batch requests
-/// (RequestHandler::Prepare returning kStaged) merges them — across the
-/// pipelined lines of one connection AND across a handful of concurrently
-/// ready connections — into ONE pairwise engine Execute, then demultiplexes
-/// the combined distance slice into per-connection responses. Eligibility
-/// (wire.h) guarantees the answers are bit-identical to unbatched
-/// execution.
-///
-/// The PR 6/7 robustness contract carries over unchanged: admission and
-/// connection limits, Overloaded shed lines, idle/read/write deadline
-/// eviction, the per-line byte cap with discard-to-newline,
-/// max_requests_per_connection cycling, half-close (EOF with pipelined
-/// requests still answers them), graceful drain, and the "server.recv" /
-/// "server.send" fault points on every socket read and write.
+/// The robustness contract: admission and connection limits, Overloaded
+/// shed lines, idle/read/write deadline eviction, the per-line byte cap
+/// with discard-to-newline, max_requests_per_connection cycling, half-close
+/// (EOF with pipelined requests still answers them), graceful drain, and
+/// the "server.recv" / "server.send" fault points on every socket read and
+/// write.
 
 #include <atomic>
 #include <chrono>
@@ -42,6 +45,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "hc2l/server.h"
 #include "hc2l/status.h"
@@ -85,8 +89,8 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Creates the epoll instance and wakeup eventfd and spawns the event
-  /// thread + workers. Errors: kUnavailable.
+  /// Creates each loop's epoll instance and eventfd and spawns the loop
+  /// threads (ServerOptions::reactor_threads of them). Errors: kUnavailable.
   Status Start();
 
   /// Graceful shutdown: stop accepting, sweep each connection's socket for
@@ -98,6 +102,10 @@ class Reactor {
 
   /// Hard stop: disconnect every client, join all threads. Idempotent.
   void Stop();
+
+  /// Live connections per event loop, in loop order (the "info" op's
+  /// loop_connections). Safe from any thread once Start() returned.
+  std::vector<uint64_t> LoopConnections() const;
 
  private:
   struct Impl;

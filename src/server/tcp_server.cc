@@ -15,6 +15,7 @@
 #include <mutex>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "graph/dimacs_io.h"
 #include "graph/graph.h"
@@ -215,6 +216,13 @@ struct QueryServer::Impl {
     field("in_flight", s.in_flight);
     field("max_connections", options.limits.max_connections);
     field("max_in_flight", options.limits.max_in_flight);
+    json->append(",\"loop_connections\":[");
+    const std::vector<uint64_t> per_loop = reactor->LoopConnections();
+    for (size_t i = 0; i < per_loop.size(); ++i) {
+      if (i != 0) json->push_back(',');
+      json->append(std::to_string(per_loop[i]));
+    }
+    json->push_back(']');
     metrics.AppendInfoJson(json);
   }
 

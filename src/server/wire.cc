@@ -676,6 +676,7 @@ RequestHandler::LineAction RequestHandler::Prepare(
       plan->is_batch = req_.op == "batch";
       plan->first = sources->size();
       plan->count = pairs;
+      plan->start = prepare_start_;
       if (plan->is_batch) {
         sources->insert(sources->end(), pairs, req_.sources[0]);
       } else {
@@ -924,14 +925,20 @@ void RequestHandler::StreamMatrix(const Router& router,
 void RequestHandler::AppendStagedResponse(const StagePlan& plan,
                                           std::span<const Dist> dists,
                                           std::string* out) const {
+  const char* op = plan.is_batch ? "batch" : "point";
   out->append("{\"ok\":true,\"op\":\"");
-  out->append(plan.is_batch ? "batch" : "point");
+  out->append(op);
   out->append("\",\"distances\":[");
   for (size_t i = 0; i < plan.count; ++i) {
     if (i != 0) out->push_back(',');
     AppendDist(out, dists[plan.first + i]);
   }
   out->append("]}\n");
+  if (hooks_.record) {
+    const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::steady_clock::now() - plan.start);
+    hooks_.record(op, static_cast<uint64_t>(elapsed.count()));
+  }
 }
 
 void RequestHandler::ReleaseStaged() {

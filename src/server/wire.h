@@ -108,7 +108,7 @@ inline constexpr uint64_t kStreamChunkEntries = uint64_t{1} << 16;
 
 /// Result entries a streamed matrix request may produce in total. Streaming
 /// exists to lift RequestHandler::kMaxResultEntries, but an unbounded
-/// request would still pin a worker for hours; 2^30 entries (~7 GB of JSON
+/// request would still pin an event loop for hours; 2^30 entries (~7 GB of JSON
 /// across the stream, seconds of engine time) is the sanity ceiling.
 inline constexpr uint64_t kMaxStreamResultEntries = uint64_t{1} << 30;
 
@@ -189,7 +189,8 @@ struct ServerHooks {
   /// chunks accumulate in *out (the socket-free tests read them all at once).
   std::function<bool(std::string* out)> flush;
   /// Observability: called once per executed query op with the op name and
-  /// its handling latency (parse + execute + serialize, nanoseconds).
+  /// its handling latency (parse + execute + serialize, nanoseconds; for a
+  /// coalesced request, from its Prepare() to its demultiplexed response).
   std::function<void(std::string_view op, uint64_t ns)> record;
 };
 
@@ -250,6 +251,8 @@ class RequestHandler {
     bool is_batch = false;  // response says "op":"batch" vs "op":"point"
     size_t first = 0;       // slice of the caller's staged pair arrays
     size_t count = 0;
+    /// Prepare() entry: the staged request's latency is measured from here.
+    std::chrono::steady_clock::time_point start{};
   };
   struct CoalescePolicy {
     size_t max_pairs_per_request = 16;
@@ -265,7 +268,9 @@ class RequestHandler {
   void ExecuteParsed(const Router& router, const ThreadedRouter& threaded,
                      std::string* out);
   /// Serializes the response line for one staged request from its slice of
-  /// the combined pairwise result.
+  /// the combined pairwise result, then reports its latency through
+  /// hooks.record — measured from Prepare(), so parse, the wait for the
+  /// shared batch, execute and format all count, as in ExecuteParsed().
   void AppendStagedResponse(const StagePlan& plan, std::span<const Dist> dists,
                             std::string* out) const;
   /// Pairs the admission admit() consumed by one kStaged Prepare().

@@ -558,8 +558,14 @@ TEST_F(WireTest, OversizedRequestIsRejected) {
 /// Minimal blocking client for the ephemeral-port round trip.
 class TestClient {
  public:
-  explicit TestClient(uint16_t port) {
+  /// `rcvbuf_bytes` > 0 shrinks the receive buffer before connecting, so a
+  /// client that stops reading stalls the server's writes quickly.
+  explicit TestClient(uint16_t port, int rcvbuf_bytes = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (rcvbuf_bytes > 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf_bytes,
+                   sizeof(rcvbuf_bytes));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -594,6 +600,18 @@ class TestClient {
     std::string line = buf_.substr(0, nl);
     buf_.erase(0, nl + 1);
     return line;
+  }
+
+  /// Everything still unread, up to the server closing the connection.
+  std::string ReadToClose() {
+    std::string all = std::move(buf_);
+    buf_.clear();
+    char chunk[65536];
+    for (;;) {
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) return all;
+      all.append(chunk, static_cast<size_t>(n));
+    }
   }
 
  private:
@@ -755,6 +773,133 @@ TEST_F(WireTest, TcpServerMaxRequestsPerConnectionCycles) {
   EXPECT_EQ(client.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
   // The per-connection budget is spent: the server closes after two.
   EXPECT_EQ(client.ReadLine(), "<connection closed>");
+  server->Stop();
+}
+
+/// Polls `done` every 20 ms for up to `budget`; true once it holds.
+template <typename Pred>
+bool WaitFor(Pred done, std::chrono::milliseconds budget) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return true;
+}
+
+/// A `rows` x `cols` matrix request line (with its newline) over ids that
+/// cycle through the graph's `num_vertices`.
+std::string MatrixRequest(size_t rows, size_t cols, size_t num_vertices,
+                          bool stream) {
+  std::string request = "{\"op\":\"matrix\",\"sources\":[";
+  for (size_t i = 0; i < rows; ++i) {
+    if (i != 0) request += ',';
+    request += std::to_string(i % num_vertices);
+  }
+  request += "],\"targets\":[";
+  for (size_t i = 0; i < cols; ++i) {
+    if (i != 0) request += ',';
+    request += std::to_string((i * 7) % num_vertices);
+  }
+  request += stream ? "],\"stream\":true}\n" : "]}\n";
+  return request;
+}
+
+bool EndsWith(std::string_view s, std::string_view suffix) {
+  return s.size() >= suffix.size() &&
+         s.substr(s.size() - suffix.size()) == suffix;
+}
+
+TEST_F(WireTest, TcpServerEvictsIdleAndSlowlorisConnections) {
+  // A loop sweeps its connections only once its nearest deadline passes;
+  // two connections with different deadlines on one loop must each still be
+  // evicted on time, with one polite DeadlineExceeded line before the close.
+  ServerOptions options;
+  options.port = 0;
+  options.num_threads = 1;
+  options.reactor_threads = 1;
+  options.limits.idle_timeout_ms = 400;
+  options.limits.read_timeout_ms = 150;
+  Result<QueryServer> server = QueryServer::Start(*router_, options);
+  ASSERT_TRUE(server.ok());
+  TestClient idle(server->port());
+  TestClient slow(server->port());
+  ASSERT_TRUE(idle.connected());
+  ASSERT_TRUE(slow.connected());
+  idle.Send("{\"op\":\"ping\"}\n");
+  ASSERT_EQ(idle.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
+  const auto start = std::chrono::steady_clock::now();
+  slow.Send("{\"op\":\"ping\"");  // a request line that never completes
+  EXPECT_EQ(slow.ReadLine(),
+            "{\"ok\":false,\"code\":\"DeadlineExceeded\",\"message\":"
+            "\"connection evicted: request line not completed in time\"}");
+  EXPECT_EQ(slow.ReadLine(), "<connection closed>");
+  EXPECT_EQ(idle.ReadLine(),
+            "{\"ok\":false,\"code\":\"DeadlineExceeded\",\"message\":"
+            "\"connection evicted: idle timeout\"}");
+  EXPECT_EQ(idle.ReadLine(), "<connection closed>");
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(300))
+      << "the idle eviction fired early";
+  server->Stop();
+}
+
+TEST_F(WireTest, TcpServerCutsWriteStalledConnections) {
+  // A client that stops reading is disconnected once the server's writes to
+  // it have stayed blocked for write_timeout_ms.
+  ServerOptions options;
+  options.port = 0;
+  options.num_threads = 1;
+  options.limits.write_timeout_ms = 300;
+  Result<QueryServer> server = QueryServer::Start(*router_, options);
+  ASSERT_TRUE(server.ok());
+  TestClient stalled(server->port(), /*rcvbuf_bytes=*/4096);
+  ASSERT_TRUE(stalled.connected());
+  stalled.Send("{\"op\":\"ping\"}\n");
+  ASSERT_EQ(stalled.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
+  // One monolithic 2^22-entry response (tens of MB), never read.
+  stalled.Send(MatrixRequest(2048, 2048, router_->NumVertices(), false));
+  EXPECT_TRUE(WaitFor([&] { return server->stats().connections_live == 0; },
+                      std::chrono::seconds(30)));
+  EXPECT_FALSE(EndsWith(stalled.ReadToClose(), "]}\n"))
+      << "the stalled response was delivered whole";
+  server->Stop();
+}
+
+TEST_F(WireTest, TcpServerSpreadsConnectionsAcrossLoops) {
+  // A new connection goes to the loop with the fewest live connections, so
+  // four long-lived clients on three loops land 2/1/1, never 3/1/0, and the
+  // info op reports the placement.
+  ServerOptions options;
+  options.port = 0;
+  options.num_threads = 1;
+  options.reactor_threads = 3;
+  Result<QueryServer> server = QueryServer::Start(*router_, options);
+  ASSERT_TRUE(server.ok());
+  std::vector<std::unique_ptr<TestClient>> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.push_back(std::make_unique<TestClient>(server->port()));
+    ASSERT_TRUE(clients.back()->connected());
+    // An answered ping pins the connection as accepted and placed.
+    clients.back()->Send("{\"op\":\"ping\"}\n");
+    ASSERT_EQ(clients.back()->ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
+  }
+  clients[0]->Send("{\"op\":\"info\"}\n");
+  const std::string info = clients[0]->ReadLine();
+  const std::string key = "\"loop_connections\":[";
+  const size_t at = info.find(key);
+  ASSERT_NE(at, std::string::npos) << info;
+  std::vector<uint64_t> counts;
+  for (const char* p = info.c_str() + at + key.size();;) {
+    char* end = nullptr;
+    counts.push_back(std::strtoull(p, &end, 10));
+    if (*end != ',') break;
+    p = end + 1;
+  }
+  ASSERT_EQ(counts.size(), 3u) << info;
+  EXPECT_EQ(counts[0] + counts[1] + counts[2], 4u) << info;
+  const auto [lo, hi] = std::minmax_element(counts.begin(), counts.end());
+  EXPECT_LE(*hi - *lo, 1u) << info;
   server->Stop();
 }
 
@@ -956,6 +1101,48 @@ TEST_F(WireTest, StreamDeadlineExpiryAbortsMidStreamWithoutTrailer) {
   EXPECT_FALSE(reassembler.done());
 }
 
+TEST_F(WireTest, StalledStreamBlocksOnlyItsOwnLoop) {
+  // One client streams a large matrix and reads nothing. Point requests on
+  // a second connection, placed on the other loop, are still answered, and
+  // the stalled stream is cut once its writes stay blocked for
+  // write_timeout_ms.
+  ServerOptions options;
+  options.port = 0;
+  options.num_threads = 1;
+  options.reactor_threads = 2;
+  options.limits.write_timeout_ms = 500;
+  Result<QueryServer> server = QueryServer::Start(*router_, options);
+  ASSERT_TRUE(server.ok());
+  TestClient streamer(server->port(), /*rcvbuf_bytes=*/4096);
+  ASSERT_TRUE(streamer.connected());
+  streamer.Send("{\"op\":\"ping\"}\n");
+  ASSERT_EQ(streamer.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
+  TestClient points(server->port());  // placed on the empty loop
+  ASSERT_TRUE(points.connected());
+  points.Send("{\"op\":\"ping\"}\n");
+  ASSERT_EQ(points.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
+
+  // 2048 x 4096 entries: far more JSON than the socket buffers and the
+  // server's output high-water mark hold.
+  streamer.Send(MatrixRequest(2048, 4096, router_->NumVertices(), true));
+  const std::string header = streamer.ReadLine();
+  EXPECT_NE(header.find("\"stream\":true"), std::string::npos)
+      << header.substr(0, 300);
+  for (Vertex t = 1; t < 20; ++t) {
+    points.Send("{\"op\":\"point\",\"sources\":[0],\"targets\":[" +
+                std::to_string(t) + "]}\n");
+    EXPECT_EQ(points.ReadLine(),
+              "{\"ok\":true,\"op\":\"point\",\"distances\":[" +
+                  std::to_string(*router_->Distance(0, t)) + "]}");
+  }
+  EXPECT_TRUE(WaitFor([&] { return server->stats().connections_live == 1; },
+                      std::chrono::seconds(30)));
+  EXPECT_EQ(streamer.ReadToClose().find("\"done\":true"), std::string::npos);
+  points.Send("{\"op\":\"ping\"}\n");
+  EXPECT_EQ(points.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
+  server->Stop();
+}
+
 // --- Request coalescing (the reactor's staged path) ------------------------
 
 TEST_F(WireTest, PreparedStagedResponsesMatchHandleLineByteForByte) {
@@ -1046,6 +1233,57 @@ TEST_F(WireTest, IneligibleLinesAreNotStaged) {
                             &plan, &out),
             RequestHandler::LineAction::kExecute);
   EXPECT_TRUE(sources.empty());
+}
+
+TEST_F(WireTest, StagedLatencyIsRecordedFromPrepare) {
+  // A staged request's latency spans Prepare() to its demultiplexed
+  // response (parse, the wait for the shared batch, execute, format), the
+  // same span ExecuteParsed records, not just the shared engine call.
+  std::vector<std::pair<std::string, uint64_t>> records;
+  ServerHooks hooks;
+  hooks.record = [&records](std::string_view op, uint64_t ns) {
+    records.emplace_back(std::string(op), ns);
+  };
+  RequestHandler staging(std::move(hooks));
+  const RequestHandler::CoalescePolicy policy;
+  std::vector<Vertex> sources;
+  std::vector<Vertex> targets;
+  RequestHandler::StagePlan point_plan;
+  RequestHandler::StagePlan batch_plan;
+  std::string out;
+  ASSERT_EQ(staging.Prepare(R"({"op":"point","sources":[3],"targets":[77]})",
+                            *router_, *threaded_, &policy, &sources, &targets,
+                            &point_plan, &out),
+            RequestHandler::LineAction::kStaged);
+  ASSERT_EQ(staging.Prepare(R"({"op":"batch","source":5,"targets":[1,2]})",
+                            *router_, *threaded_, &policy, &sources, &targets,
+                            &batch_plan, &out),
+            RequestHandler::LineAction::kStaged);
+  // Other connections' lines joining the same batch take this long.
+  constexpr std::chrono::milliseconds kBatchWait(20);
+  std::this_thread::sleep_for(kBatchWait);
+
+  QueryRequest request;
+  request.kind = QueryKind::kPointBatch;
+  request.sources = sources;
+  request.targets = targets;
+  std::vector<Dist> dists(targets.size());
+  QueryOutput output;
+  output.distances = dists;
+  ASSERT_TRUE(threaded_->Execute(request, output).ok());
+  staging.AppendStagedResponse(point_plan, dists, &out);
+  staging.AppendStagedResponse(batch_plan, dists, &out);
+  staging.ReleaseStaged();
+  staging.ReleaseStaged();
+
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].first, "point");
+  EXPECT_EQ(records[1].first, "batch");
+  for (const auto& [op, ns] : records) {
+    EXPECT_GE(ns, static_cast<uint64_t>(
+                      std::chrono::nanoseconds(kBatchWait).count()))
+        << op;
+  }
 }
 
 }  // namespace

