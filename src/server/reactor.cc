@@ -143,6 +143,10 @@ struct Reactor::Impl {
     std::vector<int> inbox;  // guarded by inbox_mu: accepted, not adopted
 
     // Loop-thread-owned.
+    ServerHooks hooks;  // base hooks; each connection copies them
+    ServerMetrics::Shard* metrics = nullptr;  // this loop's shard, or null
+    ServingSnapshot snap;  // taken by this batch's first line, dropped at
+                           // the batch's end (router == nullptr: none held)
     std::vector<std::unique_ptr<Conn>> conns;
     std::vector<Conn*> touched;  // output or close check due this batch
     std::vector<std::unique_ptr<Conn>> graveyard;  // freed after the batch
@@ -277,12 +281,25 @@ struct Reactor::Impl {
 
   // ----- request processing -----
 
-  /// Executes the run's combined pairwise batch and demultiplexes the
-  /// distance slices into each staged request's response, in order.
+  /// The serving snapshot for the loop's next line. Taken once per batch;
+  /// re-taken only when a publish moved the epoch, after the run staged
+  /// against the old snapshot has executed on it.
+  const ServingSnapshot& Snapshot(Loop* L) {
+    if (L->snap.router != nullptr &&
+        env.epoch->load(std::memory_order_acquire) == L->snap.epoch) {
+      return L->snap;
+    }
+    FlushRun(L);
+    L->snap = env.snapshot();
+    return L->snap;
+  }
+
+  /// Executes the run's combined pairwise batch on the snapshot its lines
+  /// were prepared against and demultiplexes the distance slices into each
+  /// staged request's response, in order.
   void FlushRun(Loop* L) {
     Run& run = L->run;
     if (run.slots.empty()) return;
-    const ServingSnapshot snap = env.snapshot();
     QueryRequest request;
     request.kind = QueryKind::kPointBatch;
     request.sources = run.sources;
@@ -291,9 +308,9 @@ struct Reactor::Impl {
     QueryOutput output;
     output.distances = run.dists;
     const Result<QueryResponse> response =
-        snap.threaded->Execute(request, output);
-    if (env.metrics != nullptr) {
-      env.metrics->RecordCoalescedBatch(run.slots.size());
+        L->snap.threaded->Execute(request, output);
+    if (L->metrics != nullptr) {
+      L->metrics->RecordCoalescedBatch(run.slots.size());
     }
     for (const Run::Slot& slot : run.slots) {
       Conn* c = slot.c;
@@ -305,8 +322,9 @@ struct Reactor::Impl {
         // but an engine error must still answer every request.
         AppendWireError(response.status(), &c->outbuf);
       }
-      c->handler.ReleaseStaged();
     }
+    // Every staged line was admitted once; release them all in one update.
+    if (L->hooks.admit && L->hooks.release) L->hooks.release(run.slots.size());
     run.sources.clear();
     run.targets.clear();
     run.slots.clear();
@@ -369,14 +387,15 @@ struct Reactor::Impl {
       if (nl == std::string_view::npos) break;
       const std::string_view line = view.substr(consumed, nl - consumed);
       consumed = nl + 1;
-      // The CURRENT serving snapshot per line: a hot reload lands between
-      // requests of one connection.
-      const ServingSnapshot snap = env.snapshot();
+      // A publish seen here lands between requests of one connection.
+      const ServingSnapshot& snap = Snapshot(L);
+      const Router& router = *snap.router;
+      const ThreadedRouter& threaded = *snap.threaded;
       L->scratch.clear();
       RequestHandler::StagePlan plan;
       const RequestHandler::LineAction action =
-          c->handler.Prepare(line, *snap.router, *snap.threaded, policy,
-                             &run.sources, &run.targets, &plan, &L->scratch);
+          c->handler.Prepare(line, router, threaded, policy, &run.sources,
+                             &run.targets, &plan, &L->scratch);
       if (action == RequestHandler::LineAction::kStaged) {
         run.slots.push_back({c, plan});
         c->in_run = true;
@@ -388,7 +407,7 @@ struct Reactor::Impl {
         // Responses leave in request order: staged answers go first.
         if (c->in_run) FlushRun(L);
         if (action == RequestHandler::LineAction::kExecute) {
-          c->handler.ExecuteParsed(*snap.router, *snap.threaded, &c->outbuf);
+          c->handler.ExecuteParsed(router, threaded, &c->outbuf);
           if (c->closed) return;  // a stalled stream was cut
         } else {
           c->outbuf.append(L->scratch);
@@ -543,7 +562,7 @@ struct Reactor::Impl {
   void Adopt(Loop* L, int fd) {
     auto owned = std::make_unique<Conn>();
     Conn* c = owned.get();
-    ServerHooks hooks = env.hooks ? env.hooks() : ServerHooks{};
+    ServerHooks hooks = L->hooks;
     hooks.flush = [this, L, c](std::string* out) {
       return FlushStream(L, c, out);
     };
@@ -713,11 +732,12 @@ struct Reactor::Impl {
         if ((ev & EPOLLIN) != 0) HandleReadable(L, c);
       }
       FinishBatch(L);
+      L->snap = ServingSnapshot{};  // an idle loop pins no old index
       const Clock::time_point now = Clock::now();
       if (now >= L->next_sweep) SweepDeadlines(L, now);
       L->graveyard.clear();
-      if (env.metrics != nullptr) {
-        env.metrics->RecordLoopLag(static_cast<uint64_t>(
+      if (L->metrics != nullptr) {
+        L->metrics->RecordLoopLag(static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(now - wake)
                 .count()));
       }
@@ -733,14 +753,11 @@ struct Reactor::Impl {
       return Status::Unavailable(std::string("fcntl(listen): ") +
                                  std::strerror(errno));
     }
-    uint32_t n = env.options.reactor_threads;
-    if (n == 0) {
-      const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-      n = std::clamp(hw / 2, 2u, 8u);
-    }
-    for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t i = 0; i < env.options.reactor_threads; ++i) {
       loops.push_back(std::make_unique<Loop>());
       Loop* L = loops.back().get();
+      if (env.metrics != nullptr) L->metrics = &env.metrics->shard(i);
+      if (env.hooks) L->hooks = env.hooks(L->metrics);
       L->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
       if (L->epoll_fd < 0) {
         return Status::Unavailable(std::string("epoll_create1(): ") +

@@ -25,12 +25,23 @@
 ///    eventfd, bounded by write_timeout_ms; only the connections on that
 ///    loop wait with it.
 ///
+/// Shared-nothing request path: per line, a loop writes only its own
+/// memory plus the server-wide in-flight counter that the max_in_flight
+/// cap needs. It takes the serving snapshot at most once per epoll batch
+/// and keeps it until the batch ends; before each line it compares one
+/// epoch counter (bumped by every publish) with its snapshot's epoch and
+/// re-takes the snapshot, between lines, only when a publish moved it. An
+/// idle loop holds no snapshot. Its metrics go to its own ServerMetrics
+/// shard; a coalesced run releases its admissions with one update.
+///
 /// Coalescing: the small default-options point/batch lines that
 /// RequestHandler::Prepare stages (kStaged) — from every connection whose
 /// bytes arrived in one epoll_wait batch of a loop — are merged into ONE
 /// pairwise engine Execute, then the combined distance slice is
 /// demultiplexed into per-connection responses. Eligibility (wire.h)
-/// guarantees the answers are bit-identical to unbatched execution.
+/// guarantees the answers are bit-identical to unbatched execution. A run
+/// executes on the snapshot its lines were prepared against: a publish
+/// seen between lines first flushes the run, then switches snapshots.
 ///
 /// The robustness contract: admission and connection limits, Overloaded
 /// shed lines, idle/read/write deadline eviction, the per-line byte cap
@@ -60,18 +71,26 @@ struct ServingSnapshot {
   std::shared_ptr<const void> keepalive;
   const Router* router = nullptr;
   const ThreadedRouter* threaded = nullptr;
+  uint64_t epoch = 0;  // the publish that produced this snapshot
 };
 
 /// Everything the reactor borrows from the QueryServer that owns it. All
 /// pointers must outlive the reactor.
 struct ReactorEnv {
+  /// reactor_threads must be resolved (non-zero): one loop each.
   ServerOptions options;
-  /// The current serving snapshot; re-acquired per request line so hot
-  /// reloads land between requests of one connection.
+  /// Takes the current serving snapshot. A loop calls it at most once per
+  /// epoll batch, plus once more after each publish it observes.
   std::function<ServingSnapshot()> snapshot;
-  /// Base per-connection hooks (admission, reload, update_weights, info,
-  /// record). The reactor adds the streaming flush hook itself.
-  std::function<ServerHooks()> hooks;
+  /// The current snapshot's epoch. Every publish stores the new epoch with
+  /// release ordering while it holds the lock `snapshot` takes, so a loop
+  /// reads this before each line and calls `snapshot` only when it moved.
+  const std::atomic<uint64_t>* epoch = nullptr;
+  /// Base hooks for one loop (admission, reload, update_weights, info, and
+  /// record), given that loop's metrics shard (null without `metrics`).
+  /// The reactor adds each connection's streaming flush hook itself.
+  std::function<ServerHooks(ServerMetrics::Shard* shard)> hooks;
+  /// One shard per loop (options.reactor_threads of them), or null.
   ServerMetrics* metrics = nullptr;
   std::atomic<uint64_t>* accepted = nullptr;
   std::atomic<uint64_t>* connections_shed = nullptr;
@@ -90,7 +109,7 @@ class Reactor {
   Reactor& operator=(const Reactor&) = delete;
 
   /// Creates each loop's epoll instance and eventfd and spawns the loop
-  /// threads (ServerOptions::reactor_threads of them). Errors: kUnavailable.
+  /// threads (options.reactor_threads of them). Errors: kUnavailable.
   Status Start();
 
   /// Graceful shutdown: stop accepting, sweep each connection's socket for

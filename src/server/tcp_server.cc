@@ -35,17 +35,26 @@ void CloseFd(int fd) {
   }
 }
 
+/// Event loops for `options`: reactor_threads, or when that is 0,
+/// clamp(hardware_concurrency / 2, 2, 8).
+uint32_t ReactorLoops(const ServerOptions& options) {
+  if (options.reactor_threads != 0) return options.reactor_threads;
+  const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
+  return std::clamp(hw / 2, 2u, 8u);
+}
+
 }  // namespace
 
 struct QueryServer::Impl {
   ServerOptions options;
 
   /// One immutable serving snapshot: the index facade plus the shared query
-  /// engine built on it. The reactor takes a shared_ptr per request line;
-  /// Reload publishes a fresh snapshot and the old one dies with its last
-  /// in-flight reference (RCU). `owned` is null for the initial snapshot,
-  /// whose Router is borrowed from Start()'s caller. Declared before
-  /// `threaded` so the engine is destroyed before the router it wraps.
+  /// engine built on it. Each reactor loop holds a shared_ptr for at most
+  /// one epoll batch; Reload publishes a fresh snapshot and the old one
+  /// dies with its last in-flight reference (RCU). `owned` is null for the
+  /// initial snapshot, whose Router is borrowed from Start()'s caller.
+  /// Declared before `threaded` so the engine is destroyed before the
+  /// router it wraps.
   struct ServingState {
     std::unique_ptr<Router> owned;
     const Router* router = nullptr;
@@ -55,6 +64,9 @@ struct QueryServer::Impl {
 
   mutable std::mutex state_mu;
   std::shared_ptr<const ServingState> state;  // guarded by state_mu
+  // state->epoch, readable without state_mu. Stored (release) under
+  // state_mu by every publish; the reactor loops poll it before each line.
+  std::atomic<uint64_t> epoch{0};
   // Serializes Reload()s: opening an index is slow and two concurrent
   // swaps would race their epoch bumps. Never held together with state_mu
   // except by the publisher (state_mu inside reload_mu).
@@ -74,13 +86,13 @@ struct QueryServer::Impl {
   std::atomic<uint64_t> accepted{0};
   std::atomic<uint64_t> connections_shed{0};
   std::atomic<uint64_t> live_connections{0};
-  std::atomic<uint64_t> requests_admitted{0};
   std::atomic<uint64_t> requests_shed{0};
   std::atomic<uint64_t> reloads{0};
   std::atomic<uint64_t> weight_updates{0};
   std::atomic<uint32_t> in_flight{0};
 
-  ServerMetrics metrics;
+  // One shard per reactor loop (requests_admitted lives there too).
+  std::unique_ptr<ServerMetrics> metrics;
 
   // Declared after everything it borrows (metrics, counters, state) so the
   // member destruction order alone cannot leave a reactor thread touching
@@ -133,6 +145,7 @@ struct QueryServer::Impl {
       if (epoch_out != nullptr) *epoch_out = next->epoch;
       old.swap(state);
       state = std::move(next);
+      epoch.store(state->epoch, std::memory_order_release);
     }
     // `old` (and possibly its engine's worker pool) is torn down here,
     // outside state_mu — unless a connection still holds it, in which case
@@ -173,6 +186,7 @@ struct QueryServer::Impl {
       if (epoch_out != nullptr) *epoch_out = next->epoch;
       old.swap(state);
       state = std::move(next);
+      epoch.store(state->epoch, std::memory_order_release);
     }
     weight_updates.fetch_add(1, std::memory_order_relaxed);
     return Status::Ok();
@@ -183,17 +197,14 @@ struct QueryServer::Impl {
     s.connections_accepted = accepted.load(std::memory_order_relaxed);
     s.connections_shed = connections_shed.load(std::memory_order_relaxed);
     s.connections_live = live_connections.load(std::memory_order_relaxed);
-    s.requests_admitted = requests_admitted.load(std::memory_order_relaxed);
+    s.requests_admitted = metrics->requests_admitted();
     s.requests_shed = requests_shed.load(std::memory_order_relaxed);
     s.in_flight = in_flight.load(std::memory_order_relaxed);
     s.reloads = reloads.load(std::memory_order_relaxed);
     s.weight_updates = weight_updates.load(std::memory_order_relaxed);
-    s.requests_coalesced = metrics.coalesced_requests();
-    s.coalesced_batches = metrics.coalesced_batches();
-    {
-      std::lock_guard<std::mutex> lock(state_mu);
-      s.epoch = state->epoch;
-    }
+    s.requests_coalesced = metrics->coalesced_requests();
+    s.coalesced_batches = metrics->coalesced_batches();
+    s.epoch = epoch.load(std::memory_order_acquire);
     return s;
   }
 
@@ -223,12 +234,14 @@ struct QueryServer::Impl {
       json->append(std::to_string(per_loop[i]));
     }
     json->push_back(']');
-    metrics.AppendInfoJson(json);
+    metrics->AppendInfoJson(json);
   }
 
-  ServerHooks MakeHooks() {
+  /// Hooks for one reactor loop: its admissions and latencies go to its
+  /// own metrics `shard`.
+  ServerHooks MakeHooks(ServerMetrics::Shard* shard) {
     ServerHooks hooks;
-    hooks.admit = [this](uint64_t* retry_after_ms) {
+    hooks.admit = [this, shard](uint64_t* retry_after_ms) {
       const uint32_t cap = options.limits.max_in_flight;
       if (cap == 0) {
         in_flight.fetch_add(1, std::memory_order_relaxed);
@@ -246,11 +259,12 @@ struct QueryServer::Impl {
           }
         }
       }
-      requests_admitted.fetch_add(1, std::memory_order_relaxed);
+      shard->RecordAdmitted();
       return true;
     };
-    hooks.release = [this] {
-      in_flight.fetch_sub(1, std::memory_order_relaxed);
+    hooks.release = [this](uint64_t count) {
+      in_flight.fetch_sub(static_cast<uint32_t>(count),
+                          std::memory_order_relaxed);
     };
     hooks.reload = [this](std::string_view path, uint64_t* epoch) {
       return ReloadIndex(path, epoch);
@@ -260,8 +274,8 @@ struct QueryServer::Impl {
       return UpdateWeightsIndex(edges, epoch);
     };
     hooks.info = [this](std::string* json) { AppendServingInfo(json); };
-    hooks.record = [this](std::string_view op, uint64_t ns) {
-      metrics.RecordLatency(op, ns);
+    hooks.record = [shard](WireOp op, uint64_t ns) {
+      shard->RecordLatency(op, ns);
     };
     // hooks.flush is the reactor's: it wires each connection's socket write
     // path in itself.
@@ -276,11 +290,15 @@ struct QueryServer::Impl {
       ServingSnapshot out;
       out.router = snap->router;
       out.threaded = snap->threaded.get();
+      out.epoch = snap->epoch;
       out.keepalive = std::move(snap);
       return out;
     };
-    env.hooks = [this] { return MakeHooks(); };
-    env.metrics = &metrics;
+    env.epoch = &epoch;
+    env.hooks = [this](ServerMetrics::Shard* shard) {
+      return MakeHooks(shard);
+    };
+    env.metrics = metrics.get();
     env.accepted = &accepted;
     env.connections_shed = &connections_shed;
     env.live_connections = &live_connections;
@@ -323,6 +341,9 @@ Result<QueryServer> QueryServer::Start(const Router& router,
   auto impl = std::make_unique<Impl>();
   impl->options = options;
   if (impl->options.max_line_bytes == 0) impl->options.max_line_bytes = 1;
+  impl->options.reactor_threads = ReactorLoops(options);
+  impl->metrics =
+      std::make_unique<ServerMetrics>(impl->options.reactor_threads);
 
   auto initial = std::make_shared<Impl::ServingState>();
   initial->router = &router;
@@ -402,8 +423,7 @@ Status QueryServer::UpdateWeights(std::span<const EdgeDelta> edges) {
 }
 
 uint64_t QueryServer::epoch() const {
-  std::lock_guard<std::mutex> lock(impl_->state_mu);
-  return impl_->state->epoch;
+  return impl_->epoch.load(std::memory_order_acquire);
 }
 
 bool QueryServer::Drain(std::chrono::milliseconds budget) {

@@ -198,6 +198,27 @@ class JsonCursor {
     return Error("unterminated string");
   }
 
+  /// A string as a view into the line when it holds no escape (every key
+  /// and op name a client normally sends), else decoded by ParseString into
+  /// *scratch and viewed there. Errors are ParseString's, byte for byte.
+  Status ParseStringView(std::string_view* out, std::string* scratch) {
+    SkipWs();
+    if (pos_ < s_.size() && s_[pos_] == '"') {
+      for (size_t i = pos_ + 1; i < s_.size(); ++i) {
+        const char c = s_[i];
+        if (c == '"') {
+          *out = s_.substr(pos_ + 1, i - pos_ - 1);
+          pos_ = i + 1;
+          return Status::Ok();
+        }
+        if (c == '\\' || static_cast<unsigned char>(c) < 0x20) break;
+      }
+    }
+    if (Status st = ParseString(scratch); !st.ok()) return st;
+    *out = *scratch;
+    return Status::Ok();
+  }
+
   /// Non-negative integer; saturates at UINT64_MAX instead of wrapping.
   Status ParseUint(uint64_t* out) {
     SkipWs();
@@ -315,16 +336,16 @@ class JsonCursor {
     SkipWs();
     if (pos_ >= s_.size()) return Error("expected a value");
     const char c = s_[pos_];
-    if (c == '"') {
-      std::string ignored;
-      return ParseString(&ignored);
-    }
+    std::string_view ignored;
+    std::string scratch;
+    if (c == '"') return ParseStringView(&ignored, &scratch);
     if (c == '{') {
       ++pos_;
       if (Consume('}')) return Status::Ok();
       for (;;) {
-        std::string key;
-        if (Status st = ParseString(&key); !st.ok()) return st;
+        if (Status st = ParseStringView(&ignored, &scratch); !st.ok()) {
+          return st;
+        }
         if (Status st = Expect(':'); !st.ok()) return st;
         if (Status st = SkipValue(depth + 1); !st.ok()) return st;
         if (Consume('}')) return Status::Ok();
@@ -365,7 +386,45 @@ class JsonCursor {
   size_t pos_ = 0;
 };
 
+WireOp WireOpFromName(std::string_view name) {
+  if (name.empty()) return WireOp::kNone;
+  for (auto i = static_cast<uint8_t>(WireOp::kPing);
+       i <= static_cast<uint8_t>(WireOp::kRoute); ++i) {
+    if (name == WireOpName(static_cast<WireOp>(i))) {
+      return static_cast<WireOp>(i);
+    }
+  }
+  return WireOp::kUnknown;
+}
+
 }  // namespace
+
+std::string_view WireOpName(WireOp op) {
+  switch (op) {
+    case WireOp::kPing:
+      return "ping";
+    case WireOp::kInfo:
+      return "info";
+    case WireOp::kReload:
+      return "reload";
+    case WireOp::kUpdateWeights:
+      return "update_weights";
+    case WireOp::kPoint:
+      return "point";
+    case WireOp::kBatch:
+      return "batch";
+    case WireOp::kMatrix:
+      return "matrix";
+    case WireOp::kKNearest:
+      return "knearest";
+    case WireOp::kRoute:
+      return "route";
+    case WireOp::kNone:
+    case WireOp::kUnknown:
+      break;
+  }
+  return "";
+}
 
 Status ParseRequestLine(std::string_view line, WireRequest* req) {
   req->Clear();
@@ -374,14 +433,22 @@ Status ParseRequestLine(std::string_view line, WireRequest* req) {
   }
   JsonCursor c(line);
   if (Status st = c.Expect('{'); !st.ok()) return st;
+  // Decoding buffers, touched only by strings that hold an escape.
+  std::string key_scratch;
+  std::string value_scratch;
   if (!c.Consume('}')) {
     for (;;) {
-      std::string key;
-      if (Status st = c.ParseString(&key); !st.ok()) return st;
+      std::string_view key;
+      if (Status st = c.ParseStringView(&key, &key_scratch); !st.ok()) {
+        return st;
+      }
       if (Status st = c.Expect(':'); !st.ok()) return st;
       Status field = Status::Ok();
       if (key == "op") {
-        field = c.ParseString(&req->op);
+        std::string_view name;
+        field = c.ParseStringView(&name, &value_scratch);
+        req->op = WireOpFromName(name);
+        if (req->op == WireOp::kUnknown) req->unknown_op.assign(name);
       } else if (key == "source") {
         uint64_t v = 0;
         field = c.ParseUint(&v);
@@ -416,8 +483,8 @@ Status ParseRequestLine(std::string_view line, WireRequest* req) {
       } else if (key == "stream") {
         field = c.ParseBool(&req->stream);
       } else if (key == "missing") {
-        std::string policy;
-        field = c.ParseString(&policy);
+        std::string_view policy;
+        field = c.ParseStringView(&policy, &value_scratch);
         if (field.ok()) {
           if (policy == "error") {
             req->options.missing_vertices = MissingVertexPolicy::kError;
@@ -426,7 +493,7 @@ Status ParseRequestLine(std::string_view line, WireRequest* req) {
           } else {
             field = Status::InvalidArgument(
                 "\"missing\" must be \"error\" or \"unreachable\", got \"" +
-                policy + "\"");
+                std::string(policy) + "\"");
           }
         }
       } else {
@@ -498,11 +565,11 @@ RequestHandler::LineAction RequestHandler::Prepare(
   // ping/info/reload bypass admission control deliberately: liveness
   // probes, stats scrapes and the operator's reload must keep working on a
   // server that is shedding query load.
-  if (req_.op == "ping") {
+  if (req_.op == WireOp::kPing) {
     out->append("{\"ok\":true,\"op\":\"ping\"}\n");
     return LineAction::kDone;
   }
-  if (req_.op == "reload") {
+  if (req_.op == WireOp::kReload) {
     if (!hooks_.reload) {
       AppendErrorResponse(
           Status::Unimplemented("this endpoint has no reload hook"), out);
@@ -518,7 +585,7 @@ RequestHandler::LineAction RequestHandler::Prepare(
     out->append("}\n");
     return LineAction::kDone;
   }
-  if (req_.op == "update_weights") {
+  if (req_.op == WireOp::kUpdateWeights) {
     // Admission-exempt like reload: the operator's weight refresh must keep
     // working on a server that is shedding query load (the swap itself is
     // serialized against reloads behind the server's reload mutex).
@@ -546,7 +613,7 @@ RequestHandler::LineAction RequestHandler::Prepare(
     out->append("}\n");
     return LineAction::kDone;
   }
-  if (req_.op == "info") {
+  if (req_.op == WireOp::kInfo) {
     const IndexInfo info = router.Info();
     out->append("{\"ok\":true,\"op\":\"info\",\"directed\":");
     out->append(info.directed ? "true" : "false");
@@ -563,7 +630,7 @@ RequestHandler::LineAction RequestHandler::Prepare(
     return LineAction::kDone;
   }
 
-  if (req_.op == "batch") {
+  if (req_.op == WireOp::kBatch) {
     kind_ = QueryKind::kPointBatch;
     if (req_.sources.size() != 1) {
       AppendErrorResponse(
@@ -572,7 +639,7 @@ RequestHandler::LineAction RequestHandler::Prepare(
           out);
       return LineAction::kDone;
     }
-  } else if (req_.op == "point") {
+  } else if (req_.op == WireOp::kPoint) {
     kind_ = QueryKind::kPointBatch;
     // Enforce the pairwise shape here: Execute would reinterpret a single
     // source as one-to-many, silently answering a client that dropped an
@@ -587,11 +654,11 @@ RequestHandler::LineAction RequestHandler::Prepare(
           out);
       return LineAction::kDone;
     }
-  } else if (req_.op == "matrix") {
+  } else if (req_.op == WireOp::kMatrix) {
     kind_ = QueryKind::kMatrix;
-  } else if (req_.op == "knearest") {
+  } else if (req_.op == WireOp::kKNearest) {
     kind_ = QueryKind::kKNearest;
-  } else if (req_.op == "route") {
+  } else if (req_.op == WireOp::kRoute) {
     kind_ = QueryKind::kRoute;
     if (req_.sources.size() != 1 || req_.targets.size() != 1) {
       AppendErrorResponse(
@@ -612,9 +679,9 @@ RequestHandler::LineAction RequestHandler::Prepare(
   } else {
     AppendErrorResponse(
         Status::InvalidArgument(
-            req_.op.empty()
+            req_.op == WireOp::kNone
                 ? "request has no \"op\""
-                : "unknown op \"" + req_.op +
+                : "unknown op \"" + req_.unknown_op +
                       "\" (expected batch, point, matrix, knearest, route, "
                       "info, ping, reload or update_weights)"),
         out);
@@ -663,7 +730,7 @@ RequestHandler::LineAction RequestHandler::Prepare(
     }
     if (stageable) {
       // A staged request passes admission individually, exactly as its
-      // un-coalesced execution would; the caller owes one ReleaseStaged().
+      // un-coalesced execution would; the caller owes one release count.
       if (hooks_.admit) {
         uint64_t retry_after_ms = 0;
         if (!hooks_.admit(&retry_after_ms)) {
@@ -673,11 +740,11 @@ RequestHandler::LineAction RequestHandler::Prepare(
           return LineAction::kDone;
         }
       }
-      plan->is_batch = req_.op == "batch";
+      plan->op = req_.op;
       plan->first = sources->size();
       plan->count = pairs;
       plan->start = prepare_start_;
-      if (plan->is_batch) {
+      if (plan->op == WireOp::kBatch) {
         sources->insert(sources->end(), pairs, req_.sources[0]);
       } else {
         sources->insert(sources->end(), req_.sources.begin(),
@@ -732,9 +799,9 @@ void RequestHandler::ExecuteParsed(const Router& router,
   // execution below exits; without an admit hook nothing was admitted and
   // nothing is released.
   struct ReleaseGuard {
-    const std::function<void()>* release;
+    const std::function<void(uint64_t)>* release;
     ~ReleaseGuard() {
-      if (release != nullptr && *release) (*release)();
+      if (release != nullptr && *release) (*release)(1);
     }
   } release_guard{hooks_.admit ? &hooks_.release : nullptr};
 
@@ -804,7 +871,7 @@ void RequestHandler::ExecuteParsed(const Router& router,
   }
 
   out->append("{\"ok\":true,\"op\":\"");
-  out->append(req_.op);
+  out->append(WireOpName(req_.op));
   out->append("\"");
   if (request.kind == QueryKind::kRoute) {
     out->append(",\"distance\":");
@@ -925,9 +992,8 @@ void RequestHandler::StreamMatrix(const Router& router,
 void RequestHandler::AppendStagedResponse(const StagePlan& plan,
                                           std::span<const Dist> dists,
                                           std::string* out) const {
-  const char* op = plan.is_batch ? "batch" : "point";
   out->append("{\"ok\":true,\"op\":\"");
-  out->append(op);
+  out->append(WireOpName(plan.op));
   out->append("\",\"distances\":[");
   for (size_t i = 0; i < plan.count; ++i) {
     if (i != 0) out->push_back(',');
@@ -937,12 +1003,8 @@ void RequestHandler::AppendStagedResponse(const StagePlan& plan,
   if (hooks_.record) {
     const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
         std::chrono::steady_clock::now() - plan.start);
-    hooks_.record(op, static_cast<uint64_t>(elapsed.count()));
+    hooks_.record(plan.op, static_cast<uint64_t>(elapsed.count()));
   }
-}
-
-void RequestHandler::ReleaseStaged() {
-  if (hooks_.admit && hooks_.release) hooks_.release();
 }
 
 Status StreamReassembler::Feed(std::string_view line) {

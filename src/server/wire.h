@@ -68,7 +68,7 @@
 /// buffers and executing into reusable buffers — the per-connection
 /// zero-allocation steady state the request/response facade API exists for.
 /// The TCP layer (hc2l/server.h) is a thin loop around RequestHandler; it
-/// passes the current serving snapshot's routers into every HandleLine so a
+/// passes the current serving snapshot's routers in with every line so a
 /// hot reload (the "reload" op, or SIGHUP on hc2ld) swaps the index under
 /// live connections without touching this layer.
 
@@ -112,9 +112,30 @@ inline constexpr uint64_t kStreamChunkEntries = uint64_t{1} << 16;
 /// across the stream, seconds of engine time) is the sanity ceiling.
 inline constexpr uint64_t kMaxStreamResultEntries = uint64_t{1} << 30;
 
+/// A request's "op", resolved once by the parser. The named ops run from
+/// kPing to kRoute, and the query ops among them from kPoint to kRoute
+/// (the parser and ServerMetrics iterate and index by these ranges).
+enum class WireOp : uint8_t {
+  kNone,     // no "op" key, or an empty one
+  kUnknown,  // a name this protocol does not define (see WireRequest)
+  kPing,
+  kInfo,
+  kReload,
+  kUpdateWeights,
+  kPoint,
+  kBatch,
+  kMatrix,
+  kKNearest,
+  kRoute,
+};
+
+/// The op's wire name; "" for kNone and kUnknown.
+std::string_view WireOpName(WireOp op);
+
 /// One parsed request, held in reusable buffers (Clear() keeps capacity).
 struct WireRequest {
-  std::string op;
+  WireOp op = WireOp::kNone;
+  std::string unknown_op;  // kUnknown only: the "op" string as sent
   std::vector<Vertex> sources;
   std::vector<Vertex> targets;  // also the knearest candidates / route target
   uint64_t k = 0;               // knearest neighbors / route alternatives
@@ -124,7 +145,7 @@ struct WireRequest {
   QueryOptions options;
 
   void Clear() {
-    op.clear();
+    op = WireOp::kNone;
     sources.clear();
     targets.clear();
     k = 0;
@@ -135,11 +156,14 @@ struct WireRequest {
   }
 };
 
-/// Parses one request line into `req` (which is Clear()ed first). JSON ids
-/// larger than the 32-bit vertex space parse as kInvalidVertex, i.e. an
-/// out-of-range id handled by the request's missing-vertex policy. Errors:
-/// kInvalidArgument with a position-carrying message; `req` contents are
-/// then unspecified. Carries the "wire.parse" fault point.
+/// Parses one request line into `req` (which is Clear()ed first). Keys and
+/// the op name are matched as views into `line`; only a string holding an
+/// escape is decoded into a buffer. A repeated key overwrites (the last
+/// "op" wins). JSON ids larger than the 32-bit vertex space parse as
+/// kInvalidVertex, i.e. an out-of-range id handled by the request's
+/// missing-vertex policy. Errors: kInvalidArgument with a
+/// position-carrying message; `req` contents are then unspecified.
+/// Carries the "wire.parse" fault point.
 Status ParseRequestLine(std::string_view line, WireRequest* req);
 
 /// Appends the wire's load-shedding response line: ok:false, code
@@ -162,10 +186,11 @@ struct ServerHooks {
   /// Admission control, consulted once per query op (ping/info/reload are
   /// exempt — they must work on an overloaded server). Return true to
   /// execute; false sheds the request: the handler answers Overloaded
-  /// carrying *retry_after_ms and does not execute. An admitted request is
-  /// always paired with exactly one release() call after it finishes.
+  /// carrying *retry_after_ms and does not execute. Every admitted request
+  /// is released exactly once after it finishes; release(n) releases n at
+  /// once (the reactor releases a whole coalesced run with one call).
   std::function<bool(uint64_t* retry_after_ms)> admit;
-  std::function<void()> release;
+  std::function<void(uint64_t count)> release;
   /// The "reload" op: open `path` (empty = the server's original index
   /// path) into a fresh serving snapshot and swap it in; on success return
   /// Ok and set *epoch to the new snapshot's epoch. Queries already
@@ -188,10 +213,10 @@ struct ServerHooks {
   /// handler stops computing and appends nothing further. Absent hook =
   /// chunks accumulate in *out (the socket-free tests read them all at once).
   std::function<bool(std::string* out)> flush;
-  /// Observability: called once per executed query op with the op name and
-  /// its handling latency (parse + execute + serialize, nanoseconds; for a
+  /// Observability: called once per executed query op with the op and its
+  /// handling latency (parse + execute + serialize, nanoseconds; for a
   /// coalesced request, from its Prepare() to its demultiplexed response).
-  std::function<void(std::string_view op, uint64_t ns)> record;
+  std::function<void(WireOp op, uint64_t ns)> record;
 };
 
 /// Parses one request line, executes it against the routers passed by the
@@ -211,9 +236,10 @@ class RequestHandler {
   explicit RequestHandler(ServerHooks hooks) : hooks_(std::move(hooks)) {}
 
   /// `router` and `threaded` are the serving snapshot for THIS line; the
-  /// TCP layer re-acquires them per line so a hot reload takes effect
-  /// between requests of one connection. `threaded` routes through the
-  /// server's shared query engine (per-request "threads" caps it).
+  /// TCP layer checks for a newer snapshot before every line, so a hot
+  /// reload takes effect between requests of one connection. `threaded`
+  /// routes through the server's shared query engine (per-request
+  /// "threads" caps it).
   void HandleLine(std::string_view line, const Router& router,
                   const ThreadedRouter& threaded, std::string* out);
 
@@ -235,7 +261,7 @@ class RequestHandler {
   ///              AppendStagedResponse(plan, slice) per staged line to demux
   ///              — byte-identical to what HandleLine would have produced.
   ///              The admission hook was already consulted (admitted); the
-  ///              caller MUST call ReleaseStaged() once per kStaged line
+  ///              caller owes hooks.release one count per kStaged line
   ///              after demuxing (or on abandoning the batch).
   ///  - kExecute: a non-coalescible query (matrix/knearest/route/stream,
   ///              custom options, too many pairs). Parsed state is held in
@@ -248,8 +274,8 @@ class RequestHandler {
   /// pairs. `coalesce == nullptr` disables staging (kStaged never returned).
   enum class LineAction { kDone, kStaged, kExecute };
   struct StagePlan {
-    bool is_batch = false;  // response says "op":"batch" vs "op":"point"
-    size_t first = 0;       // slice of the caller's staged pair arrays
+    WireOp op = WireOp::kPoint;  // kPoint or kBatch: the response's "op"
+    size_t first = 0;            // slice of the caller's staged pair arrays
     size_t count = 0;
     /// Prepare() entry: the staged request's latency is measured from here.
     std::chrono::steady_clock::time_point start{};
@@ -273,8 +299,6 @@ class RequestHandler {
   /// shared batch, execute and format all count, as in ExecuteParsed().
   void AppendStagedResponse(const StagePlan& plan, std::span<const Dist> dists,
                             std::string* out) const;
-  /// Pairs the admission admit() consumed by one kStaged Prepare().
-  void ReleaseStaged();
 
  private:
   void AppendErrorResponse(const Status& status, std::string* out) const;

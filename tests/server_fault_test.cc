@@ -35,6 +35,7 @@
 #include "common/fault_injection.h"
 #include "hc2l/hc2l.h"
 #include "hc2l/server.h"
+#include "server_test_util.h"
 
 namespace hc2l {
 namespace {
@@ -59,53 +60,18 @@ size_t OpenFdCount() {
   return count > 3 ? count - 3 : 0;  // ".", "..", the opendir fd itself
 }
 
-/// Minimal blocking client (mirrors the one in server_wire_test.cc).
-class TestClient {
- public:
-  explicit TestClient(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
+/// Threads of this process, from /proc/self/status; 0 if unreadable.
+size_t ThreadCount() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  size_t threads = 0;
+  char line[256];
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "Threads: %zu", &threads) == 1) break;
   }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool connected() const { return connected_; }
-
-  bool Send(std::string_view bytes) {
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n =
-          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  std::string ReadLine() {
-    size_t nl;
-    while ((nl = buf_.find('\n')) == std::string::npos) {
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "<connection closed>";
-      buf_.append(chunk, static_cast<size_t>(n));
-    }
-    std::string line = buf_.substr(0, nl);
-    buf_.erase(0, nl + 1);
-    return line;
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buf_;
-};
+  std::fclose(f);
+  return threads;
+}
 
 class ChaosTest : public ::testing::Test {
  protected:
@@ -323,6 +289,49 @@ TEST_F(ChaosTest, ReloadSwapsIndexAndSurvivesCorruptFile) {
                 "{\"ok\":false,\"code\":\"InvalidArgument\""),
             0u);
   EXPECT_EQ(server->stats().reloads, 1u);
+  std::remove(other_path.c_str());
+  server->Stop();
+}
+
+TEST_F(ChaosTest, ReloadLeavesNoStaleSnapshotOnAnIdleLoop) {
+  // Each loop holds a serving snapshot only while it handles a batch. After
+  // a reload, the old snapshot — and its engine's worker pool — must die
+  // even though one loop stays idle: the process thread count returns to
+  // what it was before the reload (the new pool replaces the old one).
+  Result<Router> other_built = Router::Build(ChaosGraph(/*seed=*/7));
+  ASSERT_TRUE(other_built.ok());
+  const std::string other_path =
+      ::testing::TempDir() + "/hc2l_chaos_snapshot_lifetime.idx";
+  ASSERT_TRUE(other_built->Save(other_path).ok());
+
+  ServerOptions options;
+  options.port = 0;
+  options.num_threads = 3;  // two pool workers per engine
+  options.reactor_threads = 2;
+  Result<QueryServer> server = QueryServer::Start(*router_, options);
+  ASSERT_TRUE(server.ok());
+  TestClient busy(server->port());
+  TestClient idle(server->port());
+  // Both loops serve a query, so both have held the first snapshot.
+  for (TestClient* client : {&busy, &idle}) {
+    ASSERT_TRUE(client->connected());
+    ASSERT_TRUE(
+        client->Send("{\"op\":\"batch\",\"source\":0,\"targets\":[1]}\n"));
+    ASSERT_EQ(client->ReadLine().find("{\"ok\":true"), 0u);
+  }
+  ASSERT_TRUE(busy.Send("{\"op\":\"info\"}\n"));
+  ASSERT_NE(busy.ReadLine().find("\"loop_connections\":[1,1]"),
+            std::string::npos);
+
+  const size_t threads_before = ThreadCount();
+  ASSERT_GT(threads_before, 0u);
+  ASSERT_TRUE(busy.Send("{\"op\":\"reload\",\"path\":\"" + other_path +
+                        "\"}\n"));
+  EXPECT_EQ(busy.ReadLine(), "{\"ok\":true,\"op\":\"reload\",\"epoch\":1}");
+  EXPECT_TRUE(WaitFor([&] { return ThreadCount() == threads_before; },
+                      std::chrono::seconds(2)))
+      << "threads before the reload: " << threads_before
+      << ", now: " << ThreadCount() << " (an old engine pool is still alive)";
   std::remove(other_path.c_str());
   server->Stop();
 }

@@ -27,6 +27,7 @@
 #include "hc2l/hc2l.h"
 #include "hc2l/server.h"
 #include "server/wire.h"
+#include "server_test_util.h"
 
 namespace hc2l {
 namespace {
@@ -78,7 +79,7 @@ TEST_F(WireTest, ParseRequestLineRoundTrip) {
       R"("future_key":{"nested":[1,{"x":"y"}],"f":1.5e9}})",
       &req);
   ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(req.op, "matrix");
+  EXPECT_EQ(req.op, WireOp::kMatrix);
   EXPECT_EQ(req.sources, (std::vector<Vertex>{1, 2, 3}));
   EXPECT_EQ(req.targets, (std::vector<Vertex>{4}));
   EXPECT_EQ(req.k, 9u);
@@ -103,6 +104,32 @@ TEST_F(WireTest, ParseRequestLineRoundTrip) {
                   .ok());
   EXPECT_EQ(req.sources[0], kInvalidVertex);
   EXPECT_EQ(req.targets[0], kInvalidVertex);
+
+  // Keys are matched as views into the line; a key holding an escape is
+  // decoded first, so "o\u0070" is the "op" key. Op names decode the same.
+  ASSERT_TRUE(ParseRequestLine(
+                  R"({"o\u0070":"point","sources":[1],"targets":[2]})", &req)
+                  .ok());
+  EXPECT_EQ(req.op, WireOp::kPoint);
+  EXPECT_EQ(req.sources, (std::vector<Vertex>{1}));
+  ASSERT_TRUE(
+      ParseRequestLine(R"({"op":"b\u0061tch","source":1,"targets":[2]})", &req)
+          .ok());
+  EXPECT_EQ(req.op, WireOp::kBatch);
+  ASSERT_TRUE(ParseRequestLine(R"({"op":"fl\u0079"})", &req).ok());
+  EXPECT_EQ(req.op, WireOp::kUnknown);
+  EXPECT_EQ(req.unknown_op, "fly");
+
+  // A repeated "op" key: the last one wins, whatever came before.
+  ASSERT_TRUE(ParseRequestLine(
+                  R"({"op":"matrix","sources":[1],"op":"point","targets":[2]})",
+                  &req)
+                  .ok());
+  EXPECT_EQ(req.op, WireOp::kPoint);
+  ASSERT_TRUE(ParseRequestLine(R"({"op":"fly","op":"route"})", &req).ok());
+  EXPECT_EQ(req.op, WireOp::kRoute);
+  ASSERT_TRUE(ParseRequestLine(R"({"op":"ping","op":""})", &req).ok());
+  EXPECT_EQ(req.op, WireOp::kNone);
 }
 
 TEST_F(WireTest, MalformedLinesAreErrorsNotAborts) {
@@ -153,6 +180,31 @@ TEST_F(WireTest, MalformedLinesAreErrorsNotAborts) {
   EXPECT_EQ(Handle(R"({"op":"point","sources":[3],"targets":[7,8]})")
                 .find("{\"ok\":false,\"code\":\"InvalidArgument\""),
             0u);
+
+  // The copy-free key path falls back to the decoding parser on anything
+  // but a plain string, so its errors are the decoding parser's, byte for
+  // byte: a raw control byte inside a key, an op value or a skipped value.
+  const std::string control_error =
+      "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":"
+      "\"bad request JSON at byte 4: unescaped control character in "
+      "string\"}";
+  EXPECT_EQ(Handle("{\"o\x01p\":\"point\"}"), control_error);
+  EXPECT_EQ(Handle("{\"op\":\"po\x02int\"}"),
+            "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":"
+            "\"bad request JSON at byte 10: unescaped control character in "
+            "string\"}");
+  EXPECT_EQ(Handle("{\"x\":\"\x03\"}"),
+            "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":"
+            "\"bad request JSON at byte 7: unescaped control character in "
+            "string\"}");
+  // An unknown op is named as sent (decoded); an empty last "op" is no op.
+  EXPECT_EQ(Handle(R"({"op":"fl\u0079","source":1})"),
+            "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":"
+            "\"unknown op \\\"fly\\\" (expected batch, point, matrix, "
+            "knearest, route, info, ping, reload or update_weights)\"}");
+  EXPECT_EQ(Handle(R"({"op":"point","op":""})"),
+            "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":"
+            "\"request has no \\\"op\\\"\"}");
 }
 
 TEST_F(WireTest, EmptyLinesProduceNoResponse) {
@@ -178,7 +230,9 @@ TEST_F(WireTest, AdmissionHookShedsWithOverloadedResponse) {
     ++admitted;
     return true;
   };
-  hooks.release = [&] { ++released; };
+  hooks.release = [&](uint64_t count) {
+    released += static_cast<int>(count);
+  };
   RequestHandler handler(std::move(hooks));
 
   std::string out;
@@ -555,71 +609,6 @@ TEST_F(WireTest, OversizedRequestIsRejected) {
 
 // ------------------------------------------------------------------ TCP ---
 
-/// Minimal blocking client for the ephemeral-port round trip.
-class TestClient {
- public:
-  /// `rcvbuf_bytes` > 0 shrinks the receive buffer before connecting, so a
-  /// client that stops reading stalls the server's writes quickly.
-  explicit TestClient(uint16_t port, int rcvbuf_bytes = 0) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (rcvbuf_bytes > 0) {
-      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf_bytes,
-                   sizeof(rcvbuf_bytes));
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool connected() const { return connected_; }
-
-  void Send(std::string_view bytes) {
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n =
-          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
-      sent += static_cast<size_t>(n);
-    }
-  }
-
-  std::string ReadLine() {
-    size_t nl;
-    while ((nl = buf_.find('\n')) == std::string::npos) {
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "<connection closed>";
-      buf_.append(chunk, static_cast<size_t>(n));
-    }
-    std::string line = buf_.substr(0, nl);
-    buf_.erase(0, nl + 1);
-    return line;
-  }
-
-  /// Everything still unread, up to the server closing the connection.
-  std::string ReadToClose() {
-    std::string all = std::move(buf_);
-    buf_.clear();
-    char chunk[65536];
-    for (;;) {
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return all;
-      all.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buf_;
-};
-
 TEST_F(WireTest, TcpServerRoundTrip) {
   ServerOptions options;
   options.port = 0;  // ephemeral
@@ -632,29 +621,29 @@ TEST_F(WireTest, TcpServerRoundTrip) {
   ASSERT_TRUE(client.connected());
 
   // Two pipelined requests in one write...
-  client.Send("{\"op\":\"ping\"}\n{\"op\":\"batch\",\"source\":0,"
-              "\"targets\":[1]}\n");
+  ASSERT_TRUE(client.Send("{\"op\":\"ping\"}\n{\"op\":\"batch\",\"source\":0,"
+                          "\"targets\":[1]}\n"));
   EXPECT_EQ(client.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
   EXPECT_EQ(client.ReadLine(),
             "{\"ok\":true,\"op\":\"batch\",\"distances\":[" +
                 std::to_string(*router_->Distance(0, 1)) + "]}");
 
   // ...a request split across writes...
-  client.Send("{\"op\":\"batch\",\"source\":0,");
-  client.Send("\"targets\":[2]}\n");
+  ASSERT_TRUE(client.Send("{\"op\":\"batch\",\"source\":0,"));
+  ASSERT_TRUE(client.Send("\"targets\":[2]}\n"));
   EXPECT_EQ(client.ReadLine(),
             "{\"ok\":true,\"op\":\"batch\",\"distances\":[" +
                 std::to_string(*router_->Distance(0, 2)) + "]}");
 
   // ...and a malformed line keeps the connection alive with an error.
-  client.Send("definitely not json\n{\"op\":\"ping\"}\n");
+  ASSERT_TRUE(client.Send("definitely not json\n{\"op\":\"ping\"}\n"));
   EXPECT_EQ(client.ReadLine().find("{\"ok\":false"), 0u);
   EXPECT_EQ(client.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
 
   // A second concurrent connection works (shared engine).
   TestClient second(server->port());
   ASSERT_TRUE(second.connected());
-  second.Send("{\"op\":\"info\"}\n");
+  ASSERT_TRUE(second.Send("{\"op\":\"info\"}\n"));
   EXPECT_EQ(second.ReadLine().find("{\"ok\":true,\"op\":\"info\""), 0u);
 
   EXPECT_GE(server->connections_accepted(), 2u);
@@ -676,7 +665,8 @@ TEST_F(WireTest, TcpServerUpdateWeightsSwapsTheServingSnapshot) {
   ASSERT_TRUE(client.connected());
 
   // A non-edge is rejected and leaves the serving snapshot untouched.
-  client.Send("{\"op\":\"update_weights\",\"edges\":[[0,99,5]]}\n");
+  ASSERT_TRUE(
+      client.Send("{\"op\":\"update_weights\",\"edges\":[[0,99,5]]}\n"));
   EXPECT_EQ(client.ReadLine().find(
                 "{\"ok\":false,\"code\":\"InvalidArgument\""),
             0u);
@@ -690,16 +680,17 @@ TEST_F(WireTest, TcpServerUpdateWeightsSwapsTheServingSnapshot) {
   Result<Router> expected = router_->UpdateWeights(deltas);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
-  client.Send("{\"op\":\"update_weights\",\"edges\":[[" +
-              std::to_string(edge.u) + "," + std::to_string(edge.v) +
-              ",7777]]}\n");
+  ASSERT_TRUE(client.Send("{\"op\":\"update_weights\",\"edges\":[[" +
+                          std::to_string(edge.u) + "," +
+                          std::to_string(edge.v) + ",7777]]}\n"));
   EXPECT_EQ(client.ReadLine(),
             "{\"ok\":true,\"op\":\"update_weights\",\"epoch\":1}");
   EXPECT_EQ(server->epoch(), 1u);
   EXPECT_EQ(server->stats().weight_updates, 1u);
 
-  client.Send("{\"op\":\"batch\",\"source\":" + std::to_string(edge.u) +
-              ",\"targets\":[" + std::to_string(edge.v) + "]}\n");
+  ASSERT_TRUE(client.Send("{\"op\":\"batch\",\"source\":" +
+                          std::to_string(edge.u) + ",\"targets\":[" +
+                          std::to_string(edge.v) + "]}\n"));
   EXPECT_EQ(client.ReadLine(),
             "{\"ok\":true,\"op\":\"batch\",\"distances\":[" +
                 std::to_string(*expected->Distance(edge.u, edge.v)) + "]}");
@@ -707,7 +698,7 @@ TEST_F(WireTest, TcpServerUpdateWeightsSwapsTheServingSnapshot) {
   EXPECT_EQ(*router_->Distance(edge.u, edge.v), before);
 
   // The info section reports the update.
-  client.Send("{\"op\":\"info\"}\n");
+  ASSERT_TRUE(client.Send("{\"op\":\"info\"}\n"));
   const std::string info = client.ReadLine();
   EXPECT_NE(info.find("\"epoch\":1"), std::string::npos) << info;
   EXPECT_NE(info.find("\"weight_updates\":1"), std::string::npos) << info;
@@ -726,14 +717,15 @@ TEST_F(WireTest, TcpServerLineCapKeepsConnectionUsable) {
   ASSERT_TRUE(server.ok());
   TestClient client(server->port());
   ASSERT_TRUE(client.connected());
-  client.Send(std::string(100'000, 'x'));  // far over the cap, no newline
+  // Far over the cap, no newline.
+  ASSERT_TRUE(client.Send(std::string(100'000, 'x')));
   const std::string response = client.ReadLine();
   EXPECT_EQ(response.find("{\"ok\":false"), 0u);
   EXPECT_NE(response.find("byte cap"), std::string::npos);
   // More bytes of the same oversized line are swallowed silently...
-  client.Send(std::string(100'000, 'y'));
+  ASSERT_TRUE(client.Send(std::string(100'000, 'y')));
   // ...and the newline ends discard mode: the next request works.
-  client.Send("\n{\"op\":\"ping\"}\n");
+  ASSERT_TRUE(client.Send("\n{\"op\":\"ping\"}\n"));
   EXPECT_EQ(client.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
   server->Stop();
 }
@@ -751,7 +743,7 @@ TEST_F(WireTest, TcpServerManyShortConnectionsStayFdBounded) {
   for (int i = 0; i < 300; ++i) {
     TestClient client(server->port());
     ASSERT_TRUE(client.connected()) << "connection " << i;
-    client.Send("{\"op\":\"ping\"}\n");
+    ASSERT_TRUE(client.Send("{\"op\":\"ping\"}\n"));
     ASSERT_EQ(client.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}")
         << "connection " << i;
   }
@@ -768,23 +760,13 @@ TEST_F(WireTest, TcpServerMaxRequestsPerConnectionCycles) {
   ASSERT_TRUE(server.ok());
   TestClient client(server->port());
   ASSERT_TRUE(client.connected());
-  client.Send("{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n");
+  ASSERT_TRUE(client.Send(
+      "{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n"));
   EXPECT_EQ(client.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
   EXPECT_EQ(client.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
   // The per-connection budget is spent: the server closes after two.
   EXPECT_EQ(client.ReadLine(), "<connection closed>");
   server->Stop();
-}
-
-/// Polls `done` every 20 ms for up to `budget`; true once it holds.
-template <typename Pred>
-bool WaitFor(Pred done, std::chrono::milliseconds budget) {
-  const auto deadline = std::chrono::steady_clock::now() + budget;
-  while (!done()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return true;
 }
 
 /// A `rows` x `cols` matrix request line (with its newline) over ids that
@@ -826,10 +808,11 @@ TEST_F(WireTest, TcpServerEvictsIdleAndSlowlorisConnections) {
   TestClient slow(server->port());
   ASSERT_TRUE(idle.connected());
   ASSERT_TRUE(slow.connected());
-  idle.Send("{\"op\":\"ping\"}\n");
+  ASSERT_TRUE(idle.Send("{\"op\":\"ping\"}\n"));
   ASSERT_EQ(idle.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
   const auto start = std::chrono::steady_clock::now();
-  slow.Send("{\"op\":\"ping\"");  // a request line that never completes
+  // A request line that never completes.
+  ASSERT_TRUE(slow.Send("{\"op\":\"ping\""));
   EXPECT_EQ(slow.ReadLine(),
             "{\"ok\":false,\"code\":\"DeadlineExceeded\",\"message\":"
             "\"connection evicted: request line not completed in time\"}");
@@ -855,10 +838,11 @@ TEST_F(WireTest, TcpServerCutsWriteStalledConnections) {
   ASSERT_TRUE(server.ok());
   TestClient stalled(server->port(), /*rcvbuf_bytes=*/4096);
   ASSERT_TRUE(stalled.connected());
-  stalled.Send("{\"op\":\"ping\"}\n");
+  ASSERT_TRUE(stalled.Send("{\"op\":\"ping\"}\n"));
   ASSERT_EQ(stalled.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
   // One monolithic 2^22-entry response (tens of MB), never read.
-  stalled.Send(MatrixRequest(2048, 2048, router_->NumVertices(), false));
+  ASSERT_TRUE(
+      stalled.Send(MatrixRequest(2048, 2048, router_->NumVertices(), false)));
   EXPECT_TRUE(WaitFor([&] { return server->stats().connections_live == 0; },
                       std::chrono::seconds(30)));
   EXPECT_FALSE(EndsWith(stalled.ReadToClose(), "]}\n"))
@@ -881,10 +865,10 @@ TEST_F(WireTest, TcpServerSpreadsConnectionsAcrossLoops) {
     clients.push_back(std::make_unique<TestClient>(server->port()));
     ASSERT_TRUE(clients.back()->connected());
     // An answered ping pins the connection as accepted and placed.
-    clients.back()->Send("{\"op\":\"ping\"}\n");
+    ASSERT_TRUE(clients.back()->Send("{\"op\":\"ping\"}\n"));
     ASSERT_EQ(clients.back()->ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
   }
-  clients[0]->Send("{\"op\":\"info\"}\n");
+  ASSERT_TRUE(clients[0]->Send("{\"op\":\"info\"}\n"));
   const std::string info = clients[0]->ReadLine();
   const std::string key = "\"loop_connections\":[";
   const size_t at = info.find(key);
@@ -900,6 +884,71 @@ TEST_F(WireTest, TcpServerSpreadsConnectionsAcrossLoops) {
   EXPECT_EQ(counts[0] + counts[1] + counts[2], 4u) << info;
   const auto [lo, hi] = std::minmax_element(counts.begin(), counts.end());
   EXPECT_LE(*hi - *lo, 1u) << info;
+  server->Stop();
+}
+
+TEST_F(WireTest, TcpServerReloadIsVisibleToTheNextLineOnEveryLoop) {
+  // A second index whose answer for one probe pair differs from the first.
+  RoadNetworkOptions opt;
+  opt.rows = 10;
+  opt.cols = 10;
+  opt.seed = 7;
+  Result<Router> other = Router::Build(GenerateRoadNetwork(opt));
+  ASSERT_TRUE(other.ok());
+  Vertex probe = kInvalidVertex;
+  for (Vertex t = 1; t < router_->NumVertices(); ++t) {
+    if (*router_->Distance(0, t) != *other->Distance(0, t)) {
+      probe = t;
+      break;
+    }
+  }
+  ASSERT_NE(probe, kInvalidVertex) << "seeds produced identical distances";
+  const std::string other_path =
+      ::testing::TempDir() + "/hc2l_wire_reload_visibility.idx";
+  ASSERT_TRUE(other->Save(other_path).ok());
+
+  ServerOptions options;
+  options.port = 0;
+  options.num_threads = 1;
+  options.reactor_threads = 2;
+  Result<QueryServer> server = QueryServer::Start(*router_, options);
+  ASSERT_TRUE(server.ok());
+  TestClient reloader(server->port());
+  TestClient bystander(server->port());
+  for (TestClient* client : {&reloader, &bystander}) {
+    ASSERT_TRUE(client->connected());
+    ASSERT_TRUE(client->Send("{\"op\":\"ping\"}\n"));
+    ASSERT_EQ(client->ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
+  }
+  ASSERT_TRUE(reloader.Send("{\"op\":\"info\"}\n"));
+  ASSERT_NE(reloader.ReadLine().find("\"loop_connections\":[1,1]"),
+            std::string::npos)
+      << "the two clients must sit on different loops";
+
+  const std::string point =
+      "{\"op\":\"point\",\"sources\":[0],\"targets\":[" +
+      std::to_string(probe) + "]}\n";
+  const auto answer = [](Dist d) {
+    return "{\"ok\":true,\"op\":\"point\",\"distances\":[" +
+           std::to_string(d) + "]}";
+  };
+  const std::string before = answer(*router_->Distance(0, probe));
+  const std::string after = answer(*other->Distance(0, probe));
+  ASSERT_TRUE(bystander.Send(point));
+  EXPECT_EQ(bystander.ReadLine(), before);
+
+  // One write: a point prepared before the reload answers from the old
+  // index; the point after it answers from the new one.
+  ASSERT_TRUE(reloader.Send(point + "{\"op\":\"reload\",\"path\":\"" +
+                            other_path + "\"}\n" + point));
+  EXPECT_EQ(reloader.ReadLine(), before);
+  EXPECT_EQ(reloader.ReadLine(),
+            "{\"ok\":true,\"op\":\"reload\",\"epoch\":1}");
+  EXPECT_EQ(reloader.ReadLine(), after);
+  // The other loop's next line sees the new index too.
+  ASSERT_TRUE(bystander.Send(point));
+  EXPECT_EQ(bystander.ReadLine(), after);
+  std::remove(other_path.c_str());
   server->Stop();
 }
 
@@ -1115,22 +1164,23 @@ TEST_F(WireTest, StalledStreamBlocksOnlyItsOwnLoop) {
   ASSERT_TRUE(server.ok());
   TestClient streamer(server->port(), /*rcvbuf_bytes=*/4096);
   ASSERT_TRUE(streamer.connected());
-  streamer.Send("{\"op\":\"ping\"}\n");
+  ASSERT_TRUE(streamer.Send("{\"op\":\"ping\"}\n"));
   ASSERT_EQ(streamer.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
   TestClient points(server->port());  // placed on the empty loop
   ASSERT_TRUE(points.connected());
-  points.Send("{\"op\":\"ping\"}\n");
+  ASSERT_TRUE(points.Send("{\"op\":\"ping\"}\n"));
   ASSERT_EQ(points.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
 
   // 2048 x 4096 entries: far more JSON than the socket buffers and the
   // server's output high-water mark hold.
-  streamer.Send(MatrixRequest(2048, 4096, router_->NumVertices(), true));
+  ASSERT_TRUE(
+      streamer.Send(MatrixRequest(2048, 4096, router_->NumVertices(), true)));
   const std::string header = streamer.ReadLine();
   EXPECT_NE(header.find("\"stream\":true"), std::string::npos)
       << header.substr(0, 300);
   for (Vertex t = 1; t < 20; ++t) {
-    points.Send("{\"op\":\"point\",\"sources\":[0],\"targets\":[" +
-                std::to_string(t) + "]}\n");
+    ASSERT_TRUE(points.Send("{\"op\":\"point\",\"sources\":[0],\"targets\":[" +
+                            std::to_string(t) + "]}\n"));
     EXPECT_EQ(points.ReadLine(),
               "{\"ok\":true,\"op\":\"point\",\"distances\":[" +
                   std::to_string(*router_->Distance(0, t)) + "]}");
@@ -1138,7 +1188,7 @@ TEST_F(WireTest, StalledStreamBlocksOnlyItsOwnLoop) {
   EXPECT_TRUE(WaitFor([&] { return server->stats().connections_live == 1; },
                       std::chrono::seconds(30)));
   EXPECT_EQ(streamer.ReadToClose().find("\"done\":true"), std::string::npos);
-  points.Send("{\"op\":\"ping\"}\n");
+  ASSERT_TRUE(points.Send("{\"op\":\"ping\"}\n"));
   EXPECT_EQ(points.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
   server->Stop();
 }
@@ -1188,7 +1238,6 @@ TEST_F(WireTest, PreparedStagedResponsesMatchHandleLineByteForByte) {
     ASSERT_FALSE(staged.empty());
     staged.pop_back();  // trailing newline, like Handle()
     EXPECT_EQ(staged, Handle(kLines[i])) << kLines[i];
-    staging.ReleaseStaged();
   }
 }
 
@@ -1239,10 +1288,10 @@ TEST_F(WireTest, StagedLatencyIsRecordedFromPrepare) {
   // A staged request's latency spans Prepare() to its demultiplexed
   // response (parse, the wait for the shared batch, execute, format), the
   // same span ExecuteParsed records, not just the shared engine call.
-  std::vector<std::pair<std::string, uint64_t>> records;
+  std::vector<std::pair<WireOp, uint64_t>> records;
   ServerHooks hooks;
-  hooks.record = [&records](std::string_view op, uint64_t ns) {
-    records.emplace_back(std::string(op), ns);
+  hooks.record = [&records](WireOp op, uint64_t ns) {
+    records.emplace_back(op, ns);
   };
   RequestHandler staging(std::move(hooks));
   const RequestHandler::CoalescePolicy policy;
@@ -1273,16 +1322,14 @@ TEST_F(WireTest, StagedLatencyIsRecordedFromPrepare) {
   ASSERT_TRUE(threaded_->Execute(request, output).ok());
   staging.AppendStagedResponse(point_plan, dists, &out);
   staging.AppendStagedResponse(batch_plan, dists, &out);
-  staging.ReleaseStaged();
-  staging.ReleaseStaged();
 
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].first, "point");
-  EXPECT_EQ(records[1].first, "batch");
+  EXPECT_EQ(records[0].first, WireOp::kPoint);
+  EXPECT_EQ(records[1].first, WireOp::kBatch);
   for (const auto& [op, ns] : records) {
     EXPECT_GE(ns, static_cast<uint64_t>(
                       std::chrono::nanoseconds(kBatchWait).count()))
-        << op;
+        << WireOpName(op);
   }
 }
 
