@@ -6,7 +6,7 @@
 //  - hint unpacking through the facade's RouteInto (caller-owned span, the
 //    warm zero-allocation path the server uses),
 //  - the same workload through the hint-less bidirectional-Dijkstra
-//    fallback (what pre-HC2L0003 index files fall back to),
+//    fallback (what hint-less index files fall back to),
 //  - k-alternative routes (k=4) per returned alternative.
 //
 // The ns/edge numbers are merged into BENCH_query.json as the "route"

@@ -6,9 +6,10 @@
 /// The paper (Farhan, Koehler, Ohrimenko, Wang, PACMMOD'23) describes one
 /// query model: hierarchical cut 2-hop labels answering exact shortest-path
 /// distances. The repo implements it twice — an undirected index with
-/// degree-one contraction (format HC2L0002) and the Section 5.3 directed
-/// extension (formats HC2D0001/HC2D0002, the latter carrying the ported
-/// contraction). Router type-erases over the two so that
+/// degree-one contraction (format HC2L0004) and the Section 5.3 directed
+/// extension with the ported contraction (format HC2D0004), both saved in
+/// the same sectioned, mmap-able layout. Router type-erases over the two so
+/// that
 /// every consumer (CLI, examples, benches, a future RPC front end) programs
 /// against one surface:
 ///
@@ -64,8 +65,8 @@ struct BuildOptions {
   bool contract_degree_one = true;
   /// Record route hints next to the labels (the predecessor-toward-hub
   /// entries that Route unpacks paths from, ~one extra Vertex per label
-  /// entry). Disabling keeps the hint-less legacy disk formats; Route then
-  /// needs an attached graph to fall back on.
+  /// entry). Disabling leaves the hint sections out of the saved file; Route
+  /// then needs an attached graph to fall back on.
   bool route_hints = true;
   /// Construction threads; 0 = all hardware threads, >1 is the paper's
   /// HC2L_p variant (bit-identical index).
@@ -83,14 +84,14 @@ struct ParallelOptions {
 
 /// How Router::Open attaches an index file's label storage.
 enum class OpenMode {
-  /// Deserialize everything onto the heap (every format).
+  /// Deserialize everything onto the heap.
   kHeap,
-  /// Map the label/hint arenas of a sectioned V4 file (HC2L0004/HC2D0004)
-  /// in place: O(1) open — only the metadata section is parsed, no arena
+  /// Map the label and (when present) hint arenas of the index file in
+  /// place: O(1) open — only the metadata section is parsed, no arena
   /// copy — with the mapped pages advised MADV_RANDOM for the label access
-  /// pattern. Legacy formats silently fall back to the heap path (their
-  /// arenas interleave with the metadata stream). Shard manifests open
-  /// every member shard in this mode. Queries are bit-identical to kHeap.
+  /// pattern. Every index file maps, with or without route hints. Shard
+  /// manifests open every member shard in this mode. Queries are
+  /// bit-identical to kHeap.
   kMmap,
 };
 
@@ -121,12 +122,12 @@ struct IndexInfo {
   uint64_t lca_bytes = 0;
   /// Wall-clock seconds of the Build/RebuildLabels that produced this
   /// index. Undirected indexes persist their construction stats, so an
-  /// opened HC2L0002 file reports the original build's time; directed
+  /// opened HC2L0004 file reports the original build's time; directed
   /// indexes do not persist it and report 0 after Open.
   double build_seconds = 0.0;
   /// Label storage (arenas + offset tables, labels and route hints, all
   /// directions) split by backing: bytes served from a file mapping
-  /// (OpenMode::kMmap on a V4 file; paged in on demand) vs bytes held on
+  /// (OpenMode::kMmap; paged in on demand) vs bytes held on
   /// the heap. A mapped open views the offset tables as well as the
   /// arenas, so its heap share is only the parsed metadata.
   uint64_t mapped_bytes = 0;
@@ -143,14 +144,13 @@ class ThreadedRouter;
 /// format magic.
 class Router {
  public:
-  /// Opens a serialized index, sniffing the format magic:
-  /// HC2L0002/HC2L0003/HC2L0004 load the undirected index,
-  /// HC2D0001/HC2D0002/HC2D0003/HC2D0004 the directed one (formats 0003 and
-  /// up carry route hints), and HC2S0001 — a shard manifest written by
-  /// `hc2l shard` — loads every member shard and answers queries across
-  /// them, bit-identical to the monolithic index over the same graph.
-  /// Errors: kNotFound (cannot open), kInvalidArgument (not an HC2L index
-  /// file), kDataLoss (truncated or corrupt).
+  /// Opens a serialized index, sniffing the format magic: HC2L0004 loads
+  /// the undirected index, HC2D0004 the directed one (route hints come back
+  /// when the file has hint sections), and HC2S0001 — a shard manifest
+  /// written by `hc2l shard` — loads every member shard and answers queries
+  /// across them, bit-identical to the monolithic index over the same
+  /// graph. Errors: kNotFound (cannot open), kInvalidArgument (any other
+  /// magic), kDataLoss (truncated or corrupt).
   static Result<Router> Open(const std::string& path);
 
   /// Open with an explicit label-storage mode (see OpenMode). The
@@ -178,12 +178,9 @@ class Router {
   /// Unified construction/size statistics.
   IndexInfo Info() const;
 
-  /// Serializes the index in its flavour's format. Hint-carrying indexes
-  /// (the route_hints default) write the sectioned, mmap-able
-  /// HC2L0004/HC2D0004 layouts; hint-less ones keep the legacy layouts
-  /// (HC2L0002 for undirected; HC2D0002 for contracted directed indexes,
-  /// HC2D0001 for uncontracted ones — the latter stays readable by
-  /// pre-contraction builds). A sharded router does not Save
+  /// Serializes the index in its flavour's sectioned, mmap-able format
+  /// (HC2L0004 / HC2D0004). Hint-less indexes (route_hints = false) omit
+  /// the hint sections. A sharded router does not Save
   /// (kFailedPrecondition) — its on-disk form is the manifest it was opened
   /// from.
   Status Save(const std::string& path) const;

@@ -508,8 +508,7 @@ namespace {
 
 /// The shared Route primitive: hint-based unpacking when the index carries
 /// route hints, the graph-backed bidirectional-Dijkstra fallback otherwise
-/// (so pre-HC2L0003/HC2D0003 files keep answering routes once a graph is
-/// attached). Templated over Router::Impl like the runners.
+/// (so hint-less indexes keep answering routes once a graph is attached). Templated over Router::Impl like the runners.
 template <typename RouterImpl>
 Status RouteOnImpl(const RouterImpl& impl, Vertex s, Vertex t,
                    RoutePath* out) {
@@ -538,7 +537,7 @@ Status RouteOnImpl(const RouterImpl& impl, Vertex s, Vertex t,
   }
   return Status::FailedPrecondition(
       "this index carries no route hints (built with route_hints = false, or "
-      "loaded from a pre-HC2L0003/HC2D0003 file) and no graph is attached to "
+      "loaded from a file without hint sections) and no graph is attached to "
       "unpack against; attach one with AttachGraph / AttachDigraph");
 }
 
@@ -618,15 +617,12 @@ Result<Router> Router::Open(const std::string& path, OpenMode mode) {
   }
   const bool use_mmap = mode == OpenMode::kMmap;
   auto impl = std::make_unique<Impl>();
-  if (magic == kHc2lIndexMagic || magic == kHc2lIndexMagicV3 ||
-      magic == kHc2lIndexMagicV4) {
+  if (magic == kHc2lIndexMagic) {
     Result<Hc2lIndex> index = Hc2lIndex::Load(path, use_mmap);
     if (!index.ok()) return index.status();
     impl->undirected =
         std::make_unique<Hc2lIndex>(std::move(index).value());
-  } else if (magic == kDirectedIndexMagic || magic == kDirectedIndexMagicV2 ||
-             magic == kDirectedIndexMagicV3 ||
-             magic == kDirectedIndexMagicV4) {
+  } else if (magic == kDirectedIndexMagic) {
     Result<DirectedHc2lIndex> index = DirectedHc2lIndex::Load(path, use_mmap);
     if (!index.ok()) return index.status();
     impl->directed =
@@ -638,7 +634,7 @@ Result<Router> Router::Open(const std::string& path, OpenMode mode) {
   } else {
     return Status::InvalidArgument(
         path + " is not an HC2L index (unrecognized format magic; expected "
-               "HC2L0002-0004, HC2D0001-0004 or an HC2S0001 shard manifest)");
+               "HC2L0004, HC2D0004 or an HC2S0001 shard manifest)");
   }
   return Router(std::move(impl));
 }

@@ -1,15 +1,16 @@
 #ifndef HC2L_COMMON_BINARY_IO_H_
 #define HC2L_COMMON_BINARY_IO_H_
 
-/// Minimal binary serialization helpers shared by the index Save/Load paths
-/// (no exceptions; plain fwrite/fread). The read side goes through a
+/// Minimal binary serialization helpers shared by the index, hierarchy and
+/// shard-manifest Save/Load paths (no exceptions; plain fwrite/fread). The read side goes through a
 /// bounded Reader that knows how many bytes the file still holds: every
 /// size field is validated against that bound BEFORE any allocation, so a
 /// bit-flipped or truncated size field becomes a clean load failure instead
 /// of a multi-gigabyte resize (which would throw bad_alloc — an abort under
 /// this library's no-exceptions policy) or an out-of-memory kill. Pinned by
 /// tests/load_fuzz_test.cc over systematic truncations and seeded bit
-/// flips of every format.
+/// flips of every format. The label stores themselves are written and read
+/// by the section codec (common/section_file.h).
 
 #include <cstdint>
 #include <cstdio>
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "common/fault_injection.h"
-#include "common/label_arena.h"
 
 namespace hc2l::io {
 
@@ -65,8 +65,8 @@ class Reader {
     }
   }
 
-  /// Memory-backed cursor over `bytes` at `data`: the V4 mmap loaders parse
-  /// the metadata section straight out of the file mapping, through the
+  /// Memory-backed cursor over `bytes` at `data`: mmap opens parse the
+  /// meta section straight out of the file mapping, through the
   /// same bounded interface (and the same fault point) as the file path.
   Reader(const uint8_t* data, uint64_t bytes) : mem_(data), remaining_(bytes) {}
 
@@ -87,8 +87,8 @@ class Reader {
   uint64_t remaining() const { return remaining_; }
 
   /// Tightens the bound to `bytes` (no-op when the file holds less). Used
-  /// by the sectioned V4 format: the metadata parser is clamped to its own
-  /// section so a corrupt size field cannot read into the label arenas.
+  /// by the section codec: a section's parser is clamped to that section
+  /// so a corrupt size field cannot read into the next one.
   void LimitTo(uint64_t bytes) {
     if (bytes < remaining_) remaining_ = bytes;
   }
@@ -117,84 +117,6 @@ bool ReadVector(Reader* r, std::vector<T>* v) {
   if (!r->CanHold(size, sizeof(T))) return false;  // cannot be backed: corrupt
   v->resize(size);
   return size == 0 || r->Read(v->data(), size * sizeof(T));
-}
-
-inline bool WriteVector(std::FILE* f, const U32Array& v) {
-  const uint64_t size = v.size();
-  return WriteValue(f, size) &&
-         (size == 0 || WritePod(f, v.data(), size * sizeof(uint32_t)));
-}
-
-inline bool ReadVector(Reader* r, U32Array* v) {
-  uint64_t size = 0;
-  if (!ReadValue(r, &size)) return false;
-  if (!r->CanHold(size, sizeof(uint32_t))) return false;
-  v->ResizeOwned(size);
-  return size == 0 || r->Read(v->MutableData(), size * sizeof(uint32_t));
-}
-
-/// The arena round-trips verbatim (padding included): its size is already a
-/// whole number of cache lines, so reading reproduces the exact aligned
-/// layout.
-inline bool WriteArena(std::FILE* f, const LabelArena& arena) {
-  const uint64_t size = arena.size();
-  return WriteValue(f, size) &&
-         (size == 0 || WritePod(f, arena.data(), size * sizeof(uint32_t)));
-}
-
-inline bool ReadArena(Reader* r, LabelArena* arena) {
-  uint64_t size = 0;
-  if (!ReadValue(r, &size)) return false;
-  if (!r->CanHold(size, sizeof(uint32_t))) return false;
-  if (size != LabelArena::PaddedCapacity(size)) return false;  // not aligned
-  arena->Reset(size);
-  return size == 0 || r->Read(arena->data(), size * sizeof(uint32_t));
-}
-
-/// Label stores serialize as offset tables followed by the aligned arena —
-/// the field order of index format HC2L0002.
-inline bool WriteLabelStore(std::FILE* f, const LabelStore& labels) {
-  return WriteVector(f, labels.base) && WriteVector(f, labels.level_start) &&
-         WriteVector(f, labels.level_len) && WriteArena(f, labels.arena);
-}
-
-/// Structural invariants the query paths index by without bounds checks:
-/// base is a non-decreasing 0-led partition of the array list, and every
-/// (start, len) array lies inside an arena of `arena_size` entries.
-/// Rejecting violations at load time turns a corrupt offset table into a
-/// clean load failure instead of out-of-bounds reads at query time. Split
-/// from ValidateLabelStore so the sectioned V4 loader can validate the
-/// offset tables against the section table's arena size before any arena
-/// bytes are read (or mapped pages touched).
-inline bool ValidateLabelShape(const LabelStore& labels, size_t arena_size) {
-  if (labels.base.empty() || labels.base.front() != 0) return false;
-  if (labels.level_start.size() != labels.level_len.size()) return false;
-  for (size_t v = 0; v + 1 < labels.base.size(); ++v) {
-    if (labels.base[v] > labels.base[v + 1]) return false;
-  }
-  if (labels.base.back() != labels.level_start.size()) return false;
-  for (size_t i = 0; i < labels.level_start.size(); ++i) {
-    const size_t start = labels.level_start[i];
-    // BuildFrom's layout: every array starts on a cache-line boundary and
-    // owns its padded capacity, which is also what the vector kernel may
-    // read past the true length.
-    if (start % LabelArena::kAlignEntries != 0) return false;
-    if (start > arena_size ||
-        LabelArena::PaddedCapacity(labels.level_len[i]) > arena_size - start) {
-      return false;
-    }
-  }
-  return true;
-}
-
-inline bool ValidateLabelStore(const LabelStore& labels) {
-  return ValidateLabelShape(labels, labels.arena.size());
-}
-
-inline bool ReadLabelStore(Reader* r, LabelStore* labels) {
-  return ReadVector(r, &labels->base) && ReadVector(r, &labels->level_start) &&
-         ReadVector(r, &labels->level_len) && ReadArena(r, &labels->arena) &&
-         ValidateLabelStore(*labels);
 }
 
 }  // namespace hc2l::io

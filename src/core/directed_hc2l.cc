@@ -734,7 +734,7 @@ Status DirectedHc2lIndex::Route(Vertex s, Vertex t, RoutePath* out) const {
   if (!HasRouteHints()) {
     return Status::FailedPrecondition(
         "index carries no route hints (built with route_hints = false, or "
-        "loaded from a distance-only HC2D0001/HC2D0002 file); routes need a "
+        "loaded from a file without hint sections); routes need a "
         "graph-backed fallback unpacker");
   }
   if (contraction_ != nullptr) {
@@ -874,87 +874,48 @@ Status DirectedHc2lIndex::Routes(Vertex s, Vertex t, size_t k,
   return Status::Ok();
 }
 
-// Directed format 1 ("HC2D0001", src/core/index_format.h): vertex count,
-// height, hierarchy, out- and in-label stores. Format 2 ("HC2D0002")
-// prepends the degree-one contraction mapping (sizes first, then the
-// per-vertex arrays) before the hierarchy. Format 3 ("HC2D0003") replaces
-// the magic-encoded contraction split with an explicit uint8 marker, keeps
-// the same body, and appends the out- and in-hint stores. Format 4
-// ("HC2D0004", the written format for hint-carrying indexes) lifts the
-// four arenas out of the V3 body into their own 64-byte-aligned sections
-// so OpenMode::kMmap can use them in place. Hint-less files keep the V1/V2
-// layouts so they stay readable by older builds; Load accepts all four.
-// Byte-level spec: docs/format.md.
+// On-disk format (src/core/index_format.h, docs/format.md): the sectioned
+// HC2D0004 layout. The meta section carries a uint8 contraction marker,
+// the directed body and the hierarchy; the out- and in-direction stores go
+// through the section codec shared with the undirected index
+// (common/section_file.h), with hint arenas for both directions or neither.
 Status DirectedHc2lIndex::Save(const std::string& path) const {
-  io::FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) {
-    return Status::Unavailable("cannot open " + path + " for writing");
-  }
-  // The body between the contraction marker and the label data, shared by
-  // every format. core_id_ / to_original_ are derivable (a vertex is in the
-  // core iff its depth is 0, and its core id is then its root id), so the
-  // format does not carry them; Load reconstructs both.
-  const auto write_body = [&](std::FILE* out) {
-    if (contraction_ == nullptr) {
-      const uint64_t num_vertices = NumVertices();
-      return io::WriteValue(out, num_vertices) && io::WriteValue(out, height_);
-    }
-    const DirectedDegreeOneContraction& c = *contraction_;
-    const uint64_t num_vertices = num_vertices_;
-    const uint64_t num_contracted = c.num_contracted_;
-    return io::WriteValue(out, num_vertices) &&
-           io::WriteValue(out, num_contracted) &&
-           io::WriteValue(out, height_) &&
-           io::WriteVector(out, c.root_core_id_) &&
-           io::WriteVector(out, c.parent_) && io::WriteVector(out, c.depth_) &&
-           io::WriteVector(out, c.up_weight_) &&
-           io::WriteVector(out, c.down_weight_) &&
-           io::WriteVector(out, c.up_dist_) &&
-           io::WriteVector(out, c.down_dist_);
-  };
-
-  bool ok;
-  if (!HasRouteHints()) {
-    const uint64_t magic = contraction_ == nullptr ? kDirectedIndexMagic
-                                                   : kDirectedIndexMagicV2;
-    ok = io::WriteValue(f.get(), magic) && write_body(f.get()) &&
-         hierarchy_.WriteTo(f.get()) &&
-         io::WriteLabelStore(f.get(), out_labels_) &&
-         io::WriteLabelStore(f.get(), in_labels_);
-  } else {
-    const uint8_t has_contraction = contraction_ != nullptr ? 1 : 0;
-    io::SectionWriter w(f.get());
-    const auto write_arena = [&](size_t index, uint64_t id,
-                                 const LabelArena& arena) {
-      return w.Begin(index, id) &&
-             (arena.size() == 0 ||
-              io::WritePod(f.get(), arena.data(), arena.SizeBytes())) &&
-             w.End(index);
-    };
-    // Each hint store mirrors its label store's shape (a class invariant
-    // the loader rebuilds by sharing), so one counts record and one offsets
-    // section per direction cover both stores of that direction.
-    HC2L_CHECK_EQ(out_hints_.arena.size(), out_labels_.arena.size());
-    HC2L_CHECK_EQ(in_hints_.arena.size(), in_labels_.arena.size());
-    ok = w.Start(kDirectedIndexMagicV4, 7) && w.Begin(0, io::kSectionMeta) &&
-         io::WriteValue(f.get(), has_contraction) && write_body(f.get()) &&
-         hierarchy_.WriteTo(f.get()) &&
-         io::WriteLabelStoreCounts(f.get(), out_labels_) &&
-         io::WriteLabelStoreCounts(f.get(), in_labels_) && w.End(0) &&
-         w.Begin(1, io::kSectionLabelOffsets) &&
-         io::WriteLabelStoreOffsets(f.get(), out_labels_) && w.End(1) &&
-         w.Begin(2, io::kSectionInLabelOffsets) &&
-         io::WriteLabelStoreOffsets(f.get(), in_labels_) && w.End(2) &&
-         write_arena(3, io::kSectionLabelArena, out_labels_.arena) &&
-         write_arena(4, io::kSectionInLabelArena, in_labels_.arena) &&
-         write_arena(5, io::kSectionHintArena, out_hints_.arena) &&
-         write_arena(6, io::kSectionInHintArena, in_hints_.arena) &&
-         w.Finish();
-  }
-  if (!ok) {
-    return Status::Unavailable("write error on " + path);
-  }
-  return Status::Ok();
+  const bool hints = HasRouteHints();
+  return io::WriteSectionFile(
+      path, kDirectedIndexMagic, io::SectionCount(2, hints),
+      [&](io::SectionWriter& w) {
+        std::FILE* out = w.file();
+        // core_id_ / to_original_ are derivable (a vertex is in the core iff
+        // its depth is 0, and its core id is then its root id), so the
+        // format does not carry them; Load reconstructs both.
+        const uint8_t has_contraction = contraction_ != nullptr ? 1 : 0;
+        const uint64_t num_vertices = NumVertices();
+        bool ok = w.Begin(io::kSectionMeta) &&
+                  io::WriteValue(out, has_contraction) &&
+                  io::WriteValue(out, num_vertices);
+        if (ok && has_contraction) {
+          const DirectedDegreeOneContraction& c = *contraction_;
+          const uint64_t num_contracted = c.num_contracted_;
+          ok = io::WriteValue(out, num_contracted) &&
+               io::WriteValue(out, height_) &&
+               io::WriteVector(out, c.root_core_id_) &&
+               io::WriteVector(out, c.parent_) &&
+               io::WriteVector(out, c.depth_) &&
+               io::WriteVector(out, c.up_weight_) &&
+               io::WriteVector(out, c.down_weight_) &&
+               io::WriteVector(out, c.up_dist_) &&
+               io::WriteVector(out, c.down_dist_);
+        } else {
+          ok = ok && io::WriteValue(out, height_);
+        }
+        return ok && hierarchy_.WriteTo(out) &&
+               io::WriteLabelStoreCounts(out, out_labels_) &&
+               io::WriteLabelStoreCounts(out, in_labels_) && w.End() &&
+               w.WriteStore(io::kStoreSections, out_labels_,
+                            hints ? &out_hints_ : nullptr) &&
+               w.WriteStore(io::kInStoreSections, in_labels_,
+                            hints ? &in_hints_ : nullptr);
+      });
 }
 
 Result<DirectedHc2lIndex> DirectedHc2lIndex::Load(const std::string& path) {
@@ -963,38 +924,22 @@ Result<DirectedHc2lIndex> DirectedHc2lIndex::Load(const std::string& path) {
 
 Result<DirectedHc2lIndex> DirectedHc2lIndex::Load(const std::string& path,
                                                   bool use_mmap) {
-  io::FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return Status::NotFound("cannot open " + path);
+  io::SectionFile file(path, "directed HC2L index");
+  if (Status st = file.Open(kDirectedIndexMagic, use_mmap); !st.ok()) {
+    return st;
   }
-  io::Reader reader(f.get());
-  io::Reader* r = &reader;
-  const uint64_t file_size = reader.remaining();
-  uint64_t magic = 0;
-  if (!io::ReadValue(r, &magic) ||
-      (magic != kDirectedIndexMagic && magic != kDirectedIndexMagicV2 &&
-       magic != kDirectedIndexMagicV3 && magic != kDirectedIndexMagicV4)) {
-    return Status::InvalidArgument("not a directed HC2L index file: " + path);
-  }
-  const bool has_hints =
-      magic == kDirectedIndexMagicV3 || magic == kDirectedIndexMagicV4;
   DirectedHc2lIndex index;
+  index.mapping_ = file.mapping();
   uint64_t num_vertices = 0;
   uint64_t num_contracted = 0;
   uint32_t stored_height = 0;
-  bool contracted_body = magic == kDirectedIndexMagicV2;
+  io::LabelStoreCounts counts[2];
 
-  // V3/V4 carry an explicit contraction marker instead of splitting by
-  // magic; then the body shared by every format.
-  const auto read_marker = [&](io::Reader* in) {
+  const auto parse_meta = [&](io::Reader* in) {
     uint8_t has_contraction = 0;
-    const bool ok = io::ReadValue(in, &has_contraction) && has_contraction <= 1;
-    contracted_body = has_contraction != 0;
-    return ok;
-  };
-  const auto read_body = [&](io::Reader* in) {
-    bool ok = io::ReadValue(in, &num_vertices);
-    if (ok && contracted_body) {
+    bool ok = io::ReadValue(in, &has_contraction) && has_contraction <= 1 &&
+              io::ReadValue(in, &num_vertices);
+    if (ok && has_contraction) {
       index.contraction_ = std::unique_ptr<DirectedDegreeOneContraction>(
           new DirectedDegreeOneContraction());
       DirectedDegreeOneContraction& c = *index.contraction_;
@@ -1010,43 +955,15 @@ Result<DirectedHc2lIndex> DirectedHc2lIndex::Load(const std::string& path,
     } else {
       ok = ok && io::ReadValue(in, &stored_height);
     }
-    return ok;
-  };
-
-  // Each hint store must mirror its label store's shape exactly (Route
-  // indexes both with the same offsets).
-  const auto hints_match_labels = [&]() {
-    return index.out_hints_.base == index.out_labels_.base &&
-           index.out_hints_.level_start == index.out_labels_.level_start &&
-           index.out_hints_.level_len == index.out_labels_.level_len &&
-           index.in_hints_.base == index.in_labels_.base &&
-           index.in_hints_.level_start == index.in_labels_.level_start &&
-           index.in_hints_.level_len == index.in_labels_.level_len;
-  };
-
-  // Every true-length hint entry must be a core vertex id or the no-hint
-  // sentinel. O(entries), so heap loads only — a mapped open must not touch
-  // the arena pages; CoreRoute's per-step range checks re-validate every
-  // hint the walk actually dereferences.
-  const auto entries_in_range = [&](const LabelStore& hints) {
-    const size_t core = hints.base.size() - 1;
-    for (size_t v = 0; v < core; ++v) {
-      for (uint32_t a = hints.base[v]; a < hints.base[v + 1]; ++a) {
-        const uint32_t start = hints.level_start[a];
-        const uint32_t len = hints.level_len[a];
-        for (uint32_t j = 0; j < len; ++j) {
-          const uint32_t e = hints.arena.data()[start + j];
-          if (e != kInvalidVertex && e >= core) return false;
-        }
-      }
-    }
-    return true;
+    return ok && index.hierarchy_.ReadFrom(in) &&
+           io::ReadLabelStoreCounts(in, &counts[0]) &&
+           io::ReadLabelStoreCounts(in, &counts[1]);
   };
 
   // Same query-path hardening as the undirected Load (see hc2l.cc): code
   // tables must cover every core vertex and both directions must hold at
   // least depth+1 arrays per vertex; the stores' own structure was validated
-  // in ReadLabelStore / ReadLabelStoreMeta. With a contraction the
+  // by the section codec's ValidateLabelShape. With a contraction the
   // per-vertex mapping arrays must cover every original vertex and point
   // inside the core, so the query paths never index out of bounds. Files
   // from adversarial sources remain unsupported.
@@ -1096,139 +1013,15 @@ Result<DirectedHc2lIndex> DirectedHc2lIndex::Load(const std::string& path,
     return ok;
   };
 
-  bool ok = true;
-  if (magic == kDirectedIndexMagicV4) {
-    // Same flow as the undirected V4 loader (hc2l.cc), doubled per
-    // direction: parse the table, map the file when asked (the metadata
-    // parse then runs straight off the mapping), attach the offset tables
-    // and arenas by view (kMmap) or straight reads (kHeap). Each direction
-    // stores one offsets section shared by its label and hint stores.
-    std::vector<io::SectionEntry> sections;
-    ok = io::ReadSectionTable(r, file_size, &sections);
-    const io::SectionEntry* meta =
-        ok ? io::FindSection(sections, io::kSectionMeta) : nullptr;
-    const io::SectionEntry* offset_sections[2] = {nullptr, nullptr};
-    const io::SectionEntry* arena_sections[4] = {nullptr, nullptr, nullptr,
-                                                 nullptr};
-    const uint64_t offset_ids[2] = {io::kSectionLabelOffsets,
-                                    io::kSectionInLabelOffsets};
-    const uint64_t arena_ids[4] = {io::kSectionLabelArena,
-                                   io::kSectionInLabelArena,
-                                   io::kSectionHintArena,
-                                   io::kSectionInHintArena};
-    // Per direction d: labels = stores[d], hints = stores[d + 2].
-    LabelStore* stores[4] = {&index.out_labels_, &index.in_labels_,
-                             &index.out_hints_, &index.in_hints_};
-    io::LabelStoreCounts counts[2];
-    if (ok) {
-      ok = meta != nullptr;
-      for (int i = 0; i < 2; ++i) {
-        offset_sections[i] = io::FindSection(sections, offset_ids[i]);
-        ok = ok && offset_sections[i] != nullptr;
-      }
-      for (int i = 0; i < 4; ++i) {
-        arena_sections[i] = io::FindSection(sections, arena_ids[i]);
-        ok = ok && arena_sections[i] != nullptr;
-      }
-    }
-    if (ok && use_mmap) {
-      // Mapping dereferences nothing by itself; every later access stays
-      // inside section bounds the table validation pinned to the real file
-      // size.
-      index.mapping_ = MappedFile::Open(path);
-      ok = index.mapping_ != nullptr && index.mapping_->size() == file_size;
-    }
-    if (ok) {
-      const auto parse_meta = [&](io::Reader* mr) {
-        return read_marker(mr) && read_body(mr) &&
-               index.hierarchy_.ReadFrom(mr) &&
-               io::ReadLabelStoreCounts(mr, &counts[0]) &&
-               io::ReadLabelStoreCounts(mr, &counts[1]);
-      };
-      if (use_mmap) {
-        io::Reader mr(index.mapping_->data() + meta->offset, meta->bytes);
-        ok = parse_meta(&mr);
-      } else {
-        ok = std::fseek(f.get(), static_cast<long>(meta->offset), SEEK_SET) ==
-             0;
-        io::Reader mr(f.get());
-        mr.LimitTo(meta->bytes);
-        ok = ok && parse_meta(&mr);
-      }
-      for (int d = 0; ok && d < 2; ++d) {
-        // The declared table and entry counts must exactly match the
-        // offsets and arena sections' byte sizes (the divisions avoid
-        // forged-count overflows), and each hint arena must mirror its
-        // label arena.
-        ok = io::OffsetsSectionMatches(*offset_sections[d], counts[d]) &&
-             arena_sections[d]->bytes % sizeof(uint32_t) == 0 &&
-             arena_sections[d]->bytes / sizeof(uint32_t) ==
-                 counts[d].arena_entries &&
-             arena_sections[d + 2]->bytes == arena_sections[d]->bytes;
-      }
-    }
-    if (ok && use_mmap) {
-      const uint8_t* base = index.mapping_->data();
-      for (int d = 0; ok && d < 2; ++d) {
-        io::AttachOffsetsView(base + offset_sections[d]->offset, counts[d],
-                              stores[d], stores[d + 2]);
-        for (const int i : {d, d + 2}) {
-          stores[i]->arena.ResetView(
-              reinterpret_cast<const uint32_t*>(base +
-                                                arena_sections[i]->offset),
-              counts[d].arena_entries);
-          index.mapping_->AdviseRandom(arena_sections[i]->offset,
-                                       arena_sections[i]->bytes);
-        }
-        ok = io::ValidateLabelShape(*stores[d], counts[d].arena_entries);
-      }
-      ok = ok && validate_structure();
-    } else if (ok) {
-      for (int d = 0; ok && d < 2; ++d) {
-        ok = std::fseek(f.get(),
-                        static_cast<long>(offset_sections[d]->offset),
-                        SEEK_SET) == 0;
-        if (!ok) break;
-        io::Reader orr(f.get());
-        orr.LimitTo(offset_sections[d]->bytes);
-        ok = io::ReadLabelStoreOffsets(&orr, counts[d], stores[d],
-                                       stores[d + 2]) &&
-             io::ValidateLabelShape(*stores[d], counts[d].arena_entries);
-      }
-      ok = ok && validate_structure();
-      for (int i = 0; ok && i < 4; ++i) {
-        const uint64_t entries = counts[i % 2].arena_entries;
-        ok = std::fseek(f.get(), static_cast<long>(arena_sections[i]->offset),
-                        SEEK_SET) == 0;
-        if (!ok) break;
-        io::Reader ar(f.get());
-        stores[i]->arena.Reset(entries);
-        ok = entries == 0 ||
-             ar.Read(stores[i]->arena.data(), entries * sizeof(uint32_t));
-      }
-      ok = ok && entries_in_range(index.out_hints_) &&
-           entries_in_range(index.in_hints_);
-    }
-  } else {
-    // Legacy inline formats; use_mmap is ignored (their arenas interleave
-    // with the metadata stream).
-    if (has_hints) {
-      ok = read_marker(r);
-    }
-    ok = ok && read_body(r) && index.hierarchy_.ReadFrom(r) &&
-         io::ReadLabelStore(r, &index.out_labels_) &&
-         io::ReadLabelStore(r, &index.in_labels_);
-    if (ok && has_hints) {
-      ok = io::ReadLabelStore(r, &index.out_hints_) &&
-           io::ReadLabelStore(r, &index.in_hints_) && hints_match_labels() &&
-           entries_in_range(index.out_hints_) &&
-           entries_in_range(index.in_hints_);
-    }
-    ok = ok && validate_structure();
-  }
-  if (!ok) {
-    return Status::DataLoss("truncated or corrupt directed HC2L index file: " +
-                            path);
+  // A directed file carries hint arenas for both directions or neither.
+  if (!file.ReadMeta(parse_meta) ||
+      !file.ReadStore(io::kStoreSections, counts[0], &index.out_labels_,
+                      &index.out_hints_) ||
+      !file.ReadStore(io::kInStoreSections, counts[1], &index.in_labels_,
+                      &index.in_hints_) ||
+      index.out_hints_.base.empty() != index.in_hints_.base.empty() ||
+      !validate_structure()) {
+    return file.Corrupt();
   }
   index.num_vertices_ = num_vertices;
   // The stored height is informational; the level bucketing's bound is

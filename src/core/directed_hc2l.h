@@ -31,8 +31,8 @@ struct DirectedHc2lOptions {
   bool contract_degree_one = true;
   /// Record per-direction route hints next to the labels (out: first hop of
   /// v -> hub; in: predecessor on hub -> v), enabling label-based path
-  /// unpacking (Route). Disabling keeps the legacy HC2D0001/HC2D0002 disk
-  /// formats; routes then need a graph-backed fallback unpacker.
+  /// unpacking (Route). Disabling omits the hint sections from the saved
+  /// file; routes then need a graph-backed fallback unpacker.
   bool route_hints = true;
   /// Construction threads (shared pool); queries stay single-threaded.
   uint32_t num_threads = 1;
@@ -115,7 +115,8 @@ class DirectedHc2lIndex {
   size_t NumVertices() const { return num_vertices_; }
 
   /// True when the index carries route hints (built with route_hints, or
-  /// loaded from an HC2D0003 file) and can unpack paths without a digraph.
+  /// loaded from a file with hint sections) and can unpack paths without a
+  /// digraph.
   bool HasRouteHints() const { return !out_hints_.base.empty(); }
 
   /// Reconstructs one shortest directed path s -> t: out->vertices holds the
@@ -154,25 +155,22 @@ class DirectedHc2lIndex {
   /// Resident label storage in bytes (aligned arenas + offset tables).
   size_t LabelSizeBytes() const;
 
-  /// Serializes the index (hierarchy + both label stores). Hint-less
-  /// indexes keep the legacy layouts — HC2D0001 without contraction
-  /// (readable by pre-contraction builds), HC2D0002 with it — while
-  /// hint-carrying indexes write the sectioned, mmap-able HC2D0004 (a
-  /// 64-byte-aligned section table; metadata plus the four raw arenas as
-  /// separate sections).
+  /// Serializes the index (hierarchy + both label stores) as the sectioned,
+  /// mmap-able HC2D0004: a 64-byte-aligned section table; metadata, one
+  /// offsets section per direction and the raw arenas as separate sections
+  /// (two label arenas, plus two hint arenas when the index has hints).
   Status Save(const std::string& path) const;
 
-  /// Loads an index previously written by Save() — HC2D0001, HC2D0002,
-  /// HC2D0003 or HC2D0004 (the latter two restore route hints). Errors:
-  /// kNotFound (cannot open), kInvalidArgument (not a directed HC2L file),
-  /// kDataLoss (truncated or corrupt).
+  /// Loads an index previously written by Save() (HC2D0004; hint sections
+  /// restore route hints). Errors: kNotFound (cannot open),
+  /// kInvalidArgument (not a directed HC2L file), kDataLoss (truncated or
+  /// corrupt, including a file with only one direction's hint arena).
   static Result<DirectedHc2lIndex> Load(const std::string& path);
 
-  /// Load with an explicit open mode. With use_mmap and an HC2D0004 file the
-  /// four arenas are mapped in place (O(1) open: only the metadata section
-  /// is parsed and the label pages are advised MADV_RANDOM); legacy formats
-  /// ignore the flag and deserialize onto the heap. A mapped index answers
-  /// queries identically to a heap-loaded one.
+  /// Load with an explicit open mode. With use_mmap the arenas are mapped
+  /// in place (O(1) open: only the metadata section is parsed and the label
+  /// pages are advised MADV_RANDOM). A mapped index answers queries
+  /// identically to a heap-loaded one.
   static Result<DirectedHc2lIndex> Load(const std::string& path,
                                         bool use_mmap);
 

@@ -1278,7 +1278,7 @@ Status Hc2lIndex::Route(Vertex s, Vertex t, RoutePath* out) const {
   if (!HasRouteHints()) {
     return Status::FailedPrecondition(
         "index carries no route hints (built with route_hints = false, or "
-        "loaded from a distance-only HC2L0002 file); routes need a "
+        "loaded from a file without hint sections); routes need a "
         "graph-backed fallback unpacker");
   }
   if (contraction_ != nullptr) {
@@ -1421,69 +1421,37 @@ Status Hc2lIndex::Routes(Vertex s, Vertex t, size_t k,
   return Status::Ok();
 }
 
-// On-disk formats (src/core/index_format.h): a hint-less index writes the
-// legacy format 2 (kHc2lIndexMagic) — stats, optional contraction,
-// hierarchy, label store — so files stay readable by older builds. A
-// hint-carrying index writes the sectioned format 4 (kHc2lIndexMagicV4):
-// the same body with the arenas lifted out into their own 64-byte-aligned
-// sections, so OpenMode::kMmap can use them in place. Format 3 files
-// (V4's predecessor, arenas inline) remain loadable. The helpers live in
-// common/binary_io.h and common/section_file.h, shared with the directed
-// index; byte-level spec in docs/format.md.
+// On-disk format (src/core/index_format.h, docs/format.md): the sectioned
+// HC2L0004 layout. The meta section carries stats, the optional contraction
+// and the hierarchy; the label store and, when the index has route hints,
+// its hint store go through the section codec shared with the directed
+// index (common/section_file.h), which lays the arenas out on 64-byte file
+// offsets so OpenMode::kMmap can use them in place.
 Status Hc2lIndex::Save(const std::string& path) const {
-  io::FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) {
-    return Status::Unavailable("cannot open " + path + " for writing");
-  }
-  const auto write_contraction = [&](std::FILE* out) {
-    const uint8_t has_contraction = contraction_ != nullptr ? 1 : 0;
-    bool ok = io::WriteValue(out, has_contraction);
-    if (ok && has_contraction) {
-      const DegreeOneContraction& c = *contraction_;
-      ok = io::WriteVector(out, c.core_id_) &&
-           io::WriteVector(out, c.to_original_) &&
-           io::WriteVector(out, c.root_core_id_) &&
-           io::WriteVector(out, c.dist_to_root_) &&
-           io::WriteVector(out, c.parent_) &&
-           io::WriteVector(out, c.parent_weight_) &&
-           io::WriteVector(out, c.depth_);
-      const uint64_t contracted = c.num_contracted_;
-      ok = ok && io::WriteValue(out, contracted);
-    }
-    return ok;
-  };
-
-  bool ok;
-  if (!HasRouteHints()) {
-    ok = io::WriteValue(f.get(), kHc2lIndexMagic) &&
-         io::WriteValue(f.get(), stats_) && write_contraction(f.get()) &&
-         hierarchy_.WriteTo(f.get()) && io::WriteLabelStore(f.get(), labels_);
-  } else {
-    io::SectionWriter w(f.get());
-    const auto write_arena = [&](size_t index, uint64_t id,
-                                 const LabelArena& arena) {
-      return w.Begin(index, id) &&
-             (arena.size() == 0 ||
-              io::WritePod(f.get(), arena.data(), arena.SizeBytes())) &&
-             w.End(index);
-    };
-    // The hint store mirrors the label store's shape (a class invariant the
-    // loader rebuilds by sharing), so one counts record and one offsets
-    // section cover both stores, and both arena sections have equal sizes.
-    HC2L_CHECK_EQ(hints_.arena.size(), labels_.arena.size());
-    ok = w.Start(kHc2lIndexMagicV4, 4) && w.Begin(0, io::kSectionMeta) &&
-         io::WriteValue(f.get(), stats_) && write_contraction(f.get()) &&
-         hierarchy_.WriteTo(f.get()) &&
-         io::WriteLabelStoreCounts(f.get(), labels_) && w.End(0) &&
-         w.Begin(1, io::kSectionLabelOffsets) &&
-         io::WriteLabelStoreOffsets(f.get(), labels_) && w.End(1) &&
-         write_arena(2, io::kSectionLabelArena, labels_.arena) &&
-         write_arena(3, io::kSectionHintArena, hints_.arena) && w.Finish();
-  }
-  if (!ok) {
-    return Status::Unavailable("write error on " + path);
-  }
-  return Status::Ok();
+  const LabelStore* hints = HasRouteHints() ? &hints_ : nullptr;
+  return io::WriteSectionFile(
+      path, kHc2lIndexMagic, io::SectionCount(1, hints != nullptr),
+      [&](io::SectionWriter& w) {
+        std::FILE* out = w.file();
+        const uint8_t has_contraction = contraction_ != nullptr ? 1 : 0;
+        bool ok = w.Begin(io::kSectionMeta) && io::WriteValue(out, stats_) &&
+                  io::WriteValue(out, has_contraction);
+        if (ok && has_contraction) {
+          const DegreeOneContraction& c = *contraction_;
+          const uint64_t contracted = c.num_contracted_;
+          ok = io::WriteVector(out, c.core_id_) &&
+               io::WriteVector(out, c.to_original_) &&
+               io::WriteVector(out, c.root_core_id_) &&
+               io::WriteVector(out, c.dist_to_root_) &&
+               io::WriteVector(out, c.parent_) &&
+               io::WriteVector(out, c.parent_weight_) &&
+               io::WriteVector(out, c.depth_) &&
+               io::WriteValue(out, contracted);
+        }
+        return ok && hierarchy_.WriteTo(out) &&
+               io::WriteLabelStoreCounts(out, labels_) && w.End() &&
+               w.WriteStore(io::kStoreSections, labels_, hints);
+      });
 }
 
 Result<Hc2lIndex> Hc2lIndex::Load(const std::string& path) {
@@ -1491,70 +1459,32 @@ Result<Hc2lIndex> Hc2lIndex::Load(const std::string& path) {
 }
 
 Result<Hc2lIndex> Hc2lIndex::Load(const std::string& path, bool use_mmap) {
-  io::FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return Status::NotFound("cannot open " + path);
-  }
-  io::Reader reader(f.get());
-  io::Reader* r = &reader;
-  const uint64_t file_size = reader.remaining();
-  uint64_t magic = 0;
-  if (!io::ReadValue(r, &magic) ||
-      (magic != kHc2lIndexMagic && magic != kHc2lIndexMagicV3 &&
-       magic != kHc2lIndexMagicV4)) {
-    return Status::InvalidArgument("not an HC2L index file: " + path);
-  }
+  io::SectionFile file(path, "HC2L index");
+  if (Status st = file.Open(kHc2lIndexMagic, use_mmap); !st.ok()) return st;
   Hc2lIndex index;
+  index.mapping_ = file.mapping();
   uint8_t has_contraction = 0;
-  bool has_hints = magic != kHc2lIndexMagic;
+  io::LabelStoreCounts counts;
 
-  const auto read_contraction = [&](io::Reader* in) {
-    bool ok = io::ReadValue(in, &has_contraction);
+  const auto parse_meta = [&](io::Reader* in) {
+    bool ok = io::ReadValue(in, &index.stats_) &&
+              io::ReadValue(in, &has_contraction);
     if (ok && has_contraction) {
       index.contraction_ =
           std::unique_ptr<DegreeOneContraction>(new DegreeOneContraction());
       DegreeOneContraction& c = *index.contraction_;
+      uint64_t contracted = 0;
       ok = io::ReadVector(in, &c.core_id_) &&
            io::ReadVector(in, &c.to_original_) &&
            io::ReadVector(in, &c.root_core_id_) &&
            io::ReadVector(in, &c.dist_to_root_) &&
            io::ReadVector(in, &c.parent_) &&
            io::ReadVector(in, &c.parent_weight_) &&
-           io::ReadVector(in, &c.depth_);
-      uint64_t contracted = 0;
-      ok = ok && io::ReadValue(in, &contracted);
+           io::ReadVector(in, &c.depth_) && io::ReadValue(in, &contracted);
       c.num_contracted_ = contracted;
     }
-    return ok;
-  };
-
-  // The hint store must mirror the label store's shape exactly (Route
-  // indexes both with the same offsets).
-  const auto hints_match_labels = [&]() {
-    return index.hints_.base == index.labels_.base &&
-           index.hints_.level_start == index.labels_.level_start &&
-           index.hints_.level_len == index.labels_.level_len;
-  };
-
-  // Every true-length hint entry must be a core vertex id or the no-hint
-  // sentinel. O(entries) — run on heap loads only; a mapped open skips it
-  // (the point of kMmap is not touching the arena pages) and relies on
-  // CoreRoute's per-step range checks instead, which re-validate every hint
-  // the walk actually dereferences.
-  const auto validate_hint_entries = [&]() {
-    const size_t core = index.hints_.base.size() - 1;
-    for (size_t v = 0; v < core; ++v) {
-      for (uint32_t a = index.hints_.base[v]; a < index.hints_.base[v + 1];
-           ++a) {
-        const uint32_t start = index.hints_.level_start[a];
-        const uint32_t len = index.hints_.level_len[a];
-        for (uint32_t j = 0; j < len; ++j) {
-          const uint32_t e = index.hints_.arena.data()[start + j];
-          if (e != kInvalidVertex && e >= core) return false;
-        }
-      }
-    }
-    return true;
+    return ok && index.hierarchy_.ReadFrom(in) &&
+           io::ReadLabelStoreCounts(in, &counts);
   };
 
   // Query-path hardening shared by both loaders: the contraction mapping
@@ -1612,112 +1542,11 @@ Result<Hc2lIndex> Hc2lIndex::Load(const std::string& path, bool use_mmap) {
     return true;
   };
 
-  bool ok = true;
-  if (magic == kHc2lIndexMagicV4) {
-    // Sectioned format: parse the table, map the file when asked — so the
-    // metadata parse runs straight off the mapping, no fread and no heap
-    // staging — then attach the offset tables and arenas by view (kMmap:
-    // no copy, no arena page touched) or by straight reads (kHeap). The
-    // hint store shares the label store's offset tables: stored once,
-    // shapes equal by construction.
-    std::vector<io::SectionEntry> sections;
-    ok = io::ReadSectionTable(r, file_size, &sections);
-    const io::SectionEntry* meta =
-        ok ? io::FindSection(sections, io::kSectionMeta) : nullptr;
-    const io::SectionEntry* offsets =
-        ok ? io::FindSection(sections, io::kSectionLabelOffsets) : nullptr;
-    const io::SectionEntry* labels =
-        ok ? io::FindSection(sections, io::kSectionLabelArena) : nullptr;
-    const io::SectionEntry* hints =
-        ok ? io::FindSection(sections, io::kSectionHintArena) : nullptr;
-    ok = meta != nullptr && offsets != nullptr && labels != nullptr &&
-         hints != nullptr;
-    if (ok && use_mmap) {
-      // Mapping dereferences nothing by itself; every later access stays
-      // inside section bounds the table validation pinned to the real file
-      // size.
-      index.mapping_ = MappedFile::Open(path);
-      ok = index.mapping_ != nullptr && index.mapping_->size() == file_size;
-    }
-    io::LabelStoreCounts counts;
-    if (ok) {
-      const auto parse_meta = [&](io::Reader* mr) {
-        return io::ReadValue(mr, &index.stats_) && read_contraction(mr) &&
-               index.hierarchy_.ReadFrom(mr) &&
-               io::ReadLabelStoreCounts(mr, &counts);
-      };
-      if (use_mmap) {
-        io::Reader mr(index.mapping_->data() + meta->offset, meta->bytes);
-        ok = parse_meta(&mr);
-      } else {
-        ok = std::fseek(f.get(), static_cast<long>(meta->offset), SEEK_SET) ==
-             0;
-        io::Reader mr(f.get());
-        mr.LimitTo(meta->bytes);
-        ok = ok && parse_meta(&mr);
-      }
-      // The declared table and entry counts must exactly match the offsets
-      // and arena sections' byte sizes (the divisions avoid forged-count
-      // overflows), and the hint arena must mirror the label arena.
-      ok = ok && io::OffsetsSectionMatches(*offsets, counts) &&
-           labels->bytes % sizeof(uint32_t) == 0 &&
-           labels->bytes / sizeof(uint32_t) == counts.arena_entries &&
-           hints->bytes == labels->bytes;
-    }
-    if (ok && use_mmap) {
-      const uint8_t* base = index.mapping_->data();
-      io::AttachOffsetsView(base + offsets->offset, counts, &index.labels_,
-                            &index.hints_);
-      index.labels_.arena.ResetView(
-          reinterpret_cast<const uint32_t*>(base + labels->offset),
-          counts.arena_entries);
-      index.hints_.arena.ResetView(
-          reinterpret_cast<const uint32_t*>(base + hints->offset),
-          counts.arena_entries);
-      ok = io::ValidateLabelShape(index.labels_, counts.arena_entries) &&
-           validate_structure();
-      if (ok) {
-        index.mapping_->AdviseRandom(labels->offset, labels->bytes);
-        index.mapping_->AdviseRandom(hints->offset, hints->bytes);
-      }
-    } else if (ok) {
-      const auto read_arena = [&](const io::SectionEntry& s, uint64_t entries,
-                                  LabelArena* arena) {
-        if (std::fseek(f.get(), static_cast<long>(s.offset), SEEK_SET) != 0) {
-          return false;
-        }
-        io::Reader ar(f.get());
-        arena->Reset(entries);
-        return entries == 0 ||
-               ar.Read(arena->data(), entries * sizeof(uint32_t));
-      };
-      ok = std::fseek(f.get(), static_cast<long>(offsets->offset), SEEK_SET) ==
-           0;
-      io::Reader orr(f.get());
-      orr.LimitTo(offsets->bytes);
-      ok = ok &&
-           io::ReadLabelStoreOffsets(&orr, counts, &index.labels_,
-                                     &index.hints_) &&
-           io::ValidateLabelShape(index.labels_, counts.arena_entries) &&
-           validate_structure() &&
-           read_arena(*labels, counts.arena_entries, &index.labels_.arena) &&
-           read_arena(*hints, counts.arena_entries, &index.hints_.arena) &&
-           validate_hint_entries();
-    }
-  } else {
-    // Legacy inline formats (HC2L0002 / HC2L0003); use_mmap is ignored —
-    // their arenas interleave with the metadata stream, so there is
-    // nothing alignable to map.
-    ok = io::ReadValue(r, &index.stats_) && read_contraction(r) &&
-         index.hierarchy_.ReadFrom(r) && io::ReadLabelStore(r, &index.labels_);
-    if (ok && has_hints) {
-      ok = io::ReadLabelStore(r, &index.hints_) && hints_match_labels() &&
-           validate_hint_entries();
-    }
-    ok = ok && validate_structure();
-  }
-  if (!ok) {
-    return Status::DataLoss("truncated or corrupt HC2L index file: " + path);
+  if (!file.ReadMeta(parse_meta) ||
+      !file.ReadStore(io::kStoreSections, counts, &index.labels_,
+                      &index.hints_) ||
+      !validate_structure()) {
+    return file.Corrupt();
   }
   // The file-loaded height is likewise not trusted for the level bucketing's
   // bucket sizing; recompute it (equal for well-formed files).

@@ -36,8 +36,8 @@ struct Hc2lOptions {
   bool contract_degree_one = true;
   /// Record route hints (the first core-graph hop toward every hub) next to
   /// the distance labels, enabling label-based path unpacking (Route).
-  /// Disabling builds a distance-only index that serializes in the legacy
-  /// HC2L0002 format; routes then require a graph-backed fallback unpacker.
+  /// Disabling builds a distance-only index whose file omits the hint
+  /// sections; routes then require a graph-backed fallback unpacker.
   bool route_hints = true;
   /// Number of construction threads; >1 gives the paper's HC2L_p variant.
   /// Query processing is always single-threaded per query.
@@ -161,7 +161,8 @@ class Hc2lIndex {
   size_t NumVertices() const { return stats_.num_vertices; }
 
   /// True when the index carries route hints (built with route_hints, or
-  /// loaded from an HC2L0003 file) and can unpack paths without a graph.
+  /// loaded from a file with a hint section) and can unpack paths without a
+  /// graph.
   bool HasRouteHints() const { return !hints_.base.empty(); }
 
   /// Reconstructs one shortest path s -> t from the labels: out->vertices
@@ -260,19 +261,16 @@ class Hc2lIndex {
   /// Serializes the index (labels, hierarchy, contraction) to a file.
   Status Save(const std::string& path) const;
 
-  /// Loads an index previously written by Save(). Accepts every undirected
-  /// format: the legacy distance-only HC2L0002, the hint-carrying HC2L0003
-  /// and the sectioned HC2L0004 (the hint-carrying formats restore route
-  /// hints, so Route works without a graph). Errors: kNotFound (cannot
-  /// open), kInvalidArgument (not an undirected index), kDataLoss
-  /// (truncated or corrupt).
+  /// Loads an index previously written by Save() (HC2L0004; a file with a
+  /// hint section restores route hints, so Route works without a graph).
+  /// Errors: kNotFound (cannot open), kInvalidArgument (not an undirected
+  /// index), kDataLoss (truncated or corrupt).
   static Result<Hc2lIndex> Load(const std::string& path);
 
-  /// Load with an open mode. use_mmap maps an HC2L0004 file's label arenas
+  /// Load with an open mode. use_mmap maps the file's label and hint arenas
   /// in place (O(1) open: only the metadata section is parsed; the arenas
-  /// are views into the page cache, advised MADV_RANDOM). Legacy formats
-  /// ignore the flag and load via the heap path. A mapped index answers
-  /// every query identically; mutation (RebuildLabels/RepairLabels)
+  /// are views into the page cache, advised MADV_RANDOM). A mapped index
+  /// answers every query identically; mutation (RebuildLabels/RepairLabels)
   /// materializes owned arenas on first use, and Clone() always produces a
   /// fully owned copy.
   static Result<Hc2lIndex> Load(const std::string& path, bool use_mmap);
@@ -347,8 +345,8 @@ class Hc2lIndex {
   /// Route hints, shaped exactly like labels_ (same offset tables): entry
   /// (v, level, i) is the first core-graph hop from v toward that level's
   /// i-th hub (kInvalidVertex when v is the hub or the hub is unreachable).
-  /// Empty tables when the index is hint-less (route_hints = false, or an
-  /// HC2L0002 load).
+  /// Empty tables when the index is hint-less (route_hints = false, or
+  /// loaded from a file without a hint section).
   LabelStore hints_;
   /// The file mapping backing view-mode arenas (Load with use_mmap); null
   /// for built or heap-loaded indexes. Held for lifetime only — all access

@@ -7,59 +7,27 @@ namespace hc2l {
 
 /// On-disk format magics, the first 8 bytes of every serialized index.
 /// Router::Open sniffs these to pick the right loader; each index's Load
-/// rejects the other's files with kInvalidArgument.
+/// rejects the other's files with kInvalidArgument. Each constant packs the
+/// ASCII bytes of its name big-endian ('H' = 0x48 in the most-significant
+/// byte), so a file written on a little-endian machine begins with the
+/// name reversed ("4000L2CH").
 
-/// Undirected index, format 2: stats, optional contraction, hierarchy,
-/// cache-aligned label store. The constant packs the ASCII bytes of
-/// "HC2L0002" big-endian ('H' = 0x48 in the most-significant byte), so an
-/// on-disk file written on a little-endian machine begins with the bytes
-/// "2000L2CH".
-inline constexpr uint64_t kHc2lIndexMagic = 0x4843324c30303032ULL;
-
-/// Directed index, format 1: vertex count, height, hierarchy, out- and
-/// in-label stores ("HC2D0001", packed the same way). Still written for
-/// indexes built without degree-one contraction and still loadable.
-inline constexpr uint64_t kDirectedIndexMagic = 0x4843324430303031ULL;
-
-/// Directed index, format 2 ("HC2D0002"): format 1 plus the degree-one
-/// contraction mapping (counts, then the per-vertex root/parent/depth
-/// arrays and the per-direction pendant weights and root distances; the
-/// core-id mappings are derivable and reconstructed at load) between the
-/// header and the hierarchy. Written for contracted indexes.
-inline constexpr uint64_t kDirectedIndexMagicV2 = 0x4843324430303032ULL;
-
-/// Undirected index, format 3 ("HC2L0003"): format 2 plus a second label
-/// store of route hints appended after the distance store. The hint store
-/// has the same per-vertex/per-level shape as the label store; each entry
-/// is the first core-graph hop from the vertex toward that level's hub
-/// (kInvalidVertex for the hub itself or an unreachable hub). Written only
-/// when the index was built with route hints; hint-less indexes keep the
-/// HC2L0002 format so older readers stay compatible.
-inline constexpr uint64_t kHc2lIndexMagicV3 = 0x4843324c30303033ULL;
-
-/// Directed index, format 3 ("HC2D0003"): a uint8 has-contraction marker
-/// after the header (collapsing the V1/V2 split), then the V2 body followed
-/// by two hint stores — out-hints (first hop of v -> hub) and in-hints
-/// (predecessor on the hub -> v path), shaped like the out-/in-label
-/// stores. Written only for hint-carrying indexes.
-inline constexpr uint64_t kDirectedIndexMagicV3 = 0x4843324430303033ULL;
-
-/// Undirected index, format 4 ("HC2L0004"): the mmap-able sectioned layout.
-/// After the magic comes a section table (count, then {id, offset, bytes}
-/// triples) and 64-byte-aligned section payloads: a metadata section (the V3
-/// body with each label store's arena replaced by its entry count) and one
-/// raw arena section per store. Because every arena payload starts on a
-/// 64-byte file offset, `Open(path, OpenMode::kMmap)` can point the label
-/// arenas straight into the mapping — no copy, no O(n) validation scan.
-/// This is the written format for hint-carrying undirected indexes since
-/// format 4; V3 files remain loadable (heap only). docs/format.md has the
+/// Undirected index ("HC2L0004"): the sectioned, mmap-able layout of
+/// common/section_file.h. A meta section (stats, optional degree-one
+/// contraction, hierarchy, label-store counts), the label store's offset
+/// tables, its label arena, and — when the index carries route hints — its
+/// hint arena. Every arena payload starts on a 64-byte file offset, so
+/// `Open(path, OpenMode::kMmap)` points the arenas straight into the
+/// mapping: no copy, no O(n) validation scan. docs/format.md has the
 /// byte-level specification.
-inline constexpr uint64_t kHc2lIndexMagicV4 = 0x4843324c30303034ULL;
+inline constexpr uint64_t kHc2lIndexMagic = 0x4843324c30303034ULL;
 
-/// Directed index, format 4 ("HC2D0004"): the same sectioned layout over the
-/// V3 directed body, with four arena sections (out/in labels, out/in hints).
-/// Written for hint-carrying directed indexes since format 4.
-inline constexpr uint64_t kDirectedIndexMagicV4 = 0x4843324430303034ULL;
+/// Directed index ("HC2D0004"): the same layout with a directed meta body
+/// (a uint8 contraction marker, the vertex count, height and optional
+/// contraction mapping, the hierarchy, out- and in-store counts) and one
+/// offsets section, label arena and optional hint arena per direction.
+/// Either both directions carry hint arenas or neither does.
+inline constexpr uint64_t kDirectedIndexMagic = 0x4843324430303034ULL;
 
 /// Shard manifest ("HC2S0001"): not an index itself but a directory of
 /// per-partition index files plus the boundary-vertex tables that make

@@ -69,7 +69,7 @@ class BalancedTreeHierarchy {
 
   /// Serializes the hierarchy to an open stream (node list with cuts, the
   /// vertex-to-node mapping and the packed codes — the layout embedded in
-  /// index format HC2L0002).
+  /// the meta section of both index formats).
   bool WriteTo(std::FILE* f) const;
 
   /// Reads a hierarchy written by WriteTo through a bounded reader (sizes

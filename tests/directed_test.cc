@@ -399,27 +399,26 @@ TEST(DirectedHc2l, SaveWritesFormatPerContractionAndBothLoad) {
       const DirectedHc2lIndex index = DirectedHc2lIndex::Build(g, options);
       const std::string path = ::testing::TempDir() + "/hc2l_dir_fmt.idx";
       ASSERT_TRUE(index.Save(path).ok());
-      // Hint-carrying indexes (the default) write the sectioned, mmap-able
-      // HC2D0004. Hint-less ones keep the legacy layouts, and uncontracted
-      // hint-less indexes keep HC2D0001 — the backward-compat guarantee that
-      // files from pre-contraction builds stay loadable is pinned by loading
-      // exactly that layout here.
-      EXPECT_EQ(FileMagic(path),
-                hints ? kDirectedIndexMagicV4
-                      : (contract ? kDirectedIndexMagicV2
-                                  : kDirectedIndexMagic));
-      const auto loaded = DirectedHc2lIndex::Load(path);
-      std::remove(path.c_str());
-      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      EXPECT_EQ(loaded->NumVertices(), index.NumVertices());
-      EXPECT_EQ(loaded->NumCoreVertices(), index.NumCoreVertices());
-      EXPECT_EQ(loaded->HasRouteHints(), hints);
-      for (Vertex s = 0; s < g.NumVertices(); s += 7) {
-        for (Vertex t = 0; t < g.NumVertices(); t += 5) {
-          ASSERT_EQ(loaded->Query(s, t), index.Query(s, t))
-              << "s=" << s << " t=" << t;
+      // Every index writes the sectioned HC2D0004: contraction is a marker
+      // in the meta section, and a hint-less index just omits its hint
+      // arenas — so it maps in place like a hint-carrying one.
+      EXPECT_EQ(FileMagic(path), kDirectedIndexMagic);
+      for (const bool use_mmap : {false, true}) {
+        SCOPED_TRACE(use_mmap ? "mmap" : "heap");
+        const auto loaded = DirectedHc2lIndex::Load(path, use_mmap);
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        EXPECT_EQ(loaded->NumVertices(), index.NumVertices());
+        EXPECT_EQ(loaded->NumCoreVertices(), index.NumCoreVertices());
+        EXPECT_EQ(loaded->HasRouteHints(), hints);
+        EXPECT_EQ(loaded->MappedBytes() > 0, use_mmap);
+        for (Vertex s = 0; s < g.NumVertices(); s += 7) {
+          for (Vertex t = 0; t < g.NumVertices(); t += 5) {
+            ASSERT_EQ(loaded->Query(s, t), index.Query(s, t))
+                << "s=" << s << " t=" << t;
+          }
         }
       }
+      std::remove(path.c_str());
     }
   }
 }

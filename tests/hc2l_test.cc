@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "common/rng.h"
+#include "core/index_format.h"
 #include "graph/road_network_generator.h"
 #include "search/dijkstra.h"
 #include "test_util.h"
@@ -245,20 +247,42 @@ TEST(Hc2lIndex, SerializationRoundTrip) {
   opt.cols = 12;
   opt.seed = 23;
   Graph g = GenerateRoadNetwork(opt);
-  Hc2lIndex index = Hc2lIndex::Build(g);
-  const std::string path = ::testing::TempDir() + "/hc2l_index.bin";
-  const Status saved = index.Save(path);
-  ASSERT_TRUE(saved.ok()) << saved.ToString();
-  auto loaded = Hc2lIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->Stats().label_entries, index.Stats().label_entries);
-  Rng rng(3);
-  for (int i = 0; i < 100; ++i) {
-    const Vertex s = static_cast<Vertex>(rng.Below(g.NumVertices()));
-    const Vertex t = static_cast<Vertex>(rng.Below(g.NumVertices()));
-    ASSERT_EQ(loaded->Query(s, t), index.Query(s, t));
+  for (const bool hints : {true, false}) {
+    for (const bool contract : {true, false}) {
+      SCOPED_TRACE(std::string(hints ? "hinted" : "hint-less") + " " +
+                   (contract ? "contracted" : "uncontracted"));
+      Hc2lOptions options;
+      options.route_hints = hints;
+      options.contract_degree_one = contract;
+      Hc2lIndex index = Hc2lIndex::Build(g, options);
+      const std::string path = ::testing::TempDir() + "/hc2l_index.bin";
+      const Status saved = index.Save(path);
+      ASSERT_TRUE(saved.ok()) << saved.ToString();
+      // Every index writes the sectioned HC2L0004; a hint-less one omits
+      // its hint arena and still maps in place.
+      uint64_t magic = 0;
+      std::FILE* f = std::fopen(path.c_str(), "rb");
+      ASSERT_NE(f, nullptr);
+      EXPECT_EQ(std::fread(&magic, sizeof(magic), 1, f), 1u);
+      std::fclose(f);
+      EXPECT_EQ(magic, kHc2lIndexMagic);
+      for (const bool use_mmap : {false, true}) {
+        SCOPED_TRACE(use_mmap ? "mmap" : "heap");
+        auto loaded = Hc2lIndex::Load(path, use_mmap);
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        EXPECT_EQ(loaded->Stats().label_entries, index.Stats().label_entries);
+        EXPECT_EQ(loaded->HasRouteHints(), hints);
+        EXPECT_EQ(loaded->MappedBytes() > 0, use_mmap);
+        Rng rng(3);
+        for (int i = 0; i < 100; ++i) {
+          const Vertex s = static_cast<Vertex>(rng.Below(g.NumVertices()));
+          const Vertex t = static_cast<Vertex>(rng.Below(g.NumVertices()));
+          ASSERT_EQ(loaded->Query(s, t), index.Query(s, t));
+        }
+      }
+      std::remove(path.c_str());
+    }
   }
-  std::remove(path.c_str());
 }
 
 TEST(Hc2lIndex, LoadRejectsGarbageFile) {

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/binary_io.h"
+#include "common/section_file.h"
 
 namespace hc2l {
 namespace {
@@ -78,28 +78,32 @@ TEST(LabelStore, ValidateAcceptsBuiltStoresAndRejectsCorruptTables) {
     store.BuildFrom(&data, &lens);
     return store;
   };
-  EXPECT_TRUE(io::ValidateLabelStore(make_store()));
+  const LabelStore built = make_store();
+  EXPECT_TRUE(io::ValidateLabelShape(built, built.arena.size()));
+  // The arena size comes from the section table, not the store: a table
+  // that fits its own arena must still be rejected against a smaller one.
+  EXPECT_FALSE(io::ValidateLabelShape(built, built.arena.size() - 16));
 
   {
     LabelStore s = make_store();  // array pushed past the arena
     s.level_len.Set(s.level_len.size() - 1,
                     static_cast<uint32_t>(s.arena.size()));
-    EXPECT_FALSE(io::ValidateLabelStore(s));
+    EXPECT_FALSE(io::ValidateLabelShape(s, s.arena.size()));
   }
   {
     LabelStore s = make_store();  // unaligned start
     s.level_start.Set(1, s.level_start[1] + 1);
-    EXPECT_FALSE(io::ValidateLabelStore(s));
+    EXPECT_FALSE(io::ValidateLabelShape(s, s.arena.size()));
   }
   {
     LabelStore s = make_store();  // base not a partition of the array list
     s.base.Set(s.base.size() - 1, s.base.back() + 3);
-    EXPECT_FALSE(io::ValidateLabelStore(s));
+    EXPECT_FALSE(io::ValidateLabelShape(s, s.arena.size()));
   }
   {
     LabelStore s = make_store();  // decreasing base
     s.base.Set(1, s.base[2] + 1);
-    EXPECT_FALSE(io::ValidateLabelStore(s));
+    EXPECT_FALSE(io::ValidateLabelShape(s, s.arena.size()));
   }
 }
 

@@ -1,6 +1,6 @@
 // Corrupt-index fuzz hardening for the loaders, over every on-disk format:
-// the sectioned V4 files (HC2L0004 / HC2D0004), the legacy hint-less
-// magics (HC2L0002, HC2D0001, HC2D0002) and the HC2S0001 shard manifest.
+// the sectioned index files (HC2L0004 / HC2D0004) with and without their
+// optional hint sections, and the HC2S0001 shard manifest.
 // Router::Open on a truncated, bit-flipped, size-field-smashed or
 // plain-garbage file — in BOTH OpenMode::kHeap and OpenMode::kMmap — must
 // return a Status — never crash, never abort, and never allocate beyond
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/section_file.h"
 #include "core/index_format.h"
 #include "graph/road_network_generator.h"
 #include "hc2l/hc2l.h"
@@ -81,7 +82,8 @@ struct FormatFile {
   std::vector<char> pristine;  // the valid serialized index (or manifest)
   uint64_t num_vertices = 0;   // the true vertex count of that index
   uint64_t magic = 0;          // the expected on-disk magic
-  bool sectioned = false;      // V4: starts with a section table
+  bool sectioned = false;      // an index file: starts with a section table
+  bool hints = false;          // carries hint-arena sections
 };
 
 /// TempDir path unique to this PROCESS, not just this test: ctest runs each
@@ -116,9 +118,10 @@ void WriteFileBytes(const std::string& path, const char* data, size_t size) {
 }
 
 /// Builds and serializes one index per format, once for the whole suite:
-/// the V4 sectioned files (default builds carry route hints), the legacy
-/// hint-less magics, and a sharded manifest whose member shard files stay
-/// pristine in TempDir for the manifest sweeps to resolve against.
+/// sectioned files with hint sections (the default build) and without them
+/// (undirected, directed contracted and directed uncontracted), and a
+/// sharded manifest whose member shard files stay pristine in TempDir for
+/// the manifest sweeps to resolve against.
 const std::vector<FormatFile>& AllFormats() {
   static const std::vector<FormatFile>* formats = [] {
     auto* out = new std::vector<FormatFile>();
@@ -135,10 +138,10 @@ const std::vector<FormatFile>& AllFormats() {
       Result<Router> undirected = Router::Build(graph, build);
       EXPECT_TRUE(undirected.ok());
       EXPECT_TRUE(undirected->Save(path).ok());
-      out->push_back({hints ? "HC2L0004-undirected-sectioned"
-                            : "HC2L0002-undirected-hintless",
+      out->push_back({hints ? "HC2L0004-undirected"
+                            : "HC2L0004-undirected-hintless",
                       ReadFileBytes(path), undirected->NumVertices(),
-                      hints ? kHc2lIndexMagicV4 : kHc2lIndexMagic, hints});
+                      kHc2lIndexMagic, true, hints});
     }
 
     const Digraph digraph = GenerateDirectedRoadNetwork(opt, 0.25);
@@ -146,15 +149,11 @@ const std::vector<FormatFile>& AllFormats() {
       const char* name;
       bool contract;
       bool hints;
-      uint64_t magic;
     };
     const DirectedCase directed_cases[] = {
-        {"HC2D0004-directed-contracted-sectioned", true, true,
-         kDirectedIndexMagicV4},
-        {"HC2D0001-directed-uncontracted-hintless", false, false,
-         kDirectedIndexMagic},
-        {"HC2D0002-directed-contracted-hintless", true, false,
-         kDirectedIndexMagicV2},
+        {"HC2D0004-directed-contracted", true, true},
+        {"HC2D0004-directed-uncontracted-hintless", false, false},
+        {"HC2D0004-directed-contracted-hintless", true, false},
     };
     for (const DirectedCase& c : directed_cases) {
       BuildOptions build;
@@ -164,7 +163,7 @@ const std::vector<FormatFile>& AllFormats() {
       EXPECT_TRUE(directed.ok());
       EXPECT_TRUE(directed->Save(path).ok());
       out->push_back({c.name, ReadFileBytes(path), directed->NumVertices(),
-                      c.magic, c.hints});
+                      kDirectedIndexMagic, true, c.hints});
     }
     std::remove(path.c_str());
 
@@ -178,7 +177,8 @@ const std::vector<FormatFile>& AllFormats() {
     const std::string manifest = ProcessTempPath("seed.hc2s");
     EXPECT_TRUE(sharded->Save(manifest).ok());
     out->push_back({"HC2S0001-shard-manifest", ReadFileBytes(manifest),
-                    sharded->NumVertices(), kShardManifestMagic, false});
+                    sharded->NumVertices(), kShardManifestMagic, false,
+                    false});
     std::remove(manifest.c_str());  // the .0/.1/.2 shard files remain
 
     for (const FormatFile& file : *out) {
@@ -366,7 +366,7 @@ TEST_F(LoadFuzzTest, PristineFilesStillRoundTrip) {
 }
 
 TEST_F(LoadFuzzTest, ForgedSectionTablesAreRejectedBeforeMapping) {
-  // V4 files only: forge one field of one section-table entry at a time —
+  // Index files only: forge one field of one section-table entry at a time —
   // an out-of-file offset, a misaligned offset, a byte count past EOF, a
   // duplicated id, a hostile section count. Every forgery must be rejected
   // by the table validation itself, in both open modes, before any label
@@ -408,6 +408,120 @@ TEST_F(LoadFuzzTest, ForgedSectionTablesAreRejectedBeforeMapping) {
       }
     }
   }
+  std::remove(path.c_str());
+}
+
+/// File offset of the section-table entry with `id` in a sectioned file,
+/// or 0 when the table has none.
+size_t SectionEntryPos(const std::vector<char>& bytes, uint64_t id) {
+  uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + 8, sizeof(count));
+  for (uint64_t i = 0; i < count; ++i) {
+    const size_t pos = 16 + static_cast<size_t>(i) * 24;
+    uint64_t entry_id = 0;
+    std::memcpy(&entry_id, bytes.data() + pos, sizeof(entry_id));
+    if (entry_id == id) return pos;
+  }
+  return 0;
+}
+
+/// Drops the table entry at `pos` (the last entry moves into its slot and
+/// the count shrinks); the payload stays in the file, unreferenced.
+std::vector<char> WithoutSectionEntry(const std::vector<char>& bytes,
+                                      size_t pos) {
+  std::vector<char> out = bytes;
+  uint64_t count = 0;
+  std::memcpy(&count, out.data() + 8, sizeof(count));
+  const size_t last = 16 + static_cast<size_t>(count - 1) * 24;
+  std::memmove(out.data() + pos, out.data() + last, 24);
+  --count;
+  std::memcpy(out.data() + 8, &count, sizeof(count));
+  return out;
+}
+
+TEST_F(LoadFuzzTest, ForgedHintSectionsAreRejected) {
+  // Hint arenas are optional, but a present one must be exactly as large as
+  // its direction's label arena, and a directed file carries hint arenas
+  // for both directions or neither. Every forgery below passes the section
+  // table validation, so it pins the codec's own checks — in both open
+  // modes. A hint entry naming no core vertex is caught by the heap load's
+  // entry scan; a mapped open skips that scan by design (docs/format.md).
+  const std::string path = ScratchPath();
+  const auto open_codes = [&](const std::vector<char>& bytes) {
+    WriteFileBytes(path, bytes.data(), bytes.size());
+    std::vector<StatusCode> codes;
+    for (const OpenMode mode : {OpenMode::kHeap, OpenMode::kMmap}) {
+      Result<Router> r = Router::Open(path, mode);
+      codes.push_back(r.ok() ? StatusCode::kOk : r.status().code());
+    }
+    return codes;
+  };
+  const std::vector<StatusCode> both_data_loss = {StatusCode::kDataLoss,
+                                                  StatusCode::kDataLoss};
+  const std::vector<StatusCode> both_ok = {StatusCode::kOk, StatusCode::kOk};
+  const std::vector<StatusCode> heap_data_loss = {StatusCode::kDataLoss,
+                                                  StatusCode::kOk};
+
+  size_t hinted_files = 0;
+  for (const FormatFile& file : AllFormats()) {
+    if (!file.hints) continue;
+    ++hinted_files;
+    SCOPED_TRACE(file.name);
+    const bool directed = file.magic == kDirectedIndexMagic;
+    const std::pair<uint64_t, uint64_t> arenas[] = {
+        {io::kSectionHintArena, io::kSectionLabelArena},
+        {io::kSectionInHintArena, io::kSectionInLabelArena}};
+    for (size_t d = 0; d < (directed ? 2u : 1u); ++d) {
+      const auto [hint_id, label_id] = arenas[d];
+      SCOPED_TRACE("hint section " + std::to_string(hint_id));
+      const size_t hint_pos = SectionEntryPos(file.pristine, hint_id);
+      const size_t label_pos = SectionEntryPos(file.pristine, label_id);
+      ASSERT_NE(hint_pos, 0u);
+      ASSERT_NE(label_pos, 0u);
+
+      // A hint arena one cache line shorter than its label arena.
+      uint64_t label_bytes = 0;
+      std::memcpy(&label_bytes, file.pristine.data() + label_pos + 16,
+                  sizeof(label_bytes));
+      ASSERT_GE(label_bytes, 64u);
+      std::vector<char> short_hints = file.pristine;
+      const uint64_t forged_bytes = label_bytes - 64;
+      std::memcpy(short_hints.data() + hint_pos + 16, &forged_bytes,
+                  sizeof(forged_bytes));
+      EXPECT_EQ(open_codes(short_hints), both_data_loss)
+          << "hint arena smaller than its label arena";
+
+      // A hint entry past every core vertex id. Padding and "no hint"
+      // entries are all-ones, so the first other word is a real entry.
+      uint64_t hint_offset = 0;
+      uint64_t hint_bytes = 0;
+      std::memcpy(&hint_offset, file.pristine.data() + hint_pos + 8,
+                  sizeof(hint_offset));
+      std::memcpy(&hint_bytes, file.pristine.data() + hint_pos + 16,
+                  sizeof(hint_bytes));
+      std::vector<char> bad_entry = file.pristine;
+      size_t entry = hint_offset;
+      const uint32_t no_hint = ~uint32_t{0};
+      for (uint32_t word = no_hint; entry < hint_offset + hint_bytes;
+           entry += 4) {
+        std::memcpy(&word, bad_entry.data() + entry, sizeof(word));
+        if (word != no_hint) break;
+      }
+      ASSERT_LT(entry, hint_offset + hint_bytes);
+      const uint32_t forged_entry = no_hint - 1;
+      std::memcpy(bad_entry.data() + entry, &forged_entry,
+                  sizeof(forged_entry));
+      EXPECT_EQ(open_codes(bad_entry), heap_data_loss)
+          << "hint entry out of range";
+
+      // Dropping the hint arena leaves exactly one for a directed file, and
+      // a valid hint-less file for an undirected one.
+      EXPECT_EQ(open_codes(WithoutSectionEntry(file.pristine, hint_pos)),
+                directed ? both_data_loss : both_ok)
+          << "hint arena dropped";
+    }
+  }
+  EXPECT_EQ(hinted_files, 2u);
   std::remove(path.c_str());
 }
 

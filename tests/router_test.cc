@@ -44,15 +44,38 @@ TEST(RouterOpen, MissingFileIsNotFound) {
 }
 
 TEST(RouterOpen, WrongMagicIsInvalidArgument) {
+  // Garbage, plus the magics of the retired stream formats: each magic is
+  // its 8-character name packed big-endian into a u64 and written
+  // little-endian, i.e. the name reversed on disk.
+  std::vector<std::string> headers = {"GARBAGE! definitely not an index"};
+  for (const char* retired :
+       {"HC2L0002", "HC2L0003", "HC2D0001", "HC2D0002", "HC2D0003"}) {
+    const std::string name = retired;
+    headers.push_back(std::string(name.rbegin(), name.rend()) +
+                      std::string(120, '\0'));
+  }
   const std::string path = ::testing::TempDir() + "/hc2l_router_garbage.idx";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("GARBAGE! definitely not an index", f);
-  std::fclose(f);
-  const Result<Router> r = Router::Open(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(r.status().message().empty());
+  for (const std::string& header : headers) {
+    SCOPED_TRACE(header.substr(0, 8));
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(header.data(), 1, header.size(), f), header.size());
+    std::fclose(f);
+    for (const OpenMode mode : {OpenMode::kHeap, OpenMode::kMmap}) {
+      const Result<Router> r = Router::Open(path, mode);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      // The message names exactly the formats Open accepts.
+      const std::string& message = r.status().message();
+      for (const char* accepted : {"HC2L0004", "HC2D0004", "HC2S0001"}) {
+        EXPECT_NE(message.find(accepted), std::string::npos) << message;
+      }
+      for (const char* retired :
+           {"HC2L0002", "HC2L0003", "HC2D0001", "HC2D0002", "HC2D0003"}) {
+        EXPECT_EQ(message.find(retired), std::string::npos) << message;
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -220,7 +243,7 @@ TEST(RouterRoute, RoutesReturnsDistinctAscendingAlternatives) {
 }
 
 TEST(RouterRoute, HintlessOpenNeedsAnAttachedGraph) {
-  // A hint-less index file (the pre-0003 format) opened from disk has
+  // A hint-less index file (no hint sections) opened from disk has
   // nothing to unpack against: Route is FailedPrecondition until a graph is
   // attached, then answers through the bidirectional-Dijkstra fallback.
   const Graph g = TestGraph(8, 9, 44);
@@ -554,7 +577,7 @@ TEST(RouterInfo, PopulatedForBothFlavours) {
   EXPECT_EQ(fi.num_core_vertices, fi.num_vertices);
   EXPECT_EQ(fi.num_contracted, 0u);
 
-  // An opened (HC2D0002) index reports the same core-vertex stats.
+  // An opened (HC2D0004) index reports the same core-vertex stats.
   const std::string path = ::testing::TempDir() + "/hc2l_router_info_dir.idx";
   ASSERT_TRUE(dir->Save(path).ok());
   Result<Router> opened = Router::Open(path);

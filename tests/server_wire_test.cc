@@ -553,7 +553,7 @@ TEST_F(WireTest, HostileRoutePayloadsAreErrorsNotAborts) {
 }
 
 TEST_F(WireTest, RouteOnDistanceOnlyIndexIsFailedPrecondition) {
-  // An old-format (hint-less) index file opened for serving answers
+  // A hint-less index file opened for serving answers
   // distances but has nothing to unpack routes against: ok:false with
   // FailedPrecondition — and the connection keeps serving.
   BuildOptions options;

@@ -18,9 +18,10 @@
 //              [--no-tail-pruning] [--no-contraction]
 //       Build an HC2L index from a DIMACS graph and serialize it. With
 //       --directed the arcs are kept one-way and the Section 5.3 directed
-//       index is built (format HC2D0002; HC2D0001 with --no-contraction);
-//       otherwise arcs collapse to undirected edges (format HC2L0002).
-//       --no-contraction disables degree-one contraction in both flavours.
+//       index is built (format HC2D0004); otherwise arcs collapse to
+//       undirected edges (format HC2L0004). Both formats carry route hints
+//       and map in place under --mmap. --no-contraction disables degree-one
+//       contraction in both flavours.
 //
 //   hc2l shard --graph network.gr --out index.hc2s [--shards N]
 //              [--directed] [--beta B] [--leaf-size L] [--threads T]
@@ -39,16 +40,15 @@
 //       T = 0 for all cores) the pairs are answered by the parallel query
 //       engine in input order; without it queries stream one at a time.
 //       --mmap (also on route/stats/serve) opens the index with
-//       OpenMode::kMmap: V4 label arenas are mapped in place instead of
+//       OpenMode::kMmap: the label arenas are mapped in place instead of
 //       deserialized.
 //
 //   hc2l route --index index.hc2l [--pairs pairs.txt] [--k K]
 //       Unpack shortest paths. Pairs come from --pairs or stdin like query;
 //       "s t" (1-based) -> one line "weight: v1 v2 ... vn" (1-based vertex
 //       sequence) or "inf". With --k K >= 2 each pair prints up to K
-//       alternative routes, best first. Needs a hint-carrying index
-//       (HC2L0003/HC2D0003, the default build) — older files answer
-//       distances only.
+//       alternative routes, best first. Needs an index with route hints
+//       (every `hc2l build` index has them).
 //
 //   hc2l stats --index index.hc2l
 //       Print construction and size statistics of a saved index (either

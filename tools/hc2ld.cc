@@ -103,7 +103,7 @@ int Usage() {
       "             [--max-requests-per-connection N] [--drain-ms MS]\n"
       "  --graph enables the update_weights op (live weight repair) by\n"
       "  attaching the DIMACS graph the index was built from.\n"
-      "  --mmap maps V4/sharded label arenas in place (OpenMode::kMmap),\n"
+      "  --mmap maps the index's label arenas in place (OpenMode::kMmap),\n"
       "  for open and for every reload.\n"
       "  --port 0 (default) binds an ephemeral port; the chosen port is "
       "printed.\n"
