@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <type_traits>
 
 #include "common/fault_injection.h"
 #include "hc2l/query.h"
@@ -47,6 +49,36 @@ void AppendDist(std::string* out, Dist d) {
   } else {
     AppendUint(out, d);
   }
+}
+
+/// Appends `values` to *out comma-separated (no brackets): decimal digits,
+/// with kInfDist as null in a Dist list. Digits go straight into a stack
+/// block that only ever holds whole entries; each full block reaches *out
+/// with one append, so the per-entry cost is the digit formatting alone.
+template <typename T>
+void AppendNumberList(std::string* out, std::span<const T> values) {
+  static_assert(std::is_same_v<T, Dist> || std::is_same_v<T, Vertex>);
+  // The widest entry: a comma plus 20 digits (a 64-bit value; "null" is 4).
+  constexpr size_t kMaxEntryBytes = 21;
+  char block[4096];
+  char* const last_start = block + sizeof(block) - kMaxEntryBytes;
+  char* p = block;
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (p > last_start) {
+      out->append(block, p);
+      p = block;
+    }
+    if (i != 0) *p++ = ',';
+    if constexpr (std::is_same_v<T, Dist>) {
+      if (values[i] == kInfDist) {
+        std::memcpy(p, "null", 4);
+        p += 4;
+        continue;
+      }
+    }
+    p = std::to_chars(p, p + (kMaxEntryBytes - 1), values[i]).ptr;
+  }
+  out->append(block, p);
 }
 
 void AppendJsonEscaped(std::string* out, std::string_view s) {
@@ -807,7 +839,7 @@ void RequestHandler::ExecuteParsed(const Router& router,
 
   // Streamed matrix: header + chunk frames + trailer, flushed as computed.
   if (kind_ == QueryKind::kMatrix && req_.stream) {
-    StreamMatrix(router, threaded, out);
+    StreamMatrix(threaded, out);
     return;
   }
 
@@ -836,10 +868,7 @@ void RequestHandler::ExecuteParsed(const Router& router,
       out->append("{\"distance\":");
       AppendDist(out, (*routes)[i].weight);
       out->append(",\"vertices\":[");
-      for (size_t j = 0; j < (*routes)[i].vertices.size(); ++j) {
-        if (j != 0) out->push_back(',');
-        AppendUint(out, (*routes)[i].vertices[j]);
-      }
+      AppendNumberList<Vertex>(out, (*routes)[i].vertices);
       out->append("]}");
     }
     out->append("]}\n");
@@ -877,10 +906,7 @@ void RequestHandler::ExecuteParsed(const Router& router,
     out->append(",\"distance\":");
     AppendDist(out, dists_[0]);
     out->append(",\"vertices\":[");
-    for (size_t i = 0; i < response->written; ++i) {
-      if (i != 0) out->push_back(',');
-      AppendUint(out, verts_[i]);
-    }
+    AppendNumberList<Vertex>(out, std::span(verts_).first(response->written));
     out->append("]}\n");
     return;
   }
@@ -906,17 +932,12 @@ void RequestHandler::ExecuteParsed(const Router& router,
     AppendUint(out, response->cols);
   }
   out->append(",\"distances\":[");
-  for (size_t i = 0; i < response->written; ++i) {
-    if (i != 0) out->push_back(',');
-    AppendDist(out, dists_[i]);
-  }
+  AppendNumberList<Dist>(out, std::span(dists_).first(response->written));
   out->append("]}\n");
 }
 
-void RequestHandler::StreamMatrix(const Router& router,
-                                  const ThreadedRouter& threaded,
+void RequestHandler::StreamMatrix(const ThreadedRouter& threaded,
                                   std::string* out) {
-  (void)router;
   const uint64_t rows = req_.sources.size();
   const uint64_t cols = req_.targets.size();
   // Whole rows per chunk when a row fits the nominal chunk size; a single
@@ -974,10 +995,7 @@ void RequestHandler::StreamMatrix(const Router& router,
     out->append(",\"count\":");
     AppendUint(out, response->written);
     out->append(",\"distances\":[");
-    for (size_t i = 0; i < response->written; ++i) {
-      if (i != 0) out->push_back(',');
-      AppendDist(out, dists_[i]);
-    }
+    AppendNumberList<Dist>(out, std::span(dists_).first(response->written));
     out->append("]}\n");
     ++chunk;
     if (hooks_.flush && !hooks_.flush(out)) return;
@@ -995,10 +1013,7 @@ void RequestHandler::AppendStagedResponse(const StagePlan& plan,
   out->append("{\"ok\":true,\"op\":\"");
   out->append(WireOpName(plan.op));
   out->append("\",\"distances\":[");
-  for (size_t i = 0; i < plan.count; ++i) {
-    if (i != 0) out->push_back(',');
-    AppendDist(out, dists[plan.first + i]);
-  }
+  AppendNumberList(out, dists.subspan(plan.first, plan.count));
   out->append("]}\n");
   if (hooks_.record) {
     const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -1113,11 +1128,18 @@ Status StreamReassembler::Feed(std::string_view line) {
       return Poison(Status::InvalidArgument(
           "streamed op \"" + op + "\" is not \"matrix\""));
     }
+    // Division, not rows * cols: the product of two hostile 64-bit fields
+    // can wrap to a small (even zero) entry count.
+    if (cols != 0 && rows > kMaxStreamResultEntries / cols) {
+      return Poison(Status::InvalidArgument(
+          "stream header's " + std::to_string(rows) + " x " +
+          std::to_string(cols) + " matrix exceeds the stream cap of " +
+          std::to_string(kMaxStreamResultEntries) + " entries"));
+    }
     header_seen_ = true;
     rows_ = rows;
     cols_ = cols;
-    dists_.reserve(static_cast<size_t>(
-        std::min<uint64_t>(rows_ * cols_, kMaxStreamResultEntries)));
+    dists_.reserve(static_cast<size_t>(rows_ * cols_));
     return Status::Ok();
   }
   if (done_flag) {

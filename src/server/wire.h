@@ -304,8 +304,7 @@ class RequestHandler {
   void AppendErrorResponse(const Status& status, std::string* out) const;
   /// Streamed-matrix execution: header + chunk frames + trailer into *out,
   /// honoring hooks_.flush between frames. `req_` holds the parsed request.
-  void StreamMatrix(const Router& router, const ThreadedRouter& threaded,
-                    std::string* out);
+  void StreamMatrix(const ThreadedRouter& threaded, std::string* out);
 
   ServerHooks hooks_;
   WireRequest req_;
@@ -324,10 +323,12 @@ class RequestHandler {
 class StreamReassembler {
  public:
   /// Consumes one response line (without the trailing '\n'). Returns an
-  /// error for malformed frames: out-of-order "chunk" index, count/entries
-  /// mismatch, a trailer before all entries arrived, frames after done, or
-  /// a server-side {"ok":false,...} abort (surfaced with its code). After
-  /// an error the reassembler is poisoned; further Feed()s fail.
+  /// error for malformed frames: a header whose rows * cols exceeds
+  /// kMaxStreamResultEntries (or overflows), out-of-order "chunk" index,
+  /// count/entries mismatch, a trailer before all entries arrived, frames
+  /// after done, or a server-side {"ok":false,...} abort (surfaced with its
+  /// code). After an error the reassembler is poisoned; further Feed()s
+  /// fail.
   Status Feed(std::string_view line);
 
   bool done() const { return done_; }

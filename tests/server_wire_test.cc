@@ -17,7 +17,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -1105,6 +1107,30 @@ TEST_F(WireTest, StreamMalformedContinuationsAreRejected) {
     EXPECT_TRUE(r.Feed(header).ok());
     EXPECT_EQ(r.Feed(abort_line).code(), StatusCode::kDeadlineExceeded);
   }
+  {  // 2^32 x 2^32 wraps rows * cols to 0 in 64 bits; accepting that header
+     // would let a chunk-less trailer complete an "empty" matrix.
+    StreamReassembler r;
+    EXPECT_EQ(r.Feed(R"({"ok":true,"op":"matrix","stream":true,)"
+                     R"("rows":4294967296,"cols":4294967296,)"
+                     R"("chunk_entries":0})")
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(
+        r.Feed(R"({"ok":true,"op":"matrix","done":true,"chunks":0})").ok());
+    EXPECT_FALSE(r.done());
+    EXPECT_TRUE(r.distances().empty());
+  }
+  {  // A product past kMaxStreamResultEntries, which no server sends.
+    const uint64_t rows = uint64_t{1} << 15;
+    const uint64_t cols = kMaxStreamResultEntries / rows + 1;
+    StreamReassembler r;
+    EXPECT_EQ(r.Feed(R"({"ok":true,"op":"matrix","stream":true,"rows":)" +
+                     std::to_string(rows) + ",\"cols\":" +
+                     std::to_string(cols) + ",\"chunk_entries\":65536}")
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(r.done());
+  }
 }
 
 TEST_F(WireTest, StreamDeadlineExpiryAbortsMidStreamWithoutTrailer) {
@@ -1239,6 +1265,147 @@ TEST_F(WireTest, PreparedStagedResponsesMatchHandleLineByteForByte) {
     staged.pop_back();  // trailing newline, like Handle()
     EXPECT_EQ(staged, Handle(kLines[i])) << kLines[i];
   }
+}
+
+/// The response a staged `op` line must produce for `dists`, built without
+/// the server's number writer: std::to_string per entry, null for kInfDist.
+std::string ReferenceDistancesResponse(std::string_view op,
+                                       std::span<const Dist> dists) {
+  std::string line = "{\"ok\":true,\"op\":\"" + std::string(op) +
+                     "\",\"distances\":[";
+  for (size_t i = 0; i < dists.size(); ++i) {
+    if (i != 0) line += ',';
+    line += dists[i] == kInfDist ? "null" : std::to_string(dists[i]);
+  }
+  return line + "]}\n";
+}
+
+TEST_F(WireTest, NumberListsMatchToStringJoinByteForByte) {
+  // Distance lists are formatted through fixed-size blocks that hold whole
+  // entries. Entries of every width — 1 to 20 digits and null — and spans
+  // long enough to cross many block boundaries at shifting offsets must
+  // read exactly like the naive per-entry join.
+  const Dist kEdge[] = {0, 9, 10, 99, kInfDist - 1, kInfDist};
+  std::vector<Dist> mixed;
+  for (size_t i = 0; i < 3000; ++i) {
+    mixed.push_back(i % 3 == 0 ? kEdge[i / 3 % std::size(kEdge)]
+                               : static_cast<Dist>(i) * 0x9E3779B97F4A7C15u >>
+                                     (i % 64));
+  }
+  const std::vector<Dist> widest(1000, kInfDist - 1);  // 21 bytes each
+  const std::vector<Dist> nulls(1000, kInfDist);
+
+  RequestHandler handler;  // hook-less: AppendStagedResponse only formats
+  const auto check = [&](WireOp op, std::span<const Dist> dists, size_t first,
+                         size_t count) {
+    RequestHandler::StagePlan plan;
+    plan.op = op;
+    plan.first = first;
+    plan.count = count;
+    std::string out = "prefix:";  // the writer appends, never overwrites
+    handler.AppendStagedResponse(plan, dists, &out);
+    EXPECT_EQ(out, "prefix:" + ReferenceDistancesResponse(
+                                   WireOpName(op), dists.subspan(first, count)))
+        << "first " << first << " count " << count;
+  };
+  check(WireOp::kBatch, mixed, 0, mixed.size());
+  check(WireOp::kPoint, mixed, 17, 2001);  // an interior slice
+  check(WireOp::kBatch, widest, 0, widest.size());
+  check(WireOp::kBatch, nulls, 0, nulls.size());
+  check(WireOp::kPoint, mixed, 5, 0);  // empty
+  for (const Dist d : kEdge) {         // one entry of each edge width
+    const std::vector<Dist> one{d};
+    check(WireOp::kBatch, one, 0, 1);
+  }
+}
+
+TEST(WireDisconnectedTest, MatrixNullsAndLongRoutesMatchReferences) {
+  // Two components: a 1500-vertex path (its end-to-end route lists more
+  // vertex ids than one formatting block holds) and a 20-vertex path. A
+  // matrix across them has null cells.
+  constexpr Vertex kLong = 1500;
+  constexpr Vertex kShort = 20;
+  GraphBuilder b(kLong + kShort);
+  for (Vertex v = 0; v + 1 < kLong; ++v) b.AddEdge(v, v + 1, 1 + v % 7);
+  for (Vertex v = kLong; v + 1 < kLong + kShort; ++v) {
+    b.AddEdge(v, v + 1, 1000 + v);
+  }
+  Result<Router> built = Router::Build(std::move(b).Build());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Result<ThreadedRouter> threaded = built->WithThreads(2);
+  ASSERT_TRUE(threaded.ok());
+  RequestHandler handler;
+  const auto handle = [&](const std::string& line) {
+    std::string out;
+    handler.HandleLine(line, *built, *threaded, &out);
+    return out;
+  };
+  const auto dist_text = [&](Vertex s, Vertex t) {
+    const Result<Dist> d = built->Distance(s, t);
+    EXPECT_TRUE(d.ok());
+    return *d == kInfDist ? std::string("null") : std::to_string(*d);
+  };
+
+  const std::vector<Vertex> sources = {0, kLong, 777, kLong + kShort - 1};
+  const std::vector<Vertex> targets = {kLong - 1, kLong + 3, 0, 5, kLong};
+  std::string request = "{\"op\":\"matrix\",\"sources\":[";
+  for (size_t i = 0; i < sources.size(); ++i) {
+    request += (i != 0 ? "," : "") + std::to_string(sources[i]);
+  }
+  request += "],\"targets\":[";
+  for (size_t i = 0; i < targets.size(); ++i) {
+    request += (i != 0 ? "," : "") + std::to_string(targets[i]);
+  }
+  request += "]}";
+  std::string want = "{\"ok\":true,\"op\":\"matrix\",\"rows\":4,\"cols\":5,"
+                     "\"distances\":[";
+  size_t nulls = 0;
+  for (size_t i = 0; i < sources.size(); ++i) {
+    for (size_t j = 0; j < targets.size(); ++j) {
+      if (i + j != 0) want += ',';
+      const std::string cell = dist_text(sources[i], targets[j]);
+      nulls += cell == "null";
+      want += cell;
+    }
+  }
+  want += "]}\n";
+  EXPECT_EQ(nulls, 10u);  // 2 per long-path source, 3 per short-path one
+  EXPECT_EQ(handle(request), want);
+
+  // End-to-end route along the long path, in the k <= 1 and k >= 2 shapes.
+  RoutePath path;
+  ASSERT_TRUE(built->Route(0, kLong - 1, &path).ok());
+  ASSERT_EQ(path.vertices.size(), kLong);
+  std::string vertices;
+  for (size_t i = 0; i < path.vertices.size(); ++i) {
+    if (i != 0) vertices += ',';
+    vertices += std::to_string(path.vertices[i]);
+  }
+  EXPECT_EQ(handle(R"({"op":"route","source":0,"target":1499})"),
+            "{\"ok\":true,\"op\":\"route\",\"distance\":" +
+                std::to_string(path.weight) + ",\"vertices\":[" + vertices +
+                "]}\n");
+  const auto alts = built->Routes(0, kLong - 1, 2);
+  ASSERT_TRUE(alts.ok()) << alts.status().ToString();
+  std::string kwant = "{\"ok\":true,\"op\":\"route\",\"count\":" +
+                      std::to_string(alts->size()) + ",\"routes\":[";
+  for (size_t i = 0; i < alts->size(); ++i) {
+    if (i != 0) kwant += ',';
+    kwant += "{\"distance\":" + std::to_string((*alts)[i].weight) +
+             ",\"vertices\":[";
+    for (size_t j = 0; j < (*alts)[i].vertices.size(); ++j) {
+      if (j != 0) kwant += ',';
+      kwant += std::to_string((*alts)[i].vertices[j]);
+    }
+    kwant += "]}";
+  }
+  kwant += "]}\n";
+  EXPECT_EQ(handle(R"({"op":"route","source":0,"target":1499,"k":2})"), kwant);
+
+  // Across the components: unreachable, null with no vertices.
+  EXPECT_EQ(handle(R"({"op":"route","source":0,"target":1500})"),
+            "{\"ok\":true,\"op\":\"route\",\"distance\":null,"
+            "\"vertices\":[]}\n");
 }
 
 TEST_F(WireTest, IneligibleLinesAreNotStaged) {
