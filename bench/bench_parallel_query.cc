@@ -1,7 +1,8 @@
 // Parallel query scaling bench: DistanceMatrix / BatchQuery / PointQueries
 // throughput at 1/2/4/8 engine threads over the shared 48x48 fixture graph
-// (the bench_micro_query dataset), plus the single-threaded
-// engine-vs-facade overhead check. Runs through the public facade
+// (the bench_micro_query dataset), plus a 1000x1000 matrix at 1/2/4
+// threads — large enough that every engine slice runs full-width blocked
+// panels. Runs through the public facade
 // (hc2l::Router::WithThreads), the same surface a serving front end uses.
 //
 // The scaling curve is merged into BENCH_query.json (override the path with
@@ -33,26 +34,28 @@ struct MatrixResult {
   uint64_t checksum = 0;  // all runs must agree (determinism)
 };
 
-/// Repeats engine.DistanceMatrix until ~min_seconds elapsed; ns per (s, t)
-/// pair.
+/// Repeats engine.DistanceMatrixInto (one reused flat buffer) until
+/// ~min_seconds of matrix time elapsed; ns per (s, t) pair. The per-round
+/// determinism checksum runs outside the timed calls.
 MatrixResult TimeMatrix(const ThreadedRouter& engine,
                         const std::vector<Vertex>& sources,
                         const std::vector<Vertex>& targets,
                         double min_seconds) {
   MatrixResult result;
   const size_t pairs_per_round = sources.size() * targets.size();
+  std::vector<Dist> matrix(pairs_per_round);
   size_t rounds = 0;
-  Timer timer;
+  double seconds = 0.0;
   do {
-    const auto matrix = engine.DistanceMatrix(sources, targets);
-    if (!matrix.ok()) {
-      std::fprintf(stderr, "FATAL: %s\n", matrix.status().ToString().c_str());
+    Timer timer;
+    const Status st = engine.DistanceMatrixInto(sources, targets, matrix);
+    seconds += timer.Seconds();
+    if (!st.ok()) {
+      std::fprintf(stderr, "FATAL: %s\n", st.ToString().c_str());
       std::exit(1);
     }
     uint64_t sum = 0;
-    for (const auto& row : *matrix) {
-      for (const Dist d : row) sum += d == kInfDist ? 1 : d;
-    }
+    for (const Dist d : matrix) sum += d == kInfDist ? 1 : d;
     if (rounds == 0) {
       result.checksum = sum;
     } else if (result.checksum != sum) {
@@ -60,9 +63,9 @@ MatrixResult TimeMatrix(const ThreadedRouter& engine,
       std::exit(1);
     }
     ++rounds;
-  } while (timer.Seconds() < min_seconds);
+  } while (seconds < min_seconds);
   result.ns_per_pair =
-      timer.Seconds() * 1e9 / static_cast<double>(rounds * pairs_per_round);
+      seconds * 1e9 / static_cast<double>(rounds * pairs_per_round);
   return result;
 }
 
@@ -216,6 +219,33 @@ int Run() {
               "(on %u hardware threads)\n",
               speedup, std::thread::hardware_concurrency());
 
+  // The large matrix: sliced per thread, so the curve shows the engine's
+  // scaling once the per-slice sort and panel set-up are amortized.
+  std::vector<Vertex> big_sources;
+  std::vector<Vertex> big_targets;
+  for (const auto& [s, t] : UniformRandomPairs(g.NumVertices(), 1000, 10)) {
+    big_sources.push_back(s);
+    big_targets.push_back(t);
+  }
+  std::printf("\n%8s %18s %10s\n", "threads", "matrix 1000x1000",
+              "speedup");
+  std::string big_curve;
+  double big_1t = 0.0;
+  for (const uint32_t threads : {1u, 2u, 4u}) {
+    const Result<ThreadedRouter> engine = router->WithThreads(threads);
+    if (!engine.ok()) return 1;
+    const MatrixResult m =
+        TimeMatrix(*engine, big_sources, big_targets, min_seconds);
+    if (threads == 1) big_1t = m.ns_per_pair;
+    std::printf("%8u %18.2f %9.2fx\n", threads, m.ns_per_pair,
+                big_1t / m.ns_per_pair);
+    char entry[96];
+    std::snprintf(entry, sizeof(entry),
+                  "%s\n    {\"threads\": %u, \"ns_per_pair\": %.2f}",
+                  big_curve.empty() ? "" : ",", threads, m.ns_per_pair);
+    big_curve += entry;
+  }
+
   char head[192];
   std::snprintf(head, sizeof(head),
                 ",\n  \"parallel\": {\n"
@@ -224,7 +254,9 @@ int Run() {
                 "    \"matrix_speedup_best\": %.2f,\n"
                 "    \"curve\": [",
                 std::thread::hardware_concurrency(), speedup);
-  const std::string section = std::string(head) + curve + "]\n  }";
+  const std::string section = std::string(head) + curve +
+                              "],\n    \"matrix_1000\": [" + big_curve +
+                              "]\n  }";
 
   const char* json = std::getenv("HC2L_BENCH_JSON");
   const std::string path = json != nullptr ? json : "BENCH_query.json";

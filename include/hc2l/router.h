@@ -199,9 +199,10 @@ class Router {
   Result<std::vector<Dist>> BatchQuery(Vertex source,
                                        std::span<const Vertex> targets) const;
 
-  /// Many-to-many: result[i][j] = d(sources[i], targets[j]), with
-  /// target-side resolution hoisted once per matrix and L2-resident tiling.
-  /// A thin allocating wrapper over the same path as DistanceMatrixInto.
+  /// Many-to-many: result[i][j] = d(sources[i], targets[j]), answered as
+  /// hierarchy-blocked panels (both sides sorted by tree code, one min-plus
+  /// panel per LCA block). A thin allocating wrapper over the same path as
+  /// DistanceMatrixInto.
   Result<std::vector<std::vector<Dist>>> DistanceMatrix(
       std::span<const Vertex> sources, std::span<const Vertex> targets) const;
 
@@ -359,7 +360,8 @@ class ThreadedRouter {
   Result<std::vector<Dist>> BatchQuery(Vertex source,
                                        std::span<const Vertex> targets) const;
 
-  /// Many-to-many, sources sharded, target resolution hoisted and tiled.
+  /// Many-to-many, the longer side sliced across the pool; each slice is
+  /// one blocked-matrix call.
   Result<std::vector<std::vector<Dist>>> DistanceMatrix(
       std::span<const Vertex> sources, std::span<const Vertex> targets) const;
 

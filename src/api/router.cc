@@ -139,20 +139,10 @@ template <typename Index>
 Status SeqMatrix(const Index& index, std::span<const Vertex> sources,
                  std::span<const Vertex> targets, const MatrixRows& rows,
                  const Deadline& dl) {
-  if (sources.empty() || targets.empty()) return Status::Ok();
-  // Target-side resolution hoisted once per matrix; thread-local so repeated
-  // requests reuse the capacity (the zero-allocation steady state).
-  static thread_local typename Index::ResolvedTargets rt;
-  index.ResolveTargetsInto(targets, &rt);
-  for (size_t t0 = 0; t0 < rt.size(); t0 += kMatrixTargetTile) {
-    const size_t t1 = std::min(rt.size(), t0 + kMatrixTargetTile);
-    for (size_t i = 0; i < sources.size(); ++i) {
-      // One (row, tile) step is at most kMatrixTargetTile queries.
-      if (dl.Expired()) return DeadlineError();
-      index.BatchQueryResolved(sources[i], rt, t0, t1, rows.Row(i));
-    }
-  }
-  return Status::Ok();
+  return index.DistanceMatrixInto(sources, targets, rows,
+                                  [&dl] { return dl.Expired(); })
+             ? Status::Ok()
+             : DeadlineError();
 }
 
 /// Per-thread staging buffers of the facade layer: missing-vertex

@@ -13,6 +13,9 @@
 /// it, so "unreachable" can never masquerade as a short distance. The caller
 /// maps a result >= UINT32_MAX back to kInfDist.
 ///
+/// MinPlusPanel is the same reduction transposed for the many-to-many
+/// matrix: one source array against a panel of target columns.
+///
 /// Dispatch is at compile time: AVX2 > SSE2 (with an SSE4.1 refinement) >
 /// NEON > scalar. All paths are bit-identical to MinPlusScalar — the scalar
 /// reference stays available on every platform for differential testing.
@@ -155,6 +158,32 @@ inline uint32_t MinPlusPadded(const uint32_t* a, const uint32_t* b,
   return internal::HorizontalMin(best);
 }
 
+namespace internal {
+
+/// One 32-lane strip of MinPlusPanel: four accumulators, a[h] broadcast
+/// once per row (its complement hoisted for the saturating sum).
+inline void PanelStrip(const uint32_t* a, size_t len, const uint32_t* strip,
+                       uint32_t* out) {
+  __m256i best[4];
+  for (__m256i& b : best) b = _mm256_set1_epi32(-1);
+  for (size_t h = 0; h < len; ++h) {
+    const __m256i va = _mm256_set1_epi32(static_cast<int>(a[h]));
+    const __m256i not_a = _mm256_set1_epi32(static_cast<int>(~a[h]));
+    const uint32_t* row = strip + h * 32;
+    for (int k = 0; k < 4; ++k) {
+      const __m256i vb =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + 8 * k));
+      best[k] = _mm256_min_epu32(
+          best[k], _mm256_add_epi32(_mm256_min_epu32(vb, not_a), va));
+    }
+  }
+  for (int k = 0; k < 4; ++k) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * k), best[k]);
+  }
+}
+
+}  // namespace internal
+
 #elif defined(HC2L_SIMD_SSE2)
 
 namespace internal {
@@ -216,6 +245,29 @@ inline uint32_t MinPlusPadded(const uint32_t* a, const uint32_t* b,
   return internal::HorizontalMin(best);
 }
 
+namespace internal {
+
+inline void PanelStrip(const uint32_t* a, size_t len, const uint32_t* strip,
+                       uint32_t* out) {
+  __m128i best[8];
+  for (__m128i& b : best) b = _mm_set1_epi32(-1);
+  for (size_t h = 0; h < len; ++h) {
+    const __m128i va = _mm_set1_epi32(static_cast<int>(a[h]));
+    const __m128i not_a = _mm_set1_epi32(static_cast<int>(~a[h]));
+    const uint32_t* row = strip + h * 32;
+    for (int k = 0; k < 8; ++k) {
+      const __m128i vb =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + 4 * k));
+      best[k] = MinU32(best[k], _mm_add_epi32(MinU32(vb, not_a), va));
+    }
+  }
+  for (int k = 0; k < 8; ++k) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 4 * k), best[k]);
+  }
+}
+
+}  // namespace internal
+
 #elif defined(HC2L_SIMD_NEON)
 
 inline uint32_t MinPlus(const uint32_t* a, const uint32_t* b, size_t len) {
@@ -243,6 +295,24 @@ inline uint32_t MinPlusPadded(const uint32_t* a, const uint32_t* b,
   return vminvq_u32(best);
 }
 
+namespace internal {
+
+inline void PanelStrip(const uint32_t* a, size_t len, const uint32_t* strip,
+                       uint32_t* out) {
+  uint32x4_t best[8];
+  for (uint32x4_t& b : best) b = vdupq_n_u32(UINT32_MAX);
+  for (size_t h = 0; h < len; ++h) {
+    const uint32x4_t va = vdupq_n_u32(a[h]);
+    const uint32_t* row = strip + h * 32;
+    for (int k = 0; k < 8; ++k) {
+      best[k] = vminq_u32(best[k], vqaddq_u32(va, vld1q_u32(row + 4 * k)));
+    }
+  }
+  for (int k = 0; k < 8; ++k) vst1q_u32(out + 4 * k, best[k]);
+}
+
+}  // namespace internal
+
 #else
 
 inline uint32_t MinPlus(const uint32_t* a, const uint32_t* b, size_t len) {
@@ -254,7 +324,52 @@ inline uint32_t MinPlusPadded(const uint32_t* a, const uint32_t* b,
   return MinPlusScalar(a, b, len);
 }
 
+namespace internal {
+
+inline void PanelStrip(const uint32_t* a, size_t len, const uint32_t* strip,
+                       uint32_t* out) {
+  for (size_t j = 0; j < 32; ++j) out[j] = UINT32_MAX;
+  for (size_t h = 0; h < len; ++h) {
+    for (size_t j = 0; j < 32; ++j) {
+      const uint32_t sum = SatAdd32(a[h], strip[h * 32 + j]);
+      if (sum < out[j]) out[j] = sum;
+    }
+  }
+}
+
+}  // namespace internal
+
 #endif
+
+/// Columns per MinPlusPanel strip: one strip's accumulators stay in
+/// registers (four AVX2 or eight 128-bit vectors).
+inline constexpr size_t kPanelLanes = 32;
+
+/// The block kernel of the many-to-many matrix: one source array `a` against
+/// `width` target arrays transposed into a column panel. The panel is
+/// strip-major — ceil(width / kPanelLanes) strips of `height` rows by
+/// kPanelLanes lanes, entry (h, j) at
+///   panel[((j / kPanelLanes) * height + h) * kPanelLanes + j % kPanelLanes]
+/// — and for every column j < width the kernel writes
+///   out[j] = min_{h < len} sat32(a[h] + panel(h, j)),   len <= height,
+/// broadcasting a[h] once per row and min-reducing a whole strip at a time.
+/// Every variant is bit-identical to MinPlusScalar run per column. Lanes of
+/// the last strip past `width` are read but never written to `out`; a column
+/// padded with UINT32_MAX below its true length saturates there and never
+/// wins, which is what lets one panel serve arrays of different lengths.
+inline void MinPlusPanel(const uint32_t* a, size_t len, const uint32_t* panel,
+                         size_t height, size_t width, uint32_t* out) {
+  const size_t full = width / kPanelLanes;
+  for (size_t k = 0; k < full; ++k) {
+    internal::PanelStrip(a, len, panel + k * height * kPanelLanes,
+                         out + k * kPanelLanes);
+  }
+  if (const size_t rest = width % kPanelLanes; rest != 0) {
+    uint32_t tail[kPanelLanes];
+    internal::PanelStrip(a, len, panel + full * height * kPanelLanes, tail);
+    for (size_t j = 0; j < rest; ++j) out[full * kPanelLanes + j] = tail[j];
+  }
+}
 
 }  // namespace simd
 }  // namespace hc2l

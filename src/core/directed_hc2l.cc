@@ -530,64 +530,16 @@ Dist DirectedHc2lIndex::CoreQuery(Vertex s, Vertex t) const {
   return best >= kUnreachableLabel ? kInfDist : best;
 }
 
-DirectedHc2lIndex::ResolvedTargets DirectedHc2lIndex::ResolveTargets(
-    std::span<const Vertex> targets) const {
-  ResolvedTargets rt;
-  ResolveTargetsInto(targets, &rt);
-  return rt;
-}
-
-void DirectedHc2lIndex::ResolveTargetsInto(std::span<const Vertex> targets,
-                                           ResolvedTargets* rt) const {
-  const size_t n = targets.size();
-  rt->original.assign(targets.begin(), targets.end());
-  rt->core.resize(n);
-  rt->detour.resize(n);
-  rt->code.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Vertex t = targets[i];
-    HC2L_CHECK_LT(t, NumVertices());
-    Vertex root = t;
-    Dist detour = 0;
-    if (contraction_ != nullptr) {
-      root = contraction_->RootCoreId(t);
-      detour = contraction_->DistFromRoot(t);
-    }
-    rt->core[i] = root;
-    rt->detour[i] = detour;
-    rt->code[i] = hierarchy_.CodeOf(root);
-  }
-}
-
-void DirectedHc2lIndex::BatchQueryResolved(Vertex source,
-                                           const ResolvedTargets& rt,
-                                           size_t begin, size_t end,
-                                           Dist* out) const {
-  HC2L_CHECK_LT(source, NumVertices());
-  HC2L_CHECK_LE(begin, end);
-  HC2L_CHECK_LE(end, rt.size());
-  if (begin == end) return;
-
-  // Source side hoisted for the batch: contraction root, upward detour,
-  // tree code and out-array base. The shared pass 1 answers the trivial
-  // cases inline and collects the rest; the shared level sweep min-reduces
-  // the source's out-arrays against the targets' in-arrays. Working memory
-  // is the calling thread's reusable scratch.
-  Vertex root_s = source;
-  Dist source_offset = 0;
+ResolvedVertex DirectedHc2lIndex::Resolve(Vertex v, bool as_source) const {
+  HC2L_CHECK_LT(v, NumVertices());
+  ResolvedVertex r{.code = 0, .core = v, .pos = 0, .detour = 0};
   if (contraction_ != nullptr) {
-    root_s = contraction_->RootCoreId(source);
-    source_offset = contraction_->DistToRoot(source);
+    r.core = contraction_->RootCoreId(v);
+    r.detour = as_source ? contraction_->DistToRoot(v)
+                         : contraction_->DistFromRoot(v);
   }
-  const TreeCode s_code = hierarchy_.CodeOf(root_s);
-  const uint32_t s_base = out_labels_.base[root_s];
-  QueryScratch& scratch = TlsQueryScratch();
-  CollectPendingTargets(
-      rt, begin, end, source, root_s, source_offset, s_code,
-      contraction_ != nullptr,
-      [&](Vertex t) { return contraction_->SameTreeDistance(source, t); },
-      &scratch, out);
-  SweepPendingByLevel(out_labels_, in_labels_, s_base, height_, &scratch, out);
+  r.code = hierarchy_.CodeOf(r.core);
+  return r;
 }
 
 std::vector<Dist> DirectedHc2lIndex::BatchQuery(
@@ -601,24 +553,60 @@ void DirectedHc2lIndex::BatchQueryInto(Vertex source,
                                        std::span<const Vertex> targets,
                                        Dist* out) const {
   if (targets.empty()) return;
-  // Unlike the undirected index there is no fused single-call variant:
-  // directed resolution is a handful of array reads per target, so
-  // delegating through a thread-local ResolvedTargets costs next to nothing
-  // and keeps the path allocation-free once warm.
-  static thread_local ResolvedTargets rt;
-  ResolveTargetsInto(targets, &rt);
-  BatchQueryResolved(source, rt, 0, rt.size(), out);
+  // The undirected fused loop with per-direction detours: a one-way pendant
+  // cut off from the core makes its cells kInfDist before the sweep, which
+  // min-reduces the source's out-arrays against the targets' in-arrays.
+  const ResolvedVertex s = Resolve(source, /*as_source=*/true);
+  QueryScratch& scratch = TlsQueryScratch();
+  scratch.pending.clear();
+  scratch.level_of.clear();
+  for (size_t i = 0; i < targets.size(); ++i) {
+    const Vertex t = targets[i];
+    if (t == source) {
+      out[i] = 0;
+      continue;
+    }
+    const ResolvedVertex r = Resolve(t, /*as_source=*/false);
+    // Without contraction a root is the vertex itself, so only two vertices
+    // of one pendant tree share a root here.
+    if (r.core == s.core) {
+      out[i] = contraction_->SameTreeDistance(source, t);
+      continue;
+    }
+    const Dist offset = AddDist(s.detour, r.detour);
+    if (offset == kInfDist) {
+      out[i] = kInfDist;
+      continue;
+    }
+    scratch.pending.push_back({static_cast<uint32_t>(i), r.core, offset});
+    scratch.level_of.push_back(TreeCodeLcaLevel(s.code, r.code));
+  }
+  SweepPendingByLevel(out_labels_, in_labels_, out_labels_.base[s.core],
+                      height_, &scratch, out);
 }
 
 std::vector<std::vector<Dist>> DirectedHc2lIndex::DistanceMatrix(
     std::span<const Vertex> sources, std::span<const Vertex> targets) const {
-  // Same tiling rationale as the undirected index: one resolution per
-  // matrix, tiles of target in-arrays kept hot across sources.
   std::vector<std::vector<Dist>> matrix(
       sources.size(), std::vector<Dist>(targets.size(), kInfDist));
-  if (sources.empty() || targets.empty()) return matrix;
-  TiledDistanceMatrix(*this, ResolveTargets(targets), sources, &matrix);
+  std::vector<Dist*> row_ptrs(sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) row_ptrs[i] = matrix[i].data();
+  DistanceMatrixInto(sources, targets, MatrixRows{.rows = row_ptrs.data()});
   return matrix;
+}
+
+bool DirectedHc2lIndex::DistanceMatrixInto(std::span<const Vertex> sources,
+                                           std::span<const Vertex> targets,
+                                           const MatrixRows& rows,
+                                           StopPoll stop) const {
+  // Sources climb to their root and read out-labels; targets descend from
+  // theirs and read in-labels.
+  return BlockedDistanceMatrix(
+      *this, sources, targets, out_labels_, in_labels_,
+      [&](Vertex v) { return Resolve(v, /*as_source=*/true); },
+      [&](Vertex v) { return Resolve(v, /*as_source=*/false); },
+      [&](Vertex s, Vertex t) { return contraction_->SameTreeDistance(s, t); },
+      rows, stop);
 }
 
 std::vector<std::pair<Dist, Vertex>> DirectedHc2lIndex::KNearest(

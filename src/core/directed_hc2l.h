@@ -77,39 +77,22 @@ class DirectedHc2lIndex {
   void BatchQueryInto(Vertex source, std::span<const Vertex> targets,
                       Dist* out) const;
 
-  /// Many-to-many: result[i][j] = d(sources[i] -> targets[j]), with
-  /// target-side resolution hoisted once per matrix and targets tiled so
-  /// their in-label arrays stay L2-resident across sources.
+  /// Many-to-many: result[i][j] = d(sources[i] -> targets[j]).
   std::vector<std::vector<Dist>> DistanceMatrix(
       std::span<const Vertex> sources, std::span<const Vertex> targets) const;
+
+  /// The directed twin of Hc2lIndex::DistanceMatrixInto: the same blocked
+  /// matrix with source out-arrays against target in-arrays. Returns false
+  /// iff `stop` fired.
+  bool DistanceMatrixInto(std::span<const Vertex> sources,
+                          std::span<const Vertex> targets,
+                          const MatrixRows& rows, StopPoll stop = {}) const;
 
   /// The k candidates nearest *from* `source` by directed distance (ties
   /// broken deterministically by candidate order), sorted ascending;
   /// unreachable candidates excluded.
   std::vector<std::pair<Dist, Vertex>> KNearest(
       Vertex source, std::span<const Vertex> candidates, size_t k) const;
-
-  /// Target-side state shared across sources — the same ResolvedTargetSet
-  /// shape as Hc2lIndex::ResolvedTargets, so the query engine and facade
-  /// template over both indexes. With contraction, core holds the pendant
-  /// root and detour holds d(root -> target) (kInfDist for one-way pendants
-  /// unreachable from the core); without it core ids equal the originals
-  /// and detours are zero.
-  using ResolvedTargets = ResolvedTargetSet;
-
-  /// Resolves a target list for repeated use against many sources.
-  ResolvedTargets ResolveTargets(std::span<const Vertex> targets) const;
-
-  /// ResolveTargets into a caller-owned (typically reused) instance: vectors
-  /// are resized in place, so a warm `rt` resolves without allocating.
-  void ResolveTargetsInto(std::span<const Vertex> targets,
-                          ResolvedTargets* rt) const;
-
-  /// Computes out[i] = d(source -> targets.original[i]) for i in
-  /// [begin, end); `out` points at the full row. Disjoint ranges may be
-  /// filled concurrently from different threads.
-  void BatchQueryResolved(Vertex source, const ResolvedTargets& targets,
-                          size_t begin, size_t end, Dist* out) const;
 
   /// Number of vertices of the indexed digraph (before contraction).
   size_t NumVertices() const { return num_vertices_; }
@@ -190,6 +173,11 @@ class DirectedHc2lIndex {
   /// Query over core ids (labels + hierarchy only).
   Dist CoreQuery(Vertex s, Vertex t) const;
 
+  /// v's contraction root, its tree code and the detour between them (pos
+  /// left 0): climbing to the root as a source (DistToRoot), descending
+  /// from it as a target (DistFromRoot).
+  ResolvedVertex Resolve(Vertex v, bool as_source) const;
+
   /// Hint-store walk over core ids: the full core-id shortest directed path
   /// cs..ct (inclusive; cleared first) into *out. Requires HasRouteHints().
   Status CoreRoute(Vertex cs, Vertex ct, std::vector<Vertex>* out) const;
@@ -206,7 +194,7 @@ class DirectedHc2lIndex {
   /// (then core ids == original ids).
   std::unique_ptr<DirectedDegreeOneContraction> contraction_;
   BalancedTreeHierarchy hierarchy_;
-  // Cached hierarchy height: BatchQueryResolved's level bucketing must not
+  // Cached hierarchy height: the batch path's level bucketing must not
   // rescan every tree node per call.
   uint32_t height_ = 0;
   // Per-direction cache-aligned labels, same layout as the undirected index

@@ -503,6 +503,17 @@ Dist Hc2lIndex::CoreQuery(Vertex s, Vertex t, uint64_t* hubs_scanned) const {
   return best >= kUnreachableLabel ? kInfDist : best;
 }
 
+ResolvedVertex Hc2lIndex::Resolve(Vertex v) const {
+  HC2L_CHECK_LT(v, stats_.num_vertices);
+  ResolvedVertex r{.code = 0, .core = v, .pos = 0, .detour = 0};
+  if (contraction_ != nullptr) {
+    r.core = contraction_->RootCoreId(v);
+    r.detour = contraction_->DistToRoot(v);
+  }
+  r.code = hierarchy_.CodeOf(r.core);
+  return r;
+}
+
 Dist Hc2lIndex::Query(Vertex s, Vertex t) const {
   return QueryCountingHubs(s, t, nullptr);
 }
@@ -1035,67 +1046,6 @@ bool Hc2lIndex::IdenticalTo(const Hc2lIndex& other) const {
 
 size_t Hc2lIndex::LabelSizeBytes() const { return labels_.ResidentBytes(); }
 
-Hc2lIndex::ResolvedTargets Hc2lIndex::ResolveTargets(
-    std::span<const Vertex> targets) const {
-  ResolvedTargets rt;
-  ResolveTargetsInto(targets, &rt);
-  return rt;
-}
-
-void Hc2lIndex::ResolveTargetsInto(std::span<const Vertex> targets,
-                                   ResolvedTargets* rt) const {
-  const size_t n = targets.size();
-  rt->original.assign(targets.begin(), targets.end());
-  rt->core.resize(n);
-  rt->detour.resize(n);
-  rt->code.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Vertex t = targets[i];
-    HC2L_CHECK_LT(t, stats_.num_vertices);
-    Vertex root = t;
-    Dist detour = 0;
-    if (contraction_ != nullptr) {
-      root = contraction_->RootCoreId(t);
-      detour = contraction_->DistToRoot(t);
-    }
-    rt->core[i] = root;
-    rt->detour[i] = detour;
-    rt->code[i] = hierarchy_.CodeOf(root);
-  }
-}
-
-void Hc2lIndex::BatchQueryResolved(Vertex source, const ResolvedTargets& rt,
-                                   size_t begin, size_t end, Dist* out) const {
-  HC2L_CHECK_LT(source, stats_.num_vertices);
-  HC2L_CHECK_LE(begin, end);
-  HC2L_CHECK_LE(end, rt.size());
-  if (begin == end) return;
-
-  Vertex root_s = source;
-  Dist source_offset = 0;
-  if (contraction_ != nullptr) {
-    root_s = contraction_->RootCoreId(source);
-    source_offset = contraction_->DistToRoot(source);
-  }
-  const TreeCode s_code = hierarchy_.CodeOf(root_s);
-  const uint32_t s_base = labels_.base[root_s];
-
-  // Pass 1 over pre-resolved targets (the shared CollectPendingTargets):
-  // trivial cases answered inline, the rest collected for the level sweep.
-  // Working memory is the calling thread's reusable scratch (zero
-  // allocations once warm).
-  QueryScratch& scratch = TlsQueryScratch();
-  CollectPendingTargets(
-      rt, begin, end, source, root_s, source_offset, s_code,
-      contraction_ != nullptr,
-      [&](Vertex t) { return contraction_->SameTreeDistance(source, t); },
-      &scratch, out);
-  // stats_.tree_height, not hierarchy_.Height() — that one rescans every
-  // tree node, which would dwarf small batches.
-  SweepPendingByLevel(labels_, labels_, s_base, stats_.tree_height, &scratch,
-                      out);
-}
-
 std::vector<Dist> Hc2lIndex::BatchQuery(Vertex source,
                                         std::span<const Vertex> targets) const {
   std::vector<Dist> out(targets.size(), kInfDist);
@@ -1108,9 +1058,7 @@ void Hc2lIndex::BatchQueryInto(Vertex source, std::span<const Vertex> targets,
   if (targets.empty()) return;
   HC2L_CHECK_LT(source, stats_.num_vertices);
 
-  // Single-call fast path: resolution fused into pass 1 (no ResolvedTargets
-  // materialization — that indirection only pays off when many sources share
-  // one target set, i.e. DistanceMatrix and the query engine).
+  // Resolution fused into the collection pass.
   Vertex root_s = source;
   Dist source_offset = 0;
   if (contraction_ != nullptr) {
@@ -1144,6 +1092,8 @@ void Hc2lIndex::BatchQueryInto(Vertex source, std::span<const Vertex> targets,
     scratch.level_of.push_back(
         TreeCodeLcaLevel(s_code, hierarchy_.CodeOf(root_t)));
   }
+  // stats_.tree_height, not hierarchy_.Height() — that one rescans every
+  // tree node, which would dwarf small batches.
   SweepPendingByLevel(labels_, labels_, s_base, stats_.tree_height, &scratch,
                       out);
 }
@@ -1152,12 +1102,22 @@ std::vector<std::vector<Dist>> Hc2lIndex::DistanceMatrix(
     std::span<const Vertex> sources, std::span<const Vertex> targets) const {
   std::vector<std::vector<Dist>> matrix(
       sources.size(), std::vector<Dist>(targets.size(), kInfDist));
-  if (sources.empty() || targets.empty()) return matrix;
-  // Target-side resolution (contraction root, detour, tree code) is computed
-  // once for the whole matrix instead of once per source; the shared tiled
-  // sweep keeps each target tile's label arrays L2-resident across sources.
-  TiledDistanceMatrix(*this, ResolveTargets(targets), sources, &matrix);
+  std::vector<Dist*> row_ptrs(sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) row_ptrs[i] = matrix[i].data();
+  DistanceMatrixInto(sources, targets, MatrixRows{.rows = row_ptrs.data()});
   return matrix;
+}
+
+bool Hc2lIndex::DistanceMatrixInto(std::span<const Vertex> sources,
+                                   std::span<const Vertex> targets,
+                                   const MatrixRows& rows,
+                                   StopPoll stop) const {
+  // Undirected: both sides resolve alike and read the one label store.
+  const auto resolve = [&](Vertex v) { return Resolve(v); };
+  return BlockedDistanceMatrix(
+      *this, sources, targets, labels_, labels_, resolve, resolve,
+      [&](Vertex s, Vertex t) { return contraction_->SameTreeDistance(s, t); },
+      rows, stop);
 }
 
 std::vector<std::pair<Dist, Vertex>> Hc2lIndex::KNearest(

@@ -121,41 +121,26 @@ class Hc2lIndex {
                       Dist* out) const;
 
   /// Many-to-many distance matrix: result[i][j] = d(sources[i], targets[j]).
-  /// Target-side resolution is hoisted once for the whole matrix and targets
-  /// are processed in tiles so their label arrays stay L2-resident across
-  /// sources.
   std::vector<std::vector<Dist>> DistanceMatrix(
       std::span<const Vertex> sources, std::span<const Vertex> targets) const;
+
+  /// The many-to-many primitive under every matrix path: writes
+  /// rows.Row(i)[j] = d(sources[i], targets[j]) for every cell. Both sides
+  /// are sorted by tree code, so the matrix splits into dense blocks that
+  /// each share one LCA level and are min-reduced against a transposed
+  /// target panel (BlockedDistanceMatrix, src/core/query_common.h). Polls
+  /// `stop` every ~2k cells and returns false as soon as it fires (rows
+  /// then unspecified). Working memory is the calling thread's
+  /// QueryScratch, so steady-state calls do not allocate.
+  bool DistanceMatrixInto(std::span<const Vertex> sources,
+                          std::span<const Vertex> targets,
+                          const MatrixRows& rows, StopPoll stop = {}) const;
 
   /// The k candidates nearest to `source` (ties broken deterministically by
   /// candidate order), as (distance, candidate) pairs sorted ascending;
   /// unreachable candidates are excluded, so fewer than k entries may return.
   std::vector<std::pair<Dist, Vertex>> KNearest(
       Vertex source, std::span<const Vertex> candidates, size_t k) const;
-
-  /// Target-side state hoisted out of the per-source loop: contraction root,
-  /// pendant-tree detour and packed tree code, resolved once and reused by
-  /// every source. Produced by ResolveTargets(); consumed by
-  /// BatchQueryResolved(). The struct itself (ResolvedTargetSet,
-  /// src/core/query_common.h) is shared with the directed index so the query
-  /// engine and facade template over one shape.
-  using ResolvedTargets = ResolvedTargetSet;
-
-  /// Resolves a target list for repeated use against many sources.
-  ResolvedTargets ResolveTargets(std::span<const Vertex> targets) const;
-
-  /// ResolveTargets into a caller-owned (typically reused) instance: vectors
-  /// are resized in place, so a warm `rt` resolves without allocating.
-  void ResolveTargetsInto(std::span<const Vertex> targets,
-                          ResolvedTargets* rt) const;
-
-  /// Computes out[i] = d(source, targets.original[i]) for i in [begin, end).
-  /// `out` points at the full row (indexed by target position, not
-  /// shard-relative), so disjoint ranges of one row may be filled from
-  /// different threads. The building block DistanceMatrix and the parallel
-  /// query engine tile their work with.
-  void BatchQueryResolved(Vertex source, const ResolvedTargets& targets,
-                          size_t begin, size_t end, Dist* out) const;
 
   /// Number of vertices of the indexed graph.
   size_t NumVertices() const { return stats_.num_vertices; }
@@ -291,6 +276,10 @@ class Hc2lIndex {
 
   /// Query over core-graph ids (labels + hierarchy only).
   Dist CoreQuery(Vertex s, Vertex t, uint64_t* hubs_scanned) const;
+
+  /// v's contraction root, its tree code and the detour between them (pos
+  /// left 0) — the same for a source and a target.
+  ResolvedVertex Resolve(Vertex v) const;
 
   /// Hint-store walk over core ids: writes the full core-id shortest path
   /// cs..ct (inclusive; cleared first) into *out. Requires HasRouteHints().

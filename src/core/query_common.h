@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -67,12 +68,6 @@ void RunPrefixMaskedSearches(ThreadPool& pool, bool tail_pruning,
   }
 }
 
-/// Targets per DistanceMatrix tile, shared by both indexes and the query
-/// engine's default. ~2k label arrays (averaging well under 256 B each on
-/// road networks) keep a tile's working set inside a typical 512 KB-1 MB L2
-/// while every source min-reduces against it.
-inline constexpr size_t kMatrixTargetTile = 2048;
-
 /// A non-trivial batch target awaiting its min-plus reduction.
 struct PendingTarget {
   uint32_t out_index;
@@ -80,21 +75,98 @@ struct PendingTarget {
   Dist offset;  // contraction detour (source side + target side)
 };
 
-/// Target-side state hoisted out of the per-source loop, shared by both
-/// index flavours (the query engine and facade template over
-/// `Index::ResolvedTargets`, which both classes alias to this): contraction
-/// root, pendant-tree detour into the core and packed tree code, resolved
-/// once and reused by every source. Read-only after construction, so any
-/// number of threads may share one instance. Without contraction core ids
-/// equal the originals and detours are zero. A kInfDist detour marks a
-/// one-way pendant target unreachable from the core (directed only).
-struct ResolvedTargetSet {
-  std::vector<Vertex> original;  // the targets exactly as passed
-  std::vector<Vertex> core;      // contraction root (core ids)
-  std::vector<Dist> detour;      // d into the core; 0 for core vertices
-  std::vector<TreeCode> code;    // packed tree code of the root
+/// Row-output view of the matrix paths: either a flat row-major buffer
+/// (`flat` + `stride`) or an array of per-row pointers (`rows`, which wins
+/// when non-null), with every row shifted right by `col` columns. Lets the
+/// zero-copy request path (one flat caller span), the vector<vector>
+/// wrappers and the engine's slices share one implementation.
+struct MatrixRows {
+  Dist* flat = nullptr;
+  size_t stride = 0;
+  Dist* const* rows = nullptr;
+  size_t col = 0;
 
-  size_t size() const { return original.size(); }
+  Dist* Row(size_t i) const {
+    return (rows != nullptr ? rows[i] : flat + i * stride) + col;
+  }
+
+  /// The view whose cell (0, 0) is this view's cell (row, col).
+  MatrixRows Slice(size_t row, size_t col_offset) const {
+    MatrixRows out = *this;
+    if (rows != nullptr) {
+      out.rows += row;
+    } else {
+      out.flat += row * stride;
+    }
+    out.col += col_offset;
+    return out;
+  }
+};
+
+/// Non-owning `bool()` callable a matrix call polls between blocks and
+/// source rows; returning true abandons the call. Default-constructed it
+/// never stops, so calls with and without a deadline run the same code.
+class StopPoll {
+ public:
+  StopPoll() = default;
+  template <typename Fn>
+    requires(!std::is_same_v<Fn, StopPoll>)
+  StopPoll(const Fn& fn)  // NOLINT(google-explicit-constructor)
+      : ctx_(&fn), call_([](const void* c) {
+          return static_cast<bool>((*static_cast<const Fn*>(c))());
+        }) {}
+
+  bool operator()() const { return call_ != nullptr && call_(ctx_); }
+
+ private:
+  const void* ctx_ = nullptr;
+  bool (*call_)(const void*) = nullptr;
+};
+
+/// Cells a matrix call answers between two StopPoll polls: a clock read is
+/// ~20 ns and a cell a few, so this amortizes the poll while bounding
+/// deadline overshoot to ~2k cells.
+inline constexpr size_t kMatrixPollCells = 2048;
+
+/// One vertex as the batch and matrix paths see it: contraction root (core
+/// id; the vertex itself without contraction), the root's packed tree code,
+/// the detour between the vertex and its root (as a source: into the core;
+/// as a target: out of it; kInfDist when a one-way pendant cuts it off) and,
+/// on a matrix side, the vertex's row or column in the output.
+struct ResolvedVertex {
+  TreeCode code;
+  Vertex core;
+  uint32_t pos;
+  Dist detour;
+};
+
+/// The (code, core) order of a resolved side: every hierarchy node's
+/// vertices come first, then its 0-subtree, then its 1-subtree — the order
+/// the blocked recursion splits on. Equal keys share a contraction root.
+inline bool MatrixKeyLess(const ResolvedVertex& a, const ResolvedVertex& b) {
+  return a.code != b.code ? a.code < b.code : a.core < b.core;
+}
+
+/// Work counter in front of a StopPoll: Tick(cells) polls on the first call
+/// and then whenever the cells answered since the last poll would pass
+/// kMatrixPollCells.
+class MatrixPoller {
+ public:
+  explicit MatrixPoller(StopPoll stop) : stop_(stop) {}
+
+  /// False iff the poll fired (the call must be abandoned).
+  bool Tick(size_t cells) {
+    if (since_ + cells > kMatrixPollCells) {
+      if (stop_()) return false;
+      since_ = 0;
+    }
+    since_ += cells;
+    return true;
+  }
+
+ private:
+  StopPoll stop_;
+  size_t since_ = kMatrixPollCells;
 };
 
 /// Reusable per-thread working memory of the batch fast path. The
@@ -102,7 +174,8 @@ struct ResolvedTargetSet {
 /// batch and matrix queries, so every intermediate the old code allocated
 /// per call — the pending list, its LCA levels, the counting-sort buffers —
 /// lives here instead and keeps its capacity across calls. One instance per
-/// thread (TlsQueryScratch) is enough: the batch entry points never nest.
+/// thread (TlsQueryScratch) is enough: an entry point that calls another
+/// (a thin matrix runs per-row batches) hands over before using any field.
 struct QueryScratch {
   std::vector<PendingTarget> pending;
   std::vector<uint32_t> level_of;
@@ -112,6 +185,14 @@ struct QueryScratch {
   std::vector<uint32_t> cursor;
   // SelectKNearestInto's candidate ranking.
   std::vector<uint32_t> knn_idx;
+  // BlockedDistanceMatrix: both resolved sides, one block's column panel
+  // and its per-column metadata and kernel output.
+  std::vector<ResolvedVertex> matrix_sources;
+  std::vector<ResolvedVertex> matrix_targets;
+  std::vector<uint32_t> panel;
+  std::vector<uint32_t> panel_out;
+  std::vector<uint32_t> panel_pos;
+  std::vector<Dist> panel_detour;
 };
 
 /// The calling thread's QueryScratch. Function-local so the first query on a
@@ -121,46 +202,27 @@ inline QueryScratch& TlsQueryScratch() {
   return scratch;
 }
 
-/// Pass 1 of the batch fast path over pre-resolved targets, shared by both
-/// index flavours: answers the trivial cases inline (s == t, two vertices of
-/// one pendant tree via `same_tree`, a detour already unreachable) and
-/// collects the rest into `scratch->pending` / `scratch->level_of` for the
-/// level sweep. `root_s`/`source_offset` are the source's contraction root
-/// (core id) and its detour into the core; `contracted` gates the same-tree
-/// branch (without contraction rt.core[i] == root_s can only mean t ==
-/// source, which is answered before it). `same_tree(t)` must return the
-/// exact in-tree distance d(source, t) (directed: d(source -> t)).
-template <typename SameTreeFn>
-void CollectPendingTargets(const ResolvedTargetSet& rt, size_t begin,
-                           size_t end, Vertex source, Vertex root_s,
-                           Dist source_offset, TreeCode s_code,
-                           bool contracted, const SameTreeFn& same_tree,
-                           QueryScratch* scratch, Dist* out) {
-  scratch->pending.clear();
-  scratch->level_of.clear();
-  for (size_t i = begin; i < end; ++i) {
-    const Vertex t = rt.original[i];
-    if (t == source) {
-      out[i] = 0;
-      continue;
-    }
-    if (contracted && rt.core[i] == root_s) {
-      out[i] = same_tree(t);
-      continue;
-    }
-    const Dist offset = AddDist(source_offset, rt.detour[i]);
-    if (offset == kInfDist) {
-      out[i] = kInfDist;
-      continue;
-    }
-    scratch->pending.push_back({static_cast<uint32_t>(i), rt.core[i], offset});
-    scratch->level_of.push_back(TreeCodeLcaLevel(s_code, rt.code[i]));
-  }
-}
+/// The label part of the blocked matrix over two sorted sides: recurses
+/// down the hierarchy from the root, and at each node answers the four
+/// rectangles whose pairs have their LCA there — S_here x T, S_0 x T_here,
+/// S_0 x T_1, S_1 x [T_here, T_0] — from that level's arrays alone
+/// (source arrays from `source_labels`, target arrays from `target_labels`).
+/// Blocks of at least 4 sources x 8 targets transpose the target arrays into
+/// a column panel for simd::MinPlusPanel; narrower ones reduce pair by pair
+/// with simd::MinPlusPadded. Writes every cell of the matrix as
+/// min-plus + both detours (kInfDist when unreachable); same-root pairs
+/// are left for BlockedDistanceMatrix's fix-up. False iff `poller` fired.
+bool BlockedMinPlus(const LabelStore& source_labels,
+                    const LabelStore& target_labels,
+                    std::span<const ResolvedVertex> sources,
+                    std::span<const ResolvedVertex> targets,
+                    const MatrixRows& rows, MatrixPoller* poller,
+                    QueryScratch* scratch);
 
-/// Pass 2 of the batch fast path, shared by the undirected index (both label
-/// stores are the same object) and the directed one (source side reads
-/// out-labels, target side in-labels): counting-sorts `scratch->pending` by
+/// The level sweep of the batch fast path, shared by the undirected index
+/// (both label stores are the same object) and the directed one (source
+/// side reads out-labels, target side in-labels): counting-sorts
+/// `scratch->pending` by
 /// LCA level (scratch->level_of, parallel to pending, values <= height) and
 /// sweeps each level bucket against the source's level array at
 /// source_labels.base + ... = s_idx, prefetching the next target's array
@@ -217,23 +279,100 @@ inline void SweepPendingByLevel(const LabelStore& source_labels,
   }
 }
 
-/// The sequential many-to-many sweep shared by both indexes'
-/// DistanceMatrix: targets resolved once (by the caller), swept in tiles so
-/// one tile's label arrays stay L2-resident while every source min-reduces
-/// against it. `matrix` must be pre-sized to sources.size() rows of
-/// rt.size() entries.
+/// Fewer sources than this never fill a panel (see BlockedMinPlus), and the
+/// (code, core) sort of a long target side costs more than a few per-row
+/// batch sweeps, so such matrices run row by row.
+inline constexpr size_t kMatrixMinBlockedSources = 4;
+
+/// Matrix as one Index::BatchQueryInto per row and ~2k-target chunk,
+/// polling `stop` before each chunk; false iff it fired. The thin-matrix
+/// path of BlockedDistanceMatrix and the whole matrix path of ShardedIndex.
 template <typename Index>
-void TiledDistanceMatrix(const Index& index,
-                         const typename Index::ResolvedTargets& rt,
-                         std::span<const Vertex> sources,
-                         std::vector<std::vector<Dist>>* matrix) {
-  for (size_t tile = 0; tile < rt.size(); tile += kMatrixTargetTile) {
-    const size_t tile_end = std::min(rt.size(), tile + kMatrixTargetTile);
-    for (size_t i = 0; i < sources.size(); ++i) {
-      index.BatchQueryResolved(sources[i], rt, tile, tile_end,
-                               (*matrix)[i].data());
+bool RowByRowMatrix(const Index& index, std::span<const Vertex> sources,
+                    std::span<const Vertex> targets, const MatrixRows& rows,
+                    StopPoll stop) {
+  for (size_t i = 0; i < sources.size(); ++i) {
+    for (size_t c0 = 0; c0 < targets.size(); c0 += kMatrixPollCells) {
+      if (stop()) return false;
+      const size_t c1 = std::min(targets.size(), c0 + kMatrixPollCells);
+      index.BatchQueryInto(sources[i], targets.subspan(c0, c1 - c0),
+                           rows.Row(i) + c0);
     }
   }
+  return true;
+}
+
+/// The many-to-many primitive shared by both index flavours:
+/// rows.Row(i)[j] = d(sources[i], targets[j]) for every cell. With fewer
+/// than kMatrixMinBlockedSources sources it is RowByRowMatrix. Otherwise
+/// both sides are resolved (`resolve_source` / `resolve_target` map a
+/// vertex to its ResolvedVertex code, core and detour) and sorted by
+/// (code, core);
+/// BlockedMinPlus answers every pair from its LCA level; then the same-root
+/// pairs — found by merging the two sorted sides — are overwritten with 0
+/// (s == t) or `same_tree(s, t)`, the exact in-tree distance. Working memory
+/// is the calling thread's QueryScratch, so steady-state calls do not
+/// allocate. Returns false iff `stop` fired (row contents then unspecified).
+template <typename Index, typename ResolveSourceFn, typename ResolveTargetFn,
+          typename SameTreeFn>
+bool BlockedDistanceMatrix(const Index& index,
+                           std::span<const Vertex> sources,
+                           std::span<const Vertex> targets,
+                           const LabelStore& source_labels,
+                           const LabelStore& target_labels,
+                           const ResolveSourceFn& resolve_source,
+                           const ResolveTargetFn& resolve_target,
+                           const SameTreeFn& same_tree,
+                           const MatrixRows& rows, StopPoll stop) {
+  if (sources.empty() || targets.empty()) return true;
+  if (sources.size() < kMatrixMinBlockedSources) {
+    return RowByRowMatrix(index, sources, targets, rows, stop);
+  }
+  QueryScratch& scratch = TlsQueryScratch();
+  const auto resolve = [](std::span<const Vertex> vertices, const auto& fn,
+                          std::vector<ResolvedVertex>* side) {
+    side->resize(vertices.size());
+    for (size_t i = 0; i < vertices.size(); ++i) {
+      (*side)[i] = fn(vertices[i]);
+      (*side)[i].pos = static_cast<uint32_t>(i);
+    }
+    std::sort(side->begin(), side->end(), MatrixKeyLess);
+  };
+  resolve(sources, resolve_source, &scratch.matrix_sources);
+  resolve(targets, resolve_target, &scratch.matrix_targets);
+  const std::vector<ResolvedVertex>& s_side = scratch.matrix_sources;
+  const std::vector<ResolvedVertex>& t_side = scratch.matrix_targets;
+  MatrixPoller poller(stop);
+  if (!BlockedMinPlus(source_labels, target_labels, s_side, t_side, rows,
+                      &poller, &scratch)) {
+    return false;
+  }
+
+  // Same-root fix-up: merge the sorted sides on (code, core).
+  size_t j = 0;
+  for (size_t i = 0; i < s_side.size();) {
+    size_t i_end = i + 1;
+    while (i_end < s_side.size() && !MatrixKeyLess(s_side[i], s_side[i_end])) {
+      ++i_end;
+    }
+    while (j < t_side.size() && MatrixKeyLess(t_side[j], s_side[i])) ++j;
+    size_t j_end = j;
+    while (j_end < t_side.size() &&
+           !MatrixKeyLess(s_side[i], t_side[j_end])) {
+      ++j_end;
+    }
+    for (size_t a = i; a < i_end && j < j_end; ++a) {
+      if (!poller.Tick(j_end - j)) return false;
+      const Vertex s = sources[s_side[a].pos];
+      Dist* row = rows.Row(s_side[a].pos);
+      for (size_t b = j; b < j_end; ++b) {
+        const Vertex t = targets[t_side[b].pos];
+        row[t_side[b].pos] = s == t ? 0 : same_tree(s, t);
+      }
+    }
+    i = i_end;
+  }
+  return true;
 }
 
 /// Deterministic k-nearest selection shared by both indexes and the parallel

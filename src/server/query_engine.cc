@@ -70,7 +70,6 @@ BasicQueryEngine<Index>::BasicQueryEngine(const Index& index,
       options_(options),
       pool_(ResolveThreads(options.num_threads)) {
   if (options_.min_shard_queries == 0) options_.min_shard_queries = 1;
-  if (options_.target_tile == 0) options_.target_tile = 1;
 }
 
 template <typename Index>
@@ -153,25 +152,18 @@ bool BasicQueryEngine<Index>::BatchQueryInto(
   if (targets.empty()) return true;
   DeadlineGate gate(call);
   const size_t shards = NumShards(targets.size(), call.max_threads);
-  // Each shard resolves and answers contiguous slices of the target list —
-  // fully independent, writing disjoint ranges of `out`. Without a deadline
-  // a shard is one slice; with one, the slice is cut into poll-sized chunks.
+  // Each shard answers contiguous slices of the target list through the
+  // index's single-call batch — fully independent, writing disjoint ranges
+  // of `out`. Without a deadline a shard is one slice; with one, the slice
+  // is cut into poll-sized chunks.
   const auto run = [&](size_t begin, size_t end) {
     const size_t step =
         call.has_deadline ? kDeadlineCheckQueries : end - begin;
     for (size_t chunk = begin; chunk < end; chunk += step) {
       if (gate.Expired()) return;
       const size_t stop = std::min(end, chunk + step);
-      if (shards <= 1) {
-        // The index's fused single-call fast path — no ResolvedTargets
-        // materialization, identical cost to a direct call.
-        index_->BatchQueryInto(source, targets.subspan(chunk, stop - chunk),
-                               out + chunk);
-      } else {
-        static thread_local typename Index::ResolvedTargets rt;
-        index_->ResolveTargetsInto(targets.subspan(chunk, stop - chunk), &rt);
-        index_->BatchQueryResolved(source, rt, 0, rt.size(), out + chunk);
-      }
+      index_->BatchQueryInto(source, targets.subspan(chunk, stop - chunk),
+                             out + chunk);
     }
   };
   if (shards <= 1) {
@@ -203,54 +195,30 @@ bool BasicQueryEngine<Index>::DistanceMatrixInto(
     const MatrixRows& rows, const EngineCallOptions& call) const {
   if (sources.empty() || targets.empty()) return true;
   DeadlineGate gate(call);
-  // Targets resolved once for the whole matrix on the calling thread, shared
-  // read-only by all shards. Thread-local storage so repeated requests reuse
-  // the capacity (concurrent callers each get their own instance) — but the
-  // worker lambdas below must go through the captured reference `rt`, never
-  // name the thread_local directly: thread_locals are not captured, so a
-  // direct mention would resolve to the *worker's* (empty) instance.
-  static thread_local typename Index::ResolvedTargets rt_storage;
-  index_->ResolveTargetsInto(targets, &rt_storage);
-  const typename Index::ResolvedTargets& rt = rt_storage;
-  const size_t tile = options_.target_tile;
-  const size_t want_shards =
-      NumShards(sources.size() * targets.size(), call.max_threads);
-  const auto run_rows = [&](size_t row_begin, size_t row_end) {
-    for (size_t t0 = 0; t0 < rt.size(); t0 += tile) {
-      const size_t t1 = std::min(rt.size(), t0 + tile);
-      for (size_t i = row_begin; i < row_end; ++i) {
-        // One (row, tile) step is at most target_tile queries, so polling
-        // here bounds deadline overshoot without a separate chunk loop.
-        if (gate.Expired()) return;
-        index_->BatchQueryResolved(sources[i], rt, t0, t1, rows.Row(i));
-      }
+  const auto expired = [&gate] { return gate.Expired(); };
+  // At most one slice per thread: each slice resolves and sorts its own
+  // sides, so finer slicing would only repeat that work and shrink the
+  // blocks. The longer side is the one sliced, so a 1 x N matrix spreads
+  // its targets and an N x 1 its sources.
+  const bool by_sources = sources.size() >= targets.size();
+  const size_t longer = by_sources ? sources.size() : targets.size();
+  const size_t slices =
+      std::min({NumShards(sources.size() * targets.size(), call.max_threads),
+                static_cast<size_t>(pool_.NumThreads()), longer});
+  if (slices <= 1) {
+    return index_->DistanceMatrixInto(sources, targets, rows, expired);
+  }
+  pool_.ParallelFor(slices, [&](size_t k) {
+    const ShardRange r = ShardOf(longer, slices, k);
+    if (r.begin == r.end) return;
+    if (by_sources) {
+      index_->DistanceMatrixInto(sources.subspan(r.begin, r.end - r.begin),
+                                 targets, rows.Slice(r.begin, 0), expired);
+    } else {
+      index_->DistanceMatrixInto(sources,
+                                 targets.subspan(r.begin, r.end - r.begin),
+                                 rows.Slice(0, r.begin), expired);
     }
-  };
-  if (want_shards <= 1) {
-    run_rows(0, sources.size());
-    return !gate.expired();
-  }
-  if (sources.size() >= want_shards) {
-    // Enough rows to feed every shard: shard by sources; each worker sweeps
-    // its rows tile by tile so a tile's target label arrays stay hot in its
-    // core's L2.
-    pool_.ParallelFor(want_shards, [&](size_t s) {
-      const ShardRange r = ShardOf(sources.size(), want_shards, s);
-      run_rows(r.begin, r.end);
-    });
-    return !gate.expired();
-  }
-  // Few sources, many targets: row sharding alone would idle most threads,
-  // so shard over (row, target tile) units. Consecutive units share a row's
-  // source-side state or a tile's target arrays, so locality degrades
-  // gracefully; every unit still writes a disjoint matrix range.
-  const size_t num_tiles = (rt.size() + tile - 1) / tile;
-  pool_.ParallelFor(sources.size() * num_tiles, [&](size_t unit) {
-    if (gate.Expired()) return;
-    const size_t i = unit / num_tiles;
-    const size_t t0 = (unit % num_tiles) * tile;
-    const size_t t1 = std::min(rt.size(), t0 + tile);
-    index_->BatchQueryResolved(sources[i], rt, t0, t1, rows.Row(i));
   });
   return !gate.expired();
 }

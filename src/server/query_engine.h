@@ -13,11 +13,11 @@
 /// to the sequential index methods and independent of thread count or
 /// scheduling order** — the property the differential test suite pins down.
 ///
-/// DistanceMatrix additionally applies the target-hoisting + tiling scheme:
-/// target-side resolution (contraction root, detour, tree code) is computed
-/// once per matrix and shared read-only by all shards, and each worker sweeps
-/// its rows tile by tile so one tile's target label arrays stay resident in
-/// its core's L2.
+/// DistanceMatrix splits the longer side into at most NumThreads()
+/// contiguous slices; each worker runs the index's blocked many-to-many
+/// primitive (`Index::DistanceMatrixInto`: both sides sorted by tree code,
+/// one min-plus panel kernel per LCA block) on its slice against the whole
+/// other side, writing a disjoint sub-matrix.
 ///
 /// Thread-safety: all query methods are const and may be called concurrently
 /// from multiple caller threads; the internal pool serializes its own
@@ -44,24 +44,10 @@
 
 namespace hc2l {
 
-/// Row-output view of the matrix span paths: either a flat row-major buffer
-/// (`flat` + `stride`) or an array of per-row pointers (`rows`, which wins
-/// when non-null). Lets the zero-copy request path (one flat caller span)
-/// and the vector<vector> wrappers share one implementation.
-struct MatrixRows {
-  Dist* flat = nullptr;
-  size_t stride = 0;
-  Dist* const* rows = nullptr;
-
-  Dist* Row(size_t i) const {
-    return rows != nullptr ? rows[i] : flat + i * stride;
-  }
-};
-
 /// Per-call controls of the span-output engine entry points.
 struct EngineCallOptions {
-  /// When true, workers poll `deadline` at chunk boundaries (roughly every
-  /// thousand queries) and abandon remaining work once it passes.
+  /// When true, workers poll `deadline` at chunk boundaries (every one to
+  /// two thousand queries) and abandon remaining work once it passes.
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
   /// Caps shards in flight (and thus worker concurrency) for this call;
@@ -77,9 +63,6 @@ struct QueryEngineOptions {
   /// submit/wake round trip; the engine falls back to inline execution when
   /// the whole workload is below it.
   uint32_t min_shard_queries = 1024;
-  /// Targets per DistanceMatrix tile (L2 residency; the index's internal
-  /// tiling constant).
-  uint32_t target_tile = kMatrixTargetTile;
 };
 
 /// The engine, templated over the index flavour. Results of every method are
@@ -109,8 +92,7 @@ class BasicQueryEngine {
   std::vector<Dist> BatchQuery(Vertex source,
                                std::span<const Vertex> targets) const;
 
-  /// Many-to-many, sources sharded across the pool with target-side
-  /// resolution hoisted once per matrix and tiled per shard.
+  /// Many-to-many, the longer side sliced across the pool.
   std::vector<std::vector<Dist>> DistanceMatrix(
       std::span<const Vertex> sources, std::span<const Vertex> targets) const;
 
@@ -134,7 +116,7 @@ class BasicQueryEngine {
                       Dist* out, const EngineCallOptions& call = {}) const;
 
   /// Many-to-many; row i of `rows` receives d(sources[i], targets[j]) for
-  /// every j. Target resolution hoisted once, tiles kept L2-resident.
+  /// every j. Each slice of the longer side is one blocked-matrix call.
   bool DistanceMatrixInto(std::span<const Vertex> sources,
                           std::span<const Vertex> targets,
                           const MatrixRows& rows,

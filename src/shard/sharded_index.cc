@@ -22,7 +22,6 @@ struct ShardScratch {
   std::vector<Dist> direct;  // home-shard direct row
   std::vector<std::vector<Vertex>> local_targets;  // per shard
   std::vector<std::vector<uint32_t>> cols;         // per shard
-  ResolvedTargetSet rt;
 };
 
 ShardScratch& TlsShardScratch() {
@@ -139,8 +138,8 @@ void ShardedIndex::BatchImpl(const std::vector<IndexT>& shards, Vertex source,
     }
   }
 
-  // Targets grouped by home shard; each shard answers its group with one
-  // target resolution shared by all of its boundary rows.
+  // Targets grouped by home shard; each shard answers its group against
+  // all of its boundary vertices as one blocked matrix.
   const size_t num_shards = shards.size();
   if (sc.local_targets.size() < num_shards) {
     sc.local_targets.resize(num_shards);
@@ -159,17 +158,15 @@ void ShardedIndex::BatchImpl(const std::vector<IndexT>& shards, Vertex source,
   for (size_t j = 0; j < num_shards; ++j) {
     const size_t cnt = sc.cols[j].size();
     if (cnt == 0) continue;
-    shards[j].ResolveTargetsInto(sc.local_targets[j], &sc.rt);
     const std::vector<Vertex>& blj = bset_local_[j];
     sc.m.resize(blj.size() * cnt);
-    for (size_t r = 0; r < blj.size(); ++r) {
-      shards[j].BatchQueryResolved(blj[r], sc.rt, 0, cnt,
-                                   sc.m.data() + r * cnt);
-    }
+    shards[j].DistanceMatrixInto(
+        blj, sc.local_targets[j],
+        MatrixRows{.flat = sc.m.data(), .stride = cnt});
     const bool home = j == i;
     if (home) {
       sc.direct.resize(cnt);
-      shards[i].BatchQueryResolved(ls, sc.rt, 0, cnt, sc.direct.data());
+      shards[i].BatchQueryInto(ls, sc.local_targets[j], sc.direct.data());
     }
     for (size_t c = 0; c < cnt; ++c) {
       Dist best = home ? sc.direct[c] : kInfDist;
@@ -198,19 +195,11 @@ void ShardedIndex::BatchQueryInto(Vertex source,
   }
 }
 
-void ShardedIndex::ResolveTargetsInto(std::span<const Vertex> targets,
-                                      ResolvedTargets* rt) const {
-  rt->original.assign(targets.begin(), targets.end());
-}
-
-void ShardedIndex::BatchQueryResolved(Vertex source,
-                                      const ResolvedTargets& targets,
-                                      size_t begin, size_t end,
-                                      Dist* out) const {
-  BatchQueryInto(source,
-                 std::span<const Vertex>(targets.original)
-                     .subspan(begin, end - begin),
-                 out + begin);
+bool ShardedIndex::DistanceMatrixInto(std::span<const Vertex> sources,
+                                      std::span<const Vertex> targets,
+                                      const MatrixRows& rows,
+                                      StopPoll stop) const {
+  return RowByRowMatrix(*this, sources, targets, rows, stop);
 }
 
 // -------------------------------------------------------------- routes ---

@@ -108,23 +108,12 @@ class ShardedIndex {
   void BatchQueryInto(Vertex source, std::span<const Vertex> targets,
                       Dist* out) const;
 
-  /// Target-side state shared across sources. Cross-shard joins resolve
-  /// per-shard internally, so this holds just the target list; it exists to
-  /// satisfy the engine's hoisted-matrix shape.
-  struct ShardedResolvedTargets {
-    std::vector<Vertex> original;
-    size_t size() const { return original.size(); }
-  };
-  using ResolvedTargets = ShardedResolvedTargets;
-
-  void ResolveTargetsInto(std::span<const Vertex> targets,
-                          ResolvedTargets* rt) const;
-
-  /// Computes out[i] = d(source, targets.original[i]) for i in [begin, end);
-  /// `out` points at the full row. Disjoint ranges may be filled
-  /// concurrently from different threads.
-  void BatchQueryResolved(Vertex source, const ResolvedTargets& targets,
-                          size_t begin, size_t end, Dist* out) const;
+  /// Many-to-many under the monolithic indexes' contract (returns false iff
+  /// `stop` fired): RowByRowMatrix, one BatchQueryInto per row and ~2k
+  /// targets, since the boundary join resolves per source anyway.
+  bool DistanceMatrixInto(std::span<const Vertex> sources,
+                          std::span<const Vertex> targets,
+                          const MatrixRows& rows, StopPoll stop = {}) const;
 
   /// Reconstructs one shortest path s..t across shards: shard-local hint
   /// walks spliced with boundary-to-boundary expansions. Same contract as

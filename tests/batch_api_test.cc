@@ -164,8 +164,9 @@ TEST(DistanceMatrix, EdgeCasesMatchSequentialAndParallelPaths) {
   for (const uint32_t threads : {1u, 2u, 8u}) {
     QueryEngineOptions options;
     options.num_threads = threads;
+    // Two queries per shard: 2 and 8 threads cut the 8 targets into 2 and 8
+    // slices, every block of which is narrow (answered pair by pair).
     options.min_shard_queries = 2;
-    options.target_tile = 3;  // force several tiles over 8 targets
     const QueryEngine engine(f.index, options);
     EXPECT_EQ(engine.DistanceMatrix(sources, f.targets), matrix)
         << threads << " threads";

@@ -68,7 +68,6 @@ QueryEngineOptions EngineOptions(uint32_t threads) {
   // Small shards so multi-thread runs actually split the modest test
   // workloads instead of collapsing to the inline path.
   options.min_shard_queries = 8;
-  options.target_tile = 64;
   return options;
 }
 
@@ -107,19 +106,33 @@ TEST(QueryEngine, BatchQueryMatchesSequentialAcrossThreadCounts) {
 TEST(QueryEngine, DistanceMatrixMatchesSequentialAcrossThreadCounts) {
   const auto& index = FixtureIndex();
   Rng rng(22);
-  std::vector<Vertex> sources;
-  std::vector<Vertex> targets;
-  for (size_t i = 0; i < 23; ++i) {
-    sources.push_back(static_cast<Vertex>(rng.Below(index.NumVertices())));
-  }
-  for (size_t i = 0; i < 201; ++i) {
-    targets.push_back(static_cast<Vertex>(rng.Below(index.NumVertices())));
-  }
-  const auto expected = index.DistanceMatrix(sources, targets);
-  for (const uint32_t threads : kThreadCounts) {
-    const QueryEngine engine(index, EngineOptions(threads));
-    EXPECT_EQ(engine.DistanceMatrix(sources, targets), expected)
-        << threads << " threads";
+  const auto pick = [&](size_t count) {
+    std::vector<Vertex> out;
+    for (size_t i = 0; i < count; ++i) {
+      out.push_back(static_cast<Vertex>(rng.Below(index.NumVertices())));
+    }
+    return out;
+  };
+  // Wide shapes slice the longer side (targets, then sources) across the
+  // threads; 3-wide ones force the thin paths: row-by-row batches for 3
+  // sources, pair-by-pair blocks for 3 targets.
+  const std::pair<size_t, size_t> shapes[] = {
+      {23, 201}, {201, 23}, {3, 201}, {201, 3}};
+  for (const auto& [rows, cols] : shapes) {
+    const std::vector<Vertex> sources = pick(rows);
+    const std::vector<Vertex> targets = pick(cols);
+    std::vector<std::vector<Dist>> expected(rows, std::vector<Dist>(cols));
+    for (size_t i = 0; i < rows; ++i) {
+      for (size_t j = 0; j < cols; ++j) {
+        expected[i][j] = index.Query(sources[i], targets[j]);
+      }
+    }
+    EXPECT_EQ(index.DistanceMatrix(sources, targets), expected);
+    for (const uint32_t threads : kThreadCounts) {
+      const QueryEngine engine(index, EngineOptions(threads));
+      EXPECT_EQ(engine.DistanceMatrix(sources, targets), expected)
+          << rows << "x" << cols << ", " << threads << " threads";
+    }
   }
 }
 
@@ -202,18 +215,25 @@ TEST(QueryEngine, ConcurrentCallersGetConsistentResults) {
   for (size_t i = 0; i < 128; ++i) {
     targets.push_back(static_cast<Vertex>(rng.Below(index.NumVertices())));
   }
+  const std::vector<Vertex> sources(targets.begin(), targets.begin() + 40);
   const auto expected_points = engine.PointQueries(pairs);
   const auto expected_batch = index.BatchQuery(9, targets);
+  const auto expected_matrix = index.DistanceMatrix(sources, targets);
 
+  // Matrix callers also exercise the per-thread sort and panel scratch on
+  // the pool workers.
   std::atomic<int> mismatches{0};
   std::vector<std::thread> callers;
-  for (int c = 0; c < 4; ++c) {
+  for (int c = 0; c < 6; ++c) {
     callers.emplace_back([&, c]() {
       for (int round = 0; round < 8; ++round) {
-        if (c % 2 == 0) {
+        if (c % 3 == 0) {
           if (engine.PointQueries(pairs) != expected_points) ++mismatches;
-        } else {
+        } else if (c % 3 == 1) {
           if (engine.BatchQuery(9, targets) != expected_batch) ++mismatches;
+        } else if (engine.DistanceMatrix(sources, targets) !=
+                   expected_matrix) {
+          ++mismatches;
         }
       }
     });

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/label_arena.h"
@@ -127,6 +128,96 @@ TEST(MinPlus, NearOverflowSumsDoNotWrapPastSentinel) {
     ASSERT_EQ(got, simd::MinPlusScalar(a.data(), b.data(), len));
     ASSERT_EQ(got, kSentinel);  // every pair here saturates
   }
+}
+
+/// A strip-major MinPlusPanel panel over `columns` (column j true length
+/// columns[j].size()), each padded with the sentinel down to `height`; the
+/// lanes past the last column hold garbage the kernel must never report.
+std::vector<uint32_t> BuildPanel(
+    const std::vector<std::vector<uint32_t>>& columns, size_t height) {
+  constexpr size_t kLanes = simd::kPanelLanes;
+  const size_t strips = (columns.size() + kLanes - 1) / kLanes;
+  std::vector<uint32_t> panel(strips * height * kLanes, 7);
+  for (size_t j = 0; j < columns.size(); ++j) {
+    uint32_t* column =
+        panel.data() + (j / kLanes) * height * kLanes + j % kLanes;
+    for (size_t h = 0; h < height; ++h) {
+      column[h * kLanes] = h < columns[j].size() ? columns[j][h] : kSentinel;
+    }
+  }
+  return panel;
+}
+
+/// Checks MinPlusPanel against MinPlusScalar per column over the true
+/// lengths: out[j] = min over h < min(len_a, len_j), and nothing past
+/// out[width - 1] is written.
+void ExpectPanelMatchesScalar(const std::vector<uint32_t>& a,
+                              const std::vector<std::vector<uint32_t>>& columns,
+                              size_t height, const std::string& what) {
+  const std::vector<uint32_t> panel = BuildPanel(columns, height);
+  const size_t width = columns.size();
+  std::vector<uint32_t> out(width + 1, 12345);
+  simd::MinPlusPanel(a.data(), std::min(a.size(), height), panel.data(),
+                     height, width, out.data());
+  for (size_t j = 0; j < width; ++j) {
+    const size_t len = std::min(a.size(), columns[j].size());
+    ASSERT_EQ(out[j], simd::MinPlusScalar(a.data(), columns[j].data(), len))
+        << what << " column " << j;
+  }
+  EXPECT_EQ(out[width], 12345u) << what;
+}
+
+TEST(MinPlusPanel, MatchesScalarPerColumnOnRandomShapes) {
+  Rng rng(20261017);
+  // Widths around the 8- and 32-lane boundaries, including ones that are a
+  // multiple of neither.
+  for (const size_t width : {1, 3, 7, 8, 9, 31, 32, 33, 40, 63, 64, 65, 100}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      const size_t height = rng.Below(70);
+      std::vector<std::vector<uint32_t>> columns(width);
+      for (auto& column : columns) {
+        column.resize(height == 0 ? 0 : rng.Below(height + 1));
+        for (uint32_t& v : column) v = AdversarialValue(rng);
+      }
+      // Source lengths below, at and past the panel height.
+      std::vector<uint32_t> a(rng.Below(height + 10));
+      for (uint32_t& v : a) v = AdversarialValue(rng);
+      ExpectPanelMatchesScalar(a, columns, height,
+                               "width=" + std::to_string(width) +
+                                   " height=" + std::to_string(height));
+    }
+  }
+}
+
+TEST(MinPlusPanel, SentinelColumnsAndSaturatingSums) {
+  const size_t height = 11;
+  std::vector<std::vector<uint32_t>> columns(37);
+  for (size_t j = 0; j < columns.size(); ++j) {
+    columns[j].assign(height, kSentinel);  // all-sentinel columns
+    if (j % 3 == 1) {
+      // One finite entry whose sum with the source would wrap past 2^32.
+      columns[j][j % height] = kSentinel - 2;
+    } else if (j % 3 == 2) {
+      columns[j][j % height] = static_cast<uint32_t>(j);  // the only winner
+    }
+  }
+  std::vector<uint32_t> a(height);
+  for (size_t h = 0; h < height; ++h) {
+    a[h] = h % 2 == 0 ? (uint32_t{1} << 31) + static_cast<uint32_t>(h)
+                      : static_cast<uint32_t>(10 * h);
+  }
+  ExpectPanelMatchesScalar(a, columns, height, "sentinel-heavy");
+  const std::vector<uint32_t> panel = BuildPanel(columns, height);
+  std::vector<uint32_t> out(columns.size());
+  simd::MinPlusPanel(a.data(), height, panel.data(), height, columns.size(),
+                     out.data());
+  for (size_t j = 0; j < columns.size(); j += 3) {
+    EXPECT_EQ(out[j], kSentinel) << "all-sentinel column " << j;
+  }
+  // len == 0 reduces nothing: every column reads the sentinel.
+  simd::MinPlusPanel(a.data(), 0, panel.data(), height, columns.size(),
+                     out.data());
+  for (const uint32_t v : out) EXPECT_EQ(v, kSentinel);
 }
 
 TEST(PaddedLength, RoundsToVectorMultiple) {
