@@ -34,13 +34,51 @@ struct MatrixResult {
   uint64_t checksum = 0;  // all runs must agree (determinism)
 };
 
-/// Repeats engine.DistanceMatrixInto (one reused flat buffer) until
-/// ~min_seconds of matrix time elapsed; ns per (s, t) pair. The per-round
-/// determinism checksum runs outside the timed calls.
+/// Records a round's matrix checksum: every round must match the first.
+void CheckDeterministic(size_t round, uint64_t sum, MatrixResult* result) {
+  if (round == 0) {
+    result->checksum = sum;
+  } else if (result->checksum != sum) {
+    std::fprintf(stderr, "FATAL: non-deterministic matrix checksum\n");
+    std::exit(1);
+  }
+}
+
+/// Repeats engine.DistanceMatrix until ~min_seconds elapsed; ns per (s, t)
+/// pair.
 MatrixResult TimeMatrix(const ThreadedRouter& engine,
                         const std::vector<Vertex>& sources,
                         const std::vector<Vertex>& targets,
                         double min_seconds) {
+  MatrixResult result;
+  const size_t pairs_per_round = sources.size() * targets.size();
+  size_t rounds = 0;
+  Timer timer;
+  do {
+    const auto matrix = engine.DistanceMatrix(sources, targets);
+    if (!matrix.ok()) {
+      std::fprintf(stderr, "FATAL: %s\n", matrix.status().ToString().c_str());
+      std::exit(1);
+    }
+    uint64_t sum = 0;
+    for (const auto& row : *matrix) {
+      for (const Dist d : row) sum += d == kInfDist ? 1 : d;
+    }
+    CheckDeterministic(rounds, sum, &result);
+    ++rounds;
+  } while (timer.Seconds() < min_seconds);
+  result.ns_per_pair =
+      timer.Seconds() * 1e9 / static_cast<double>(rounds * pairs_per_round);
+  return result;
+}
+
+/// TimeMatrix for the large matrix, timing only engine.DistanceMatrixInto
+/// into one reused flat buffer: the checksum and a 1M-cell allocation per
+/// round would otherwise hide the engine's scaling.
+MatrixResult TimeMatrixInto(const ThreadedRouter& engine,
+                            const std::vector<Vertex>& sources,
+                            const std::vector<Vertex>& targets,
+                            double min_seconds) {
   MatrixResult result;
   const size_t pairs_per_round = sources.size() * targets.size();
   std::vector<Dist> matrix(pairs_per_round);
@@ -56,12 +94,7 @@ MatrixResult TimeMatrix(const ThreadedRouter& engine,
     }
     uint64_t sum = 0;
     for (const Dist d : matrix) sum += d == kInfDist ? 1 : d;
-    if (rounds == 0) {
-      result.checksum = sum;
-    } else if (result.checksum != sum) {
-      std::fprintf(stderr, "FATAL: non-deterministic matrix checksum\n");
-      std::exit(1);
-    }
+    CheckDeterministic(rounds, sum, &result);
     ++rounds;
   } while (seconds < min_seconds);
   result.ns_per_pair =
@@ -220,7 +253,8 @@ int Run() {
               speedup, std::thread::hardware_concurrency());
 
   // The large matrix: sliced per thread, so the curve shows the engine's
-  // scaling once the per-slice sort and panel set-up are amortized.
+  // scaling once the per-slice resolve, split and panel set-up are
+  // amortized.
   std::vector<Vertex> big_sources;
   std::vector<Vertex> big_targets;
   for (const auto& [s, t] : UniformRandomPairs(g.NumVertices(), 1000, 10)) {
@@ -235,7 +269,7 @@ int Run() {
     const Result<ThreadedRouter> engine = router->WithThreads(threads);
     if (!engine.ok()) return 1;
     const MatrixResult m =
-        TimeMatrix(*engine, big_sources, big_targets, min_seconds);
+        TimeMatrixInto(*engine, big_sources, big_targets, min_seconds);
     if (threads == 1) big_1t = m.ns_per_pair;
     std::printf("%8u %18.2f %9.2fx\n", threads, m.ns_per_pair,
                 big_1t / m.ns_per_pair);

@@ -200,9 +200,9 @@ class Router {
                                        std::span<const Vertex> targets) const;
 
   /// Many-to-many: result[i][j] = d(sources[i], targets[j]), answered as
-  /// hierarchy-blocked panels (both sides sorted by tree code, one min-plus
-  /// panel per LCA block). A thin allocating wrapper over the same path as
-  /// DistanceMatrixInto.
+  /// hierarchy-blocked panels (both sides split down the hierarchy, one
+  /// min-plus panel per LCA block). A thin allocating wrapper over the same
+  /// path as DistanceMatrixInto.
   Result<std::vector<std::vector<Dist>>> DistanceMatrix(
       std::span<const Vertex> sources, std::span<const Vertex> targets) const;
 

@@ -553,36 +553,13 @@ void DirectedHc2lIndex::BatchQueryInto(Vertex source,
                                        std::span<const Vertex> targets,
                                        Dist* out) const {
   if (targets.empty()) return;
-  // The undirected fused loop with per-direction detours: a one-way pendant
-  // cut off from the core makes its cells kInfDist before the sweep, which
-  // min-reduces the source's out-arrays against the targets' in-arrays.
-  const ResolvedVertex s = Resolve(source, /*as_source=*/true);
-  QueryScratch& scratch = TlsQueryScratch();
-  scratch.pending.clear();
-  scratch.level_of.clear();
-  for (size_t i = 0; i < targets.size(); ++i) {
-    const Vertex t = targets[i];
-    if (t == source) {
-      out[i] = 0;
-      continue;
-    }
-    const ResolvedVertex r = Resolve(t, /*as_source=*/false);
-    // Without contraction a root is the vertex itself, so only two vertices
-    // of one pendant tree share a root here.
-    if (r.core == s.core) {
-      out[i] = contraction_->SameTreeDistance(source, t);
-      continue;
-    }
-    const Dist offset = AddDist(s.detour, r.detour);
-    if (offset == kInfDist) {
-      out[i] = kInfDist;
-      continue;
-    }
-    scratch.pending.push_back({static_cast<uint32_t>(i), r.core, offset});
-    scratch.level_of.push_back(TreeCodeLcaLevel(s.code, r.code));
-  }
-  SweepPendingByLevel(out_labels_, in_labels_, out_labels_.base[s.core],
-                      height_, &scratch, out);
+  // The source's out-arrays min-reduce against the targets' in-arrays.
+  ResolvedBatchQuery(
+      out_labels_, in_labels_, height_, source,
+      Resolve(source, /*as_source=*/true), targets,
+      [&](Vertex t) { return Resolve(t, /*as_source=*/false); },
+      [&](Vertex s, Vertex t) { return contraction_->SameTreeDistance(s, t); },
+      out);
 }
 
 std::vector<std::vector<Dist>> DirectedHc2lIndex::DistanceMatrix(
@@ -602,7 +579,7 @@ bool DirectedHc2lIndex::DistanceMatrixInto(std::span<const Vertex> sources,
   // Sources climb to their root and read out-labels; targets descend from
   // theirs and read in-labels.
   return BlockedDistanceMatrix(
-      *this, sources, targets, out_labels_, in_labels_,
+      sources, targets, out_labels_, in_labels_,
       [&](Vertex v) { return Resolve(v, /*as_source=*/true); },
       [&](Vertex v) { return Resolve(v, /*as_source=*/false); },
       [&](Vertex s, Vertex t) { return contraction_->SameTreeDistance(s, t); },

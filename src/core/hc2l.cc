@@ -1056,46 +1056,13 @@ std::vector<Dist> Hc2lIndex::BatchQuery(Vertex source,
 void Hc2lIndex::BatchQueryInto(Vertex source, std::span<const Vertex> targets,
                                Dist* out) const {
   if (targets.empty()) return;
-  HC2L_CHECK_LT(source, stats_.num_vertices);
-
-  // Resolution fused into the collection pass.
-  Vertex root_s = source;
-  Dist source_offset = 0;
-  if (contraction_ != nullptr) {
-    root_s = contraction_->RootCoreId(source);
-    source_offset = contraction_->DistToRoot(source);
-  }
-  const TreeCode s_code = hierarchy_.CodeOf(root_s);
-  const uint32_t s_base = labels_.base[root_s];
-
-  QueryScratch& scratch = TlsQueryScratch();
-  scratch.pending.clear();
-  scratch.level_of.clear();
-  for (size_t i = 0; i < targets.size(); ++i) {
-    const Vertex t = targets[i];
-    HC2L_CHECK_LT(t, stats_.num_vertices);
-    if (t == source) {
-      out[i] = 0;
-      continue;
-    }
-    Vertex root_t = t;
-    Dist offset = source_offset;
-    if (contraction_ != nullptr) {
-      root_t = contraction_->RootCoreId(t);
-      if (root_t == root_s) {
-        out[i] = contraction_->SameTreeDistance(source, t);
-        continue;
-      }
-      offset += contraction_->DistToRoot(t);
-    }
-    scratch.pending.push_back({static_cast<uint32_t>(i), root_t, offset});
-    scratch.level_of.push_back(
-        TreeCodeLcaLevel(s_code, hierarchy_.CodeOf(root_t)));
-  }
   // stats_.tree_height, not hierarchy_.Height() — that one rescans every
   // tree node, which would dwarf small batches.
-  SweepPendingByLevel(labels_, labels_, s_base, stats_.tree_height, &scratch,
-                      out);
+  ResolvedBatchQuery(
+      labels_, labels_, stats_.tree_height, source, Resolve(source), targets,
+      [&](Vertex t) { return Resolve(t); },
+      [&](Vertex s, Vertex t) { return contraction_->SameTreeDistance(s, t); },
+      out);
 }
 
 std::vector<std::vector<Dist>> Hc2lIndex::DistanceMatrix(
@@ -1115,7 +1082,7 @@ bool Hc2lIndex::DistanceMatrixInto(std::span<const Vertex> sources,
   // Undirected: both sides resolve alike and read the one label store.
   const auto resolve = [&](Vertex v) { return Resolve(v); };
   return BlockedDistanceMatrix(
-      *this, sources, targets, labels_, labels_, resolve, resolve,
+      sources, targets, labels_, labels_, resolve, resolve,
       [&](Vertex s, Vertex t) { return contraction_->SameTreeDistance(s, t); },
       rows, stop);
 }

@@ -126,9 +126,10 @@ class Hc2lIndex {
 
   /// The many-to-many primitive under every matrix path: writes
   /// rows.Row(i)[j] = d(sources[i], targets[j]) for every cell. Both sides
-  /// are sorted by tree code, so the matrix splits into dense blocks that
-  /// each share one LCA level and are min-reduced against a transposed
-  /// target panel (BlockedDistanceMatrix, src/core/query_common.h). Polls
+  /// are split down the hierarchy by tree code, so the matrix falls into
+  /// dense blocks that each share one LCA level and are min-reduced against
+  /// a transposed target panel (BlockedDistanceMatrix,
+  /// src/core/query_common.h); a lone source is swept by level. Polls
   /// `stop` every ~2k cells and returns false as soon as it fires (rows
   /// then unspecified). Working memory is the calling thread's
   /// QueryScratch, so steady-state calls do not allocate.

@@ -8,10 +8,10 @@ namespace {
 
 constexpr uint32_t kUnreachableLabel = UINT32_MAX;
 
-/// Blocks with fewer sources than kMatrixMinBlockedSources or fewer targets
-/// than this reduce pair by pair: a panel only pays for its transposition
-/// when several sources reuse it, and a handful of columns leaves most of a
-/// 32-lane strip idle.
+/// Blocks with fewer sources or targets than these reduce pair by pair: a
+/// panel only pays for its transposition when several sources reuse it, and
+/// a handful of columns leaves most of a 32-lane strip idle.
+constexpr size_t kPanelMinSources = 4;
 constexpr size_t kPanelMinTargets = 8;
 
 /// Panel size caps: at most 2048 columns and 64k entries (256 KB, inside a
@@ -41,6 +41,30 @@ uint32_t MaxLen(const LabelStore& labels, std::span<const ResolvedVertex> t,
   return len;
 }
 
+/// One side of a subtree split at its root node of depth `level`.
+struct SideSplit {
+  std::span<ResolvedVertex> here;  // at the node itself
+  std::span<ResolvedVertex> zero;  // in its 0-subtree
+  std::span<ResolvedVertex> one;   // in its 1-subtree
+};
+
+/// Reorders `side` (vertices of one subtree) in place into here / 0 / 1:
+/// only the node itself has the subtree's smallest depth, and below it the
+/// path bit at `level` picks the child.
+SideSplit Split(std::span<ResolvedVertex> side, uint32_t level) {
+  const auto here_end =
+      std::partition(side.begin(), side.end(), [&](const ResolvedVertex& e) {
+        return TreeCodeDepth(e.code) == level;
+      });
+  const auto zero_end =
+      std::partition(here_end, side.end(), [&](const ResolvedVertex& e) {
+        return ((e.code >> (63 - level)) & 1) == 0;
+      });
+  return {{side.begin(), here_end},
+          {here_end, zero_end},
+          {zero_end, side.end()}};
+}
+
 /// A label min-plus result plus both detours, with the batch path's
 /// unreachable rules.
 Dist Cell(Dist source_detour, Dist target_detour, uint32_t best) {
@@ -52,59 +76,106 @@ Dist Cell(Dist source_detour, Dist target_detour, uint32_t best) {
 class BlockedMatrix {
  public:
   BlockedMatrix(const LabelStore& source_labels,
-                const LabelStore& target_labels, const MatrixRows& rows,
+                const LabelStore& target_labels,
+                std::span<ResolvedVertex> sources,
+                std::span<ResolvedVertex> targets, const MatrixRows& rows,
                 MatrixPoller* poller, QueryScratch* scratch)
       : source_labels_(source_labels),
         target_labels_(target_labels),
+        sources_(sources),
+        targets_(targets),
         rows_(rows),
         poller_(poller),
         scratch_(scratch) {}
 
-  /// Answers every pair of s x t whose LCA lies in the subtree of the
-  /// hierarchy node `code`; both spans hold only vertices of that subtree,
-  /// sorted.
-  bool Node(TreeCode code, std::span<const ResolvedVertex> s,
-            std::span<const ResolvedVertex> t) {
-    if (s.empty() || t.empty()) return true;
-    const uint32_t level = TreeCodeDepth(code);
-    const TreeCode zero = TreeCodeChild(code, 0);
-    const TreeCode one = TreeCodeChild(code, 1);
-    // Sorted by code, a subtree lists the node's own vertices (code equal to
-    // the node's), then the 0-subtree, then the 1-subtree (codes >= `one`).
-    const auto split = [&](std::span<const ResolvedVertex> side, size_t* here,
-                           size_t* ones) {
-      *here = static_cast<size_t>(
-          std::partition_point(side.begin(), side.end(),
-                               [&](const ResolvedVertex& e) {
-                                 return e.code <= code;
-                               }) -
-          side.begin());
-      *ones = static_cast<size_t>(
-          std::partition_point(side.begin() + *here, side.end(),
-                               [&](const ResolvedVertex& e) {
-                                 return e.code < one;
-                               }) -
-          side.begin());
-    };
-    size_t s_here, s_one, t_here, t_one;
-    split(s, &s_here, &s_one);
-    split(t, &t_here, &t_one);
-    const auto s0 = s.subspan(s_here, s_one - s_here);
-    const auto s1 = s.subspan(s_one);
-    const auto t_at = t.first(t_here);
-    const auto t0 = t.subspan(t_here, t_one - t_here);
-    const auto t1 = t.subspan(t_one);
-    return Block(level, s.first(s_here), t) && Block(level, s0, t_at) &&
-           Block(level, s0, t1) && Block(level, s1, t.first(t_one)) &&
-           Node(zero, s0, t0) && Node(one, s1, t1);
+  bool Run() {
+    scratch_->matrix_groups.clear();
+    return Node(kRootCode, sources_, targets_);
   }
 
  private:
+  /// Answers every pair of s x t whose LCA lies in the subtree of the
+  /// hierarchy node `code`; both spans hold only vertices of that subtree,
+  /// in any order, and are reordered in place.
+  bool Node(TreeCode code, std::span<ResolvedVertex> s,
+            std::span<ResolvedVertex> t) {
+    if (s.empty() || t.empty()) return true;
+    if (s.size() == 1) return Row(s[0], t);
+    const uint32_t level = TreeCodeDepth(code);
+    const SideSplit ss = Split(s, level);
+    const SideSplit ts = Split(t, level);
+    if (!Block(level, ss.here, t) || !Block(level, ss.zero, ts.here) ||
+        !Block(level, ss.zero, ts.one) ||
+        !Block(level, ss.one, t.first(t.size() - ts.one.size()))) {
+      return false;
+    }
+    RecordGroup(ss.here, ts.here);
+    return Node(TreeCodeChild(code, 0), ss.zero, ts.zero) &&
+           Node(TreeCodeChild(code, 1), ss.one, ts.one);
+  }
+
+  /// The recursion's base case, one source left: each target's LCA level
+  /// with it comes straight from the two codes, so the targets are swept
+  /// level by level as one batch (SweepPendingByLevel) instead of being
+  /// split further. Chunks of kMatrixPollCells targets between polls.
+  bool Row(const ResolvedVertex& src, std::span<ResolvedVertex> t) {
+    Dist* row = rows_.Row(src.pos);
+    const uint32_t s_base = source_labels_.base[src.core];
+    std::vector<PendingTarget>& pending = scratch_->pending;
+    std::vector<uint32_t>& level_of = scratch_->level_of;
+    if (pending.size() < std::min(t.size(), kMatrixPollCells)) {
+      pending.resize(std::min(t.size(), kMatrixPollCells));
+      level_of.resize(pending.size());
+    }
+    size_t at_node = 0;  // targets at the source's own node
+    for (size_t c0 = 0; c0 < t.size(); c0 += kMatrixPollCells) {
+      const size_t c1 = std::min(t.size(), c0 + kMatrixPollCells);
+      if (!poller_->Tick(c1 - c0)) return false;
+      size_t count = 0;
+      uint32_t height = 0;
+      for (size_t c = c0; c < c1; ++c) {
+        at_node += t[c].code == src.code;
+        const Dist offset = AddDist(src.detour, t[c].detour);
+        if (offset == kInfDist) {
+          row[t[c].pos] = kInfDist;
+          continue;
+        }
+        const uint32_t level = TreeCodeLcaLevel(src.code, t[c].code);
+        height = std::max(height, level);
+        pending[count] = {t[c].pos, t[c].core, offset};
+        level_of[count++] = level;
+      }
+      SweepPendingByLevel(source_labels_, target_labels_, s_base, height,
+                          count, scratch_, row);
+    }
+    if (at_node > 0) {
+      const auto here_end =
+          std::partition(t.begin(), t.end(), [&](const ResolvedVertex& e) {
+            return e.code == src.code;
+          });
+      RecordGroup({&src, 1}, {t.begin(), here_end});
+    }
+    return true;
+  }
+
+  /// Records a node's own vertices of both sides for the same-root fix-up:
+  /// two vertices with one contraction root sit at one node. Deeper splits
+  /// reorder only the 0 / 1 groups, so the ranges stay valid.
+  void RecordGroup(std::span<const ResolvedVertex> s_here,
+                   std::span<const ResolvedVertex> t_here) {
+    if (s_here.empty() || t_here.empty()) return;
+    scratch_->matrix_groups.push_back(
+        {static_cast<uint32_t>(s_here.data() - sources_.data()),
+         static_cast<uint32_t>(s_here.size()),
+         static_cast<uint32_t>(t_here.data() - targets_.data()),
+         static_cast<uint32_t>(t_here.size())});
+  }
+
   /// Answers s x t, every pair of which has its LCA at `level`.
   bool Block(uint32_t level, std::span<const ResolvedVertex> s,
              std::span<const ResolvedVertex> t) {
     if (s.empty() || t.empty()) return true;
-    if (s.size() < kMatrixMinBlockedSources || t.size() < kPanelMinTargets) {
+    if (s.size() < kPanelMinSources || t.size() < kPanelMinTargets) {
       return PairBlock(level, s, t);
     }
     const uint32_t height = MaxLen(target_labels_, t, level);
@@ -196,6 +267,8 @@ class BlockedMatrix {
 
   const LabelStore& source_labels_;
   const LabelStore& target_labels_;
+  std::span<ResolvedVertex> sources_;
+  std::span<ResolvedVertex> targets_;
   const MatrixRows& rows_;
   MatrixPoller* poller_;
   QueryScratch* scratch_;
@@ -205,12 +278,13 @@ class BlockedMatrix {
 
 bool BlockedMinPlus(const LabelStore& source_labels,
                     const LabelStore& target_labels,
-                    std::span<const ResolvedVertex> sources,
-                    std::span<const ResolvedVertex> targets,
+                    std::span<ResolvedVertex> sources,
+                    std::span<ResolvedVertex> targets,
                     const MatrixRows& rows, MatrixPoller* poller,
                     QueryScratch* scratch) {
-  return BlockedMatrix(source_labels, target_labels, rows, poller, scratch)
-      .Node(kRootCode, sources, targets);
+  return BlockedMatrix(source_labels, target_labels, sources, targets, rows,
+                       poller, scratch)
+      .Run();
 }
 
 }  // namespace hc2l

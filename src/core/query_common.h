@@ -140,12 +140,15 @@ struct ResolvedVertex {
   Dist detour;
 };
 
-/// The (code, core) order of a resolved side: every hierarchy node's
-/// vertices come first, then its 0-subtree, then its 1-subtree — the order
-/// the blocked recursion splits on. Equal keys share a contraction root.
-inline bool MatrixKeyLess(const ResolvedVertex& a, const ResolvedVertex& b) {
-  return a.code != b.code ? a.code < b.code : a.core < b.core;
-}
+/// A hierarchy node's own vertices on both matrix sides, as offsets into
+/// the resolved sides: the only place two vertices can share a contraction
+/// root.
+struct MatrixGroup {
+  uint32_t s_begin;
+  uint32_t s_size;
+  uint32_t t_begin;
+  uint32_t t_size;
+};
 
 /// Work counter in front of a StopPoll: Tick(cells) polls on the first call
 /// and then whenever the cells answered since the last poll would pass
@@ -174,8 +177,8 @@ class MatrixPoller {
 /// batch and matrix queries, so every intermediate the old code allocated
 /// per call — the pending list, its LCA levels, the counting-sort buffers —
 /// lives here instead and keeps its capacity across calls. One instance per
-/// thread (TlsQueryScratch) is enough: an entry point that calls another
-/// (a thin matrix runs per-row batches) hands over before using any field.
+/// thread (TlsQueryScratch) is enough: no entry point calls another while
+/// it holds any field.
 struct QueryScratch {
   std::vector<PendingTarget> pending;
   std::vector<uint32_t> level_of;
@@ -185,10 +188,12 @@ struct QueryScratch {
   std::vector<uint32_t> cursor;
   // SelectKNearestInto's candidate ranking.
   std::vector<uint32_t> knn_idx;
-  // BlockedDistanceMatrix: both resolved sides, one block's column panel
-  // and its per-column metadata and kernel output.
+  // BlockedDistanceMatrix: both resolved sides, the here-groups of their
+  // nodes, one block's column panel and its per-column metadata and kernel
+  // output.
   std::vector<ResolvedVertex> matrix_sources;
   std::vector<ResolvedVertex> matrix_targets;
+  std::vector<MatrixGroup> matrix_groups;
   std::vector<uint32_t> panel;
   std::vector<uint32_t> panel_out;
   std::vector<uint32_t> panel_pos;
@@ -202,50 +207,53 @@ inline QueryScratch& TlsQueryScratch() {
   return scratch;
 }
 
-/// The label part of the blocked matrix over two sorted sides: recurses
-/// down the hierarchy from the root, and at each node answers the four
+/// The label part of the blocked matrix: recurses down the hierarchy from
+/// the root, splitting both resolved sides in place into each node's own
+/// vertices and its 0- and 1-subtrees, and at each node answers the four
 /// rectangles whose pairs have their LCA there — S_here x T, S_0 x T_here,
-/// S_0 x T_1, S_1 x [T_here, T_0] — from that level's arrays alone
-/// (source arrays from `source_labels`, target arrays from `target_labels`).
-/// Blocks of at least 4 sources x 8 targets transpose the target arrays into
-/// a column panel for simd::MinPlusPanel; narrower ones reduce pair by pair
-/// with simd::MinPlusPadded. Writes every cell of the matrix as
-/// min-plus + both detours (kInfDist when unreachable); same-root pairs
-/// are left for BlockedDistanceMatrix's fix-up. False iff `poller` fired.
+/// S_0 x T_1, S_1 x [T_here, T_0] — from that level's arrays alone (source
+/// arrays from `source_labels`, target arrays from `target_labels`). Blocks
+/// of at least 4 sources x 8 targets transpose the target arrays into a
+/// column panel for simd::MinPlusPanel; narrower ones reduce pair by pair
+/// with simd::MinPlusPadded. A subproblem with one source left is swept
+/// by level like a batch (SweepPendingByLevel). Writes every cell of the
+/// matrix as min-plus + both detours (kInfDist when unreachable) and
+/// records in scratch->matrix_groups every node with vertices of both
+/// sides, for BlockedDistanceMatrix's same-root fix-up. False iff `poller`
+/// fired.
 bool BlockedMinPlus(const LabelStore& source_labels,
                     const LabelStore& target_labels,
-                    std::span<const ResolvedVertex> sources,
-                    std::span<const ResolvedVertex> targets,
+                    std::span<ResolvedVertex> sources,
+                    std::span<ResolvedVertex> targets,
                     const MatrixRows& rows, MatrixPoller* poller,
                     QueryScratch* scratch);
 
-/// The level sweep of the batch fast path, shared by the undirected index
-/// (both label stores are the same object) and the directed one (source
-/// side reads out-labels, target side in-labels): counting-sorts
-/// `scratch->pending` by
-/// LCA level (scratch->level_of, parallel to pending, values <= height) and
-/// sweeps each level bucket against the source's level array at
-/// source_labels.base + ... = s_idx, prefetching the next target's array
-/// while reducing the current one. Writes out[pending[p].out_index] for
-/// every pending entry. The counting-sort buffers reuse `scratch` capacity,
-/// so steady-state calls do not allocate.
+/// The level sweep of the batch fast path and of the blocked matrix's
+/// one-source subproblems: counting-sorts the first `count` entries of
+/// `scratch->pending` by LCA level (scratch->level_of, parallel to pending,
+/// values <= height) and sweeps each level bucket against the source's
+/// level array at source_labels index s_base + level (the directed index's
+/// out-labels; the undirected one passes one store twice), prefetching the
+/// next target's array while reducing the current one. Writes
+/// out[pending[p].out_index] for every p < count. The counting-sort buffers
+/// reuse `scratch` capacity, so steady-state calls do not allocate.
 inline void SweepPendingByLevel(const LabelStore& source_labels,
                                 const LabelStore& target_labels,
-                                uint32_t s_base, uint32_t height,
+                                uint32_t s_base, uint32_t height, size_t count,
                                 QueryScratch* scratch, Dist* out) {
   constexpr uint32_t kUnreachableLabel = UINT32_MAX;
   const std::vector<PendingTarget>& pending = scratch->pending;
   const std::vector<uint32_t>& level_of = scratch->level_of;
   std::vector<uint32_t>& bucket_pos = scratch->bucket_pos;
   bucket_pos.assign(height + 2, 0);
-  for (const uint32_t level : level_of) ++bucket_pos[level + 1];
+  for (size_t p = 0; p < count; ++p) ++bucket_pos[level_of[p] + 1];
   for (uint32_t l = 0; l <= height; ++l) bucket_pos[l + 1] += bucket_pos[l];
   std::vector<uint32_t>& order = scratch->order;
-  order.resize(pending.size());
+  order.resize(count);
   {
     std::vector<uint32_t>& cursor = scratch->cursor;
     cursor.assign(bucket_pos.begin(), bucket_pos.end() - 1);
-    for (size_t p = 0; p < pending.size(); ++p) {
+    for (size_t p = 0; p < count; ++p) {
       order[cursor[level_of[p]]++] = static_cast<uint32_t>(p);
     }
   }
@@ -279,44 +287,63 @@ inline void SweepPendingByLevel(const LabelStore& source_labels,
   }
 }
 
-/// Fewer sources than this never fill a panel (see BlockedMinPlus), and the
-/// (code, core) sort of a long target side costs more than a few per-row
-/// batch sweeps, so such matrices run row by row.
-inline constexpr size_t kMatrixMinBlockedSources = 4;
-
-/// Matrix as one Index::BatchQueryInto per row and ~2k-target chunk,
-/// polling `stop` before each chunk; false iff it fired. The thin-matrix
-/// path of BlockedDistanceMatrix and the whole matrix path of ShardedIndex.
-template <typename Index>
-bool RowByRowMatrix(const Index& index, std::span<const Vertex> sources,
-                    std::span<const Vertex> targets, const MatrixRows& rows,
-                    StopPoll stop) {
-  for (size_t i = 0; i < sources.size(); ++i) {
-    for (size_t c0 = 0; c0 < targets.size(); c0 += kMatrixPollCells) {
-      if (stop()) return false;
-      const size_t c1 = std::min(targets.size(), c0 + kMatrixPollCells);
-      index.BatchQueryInto(sources[i], targets.subspan(c0, c1 - c0),
-                           rows.Row(i) + c0);
-    }
+/// The batch fast path shared by both flavours: out[i] = d(source,
+/// targets[i]), where `s` is the source resolved as a source and
+/// `resolve_target` resolves a target (ResolvedVertex code, core, detour).
+/// s == t cells get 0 and same-root ones `same_tree(source, t)`; a kInfDist
+/// detour sum (a one-way pendant cut off from the core) answers kInfDist;
+/// every other target is queued with its LCA level for SweepPendingByLevel.
+template <typename ResolveTargetFn, typename SameTreeFn>
+void ResolvedBatchQuery(const LabelStore& source_labels,
+                        const LabelStore& target_labels, uint32_t height,
+                        Vertex source, ResolvedVertex s,
+                        std::span<const Vertex> targets,
+                        const ResolveTargetFn& resolve_target,
+                        const SameTreeFn& same_tree, Dist* out) {
+  QueryScratch& scratch = TlsQueryScratch();
+  // Grow-only and written by index: no capacity check per target.
+  if (scratch.pending.size() < targets.size()) {
+    scratch.pending.resize(targets.size());
+    scratch.level_of.resize(targets.size());
   }
-  return true;
+  size_t count = 0;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    const Vertex t = targets[i];
+    if (t == source) {
+      out[i] = 0;
+      continue;
+    }
+    const ResolvedVertex r = resolve_target(t);
+    // Without contraction a root is the vertex itself, so only two vertices
+    // of one pendant tree share a root here.
+    if (r.core == s.core) {
+      out[i] = same_tree(source, t);
+      continue;
+    }
+    const Dist offset = AddDist(s.detour, r.detour);
+    if (offset == kInfDist) {
+      out[i] = kInfDist;
+      continue;
+    }
+    scratch.pending[count] = {static_cast<uint32_t>(i), r.core, offset};
+    scratch.level_of[count++] = TreeCodeLcaLevel(s.code, r.code);
+  }
+  SweepPendingByLevel(source_labels, target_labels, source_labels.base[s.core],
+                      height, count, &scratch, out);
 }
 
 /// The many-to-many primitive shared by both index flavours:
-/// rows.Row(i)[j] = d(sources[i], targets[j]) for every cell. With fewer
-/// than kMatrixMinBlockedSources sources it is RowByRowMatrix. Otherwise
-/// both sides are resolved (`resolve_source` / `resolve_target` map a
-/// vertex to its ResolvedVertex code, core and detour) and sorted by
-/// (code, core);
-/// BlockedMinPlus answers every pair from its LCA level; then the same-root
-/// pairs — found by merging the two sorted sides — are overwritten with 0
-/// (s == t) or `same_tree(s, t)`, the exact in-tree distance. Working memory
-/// is the calling thread's QueryScratch, so steady-state calls do not
-/// allocate. Returns false iff `stop` fired (row contents then unspecified).
-template <typename Index, typename ResolveSourceFn, typename ResolveTargetFn,
+/// rows.Row(i)[j] = d(sources[i], targets[j]) for every cell. Both sides
+/// are resolved (`resolve_source` / `resolve_target` map a vertex to its
+/// ResolvedVertex code, core and detour); BlockedMinPlus answers every pair
+/// from its LCA level; then the same-root pairs — all inside the recorded
+/// here-groups — are overwritten with 0 (s == t) or `same_tree(s, t)`, the
+/// exact in-tree distance. Working memory is the calling thread's
+/// QueryScratch, so steady-state calls do not allocate. Returns false iff
+/// `stop` fired (row contents then unspecified).
+template <typename ResolveSourceFn, typename ResolveTargetFn,
           typename SameTreeFn>
-bool BlockedDistanceMatrix(const Index& index,
-                           std::span<const Vertex> sources,
+bool BlockedDistanceMatrix(std::span<const Vertex> sources,
                            std::span<const Vertex> targets,
                            const LabelStore& source_labels,
                            const LabelStore& target_labels,
@@ -325,9 +352,6 @@ bool BlockedDistanceMatrix(const Index& index,
                            const SameTreeFn& same_tree,
                            const MatrixRows& rows, StopPoll stop) {
   if (sources.empty() || targets.empty()) return true;
-  if (sources.size() < kMatrixMinBlockedSources) {
-    return RowByRowMatrix(index, sources, targets, rows, stop);
-  }
   QueryScratch& scratch = TlsQueryScratch();
   const auto resolve = [](std::span<const Vertex> vertices, const auto& fn,
                           std::vector<ResolvedVertex>* side) {
@@ -336,41 +360,29 @@ bool BlockedDistanceMatrix(const Index& index,
       (*side)[i] = fn(vertices[i]);
       (*side)[i].pos = static_cast<uint32_t>(i);
     }
-    std::sort(side->begin(), side->end(), MatrixKeyLess);
   };
   resolve(sources, resolve_source, &scratch.matrix_sources);
   resolve(targets, resolve_target, &scratch.matrix_targets);
-  const std::vector<ResolvedVertex>& s_side = scratch.matrix_sources;
-  const std::vector<ResolvedVertex>& t_side = scratch.matrix_targets;
   MatrixPoller poller(stop);
-  if (!BlockedMinPlus(source_labels, target_labels, s_side, t_side, rows,
-                      &poller, &scratch)) {
+  if (!BlockedMinPlus(source_labels, target_labels, scratch.matrix_sources,
+                      scratch.matrix_targets, rows, &poller, &scratch)) {
     return false;
   }
 
-  // Same-root fix-up: merge the sorted sides on (code, core).
-  size_t j = 0;
-  for (size_t i = 0; i < s_side.size();) {
-    size_t i_end = i + 1;
-    while (i_end < s_side.size() && !MatrixKeyLess(s_side[i], s_side[i_end])) {
-      ++i_end;
-    }
-    while (j < t_side.size() && MatrixKeyLess(t_side[j], s_side[i])) ++j;
-    size_t j_end = j;
-    while (j_end < t_side.size() &&
-           !MatrixKeyLess(s_side[i], t_side[j_end])) {
-      ++j_end;
-    }
-    for (size_t a = i; a < i_end && j < j_end; ++a) {
-      if (!poller.Tick(j_end - j)) return false;
-      const Vertex s = sources[s_side[a].pos];
-      Dist* row = rows.Row(s_side[a].pos);
-      for (size_t b = j; b < j_end; ++b) {
-        const Vertex t = targets[t_side[b].pos];
-        row[t_side[b].pos] = s == t ? 0 : same_tree(s, t);
+  for (const MatrixGroup& g : scratch.matrix_groups) {
+    const std::span<const ResolvedVertex> t_here(
+        scratch.matrix_targets.data() + g.t_begin, g.t_size);
+    for (uint32_t a = g.s_begin; a < g.s_begin + g.s_size; ++a) {
+      if (!poller.Tick(g.t_size)) return false;
+      const ResolvedVertex& src = scratch.matrix_sources[a];
+      const Vertex s = sources[src.pos];
+      Dist* row = rows.Row(src.pos);
+      for (const ResolvedVertex& dst : t_here) {
+        if (dst.core != src.core) continue;
+        const Vertex t = targets[dst.pos];
+        row[dst.pos] = s == t ? 0 : same_tree(s, t);
       }
     }
-    i = i_end;
   }
   return true;
 }

@@ -15,9 +15,9 @@
 ///
 /// DistanceMatrix splits the longer side into at most NumThreads()
 /// contiguous slices; each worker runs the index's blocked many-to-many
-/// primitive (`Index::DistanceMatrixInto`: both sides sorted by tree code,
-/// one min-plus panel kernel per LCA block) on its slice against the whole
-/// other side, writing a disjoint sub-matrix.
+/// primitive (`Index::DistanceMatrixInto`: both sides split down the
+/// hierarchy, one min-plus panel kernel per LCA block) on its slice against
+/// the whole other side, writing a disjoint sub-matrix.
 ///
 /// Thread-safety: all query methods are const and may be called concurrently
 /// from multiple caller threads; the internal pool serializes its own

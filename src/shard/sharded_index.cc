@@ -199,7 +199,15 @@ bool ShardedIndex::DistanceMatrixInto(std::span<const Vertex> sources,
                                       std::span<const Vertex> targets,
                                       const MatrixRows& rows,
                                       StopPoll stop) const {
-  return RowByRowMatrix(*this, sources, targets, rows, stop);
+  for (size_t i = 0; i < sources.size(); ++i) {
+    for (size_t c0 = 0; c0 < targets.size(); c0 += kMatrixPollCells) {
+      if (stop()) return false;
+      const size_t c1 = std::min(targets.size(), c0 + kMatrixPollCells);
+      BatchQueryInto(sources[i], targets.subspan(c0, c1 - c0),
+                     rows.Row(i) + c0);
+    }
+  }
+  return true;
 }
 
 // -------------------------------------------------------------- routes ---

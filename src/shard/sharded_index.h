@@ -109,8 +109,9 @@ class ShardedIndex {
                       Dist* out) const;
 
   /// Many-to-many under the monolithic indexes' contract (returns false iff
-  /// `stop` fired): RowByRowMatrix, one BatchQueryInto per row and ~2k
-  /// targets, since the boundary join resolves per source anyway.
+  /// `stop` fired): one BatchQueryInto per row and kMatrixPollCells
+  /// targets, polling `stop` before each, since the boundary join resolves
+  /// per source anyway.
   bool DistanceMatrixInto(std::span<const Vertex> sources,
                           std::span<const Vertex> targets,
                           const MatrixRows& rows, StopPoll stop = {}) const;

@@ -127,8 +127,9 @@ std::vector<Vertex> Pick(size_t n, size_t count, uint64_t seed,
   return out;
 }
 
-/// The shapes every flavour runs: thin (row-by-row and all-narrow-block
-/// paths), square and wide (panels, including more than 2048 columns).
+/// The shapes every flavour runs: thin (one-source level sweeps and
+/// all-narrow blocks), square and wide (panels, including more than 2048
+/// columns).
 struct Shape {
   size_t sources;
   size_t targets;

@@ -114,8 +114,9 @@ TEST(QueryEngine, DistanceMatrixMatchesSequentialAcrossThreadCounts) {
     return out;
   };
   // Wide shapes slice the longer side (targets, then sources) across the
-  // threads; 3-wide ones force the thin paths: row-by-row batches for 3
-  // sources, pair-by-pair blocks for 3 targets.
+  // threads; 3-wide ones force the thin paths: one-source level sweeps
+  // and pair-by-pair blocks for 3 sources, pair-by-pair blocks for 3
+  // targets.
   const std::pair<size_t, size_t> shapes[] = {
       {23, 201}, {201, 23}, {3, 201}, {201, 3}};
   for (const auto& [rows, cols] : shapes) {
