@@ -318,7 +318,7 @@ struct DirectedNumbers {
 
 DirectedNumbers MeasureDirected(const Digraph& g, bool contract) {
   DirectedNumbers out;
-  DirectedHc2lOptions options;
+  Hc2lOptions options;
   options.contract_degree_one = contract;
   Timer build_timer;
   const DirectedHc2lIndex index = DirectedHc2lIndex::Build(g, options);

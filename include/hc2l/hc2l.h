@@ -16,8 +16,9 @@
 ///   - DIMACS .gr I/O and the synthetic road-network generator
 ///   - small utilities used throughout the examples (Rng, Timer)
 ///
-/// The concrete index classes (src/core/hc2l.h, src/core/directed_hc2l.h)
-/// are internal; see docs/api.md.
+/// The concrete index classes (src/core/hc2l.h, src/core/directed_hc2l.h
+/// and their shared core src/core/label_index.h) are internal; see
+/// docs/api.md.
 
 #include "common/rng.h"
 #include "common/timer.h"

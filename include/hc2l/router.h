@@ -47,9 +47,9 @@ namespace hc2l {
 class Graph;
 class Digraph;
 
-/// Construction options, unified for both directions (Hc2lOptions and
-/// DirectedHc2lOptions internally). Validated by Router::Build: beta must be
-/// in (0, 0.5], leaf_size >= 1.
+/// Construction options, unified for both directions (Hc2lOptions
+/// internally). Validated by Router::Build: beta must be in (0, 0.5],
+/// leaf_size >= 1.
 struct BuildOptions {
   /// Balance threshold beta in (0, 0.5]; the paper selects 0.2 (Section 5).
   double beta = 0.2;
@@ -161,7 +161,9 @@ class Router {
   static Result<Router> Build(const Graph& graph,
                               const BuildOptions& options = {});
 
-  /// Builds a directed index (contract_degree_one ignored; see BuildOptions).
+  /// Builds a directed index; every option applies, contract_degree_one on
+  /// the undirected projection (see BuildOptions). Errors: kInvalidArgument
+  /// (bad options).
   static Result<Router> Build(const Digraph& graph,
                               const BuildOptions& options = {});
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <thread>
+#include <type_traits>
 
 #include "common/binary_io.h"
 #include "common/timer.h"
@@ -36,6 +37,18 @@ Status ValidateBuildOptions(const BuildOptions& options) {
 uint32_t ResolveThreads(uint32_t num_threads) {
   return num_threads == 0 ? std::max(1u, std::thread::hardware_concurrency())
                           : num_threads;
+}
+
+/// The index options both flavours build with.
+Hc2lOptions IndexOptions(const BuildOptions& options) {
+  Hc2lOptions concrete;
+  concrete.beta = options.beta;
+  concrete.leaf_size = options.leaf_size;
+  concrete.tail_pruning = options.tail_pruning;
+  concrete.contract_degree_one = options.contract_degree_one;
+  concrete.route_hints = options.route_hints;
+  concrete.num_threads = ResolveThreads(options.num_threads);
+  return concrete;
 }
 
 Status CheckVertex(const char* what, Vertex v, uint64_t num_vertices) {
@@ -631,16 +644,9 @@ Result<Router> Router::Open(const std::string& path, OpenMode mode) {
 
 Result<Router> Router::Build(const Graph& graph, const BuildOptions& options) {
   if (Status s = ValidateBuildOptions(options); !s.ok()) return s;
-  Hc2lOptions concrete;
-  concrete.beta = options.beta;
-  concrete.leaf_size = options.leaf_size;
-  concrete.tail_pruning = options.tail_pruning;
-  concrete.contract_degree_one = options.contract_degree_one;
-  concrete.route_hints = options.route_hints;
-  concrete.num_threads = ResolveThreads(options.num_threads);
   auto impl = std::make_unique<Impl>();
-  impl->undirected =
-      std::make_unique<Hc2lIndex>(Hc2lIndex::Build(graph, concrete));
+  impl->undirected = std::make_unique<Hc2lIndex>(
+      Hc2lIndex::Build(graph, IndexOptions(options)));
   impl->graph = std::make_unique<Graph>(graph);
   return Router(std::move(impl));
 }
@@ -648,17 +654,10 @@ Result<Router> Router::Build(const Graph& graph, const BuildOptions& options) {
 Result<Router> Router::Build(const Digraph& graph,
                              const BuildOptions& options) {
   if (Status s = ValidateBuildOptions(options); !s.ok()) return s;
-  DirectedHc2lOptions concrete;
-  concrete.beta = options.beta;
-  concrete.leaf_size = options.leaf_size;
-  concrete.tail_pruning = options.tail_pruning;
-  concrete.contract_degree_one = options.contract_degree_one;
-  concrete.route_hints = options.route_hints;
-  concrete.num_threads = ResolveThreads(options.num_threads);
   auto impl = std::make_unique<Impl>();
   Timer timer;
   impl->directed = std::make_unique<DirectedHc2lIndex>(
-      DirectedHc2lIndex::Build(graph, concrete));
+      DirectedHc2lIndex::Build(graph, IndexOptions(options)));
   impl->directed_build_seconds = timer.Seconds();
   return Router(std::move(impl));
 }
@@ -675,96 +674,55 @@ uint64_t Router::NumVertices() const {
 
 IndexInfo Router::Info() const {
   IndexInfo info;
+  info.directed = directed();
+  info.num_vertices = NumVertices();
+  // Sums for sizes, max for heights and cuts over the member indexes (one
+  // for a monolithic router). Only the undirected flavour records its
+  // shortcut count and build time.
+  double weighted_cut = 0.0;
+  const auto add = [&](const auto& index) {
+    const BalancedTreeHierarchy& h = index.Hierarchy();
+    info.num_core_vertices += index.NumCoreVertices();
+    info.num_contracted += index.NumContracted();
+    info.tree_height = std::max(info.tree_height, index.TreeHeight());
+    info.num_tree_nodes += h.NumNodes();
+    info.max_cut_size = std::max<uint64_t>(info.max_cut_size, h.MaxCutSize());
+    weighted_cut += h.AvgCutSize() * static_cast<double>(h.NumNodes());
+    info.label_entries += index.NumEntries();
+    info.label_logical_bytes += index.LabelLogicalBytes();
+    info.label_resident_bytes += index.LabelSizeBytes();
+    info.lca_bytes += index.LcaStorageBytes();
+    info.mapped_bytes += index.MappedBytes();
+    info.heap_bytes += index.ArenaResidentBytes() - index.MappedBytes();
+    if constexpr (std::is_same_v<std::decay_t<decltype(index)>, Hc2lIndex>) {
+      info.num_shortcuts += index.Stats().num_shortcuts;
+      info.build_seconds += index.Stats().build_seconds;
+    }
+  };
   if (impl_->sharded != nullptr) {
+    // Replicated boundary vertices make the core/contracted sums slightly
+    // exceed the monolithic figures — that duplication is exactly the
+    // sharding overhead the fields should surface.
     const ShardedIndex& sharded = *impl_->sharded;
-    info.directed = sharded.directed();
-    info.num_vertices = sharded.NumVertices();
     info.num_shards = sharded.NumShards();
-    // Aggregate over the member shards: sums for sizes, max for heights and
-    // cuts (replicated boundary vertices make the core/contracted sums
-    // slightly exceed the monolithic figures — that duplication is exactly
-    // the sharding overhead the fields should surface).
-    for (const Hc2lIndex& shard : sharded.UndirectedShards()) {
-      const Hc2lStats& s = shard.Stats();
-      info.num_core_vertices += s.num_core_vertices;
-      info.num_contracted += s.num_contracted;
-      info.tree_height = std::max<uint32_t>(info.tree_height, s.tree_height);
-      info.num_tree_nodes += s.num_tree_nodes;
-      info.max_cut_size = std::max(info.max_cut_size, s.max_cut_size);
-      info.num_shortcuts += s.num_shortcuts;
-      info.label_entries += s.label_entries;
-      info.label_logical_bytes += s.label_bytes;
-      info.label_resident_bytes += shard.LabelSizeBytes();
-      info.lca_bytes += s.lca_bytes;
-      info.build_seconds += s.build_seconds;
-    }
-    for (const DirectedHc2lIndex& shard : sharded.DirectedShards()) {
-      const BalancedTreeHierarchy& h = shard.Hierarchy();
-      info.num_core_vertices += shard.NumCoreVertices();
-      info.num_contracted += shard.NumContracted();
-      info.tree_height = std::max(info.tree_height, h.Height());
-      info.num_tree_nodes += h.NumNodes();
-      info.max_cut_size = std::max<uint64_t>(info.max_cut_size, h.MaxCutSize());
-      info.label_entries += shard.NumEntries();
-      info.label_logical_bytes += shard.LabelLogicalBytes();
-      info.label_resident_bytes += shard.LabelSizeBytes();
-      info.lca_bytes += h.LcaStorageBytes();
-    }
+    for (const Hc2lIndex& shard : sharded.UndirectedShards()) add(shard);
+    for (const DirectedHc2lIndex& shard : sharded.DirectedShards()) add(shard);
+    // The weighted mean of the shard averages.
     if (info.num_tree_nodes > 0) {
-      // Weighted mean of the shard averages.
-      double weighted = 0.0;
-      for (const Hc2lIndex& shard : sharded.UndirectedShards()) {
-        const Hc2lStats& s = shard.Stats();
-        weighted += s.avg_cut_size * static_cast<double>(s.num_tree_nodes);
-      }
-      for (const DirectedHc2lIndex& shard : sharded.DirectedShards()) {
-        const BalancedTreeHierarchy& h = shard.Hierarchy();
-        weighted += h.AvgCutSize() * static_cast<double>(h.NumNodes());
-      }
-      info.avg_cut_size = weighted / static_cast<double>(info.num_tree_nodes);
+      info.avg_cut_size =
+          weighted_cut / static_cast<double>(info.num_tree_nodes);
     }
-    info.mapped_bytes = sharded.MappedBytes();
-    info.heap_bytes = sharded.ArenaResidentBytes() - info.mapped_bytes;
     return info;
   }
+  const auto monolithic = [&](const auto& index) {
+    add(index);
+    info.avg_cut_size = index.Hierarchy().AvgCutSize();
+  };
   if (impl_->undirected != nullptr) {
-    const Hc2lStats& s = impl_->undirected->Stats();
-    info.directed = false;
-    info.num_vertices = s.num_vertices;
-    info.num_core_vertices = s.num_core_vertices;
-    info.num_contracted = s.num_contracted;
-    info.tree_height = s.tree_height;
-    info.num_tree_nodes = s.num_tree_nodes;
-    info.max_cut_size = s.max_cut_size;
-    info.avg_cut_size = s.avg_cut_size;
-    info.num_shortcuts = s.num_shortcuts;
-    info.label_entries = s.label_entries;
-    info.label_logical_bytes = s.label_bytes;
-    info.label_resident_bytes = impl_->undirected->LabelSizeBytes();
-    info.lca_bytes = s.lca_bytes;
-    info.build_seconds = s.build_seconds;
-    info.mapped_bytes = impl_->undirected->MappedBytes();
-    info.heap_bytes =
-        impl_->undirected->ArenaResidentBytes() - info.mapped_bytes;
+    monolithic(*impl_->undirected);
   } else {
-    const DirectedHc2lIndex& index = *impl_->directed;
-    const BalancedTreeHierarchy& h = index.Hierarchy();
-    info.directed = true;
-    info.num_vertices = index.NumVertices();
-    info.num_core_vertices = index.NumCoreVertices();
-    info.num_contracted = index.NumContracted();
-    info.tree_height = h.Height();
-    info.num_tree_nodes = h.NumNodes();
-    info.max_cut_size = h.MaxCutSize();
-    info.avg_cut_size = h.AvgCutSize();
-    info.num_shortcuts = 0;
-    info.label_entries = index.NumEntries();
-    info.label_logical_bytes = index.LabelLogicalBytes();
-    info.label_resident_bytes = index.LabelSizeBytes();
-    info.lca_bytes = h.LcaStorageBytes();
+    monolithic(*impl_->directed);
     info.build_seconds = impl_->directed_build_seconds;
-    info.mapped_bytes = index.MappedBytes();
-    info.heap_bytes = index.ArenaResidentBytes() - info.mapped_bytes;
   }
   return info;
 }

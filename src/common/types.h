@@ -40,7 +40,7 @@ struct EdgeDelta {
 /// sequence from source to target inclusive, plus its total weight. An
 /// unreachable pair reports kInfDist with an empty sequence; s == t reports
 /// weight 0 with the single vertex. Produced by the route-unpacking paths
-/// (Hc2lIndex::Route, DirectedHc2lIndex::Route, Router::Route) and carried
+/// (LabelIndex::Route under both index flavours, Router::Route) and carried
 /// by the server's `route` wire verb.
 struct RoutePath {
   std::vector<Vertex> vertices;

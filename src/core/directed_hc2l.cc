@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
-#include <unordered_set>
+#include <limits>
 #include <utility>
 
 #include "common/binary_io.h"
 #include "common/check.h"
-#include "common/section_file.h"
-#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "core/index_format.h"
 #include "core/query_common.h"
@@ -19,12 +16,6 @@
 namespace hc2l {
 
 namespace {
-
-uint32_t EncodeLabelDistance(Dist d) {
-  if (d == kInfDist) return DirectedHc2lIndex::kUnreachableLabel;
-  HC2L_CHECK_LT(d, Dist{1} << 31);
-  return static_cast<uint32_t>(d);
-}
 
 // --- Directed route-hint machinery, the dual-CSR port of the undirected
 // annotation propagation (see hc2l.cc): every subgraph arc carries, per
@@ -203,7 +194,7 @@ DirectedAnnotations DeriveChildAnnotations(
 /// per-direction tail-pruned labels, directed shortcut arcs.
 class DirectedHc2lBuilder {
  public:
-  DirectedHc2lBuilder(const Digraph& g, const DirectedHc2lOptions& options)
+  DirectedHc2lBuilder(const Digraph& g, const Hc2lOptions& options)
       : options_(options), pool_(options.num_threads) {
     const size_t n = g.NumVertices();
     hierarchy_.node_of_vertex_.assign(n, UINT32_MAX);
@@ -231,11 +222,11 @@ class DirectedHc2lBuilder {
   void Finish(DirectedHc2lIndex* index) {
     index->hierarchy_ = std::move(hierarchy_);
     index->height_ = index->hierarchy_.Height();
-    index->out_labels_.BuildFrom(&out_label_, &out_lens_);
-    index->in_labels_.BuildFrom(&in_label_, &in_lens_);
+    index->labels_[0].BuildFrom(&out_label_, &out_lens_);
+    index->labels_[1].BuildFrom(&in_label_, &in_lens_);
     if (options_.route_hints) {
-      index->out_hints_.BuildFrom(&out_hint_, &out_hint_lens_);
-      index->in_hints_.BuildFrom(&in_hint_, &in_hint_lens_);
+      index->hints_[0].BuildFrom(&out_hint_, &out_hint_lens_);
+      index->hints_[1].BuildFrom(&in_hint_, &in_hint_lens_);
     }
   }
 
@@ -469,7 +460,7 @@ class DirectedHc2lBuilder {
     return shortcuts;
   }
 
-  const DirectedHc2lOptions options_;
+  const Hc2lOptions options_;
   ThreadPool pool_;
   BalancedTreeHierarchy hierarchy_;
   std::vector<std::vector<uint32_t>> out_label_, in_label_;
@@ -481,7 +472,7 @@ class DirectedHc2lBuilder {
 };
 
 DirectedHc2lIndex DirectedHc2lIndex::Build(const Digraph& g,
-                                           const DirectedHc2lOptions& options) {
+                                           const Hc2lOptions& options) {
   HC2L_CHECK_GT(options.beta, 0.0);
   HC2L_CHECK_LE(options.beta, 0.5);
   DirectedHc2lIndex index;
@@ -496,391 +487,32 @@ DirectedHc2lIndex DirectedHc2lIndex::Build(const Digraph& g,
   return index;
 }
 
-Dist DirectedHc2lIndex::Query(Vertex s, Vertex t) const {
-  HC2L_CHECK_LT(s, NumVertices());
-  HC2L_CHECK_LT(t, NumVertices());
-  if (s == t) return 0;
-  if (contraction_ == nullptr) return CoreQuery(s, t);
-
-  const Vertex root_s = contraction_->RootCoreId(s);
-  const Vertex root_t = contraction_->RootCoreId(t);
-  if (root_s == root_t) return contraction_->SameTreeDistance(s, t);
-  // Cross-tree: every s -> t path climbs s's chain to its root, crosses the
-  // core, and descends t's chain — a one-way pendant broken in the needed
-  // direction makes the whole answer unreachable.
-  const Dist up = contraction_->DistToRoot(s);
-  const Dist down = contraction_->DistFromRoot(t);
-  if (up == kInfDist || down == kInfDist) return kInfDist;
-  const Dist core = CoreQuery(root_s, root_t);
-  return AddDist(AddDist(up, core), down);
-}
-
-Dist DirectedHc2lIndex::CoreQuery(Vertex s, Vertex t) const {
-  if (s == t) return 0;
-  const uint32_t level = hierarchy_.LcaLevel(s, t);
-  const uint32_t s_idx = out_labels_.base[s] + level;
-  const uint32_t t_idx = in_labels_.base[t] + level;
-  const uint32_t* a = out_labels_.arena.data() + out_labels_.level_start[s_idx];
-  const uint32_t* b = in_labels_.arena.data() + in_labels_.level_start[t_idx];
-  const uint32_t len = std::min(out_labels_.level_len[s_idx],
-                                in_labels_.level_len[t_idx]);
-  simd::PrefetchArray(a, len * sizeof(uint32_t));
-  simd::PrefetchArray(b, len * sizeof(uint32_t));
-  const uint32_t best = simd::MinPlusPadded(a, b, len);
-  return best >= kUnreachableLabel ? kInfDist : best;
-}
-
-ResolvedVertex DirectedHc2lIndex::Resolve(Vertex v, bool as_source) const {
-  HC2L_CHECK_LT(v, NumVertices());
-  ResolvedVertex r{.code = 0, .core = v, .pos = 0, .detour = 0};
-  if (contraction_ != nullptr) {
-    r.core = contraction_->RootCoreId(v);
-    r.detour = as_source ? contraction_->DistToRoot(v)
-                         : contraction_->DistFromRoot(v);
-  }
-  r.code = hierarchy_.CodeOf(r.core);
-  return r;
-}
-
-std::vector<Dist> DirectedHc2lIndex::BatchQuery(
-    Vertex source, std::span<const Vertex> targets) const {
-  std::vector<Dist> out(targets.size(), kInfDist);
-  BatchQueryInto(source, targets, out.data());
-  return out;
-}
-
-void DirectedHc2lIndex::BatchQueryInto(Vertex source,
-                                       std::span<const Vertex> targets,
-                                       Dist* out) const {
-  if (targets.empty()) return;
-  // The source's out-arrays min-reduce against the targets' in-arrays.
-  ResolvedBatchQuery(
-      out_labels_, in_labels_, height_, source,
-      Resolve(source, /*as_source=*/true), targets,
-      [&](Vertex t) { return Resolve(t, /*as_source=*/false); },
-      [&](Vertex s, Vertex t) { return contraction_->SameTreeDistance(s, t); },
-      out);
-}
-
-std::vector<std::vector<Dist>> DirectedHc2lIndex::DistanceMatrix(
-    std::span<const Vertex> sources, std::span<const Vertex> targets) const {
-  std::vector<std::vector<Dist>> matrix(
-      sources.size(), std::vector<Dist>(targets.size(), kInfDist));
-  std::vector<Dist*> row_ptrs(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) row_ptrs[i] = matrix[i].data();
-  DistanceMatrixInto(sources, targets, MatrixRows{.rows = row_ptrs.data()});
-  return matrix;
-}
-
-bool DirectedHc2lIndex::DistanceMatrixInto(std::span<const Vertex> sources,
-                                           std::span<const Vertex> targets,
-                                           const MatrixRows& rows,
-                                           StopPoll stop) const {
-  // Sources climb to their root and read out-labels; targets descend from
-  // theirs and read in-labels.
-  return BlockedDistanceMatrix(
-      sources, targets, out_labels_, in_labels_,
-      [&](Vertex v) { return Resolve(v, /*as_source=*/true); },
-      [&](Vertex v) { return Resolve(v, /*as_source=*/false); },
-      [&](Vertex s, Vertex t) { return contraction_->SameTreeDistance(s, t); },
-      rows, stop);
-}
-
-std::vector<std::pair<Dist, Vertex>> DirectedHc2lIndex::KNearest(
-    Vertex source, std::span<const Vertex> candidates, size_t k) const {
-  const std::vector<Dist> dists = BatchQuery(source, candidates);
-  return SelectKNearest(dists, candidates, k);
-}
-
-// --- Route unpacking, the directed twin of Hc2lIndex::CoreRoute: the
-// argmin hub of the LCA level pins a shortest s -> t path through one cut
-// vertex; out-hints advance the source end forward, in-hints rewind the
-// target end backward, and every emitted hop is a real core arc in its
-// travel direction.
-
-Status DirectedHc2lIndex::CoreRoute(Vertex cs, Vertex ct,
-                                    std::vector<Vertex>* out) const {
-  out->clear();
-  const size_t core_n = out_labels_.base.size() - 1;
-  std::vector<Vertex> back;  // suffix toward ct, collected in reverse
-  Vertex s = cs;
-  Vertex t = ct;
-  out->push_back(s);
-  size_t steps = 0;
-  while (s != t) {
-    if (++steps > core_n + 1) {
-      return Status::Internal(
-          "route unpacking exceeded the path-length bound (inconsistent "
-          "hint store)");
-    }
-    const uint32_t level = hierarchy_.LcaLevel(s, t);
-    const uint32_t s_idx = out_labels_.base[s] + level;
-    const uint32_t t_idx = in_labels_.base[t] + level;
-    const uint32_t* ds =
-        out_labels_.arena.data() + out_labels_.level_start[s_idx];
-    const uint32_t* dt =
-        in_labels_.arena.data() + in_labels_.level_start[t_idx];
-    const uint32_t len = std::min(out_labels_.level_len[s_idx],
-                                  in_labels_.level_len[t_idx]);
-    uint64_t best = UINT64_MAX;
-    uint32_t best_i = UINT32_MAX;
-    for (uint32_t i = 0; i < len; ++i) {
-      if (ds[i] == kUnreachableLabel || dt[i] == kUnreachableLabel) continue;
-      const uint64_t sum = uint64_t{ds[i]} + dt[i];
-      if (sum < best) {
-        best = sum;
-        best_i = i;
-      }
-    }
-    if (best_i == UINT32_MAX) {
-      return Status::Internal(
-          "route unpacking found no common hub for a reachable pair");
-    }
-    if (ds[best_i] > 0) {
-      const Vertex hint =
-          out_hints_.arena.data()[out_hints_.level_start[s_idx] + best_i];
-      if (hint >= core_n) {
-        return Status::Internal("route hint out of range");
-      }
-      s = hint;
-      out->push_back(s);
-    } else {
-      // s *is* the hub (weights are positive); rewind the target end.
-      const Vertex hint =
-          in_hints_.arena.data()[in_hints_.level_start[t_idx] + best_i];
-      if (hint >= core_n) {
-        return Status::Internal("route hint out of range");
-      }
-      back.push_back(t);
-      t = hint;
-    }
-  }
-  out->insert(out->end(), back.rbegin(), back.rend());
-  return Status::Ok();
-}
-
-Status DirectedHc2lIndex::ExpandRoute(Vertex s, Vertex t, Dist weight,
-                                      const std::vector<Vertex>& core_path,
-                                      RoutePath* out) const {
-  out->vertices.clear();
-  out->weight = weight;
-  if (core_path.empty()) {
-    return Status::Internal("empty core path for a reachable pair");
-  }
-  if (contraction_ == nullptr) {
-    out->vertices = core_path;
-    return Status::Ok();
-  }
-  const DirectedDegreeOneContraction& c = *contraction_;
-  for (Vertex v = s; c.depth_[v] > 0; v = c.parent_[v]) {
-    out->vertices.push_back(v);
-  }
-  for (const Vertex cv : core_path) {
-    out->vertices.push_back(c.to_original_[cv]);
-  }
-  std::vector<Vertex> tail;
-  for (Vertex v = t; c.depth_[v] > 0; v = c.parent_[v]) {
-    tail.push_back(v);
-  }
-  out->vertices.insert(out->vertices.end(), tail.rbegin(), tail.rend());
-  return Status::Ok();
-}
-
-Status DirectedHc2lIndex::Route(Vertex s, Vertex t, RoutePath* out) const {
-  HC2L_CHECK_LT(s, NumVertices());
-  HC2L_CHECK_LT(t, NumVertices());
-  out->vertices.clear();
-  out->weight = kInfDist;
-  if (s == t) {
-    out->vertices.push_back(s);
-    out->weight = 0;
-    return Status::Ok();
-  }
-  if (!HasRouteHints()) {
-    return Status::FailedPrecondition(
-        "index carries no route hints (built with route_hints = false, or "
-        "loaded from a file without hint sections); routes need a "
-        "graph-backed fallback unpacker");
-  }
-  if (contraction_ != nullptr) {
-    const Vertex root_s = contraction_->RootCoreId(s);
-    const Vertex root_t = contraction_->RootCoreId(t);
-    if (root_s == root_t) {
-      // Same pendant tree: the only simple path climbs to the in-tree LCA;
-      // a one-way chain broken in the needed direction means unreachable.
-      const DirectedDegreeOneContraction& c = *contraction_;
-      const Dist w = c.SameTreeDistance(s, t);
-      if (w == kInfDist) return Status::Ok();
-      out->weight = w;
-      std::vector<Vertex> down;
-      Vertex a = s;
-      Vertex b = t;
-      while (c.depth_[a] > c.depth_[b]) {
-        out->vertices.push_back(a);
-        a = c.parent_[a];
-      }
-      while (c.depth_[b] > c.depth_[a]) {
-        down.push_back(b);
-        b = c.parent_[b];
-      }
-      while (a != b) {
-        out->vertices.push_back(a);
-        a = c.parent_[a];
-        down.push_back(b);
-        b = c.parent_[b];
-      }
-      out->vertices.push_back(a);
-      out->vertices.insert(out->vertices.end(), down.rbegin(), down.rend());
-      return Status::Ok();
-    }
-    const Dist up = contraction_->DistToRoot(s);
-    const Dist down = contraction_->DistFromRoot(t);
-    if (up == kInfDist || down == kInfDist) return Status::Ok();
-    const Dist core_d = CoreQuery(root_s, root_t);
-    if (core_d == kInfDist) return Status::Ok();
-    const Dist total = AddDist(AddDist(up, core_d), down);
-    std::vector<Vertex> core_path;
-    if (Status st = CoreRoute(root_s, root_t, &core_path); !st.ok()) {
-      return st;
-    }
-    return ExpandRoute(s, t, total, core_path, out);
-  }
-  const Dist d = CoreQuery(s, t);
-  if (d == kInfDist) return Status::Ok();
-  std::vector<Vertex> core_path;
-  if (Status st = CoreRoute(s, t, &core_path); !st.ok()) return st;
-  return ExpandRoute(s, t, d, core_path, out);
-}
-
-Status DirectedHc2lIndex::Routes(Vertex s, Vertex t, size_t k,
-                                 std::vector<RoutePath>* out) const {
-  out->clear();
-  if (k == 0) return Status::Ok();
-  RoutePath first;
-  if (Status st = Route(s, t, &first); !st.ok()) return st;
-  if (first.vertices.empty()) return Status::Ok();  // unreachable pair
-  out->push_back(std::move(first));
-  if (out->size() >= k || s == t) return Status::Ok();
-
-  Vertex cs = s;
-  Vertex ct = t;
-  Dist offset = 0;
-  if (contraction_ != nullptr) {
-    cs = contraction_->RootCoreId(s);
-    ct = contraction_->RootCoreId(t);
-    // One pendant tree admits exactly one simple path.
-    if (cs == ct) return Status::Ok();
-    offset = AddDist(contraction_->DistToRoot(s),
-                     contraction_->DistFromRoot(t));
-  }
-
-  const uint32_t level = hierarchy_.LcaLevel(cs, ct);
-  const uint32_t s_idx = out_labels_.base[cs] + level;
-  const uint32_t t_idx = in_labels_.base[ct] + level;
-  const uint32_t* ds =
-      out_labels_.arena.data() + out_labels_.level_start[s_idx];
-  const uint32_t* dt = in_labels_.arena.data() + in_labels_.level_start[t_idx];
-  int32_t node = static_cast<int32_t>(hierarchy_.NodeOf(cs));
-  while (TreeCodeDepth(hierarchy_.Node(node).code) > level) {
-    node = hierarchy_.Node(node).parent;
-    if (node < 0) {
-      return Status::Internal("LCA climb fell off the hierarchy root");
-    }
-  }
-  const std::vector<Vertex>& cut = hierarchy_.Node(node).cut;
-  uint32_t len =
-      std::min(out_labels_.level_len[s_idx], in_labels_.level_len[t_idx]);
-  len = std::min(len, static_cast<uint32_t>(cut.size()));
-  std::vector<std::pair<uint64_t, uint32_t>> candidates;
-  for (uint32_t i = 0; i < len; ++i) {
-    if (ds[i] == kUnreachableLabel || dt[i] == kUnreachableLabel) continue;
-    candidates.emplace_back(uint64_t{ds[i]} + dt[i], i);
-  }
-  std::sort(candidates.begin(), candidates.end());
-
-  std::unordered_set<Vertex> used((*out)[0].vertices.begin(),
-                                  (*out)[0].vertices.end());
-  for (const auto& [sum, i] : candidates) {
-    if (out->size() >= k) break;
-    const Vertex hub = cut[i];
-    const Vertex hub_orig =
-        contraction_ != nullptr ? contraction_->OriginalId(hub) : hub;
-    if (used.count(hub_orig) != 0) continue;
-    std::vector<Vertex> core_path;
-    std::vector<Vertex> second;
-    if (Status st = CoreRoute(cs, hub, &core_path); !st.ok()) return st;
-    if (Status st = CoreRoute(hub, ct, &second); !st.ok()) return st;
-    core_path.insert(core_path.end(), second.begin() + 1, second.end());
-    std::unordered_set<Vertex> on_path;
-    bool simple = true;
-    for (const Vertex v : core_path) {
-      if (!on_path.insert(v).second) {
-        simple = false;
-        break;
-      }
-    }
-    if (!simple) continue;
-    RoutePath alt;
-    if (Status st = ExpandRoute(s, t, AddDist(offset, sum), core_path, &alt);
-        !st.ok()) {
-      return st;
-    }
-    bool dup = false;
-    for (const RoutePath& r : *out) {
-      if (r.vertices == alt.vertices) {
-        dup = true;
-        break;
-      }
-    }
-    if (dup) continue;
-    for (const Vertex v : alt.vertices) used.insert(v);
-    out->push_back(std::move(alt));
-  }
-  return Status::Ok();
-}
-
 // On-disk format (src/core/index_format.h, docs/format.md): the sectioned
-// HC2D0004 layout. The meta section carries a uint8 contraction marker,
-// the directed body and the hierarchy; the out- and in-direction stores go
-// through the section codec shared with the undirected index
-// (common/section_file.h), with hint arenas for both directions or neither.
+// HC2D0004 layout. The meta body carries a uint8 contraction marker, the
+// vertex count, the stored height and the contraction's per-direction
+// weights; the core (LabelIndex::SaveSections) appends the hierarchy and
+// writes the out- and in-direction stores, with hint arenas for both
+// directions or neither.
 Status DirectedHc2lIndex::Save(const std::string& path) const {
-  const bool hints = HasRouteHints();
-  return io::WriteSectionFile(
-      path, kDirectedIndexMagic, io::SectionCount(2, hints),
-      [&](io::SectionWriter& w) {
-        std::FILE* out = w.file();
-        // core_id_ / to_original_ are derivable (a vertex is in the core iff
-        // its depth is 0, and its core id is then its root id), so the
-        // format does not carry them; Load reconstructs both.
-        const uint8_t has_contraction = contraction_ != nullptr ? 1 : 0;
-        const uint64_t num_vertices = NumVertices();
-        bool ok = w.Begin(io::kSectionMeta) &&
-                  io::WriteValue(out, has_contraction) &&
-                  io::WriteValue(out, num_vertices);
-        if (ok && has_contraction) {
-          const DirectedDegreeOneContraction& c = *contraction_;
-          const uint64_t num_contracted = c.num_contracted_;
-          ok = io::WriteValue(out, num_contracted) &&
-               io::WriteValue(out, height_) &&
-               io::WriteVector(out, c.root_core_id_) &&
-               io::WriteVector(out, c.parent_) &&
-               io::WriteVector(out, c.depth_) &&
-               io::WriteVector(out, c.up_weight_) &&
-               io::WriteVector(out, c.down_weight_) &&
-               io::WriteVector(out, c.up_dist_) &&
-               io::WriteVector(out, c.down_dist_);
-        } else {
-          ok = ok && io::WriteValue(out, height_);
-        }
-        return ok && hierarchy_.WriteTo(out) &&
-               io::WriteLabelStoreCounts(out, out_labels_) &&
-               io::WriteLabelStoreCounts(out, in_labels_) && w.End() &&
-               w.WriteStore(io::kStoreSections, out_labels_,
-                            hints ? &out_hints_ : nullptr) &&
-               w.WriteStore(io::kInStoreSections, in_labels_,
-                            hints ? &in_hints_ : nullptr);
-      });
+  return SaveSections(path, kDirectedIndexMagic, [&](std::FILE* out) {
+    // core_id_ / to_original_ are derivable (a vertex is in the core iff
+    // its depth is 0, and its core id is then its root id), so the format
+    // does not carry them; Load reconstructs both.
+    const uint8_t has_contraction = contraction_ != nullptr ? 1 : 0;
+    bool ok = io::WriteValue(out, has_contraction) &&
+              io::WriteValue(out, num_vertices_);
+    if (!ok || !has_contraction) return ok && io::WriteValue(out, height_);
+    const DirectedDegreeOneContraction& c = *contraction_;
+    const uint64_t num_contracted = c.num_contracted_;
+    return io::WriteValue(out, num_contracted) &&
+           io::WriteValue(out, height_) &&
+           io::WriteVector(out, c.root_core_id_) &&
+           io::WriteVector(out, c.parent_) && io::WriteVector(out, c.depth_) &&
+           io::WriteVector(out, c.up_weight_) &&
+           io::WriteVector(out, c.down_weight_) &&
+           io::WriteVector(out, c.up_dist_) &&
+           io::WriteVector(out, c.down_dist_);
+  });
 }
 
 Result<DirectedHc2lIndex> DirectedHc2lIndex::Load(const std::string& path) {
@@ -889,159 +521,72 @@ Result<DirectedHc2lIndex> DirectedHc2lIndex::Load(const std::string& path) {
 
 Result<DirectedHc2lIndex> DirectedHc2lIndex::Load(const std::string& path,
                                                   bool use_mmap) {
-  io::SectionFile file(path, "directed HC2L index");
-  if (Status st = file.Open(kDirectedIndexMagic, use_mmap); !st.ok()) {
-    return st;
-  }
   DirectedHc2lIndex index;
-  index.mapping_ = file.mapping();
-  uint64_t num_vertices = 0;
   uint64_t num_contracted = 0;
+  // The stored height is informational; the core recomputes the level
+  // bound from the validated codes.
   uint32_t stored_height = 0;
-  io::LabelStoreCounts counts[2];
-
-  const auto parse_meta = [&](io::Reader* in) {
+  const auto parse_body = [&](io::Reader* in) {
     uint8_t has_contraction = 0;
-    bool ok = io::ReadValue(in, &has_contraction) && has_contraction <= 1 &&
-              io::ReadValue(in, &num_vertices);
-    if (ok && has_contraction) {
-      index.contraction_ = std::unique_ptr<DirectedDegreeOneContraction>(
-          new DirectedDegreeOneContraction());
-      DirectedDegreeOneContraction& c = *index.contraction_;
-      ok = io::ReadValue(in, &num_contracted) &&
-           io::ReadValue(in, &stored_height) &&
+    const bool ok = io::ReadValue(in, &has_contraction) &&
+                    has_contraction <= 1 &&
+                    io::ReadValue(in, &index.num_vertices_);
+    if (!ok || !has_contraction) {
+      return ok && io::ReadValue(in, &stored_height);
+    }
+    index.contraction_ = std::unique_ptr<DirectedDegreeOneContraction>(
+        new DirectedDegreeOneContraction());
+    DirectedDegreeOneContraction& c = *index.contraction_;
+    if (!io::ReadValue(in, &num_contracted)) return false;
+    c.num_contracted_ = num_contracted;
+    return io::ReadValue(in, &stored_height) &&
            io::ReadVector(in, &c.root_core_id_) &&
            io::ReadVector(in, &c.parent_) && io::ReadVector(in, &c.depth_) &&
            io::ReadVector(in, &c.up_weight_) &&
            io::ReadVector(in, &c.down_weight_) &&
            io::ReadVector(in, &c.up_dist_) &&
            io::ReadVector(in, &c.down_dist_);
-      c.num_contracted_ = num_contracted;
-    } else {
-      ok = ok && io::ReadValue(in, &stored_height);
-    }
-    return ok && index.hierarchy_.ReadFrom(in) &&
-           io::ReadLabelStoreCounts(in, &counts[0]) &&
-           io::ReadLabelStoreCounts(in, &counts[1]);
   };
 
-  // Same query-path hardening as the undirected Load (see hc2l.cc): code
-  // tables must cover every core vertex and both directions must hold at
-  // least depth+1 arrays per vertex; the stores' own structure was validated
-  // by the section codec's ValidateLabelShape. With a contraction the
-  // per-vertex mapping arrays must cover every original vertex and point
-  // inside the core, so the query paths never index out of bounds. Files
-  // from adversarial sources remain unsupported.
-  const auto validate_structure = [&]() {
-    if (index.out_labels_.base.empty()) return false;
-    const size_t core = index.out_labels_.base.size() - 1;
-    bool ok = index.in_labels_.base.size() == core + 1 &&
-              index.hierarchy_.vertex_code_.size() == core &&
-              index.hierarchy_.node_of_vertex_.size() == core;
-    for (size_t v = 0; ok && v < core; ++v) {
-      const uint32_t depth = TreeCodeDepth(index.hierarchy_.vertex_code_[v]);
-      ok = index.out_labels_.base[v + 1] - index.out_labels_.base[v] >=
-               depth + 1 &&
-           index.in_labels_.base[v + 1] - index.in_labels_.base[v] >=
-               depth + 1;
+  // With a contraction the per-vertex mapping arrays must cover every
+  // original vertex and point inside the core, so the query paths never
+  // index out of bounds.
+  const auto check_body = [&](size_t core) {
+    const size_t n = index.num_vertices_;
+    if (index.contraction_ == nullptr) return core == n;
+    DirectedDegreeOneContraction& c = *index.contraction_;
+    bool ok = core + num_contracted == n && c.root_core_id_.size() == n &&
+              c.parent_.size() == n && c.depth_.size() == n &&
+              c.up_weight_.size() == n && c.down_weight_.size() == n &&
+              c.up_dist_.size() == n && c.down_dist_.size() == n;
+    for (size_t v = 0; ok && v < n; ++v) {
+      ok = c.root_core_id_[v] < core && c.parent_[v] < n;
     }
-    if (ok && index.contraction_ != nullptr) {
-      DirectedDegreeOneContraction& c = *index.contraction_;
-      const size_t n = num_vertices;
-      ok = core + num_contracted == n && c.root_core_id_.size() == n &&
-           c.parent_.size() == n && c.depth_.size() == n &&
-           c.up_weight_.size() == n && c.down_weight_.size() == n &&
-           c.up_dist_.size() == n && c.down_dist_.size() == n;
-      for (size_t v = 0; ok && v < n; ++v) {
-        ok = c.root_core_id_[v] < core && c.parent_[v] < n;
-      }
-      // Reconstruct the derived mappings; doing so doubles as the
-      // consistency check that the depth-0 set maps one-to-one onto the
-      // core.
-      if (ok) {
-        c.core_id_.assign(n, kInvalidVertex);
-        c.to_original_.assign(core, kInvalidVertex);
-        for (size_t v = 0; ok && v < n; ++v) {
-          if (c.depth_[v] != 0) continue;
-          const Vertex id = c.root_core_id_[v];
-          ok = c.to_original_[id] == kInvalidVertex;
-          c.to_original_[id] = static_cast<Vertex>(v);
-          c.core_id_[v] = id;
-        }
-        for (size_t i = 0; ok && i < core; ++i) {
-          ok = c.to_original_[i] != kInvalidVertex;
-        }
-      }
-    } else if (ok) {
-      ok = core == num_vertices;
+    if (!ok) return false;
+    // Reconstruct the derived mappings; doing so doubles as the
+    // consistency check that the depth-0 set maps one-to-one onto the core.
+    c.core_id_.assign(n, kInvalidVertex);
+    c.to_original_.assign(core, kInvalidVertex);
+    for (size_t v = 0; ok && v < n; ++v) {
+      if (c.depth_[v] != 0) continue;
+      const Vertex id = c.root_core_id_[v];
+      ok = c.to_original_[id] == kInvalidVertex;
+      c.to_original_[id] = static_cast<Vertex>(v);
+      c.core_id_[v] = id;
+    }
+    for (size_t i = 0; ok && i < core; ++i) {
+      ok = c.to_original_[i] != kInvalidVertex;
     }
     return ok;
   };
 
-  // A directed file carries hint arenas for both directions or neither.
-  if (!file.ReadMeta(parse_meta) ||
-      !file.ReadStore(io::kStoreSections, counts[0], &index.out_labels_,
-                      &index.out_hints_) ||
-      !file.ReadStore(io::kInStoreSections, counts[1], &index.in_labels_,
-                      &index.in_hints_) ||
-      index.out_hints_.base.empty() != index.in_hints_.base.empty() ||
-      !validate_structure()) {
-    return file.Corrupt();
+  if (Status st = index.LoadSections(path, "directed HC2L index",
+                                     kDirectedIndexMagic, use_mmap,
+                                     parse_body, check_body);
+      !st.ok()) {
+    return st;
   }
-  index.num_vertices_ = num_vertices;
-  // The stored height is informational; the level bucketing's bound is
-  // recomputed so it always agrees with the validated codes.
-  index.height_ = index.hierarchy_.LevelBound();
   return index;
-}
-
-size_t DirectedHc2lIndex::MappedBytes() const {
-  size_t bytes = 0;
-  for (const LabelStore* store :
-       {&out_labels_, &in_labels_, &out_hints_, &in_hints_}) {
-    if (!store->arena.owned()) bytes += store->arena.SizeBytes();
-  }
-  // A mapped open views the offset tables too; each hint store shares its
-  // label store's tables (the same mapped bytes), so they count once per
-  // direction.
-  for (const LabelStore* store : {&out_labels_, &in_labels_}) {
-    if (!store->base.owned()) bytes += store->MetadataBytes();
-  }
-  return bytes;
-}
-
-size_t DirectedHc2lIndex::ArenaResidentBytes() const {
-  size_t bytes = 0;
-  for (const LabelStore* store :
-       {&out_labels_, &in_labels_, &out_hints_, &in_hints_}) {
-    bytes += store->arena.SizeBytes();
-  }
-  // Heap loads hold separate (identical) hint offset tables; a mapped open
-  // shares each label store's, which must then count once per direction.
-  for (const LabelStore* store : {&out_labels_, &in_labels_}) {
-    bytes += store->MetadataBytes();
-  }
-  for (const LabelStore* store : {&out_hints_, &in_hints_}) {
-    if (store->base.owned()) bytes += store->MetadataBytes();
-  }
-  return bytes;
-}
-
-size_t DirectedHc2lIndex::NumEntries() const {
-  const auto sum = [](const LabelStore& labels) {
-    return std::accumulate(labels.level_len.begin(), labels.level_len.end(),
-                           uint64_t{0});
-  };
-  return static_cast<size_t>(sum(out_labels_) + sum(in_labels_));
-}
-
-size_t DirectedHc2lIndex::LabelLogicalBytes() const {
-  return NumEntries() * sizeof(uint32_t) + out_labels_.MetadataBytes() +
-         in_labels_.MetadataBytes();
-}
-
-size_t DirectedHc2lIndex::LabelSizeBytes() const {
-  return out_labels_.ResidentBytes() + in_labels_.ResidentBytes();
 }
 
 }  // namespace hc2l

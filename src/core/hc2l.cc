@@ -8,13 +8,10 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 
 #include "common/binary_io.h"
 #include "common/check.h"
 #include "common/fault_injection.h"
-#include "common/section_file.h"
-#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/index_format.h"
@@ -26,15 +23,6 @@
 namespace hc2l {
 
 namespace {
-
-/// Encodes a 64-bit distance into a 32-bit label entry. Finite values must
-/// stay below 2^31 so that any finite pair-sum is strictly smaller than
-/// sentinel + anything; Query() exploits this to avoid per-entry branches.
-uint32_t EncodeLabelDistance(Dist d) {
-  if (d == kInfDist) return Hc2lIndex::kUnreachableLabel;
-  HC2L_CHECK_LT(d, Dist{1} << 31);
-  return static_cast<uint32_t>(d);
-}
 
 /// Non-aborting variant for the rebuild/repair walk: a server-driven weight
 /// update must surface encoding overflow as a Status, never a CHECK abort
@@ -225,19 +213,20 @@ class Hc2lBuilder {
     size_t total_entries = 0;
     for (size_t v = 0; v < n; ++v) total_entries += label_data_[v].size();
     index->hierarchy_ = std::move(hierarchy_);
-    index->labels_.BuildFrom(&label_data_, &label_lens_);
+    index->height_ = index->hierarchy_.Height();
+    index->labels_[0].BuildFrom(&label_data_, &label_lens_);
     if (options_.route_hints) {
-      index->hints_.BuildFrom(&hint_data_, &hint_lens_);
+      index->hints_[0].BuildFrom(&hint_data_, &hint_lens_);
     }
 
     index->stats_.num_tree_nodes = index->hierarchy_.NumNodes();
-    index->stats_.tree_height = index->hierarchy_.Height();
+    index->stats_.tree_height = index->height_;
     index->stats_.max_cut_size = index->hierarchy_.MaxCutSize();
     index->stats_.avg_cut_size = index->hierarchy_.AvgCutSize();
     index->stats_.num_shortcuts = shortcut_count_.load();
     index->stats_.label_entries = total_entries;
     index->stats_.label_bytes =
-        total_entries * sizeof(uint32_t) + index->labels_.MetadataBytes();
+        total_entries * sizeof(uint32_t) + index->labels_[0].MetadataBytes();
     index->stats_.lca_bytes = index->hierarchy_.LcaStorageBytes();
   }
 
@@ -469,6 +458,7 @@ Hc2lIndex Hc2lIndex::Build(const Graph& g, const Hc2lOptions& options) {
   HC2L_CHECK_LE(options.beta, 0.5);
   Timer timer;
   Hc2lIndex index;
+  index.num_vertices_ = g.NumVertices();
   index.stats_.num_vertices = g.NumVertices();
 
   const Graph* core = &g;
@@ -483,57 +473,6 @@ Hc2lIndex Hc2lIndex::Build(const Graph& g, const Hc2lOptions& options) {
   builder.Finish(&index);
   index.stats_.build_seconds = timer.Seconds();
   return index;
-}
-
-Dist Hc2lIndex::CoreQuery(Vertex s, Vertex t, uint64_t* hubs_scanned) const {
-  if (s == t) return 0;
-  const uint32_t level = hierarchy_.LcaLevel(s, t);
-  const uint32_t s_idx = labels_.base[s] + level;
-  const uint32_t t_idx = labels_.base[t] + level;
-  const uint32_t* a = labels_.arena.data() + labels_.level_start[s_idx];
-  const uint32_t* b = labels_.arena.data() + labels_.level_start[t_idx];
-  const uint32_t len = std::min(labels_.level_len[s_idx],
-                                labels_.level_len[t_idx]);
-  // Both operand arrays are cache-line aligned; hint their first lines while
-  // the remaining scalar setup retires.
-  simd::PrefetchArray(a, len * sizeof(uint32_t));
-  simd::PrefetchArray(b, len * sizeof(uint32_t));
-  if (hubs_scanned != nullptr) *hubs_scanned += len;
-  const uint32_t best = simd::MinPlusPadded(a, b, len);
-  return best >= kUnreachableLabel ? kInfDist : best;
-}
-
-ResolvedVertex Hc2lIndex::Resolve(Vertex v) const {
-  HC2L_CHECK_LT(v, stats_.num_vertices);
-  ResolvedVertex r{.code = 0, .core = v, .pos = 0, .detour = 0};
-  if (contraction_ != nullptr) {
-    r.core = contraction_->RootCoreId(v);
-    r.detour = contraction_->DistToRoot(v);
-  }
-  r.code = hierarchy_.CodeOf(r.core);
-  return r;
-}
-
-Dist Hc2lIndex::Query(Vertex s, Vertex t) const {
-  return QueryCountingHubs(s, t, nullptr);
-}
-
-Dist Hc2lIndex::QueryCountingHubs(Vertex s, Vertex t,
-                                  uint64_t* hubs_scanned) const {
-  HC2L_CHECK_LT(s, stats_.num_vertices);
-  HC2L_CHECK_LT(t, stats_.num_vertices);
-  if (s == t) return 0;
-  if (contraction_ == nullptr) return CoreQuery(s, t, hubs_scanned);
-
-  const Vertex root_s = contraction_->RootCoreId(s);
-  const Vertex root_t = contraction_->RootCoreId(t);
-  if (root_s == root_t) return contraction_->SameTreeDistance(s, t);
-  const Dist core = CoreQuery(root_s, root_t, hubs_scanned);
-  // Inf-propagating sums like the directed twin: a plain uint64 add would
-  // wrap an unreachable core distance (or a defensively infinite detour)
-  // past infinity into a small finite answer.
-  return AddDist(AddDist(contraction_->DistToRoot(s), core),
-                 contraction_->DistToRoot(t));
 }
 
 Status Hc2lIndex::PrepareRelabel(const Graph& g, const Graph** core_out) {
@@ -847,15 +786,16 @@ Status Hc2lIndex::RelabelWalk(const Graph& core, bool scoped,
         // every descendant level array is spliced verbatim out of the
         // current store instead of recursing. The cache entry stays valid.
         const uint32_t child_depth = TreeCodeDepth(nodes[child].code);
-        const uint32_t* arena = labels_.arena.data();
-        const uint32_t* hint_arena = hints ? hints_.arena.data() : nullptr;
+        const LabelStore& store = labels_[0];
+        const uint32_t* arena = store.arena.data();
+        const uint32_t* hint_arena = hints ? hints_[0].arena.data() : nullptr;
         for (const Vertex gv : child_to_global) {
-          const uint32_t base = labels_.base[gv];
-          const uint32_t arrays = labels_.base[gv + 1] - base;
+          const uint32_t base = store.base[gv];
+          const uint32_t arrays = store.base[gv + 1] - base;
           auto& data = label_data[gv];
           for (uint32_t k = child_depth; k < arrays; ++k) {
-            const uint32_t start = labels_.level_start[base + k];
-            const uint32_t len = labels_.level_len[base + k];
+            const uint32_t start = store.level_start[base + k];
+            const uint32_t len = store.level_len[base + k];
             data.insert(data.end(), arena + start, arena + start + len);
             label_lens[gv].push_back(len);
             out->reused += len;
@@ -935,15 +875,16 @@ Status Hc2lIndex::RelabelWalk(const Graph& core, bool scoped,
   // Re-flatten into a fresh aligned arena.
   uint64_t total_entries = 0;
   for (size_t v = 0; v < n; ++v) total_entries += label_data[v].size();
-  labels_.BuildFrom(&label_data, &label_lens);
-  if (hints) hints_.BuildFrom(&hint_data, &hint_lens);
+  labels_[0].BuildFrom(&label_data, &label_lens);
+  if (hints) hints_[0].BuildFrom(&hint_data, &hint_lens);
 
   stats_.num_shortcuts = shortcut_count;
   stats_.label_entries = total_entries;
   stats_.label_bytes =
-      total_entries * sizeof(uint32_t) + labels_.MetadataBytes();
+      total_entries * sizeof(uint32_t) + labels_[0].MetadataBytes();
   // Cut repairs may have moved vertices between nodes.
-  stats_.tree_height = hierarchy_.Height();
+  height_ = hierarchy_.Height();
+  stats_.tree_height = height_;
   stats_.max_cut_size = hierarchy_.MaxCutSize();
   stats_.avg_cut_size = hierarchy_.AvgCutSize();
   stats_.build_seconds = timer.Seconds();
@@ -961,25 +902,24 @@ Status Hc2lIndex::RelabelWalk(const Graph& core, bool scoped,
 
 Hc2lIndex Hc2lIndex::Clone() const {
   Hc2lIndex out;
+  out.num_vertices_ = num_vertices_;
   out.stats_ = stats_;
   if (contraction_ != nullptr) {
     out.contraction_ = std::make_unique<DegreeOneContraction>(*contraction_);
   }
   out.hierarchy_ = hierarchy_;
-  out.labels_.base = labels_.base;
-  out.labels_.level_start = labels_.level_start;
-  out.labels_.level_len = labels_.level_len;
-  out.labels_.arena.Reset(labels_.arena.size());
-  std::memcpy(out.labels_.arena.data(), labels_.arena.data(),
-              labels_.arena.SizeBytes());
-  if (HasRouteHints()) {
-    out.hints_.base = hints_.base;
-    out.hints_.level_start = hints_.level_start;
-    out.hints_.level_len = hints_.level_len;
-    out.hints_.arena.Reset(hints_.arena.size());
-    std::memcpy(out.hints_.arena.data(), hints_.arena.data(),
-                hints_.arena.SizeBytes());
-  }
+  out.height_ = height_;
+  // The offset tables deep-copy (even from a mapping); arenas are copied
+  // into fresh owned, aligned storage.
+  const auto copy_store = [](const LabelStore& from, LabelStore* to) {
+    to->base = from.base;
+    to->level_start = from.level_start;
+    to->level_len = from.level_len;
+    to->arena.Reset(from.arena.size());
+    std::memcpy(to->arena.data(), from.arena.data(), from.arena.SizeBytes());
+  };
+  copy_store(labels_[0], &out.labels_[0]);
+  if (HasRouteHints()) copy_store(hints_[0], &out.hints_[0]);
   out.repair_cache_ = repair_cache_;
   out.repair_cache_tail_pruning_ = repair_cache_tail_pruning_;
   out.repair_stats_ = repair_stats_;
@@ -1029,356 +969,40 @@ bool Hc2lIndex::IdenticalTo(const Hc2lIndex& other) const {
       return false;
     }
   }
-  return labels_.base == other.labels_.base &&
-         labels_.level_start == other.labels_.level_start &&
-         labels_.level_len == other.labels_.level_len &&
-         labels_.arena.size() == other.labels_.arena.size() &&
-         std::memcmp(labels_.arena.data(), other.labels_.arena.data(),
-                     labels_.arena.SizeBytes()) == 0 &&
-         hints_.base == other.hints_.base &&
-         hints_.level_start == other.hints_.level_start &&
-         hints_.level_len == other.hints_.level_len &&
-         hints_.arena.size() == other.hints_.arena.size() &&
-         (hints_.arena.size() == 0 ||
-          std::memcmp(hints_.arena.data(), other.hints_.arena.data(),
-                      hints_.arena.SizeBytes()) == 0);
-}
-
-size_t Hc2lIndex::LabelSizeBytes() const { return labels_.ResidentBytes(); }
-
-std::vector<Dist> Hc2lIndex::BatchQuery(Vertex source,
-                                        std::span<const Vertex> targets) const {
-  std::vector<Dist> out(targets.size(), kInfDist);
-  BatchQueryInto(source, targets, out.data());
-  return out;
-}
-
-void Hc2lIndex::BatchQueryInto(Vertex source, std::span<const Vertex> targets,
-                               Dist* out) const {
-  if (targets.empty()) return;
-  // stats_.tree_height, not hierarchy_.Height() — that one rescans every
-  // tree node, which would dwarf small batches.
-  ResolvedBatchQuery(
-      labels_, labels_, stats_.tree_height, source, Resolve(source), targets,
-      [&](Vertex t) { return Resolve(t); },
-      [&](Vertex s, Vertex t) { return contraction_->SameTreeDistance(s, t); },
-      out);
-}
-
-std::vector<std::vector<Dist>> Hc2lIndex::DistanceMatrix(
-    std::span<const Vertex> sources, std::span<const Vertex> targets) const {
-  std::vector<std::vector<Dist>> matrix(
-      sources.size(), std::vector<Dist>(targets.size(), kInfDist));
-  std::vector<Dist*> row_ptrs(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) row_ptrs[i] = matrix[i].data();
-  DistanceMatrixInto(sources, targets, MatrixRows{.rows = row_ptrs.data()});
-  return matrix;
-}
-
-bool Hc2lIndex::DistanceMatrixInto(std::span<const Vertex> sources,
-                                   std::span<const Vertex> targets,
-                                   const MatrixRows& rows,
-                                   StopPoll stop) const {
-  // Undirected: both sides resolve alike and read the one label store.
-  const auto resolve = [&](Vertex v) { return Resolve(v); };
-  return BlockedDistanceMatrix(
-      sources, targets, labels_, labels_, resolve, resolve,
-      [&](Vertex s, Vertex t) { return contraction_->SameTreeDistance(s, t); },
-      rows, stop);
-}
-
-std::vector<std::pair<Dist, Vertex>> Hc2lIndex::KNearest(
-    Vertex source, std::span<const Vertex> candidates, size_t k) const {
-  const std::vector<Dist> dists = BatchQuery(source, candidates);
-  return SelectKNearest(dists, candidates, k);
-}
-
-// --- Route unpacking. CoreRoute walks the hint store from both ends: the
-// argmin hub of the pair's LCA level pins a shortest path through one cut
-// vertex, and the stored first-hop hints advance whichever endpoint is not
-// the hub itself. Every emitted hop is a real core edge (the annotations
-// propagate first *real* hops through shortcuts), so the walk needs no
-// graph and does O(path length) label scans.
-
-Status Hc2lIndex::CoreRoute(Vertex cs, Vertex ct,
-                            std::vector<Vertex>* out) const {
-  out->clear();
-  const size_t core_n = labels_.base.size() - 1;
-  std::vector<Vertex> back;  // suffix toward ct, collected in reverse
-  Vertex s = cs;
-  Vertex t = ct;
-  out->push_back(s);
-  size_t steps = 0;
-  while (s != t) {
-    // Each iteration advances one hop along a shortest (hence simple) path,
-    // so exceeding the vertex count proves the hints are inconsistent.
-    if (++steps > core_n + 1) {
-      return Status::Internal(
-          "route unpacking exceeded the path-length bound (inconsistent "
-          "hint store)");
-    }
-    const uint32_t level = hierarchy_.LcaLevel(s, t);
-    const uint32_t s_idx = labels_.base[s] + level;
-    const uint32_t t_idx = labels_.base[t] + level;
-    const uint32_t* ds = labels_.arena.data() + labels_.level_start[s_idx];
-    const uint32_t* dt = labels_.arena.data() + labels_.level_start[t_idx];
-    const uint32_t len =
-        std::min(labels_.level_len[s_idx], labels_.level_len[t_idx]);
-    uint64_t best = UINT64_MAX;
-    uint32_t best_i = UINT32_MAX;
-    for (uint32_t i = 0; i < len; ++i) {
-      if (ds[i] == kUnreachableLabel || dt[i] == kUnreachableLabel) continue;
-      const uint64_t sum = uint64_t{ds[i]} + dt[i];
-      if (sum < best) {
-        best = sum;
-        best_i = i;
-      }
-    }
-    if (best_i == UINT32_MAX) {
-      return Status::Internal(
-          "route unpacking found no common hub for a reachable pair");
-    }
-    if (ds[best_i] > 0) {
-      // Step the source end toward the hub.
-      const Vertex hint =
-          hints_.arena.data()[hints_.level_start[s_idx] + best_i];
-      if (hint >= core_n) {
-        return Status::Internal("route hint out of range");
-      }
-      s = hint;
-      out->push_back(s);
-    } else {
-      // s *is* the hub; step the target end toward it instead. dt > 0 here
-      // (both zero would mean s == t).
-      const Vertex hint =
-          hints_.arena.data()[hints_.level_start[t_idx] + best_i];
-      if (hint >= core_n) {
-        return Status::Internal("route hint out of range");
-      }
-      back.push_back(t);
-      t = hint;
-    }
-  }
-  out->insert(out->end(), back.rbegin(), back.rend());
-  return Status::Ok();
-}
-
-Status Hc2lIndex::ExpandRoute(Vertex s, Vertex t, Dist weight,
-                              const std::vector<Vertex>& core_path,
-                              RoutePath* out) const {
-  out->vertices.clear();
-  out->weight = weight;
-  if (core_path.empty()) {
-    return Status::Internal("empty core path for a reachable pair");
-  }
-  if (contraction_ == nullptr) {
-    out->vertices = core_path;
-    return Status::Ok();
-  }
-  // s's pendant chain down to (excluding) its root, the core path mapped to
-  // original ids, then t's chain reversed back up from its root.
-  const DegreeOneContraction& c = *contraction_;
-  for (Vertex v = s; c.depth_[v] > 0; v = c.parent_[v]) {
-    out->vertices.push_back(v);
-  }
-  for (const Vertex cv : core_path) {
-    out->vertices.push_back(c.to_original_[cv]);
-  }
-  std::vector<Vertex> tail;
-  for (Vertex v = t; c.depth_[v] > 0; v = c.parent_[v]) {
-    tail.push_back(v);
-  }
-  out->vertices.insert(out->vertices.end(), tail.rbegin(), tail.rend());
-  return Status::Ok();
-}
-
-Status Hc2lIndex::Route(Vertex s, Vertex t, RoutePath* out) const {
-  HC2L_CHECK_LT(s, stats_.num_vertices);
-  HC2L_CHECK_LT(t, stats_.num_vertices);
-  out->vertices.clear();
-  out->weight = kInfDist;
-  if (s == t) {
-    out->vertices.push_back(s);
-    out->weight = 0;
-    return Status::Ok();
-  }
-  if (!HasRouteHints()) {
-    return Status::FailedPrecondition(
-        "index carries no route hints (built with route_hints = false, or "
-        "loaded from a file without hint sections); routes need a "
-        "graph-backed fallback unpacker");
-  }
-  if (contraction_ != nullptr) {
-    const Vertex root_s = contraction_->RootCoreId(s);
-    const Vertex root_t = contraction_->RootCoreId(t);
-    if (root_s == root_t) {
-      // Same pendant tree: the unique simple path climbs both sides to the
-      // in-tree LCA (always reachable — the tree is connected).
-      const DegreeOneContraction& c = *contraction_;
-      out->weight = c.SameTreeDistance(s, t);
-      std::vector<Vertex> down;
-      Vertex a = s;
-      Vertex b = t;
-      while (c.depth_[a] > c.depth_[b]) {
-        out->vertices.push_back(a);
-        a = c.parent_[a];
-      }
-      while (c.depth_[b] > c.depth_[a]) {
-        down.push_back(b);
-        b = c.parent_[b];
-      }
-      while (a != b) {
-        out->vertices.push_back(a);
-        a = c.parent_[a];
-        down.push_back(b);
-        b = c.parent_[b];
-      }
-      out->vertices.push_back(a);
-      out->vertices.insert(out->vertices.end(), down.rbegin(), down.rend());
-      return Status::Ok();
-    }
-    const Dist core_d = CoreQuery(root_s, root_t, nullptr);
-    if (core_d == kInfDist) return Status::Ok();
-    const Dist total = AddDist(AddDist(contraction_->DistToRoot(s), core_d),
-                               contraction_->DistToRoot(t));
-    std::vector<Vertex> core_path;
-    if (Status st = CoreRoute(root_s, root_t, &core_path); !st.ok()) {
-      return st;
-    }
-    return ExpandRoute(s, t, total, core_path, out);
-  }
-  const Dist d = CoreQuery(s, t, nullptr);
-  if (d == kInfDist) return Status::Ok();
-  std::vector<Vertex> core_path;
-  if (Status st = CoreRoute(s, t, &core_path); !st.ok()) return st;
-  return ExpandRoute(s, t, d, core_path, out);
-}
-
-Status Hc2lIndex::Routes(Vertex s, Vertex t, size_t k,
-                         std::vector<RoutePath>* out) const {
-  out->clear();
-  if (k == 0) return Status::Ok();
-  RoutePath first;
-  if (Status st = Route(s, t, &first); !st.ok()) return st;
-  if (first.vertices.empty()) return Status::Ok();  // unreachable pair
-  out->push_back(std::move(first));
-  if (out->size() >= k || s == t) return Status::Ok();
-
-  Vertex cs = s;
-  Vertex ct = t;
-  Dist offset = 0;
-  if (contraction_ != nullptr) {
-    cs = contraction_->RootCoreId(s);
-    ct = contraction_->RootCoreId(t);
-    // One pendant tree admits exactly one simple path.
-    if (cs == ct) return Status::Ok();
-    offset =
-        AddDist(contraction_->DistToRoot(s), contraction_->DistToRoot(t));
-  }
-
-  // Alternative candidates are the other separator hubs of the pair's LCA
-  // level: routing via hub i costs ds[i] + dt[i] (>= the optimum), and the
-  // cut of the LCA node lists the hubs in exactly the label entries' rank
-  // order.
-  const uint32_t level = hierarchy_.LcaLevel(cs, ct);
-  const uint32_t s_idx = labels_.base[cs] + level;
-  const uint32_t t_idx = labels_.base[ct] + level;
-  const uint32_t* ds = labels_.arena.data() + labels_.level_start[s_idx];
-  const uint32_t* dt = labels_.arena.data() + labels_.level_start[t_idx];
-  int32_t node = static_cast<int32_t>(hierarchy_.NodeOf(cs));
-  while (TreeCodeDepth(hierarchy_.Node(node).code) > level) {
-    node = hierarchy_.Node(node).parent;
-    if (node < 0) {
-      return Status::Internal("LCA climb fell off the hierarchy root");
-    }
-  }
-  const std::vector<Vertex>& cut = hierarchy_.Node(node).cut;
-  uint32_t len =
-      std::min(labels_.level_len[s_idx], labels_.level_len[t_idx]);
-  len = std::min(len, static_cast<uint32_t>(cut.size()));
-  std::vector<std::pair<uint64_t, uint32_t>> candidates;
-  for (uint32_t i = 0; i < len; ++i) {
-    if (ds[i] == kUnreachableLabel || dt[i] == kUnreachableLabel) continue;
-    candidates.emplace_back(uint64_t{ds[i]} + dt[i], i);
-  }
-  std::sort(candidates.begin(), candidates.end());
-
-  std::unordered_set<Vertex> used((*out)[0].vertices.begin(),
-                                  (*out)[0].vertices.end());
-  for (const auto& [sum, i] : candidates) {
-    if (out->size() >= k) break;
-    const Vertex hub = cut[i];
-    const Vertex hub_orig =
-        contraction_ != nullptr ? contraction_->OriginalId(hub) : hub;
-    // Plateaux-style dedup: a via hub already on a selected route can only
-    // reproduce a path through it.
-    if (used.count(hub_orig) != 0) continue;
-    std::vector<Vertex> core_path;
-    std::vector<Vertex> second;
-    if (Status st = CoreRoute(cs, hub, &core_path); !st.ok()) return st;
-    if (Status st = CoreRoute(hub, ct, &second); !st.ok()) return st;
-    core_path.insert(core_path.end(), second.begin() + 1, second.end());
-    // The two legs may overlap; a non-simple detour is never a useful
-    // alternative.
-    std::unordered_set<Vertex> on_path;
-    bool simple = true;
-    for (const Vertex v : core_path) {
-      if (!on_path.insert(v).second) {
-        simple = false;
-        break;
-      }
-    }
-    if (!simple) continue;
-    RoutePath alt;
-    if (Status st = ExpandRoute(s, t, AddDist(offset, sum), core_path, &alt);
-        !st.ok()) {
-      return st;
-    }
-    bool dup = false;
-    for (const RoutePath& r : *out) {
-      if (r.vertices == alt.vertices) {
-        dup = true;
-        break;
-      }
-    }
-    if (dup) continue;
-    for (const Vertex v : alt.vertices) used.insert(v);
-    out->push_back(std::move(alt));
-  }
-  return Status::Ok();
+  const auto same_store = [](const LabelStore& x, const LabelStore& y) {
+    return x.base == y.base && x.level_start == y.level_start &&
+           x.level_len == y.level_len && x.arena.size() == y.arena.size() &&
+           (x.arena.size() == 0 ||
+            std::memcmp(x.arena.data(), y.arena.data(),
+                        x.arena.SizeBytes()) == 0);
+  };
+  return same_store(labels_[0], other.labels_[0]) &&
+         same_store(hints_[0], other.hints_[0]);
 }
 
 // On-disk format (src/core/index_format.h, docs/format.md): the sectioned
-// HC2L0004 layout. The meta section carries stats, the optional contraction
-// and the hierarchy; the label store and, when the index has route hints,
-// its hint store go through the section codec shared with the directed
-// index (common/section_file.h), which lays the arenas out on 64-byte file
-// offsets so OpenMode::kMmap can use them in place.
+// HC2L0004 layout. The meta body carries the stats and the optional
+// contraction; the core (LabelIndex::SaveSections) appends the hierarchy and
+// writes the label store and, when the index has route hints, its hint
+// store.
 Status Hc2lIndex::Save(const std::string& path) const {
-  const LabelStore* hints = HasRouteHints() ? &hints_ : nullptr;
-  return io::WriteSectionFile(
-      path, kHc2lIndexMagic, io::SectionCount(1, hints != nullptr),
-      [&](io::SectionWriter& w) {
-        std::FILE* out = w.file();
-        const uint8_t has_contraction = contraction_ != nullptr ? 1 : 0;
-        bool ok = w.Begin(io::kSectionMeta) && io::WriteValue(out, stats_) &&
-                  io::WriteValue(out, has_contraction);
-        if (ok && has_contraction) {
-          const DegreeOneContraction& c = *contraction_;
-          const uint64_t contracted = c.num_contracted_;
-          ok = io::WriteVector(out, c.core_id_) &&
-               io::WriteVector(out, c.to_original_) &&
-               io::WriteVector(out, c.root_core_id_) &&
-               io::WriteVector(out, c.dist_to_root_) &&
-               io::WriteVector(out, c.parent_) &&
-               io::WriteVector(out, c.parent_weight_) &&
-               io::WriteVector(out, c.depth_) &&
-               io::WriteValue(out, contracted);
-        }
-        return ok && hierarchy_.WriteTo(out) &&
-               io::WriteLabelStoreCounts(out, labels_) && w.End() &&
-               w.WriteStore(io::kStoreSections, labels_, hints);
-      });
+  return SaveSections(path, kHc2lIndexMagic, [&](std::FILE* out) {
+    const uint8_t has_contraction = contraction_ != nullptr ? 1 : 0;
+    bool ok =
+        io::WriteValue(out, stats_) && io::WriteValue(out, has_contraction);
+    if (ok && has_contraction) {
+      const DegreeOneContraction& c = *contraction_;
+      const uint64_t contracted = c.num_contracted_;
+      ok = io::WriteVector(out, c.core_id_) &&
+           io::WriteVector(out, c.to_original_) &&
+           io::WriteVector(out, c.root_core_id_) &&
+           io::WriteVector(out, c.dist_to_root_) &&
+           io::WriteVector(out, c.parent_) &&
+           io::WriteVector(out, c.parent_weight_) &&
+           io::WriteVector(out, c.depth_) && io::WriteValue(out, contracted);
+    }
+    return ok;
+  });
 }
 
 Result<Hc2lIndex> Hc2lIndex::Load(const std::string& path) {
@@ -1386,14 +1010,9 @@ Result<Hc2lIndex> Hc2lIndex::Load(const std::string& path) {
 }
 
 Result<Hc2lIndex> Hc2lIndex::Load(const std::string& path, bool use_mmap) {
-  io::SectionFile file(path, "HC2L index");
-  if (Status st = file.Open(kHc2lIndexMagic, use_mmap); !st.ok()) return st;
   Hc2lIndex index;
-  index.mapping_ = file.mapping();
   uint8_t has_contraction = 0;
-  io::LabelStoreCounts counts;
-
-  const auto parse_meta = [&](io::Reader* in) {
+  const auto parse_body = [&](io::Reader* in) {
     bool ok = io::ReadValue(in, &index.stats_) &&
               io::ReadValue(in, &has_contraction);
     if (ok && has_contraction) {
@@ -1410,27 +1029,22 @@ Result<Hc2lIndex> Hc2lIndex::Load(const std::string& path, bool use_mmap) {
            io::ReadVector(in, &c.depth_) && io::ReadValue(in, &contracted);
       c.num_contracted_ = contracted;
     }
-    return ok && index.hierarchy_.ReadFrom(in) &&
-           io::ReadLabelStoreCounts(in, &counts);
+    return ok;
   };
 
-  // Query-path hardening shared by both loaders: the contraction mapping
-  // and per-vertex code tables are indexed without bounds checks, so their
-  // sizes and id ranges must agree with the structures actually loaded, and
-  // each vertex must own at least depth+1 label arrays so any LCA level
-  // indexes inside its range. The stored stats counts feed the facade's
-  // range checks (NumVertices gates every query id), so a corrupt stats
-  // block must not survive either: pin it to the loaded sizes. Graph-level
-  // semantics (weights, actual distances) remain trusted — index files are
-  // not designed to be loaded from adversarial sources.
-  const auto validate_structure = [&]() {
+  // The contraction mapping is indexed without bounds checks, so its sizes
+  // and id ranges must agree with the loaded core. The stored stats counts
+  // feed the facade's range checks (NumVertices gates every query id), so a
+  // corrupt stats block must not survive either: pin it to the loaded
+  // sizes.
+  const auto check_body = [&](size_t core) {
     if (has_contraction) {
       const DegreeOneContraction& c = *index.contraction_;
       const size_t n = c.core_id_.size();
-      const size_t core = c.to_original_.size();
-      if (c.root_core_id_.size() != n || c.dist_to_root_.size() != n ||
-          c.parent_.size() != n || c.parent_weight_.size() != n ||
-          c.depth_.size() != n || core + c.num_contracted_ != n) {
+      if (c.to_original_.size() != core || c.root_core_id_.size() != n ||
+          c.dist_to_root_.size() != n || c.parent_.size() != n ||
+          c.parent_weight_.size() != n || c.depth_.size() != n ||
+          core + c.num_contracted_ != n) {
         return false;
       }
       for (size_t v = 0; v < n; ++v) {
@@ -1442,62 +1056,23 @@ Result<Hc2lIndex> Hc2lIndex::Load(const std::string& path, bool use_mmap) {
         }
       }
     }
-    if (index.labels_.base.empty()) return false;
-    const size_t core = index.labels_.base.size() - 1;
-    if (index.hierarchy_.vertex_code_.size() != core ||
-        index.hierarchy_.node_of_vertex_.size() != core) {
-      return false;
-    }
-    if (has_contraction && index.contraction_->to_original_.size() != core) {
-      return false;
-    }
     const uint64_t n =
         has_contraction ? index.contraction_->core_id_.size() : core;
     const uint64_t contracted =
         has_contraction ? index.contraction_->num_contracted_ : 0;
-    if (index.stats_.num_vertices != n ||
-        index.stats_.num_core_vertices != core ||
-        index.stats_.num_contracted != contracted) {
-      return false;
-    }
-    for (size_t v = 0; v < core; ++v) {
-      const uint32_t arrays = index.labels_.base[v + 1] - index.labels_.base[v];
-      if (arrays < TreeCodeDepth(index.hierarchy_.vertex_code_[v]) + 1) {
-        return false;
-      }
-    }
-    return true;
+    return index.stats_.num_vertices == n &&
+           index.stats_.num_core_vertices == core &&
+           index.stats_.num_contracted == contracted;
   };
 
-  if (!file.ReadMeta(parse_meta) ||
-      !file.ReadStore(io::kStoreSections, counts, &index.labels_,
-                      &index.hints_) ||
-      !validate_structure()) {
-    return file.Corrupt();
+  if (Status st = index.LoadSections(path, "HC2L index", kHc2lIndexMagic,
+                                     use_mmap, parse_body, check_body);
+      !st.ok()) {
+    return st;
   }
-  // The file-loaded height is likewise not trusted for the level bucketing's
-  // bucket sizing; recompute it (equal for well-formed files).
-  index.stats_.tree_height = index.hierarchy_.LevelBound();
+  index.num_vertices_ = index.stats_.num_vertices;
+  index.stats_.tree_height = index.height_;
   return index;
-}
-
-size_t Hc2lIndex::MappedBytes() const {
-  size_t bytes = 0;
-  if (!labels_.arena.owned()) bytes += labels_.arena.SizeBytes();
-  if (!hints_.arena.owned()) bytes += hints_.arena.SizeBytes();
-  // A mapped open views the offset tables too; the hint store shares the
-  // label store's tables (the same mapped bytes), so they count once.
-  if (!labels_.base.owned()) bytes += labels_.MetadataBytes();
-  return bytes;
-}
-
-size_t Hc2lIndex::ArenaResidentBytes() const {
-  size_t bytes = labels_.arena.SizeBytes() + hints_.arena.SizeBytes() +
-                 labels_.MetadataBytes();
-  // Heap loads hold separate (identical) hint offset tables; a mapped open
-  // shares the label store's, which must then count once.
-  if (hints_.base.owned()) bytes += hints_.MetadataBytes();
-  return bytes;
 }
 
 }  // namespace hc2l

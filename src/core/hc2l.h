@@ -5,44 +5,15 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/label_arena.h"
-#include "common/mmap_file.h"
-#include "core/query_common.h"
+#include "core/label_index.h"
 #include "graph/graph.h"
 #include "hc2l/status.h"
-#include "hierarchy/contraction.h"
-#include "hierarchy/hierarchy.h"
 
 namespace hc2l {
 
 class ThreadPool;
-
-/// Construction options for the HC2L index.
-struct Hc2lOptions {
-  /// Balance threshold beta in (0, 0.5]; the paper selects 0.2 (Section 5).
-  double beta = 0.2;
-  /// Recursion stops when a subgraph has at most this many vertices; the
-  /// remaining set forms a leaf node and is labelled like a cut.
-  uint32_t leaf_size = 8;
-  /// Tail pruning (Definition 4.18). Disabling it yields the naive
-  /// upper-bound labelling of Section 4.2.1 (full distance arrays): ~10-15%
-  /// larger labels, ~20% faster construction.
-  bool tail_pruning = true;
-  /// Degree-one contraction (Section 4.2.2). Disabling indexes the full
-  /// graph (ablation).
-  bool contract_degree_one = true;
-  /// Record route hints (the first core-graph hop toward every hub) next to
-  /// the distance labels, enabling label-based path unpacking (Route).
-  /// Disabling builds a distance-only index whose file omits the hint
-  /// sections; routes then require a graph-backed fallback unpacker.
-  bool route_hints = true;
-  /// Number of construction threads; >1 gives the paper's HC2L_p variant.
-  /// Query processing is always single-threaded per query.
-  uint32_t num_threads = 1;
-};
 
 /// Construction and size statistics of a built index.
 struct Hc2lStats {
@@ -88,101 +59,17 @@ struct RepairStats {
 /// codes and min-reduces the two aligned distance arrays of that level
 /// (Eq. 7). With options.num_threads > 1 this is the paper's HC2L_p; the
 /// resulting index is bit-identical to the single-threaded one.
-class Hc2lIndex {
+///
+/// Queries, routes, size accounting and the store sections are the shared
+/// LabelIndex<1> core; this class adds the builder, the persisted stats and
+/// the dynamic-update (relabel/repair) walk.
+class Hc2lIndex : public LabelIndex<1> {
  public:
-  /// Sentinel stored in labels for "unreachable from this hub".
-  static constexpr uint32_t kUnreachableLabel = UINT32_MAX;
-
   /// Builds an index over g.
   static Hc2lIndex Build(const Graph& g, const Hc2lOptions& options = {});
 
-  Hc2lIndex(Hc2lIndex&&) = default;
-  Hc2lIndex& operator=(Hc2lIndex&&) = default;
-
-  /// Exact shortest-path distance between s and t (kInfDist if
-  /// disconnected).
-  Dist Query(Vertex s, Vertex t) const;
-
-  /// Query() that additionally reports how many hub entries were scanned —
-  /// the quantity averaged in Table 3's AHS column.
-  Dist QueryCountingHubs(Vertex s, Vertex t, uint64_t* hubs_scanned) const;
-
-  /// One-to-many: distances from `source` to every target, in order.
-  /// The bulk interface for the paper's motivating workloads (Section 1:
-  /// matching cars to customers, k-nearest POIs).
-  std::vector<Dist> BatchQuery(Vertex source,
-                               std::span<const Vertex> targets) const;
-
-  /// Span-writing BatchQuery: writes out[i] = d(source, targets[i]) for every
-  /// i (every slot is written; no pre-fill needed). Working memory comes from
-  /// the calling thread's QueryScratch, so steady-state calls do not allocate
-  /// — the primitive under the facade's zero-copy request path.
-  void BatchQueryInto(Vertex source, std::span<const Vertex> targets,
-                      Dist* out) const;
-
-  /// Many-to-many distance matrix: result[i][j] = d(sources[i], targets[j]).
-  std::vector<std::vector<Dist>> DistanceMatrix(
-      std::span<const Vertex> sources, std::span<const Vertex> targets) const;
-
-  /// The many-to-many primitive under every matrix path: writes
-  /// rows.Row(i)[j] = d(sources[i], targets[j]) for every cell. Both sides
-  /// are split down the hierarchy by tree code, so the matrix falls into
-  /// dense blocks that each share one LCA level and are min-reduced against
-  /// a transposed target panel (BlockedDistanceMatrix,
-  /// src/core/query_common.h); a lone source is swept by level. Polls
-  /// `stop` every ~2k cells and returns false as soon as it fires (rows
-  /// then unspecified). Working memory is the calling thread's
-  /// QueryScratch, so steady-state calls do not allocate.
-  bool DistanceMatrixInto(std::span<const Vertex> sources,
-                          std::span<const Vertex> targets,
-                          const MatrixRows& rows, StopPoll stop = {}) const;
-
-  /// The k candidates nearest to `source` (ties broken deterministically by
-  /// candidate order), as (distance, candidate) pairs sorted ascending;
-  /// unreachable candidates are excluded, so fewer than k entries may return.
-  std::vector<std::pair<Dist, Vertex>> KNearest(
-      Vertex source, std::span<const Vertex> candidates, size_t k) const;
-
-  /// Number of vertices of the indexed graph.
-  size_t NumVertices() const { return stats_.num_vertices; }
-
-  /// True when the index carries route hints (built with route_hints, or
-  /// loaded from a file with a hint section) and can unpack paths without a
-  /// graph.
-  bool HasRouteHints() const { return !hints_.base.empty(); }
-
-  /// Reconstructs one shortest path s -> t from the labels: out->vertices
-  /// holds the full original-id sequence (s first, t last; the single
-  /// vertex for s == t; empty when unreachable) and out->weight the path
-  /// weight, which always equals Query(s, t). Vertex ids must be in range
-  /// (the facade validates). Errors: kFailedPrecondition (no route hints —
-  /// use a graph-backed fallback), kInternal (hint invariants broken, e.g.
-  /// a corrupt hint store).
-  Status Route(Vertex s, Vertex t, RoutePath* out) const;
-
-  /// Up to k alternative routes s -> t, sorted ascending by weight; the
-  /// first is a shortest path (Route's answer). Alternatives are built by
-  /// routing via the other separator hubs of the s/t cut level and deduped
-  /// by vertex sequence (plateaux-style: a via-hub already on a selected
-  /// route adds nothing new). Fewer than k may return; an unreachable pair
-  /// returns an empty list. k == 0 is an empty list. Error contract as
-  /// Route.
-  Status Routes(Vertex s, Vertex t, size_t k,
-                std::vector<RoutePath>* out) const;
-
   /// Construction/size statistics.
   const Hc2lStats& Stats() const { return stats_; }
-
-  /// The balanced tree hierarchy (over the core graph).
-  const BalancedTreeHierarchy& Hierarchy() const { return hierarchy_; }
-
-  /// Resident label storage in bytes: the cache-aligned arena (including its
-  /// sentinel padding) plus offset tables; excludes LCA codes. The logical
-  /// (unpadded) size is Stats().label_bytes.
-  size_t LabelSizeBytes() const;
-
-  /// Bytes needed for O(1) LCA lookups (Table 3's "LCA Storage").
-  size_t LcaStorageBytes() const { return hierarchy_.LcaStorageBytes(); }
 
   /// Dynamic weight updates (Section 5.4): refreshes every distance value —
   /// contraction offsets, shortcuts and label arrays — for a graph with the
@@ -261,37 +148,9 @@ class Hc2lIndex {
   /// fully owned copy.
   static Result<Hc2lIndex> Load(const std::string& path, bool use_mmap);
 
-  /// Label bytes (arenas + offset tables) served straight from the file
-  /// mapping (0 for a heap load). The IndexInfo mapped_bytes/heap_bytes
-  /// split.
-  size_t MappedBytes() const;
-
-  /// Total label + hint arena and offset-table bytes regardless of
-  /// backing; ArenaResidentBytes() - MappedBytes() is what the label
-  /// structures hold on the heap.
-  size_t ArenaResidentBytes() const;
-
  private:
   friend class Hc2lBuilder;
   Hc2lIndex() = default;
-
-  /// Query over core-graph ids (labels + hierarchy only).
-  Dist CoreQuery(Vertex s, Vertex t, uint64_t* hubs_scanned) const;
-
-  /// v's contraction root, its tree code and the detour between them (pos
-  /// left 0) — the same for a source and a target.
-  ResolvedVertex Resolve(Vertex v) const;
-
-  /// Hint-store walk over core ids: writes the full core-id shortest path
-  /// cs..ct (inclusive; cleared first) into *out. Requires HasRouteHints().
-  /// kInternal when the hints are inconsistent with the labels.
-  Status CoreRoute(Vertex cs, Vertex ct, std::vector<Vertex>* out) const;
-
-  /// Maps a core-id path back to original ids and splices the pendant-tree
-  /// chains of s and/or t around it (`weight` is the known total).
-  Status ExpandRoute(Vertex s, Vertex t, Dist weight,
-                     const std::vector<Vertex>& core_path,
-                     RoutePath* out) const;
 
   /// Per-hierarchy-node inputs of the last relabel walk: the node's induced
   /// subgraph (local ids), the local->core-global id map, the per-arc route
@@ -323,25 +182,8 @@ class Hc2lIndex {
   /// fix): rebuilt only when the resolved thread count changes.
   ThreadPool& ResolvePool(uint32_t num_threads);
 
+  /// Construction statistics, persisted verbatim in the meta section.
   Hc2lStats stats_;
-  /// Degree-one contraction; null when options.contract_degree_one == false
-  /// (then core ids == original ids).
-  std::unique_ptr<DegreeOneContraction> contraction_;
-  BalancedTreeHierarchy hierarchy_;
-  /// Cache-aligned flattened labels: vertex v's level-k distance array starts
-  /// at labels_.arena[labels_.level_start[labels_.base[v] + k]] and holds
-  /// labels_.level_len[labels_.base[v] + k] entries.
-  LabelStore labels_;
-  /// Route hints, shaped exactly like labels_ (same offset tables): entry
-  /// (v, level, i) is the first core-graph hop from v toward that level's
-  /// i-th hub (kInvalidVertex when v is the hub or the hub is unreachable).
-  /// Empty tables when the index is hint-less (route_hints = false, or
-  /// loaded from a file without a hint section).
-  LabelStore hints_;
-  /// The file mapping backing view-mode arenas (Load with use_mmap); null
-  /// for built or heap-loaded indexes. Held for lifetime only — all access
-  /// goes through the label stores.
-  std::shared_ptr<MappedFile> mapping_;
   /// Node-indexed relabel-walk inputs; empty = cold (after Build/Load), so
   /// the next RepairLabels falls back to a full walk that populates it.
   std::vector<NodeRepairCache> repair_cache_;

@@ -1,0 +1,547 @@
+#include "core/label_index.h"
+
+#include <algorithm>
+#include <numeric>
+#include <unordered_set>
+
+#include "common/binary_io.h"
+#include "common/check.h"
+#include "common/section_file.h"
+#include "common/simd.h"
+
+namespace hc2l {
+
+namespace {
+
+/// The section ids of each direction's stores (the undirected store is the
+/// out direction's).
+constexpr io::StoreSections kDirectionSections[2] = {io::kStoreSections,
+                                                     io::kInStoreSections};
+
+/// The two aligned arrays a core pair min-reduces at its LCA level: the
+/// source's out-array and the target's in-array, over their common prefix.
+/// The route paths' lookup; CoreQuery spells it out, since GCC does not
+/// inline this into the point-query hot path.
+struct LevelArrays {
+  uint32_t s_idx;  // the source's offset-table slot (out store)
+  uint32_t t_idx;  // the target's offset-table slot (in store)
+  const uint32_t* ds;
+  const uint32_t* dt;
+  uint32_t len;
+};
+
+LevelArrays ArraysAt(const LabelStore& out, const LabelStore& in,
+                     uint32_t level, Vertex s, Vertex t) {
+  LevelArrays a;
+  a.s_idx = out.base[s] + level;
+  a.t_idx = in.base[t] + level;
+  a.ds = out.arena.data() + out.level_start[a.s_idx];
+  a.dt = in.arena.data() + in.level_start[a.t_idx];
+  a.len = std::min(out.level_len[a.s_idx], in.level_len[a.t_idx]);
+  return a;
+}
+
+}  // namespace
+
+template <int kDirections>
+Dist LabelIndex<kDirections>::CoreQuery(Vertex s, Vertex t,
+                                        uint64_t* hubs_scanned) const {
+  if (s == t) return 0;
+  const LabelStore& out = labels_[kOut];
+  const LabelStore& in = labels_[kIn];
+  const uint32_t level = hierarchy_.LcaLevel(s, t);
+  const uint32_t s_idx = out.base[s] + level;
+  const uint32_t t_idx = in.base[t] + level;
+  const uint32_t* a = out.arena.data() + out.level_start[s_idx];
+  const uint32_t* b = in.arena.data() + in.level_start[t_idx];
+  const uint32_t len = std::min(out.level_len[s_idx], in.level_len[t_idx]);
+  // Both operand arrays are cache-line aligned; hint their first lines while
+  // the remaining scalar setup retires.
+  simd::PrefetchArray(a, len * sizeof(uint32_t));
+  simd::PrefetchArray(b, len * sizeof(uint32_t));
+  if (hubs_scanned != nullptr) *hubs_scanned += len;
+  const uint32_t best = simd::MinPlusPadded(a, b, len);
+  return best >= kUnreachableLabel ? kInfDist : best;
+}
+
+template <int kDirections>
+ResolvedVertex LabelIndex<kDirections>::Resolve(Vertex v,
+                                                bool as_source) const {
+  HC2L_CHECK_LT(v, num_vertices_);
+  ResolvedVertex r{.code = 0, .core = v, .pos = 0, .detour = 0};
+  if (contraction_ != nullptr) {
+    r.core = contraction_->RootCoreId(v);
+    r.detour = as_source ? contraction_->DistToRoot(v)
+                         : contraction_->DistFromRoot(v);
+  }
+  r.code = hierarchy_.CodeOf(r.core);
+  return r;
+}
+
+template <int kDirections>
+Dist LabelIndex<kDirections>::Query(Vertex s, Vertex t) const {
+  return QueryCountingHubs(s, t, nullptr);
+}
+
+template <int kDirections>
+Dist LabelIndex<kDirections>::QueryCountingHubs(Vertex s, Vertex t,
+                                                uint64_t* hubs_scanned) const {
+  HC2L_CHECK_LT(s, num_vertices_);
+  HC2L_CHECK_LT(t, num_vertices_);
+  if (s == t) return 0;
+  if (contraction_ == nullptr) return CoreQuery(s, t, hubs_scanned);
+
+  const Vertex root_s = contraction_->RootCoreId(s);
+  const Vertex root_t = contraction_->RootCoreId(t);
+  if (root_s == root_t) return contraction_->SameTreeDistance(s, t);
+  // Cross-tree: every s -> t path climbs s's chain to its root, crosses the
+  // core, and descends t's chain — a one-way pendant broken in the needed
+  // direction makes the whole answer unreachable (never on undirected
+  // inputs). The sums propagate infinity rather than wrap past it.
+  const Dist up = contraction_->DistToRoot(s);
+  const Dist down = contraction_->DistFromRoot(t);
+  if (up == kInfDist || down == kInfDist) return kInfDist;
+  const Dist core = CoreQuery(root_s, root_t, hubs_scanned);
+  return AddDist(AddDist(up, core), down);
+}
+
+template <int kDirections>
+std::vector<Dist> LabelIndex<kDirections>::BatchQuery(
+    Vertex source, std::span<const Vertex> targets) const {
+  std::vector<Dist> out(targets.size(), kInfDist);
+  BatchQueryInto(source, targets, out.data());
+  return out;
+}
+
+template <int kDirections>
+void LabelIndex<kDirections>::BatchQueryInto(Vertex source,
+                                             std::span<const Vertex> targets,
+                                             Dist* out) const {
+  if (targets.empty()) return;
+  // The source's out-arrays min-reduce against the targets' in-arrays.
+  ResolvedBatchQuery(
+      labels_[kOut], labels_[kIn], height_, source,
+      Resolve(source, /*as_source=*/true), targets,
+      [&](Vertex t) { return Resolve(t, /*as_source=*/false); },
+      [&](Vertex s, Vertex t) { return contraction_->SameTreeDistance(s, t); },
+      out);
+}
+
+template <int kDirections>
+std::vector<std::vector<Dist>> LabelIndex<kDirections>::DistanceMatrix(
+    std::span<const Vertex> sources, std::span<const Vertex> targets) const {
+  std::vector<std::vector<Dist>> matrix(
+      sources.size(), std::vector<Dist>(targets.size(), kInfDist));
+  std::vector<Dist*> row_ptrs(sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) row_ptrs[i] = matrix[i].data();
+  DistanceMatrixInto(sources, targets, MatrixRows{.rows = row_ptrs.data()});
+  return matrix;
+}
+
+template <int kDirections>
+bool LabelIndex<kDirections>::DistanceMatrixInto(
+    std::span<const Vertex> sources, std::span<const Vertex> targets,
+    const MatrixRows& rows, StopPoll stop) const {
+  // Sources climb to their root and read out-labels; targets descend from
+  // theirs and read in-labels.
+  return BlockedDistanceMatrix(
+      sources, targets, labels_[kOut], labels_[kIn],
+      [&](Vertex v) { return Resolve(v, /*as_source=*/true); },
+      [&](Vertex v) { return Resolve(v, /*as_source=*/false); },
+      [&](Vertex s, Vertex t) { return contraction_->SameTreeDistance(s, t); },
+      rows, stop);
+}
+
+template <int kDirections>
+std::vector<std::pair<Dist, Vertex>> LabelIndex<kDirections>::KNearest(
+    Vertex source, std::span<const Vertex> candidates, size_t k) const {
+  const std::vector<Dist> dists = BatchQuery(source, candidates);
+  return SelectKNearest(dists, candidates, k);
+}
+
+// --- Route unpacking. CoreRoute walks the hint stores from both ends: the
+// argmin hub of the pair's LCA level pins a shortest path through one cut
+// vertex; out-hints advance the source end toward the hub, in-hints rewind
+// the target end back from it. Every emitted hop is a real core edge in its
+// travel direction (the annotations propagate first *real* hops through
+// shortcuts), so the walk needs no graph and does O(path length) label
+// scans.
+
+template <int kDirections>
+Status LabelIndex<kDirections>::CoreRoute(Vertex cs, Vertex ct,
+                                          std::vector<Vertex>* out) const {
+  out->clear();
+  const size_t core_n = NumCoreVertices();
+  std::vector<Vertex> back;  // suffix toward ct, collected in reverse
+  Vertex s = cs;
+  Vertex t = ct;
+  out->push_back(s);
+  size_t steps = 0;
+  while (s != t) {
+    // Each iteration advances one hop along a shortest (hence simple) path,
+    // so exceeding the vertex count proves the hints are inconsistent.
+    if (++steps > core_n + 1) {
+      return Status::Internal(
+          "route unpacking exceeded the path-length bound (inconsistent "
+          "hint store)");
+    }
+    const LevelArrays a = ArraysAt(labels_[kOut], labels_[kIn],
+                                   hierarchy_.LcaLevel(s, t), s, t);
+    uint64_t best = UINT64_MAX;
+    uint32_t best_i = UINT32_MAX;
+    for (uint32_t i = 0; i < a.len; ++i) {
+      if (a.ds[i] == kUnreachableLabel || a.dt[i] == kUnreachableLabel) {
+        continue;
+      }
+      const uint64_t sum = uint64_t{a.ds[i]} + a.dt[i];
+      if (sum < best) {
+        best = sum;
+        best_i = i;
+      }
+    }
+    if (best_i == UINT32_MAX) {
+      return Status::Internal(
+          "route unpacking found no common hub for a reachable pair");
+    }
+    // Step the source end toward the hub; when s *is* the hub (weights are
+    // positive), rewind the target end instead.
+    const bool step_source = a.ds[best_i] > 0;
+    const LabelStore& hints = hints_[step_source ? kOut : kIn];
+    const uint32_t idx = step_source ? a.s_idx : a.t_idx;
+    const Vertex hint = hints.arena.data()[hints.level_start[idx] + best_i];
+    if (hint >= core_n) return Status::Internal("route hint out of range");
+    if (step_source) {
+      s = hint;
+      out->push_back(s);
+    } else {
+      back.push_back(t);
+      t = hint;
+    }
+  }
+  out->insert(out->end(), back.rbegin(), back.rend());
+  return Status::Ok();
+}
+
+template <int kDirections>
+Status LabelIndex<kDirections>::ExpandRoute(
+    Vertex s, Vertex t, Dist weight, const std::vector<Vertex>& core_path,
+    RoutePath* out) const {
+  out->vertices.clear();
+  out->weight = weight;
+  if (core_path.empty()) {
+    return Status::Internal("empty core path for a reachable pair");
+  }
+  if (contraction_ == nullptr) {
+    out->vertices = core_path;
+    return Status::Ok();
+  }
+  // s's pendant chain up to (excluding) its root, the core path mapped to
+  // original ids, then t's chain reversed back down from its root.
+  const Contraction& c = *contraction_;
+  for (Vertex v = s; c.Depth(v) > 0; v = c.Parent(v)) {
+    out->vertices.push_back(v);
+  }
+  for (const Vertex cv : core_path) out->vertices.push_back(c.OriginalId(cv));
+  std::vector<Vertex> tail;
+  for (Vertex v = t; c.Depth(v) > 0; v = c.Parent(v)) tail.push_back(v);
+  out->vertices.insert(out->vertices.end(), tail.rbegin(), tail.rend());
+  return Status::Ok();
+}
+
+template <int kDirections>
+Status LabelIndex<kDirections>::Route(Vertex s, Vertex t,
+                                      RoutePath* out) const {
+  HC2L_CHECK_LT(s, num_vertices_);
+  HC2L_CHECK_LT(t, num_vertices_);
+  out->vertices.clear();
+  out->weight = kInfDist;
+  if (s == t) {
+    out->vertices.push_back(s);
+    out->weight = 0;
+    return Status::Ok();
+  }
+  if (!HasRouteHints()) {
+    return Status::FailedPrecondition(
+        "index carries no route hints (built with route_hints = false, or "
+        "loaded from a file without hint sections); routes need a "
+        "graph-backed fallback unpacker");
+  }
+  Vertex cs = s;
+  Vertex ct = t;
+  Dist up = 0;
+  Dist down = 0;
+  if (contraction_ != nullptr) {
+    const Contraction& c = *contraction_;
+    cs = c.RootCoreId(s);
+    ct = c.RootCoreId(t);
+    if (cs == ct) {
+      // Same pendant tree: the only simple path climbs both sides to the
+      // in-tree LCA; a one-way chain broken in the needed direction means
+      // unreachable.
+      const Dist w = c.SameTreeDistance(s, t);
+      if (w == kInfDist) return Status::Ok();
+      out->weight = w;
+      std::vector<Vertex> down_path;
+      Vertex a = s;
+      Vertex b = t;
+      while (c.Depth(a) > c.Depth(b)) {
+        out->vertices.push_back(a);
+        a = c.Parent(a);
+      }
+      while (c.Depth(b) > c.Depth(a)) {
+        down_path.push_back(b);
+        b = c.Parent(b);
+      }
+      while (a != b) {
+        out->vertices.push_back(a);
+        a = c.Parent(a);
+        down_path.push_back(b);
+        b = c.Parent(b);
+      }
+      out->vertices.push_back(a);
+      out->vertices.insert(out->vertices.end(), down_path.rbegin(),
+                           down_path.rend());
+      return Status::Ok();
+    }
+    up = c.DistToRoot(s);
+    down = c.DistFromRoot(t);
+    if (up == kInfDist || down == kInfDist) return Status::Ok();
+  }
+  const Dist core_d = CoreQuery(cs, ct, nullptr);
+  if (core_d == kInfDist) return Status::Ok();
+  std::vector<Vertex> core_path;
+  if (Status st = CoreRoute(cs, ct, &core_path); !st.ok()) return st;
+  return ExpandRoute(s, t, AddDist(AddDist(up, core_d), down), core_path,
+                     out);
+}
+
+template <int kDirections>
+Status LabelIndex<kDirections>::Routes(Vertex s, Vertex t, size_t k,
+                                       std::vector<RoutePath>* out) const {
+  out->clear();
+  if (k == 0) return Status::Ok();
+  RoutePath first;
+  if (Status st = Route(s, t, &first); !st.ok()) return st;
+  if (first.vertices.empty()) return Status::Ok();  // unreachable pair
+  out->push_back(std::move(first));
+  if (out->size() >= k || s == t) return Status::Ok();
+
+  Vertex cs = s;
+  Vertex ct = t;
+  Dist offset = 0;
+  if (contraction_ != nullptr) {
+    cs = contraction_->RootCoreId(s);
+    ct = contraction_->RootCoreId(t);
+    // One pendant tree admits exactly one simple path.
+    if (cs == ct) return Status::Ok();
+    offset = AddDist(contraction_->DistToRoot(s),
+                     contraction_->DistFromRoot(t));
+  }
+
+  // Alternative candidates are the other separator hubs of the pair's LCA
+  // level: routing via hub i costs ds[i] + dt[i] (>= the optimum), and the
+  // cut of the LCA node lists the hubs in exactly the label entries' rank
+  // order.
+  const uint32_t level = hierarchy_.LcaLevel(cs, ct);
+  const LevelArrays a = ArraysAt(labels_[kOut], labels_[kIn], level, cs, ct);
+  int32_t node = static_cast<int32_t>(hierarchy_.NodeOf(cs));
+  while (TreeCodeDepth(hierarchy_.Node(node).code) > level) {
+    node = hierarchy_.Node(node).parent;
+    if (node < 0) {
+      return Status::Internal("LCA climb fell off the hierarchy root");
+    }
+  }
+  const std::vector<Vertex>& cut = hierarchy_.Node(node).cut;
+  const uint32_t len = std::min(a.len, static_cast<uint32_t>(cut.size()));
+  std::vector<std::pair<uint64_t, uint32_t>> candidates;
+  for (uint32_t i = 0; i < len; ++i) {
+    if (a.ds[i] == kUnreachableLabel || a.dt[i] == kUnreachableLabel) {
+      continue;
+    }
+    candidates.emplace_back(uint64_t{a.ds[i]} + a.dt[i], i);
+  }
+  std::sort(candidates.begin(), candidates.end());
+
+  std::unordered_set<Vertex> used((*out)[0].vertices.begin(),
+                                  (*out)[0].vertices.end());
+  for (const auto& [sum, i] : candidates) {
+    if (out->size() >= k) break;
+    const Vertex hub = cut[i];
+    const Vertex hub_orig =
+        contraction_ != nullptr ? contraction_->OriginalId(hub) : hub;
+    // Plateaux-style dedup: a via hub already on a selected route can only
+    // reproduce a path through it.
+    if (used.count(hub_orig) != 0) continue;
+    std::vector<Vertex> core_path;
+    std::vector<Vertex> second;
+    if (Status st = CoreRoute(cs, hub, &core_path); !st.ok()) return st;
+    if (Status st = CoreRoute(hub, ct, &second); !st.ok()) return st;
+    core_path.insert(core_path.end(), second.begin() + 1, second.end());
+    // The two legs may overlap; a non-simple detour is never a useful
+    // alternative.
+    std::unordered_set<Vertex> on_path;
+    bool simple = true;
+    for (const Vertex v : core_path) {
+      if (!on_path.insert(v).second) {
+        simple = false;
+        break;
+      }
+    }
+    if (!simple) continue;
+    RoutePath alt;
+    if (Status st = ExpandRoute(s, t, AddDist(offset, sum), core_path, &alt);
+        !st.ok()) {
+      return st;
+    }
+    bool dup = false;
+    for (const RoutePath& r : *out) {
+      if (r.vertices == alt.vertices) {
+        dup = true;
+        break;
+      }
+    }
+    if (dup) continue;
+    for (const Vertex v : alt.vertices) used.insert(v);
+    out->push_back(std::move(alt));
+  }
+  return Status::Ok();
+}
+
+template <int kDirections>
+size_t LabelIndex<kDirections>::NumEntries() const {
+  uint64_t entries = 0;
+  for (const LabelStore& store : labels_) {
+    entries = std::accumulate(store.level_len.begin(), store.level_len.end(),
+                              entries);
+  }
+  return static_cast<size_t>(entries);
+}
+
+template <int kDirections>
+size_t LabelIndex<kDirections>::LabelLogicalBytes() const {
+  size_t bytes = NumEntries() * sizeof(uint32_t);
+  for (const LabelStore& store : labels_) bytes += store.MetadataBytes();
+  return bytes;
+}
+
+template <int kDirections>
+size_t LabelIndex<kDirections>::LabelSizeBytes() const {
+  size_t bytes = 0;
+  for (const LabelStore& store : labels_) bytes += store.ResidentBytes();
+  return bytes;
+}
+
+template <int kDirections>
+size_t LabelIndex<kDirections>::MappedBytes() const {
+  size_t bytes = 0;
+  for (int d = 0; d < kDirections; ++d) {
+    if (!labels_[d].arena.owned()) bytes += labels_[d].arena.SizeBytes();
+    if (!hints_[d].arena.owned()) bytes += hints_[d].arena.SizeBytes();
+    // A mapped open views the offset tables too; a hint store shares its
+    // label store's tables (the same mapped bytes), so they count once per
+    // direction.
+    if (!labels_[d].base.owned()) bytes += labels_[d].MetadataBytes();
+  }
+  return bytes;
+}
+
+template <int kDirections>
+size_t LabelIndex<kDirections>::ArenaResidentBytes() const {
+  size_t bytes = 0;
+  for (int d = 0; d < kDirections; ++d) {
+    bytes += labels_[d].arena.SizeBytes() + hints_[d].arena.SizeBytes() +
+             labels_[d].MetadataBytes();
+    // Heap loads hold separate (identical) hint offset tables; a mapped open
+    // shares the label store's, which must then count once.
+    if (hints_[d].base.owned()) bytes += hints_[d].MetadataBytes();
+  }
+  return bytes;
+}
+
+// On-disk format (src/core/index_format.h, docs/format.md): both flavours
+// write the sectioned layout through the section codec
+// (common/section_file.h), which lays the arenas out on 64-byte file
+// offsets so OpenMode::kMmap can use them in place.
+
+template <int kDirections>
+Status LabelIndex<kDirections>::SaveSections(
+    const std::string& path, uint64_t magic,
+    const std::function<bool(std::FILE*)>& write_body) const {
+  const bool hints = HasRouteHints();
+  return io::WriteSectionFile(
+      path, magic, io::SectionCount(kDirections, hints),
+      [&](io::SectionWriter& w) {
+        std::FILE* out = w.file();
+        bool ok = w.Begin(io::kSectionMeta) && write_body(out) &&
+                  hierarchy_.WriteTo(out);
+        for (const LabelStore& store : labels_) {
+          ok = ok && io::WriteLabelStoreCounts(out, store);
+        }
+        ok = ok && w.End();
+        for (int d = 0; d < kDirections; ++d) {
+          ok = ok && w.WriteStore(kDirectionSections[d], labels_[d],
+                                  hints ? &hints_[d] : nullptr);
+        }
+        return ok;
+      });
+}
+
+template <int kDirections>
+Status LabelIndex<kDirections>::LoadSections(
+    const std::string& path, const std::string& name, uint64_t magic,
+    bool use_mmap, const std::function<bool(io::Reader*)>& parse_body,
+    const std::function<bool(size_t)>& check_body) {
+  io::SectionFile file(path, name);
+  if (Status st = file.Open(magic, use_mmap); !st.ok()) return st;
+  mapping_ = file.mapping();
+  std::array<io::LabelStoreCounts, kDirections> counts;
+  const auto parse_meta = [&](io::Reader* in) {
+    bool ok = parse_body(in) && hierarchy_.ReadFrom(in);
+    for (io::LabelStoreCounts& c : counts) {
+      ok = ok && io::ReadLabelStoreCounts(in, &c);
+    }
+    return ok;
+  };
+  if (!file.ReadMeta(parse_meta)) return file.Corrupt();
+  for (int d = 0; d < kDirections; ++d) {
+    if (!file.ReadStore(kDirectionSections[d], counts[d], &labels_[d],
+                        &hints_[d]) ||
+        // Hint arenas come for every direction or for none.
+        hints_[d].base.empty() != hints_[0].base.empty()) {
+      return file.Corrupt();
+    }
+  }
+
+  // Query-path hardening: the per-vertex code tables are indexed without
+  // bounds checks, so they must cover exactly the loaded core, and each
+  // vertex must own at least depth+1 arrays in every store so any LCA level
+  // indexes inside its range (the stores' own structure was validated by
+  // the section codec's ValidateLabelShape). Graph-level semantics
+  // (weights, actual distances) remain trusted — index files are not
+  // designed to be loaded from adversarial sources.
+  if (labels_[0].base.empty()) return file.Corrupt();
+  const size_t core = labels_[0].base.size() - 1;
+  if (hierarchy_.vertex_code_.size() != core ||
+      hierarchy_.node_of_vertex_.size() != core) {
+    return file.Corrupt();
+  }
+  for (const LabelStore& store : labels_) {
+    if (store.base.size() != core + 1) return file.Corrupt();
+    for (size_t v = 0; v < core; ++v) {
+      if (store.base[v + 1] - store.base[v] <
+          TreeCodeDepth(hierarchy_.vertex_code_[v]) + 1) {
+        return file.Corrupt();
+      }
+    }
+  }
+  if (!check_body(core)) return file.Corrupt();
+  // The stored height is not trusted for the level bucketing's bucket
+  // sizing; recompute it (equal for well-formed files).
+  height_ = hierarchy_.LevelBound();
+  return Status::Ok();
+}
+
+template class LabelIndex<1>;
+template class LabelIndex<2>;
+
+}  // namespace hc2l

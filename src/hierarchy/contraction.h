@@ -70,6 +70,16 @@ class DegreeOneContraction {
   /// Distance from v to its root (0 for core vertices).
   Dist DistToRoot(Vertex v) const { return dist_to_root_[v]; }
 
+  /// Distance from v's root to v: DistToRoot(v), edges being undirected.
+  /// Lets the label core read both contractions alike.
+  Dist DistFromRoot(Vertex v) const { return dist_to_root_[v]; }
+
+  /// v's pendant-tree parent (original ids; v itself for core vertices).
+  Vertex Parent(Vertex v) const { return parent_[v]; }
+
+  /// Hops from v to its root (0 for core vertices).
+  uint32_t Depth(Vertex v) const { return depth_[v]; }
+
   /// Exact distance between two vertices hanging off the *same* root,
   /// via the in-tree LCA climb. Both arguments may also be the root itself.
   Dist SameTreeDistance(Vertex v, Vertex w) const;
@@ -148,6 +158,12 @@ class DirectedDegreeOneContraction {
   /// d(root -> v); 0 for core vertices, kInfDist when some downward arc of
   /// the chain is missing (one-way pendant that can only exit to the core).
   Dist DistFromRoot(Vertex v) const { return down_dist_[v]; }
+
+  /// v's pendant-tree parent (original ids; v itself for core vertices).
+  Vertex Parent(Vertex v) const { return parent_[v]; }
+
+  /// Hops from v to its root (0 for core vertices).
+  uint32_t Depth(Vertex v) const { return depth_[v]; }
 
   /// Exact directed distance d(v -> w) for two vertices hanging off the
   /// *same* root (either may be the root itself): climbs both sides to the

@@ -80,8 +80,9 @@ class BalancedTreeHierarchy {
  private:
   friend class Hc2lBuilder;
   friend class DirectedHc2lBuilder;
-  friend class Hc2lIndex;          // serialization + load validation
-  friend class DirectedHc2lIndex;  // serialization + load validation
+  friend class Hc2lIndex;  // relabel walk + IdenticalTo
+  template <int kDirections>
+  friend class LabelIndex;  // load validation
 
   std::vector<HierarchyNode> nodes_;
   std::vector<uint32_t> node_of_vertex_;

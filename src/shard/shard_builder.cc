@@ -80,6 +80,19 @@ uint32_t EffectiveThreads(uint32_t num_threads) {
   return hw == 0 ? 1 : static_cast<uint32_t>(hw);
 }
 
+/// The per-shard index options of both flavours. Route hints are always
+/// on: cross-shard Route needs every shard to unpack its own segments.
+Hc2lOptions ShardIndexOptions(const ShardOptions& options) {
+  Hc2lOptions shard_options;
+  shard_options.beta = options.build_beta;
+  shard_options.leaf_size = options.leaf_size;
+  shard_options.tail_pruning = options.tail_pruning;
+  shard_options.contract_degree_one = options.contract_degree_one;
+  shard_options.route_hints = true;
+  shard_options.num_threads = EffectiveThreads(options.num_threads);
+  return shard_options;
+}
+
 }  // namespace
 
 /// Assembles the partition tables shared by both flavours: region
@@ -195,13 +208,7 @@ struct ShardedIndexBuilder {
     BuildDistanceTable(&index, EffectiveThreads(options.num_threads),
                        [&](Vertex u) { return AllDistancesFrom(g, u); });
 
-    Hc2lOptions shard_options;
-    shard_options.beta = options.build_beta;
-    shard_options.leaf_size = options.leaf_size;
-    shard_options.tail_pruning = options.tail_pruning;
-    shard_options.contract_degree_one = options.contract_degree_one;
-    shard_options.route_hints = true;  // cross-shard Route requirement
-    shard_options.num_threads = EffectiveThreads(options.num_threads);
+    const Hc2lOptions shard_options = ShardIndexOptions(options);
     index.und_shards_.reserve(regions.size());
     index.to_global_.reserve(regions.size());
     for (const std::vector<Vertex>& sv : shard_vertices) {
@@ -243,13 +250,7 @@ struct ShardedIndexBuilder {
                              g, u, SearchDirection::kForward);
                        });
 
-    DirectedHc2lOptions shard_options;
-    shard_options.beta = options.build_beta;
-    shard_options.leaf_size = options.leaf_size;
-    shard_options.tail_pruning = options.tail_pruning;
-    shard_options.contract_degree_one = options.contract_degree_one;
-    shard_options.route_hints = true;
-    shard_options.num_threads = EffectiveThreads(options.num_threads);
+    const Hc2lOptions shard_options = ShardIndexOptions(options);
     index.dir_shards_.reserve(regions.size());
     index.to_global_.reserve(regions.size());
     for (const std::vector<Vertex>& sv : shard_vertices) {

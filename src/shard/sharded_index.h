@@ -58,7 +58,7 @@ struct ShardOptions {
   uint32_t num_shards = 2;
   /// Balance threshold of each recursive BalancedCut in (0, 0.5].
   double partition_beta = 0.25;
-  /// Per-shard index construction (Hc2lOptions / DirectedHc2lOptions).
+  /// Per-shard index construction (Hc2lOptions).
   /// Route hints are always on — cross-shard Route needs every shard to
   /// unpack its own segments.
   double build_beta = 0.2;

@@ -490,7 +490,7 @@ void CheckDirectedSeed(uint64_t seed) {
   size_t n = 0;
   const Digraph g = RandomDigraph(seed, &n);
 
-  DirectedHc2lOptions options;
+  Hc2lOptions options;
   options.contract_degree_one = seed % 2 == 0;
   options.tail_pruning = seed % 3 != 0;
   options.num_threads = 1 + seed % 2;

@@ -10,9 +10,12 @@
 #include "graph/road_network_generator.h"
 #include "hierarchy/contraction.h"
 #include "search/directed_dijkstra.h"
+#include "test_util.h"
 
 namespace hc2l {
 namespace {
+
+using ::hc2l::testing::FileBytes;
 
 /// All-pairs directed distances by repeated Dijkstra (ground truth).
 std::vector<std::vector<Dist>> AllPairs(const Digraph& g) {
@@ -214,7 +217,7 @@ TEST_P(DirectedHc2lPropertyTest, MatchesDijkstraOnOneWayRoadNetworks) {
   opt.weight_mode =
       seed % 2 == 0 ? WeightMode::kDistance : WeightMode::kTravelTime;
   Digraph g = GenerateDirectedRoadNetwork(opt, /*one_way_frac=*/0.25);
-  DirectedHc2lOptions options;
+  Hc2lOptions options;
   options.tail_pruning = tail_pruning;
   DirectedHc2lIndex index = DirectedHc2lIndex::Build(g, options);
   Rng rng(seed * 11 + 3);
@@ -240,9 +243,9 @@ TEST(DirectedHc2l, TailPruningShrinksLabels) {
   opt.cols = 14;
   opt.seed = 8;
   Digraph g = GenerateDirectedRoadNetwork(opt, 0.2);
-  DirectedHc2lOptions pruned;
+  Hc2lOptions pruned;
   pruned.tail_pruning = true;
-  DirectedHc2lOptions naive;
+  Hc2lOptions naive;
   naive.tail_pruning = false;
   EXPECT_LT(DirectedHc2lIndex::Build(g, pruned).NumEntries(),
             DirectedHc2lIndex::Build(g, naive).NumEntries());
@@ -310,7 +313,7 @@ TEST(DirectedDegreeOneContraction, StripsPendantsAndKeepsCore) {
 TEST(DirectedHc2l, PendantFixtureMatchesDijkstraBothModes) {
   const Digraph g = PendantFixture();
   for (const bool contract : {true, false}) {
-    DirectedHc2lOptions options;
+    Hc2lOptions options;
     options.contract_degree_one = contract;
     ExpectAllPairsCorrect(g, DirectedHc2lIndex::Build(g, options));
   }
@@ -347,9 +350,9 @@ TEST(DirectedHc2l, ContractionOnOffAgreeOnPendantHeavyNetworks) {
   for (const uint64_t seed : {21u, 22u, 23u}) {
     opt.seed = seed;
     const Digraph g = GenerateDirectedRoadNetwork(opt, /*one_way_frac=*/0.3);
-    DirectedHc2lOptions with;
+    Hc2lOptions with;
     with.contract_degree_one = true;
-    DirectedHc2lOptions without;
+    Hc2lOptions without;
     without.contract_degree_one = false;
     const DirectedHc2lIndex a = DirectedHc2lIndex::Build(g, with);
     const DirectedHc2lIndex b = DirectedHc2lIndex::Build(g, without);
@@ -393,7 +396,7 @@ TEST(DirectedHc2l, SaveWritesFormatPerContractionAndBothLoad) {
     for (const bool contract : {true, false}) {
       SCOPED_TRACE(std::string(hints ? "hinted" : "hint-less") + " " +
                    (contract ? "contracted" : "uncontracted"));
-      DirectedHc2lOptions options;
+      Hc2lOptions options;
       options.contract_degree_one = contract;
       options.route_hints = hints;
       const DirectedHc2lIndex index = DirectedHc2lIndex::Build(g, options);
@@ -417,6 +420,12 @@ TEST(DirectedHc2l, SaveWritesFormatPerContractionAndBothLoad) {
                 << "s=" << s << " t=" << t;
           }
         }
+        // The on-disk format is fixed: re-saving a loaded index (heap or
+        // mapped) reproduces the original file byte for byte.
+        const std::string resaved = path + ".resaved";
+        ASSERT_TRUE(loaded->Save(resaved).ok());
+        EXPECT_EQ(FileBytes(resaved), FileBytes(path));
+        std::remove(resaved.c_str());
       }
       std::remove(path.c_str());
     }

@@ -232,7 +232,7 @@ TEST(BlockedMatrix, DirectedMatchesQueryAndDijkstra) {
     mates.push_back(v);
   }
   for (const bool contract : {true, false}) {
-    DirectedHc2lOptions options;
+    Hc2lOptions options;
     options.contract_degree_one = contract;
     const DirectedHc2lIndex index = DirectedHc2lIndex::Build(g, options);
     if (contract) {

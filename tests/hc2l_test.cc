@@ -14,6 +14,7 @@
 namespace hc2l {
 namespace {
 
+using ::hc2l::testing::FileBytes;
 using ::hc2l::testing::FloydWarshall;
 using ::hc2l::testing::MakeBarbell;
 using ::hc2l::testing::MakeComplete;
@@ -279,6 +280,12 @@ TEST(Hc2lIndex, SerializationRoundTrip) {
           const Vertex t = static_cast<Vertex>(rng.Below(g.NumVertices()));
           ASSERT_EQ(loaded->Query(s, t), index.Query(s, t));
         }
+        // The on-disk format is fixed: re-saving a loaded index (heap or
+        // mapped) reproduces the original file byte for byte.
+        const std::string resaved = path + ".resaved";
+        ASSERT_TRUE(loaded->Save(resaved).ok());
+        EXPECT_EQ(FileBytes(resaved), FileBytes(path));
+        std::remove(resaved.c_str());
       }
       std::remove(path.c_str());
     }

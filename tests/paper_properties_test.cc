@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "core/directed_hc2l.h"
 #include "core/hc2l.h"
 #include "graph/road_network_generator.h"
 #include "hierarchy/tree_code.h"
@@ -95,6 +96,23 @@ TEST(PaperProperties, Lemma422QueryCostBoundedByMaxCut) {
     index.QueryCountingHubs(s, t, &hubs);
     EXPECT_LE(hubs, max_cut);
   }
+
+  // The directed query min-reduces the source's out-array against the
+  // target's in-array of the same LCA cut, so the bound carries over to a
+  // one-way road network (pendant chains contracted, as by default).
+  const Digraph dg = GenerateDirectedRoadNetwork(opt, 0.3);
+  const DirectedHc2lIndex directed = DirectedHc2lIndex::Build(dg);
+  const size_t directed_max_cut = directed.Hierarchy().MaxCutSize();
+  uint64_t total_hubs = 0;
+  for (int i = 0; i < 500; ++i) {
+    const Vertex s = static_cast<Vertex>(rng.Below(dg.NumVertices()));
+    const Vertex t = static_cast<Vertex>(rng.Below(dg.NumVertices()));
+    uint64_t hubs = 0;
+    EXPECT_EQ(directed.QueryCountingHubs(s, t, &hubs), directed.Query(s, t));
+    EXPECT_LE(hubs, directed_max_cut);
+    total_hubs += hubs;
+  }
+  EXPECT_GT(total_hubs, 0u);
 }
 
 TEST(PaperProperties, Definition414HierarchicalCondition) {

@@ -58,7 +58,7 @@ const Digraph& DirectedFixtureGraph() {
 
 const DirectedHc2lIndex& DirectedFixtureIndex() {
   static const auto* index = new DirectedHc2lIndex(
-      DirectedHc2lIndex::Build(DirectedFixtureGraph(), DirectedHc2lOptions{}));
+      DirectedHc2lIndex::Build(DirectedFixtureGraph(), Hc2lOptions{}));
   return *index;
 }
 

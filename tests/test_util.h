@@ -1,6 +1,9 @@
 #ifndef HC2L_TESTS_TEST_UTIL_H_
 #define HC2L_TESTS_TEST_UTIL_H_
 
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -94,6 +97,13 @@ inline std::vector<std::vector<Dist>> FloydWarshall(const Graph& g) {
       }
     }
   return d;
+}
+
+/// The whole file at `path` as bytes (empty if it cannot be read).
+inline std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 }  // namespace hc2l::testing
