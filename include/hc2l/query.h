@@ -61,11 +61,29 @@
 /// duration of the Execute call only — the library never stores them. The
 /// caller may (and a server should) reuse the same buffers across requests.
 /// Output spans must not alias each other or the input spans.
+///
+/// Written ranges: QueryOutput::on_written, when set, is called with
+/// [begin, end) index ranges of output.distances as soon as they hold their
+/// final values, from the thread that wrote them — so a server can
+/// serialize each range on the thread that computed it. kPointBatch and
+/// kMatrix report ranges that are non-empty, pairwise disjoint and together
+/// cover [0, written) exactly once; kKNearest and kRoute report none. The
+/// order of the calls, and the thread making each, are unspecified: a
+/// ThreadedRouter reports one range per engine shard (a matrix sliced by
+/// sources: one per row slice) from whichever pool thread ran it, while a
+/// Router, a matrix sliced by targets and the missing-vertex
+/// filter-and-scatter paths report [0, written) once, on the calling
+/// thread, after the last write. Calls may run concurrently with each
+/// other. Nothing is reported when shape or id validation fails; when
+/// Execute returns an error (a deadline expiry, say) some ranges may
+/// already have been reported, and whatever the callback made of them must
+/// be discarded.
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 #include "common/types.h"
 
@@ -129,12 +147,42 @@ struct QueryRequest {
   QueryOptions options;
 };
 
+/// Non-owning `void(size_t begin, size_t end)` callable: the written-range
+/// callback of QueryOutput (see "Written ranges" above). It borrows the
+/// callable it wraps, which must outlive every call. Default-constructed it
+/// does nothing; an empty range is never passed on.
+class RangeCallback {
+ public:
+  RangeCallback() = default;
+  template <typename Fn>
+    requires(!std::is_same_v<Fn, RangeCallback>)
+  RangeCallback(const Fn& fn)  // NOLINT(google-explicit-constructor)
+      : ctx_(&fn), call_([](const void* c, size_t begin, size_t end) {
+          (*static_cast<const Fn*>(c))(begin, end);
+        }) {}
+
+  void operator()(size_t begin, size_t end) const {
+    if (call_ != nullptr && begin < end) call_(ctx_, begin, end);
+  }
+
+ private:
+  const void* ctx_ = nullptr;
+  void (*call_)(const void*, size_t, size_t) = nullptr;
+};
+
 /// Caller-owned output buffers. `vertices` is only written for kKNearest
 /// (candidate ids parallel to `distances`) and kRoute (the unpacked vertex
-/// sequence); other kinds ignore it.
+/// sequence); other kinds ignore it. `on_written`, when set, hears which
+/// ranges of `distances` are final, as they become final.
 struct QueryOutput {
+  QueryOutput() = default;
+  explicit QueryOutput(std::span<Dist> dists, std::span<Vertex> verts = {},
+                       RangeCallback written = {})
+      : distances(dists), vertices(verts), on_written(written) {}
+
   std::span<Dist> distances;
   std::span<Vertex> vertices;
+  RangeCallback on_written;
 };
 
 /// Execution summary of a successful request.

@@ -80,7 +80,9 @@ Status CheckVertices(const char* what, std::span<const Vertex> vs,
 // the calling thread (Router), PoolRunner shards them over the query engine
 // (ThreadedRouter). Policy handling (missing-vertex filtering) and shape
 // validation live above the runners, so both executors share them; the
-// primitives only ever see in-range ids.
+// primitives only ever see in-range ids. Each primitive reports the output
+// ranges it finished to its RangeCallback (QueryOutput::on_written): the
+// SeqRunner once over the whole output, the PoolRunner per engine shard.
 
 /// A request's absolute deadline, resolved once at Execute entry.
 struct Deadline {
@@ -114,10 +116,13 @@ Status DeadlineError() {
 /// poll away while bounding overshoot).
 constexpr size_t kSeqDeadlineCheckQueries = 1024;
 
+// The sequential primitives write their whole output on the calling thread
+// and report it to `on_written` as one range once it is complete.
+
 template <typename Index>
 Status SeqPairs(const Index& index, std::span<const Vertex> sources,
-                std::span<const Vertex> targets, Dist* out,
-                const Deadline& dl) {
+                std::span<const Vertex> targets, Dist* out, const Deadline& dl,
+                RangeCallback on_written) {
   const size_t n = std::min(sources.size(), targets.size());
   for (size_t chunk = 0; chunk < n; chunk += kSeqDeadlineCheckQueries) {
     if (dl.Expired()) return DeadlineError();
@@ -126,15 +131,17 @@ Status SeqPairs(const Index& index, std::span<const Vertex> sources,
       out[i] = index.Query(sources[i], targets[i]);
     }
   }
+  on_written(0, n);
   return Status::Ok();
 }
 
 template <typename Index>
 Status SeqBatch(const Index& index, Vertex source,
-                std::span<const Vertex> targets, Dist* out,
-                const Deadline& dl) {
+                std::span<const Vertex> targets, Dist* out, const Deadline& dl,
+                RangeCallback on_written) {
   if (!dl.enabled) {
     index.BatchQueryInto(source, targets, out);
+    on_written(0, targets.size());
     return Status::Ok();
   }
   for (size_t chunk = 0; chunk < targets.size();
@@ -145,17 +152,20 @@ Status SeqBatch(const Index& index, Vertex source,
     index.BatchQueryInto(source, targets.subspan(chunk, stop - chunk),
                          out + chunk);
   }
+  on_written(0, targets.size());
   return Status::Ok();
 }
 
 template <typename Index>
 Status SeqMatrix(const Index& index, std::span<const Vertex> sources,
                  std::span<const Vertex> targets, const MatrixRows& rows,
-                 const Deadline& dl) {
-  return index.DistanceMatrixInto(sources, targets, rows,
-                                  [&dl] { return dl.Expired(); })
-             ? Status::Ok()
-             : DeadlineError();
+                 const Deadline& dl, RangeCallback on_written) {
+  const auto expired = [&dl] { return dl.Expired(); };
+  if (!index.DistanceMatrixInto(sources, targets, rows, expired)) {
+    return DeadlineError();
+  }
+  on_written(0, sources.size() * targets.size());
+  return Status::Ok();
 }
 
 /// Per-thread staging buffers of the facade layer: missing-vertex
@@ -186,12 +196,13 @@ bool AllInRange(std::span<const Vertex> vs, uint64_t n) {
 }
 
 /// One-to-many under the request's missing-vertex policy; ids may be out of
-/// range. Writes every slot of out[0 .. targets.size()).
+/// range. Writes every slot of out[0 .. targets.size()), reporting them to
+/// `on_written` (the filter-and-scatter path: once, after the scatter).
 template <typename Runner>
 Status BatchWithPolicy(const Runner& runner, uint64_t n, Vertex source,
                        std::span<const Vertex> targets, Dist* out,
                        MissingVertexPolicy policy, const Deadline& dl,
-                       FacadeScratch& fs) {
+                       FacadeScratch& fs, RangeCallback on_written) {
   if (policy != MissingVertexPolicy::kUnreachable) {
     // kUnchecked skips the validation scan entirely (trusted caller).
     if (policy == MissingVertexPolicy::kError) {
@@ -200,14 +211,15 @@ Status BatchWithPolicy(const Runner& runner, uint64_t n, Vertex source,
         return st;
       }
     }
-    return runner.Batch(source, targets, out, dl);
+    return runner.Batch(source, targets, out, dl, on_written);
   }
   if (source >= n) {
     std::fill(out, out + targets.size(), kInfDist);
+    on_written(0, targets.size());
     return Status::Ok();
   }
   if (AllInRange(targets, n)) {
-    return runner.Batch(source, targets, out, dl);
+    return runner.Batch(source, targets, out, dl, on_written);
   }
   // Degenerate lenient path: answer the in-range targets through the normal
   // primitive, scatter back, leave the rest unreachable.
@@ -228,6 +240,7 @@ Status BatchWithPolicy(const Runner& runner, uint64_t n, Vertex source,
   for (size_t j = 0; j < fs.ids_b.size(); ++j) {
     out[fs.pos_b[j]] = fs.stage[j];
   }
+  on_written(0, targets.size());
   return Status::Ok();
 }
 
@@ -237,7 +250,7 @@ Status PairsWithPolicy(const Runner& runner, uint64_t n,
                        std::span<const Vertex> sources,
                        std::span<const Vertex> targets, Dist* out,
                        MissingVertexPolicy policy, const Deadline& dl,
-                       FacadeScratch& fs) {
+                       FacadeScratch& fs, RangeCallback on_written) {
   if (policy != MissingVertexPolicy::kUnreachable) {
     if (policy == MissingVertexPolicy::kError) {
       if (Status st = CheckVertices("sources", sources, n); !st.ok()) {
@@ -247,10 +260,10 @@ Status PairsWithPolicy(const Runner& runner, uint64_t n,
         return st;
       }
     }
-    return runner.Pairs(sources, targets, out, dl);
+    return runner.Pairs(sources, targets, out, dl, on_written);
   }
   if (AllInRange(sources, n) && AllInRange(targets, n)) {
-    return runner.Pairs(sources, targets, out, dl);
+    return runner.Pairs(sources, targets, out, dl, on_written);
   }
   fs.ids_a.clear();
   fs.ids_b.clear();
@@ -271,6 +284,7 @@ Status PairsWithPolicy(const Runner& runner, uint64_t n,
   for (size_t j = 0; j < fs.ids_a.size(); ++j) {
     out[fs.pos_a[j]] = fs.stage[j];
   }
+  on_written(0, targets.size());
   return Status::Ok();
 }
 
@@ -280,8 +294,9 @@ Status MatrixWithPolicy(const Runner& runner, uint64_t n,
                         std::span<const Vertex> sources,
                         std::span<const Vertex> targets, Dist* out,
                         MissingVertexPolicy policy, const Deadline& dl,
-                        FacadeScratch& fs) {
+                        FacadeScratch& fs, RangeCallback on_written) {
   const size_t cols = targets.size();
+  const MatrixRows rows{.flat = out, .stride = cols};
   if (policy != MissingVertexPolicy::kUnreachable) {
     if (policy == MissingVertexPolicy::kError) {
       if (Status st = CheckVertices("sources", sources, n); !st.ok()) {
@@ -291,12 +306,10 @@ Status MatrixWithPolicy(const Runner& runner, uint64_t n,
         return st;
       }
     }
-    return runner.Matrix(sources, targets,
-                         MatrixRows{.flat = out, .stride = cols}, dl);
+    return runner.Matrix(sources, targets, rows, dl, on_written);
   }
   if (AllInRange(sources, n) && AllInRange(targets, n)) {
-    return runner.Matrix(sources, targets,
-                         MatrixRows{.flat = out, .stride = cols}, dl);
+    return runner.Matrix(sources, targets, rows, dl, on_written);
   }
   // Compute the in-range submatrix into staging, scatter it into the output
   // frame of kInfDist rows/columns.
@@ -316,8 +329,12 @@ Status MatrixWithPolicy(const Runner& runner, uint64_t n,
       fs.pos_b.push_back(static_cast<uint32_t>(j));
     }
   }
-  std::fill(out, out + sources.size() * cols, kInfDist);
-  if (fs.ids_a.empty() || fs.ids_b.empty()) return Status::Ok();
+  const size_t cells = sources.size() * cols;
+  std::fill(out, out + cells, kInfDist);
+  if (fs.ids_a.empty() || fs.ids_b.empty()) {
+    on_written(0, cells);
+    return Status::Ok();
+  }
   fs.stage.resize(fs.ids_a.size() * fs.ids_b.size());
   if (Status st = runner.Matrix(
           fs.ids_a, fs.ids_b,
@@ -332,6 +349,7 @@ Status MatrixWithPolicy(const Runner& runner, uint64_t n,
       out_row[fs.pos_b[j]] = stage_row[j];
     }
   }
+  on_written(0, cells);
   return Status::Ok();
 }
 
@@ -358,14 +376,16 @@ Result<QueryResponse> ExecuteRequest(const QueryRequest& req,
       if (req.sources.size() == 1) {
         if (Status st =
                 BatchWithPolicy(runner, n, req.sources[0], req.targets,
-                                out.distances.data(), policy, dl, fs);
+                                out.distances.data(), policy, dl, fs,
+                                out.on_written);
             !st.ok()) {
           return st;
         }
       } else if (req.sources.size() == req.targets.size()) {
         if (Status st =
                 PairsWithPolicy(runner, n, req.sources, req.targets,
-                                out.distances.data(), policy, dl, fs);
+                                out.distances.data(), policy, dl, fs,
+                                out.on_written);
             !st.ok()) {
           return st;
         }
@@ -386,7 +406,8 @@ Result<QueryResponse> ExecuteRequest(const QueryRequest& req,
       }
       if (Status st =
               MatrixWithPolicy(runner, n, req.sources, req.targets,
-                               out.distances.data(), policy, dl, fs);
+                               out.distances.data(), policy, dl, fs,
+                               out.on_written);
           !st.ok()) {
         return st;
       }
@@ -423,8 +444,9 @@ Result<QueryResponse> ExecuteRequest(const QueryRequest& req,
       // k == 0 or no candidates: an empty result, not an error.
       if (need == 0) return QueryResponse{0, 1, 0};
       fs.knn.resize(req.targets.size());
+      // The staged distances are not the output: nothing to report.
       if (Status st = BatchWithPolicy(runner, n, req.sources[0], req.targets,
-                                      fs.knn.data(), policy, dl, fs);
+                                      fs.knn.data(), policy, dl, fs, {});
           !st.ok()) {
         return st;
       }
@@ -575,20 +597,24 @@ struct SeqRunner {
   const RouterImpl* impl;
 
   Status Pairs(std::span<const Vertex> s, std::span<const Vertex> t,
-               Dist* out, const Deadline& dl) const {
-    return impl->Visit(
-        [&](const auto& index) { return SeqPairs(index, s, t, out, dl); });
+               Dist* out, const Deadline& dl,
+               RangeCallback on_written = {}) const {
+    return impl->Visit([&](const auto& index) {
+      return SeqPairs(index, s, t, out, dl, on_written);
+    });
   }
   Status Batch(Vertex source, std::span<const Vertex> targets, Dist* out,
-               const Deadline& dl) const {
+               const Deadline& dl, RangeCallback on_written = {}) const {
     return impl->Visit([&](const auto& index) {
-      return SeqBatch(index, source, targets, out, dl);
+      return SeqBatch(index, source, targets, out, dl, on_written);
     });
   }
   Status Matrix(std::span<const Vertex> s, std::span<const Vertex> t,
-                const MatrixRows& rows, const Deadline& dl) const {
-    return impl->Visit(
-        [&](const auto& index) { return SeqMatrix(index, s, t, rows, dl); });
+                const MatrixRows& rows, const Deadline& dl,
+                RangeCallback on_written = {}) const {
+    return impl->Visit([&](const auto& index) {
+      return SeqMatrix(index, s, t, rows, dl, on_written);
+    });
   }
   Status Route(Vertex s, Vertex t, RoutePath* out) const {
     return RouteOnImpl(*impl, s, t, out);
@@ -972,32 +998,35 @@ struct PoolRunner {
   const ThreadedImpl* impl;
   uint32_t max_threads = 0;
 
-  EngineCallOptions Call(const Deadline& dl) const {
+  EngineCallOptions Call(const Deadline& dl, RangeCallback on_written) const {
     EngineCallOptions call;
     call.has_deadline = dl.enabled;
     call.deadline = dl.at;
     call.max_threads = max_threads;
+    call.on_written = on_written;
     return call;
   }
 
   Status Pairs(std::span<const Vertex> s, std::span<const Vertex> t,
-               Dist* out, const Deadline& dl) const {
+               Dist* out, const Deadline& dl,
+               RangeCallback on_written = {}) const {
     const bool done = impl->Visit([&](const auto& engine) {
-      return engine.PointPairsInto(s, t, out, Call(dl));
+      return engine.PointPairsInto(s, t, out, Call(dl, on_written));
     });
     return done ? Status::Ok() : DeadlineError();
   }
   Status Batch(Vertex source, std::span<const Vertex> targets, Dist* out,
-               const Deadline& dl) const {
+               const Deadline& dl, RangeCallback on_written = {}) const {
     const bool done = impl->Visit([&](const auto& engine) {
-      return engine.BatchQueryInto(source, targets, out, Call(dl));
+      return engine.BatchQueryInto(source, targets, out, Call(dl, on_written));
     });
     return done ? Status::Ok() : DeadlineError();
   }
   Status Matrix(std::span<const Vertex> s, std::span<const Vertex> t,
-                const MatrixRows& rows, const Deadline& dl) const {
+                const MatrixRows& rows, const Deadline& dl,
+                RangeCallback on_written = {}) const {
     const bool done = impl->Visit([&](const auto& engine) {
-      return engine.DistanceMatrixInto(s, t, rows, Call(dl));
+      return engine.DistanceMatrixInto(s, t, rows, Call(dl, on_written));
     });
     return done ? Status::Ok() : DeadlineError();
   }

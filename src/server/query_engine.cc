@@ -124,6 +124,7 @@ bool BasicQueryEngine<Index>::PointPairsInto(
         out[i] = index_->Query(sources[i], targets[i]);
       }
     }
+    call.on_written(begin, end);
   };
   const size_t shards = NumShards(n, call.max_threads);
   if (shards <= 1) {
@@ -165,6 +166,7 @@ bool BasicQueryEngine<Index>::BatchQueryInto(
       index_->BatchQueryInto(source, targets.subspan(chunk, stop - chunk),
                              out + chunk);
     }
+    call.on_written(begin, end);
   };
   if (shards <= 1) {
     run(0, targets.size());
@@ -205,22 +207,35 @@ bool BasicQueryEngine<Index>::DistanceMatrixInto(
   const size_t slices =
       std::min({NumShards(sources.size() * targets.size(), call.max_threads),
                 static_cast<size_t>(pool_.NumThreads()), longer});
+  const size_t cells = sources.size() * targets.size();
   if (slices <= 1) {
-    return index_->DistanceMatrixInto(sources, targets, rows, expired);
+    if (!index_->DistanceMatrixInto(sources, targets, rows, expired)) {
+      return false;
+    }
+    call.on_written(0, cells);
+    return true;
   }
   pool_.ParallelFor(slices, [&](size_t k) {
     const ShardRange r = ShardOf(longer, slices, k);
     if (r.begin == r.end) return;
     if (by_sources) {
-      index_->DistanceMatrixInto(sources.subspan(r.begin, r.end - r.begin),
-                                 targets, rows.Slice(r.begin, 0), expired);
+      // A row slice is one contiguous row-major range: report it here.
+      const auto slice = sources.subspan(r.begin, r.end - r.begin);
+      const MatrixRows slice_rows = rows.Slice(r.begin, 0);
+      if (index_->DistanceMatrixInto(slice, targets, slice_rows, expired)) {
+        call.on_written(r.begin * targets.size(), r.end * targets.size());
+      }
     } else {
       index_->DistanceMatrixInto(sources,
                                  targets.subspan(r.begin, r.end - r.begin),
                                  rows.Slice(0, r.begin), expired);
     }
   });
-  return !gate.expired();
+  if (gate.expired()) return false;
+  // Column slices interleave within every row; the whole matrix is final
+  // only once all of them are.
+  if (!by_sources) call.on_written(0, cells);
+  return true;
 }
 
 template <typename Index>

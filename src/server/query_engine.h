@@ -19,6 +19,11 @@
 /// hierarchy, one min-plus panel kernel per LCA block) on its slice against
 /// the whole other side, writing a disjoint sub-matrix.
 ///
+/// The span-output entry points also report each finished shard through
+/// EngineCallOptions::on_written, on the worker that computed it, so a
+/// caller can post-process (the server: serialize) results in parallel
+/// with the rest of the call; see docs/query_engine.md.
+///
 /// Thread-safety: all query methods are const and may be called concurrently
 /// from multiple caller threads; the internal pool serializes its own
 /// bookkeeping. Do not call engine methods from inside tasks running on the
@@ -41,6 +46,7 @@
 #include "core/directed_hc2l.h"
 #include "core/hc2l.h"
 #include "core/query_common.h"
+#include "hc2l/query.h"
 
 namespace hc2l {
 
@@ -53,6 +59,14 @@ struct EngineCallOptions {
   /// Caps shards in flight (and thus worker concurrency) for this call;
   /// 0 = no cap beyond the pool size, 1 = fully inline on the caller.
   uint32_t max_threads = 0;
+  /// Hears each finished range [begin, end) of the output, on the thread
+  /// that wrote it: one call per shard (a matrix sliced by sources: per row
+  /// slice; matrix cells are numbered row-major, i * targets.size() + j),
+  /// or one call over the whole output on the caller when the call runs
+  /// inline or slices a matrix by targets. Ranges are disjoint, arrive in
+  /// no particular order and possibly concurrently; a shard that gave up on
+  /// the deadline reports nothing.
+  RangeCallback on_written;
 };
 
 struct QueryEngineOptions {

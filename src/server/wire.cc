@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <mutex>
 #include <type_traits>
 
 #include "common/fault_injection.h"
@@ -37,10 +39,59 @@ StatusCode WireCodeFromName(std::string_view name) {
   return StatusCode::kInternal;
 }
 
+/// The two decimal digits of every value below 100, "00" to "99".
+constexpr char kDigitPairs[201] =
+    "00010203040506070809101112131415161718192021222324"
+    "25262728293031323334353637383940414243444546474849"
+    "50515253545556575859606162636465666768697071727374"
+    "75767778798081828384858687888990919293949596979899";
+
+/// Writes v < 10^4 without leading zeros ("0" for zero).
+inline char* WriteUpTo4Digits(char* p, uint32_t v) {
+  if (v < 100) {
+    if (v < 10) {
+      *p = static_cast<char>('0' + v);
+      return p + 1;
+    }
+    std::memcpy(p, kDigitPairs + 2 * v, 2);
+    return p + 2;
+  }
+  const uint32_t hi = (v * 5243) >> 19;  // v / 100, exact below 43699
+  if (hi < 10) {
+    *p++ = static_cast<char>('0' + hi);
+  } else {
+    std::memcpy(p, kDigitPairs + 2 * hi, 2);
+    p += 2;
+  }
+  std::memcpy(p, kDigitPairs + 2 * (v - hi * 100), 2);
+  return p + 2;
+}
+
+/// Writes exactly four digits of v < 10^4, leading zeros included.
+inline char* Write4Digits(char* p, uint32_t v) {
+  const uint32_t hi = (v * 5243) >> 19;  // v / 100
+  std::memcpy(p, kDigitPairs + 2 * hi, 2);
+  std::memcpy(p + 2, kDigitPairs + 2 * (v - hi * 100), 2);
+  return p + 4;
+}
+
+/// Writes the decimal digits of v at p (at most 20 bytes) and returns the
+/// end. Values below 10^8 — every distance of a real road network — go
+/// four digits at a time: one multiply-shift splits off n / 10^4, two more
+/// split each half into digit pairs, and the pairs come from a table, so
+/// there is no 64-bit divide chain. Larger values take std::to_chars.
+inline char* WriteDecimal(char* p, uint64_t v) {
+  if (v >= 100'000'000) return std::to_chars(p, p + 20, v).ptr;
+  const uint32_t n = static_cast<uint32_t>(v);
+  if (n < 10'000) return WriteUpTo4Digits(p, n);
+  // n / 10^4: 109951163 = ceil(2^40 / 10^4), exact for n < 4.9 * 10^8.
+  const auto hi = static_cast<uint32_t>((uint64_t{n} * 109951163) >> 40);
+  return Write4Digits(WriteUpTo4Digits(p, hi), n - hi * 10'000);
+}
+
 void AppendUint(std::string* out, uint64_t v) {
-  char buf[24];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  out->append(buf, end);
+  char buf[20];
+  out->append(buf, WriteDecimal(buf, v));
 }
 
 void AppendDist(std::string* out, Dist d) {
@@ -51,12 +102,12 @@ void AppendDist(std::string* out, Dist d) {
   }
 }
 
-/// Appends `values` to *out comma-separated (no brackets): decimal digits,
-/// with kInfDist as null in a Dist list. Digits go straight into a stack
-/// block that only ever holds whole entries; each full block reaches *out
-/// with one append, so the per-entry cost is the digit formatting alone.
+/// AppendNumberList for both element types. Digits go straight into a
+/// stack block that only ever holds whole entries; each full block reaches
+/// *out with one append, so the per-entry cost is the digit formatting
+/// alone.
 template <typename T>
-void AppendNumberList(std::string* out, std::span<const T> values) {
+void AppendNumbers(std::string* out, std::span<const T> values) {
   static_assert(std::is_same_v<T, Dist> || std::is_same_v<T, Vertex>);
   // The widest entry: a comma plus 20 digits (a 64-bit value; "null" is 4).
   constexpr size_t kMaxEntryBytes = 21;
@@ -76,9 +127,81 @@ void AppendNumberList(std::string* out, std::span<const T> values) {
         continue;
       }
     }
-    p = std::to_chars(p, p + (kMaxEntryBytes - 1), values[i]).ptr;
+    p = WriteDecimal(p, values[i]);
   }
   out->append(block, p);
+}
+
+/// The formatted pieces of one distance list. Execute reports each range
+/// of the list as it is computed, and the range's own thread formats it:
+/// the range that starts the list straight into the response, every other
+/// one into a block of its own, led by its comma. Once Execute returns, the
+/// loop thread appends the blocks in list order. Blocks keep their capacity
+/// from list to list: one set per event loop (LoopBlocks) serves every
+/// connection on it.
+class RangeBlocks {
+ public:
+  /// Executes a point, batch or matrix `request` into `dists`, formatting
+  /// every reported range. The caller has appended the response up to the
+  /// list's opening bracket to *out and leaves *out alone until this
+  /// returns (a pool thread may be appending to it). On success
+  /// AppendBlocks() completes the list; on failure *out holds a partial
+  /// list the caller must cut off.
+  Status Execute(const ThreadedRouter& threaded, const QueryRequest& request,
+                 std::span<Dist> dists, std::string* out) {
+    used_ = 0;
+    const auto format = [this, dists, out](size_t begin, size_t end) {
+      const std::span<const Dist> range = dists.subspan(begin, end - begin);
+      if (begin == 0) {
+        AppendNumberList(out, range);
+        return;
+      }
+      std::string* text = Take(begin);
+      text->push_back(',');
+      AppendNumberList(text, range);
+    };
+    return threaded.Execute(request, QueryOutput(dists, {}, format)).status();
+  }
+
+  /// Appends the blocks of the last Execute to *out, in list order. Only
+  /// pointers are sorted, so each block keeps its buffer for reuse.
+  void AppendBlocks(std::string* out) {
+    order_.resize(used_);
+    for (size_t i = 0; i < used_; ++i) order_[i] = &blocks_[i];
+    const auto by_begin = [](const Block* a, const Block* b) {
+      return a->begin < b->begin;
+    };
+    std::sort(order_.begin(), order_.end(), by_begin);
+    for (const Block* block : order_) out->append(block->text);
+  }
+
+ private:
+  struct Block {
+    size_t begin = 0;
+    std::string text;
+  };
+
+  /// An emptied block for the range starting at `begin`; any thread.
+  std::string* Take(size_t begin) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (used_ == blocks_.size()) blocks_.emplace_back();  // no reallocation
+    Block& block = blocks_[used_++];
+    block.begin = begin;
+    block.text.clear();
+    return &block.text;
+  }
+
+  std::mutex mu_;
+  std::deque<Block> blocks_;  // stable addresses: others are being written
+  size_t used_ = 0;           // guarded by mu_ while Execute runs
+  std::vector<const Block*> order_;
+};
+
+/// The calling thread's RangeBlocks: an event loop formats every list it
+/// answers through one set.
+RangeBlocks& LoopBlocks() {
+  static thread_local RangeBlocks blocks;
+  return blocks;
 }
 
 void AppendJsonEscaped(std::string* out, std::string_view s) {
@@ -542,6 +665,14 @@ Status ParseRequestLine(std::string_view line, WireRequest* req) {
   return Status::Ok();
 }
 
+void AppendNumberList(std::string* out, std::span<const Dist> values) {
+  AppendNumbers(out, values);
+}
+
+void AppendNumberList(std::string* out, std::span<const Vertex> values) {
+  AppendNumbers(out, values);
+}
+
 void AppendOverloadedResponse(uint64_t retry_after_ms, std::string_view what,
                               std::string* out) {
   out->append("{\"ok\":false,\"code\":\"");
@@ -868,31 +999,54 @@ void RequestHandler::ExecuteParsed(const Router& router,
       out->append("{\"distance\":");
       AppendDist(out, (*routes)[i].weight);
       out->append(",\"vertices\":[");
-      AppendNumberList<Vertex>(out, (*routes)[i].vertices);
+      AppendNumberList(out, (*routes)[i].vertices);
       out->append("]}");
     }
     out->append("]}\n");
     return;
   }
 
-  // Execute into the connection's reusable buffers.
-  QueryOutput output;
+  // Point, batch and matrix lists: the header first, then every range of
+  // the list formatted by the thread that computed it (RangeBlocks).
+  if (request.kind == QueryKind::kPointBatch ||
+      request.kind == QueryKind::kMatrix) {
+    dists_.resize(result_entries);
+    const size_t mark = out->size();
+    out->append("{\"ok\":true,\"op\":\"");
+    out->append(WireOpName(req_.op));
+    out->append("\"");
+    if (request.kind == QueryKind::kMatrix) {
+      out->append(",\"rows\":");
+      AppendUint(out, req_.sources.size());
+      out->append(",\"cols\":");
+      AppendUint(out, req_.targets.size());
+    }
+    out->append(",\"distances\":[");
+    RangeBlocks& blocks = LoopBlocks();
+    if (Status st = blocks.Execute(threaded, request, dists_, out); !st.ok()) {
+      out->resize(mark);
+      AppendErrorResponse(st, out);
+      return;
+    }
+    blocks.AppendBlocks(out);
+    out->append("]}\n");
+    return;
+  }
+
+  // k-nearest and single routes execute into the connection's reusable
+  // buffers and are formatted here.
   if (request.kind == QueryKind::kKNearest) {
     const size_t need = std::min<uint64_t>(req_.k, req_.targets.size());
     dists_.resize(need);
     verts_.resize(need);
-    output.vertices = verts_;
-  } else if (request.kind == QueryKind::kRoute) {
+  } else {
     // A path can visit every vertex; the weight lands in dists_[0]. Capped
     // at the per-request result bound like every other output.
     dists_.resize(1);
     verts_.resize(static_cast<size_t>(
         std::min<uint64_t>(router.NumVertices(), kMaxResultEntries)));
-    output.vertices = verts_;
-  } else {
-    dists_.resize(result_entries);
   }
-  output.distances = dists_;
+  const QueryOutput output(dists_, verts_);
   const Result<QueryResponse> response = threaded.Execute(request, output);
   if (!response.ok()) {
     AppendErrorResponse(response.status(), out);
@@ -906,33 +1060,21 @@ void RequestHandler::ExecuteParsed(const Router& router,
     out->append(",\"distance\":");
     AppendDist(out, dists_[0]);
     out->append(",\"vertices\":[");
-    AppendNumberList<Vertex>(out, std::span(verts_).first(response->written));
+    AppendNumberList(out, std::span(verts_).first(response->written));
     out->append("]}\n");
     return;
   }
-  if (request.kind == QueryKind::kKNearest) {
-    out->append(",\"count\":");
-    AppendUint(out, response->written);
-    out->append(",\"neighbors\":[");
-    for (size_t i = 0; i < response->written; ++i) {
-      if (i != 0) out->push_back(',');
-      out->push_back('[');
-      AppendDist(out, dists_[i]);
-      out->push_back(',');
-      AppendUint(out, verts_[i]);
-      out->push_back(']');
-    }
-    out->append("]}\n");
-    return;
+  out->append(",\"count\":");
+  AppendUint(out, response->written);
+  out->append(",\"neighbors\":[");
+  for (size_t i = 0; i < response->written; ++i) {
+    if (i != 0) out->push_back(',');
+    out->push_back('[');
+    AppendDist(out, dists_[i]);
+    out->push_back(',');
+    AppendUint(out, verts_[i]);
+    out->push_back(']');
   }
-  if (request.kind == QueryKind::kMatrix) {
-    out->append(",\"rows\":");
-    AppendUint(out, response->rows);
-    out->append(",\"cols\":");
-    AppendUint(out, response->cols);
-  }
-  out->append(",\"distances\":[");
-  AppendNumberList<Dist>(out, std::span(dists_).first(response->written));
   out->append("]}\n");
 }
 
@@ -963,6 +1105,7 @@ void RequestHandler::StreamMatrix(const ThreadedRouter& threaded,
   request.targets = req_.targets;
   request.options = req_.options;
 
+  RangeBlocks& blocks = LoopBlocks();
   uint64_t chunk = 0;
   for (uint64_t r0 = 0; r0 < rows && cols > 0; r0 += rows_per_chunk) {
     const uint64_t block = std::min(rows_per_chunk, rows - r0);
@@ -983,19 +1126,18 @@ void RequestHandler::StreamMatrix(const ThreadedRouter& threaded,
         req_.sources.data() + static_cast<size_t>(r0),
         static_cast<size_t>(block));
     dists_.resize(static_cast<size_t>(block * cols));
-    QueryOutput output;
-    output.distances = dists_;
-    const Result<QueryResponse> response = threaded.Execute(request, output);
-    if (!response.ok()) {
-      AppendErrorResponse(response.status(), out);
-      return;
-    }
+    const size_t mark = out->size();
     out->append("{\"ok\":true,\"op\":\"matrix\",\"chunk\":");
     AppendUint(out, chunk);
     out->append(",\"count\":");
-    AppendUint(out, response->written);
+    AppendUint(out, dists_.size());
     out->append(",\"distances\":[");
-    AppendNumberList<Dist>(out, std::span(dists_).first(response->written));
+    if (Status st = blocks.Execute(threaded, request, dists_, out); !st.ok()) {
+      out->resize(mark);
+      AppendErrorResponse(st, out);
+      return;
+    }
+    blocks.AppendBlocks(out);
     out->append("]}\n");
     ++chunk;
     if (hooks_.flush && !hooks_.flush(out)) return;

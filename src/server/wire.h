@@ -166,6 +166,13 @@ struct WireRequest {
 /// Carries the "wire.parse" fault point.
 Status ParseRequestLine(std::string_view line, WireRequest* req);
 
+/// Appends `values` to *out comma-separated, without brackets: the number
+/// writer behind every list in a response. Entries are plain decimal
+/// digits (byte for byte what std::to_chars writes); a kInfDist distance
+/// is null.
+void AppendNumberList(std::string* out, std::span<const Dist> values);
+void AppendNumberList(std::string* out, std::span<const Vertex> values);
+
 /// Appends the wire's load-shedding response line: ok:false, code
 /// "Overloaded", a retry_after_ms backoff hint, and `what` as the message.
 /// Shared by the per-request admission path (RequestHandler) and the

@@ -7,11 +7,15 @@
 //  - out-of-range ids obey the request's MissingVertexPolicy,
 //  - an expired deadline is kDeadlineExceeded on every kind and executor,
 //  - k == 0 and empty candidate sets are empty results, not errors, on
-//    Router, ThreadedRouter and the request path alike.
+//    Router, ThreadedRouter and the request path alike,
+//  - QueryOutput::on_written reports disjoint ranges that cover the output
+//    exactly once, each already holding its final values.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -721,6 +725,176 @@ TEST_P(RequestApiTest, PerRequestThreadCapMatchesSequential) {
     std::vector<Dist> out(targets_.size(), 1);
     ASSERT_TRUE(threaded_->Execute(req, QueryOutput{out, {}}).ok());
     EXPECT_EQ(out, expected) << "cap " << cap;
+  }
+}
+
+/// What Execute reported through QueryOutput::on_written: the ranges,
+/// sorted by begin, and each slot's value as it stood when its range was
+/// reported (what a consumer formatting the range would have seen).
+struct RangeReport {
+  Result<QueryResponse> response = Status::Internal("not run");
+  std::vector<std::pair<size_t, size_t>> ranges;
+  std::vector<Dist> seen;
+};
+
+template <typename Executor>
+RangeReport ExecuteReportingRanges(const Executor& executor,
+                                   const QueryRequest& request,
+                                   std::span<Dist> distances,
+                                   std::span<Vertex> vertices = {}) {
+  RangeReport report;
+  report.seen.assign(distances.size(), 0);
+  std::mutex mu;
+  const auto record = [&](size_t begin, size_t end) {
+    const std::lock_guard<std::mutex> lock(mu);
+    report.ranges.emplace_back(begin, end);
+    std::copy(distances.begin() + begin, distances.begin() + end,
+              report.seen.begin() + begin);
+  };
+  report.response =
+      executor.Execute(request, QueryOutput(distances, vertices, record));
+  std::sort(report.ranges.begin(), report.ranges.end());
+  return report;
+}
+
+/// The ranges are non-empty, disjoint and tile [0, written) exactly, and
+/// every slot already held its final value when it was reported.
+void ExpectExactCover(const RangeReport& report,
+                      std::span<const Dist> distances) {
+  ASSERT_TRUE(report.response.ok()) << report.response.status().ToString();
+  const size_t written = report.response->written;
+  size_t next = 0;
+  for (const auto& [begin, end] : report.ranges) {
+    EXPECT_LT(begin, end) << "empty range reported";
+    EXPECT_EQ(begin, next) << "gap or overlap before " << begin;
+    next = end;
+  }
+  EXPECT_EQ(next, written);
+  for (size_t i = 0; i < written; ++i) {
+    EXPECT_EQ(report.seen[i], distances[i]) << "slot " << i;
+  }
+}
+
+TEST_P(RequestApiTest, WrittenRangesCoverTheOutputExactlyOnce) {
+  const Vertex bad = n_ + 5;
+  const Vertex source = 4;
+  std::vector<Vertex> with_bad = targets_;
+  with_bad.insert(with_bad.begin() + 2, bad);
+  std::vector<Vertex> rotated = targets_;
+  std::rotate(rotated.begin(), rotated.begin() + 3, rotated.end());
+  std::vector<Vertex> rotated_bad = rotated;
+  rotated_bad[1] = bad;
+  std::vector<Vertex> sources_bad = sources_;
+  sources_bad.push_back(bad);
+  const std::vector<Vertex> all_bad = {bad, bad + 1};
+
+  struct Case {
+    const char* name;
+    QueryKind kind;
+    std::span<const Vertex> sources;
+    std::span<const Vertex> targets;
+    MissingVertexPolicy policy;
+  };
+  const auto one = std::span<const Vertex>(&source, 1);
+  const auto bad_one = std::span<const Vertex>(&bad, 1);
+  const std::vector<Case> cases = {
+      {"batch", QueryKind::kPointBatch, one, targets_,
+       MissingVertexPolicy::kError},
+      {"batch unchecked", QueryKind::kPointBatch, one, targets_,
+       MissingVertexPolicy::kUnchecked},
+      {"batch scatter", QueryKind::kPointBatch, one, with_bad,
+       MissingVertexPolicy::kUnreachable},
+      {"batch bad source", QueryKind::kPointBatch, bad_one, targets_,
+       MissingVertexPolicy::kUnreachable},
+      {"pairs", QueryKind::kPointBatch, targets_, rotated,
+       MissingVertexPolicy::kError},
+      {"pairs scatter", QueryKind::kPointBatch, targets_, rotated_bad,
+       MissingVertexPolicy::kUnreachable},
+      {"matrix wide", QueryKind::kMatrix, sources_, targets_,
+       MissingVertexPolicy::kError},
+      {"matrix tall", QueryKind::kMatrix, targets_, sources_,
+       MissingVertexPolicy::kError},
+      {"matrix scatter", QueryKind::kMatrix, sources_bad, with_bad,
+       MissingVertexPolicy::kUnreachable},
+      {"matrix all bad", QueryKind::kMatrix, all_bad, targets_,
+       MissingVertexPolicy::kUnreachable},
+      {"matrix no targets", QueryKind::kMatrix, sources_, {},
+       MissingVertexPolicy::kError},
+  };
+  for (const Case& c : cases) {
+    QueryRequest req;
+    req.kind = c.kind;
+    req.sources = c.sources;
+    req.targets = c.targets;
+    req.options.missing_vertices = c.policy;
+    size_t slots = c.targets.size();
+    if (c.kind == QueryKind::kMatrix) slots *= c.sources.size();
+    std::vector<Dist> want(slots);
+    ASSERT_TRUE(router_->Execute(req, QueryOutput{want}).ok()) << c.name;
+    for (const uint32_t cap : {0u, 1u, 2u}) {
+      req.options.num_threads = cap;
+      std::vector<Dist> seq(slots, 1);
+      std::vector<Dist> par(slots, 1);
+      SCOPED_TRACE(std::string(c.name) + ", cap " + std::to_string(cap));
+      const RangeReport r = ExecuteReportingRanges(*router_, req, seq);
+      ExpectExactCover(r, seq);
+      // The Router reports the whole output once, on the caller.
+      EXPECT_LE(r.ranges.size(), 1u);
+      const RangeReport t = ExecuteReportingRanges(*threaded_, req, par);
+      ExpectExactCover(t, par);
+      EXPECT_EQ(seq, want);
+      EXPECT_EQ(par, want);
+    }
+  }
+
+  // Nothing is reported for a request that fails validation, nor by the
+  // kinds whose outputs are not distance lists.
+  QueryRequest bad_shape;
+  bad_shape.kind = QueryKind::kMatrix;
+  bad_shape.sources = sources_;
+  bad_shape.targets = targets_;
+  std::vector<Dist> short_out(sources_.size() * targets_.size() - 1);
+  QueryRequest bad_id = bad_shape;
+  bad_id.targets = with_bad;
+  std::vector<Dist> bad_id_out(sources_.size() * with_bad.size());
+  QueryRequest bad_pairs;
+  bad_pairs.kind = QueryKind::kPointBatch;
+  bad_pairs.sources = sources_;
+  bad_pairs.targets = targets_;
+  std::vector<Dist> pairs_out(targets_.size());
+  QueryRequest knearest;
+  knearest.kind = QueryKind::kKNearest;
+  knearest.sources = one;
+  knearest.targets = targets_;
+  knearest.k = 4;
+  std::vector<Dist> kd(4);
+  std::vector<Vertex> kv(4);
+  QueryRequest route;
+  route.kind = QueryKind::kRoute;
+  route.sources = one;
+  route.targets = std::span<const Vertex>(&targets_[3], 1);
+  std::vector<Dist> rd(1);
+  std::vector<Vertex> rv(n_);
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "ThreadedRouter" : "Router");
+    const auto run = [&](const QueryRequest& req, std::span<Dist> d,
+                         std::span<Vertex> v) {
+      return parallel ? ExecuteReportingRanges(*threaded_, req, d, v)
+                      : ExecuteReportingRanges(*router_, req, d, v);
+    };
+    const RangeReport shape = run(bad_shape, short_out, {});
+    const RangeReport id = run(bad_id, bad_id_out, {});
+    const RangeReport pairs = run(bad_pairs, pairs_out, {});
+    for (const RangeReport* r : {&shape, &id, &pairs}) {
+      EXPECT_EQ(r->response.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_TRUE(r->ranges.empty());
+    }
+    const RangeReport k = run(knearest, kd, kv);
+    ASSERT_TRUE(k.response.ok()) << k.response.status().ToString();
+    EXPECT_TRUE(k.ranges.empty());
+    const RangeReport rt = run(route, rd, rv);
+    ASSERT_TRUE(rt.response.ok()) << rt.response.status().ToString();
+    EXPECT_TRUE(rt.ranges.empty());
   }
 }
 

@@ -14,15 +14,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <memory>
+#include <random>
 #include <span>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -1280,6 +1284,57 @@ std::string ReferenceDistancesResponse(std::string_view op,
   return line + "]}\n";
 }
 
+/// `values` joined the way the wire must print them, entry by entry
+/// through std::to_chars (null for a kInfDist distance).
+template <typename T>
+std::string ToCharsJoin(std::span<const T> values) {
+  std::string text;
+  char buf[24];
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) text += ',';
+    if constexpr (std::is_same_v<T, Dist>) {
+      if (values[i] == kInfDist) {
+        text += "null";
+        continue;
+      }
+    }
+    text.append(buf, std::to_chars(buf, buf + sizeof(buf), values[i]).ptr);
+  }
+  return text;
+}
+
+/// Every power-of-ten neighbour 10^k - 1, 10^k, 10^k + 1 that fits in T,
+/// plus 2^32 +- 1 where it fits and T's largest value, then `random`
+/// seeded values spread evenly over every digit length of T.
+template <typename T>
+std::vector<T> WriterProbeValues(size_t random) {
+  std::vector<T> values;
+  const T max = std::numeric_limits<T>::max();
+  for (T p = 1;; p *= 10) {
+    values.push_back(p - 1);
+    values.push_back(p);
+    values.push_back(p + 1);
+    if (p > max / 10) break;
+  }
+  if constexpr (sizeof(T) == 8) {
+    values.push_back((T{1} << 32) - 1);
+    values.push_back((T{1} << 32) + 1);
+  }
+  values.push_back(max - 1);
+  values.push_back(max);  // kInfDist: null in a distance list
+  const int digits = std::numeric_limits<T>::digits10 + 1;
+  std::mt19937_64 rng(20);
+  for (size_t i = 0; i < random; ++i) {
+    const int length = static_cast<int>(i % digits) + 1;
+    uint64_t low = 1;
+    for (int d = 1; d < length; ++d) low *= 10;
+    const uint64_t high = length == digits ? max : low * 10 - 1;
+    if (length == 1) low = 0;
+    values.push_back(static_cast<T>(low + rng() % (high - low + 1)));
+  }
+  return values;
+}
+
 TEST_F(WireTest, NumberListsMatchToStringJoinByteForByte) {
   // Distance lists are formatted through fixed-size blocks that hold whole
   // entries. Entries of every width — 1 to 20 digits and null — and spans
@@ -1316,6 +1371,25 @@ TEST_F(WireTest, NumberListsMatchToStringJoinByteForByte) {
   for (const Dist d : kEdge) {         // one entry of each edge width
     const std::vector<Dist> one{d};
     check(WireOp::kBatch, one, 0, 1);
+  }
+
+  // The number writer itself formats values below 10^8 four digits at a
+  // time and hands larger ones to std::to_chars; either way each entry must
+  // read exactly like std::to_chars, for distance lists and vertex-id lists
+  // (routes) alike.
+  const std::vector<Dist> dists = WriterProbeValues<Dist>(1'200'000);
+  std::string out = "prefix:";
+  AppendNumberList(&out, std::span<const Dist>(dists));
+  EXPECT_TRUE(out == "prefix:" + ToCharsJoin<Dist>(dists));
+  const std::vector<Vertex> vertices = WriterProbeValues<Vertex>(1'000'000);
+  out = "prefix:";
+  AppendNumberList(&out, std::span<const Vertex>(vertices));
+  EXPECT_TRUE(out == "prefix:" + ToCharsJoin<Vertex>(vertices));
+  // One entry at a time, so a mismatch names its value.
+  for (const Dist d : WriterProbeValues<Dist>(0)) {
+    out.clear();
+    AppendNumberList(&out, std::span<const Dist>(&d, 1));
+    EXPECT_EQ(out, ToCharsJoin<Dist>(std::span<const Dist>(&d, 1)));
   }
 }
 
@@ -1406,6 +1480,192 @@ TEST(WireDisconnectedTest, MatrixNullsAndLongRoutesMatchReferences) {
   EXPECT_EQ(handle(R"({"op":"route","source":0,"target":1500})"),
             "{\"ok\":true,\"op\":\"route\",\"distance\":null,"
             "\"vertices\":[]}\n");
+}
+
+/// Comma-joined decimal ids for a request line.
+std::string IdList(std::span<const Vertex> ids) {
+  std::string text;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i != 0) text += ',';
+    text += std::to_string(ids[i]);
+  }
+  return text;
+}
+
+/// A distance list as the wire must print it, built per entry with
+/// std::to_string, null for kInfDist.
+std::string ReferenceList(std::span<const Dist> dists) {
+  std::string text;
+  for (size_t i = 0; i < dists.size(); ++i) {
+    if (i != 0) text += ',';
+    text += dists[i] == kInfDist ? "null" : std::to_string(dists[i]);
+  }
+  return text;
+}
+
+/// The response line of a list op: `{"ok":true,"op":"<op>"<fields>,
+/// "distances":[...]}`, the list built by ReferenceList.
+std::string ListResponse(std::string_view op, std::string_view fields,
+                         std::span<const Dist> dists) {
+  std::string line = "{\"ok\":true,\"op\":\"" + std::string(op) + "\"";
+  line += fields;
+  line += ",\"distances\":[" + ReferenceList(dists) + "]}\n";
+  return line;
+}
+
+/// Batch, point and matrix (monolithic and streamed) response lines of one
+/// index: each HandleLine answer, from engines of every thread count, must
+/// equal a reference built from the sequential Router alone.
+void ExpectListsIndependentOfThreads(const Router& router, uint64_t seed) {
+  const Vertex n = static_cast<Vertex>(router.NumVertices());
+  // `bad_every` > 0 replaces every bad_every-th id with an out-of-range one,
+  // which "missing":"unreachable" answers with null cells.
+  const auto ids = [&](size_t count, uint64_t salt, size_t bad_every) {
+    std::vector<Vertex> out(count);
+    for (size_t i = 0; i < count; ++i) {
+      out[i] = static_cast<Vertex>((i * 37 + salt * 101 + seed) % n);
+      if (bad_every != 0 && i % bad_every == bad_every - 1) out[i] = n + 3;
+    }
+    return out;
+  };
+  const auto reference = [&](QueryKind kind, std::span<const Vertex> sources,
+                             std::span<const Vertex> targets, bool lenient) {
+    QueryRequest req;
+    req.kind = kind;
+    req.sources = sources;
+    req.targets = targets;
+    if (lenient) {
+      req.options.missing_vertices = MissingVertexPolicy::kUnreachable;
+    }
+    size_t slots = targets.size();
+    if (kind == QueryKind::kMatrix) slots *= sources.size();
+    std::vector<Dist> dists(slots);
+    const Result<QueryResponse> response =
+        router.Execute(req, QueryOutput{dists});
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    return dists;
+  };
+
+  struct Probe {
+    std::string line;
+    std::string want;
+  };
+  std::vector<Probe> probes;
+  for (const bool lenient : {false, true}) {
+    const size_t bad = lenient ? 97 : 0;
+    const std::string opts = lenient ? ",\"missing\":\"unreachable\"}" : "}";
+    const std::vector<Vertex> one = {static_cast<Vertex>(seed % n)};
+    const std::vector<Vertex> targets = ids(4096, 1, bad);
+    const std::vector<Vertex> sources = ids(4096, 2, bad);
+    std::string batch = "{\"op\":\"batch\",\"source\":" + IdList(one);
+    batch += ",\"targets\":[" + IdList(targets) + "]" + opts;
+    const std::vector<Dist> batch_dists =
+        reference(QueryKind::kPointBatch, one, targets, lenient);
+    probes.push_back({batch, ListResponse("batch", "", batch_dists)});
+    std::string point = "{\"op\":\"point\",\"sources\":[" + IdList(sources);
+    point += "],\"targets\":[" + IdList(targets) + "]" + opts;
+    const std::vector<Dist> point_dists =
+        reference(QueryKind::kPointBatch, sources, targets, lenient);
+    probes.push_back({point, ListResponse("point", "", point_dists)});
+
+    const auto add_matrix = [&](size_t rows, size_t cols) {
+      const std::vector<Vertex> ms = ids(rows, 3 + rows, bad);
+      const std::vector<Vertex> mt = ids(cols, 4 + cols, bad);
+      const std::vector<Dist> cells =
+          reference(QueryKind::kMatrix, ms, mt, lenient);
+      std::string request = "{\"op\":\"matrix\",\"sources\":[" + IdList(ms);
+      request += "],\"targets\":[" + IdList(mt) + "]";
+      std::string shape = ",\"rows\":" + std::to_string(rows);
+      shape += ",\"cols\":" + std::to_string(cols);
+      probes.push_back({request + opts, ListResponse("matrix", shape, cells)});
+      // The streamed framing: whole rows per chunk, chunks in order.
+      size_t rows_per_chunk = 1;
+      if (cols != 0) {
+        rows_per_chunk = std::max<size_t>(1, kStreamChunkEntries / cols);
+      }
+      const std::string entries = std::to_string(rows_per_chunk * cols);
+      std::string want = "{\"ok\":true,\"op\":\"matrix\",\"stream\":true";
+      want += shape + ",\"chunk_entries\":" + entries + "}\n";
+      size_t chunks = 0;
+      for (size_t r0 = 0; r0 < rows && cols > 0; r0 += rows_per_chunk) {
+        const size_t count = std::min(rows_per_chunk, rows - r0) * cols;
+        std::string frame = ",\"chunk\":" + std::to_string(chunks++);
+        frame += ",\"count\":" + std::to_string(count);
+        const auto chunk = std::span(cells).subspan(r0 * cols, count);
+        want += ListResponse("matrix", frame, chunk);
+      }
+      want += "{\"ok\":true,\"op\":\"matrix\",\"done\":true,\"chunks\":";
+      want += std::to_string(chunks) + ",\"entries\":";
+      want += std::to_string(rows * cols) + "}\n";
+      probes.push_back({request + ",\"stream\":true" + opts, want});
+    };
+    // Even and uneven row slices, column slices (wide shapes), a single
+    // cell, an empty side and a multi-chunk stream.
+    add_matrix(256, 256);
+    add_matrix(255, 257);
+    add_matrix(257, 255);
+    add_matrix(3, 4096);
+    add_matrix(1, 4096);
+    add_matrix(4096, 1);
+    add_matrix(1, 1);
+    add_matrix(5, 0);
+    add_matrix(300, 300);
+  }
+
+  for (const uint32_t threads : {1u, 2u, 3u, 8u}) {
+    Result<ThreadedRouter> threaded = router.WithThreads(threads);
+    ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+    RequestHandler handler;
+    for (const Probe& probe : probes) {
+      std::string out = "prefix:";  // responses append, never overwrite
+      handler.HandleLine(probe.line, router, *threaded, &out);
+      EXPECT_TRUE(out == "prefix:" + probe.want)
+          << threads << " threads, request " << probe.line.substr(0, 80)
+          << "..., got " << out.substr(0, 200) << "...";
+    }
+  }
+}
+
+TEST(WireThreadsTest, ListsAreByteIdenticalAcrossThreadCounts) {
+  Result<Router> undirected = Router::Build(WireTestGraph());
+  ASSERT_TRUE(undirected.ok()) << undirected.status().ToString();
+  ExpectListsIndependentOfThreads(*undirected, 11);
+
+  RoadNetworkOptions opt;
+  opt.rows = 10;
+  opt.cols = 10;
+  opt.seed = 98;
+  Result<Router> directed =
+      Router::Build(GenerateDirectedRoadNetwork(opt, /*oneway_frac=*/0.3));
+  ASSERT_TRUE(directed.ok()) << directed.status().ToString();
+  ASSERT_TRUE(directed->directed());
+  ExpectListsIndependentOfThreads(*directed, 12);
+}
+
+TEST(WireThreadsTest, ExpiredMatrixYieldsOnlyTheErrorLine) {
+  // The largest monolithic matrix a request may ask for, with a 1 ms
+  // budget: its ranges are formatted as they finish, but a request that
+  // runs out of time must answer with the error line alone.
+  Result<Router> router = Router::Build(WireTestGraph());
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  const Vertex n = static_cast<Vertex>(router->NumVertices());
+  std::vector<Vertex> side(2048);
+  for (size_t i = 0; i < side.size(); ++i) {
+    side[i] = static_cast<Vertex>(i * 13 % n);
+  }
+  std::string line = "{\"op\":\"matrix\",\"sources\":[" + IdList(side);
+  line += "],\"targets\":[" + IdList(side) + "],\"deadline_ms\":1}";
+  for (const uint32_t threads : {1u, 2u, 3u, 8u}) {
+    Result<ThreadedRouter> threaded = router->WithThreads(threads);
+    ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+    RequestHandler handler;
+    std::string out;
+    handler.HandleLine(line, *router, *threaded, &out);
+    EXPECT_EQ(out.rfind("{\"ok\":false,\"code\":\"DeadlineExceeded\"", 0), 0u)
+        << threads << " threads: " << out.substr(0, 120);
+    EXPECT_EQ(out.find('\n'), out.size() - 1) << threads << " threads";
+    EXPECT_EQ(out.find("distances"), std::string::npos) << threads;
+  }
 }
 
 TEST_F(WireTest, IneligibleLinesAreNotStaged) {
