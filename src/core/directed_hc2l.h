@@ -26,9 +26,12 @@ namespace hc2l {
 /// the other — and same-tree queries climb to the in-tree LCA
 /// (DirectedDegreeOneContraction, src/hierarchy/contraction.h).
 ///
-/// Queries, routes, size accounting and the store sections are the shared
-/// LabelIndex<2> core; this class adds the builder and the directed meta
-/// body (the contraction's per-direction weights).
+/// Queries, routes, size accounting, the store sections and the label walk
+/// are the shared LabelIndex<2> core; this class adds the directed meta
+/// body (the contraction's per-direction weights). With options.num_threads
+/// > 1 the walk labels each hierarchy level's nodes in parallel and numbers
+/// nodes in level order, so the saved file is byte-identical to the
+/// single-threaded build's.
 class DirectedHc2lIndex : public LabelIndex<2> {
  public:
   /// Builds an index over the digraph.
@@ -55,7 +58,6 @@ class DirectedHc2lIndex : public LabelIndex<2> {
                                         bool use_mmap);
 
  private:
-  friend class DirectedHc2lBuilder;
   DirectedHc2lIndex() = default;
 };
 

@@ -29,6 +29,8 @@ struct Hc2lStats {
   uint64_t label_bytes = 0;    // distance data + per-level offsets
   uint64_t lca_bytes = 0;      // packed per-vertex tree codes
   double build_seconds = 0.0;
+
+  friend bool operator==(const Hc2lStats&, const Hc2lStats&) = default;
 };
 
 /// Outcome metrics of the last RebuildLabels / RepairLabels call. Not
@@ -57,12 +59,14 @@ struct RepairStats {
 /// cuts + distance-preserving shortcuts), then the tail-pruned labelling.
 /// Query() finds the level of LCA(s, t) with one XOR + clz over packed tree
 /// codes and min-reduces the two aligned distance arrays of that level
-/// (Eq. 7). With options.num_threads > 1 this is the paper's HC2L_p; the
-/// resulting index is bit-identical to the single-threaded one.
+/// (Eq. 7). With options.num_threads > 1 this is the paper's HC2L_p: the
+/// label walk runs each hierarchy level's nodes in parallel and numbers
+/// nodes in level order, so the index is IdenticalTo the single-threaded
+/// one (and saves to the same bytes, build_seconds aside).
 ///
-/// Queries, routes, size accounting and the store sections are the shared
-/// LabelIndex<1> core; this class adds the builder, the persisted stats and
-/// the dynamic-update (relabel/repair) walk.
+/// Queries, routes, size accounting, the store sections and the label walk
+/// are the shared LabelIndex<1> core; this class adds the persisted stats
+/// and the dynamic-update (relabel/repair) cut source.
 class Hc2lIndex : public LabelIndex<1> {
  public:
   /// Builds an index over g.
@@ -82,6 +86,11 @@ class Hc2lIndex : public LabelIndex<1> {
   /// num_threads > 1 (0 = all hardware threads) the per-node label
   /// recomputation is parallelized across each hierarchy level over the
   /// shared pool; the rebuilt index is bit-identical to the serial one.
+  /// On unchanged weights the distance labels equal Build()'s, but the
+  /// first relabel after Build() or Load() may record other equal-length
+  /// first hops as route hints: it induces each child subgraph in
+  /// ascending vertex order, where Build() keeps the balanced cut's order,
+  /// and the first witness arc of a tie depends on that order.
   /// Errors (kInvalidArgument: vertex count or pendant-tree structure
   /// differs from the indexed graph) are detected before any state is
   /// mutated, so the index stays valid on failure — except kOutOfRange
@@ -149,7 +158,6 @@ class Hc2lIndex : public LabelIndex<1> {
   static Result<Hc2lIndex> Load(const std::string& path, bool use_mmap);
 
  private:
-  friend class Hc2lBuilder;
   Hc2lIndex() = default;
 
   /// Per-hierarchy-node inputs of the last relabel walk: the node's induced
@@ -172,11 +180,16 @@ class Hc2lIndex : public LabelIndex<1> {
   /// On success *core_out points at the (refreshed) core graph.
   Status PrepareRelabel(const Graph& g, const Graph** core_out);
 
-  /// The top-down level-parallel relabel walk over the stored hierarchy.
-  /// scoped=false recomputes every node (RebuildLabels); scoped=true cuts
-  /// off clean subtrees against repair_cache_. Both populate the cache.
+  /// The label walk (LabelWalk<1>) over the stored hierarchy, its cuts
+  /// taken from the stored nodes after separator repair. scoped=false
+  /// recomputes every node (RebuildLabels); scoped=true cuts off clean
+  /// subtrees against repair_cache_. Both populate the cache.
   Status RelabelWalk(const Graph& core, bool scoped, bool tail_pruning,
                      ThreadPool& pool);
+
+  /// Recomputes every stat but the shortcut count and the timing from the
+  /// current index.
+  void RefreshLabelStats();
 
   /// The lazily built member pool (satellite of the per-call-ThreadPool
   /// fix): rebuilt only when the resolved thread count changes.

@@ -521,10 +521,10 @@ Status LabelIndex<kDirections>::LoadSections(
   // designed to be loaded from adversarial sources.
   if (labels_[0].base.empty()) return file.Corrupt();
   const size_t core = labels_[0].base.size() - 1;
-  if (hierarchy_.vertex_code_.size() != core ||
-      hierarchy_.node_of_vertex_.size() != core) {
-    return file.Corrupt();
-  }
+  // The node links and the vertex-to-node map are followed without bounds
+  // checks (route alternatives climb parents, the relabel walk descends
+  // children), so the whole hierarchy must be well-formed.
+  if (!hierarchy_.Validate(core)) return file.Corrupt();
   for (const LabelStore& store : labels_) {
     if (store.base.size() != core + 1) return file.Corrupt();
     for (size_t v = 0; v < core; ++v) {

@@ -59,6 +59,10 @@ using LabelContraction =
     std::conditional_t<kDirections == 1, DegreeOneContraction,
                        DirectedDegreeOneContraction>;
 
+/// The graph a flavour indexes, and that its label walk recurses over.
+template <int kDirections>
+using LabelGraph = std::conditional_t<kDirections == 1, Graph, Digraph>;
+
 /// The label-index core shared by both HC2L flavours: a balanced tree
 /// hierarchy over the (optionally contracted) core graph and, per
 /// direction, one cache-aligned label store plus an optional route-hint
@@ -227,6 +231,15 @@ class LabelIndex {
                      const std::vector<Vertex>& core_path,
                      RoutePath* out) const;
 
+  /// Build() of both flavours: the pendant contraction of `g` (when
+  /// options.contract_degree_one), then the hierarchy and every store over
+  /// the core in one label walk (src/core/label_walk.cc) — balanced cuts
+  /// (on the undirected projection of a digraph), Eq. 6 cut ranking,
+  /// tail-pruned labels, route hints when options.route_hints, nodes
+  /// numbered in level order. Returns the number of shortcuts it added.
+  uint64_t BuildLabels(const LabelGraph<kDirections>& g,
+                       const Hc2lOptions& options);
+
   /// Saves the sectioned file: the meta section holds the flavour's body
   /// (`write_body`), then the hierarchy and every direction's store counts;
   /// each direction's offsets, label arena and (with hints) hint arena
@@ -274,16 +287,6 @@ class LabelIndex {
 
 extern template class LabelIndex<1>;
 extern template class LabelIndex<2>;
-
-/// Encodes a 64-bit distance into a 32-bit label entry. Finite values must
-/// stay below 2^31 so that any finite pair-sum is strictly smaller than
-/// sentinel + anything; the min-plus kernels exploit this to avoid
-/// per-entry branches.
-inline uint32_t EncodeLabelDistance(Dist d) {
-  if (d == kInfDist) return LabelIndex<1>::kUnreachableLabel;
-  HC2L_CHECK_LT(d, Dist{1} << 31);
-  return static_cast<uint32_t>(d);
-}
 
 }  // namespace hc2l
 

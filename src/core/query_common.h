@@ -10,63 +10,10 @@
 
 #include "common/label_arena.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 #include "common/types.h"
 #include "hierarchy/tree_code.h"
 
 namespace hc2l {
-
-/// Reorders *cut into ascending coverability-score order (Eq. 6 /
-/// Algorithm 5 lines 2-5, "most coverable last"), ties broken by global id —
-/// the deterministic rank both builders label in. `score` is parallel to the
-/// incoming *cut.
-inline void ApplyCoverabilityOrder(std::vector<Vertex>* cut,
-                                   const std::vector<uint64_t>& score,
-                                   const std::vector<Vertex>& to_global) {
-  const size_t m = cut->size();
-  std::vector<size_t> order(m);
-  for (size_t i = 0; i < m; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (score[a] != score[b]) return score[a] < score[b];
-    return to_global[(*cut)[a]] < to_global[(*cut)[b]];
-  });
-  std::vector<Vertex> ranked(m);
-  for (size_t i = 0; i < m; ++i) ranked[i] = (*cut)[order[i]];
-  *cut = std::move(ranked);
-}
-
-/// The prefix-tracking search dispatch shared by Hc2lBuilder::LabelCutSet
-/// and DirectedHc2lBuilder::RankAndLabel (Algorithm 5 lines 6-7): runs
-/// `search(i, mask_i)` for every cut index i, where mask_i marks the tracked
-/// prefix {cut[0..i-1]} (all-zero without tail pruning). The O(m*n) mask
-/// materialization is only paid when the pool can actually run searches
-/// concurrently; the serial tail-pruning path updates a single mask in
-/// place, and the no-pruning path shares one empty mask across all parallel
-/// searches. `search` must be safe to call concurrently for distinct i.
-template <typename SearchFn>
-void RunPrefixMaskedSearches(ThreadPool& pool, bool tail_pruning,
-                             const std::vector<Vertex>& cut,
-                             size_t num_vertices, const SearchFn& search) {
-  const size_t m = cut.size();
-  if (tail_pruning && pool.NumThreads() > 1) {
-    std::vector<std::vector<uint8_t>> prefix_masks(m);
-    std::vector<uint8_t> mask(num_vertices, 0);
-    for (size_t i = 0; i < m; ++i) {
-      prefix_masks[i] = mask;
-      mask[cut[i]] = 1;
-    }
-    pool.ParallelFor(m, [&](size_t i) { search(i, prefix_masks[i]); });
-  } else if (tail_pruning) {
-    std::vector<uint8_t> mask(num_vertices, 0);
-    for (size_t i = 0; i < m; ++i) {
-      search(i, mask);
-      mask[cut[i]] = 1;
-    }
-  } else {
-    const std::vector<uint8_t> empty_mask(num_vertices, 0);
-    pool.ParallelFor(m, [&](size_t i) { search(i, empty_mask); });
-  }
-}
 
 /// A non-trivial batch target awaiting its min-plus reduction.
 struct PendingTarget {

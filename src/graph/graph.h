@@ -74,6 +74,10 @@ class Graph {
   /// nothing) if u or v is out of range, u == v, or no such edge exists.
   bool UpdateEdgeWeight(Vertex u, Vertex v, Weight w);
 
+  /// Byte-for-byte CSR equality (same vertices, same arcs in the same
+  /// order) — the repair walk's clean-subtree oracle.
+  friend bool operator==(const Graph&, const Graph&) = default;
+
  private:
   friend class GraphBuilder;
 

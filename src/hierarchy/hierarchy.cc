@@ -46,21 +46,38 @@ bool BalancedTreeHierarchy::Validate(size_t num_vertices) const {
       vertex_code_.size() != num_vertices) {
     return false;
   }
+  // Node 0 is the root; every other node hangs below an in-range parent
+  // that links back to it. Links are range-checked before they are
+  // followed, so a corrupt file cannot make this check read out of bounds.
+  const size_t num_nodes = nodes_.size();
+  if (num_nodes == 0 || nodes_[0].parent != -1 || nodes_[0].code != kRootCode) {
+    return false;
+  }
+  const auto in_range = [&](int32_t i) {
+    return i > 0 && static_cast<size_t>(i) < num_nodes;
+  };
   std::vector<uint32_t> seen(num_vertices, 0);
-  for (size_t i = 0; i < nodes_.size(); ++i) {
+  for (size_t i = 0; i < num_nodes; ++i) {
     const HierarchyNode& node = nodes_[i];
-    // Parent/child pointers must be mutually consistent.
-    if (node.parent >= 0) {
+    const int32_t self = static_cast<int32_t>(i);
+    if (TreeCodeDepth(node.code) > kMaxTreeDepth) return false;
+    if (i > 0) {
+      if (node.parent < 0 || static_cast<size_t>(node.parent) >= num_nodes) {
+        return false;
+      }
       const HierarchyNode& parent = nodes_[node.parent];
-      if (parent.left != static_cast<int32_t>(i) &&
-          parent.right != static_cast<int32_t>(i)) {
+      if (parent.left != self && parent.right != self) return false;
+    }
+    // Parent/child pointers must be mutually consistent, and a child's
+    // code extends its parent's by the side it hangs on (so depths grow by
+    // one along every link and the links cannot cycle).
+    for (uint32_t side = 0; side < 2; ++side) {
+      const int32_t child = side == 0 ? node.left : node.right;
+      if (child == -1) continue;
+      if (!in_range(child) || nodes_[child].parent != self ||
+          nodes_[child].code != TreeCodeChild(node.code, side)) {
         return false;
       }
-      if (TreeCodeDepth(node.code) != TreeCodeDepth(parent.code) + 1) {
-        return false;
-      }
-    } else if (node.code != kRootCode) {
-      return false;
     }
     for (Vertex v : node.cut) {
       if (v >= num_vertices) return false;

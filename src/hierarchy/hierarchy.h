@@ -20,6 +20,8 @@ struct HierarchyNode {
   int32_t left = -1;
   int32_t right = -1;
   std::vector<Vertex> cut;
+
+  friend bool operator==(const HierarchyNode&, const HierarchyNode&) = default;
 };
 
 /// The balanced tree hierarchy H_G: a binary tree over vertex cuts together
@@ -63,8 +65,11 @@ class BalancedTreeHierarchy {
   /// (Table 3's "LCA Storage" for HC2L).
   size_t LcaStorageBytes() const { return vertex_code_.size() * sizeof(TreeCode); }
 
-  /// Internal consistency check (tree shape, surjective mapping, code/depth
-  /// agreement). Test helper.
+  /// Internal consistency check: node 0 is the root, parent and child
+  /// links are in range and mutual, child codes extend their parent's by
+  /// their side, and ℓ maps every vertex to exactly the node whose cut
+  /// holds it, with that node's code. Bounds-safe on arbitrary contents;
+  /// the loaders run it on every file.
   bool Validate(size_t num_vertices) const;
 
   /// Serializes the hierarchy to an open stream (node list with cuts, the
@@ -78,11 +83,9 @@ class BalancedTreeHierarchy {
   bool ReadFrom(io::Reader* r);
 
  private:
-  friend class Hc2lBuilder;
-  friend class DirectedHc2lBuilder;
   friend class Hc2lIndex;  // relabel walk + IdenticalTo
   template <int kDirections>
-  friend class LabelIndex;  // load validation
+  friend class LabelIndex;  // label walk (Build) + load validation
 
   std::vector<HierarchyNode> nodes_;
   std::vector<uint32_t> node_of_vertex_;

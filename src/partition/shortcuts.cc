@@ -2,71 +2,112 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "common/check.h"
 #include "search/dijkstra.h"
+#include "search/directed_dijkstra.h"
 
 namespace hc2l {
 
-ShortcutResult ComputeShortcuts(
-    const Graph& g, std::span<const Vertex> cut, std::span<const Vertex> part,
-    const std::vector<std::vector<Dist>>& dist_from_cut) {
-  HC2L_CHECK_EQ(cut.size(), dist_from_cut.size());
+namespace {
+
+bool TouchesCut(const Graph& g, Vertex v, const std::vector<uint8_t>& in_cut) {
+  for (const Arc& a : g.Neighbors(v)) {
+    if (in_cut[a.to]) return true;
+  }
+  return false;
+}
+
+bool TouchesCut(const Digraph& g, Vertex v,
+                const std::vector<uint8_t>& in_cut) {
+  for (const Arc& a : g.OutArcs(v)) {
+    if (in_cut[a.to]) return true;
+  }
+  for (const Arc& a : g.InArcs(v)) {
+    if (in_cut[a.to]) return true;
+  }
+  return false;
+}
+
+Subgraph Induced(const Graph& g, std::span<const Vertex> part) {
+  return InducedSubgraph(g, part);
+}
+
+Subdigraph Induced(const Digraph& g, std::span<const Vertex> part) {
+  return InducedSubdigraph(g, part);
+}
+
+/// Algorithm 3 over either graph shape. `to_cut[j][v]` is d(v -> cut[j])
+/// and `from_cut[j][v]` is d(cut[j] -> v); the undirected case passes one
+/// field twice and only visits border pairs i < j, emitting one edge per
+/// pair. `Out` is the shortcut type ({from, to, weight}).
+template <typename G, typename Out>
+std::vector<Out> Shortcuts(const G& g, std::span<const Vertex> cut,
+                           std::span<const Vertex> part,
+                           const std::vector<std::vector<Dist>>& to_cut,
+                           const std::vector<std::vector<Dist>>& from_cut,
+                           std::vector<Vertex>* border) {
+  constexpr bool kSymmetric = std::is_same_v<G, Graph>;
+  HC2L_CHECK_EQ(cut.size(), to_cut.size());
   const size_t n = g.NumVertices();
   std::vector<uint8_t> in_cut(n, 0);
   for (Vertex v : cut) in_cut[v] = 1;
 
-  ShortcutResult result;
   // Line 2: border vertices = partition vertices adjacent to the cut.
   for (Vertex v : part) {
-    for (const Arc& a : g.Neighbors(v)) {
-      if (in_cut[a.to]) {
-        result.border.push_back(v);
-        break;
+    if (TouchesCut(g, v, in_cut)) border->push_back(v);
+  }
+  const size_t b = border->size();
+  if (b < 2) return {};
+
+  // Lines 3-6: distances between border vertices inside G[P].
+  const auto gp = Induced(g, part);
+  std::vector<Vertex> to_child(n, kInvalidVertex);
+  for (size_t i = 0; i < part.size(); ++i) to_child[part[i]] = i;
+  std::vector<std::vector<Dist>> d_gp(b, std::vector<Dist>(b));
+  if constexpr (kSymmetric) {
+    Dijkstra dijkstra(gp.graph);
+    for (size_t i = 0; i < b; ++i) {
+      dijkstra.Run(to_child[(*border)[i]]);
+      for (size_t j = 0; j < b; ++j) {
+        d_gp[i][j] = dijkstra.DistanceTo(to_child[(*border)[j]]);
       }
     }
-  }
-  const size_t num_border = result.border.size();
-  if (num_border < 2) return result;
-
-  // Dijkstra from every border vertex inside G[P] (lines 3-6).
-  Subgraph gp = InducedSubgraph(g, part);
-  std::vector<Vertex> part_to_child(n, kInvalidVertex);
-  for (size_t i = 0; i < part.size(); ++i) part_to_child[part[i]] = i;
-
-  std::vector<std::vector<Dist>> d_gp(num_border,
-                                      std::vector<Dist>(num_border));
-  Dijkstra dijkstra(gp.graph);
-  for (size_t i = 0; i < num_border; ++i) {
-    dijkstra.Run(part_to_child[result.border[i]]);
-    for (size_t j = 0; j < num_border; ++j) {
-      d_gp[i][j] = dijkstra.DistanceTo(part_to_child[result.border[j]]);
+  } else {
+    for (size_t i = 0; i < b; ++i) {
+      const std::vector<Dist> dist = DirectedDistancesFrom(
+          gp.graph, to_child[(*border)[i]], SearchDirection::kForward);
+      for (size_t j = 0; j < b; ++j) d_gp[i][j] = dist[to_child[(*border)[j]]];
     }
   }
 
-  // Lines 7-8: true distances d_G(b, b') = min(d_G[P], best detour through a
-  // cut vertex).
+  // Lines 7-8: true distances d_G(b_i -> b_j) = min(d_G[P], best detour
+  // through a cut vertex).
   std::vector<std::vector<Dist>> d_g = d_gp;
-  for (size_t i = 0; i < num_border; ++i) {
-    for (size_t j = i + 1; j < num_border; ++j) {
+  for (size_t i = 0; i < b; ++i) {
+    for (size_t j = kSymmetric ? i + 1 : 0; j < b; ++j) {
+      if (i == j) continue;
       Dist through_cut = kInfDist;
       for (size_t c = 0; c < cut.size(); ++c) {
-        const Dist to_b = dist_from_cut[c][result.border[i]];
-        const Dist to_b2 = dist_from_cut[c][result.border[j]];
-        if (to_b == kInfDist || to_b2 == kInfDist) continue;
-        through_cut = std::min(through_cut, to_b + to_b2);
+        const Dist to_c = to_cut[c][(*border)[i]];
+        const Dist from_c = from_cut[c][(*border)[j]];
+        if (to_c == kInfDist || from_c == kInfDist) continue;
+        through_cut = std::min(through_cut, to_c + from_c);
       }
-      const Dist d = std::min(d_gp[i][j], through_cut);
-      d_g[i][j] = d_g[j][i] = d;
+      d_g[i][j] = std::min(d_gp[i][j], through_cut);
+      if (kSymmetric) d_g[j][i] = d_g[i][j];
     }
   }
 
   // Lines 9-16: add non-redundant shortcuts.
-  for (size_t i = 0; i < num_border; ++i) {
-    for (size_t j = i + 1; j < num_border; ++j) {
+  std::vector<Out> shortcuts;
+  for (size_t i = 0; i < b; ++i) {
+    for (size_t j = kSymmetric ? i + 1 : 0; j < b; ++j) {
+      if (i == j) continue;
       if (d_g[i][j] >= d_gp[i][j]) continue;  // condition (1) of Lemma 4.11
       bool redundant = false;
-      for (size_t k = 0; k < num_border && !redundant; ++k) {
+      for (size_t k = 0; k < b && !redundant; ++k) {
         if (k == i || k == j) continue;
         if (d_g[i][k] != kInfDist && d_g[k][j] != kInfDist &&
             d_g[i][k] + d_g[k][j] == d_g[i][j]) {
@@ -75,12 +116,32 @@ ShortcutResult ComputeShortcuts(
       }
       if (!redundant) {
         HC2L_CHECK_LE(d_g[i][j], std::numeric_limits<Weight>::max());
-        result.shortcuts.push_back({result.border[i], result.border[j],
-                                    static_cast<Weight>(d_g[i][j])});
+        shortcuts.push_back({(*border)[i], (*border)[j],
+                             static_cast<Weight>(d_g[i][j])});
       }
     }
   }
+  return shortcuts;
+}
+
+}  // namespace
+
+ShortcutResult ComputeShortcuts(
+    const Graph& g, std::span<const Vertex> cut, std::span<const Vertex> part,
+    const std::vector<std::vector<Dist>>& dist_from_cut) {
+  ShortcutResult result;
+  result.shortcuts = Shortcuts<Graph, Edge>(g, cut, part, dist_from_cut,
+                                            dist_from_cut, &result.border);
   return result;
+}
+
+std::vector<DirectedArc> ComputeDirectedShortcuts(
+    const Digraph& g, std::span<const Vertex> cut, std::span<const Vertex> part,
+    const std::vector<std::vector<Dist>>& to_cut,
+    const std::vector<std::vector<Dist>>& from_cut) {
+  std::vector<Vertex> border;
+  return Shortcuts<Digraph, DirectedArc>(g, cut, part, to_cut, from_cut,
+                                         &border);
 }
 
 bool IsDistancePreserving(const Graph& parent, const Graph& enhanced,

@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/digraph.h"
 #include "graph/graph.h"
 
 namespace hc2l {
@@ -34,6 +35,16 @@ struct ShortcutResult {
 ShortcutResult ComputeShortcuts(
     const Graph& g, std::span<const Vertex> cut, std::span<const Vertex> part,
     const std::vector<std::vector<Dist>>& dist_from_cut);
+
+/// Directed Algorithm 3: the non-redundant shortcut arcs between border
+/// vertices of `part` that keep the child sub-digraph distance-preserving
+/// in both directions. `to_cut[j][v]` is d(v -> cut[j]) and `from_cut[j][v]`
+/// is d(cut[j] -> v) in `g`, the backward and forward searches the
+/// labelling already ran.
+std::vector<DirectedArc> ComputeDirectedShortcuts(
+    const Digraph& g, std::span<const Vertex> cut, std::span<const Vertex> part,
+    const std::vector<std::vector<Dist>>& to_cut,
+    const std::vector<std::vector<Dist>>& from_cut);
 
 /// Verifies the distance-preserving property (Definition 4.5) of the
 /// shortcut-enhanced subgraph G<P> by comparing all-pairs distances against

@@ -2,9 +2,12 @@
 #define HC2L_SEARCH_DIJKSTRA_H_
 
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "graph/graph.h"
 
 namespace hc2l {
@@ -96,6 +99,57 @@ struct DistAndPruneResult {
 /// existential semantics of Definition 4.16.
 DistAndPruneResult DistAndPrune(const Graph& g, Vertex root,
                                 const std::vector<uint8_t>& in_p);
+
+/// DistAndPrune over any adjacency: `arcs(v)` returns the arcs relaxed out
+/// of v (a graph's neighbours; a digraph's out- or in-arcs for a forward or
+/// backward search).
+template <typename ArcsFn>
+DistAndPruneResult DistAndPruneOver(size_t num_vertices, Vertex root,
+                                    const std::vector<uint8_t>& in_p,
+                                    const ArcsFn& arcs) {
+  HC2L_CHECK_LT(root, num_vertices);
+  HC2L_CHECK_EQ(in_p.size(), num_vertices);
+  DistAndPruneResult result;
+  result.dist.assign(num_vertices, kInfDist);
+  result.via.assign(num_vertices, 0);
+
+  // Heap entries ordered by (distance, pruned) with pruned=true first, per
+  // Algorithm 4's "Q is ordered by (d, p) with True < False". Popping pruned
+  // entries first at equal distance yields the existential semantics: via[v]
+  // is set iff SOME shortest root->v path has a tracked intermediate vertex.
+  struct Entry {
+    Dist d;
+    uint8_t not_pruned;  // 0 if pruned: sorts before non-pruned at equal d
+    Vertex v;
+    bool operator>(const Entry& other) const {
+      if (d != other.d) return d > other.d;
+      return not_pruned > other.not_pruned;
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
+  std::vector<uint8_t> done(num_vertices, 0);
+
+  queue.push({0, 1, root});
+  while (!queue.empty()) {
+    const Entry top = queue.top();
+    queue.pop();
+    const Vertex v = top.v;
+    if (done[v]) continue;
+    done[v] = 1;
+    result.dist[v] = top.d;
+    result.via[v] = top.not_pruned == 0 ? 1 : 0;
+    // The flag propagates along the path; traversing v itself sets it when v
+    // is a tracked vertex (root's own membership is ignored, and a vertex is
+    // not an intermediate of its own path).
+    const bool next_pruned = result.via[v] != 0 || (v != root && in_p[v] != 0);
+    for (const Arc& a : arcs(v)) {
+      if (done[a.to]) continue;
+      queue.push(
+          {top.d + a.weight, next_pruned ? uint8_t{0} : uint8_t{1}, a.to});
+    }
+  }
+  return result;
+}
 
 /// Unweighted BFS distances (hop counts) from source.
 std::vector<uint32_t> BfsHops(const Graph& g, Vertex source);

@@ -1,7 +1,6 @@
 #include "search/directed_dijkstra.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/check.h"
 
@@ -117,40 +116,9 @@ Dist DirectedShortestPath(const Digraph& g, Vertex s, Vertex t,
 DistAndPruneResult DirectedDistAndPrune(const Digraph& g, Vertex root,
                                         SearchDirection direction,
                                         const std::vector<uint8_t>& in_p) {
-  HC2L_CHECK_LT(root, g.NumVertices());
-  HC2L_CHECK_EQ(in_p.size(), g.NumVertices());
-  DistAndPruneResult result;
-  result.dist.assign(g.NumVertices(), kInfDist);
-  result.via.assign(g.NumVertices(), 0);
-
-  struct Entry {
-    Dist d;
-    uint8_t not_pruned;
-    Vertex v;
-    bool operator>(const Entry& other) const {
-      if (d != other.d) return d > other.d;
-      return not_pruned > other.not_pruned;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
-  std::vector<uint8_t> done(g.NumVertices(), 0);
-  queue.push({0, 1, root});
-  while (!queue.empty()) {
-    const Entry top = queue.top();
-    queue.pop();
-    const Vertex v = top.v;
-    if (done[v]) continue;
-    done[v] = 1;
-    result.dist[v] = top.d;
-    result.via[v] = top.not_pruned == 0 ? 1 : 0;
-    const bool next_pruned = result.via[v] != 0 || (v != root && in_p[v] != 0);
-    for (const Arc& a : ArcsOf(g, v, direction)) {
-      if (done[a.to]) continue;
-      queue.push(
-          {top.d + a.weight, next_pruned ? uint8_t{0} : uint8_t{1}, a.to});
-    }
-  }
-  return result;
+  return DistAndPruneOver(
+      g.NumVertices(), root, in_p,
+      [&g, direction](Vertex v) { return ArcsOf(g, v, direction); });
 }
 
 }  // namespace hc2l

@@ -432,6 +432,35 @@ TEST(DirectedHc2l, SaveWritesFormatPerContractionAndBothLoad) {
   }
 }
 
+TEST(DirectedHc2l, ParallelBuildSavesIdenticalFiles) {
+  // HC2L_p labels each hierarchy level's nodes in parallel and numbers
+  // nodes in level order, so the thread count cannot change a single byte
+  // of the file — hierarchy node list included.
+  RoadNetworkOptions opt;
+  opt.rows = 16;
+  opt.cols = 17;
+  opt.seed = 12;
+  opt.pendant_frac = 0.2;
+  const Digraph g = GenerateDirectedRoadNetwork(opt, 0.3);
+  const std::string path = ::testing::TempDir() + "/hc2l_dir_threads";
+  for (const bool hints : {true, false}) {
+    SCOPED_TRACE(hints ? "hinted" : "hint-less");
+    Hc2lOptions serial;
+    serial.route_hints = hints;
+    serial.num_threads = 1;
+    Hc2lOptions parallel = serial;
+    parallel.num_threads = 4;
+    ASSERT_TRUE(DirectedHc2lIndex::Build(g, serial).Save(path + ".1").ok());
+    ASSERT_TRUE(
+        DirectedHc2lIndex::Build(g, parallel).Save(path + ".4").ok());
+    const std::string one = FileBytes(path + ".1");
+    EXPECT_FALSE(one.empty());
+    EXPECT_EQ(one, FileBytes(path + ".4"));
+  }
+  std::remove((path + ".1").c_str());
+  std::remove((path + ".4").c_str());
+}
+
 TEST(GenerateDirectedRoadNetwork, OneWayFractionRoughlyRespected) {
   RoadNetworkOptions opt;
   opt.rows = 20;

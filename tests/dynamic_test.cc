@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/section_file.h"
 #include "core/hc2l.h"
 #include "graph/road_network_generator.h"
 #include "search/dijkstra.h"
@@ -12,6 +16,7 @@
 namespace hc2l {
 namespace {
 
+using ::hc2l::testing::FileBytes;
 using ::hc2l::testing::MakeGrid;
 
 /// Returns a copy of g with `changes` random edges re-weighted (same
@@ -59,6 +64,94 @@ TEST(RebuildLabels, NoOpRebuildPreservesAnswers) {
   ASSERT_TRUE(index.RebuildLabels(g).ok());
   EXPECT_EQ(index.Query(0, 99), before);
   EXPECT_EQ(index.Query(5, 87), ShortestPathDistance(g, 5, 87));
+}
+
+/// The payload of the section with `id` in a saved index file (empty when
+/// the file has no such section).
+std::string SectionPayload(const std::string& file, uint64_t id) {
+  uint64_t count = 0;
+  std::memcpy(&count, file.data() + 8, sizeof(count));
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t entry[3];
+    std::memcpy(entry, file.data() + 16 + i * sizeof(entry), sizeof(entry));
+    if (entry[0] == id) return file.substr(entry[1], entry[2]);
+  }
+  return {};
+}
+
+TEST(RebuildLabels, FirstRelabelReproducesBuild) {
+  // On unchanged weights the relabel walk over the stored hierarchy must
+  // reproduce Build()'s index exactly: hint-less, the whole index (stats,
+  // hierarchy, labels) is IdenticalTo the built one. With route hints the
+  // hierarchy and the distance labels still match byte for byte; the hints
+  // may name other equal-length first hops (the relabel walk induces
+  // children in ascending vertex order), so they only have to stay valid.
+  RoadNetworkOptions road;
+  road.rows = 12;
+  road.cols = 13;
+  road.seed = 5;
+  RoadNetworkOptions travel = road;
+  travel.seed = 23;
+  travel.weight_mode = WeightMode::kTravelTime;
+  const Graph graphs[] = {GenerateRoadNetwork(road),
+                          GenerateRoadNetwork(travel), MakeGrid(9, 11, 3)};
+  const std::string path = ::testing::TempDir() + "/hc2l_first_relabel";
+  int configurations = 0;
+  for (const Graph& g : graphs) {
+    for (const bool contract : {true, false}) {
+      for (const bool tail_pruning : {true, false}) {
+        for (const uint32_t threads : {1u, 4u}) {
+          SCOPED_TRACE("graph " + std::to_string(configurations / 8) +
+                       (contract ? " contracted" : " uncontracted") +
+                       (tail_pruning ? " pruned" : " unpruned") +
+                       " threads=" + std::to_string(threads));
+          ++configurations;
+          Hc2lOptions options;
+          options.contract_degree_one = contract;
+          options.tail_pruning = tail_pruning;
+          options.num_threads = threads;
+
+          options.route_hints = false;
+          const Hc2lIndex built = Hc2lIndex::Build(g, options);
+          Hc2lIndex relabelled = Hc2lIndex::Build(g, options);
+          ASSERT_TRUE(relabelled.RebuildLabels(g, tail_pruning, threads).ok());
+          EXPECT_TRUE(relabelled.IdenticalTo(built));
+
+          options.route_hints = true;
+          const Hc2lIndex hinted = Hc2lIndex::Build(g, options);
+          Hc2lIndex rehinted = Hc2lIndex::Build(g, options);
+          ASSERT_TRUE(rehinted.RebuildLabels(g, tail_pruning, threads).ok());
+          ASSERT_TRUE(hinted.Save(path + ".built").ok());
+          ASSERT_TRUE(rehinted.Save(path + ".relabelled").ok());
+          const std::string a = FileBytes(path + ".built");
+          const std::string b = FileBytes(path + ".relabelled");
+          for (const uint64_t id :
+               {io::kSectionLabelOffsets, io::kSectionLabelArena}) {
+            EXPECT_FALSE(SectionPayload(a, id).empty()) << "section " << id;
+            EXPECT_EQ(SectionPayload(a, id), SectionPayload(b, id))
+                << "section " << id;
+          }
+          const BalancedTreeHierarchy& ha = hinted.Hierarchy();
+          const BalancedTreeHierarchy& hb = rehinted.Hierarchy();
+          ASSERT_EQ(ha.NumNodes(), hb.NumNodes());
+          for (size_t i = 0; i < ha.NumNodes(); ++i) {
+            EXPECT_EQ(ha.Node(i).code, hb.Node(i).code);
+            EXPECT_EQ(ha.Node(i).cut, hb.Node(i).cut);
+          }
+          for (Vertex s = 0; s < g.NumVertices(); s += 17) {
+            for (Vertex t = 0; t < g.NumVertices(); t += 13) {
+              RoutePath route;
+              ASSERT_TRUE(rehinted.Route(s, t, &route).ok());
+              ASSERT_EQ(route.weight, hinted.Query(s, t));
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(configurations, 24);
+  std::remove((path + ".built").c_str());
+  std::remove((path + ".relabelled").c_str());
 }
 
 TEST(RebuildLabels, RepeatedUpdatesStayExact) {

@@ -157,7 +157,9 @@ TEST(Hc2lIndex, ParallelBuildProducesIdenticalIndex) {
   parallel.num_threads = 4;
   Hc2lIndex a = Hc2lIndex::Build(g, serial);
   Hc2lIndex b = Hc2lIndex::Build(g, parallel);
-  // Same sizes and, for a query sample, identical results and hub counts.
+  // The same index — hierarchy (node numbering included), labels, hints and
+  // stats — and, for a query sample, identical results and hub counts.
+  EXPECT_TRUE(a.IdenticalTo(b));
   EXPECT_EQ(a.Stats().label_entries, b.Stats().label_entries);
   EXPECT_EQ(a.Stats().tree_height, b.Stats().tree_height);
   Rng rng(8);

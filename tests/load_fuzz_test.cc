@@ -28,6 +28,7 @@
 
 #include "common/fault_injection.h"
 #include "common/section_file.h"
+#include "core/hc2l.h"
 #include "core/index_format.h"
 #include "graph/road_network_generator.h"
 #include "hc2l/hc2l.h"
@@ -522,6 +523,112 @@ TEST_F(LoadFuzzTest, ForgedHintSectionsAreRejected) {
     }
   }
   EXPECT_EQ(hinted_files, 2u);
+  std::remove(path.c_str());
+}
+
+/// Byte positions of one saved hierarchy inside an index file's meta
+/// section: every node's parent field and the node_of_vertex_ entries.
+struct HierarchyFields {
+  std::vector<size_t> parent;
+  std::vector<size_t> node_of_vertex;
+};
+
+/// Walks the hierarchy stream (docs/format.md) that starts `body_bytes`
+/// into the meta section, past the flavour's body.
+HierarchyFields FindHierarchyFields(const std::vector<char>& bytes,
+                                    size_t body_bytes) {
+  HierarchyFields fields;
+  const size_t meta = SectionEntryPos(bytes, io::kSectionMeta);
+  if (meta == 0) return fields;
+  uint64_t offset = 0;
+  std::memcpy(&offset, bytes.data() + meta + 8, sizeof(offset));
+  size_t pos = offset + body_bytes;
+  const auto read_u64 = [&]() {
+    uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + pos, sizeof(v));
+    pos += sizeof(v);
+    return v;
+  };
+  const uint64_t num_nodes = read_u64();
+  for (uint64_t i = 0; i < num_nodes; ++i) {
+    pos += sizeof(TreeCode);
+    fields.parent.push_back(pos);
+    pos += 3 * sizeof(int32_t);
+    pos += read_u64() * sizeof(Vertex);
+  }
+  const uint64_t num_vertices = read_u64();
+  for (uint64_t v = 0; v < num_vertices; ++v) {
+    fields.node_of_vertex.push_back(pos + v * sizeof(uint32_t));
+  }
+  return fields;
+}
+
+TEST_F(LoadFuzzTest, SmashedHierarchyLinksAreRejected) {
+  // Route alternatives climb parent links from node_of_vertex_, and a
+  // relabel walks child links: both used to be followed unchecked, so one
+  // smashed entry in an otherwise valid file loaded fine and then crashed
+  // the first k-route query. The load must now fail with kDataLoss, in
+  // both open modes and for both flavours. Uncontracted indexes keep the
+  // flavours' meta bodies fixed-size, so the hierarchy is easy to find.
+  RoadNetworkOptions opt;
+  opt.rows = 8;
+  opt.cols = 8;
+  opt.seed = 5;
+  const Graph graph = GenerateRoadNetwork(opt);
+  const Digraph digraph = GenerateDirectedRoadNetwork(opt, 0.25);
+  BuildOptions build;
+  build.contract_degree_one = false;
+  const std::string path = ScratchPath();
+  const std::vector<StatusCode> both_data_loss = {StatusCode::kDataLoss,
+                                                  StatusCode::kDataLoss};
+  const auto open_codes = [&](const std::vector<char>& bytes) {
+    WriteFileBytes(path, bytes.data(), bytes.size());
+    std::vector<StatusCode> codes;
+    for (const OpenMode mode : {OpenMode::kHeap, OpenMode::kMmap}) {
+      Result<Router> r = Router::Open(path, mode);
+      codes.push_back(r.ok() ? StatusCode::kOk : r.status().code());
+      if (r.ok()) {
+        const Result<std::vector<RoutePath>> routes = r->Routes(0, 60, 3);
+        EXPECT_TRUE(routes.ok()) << routes.status().ToString();
+      }
+    }
+    return codes;
+  };
+
+  for (const bool directed : {false, true}) {
+    SCOPED_TRACE(directed ? "directed" : "undirected");
+    Result<Router> router = directed ? Router::Build(digraph, build)
+                                     : Router::Build(graph, build);
+    ASSERT_TRUE(router.ok());
+    ASSERT_TRUE(router->Save(path).ok());
+    const std::vector<char> pristine = ReadFileBytes(path);
+    // HC2L0004: the raw stats block and the contraction marker; HC2D0004:
+    // the marker, the vertex count and the height.
+    const size_t body = directed ? 1 + sizeof(uint64_t) + sizeof(uint32_t)
+                                 : sizeof(Hc2lStats) + 1;
+    const HierarchyFields fields = FindHierarchyFields(pristine, body);
+    ASSERT_GT(fields.parent.size(), 2u);
+    ASSERT_EQ(fields.node_of_vertex.size(), graph.NumVertices());
+    ASSERT_EQ(open_codes(pristine),
+              std::vector<StatusCode>(2, StatusCode::kOk));
+
+    const auto smash = [&](size_t pos, uint32_t value) {
+      std::vector<char> bytes = pristine;
+      std::memcpy(bytes.data() + pos, &value, sizeof(value));
+      return bytes;
+    };
+    EXPECT_EQ(open_codes(smash(fields.node_of_vertex[3], 0x7fffffff)),
+              both_data_loss)
+        << "node_of_vertex_ entry past every node";
+    EXPECT_EQ(open_codes(smash(fields.parent[1], 0x7fffffff)),
+              both_data_loss)
+        << "parent link past every node";
+    EXPECT_EQ(open_codes(smash(fields.parent[2], 2)), both_data_loss)
+        << "a node as its own parent";
+    EXPECT_EQ(open_codes(smash(fields.parent[0] + sizeof(int32_t), 0)),
+              both_data_loss)
+        << "the root as its own left child";
+  }
   std::remove(path.c_str());
 }
 
