@@ -1,6 +1,7 @@
 #include "baselines/pruned_highway_labelling.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "common/check.h"

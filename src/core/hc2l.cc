@@ -172,7 +172,8 @@ Status Hc2lIndex::RelabelWalk(const Graph& core, bool scoped,
   std::atomic<uint64_t> clean_subtrees{0};
   std::atomic<uint64_t> clean_shortcuts{0};
   CutSource<1> source;
-  source.cut = [&](const WalkFrame<1>& frame, ThreadPool&, NodeCut* out) {
+  source.cut = [&](const WalkFrame<1>& frame, ThreadPool&,
+                   NodeCut<1>* out) {
     const int32_t node_idx = frame.node;
     const size_t sub_n = frame.sub.NumVertices();
     for (size_t i = 0; i < frame.to_global.size(); ++i) {

@@ -7,7 +7,6 @@
 #include "partition/balanced_cut.h"
 #include "partition/shortcuts.h"
 #include "search/dijkstra.h"
-#include "search/directed_dijkstra.h"
 
 namespace hc2l {
 
@@ -27,17 +26,42 @@ std::span<const Arc> Arcs(const Digraph& g, Vertex v, int direction) {
   return direction == 0 ? g.OutArcs(v) : g.InArcs(v);
 }
 
-DistAndPruneResult Search(const Graph& g, Vertex root, int /*direction*/,
-                          const std::vector<uint8_t>& mask) {
-  return DistAndPrune(g, root, mask);
+/// The arcs the search for store `direction` relaxes: a digraph's in-arcs
+/// for the out store (d(v -> root) is a backward search) and its out-arcs
+/// for the in store; an undirected graph's neighbours.
+template <typename G>
+std::span<const Arc> SearchArcs(const G& g, Vertex v, int direction) {
+  return Arcs(g, v, 1 - direction);
 }
 
-DistAndPruneResult Search(const Digraph& g, Vertex root, int direction,
-                          const std::vector<uint8_t>& mask) {
-  return DirectedDistAndPrune(
-      g, root,
-      direction == 0 ? SearchDirection::kBackward : SearchDirection::kForward,
-      mask);
+/// The shortest-path tree of store `direction` rooted at `root`.
+template <typename G>
+ShortestPathTree Tree(const G& g, Vertex root, int direction) {
+  return ShortestPathTreeOver(g.NumVertices(), root, [&](Vertex v) {
+    return SearchArcs(g, v, direction);
+  });
+}
+
+/// Flags, over `tree` of store `direction`, every vertex some shortest
+/// path to which from the tree's root passes a vertex u with
+/// pos[u] < limit (see FlagTrackedPaths).
+template <typename G>
+void FlagPaths(const G& g, int direction, const ShortestPathTree& tree,
+               const std::vector<uint32_t>& pos, uint32_t limit,
+               std::vector<uint8_t>* via) {
+  FlagTrackedPaths(
+      tree, [&](Vertex v) { return SearchArcs(g, v, direction); },
+      [&](Vertex u) { return pos[u] < limit; }, via);
+}
+
+/// Position of every cut vertex in `cut`, UINT32_MAX for the others.
+std::vector<uint32_t> CutPositions(const std::vector<Vertex>& cut,
+                                   size_t num_vertices) {
+  std::vector<uint32_t> pos(num_vertices, UINT32_MAX);
+  for (size_t i = 0; i < cut.size(); ++i) {
+    pos[cut[i]] = static_cast<uint32_t>(i);
+  }
+  return pos;
 }
 
 /// Balanced cuts must separate paths in both directions, so a digraph is
@@ -242,57 +266,31 @@ ArcAnnotations<kDirections> DeriveChildAnnotations(
   return ann;
 }
 
-/// The prefix-tracking searches of Algorithm 5 lines 6-7: runs
-/// `search(i, mask_i)` for every cut index i, where mask_i marks the
-/// tracked prefix {cut[0..i-1]} (all-zero without tail pruning). The
-/// O(m*n) mask materialization is only paid when the pool can run searches
-/// concurrently; the serial tail-pruning path updates a single mask in
-/// place, and the no-pruning path shares one empty mask. `search` must be
-/// safe to call concurrently for distinct i.
-template <typename SearchFn>
-void RunPrefixMaskedSearches(ThreadPool& pool, bool tail_pruning,
-                             const std::vector<Vertex>& cut,
-                             size_t num_vertices, const SearchFn& search) {
-  const size_t m = cut.size();
-  if (tail_pruning && pool.NumThreads() > 1) {
-    std::vector<std::vector<uint8_t>> prefix_masks(m);
-    std::vector<uint8_t> mask(num_vertices, 0);
-    for (size_t i = 0; i < m; ++i) {
-      prefix_masks[i] = mask;
-      mask[cut[i]] = 1;
-    }
-    pool.ParallelFor(m, [&](size_t i) { search(i, prefix_masks[i]); });
-  } else if (tail_pruning) {
-    std::vector<uint8_t> mask(num_vertices, 0);
-    for (size_t i = 0; i < m; ++i) {
-      search(i, mask);
-      mask[cut[i]] = 1;
-    }
-  } else {
-    const std::vector<uint8_t> empty_mask(num_vertices, 0);
-    pool.ParallelFor(m, [&](size_t i) { search(i, empty_mask); });
-  }
-}
-
 /// Puts a freshly chosen cut into label rank order. With tail pruning that
 /// is Eq. 6 / Algorithm 5 lines 2-5: ascending count, summed over the
 /// directions, of vertices whose shortest path from the cut vertex passes
 /// through another cut vertex ("most coverable last"); ties, and every cut
-/// without pruning, go by core id.
+/// without pruning, go by core id. The trees searched for the count are
+/// handed over in rank order, for the labelling to reuse.
 template <int kDirections>
 void RankCut(const WalkFrame<kDirections>& frame, bool tail_pruning,
-             ThreadPool& pool, std::vector<Vertex>* cut) {
+             ThreadPool& pool, NodeCut<kDirections>* nc) {
   const std::vector<Vertex>& to_global = frame.to_global;
-  const size_t m = cut->size();
+  std::vector<Vertex>& cut = nc->cut;
+  const size_t m = cut.size();
   std::vector<uint64_t> score(m, 0);
-  if (tail_pruning && m > 1) {
+  const bool searched = tail_pruning && m > 1;
+  if (searched) {
     const size_t n = frame.sub.NumVertices();
-    std::vector<uint8_t> in_cut(n, 0);
-    for (Vertex v : *cut) in_cut[v] = 1;
+    const std::vector<uint32_t> pos = CutPositions(cut, n);
+    for (auto& trees : nc->trees) trees.resize(m);
     pool.ParallelFor(m, [&](size_t i) {
+      std::vector<uint8_t> via;
       for (int d = 0; d < kDirections; ++d) {
-        const DistAndPruneResult r = Search(frame.sub, (*cut)[i], d, in_cut);
-        for (Vertex v = 0; v < n; ++v) score[i] += r.via[v];
+        ShortestPathTree& tree = nc->trees[d][i];
+        tree = Tree(frame.sub, cut[i], d);
+        FlagPaths(frame.sub, d, tree, pos, static_cast<uint32_t>(m), &via);
+        for (Vertex v = 0; v < n; ++v) score[i] += via[v];
       }
     });
   }
@@ -300,11 +298,19 @@ void RankCut(const WalkFrame<kDirections>& frame, bool tail_pruning,
   for (size_t i = 0; i < m; ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     if (score[a] != score[b]) return score[a] < score[b];
-    return to_global[(*cut)[a]] < to_global[(*cut)[b]];
+    return to_global[cut[a]] < to_global[cut[b]];
   });
   std::vector<Vertex> ranked(m);
-  for (size_t i = 0; i < m; ++i) ranked[i] = (*cut)[order[i]];
-  *cut = std::move(ranked);
+  for (size_t i = 0; i < m; ++i) ranked[i] = cut[order[i]];
+  cut = std::move(ranked);
+  if (!searched) return;
+  for (auto& trees : nc->trees) {
+    std::vector<ShortestPathTree> ranked_trees(m);
+    for (size_t i = 0; i < m; ++i) {
+      ranked_trees[i] = std::move(trees[order[i]]);
+    }
+    trees = std::move(ranked_trees);
+  }
 }
 
 }  // namespace
@@ -363,23 +369,36 @@ template <int kDirections>
 void LabelWalk<kDirections>::Step(Frame frame,
                                   const CutSource<kDirections>& source,
                                   ThreadPool& pool, StepOut* out) {
-  NodeCut nc;
+  NodeCut<kDirections> nc;
   source.cut(frame, pool, &nc);
   const LabelGraph<kDirections>& sub = frame.sub;
   const size_t n = sub.NumVertices();
   const size_t m = nc.cut.size();
 
-  // 1. Prefix-tracking searches; the tracked set of cut[i] is cut[0..i-1],
-  // shared by its searches in both directions.
-  std::array<std::vector<DistAndPruneResult>, kDirections> results;
-  for (auto& r : results) r.resize(m);
-  RunPrefixMaskedSearches(
-      pool, tail_pruning_, nc.cut, n,
-      [&](size_t i, const std::vector<uint8_t>& mask) {
-        for (int d = 0; d < kDirections; ++d) {
-          results[d][i] = Search(sub, nc.cut[i], d, mask);
-        }
-      });
+  // 1. One shortest-path tree per cut vertex and direction, unless the
+  // source handed them over. With tail pruning, the tracked set of cut[i]
+  // is its prefix cut[0..i-1] in both directions; the settle order is only
+  // needed for that flag pass and is freed after it.
+  std::array<std::vector<ShortestPathTree>, kDirections>& trees = nc.trees;
+  const bool handed = !trees[0].empty();
+  std::array<std::vector<std::vector<uint8_t>>, kDirections> via;
+  std::vector<uint32_t> pos;
+  if (tail_pruning_) pos = CutPositions(nc.cut, n);
+  for (int d = 0; d < kDirections; ++d) {
+    if (handed) HC2L_CHECK_EQ(trees[d].size(), m);
+    trees[d].resize(m);
+    if (tail_pruning_) via[d].resize(m);
+  }
+  pool.ParallelFor(m, [&](size_t i) {
+    for (int d = 0; d < kDirections; ++d) {
+      ShortestPathTree& tree = trees[d][i];
+      if (!handed) tree = Tree(sub, nc.cut[i], d);
+      if (tail_pruning_) {
+        FlagPaths(sub, d, tree, pos, static_cast<uint32_t>(i), &via[d][i]);
+      }
+      tree.order = std::vector<Vertex>();
+    }
+  });
 
   // 2. Labels with tail pruning (Algorithm 5 lines 8-10): vertex v keeps
   // the hubs up to the last one whose shortest path avoids every earlier
@@ -394,21 +413,22 @@ void LabelWalk<kDirections>::Step(Frame frame,
         label_lens_[d][gv].push_back(0);
         continue;
       }
-      size_t k = 0;
-      for (size_t i = 0; i < m; ++i) {
-        if (results[d][i].via[v] == 0) k = i;
+      // cut[0] tracks nothing, so k stops at 0 at the latest.
+      size_t k = m - 1;
+      if (tail_pruning_) {
+        while (via[d][k][v] != 0) --k;
       }
       std::vector<uint32_t>& data = label_data_[d][gv];
       for (size_t i = 0; i <= k; ++i) {
-        data.push_back(EncodeLabelDistance(results[d][i].dist[v], &overflow_));
+        data.push_back(EncodeLabelDistance(trees[d][i].dist[v], &overflow_));
       }
       label_lens_[d][gv].push_back(static_cast<uint32_t>(k + 1));
       out->recomputed += k + 1;
       if (hints_) {
         std::vector<uint32_t>& hints = hint_data_[d][gv];
         for (size_t i = 0; i <= k; ++i) {
-          hints.push_back(Witness(sub, d, frame.ann[d], bases[d], v,
-                                  results[d][i].dist));
+          hints.push_back(
+              Witness(sub, d, frame.ann[d], bases[d], v, trees[d][i].dist));
         }
       }
     }
@@ -419,10 +439,11 @@ void LabelWalk<kDirections>::Step(Frame frame,
   CutDistances<kDirections> dist;
   for (int d = 0; d < kDirections; ++d) {
     dist[d].reserve(m);
-    for (DistAndPruneResult& r : results[d]) {
-      dist[d].push_back(std::move(r.dist));
+    for (ShortestPathTree& tree : trees[d]) {
+      dist[d].push_back(std::move(tree.dist));
     }
-    results[d] = {};
+    trees[d] = {};
+    via[d] = {};
   }
   for (int side = 0; side < 2; ++side) {
     const std::vector<Vertex>& part = nc.parts[side];
@@ -508,7 +529,7 @@ uint64_t LabelIndex<kDirections>::BuildLabels(const LabelGraph<kDirections>& g,
 
   CutSource<kDirections> source;
   source.cut = [&](const WalkFrame<kDirections>& frame, ThreadPool& pool,
-                   NodeCut* out) {
+                   NodeCut<kDirections>* out) {
     const size_t sub_n = frame.sub.NumVertices();
     const TreeCode code = nodes[frame.node].code;
     bool leaf =
@@ -527,7 +548,7 @@ uint64_t LabelIndex<kDirections>::BuildLabels(const LabelGraph<kDirections>& g,
       out->cut.resize(sub_n);
       for (Vertex v = 0; v < sub_n; ++v) out->cut[v] = v;
     }
-    RankCut(frame, options.tail_pruning, pool, &out->cut);
+    RankCut(frame, options.tail_pruning, pool, out);
     // Nodes are only appended between levels, so this frame's node and the
     // per-vertex entries of its cut are its own.
     HierarchyNode& node = nodes[frame.node];

@@ -12,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "common/types.h"
 #include "core/label_index.h"
+#include "search/dijkstra.h"
 
 namespace hc2l {
 
@@ -38,10 +39,15 @@ struct WalkFrame {
 /// What a cut source decides for one node, in the frame's local ids: the
 /// cut in label rank order, and the vertices of the left (`parts[0]`) and
 /// right (`parts[1]`) child in the order the child subgraph is induced in.
-/// An empty part means no child on that side.
+/// An empty part means no child on that side. A source that searched from
+/// the cut vertices to rank them hands the shortest-path trees over in
+/// `trees` (per direction, one per cut vertex in rank order); otherwise
+/// `trees` stays empty and the walk searches itself.
+template <int kDirections>
 struct NodeCut {
   std::vector<Vertex> cut;
   std::array<std::vector<Vertex>, 2> parts;
+  std::array<std::vector<ShortestPathTree>, kDirections> trees;
 };
 
 /// Where a walk's cuts come from: Build chooses fresh balanced cuts, a
@@ -51,7 +57,8 @@ struct NodeCut {
 /// `child_node` runs serially after each level, in frame order.
 template <int kDirections>
 struct CutSource {
-  std::function<void(const WalkFrame<kDirections>&, ThreadPool&, NodeCut*)>
+  std::function<void(const WalkFrame<kDirections>&, ThreadPool&,
+                     NodeCut<kDirections>*)>
       cut;
   /// Offered every derived child frame (with the number of shortcuts its
   /// induction added); false when the source accounts for the child's
@@ -66,9 +73,13 @@ struct CutSource {
 /// The labelling recursion of both HC2L flavours (Algorithms 3-5), run
 /// top-down level by level: one pool.ParallelFor over the frames of a
 /// level, each frame running the same step —
-///   1. the prefix-masked searches from every cut vertex, one per
-///      direction (out = d(v -> hub) in store 0, in = d(hub -> v) in store
-///      kDirections - 1; one symmetric search for an undirected graph);
+///   1. one shortest-path tree per cut vertex and direction (out =
+///      d(v -> hub) in store 0, in = d(hub -> v) in store kDirections - 1;
+///      one symmetric search for an undirected graph), searched once and
+///      shared by the Eq. 6 ranking (when the cut source ranks) and the
+///      labelling; with tail pruning, one pass over each tree in settle
+///      order flags the vertices some shortest path to which passes the
+///      prefix cut[0..i-1] of its root cut[i] (Algorithm 5 lines 6-7);
 ///   2. per store, the tail-pruned label arrays of every subgraph vertex
 ///      and, with hints, the first-witness-arc annotations in lockstep;
 ///   3. per side, the shortcuts, the induced child subgraph, its core id

@@ -1,10 +1,10 @@
 #ifndef HC2L_SEARCH_DIJKSTRA_H_
 #define HC2L_SEARCH_DIJKSTRA_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -84,6 +84,73 @@ class BidirectionalDijkstra {
   std::vector<std::pair<Dist, Vertex>> heap_[2];
 };
 
+/// A shortest-path tree: the distances from the search root and the
+/// vertices the search settled, root first. Weights are positive, so the
+/// settle order is a topological order of the shortest-path DAG: for every
+/// arc u -> v with dist[u] + w == dist[v], u comes before v.
+struct ShortestPathTree {
+  std::vector<Dist> dist;     // kInfDist if unreachable
+  std::vector<Vertex> order;  // settled vertices in settle order
+};
+
+/// Dijkstra from `root` over any adjacency: `arcs(v)` returns the arcs
+/// relaxed out of v (a graph's neighbours; a digraph's out- or in-arcs for
+/// a forward or backward search). A heap entry is pushed only when a
+/// distance improves.
+template <typename ArcsFn>
+ShortestPathTree ShortestPathTreeOver(size_t num_vertices, Vertex root,
+                                      const ArcsFn& arcs) {
+  HC2L_CHECK_LT(root, num_vertices);
+  ShortestPathTree tree;
+  tree.dist.assign(num_vertices, kInfDist);
+  tree.order.reserve(num_vertices);
+  const auto greater = [](const std::pair<Dist, Vertex>& a,
+                          const std::pair<Dist, Vertex>& b) {
+    return a.first > b.first;
+  };
+  std::vector<std::pair<Dist, Vertex>> heap;
+  tree.dist[root] = 0;
+  heap.emplace_back(0, root);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), greater);
+    const auto [d, v] = heap.back();
+    heap.pop_back();
+    if (d > tree.dist[v]) continue;  // stale heap entry
+    tree.order.push_back(v);
+    for (const Arc& a : arcs(v)) {
+      const Dist nd = d + a.weight;
+      if (nd < tree.dist[a.to]) {
+        tree.dist[a.to] = nd;
+        heap.emplace_back(nd, a.to);
+        std::push_heap(heap.begin(), heap.end(), greater);
+      }
+    }
+  }
+  return tree;
+}
+
+/// The flag of Algorithm 4 over a finished tree: sets (*via)[v] to 1 iff
+/// SOME shortest root -> v path has an intermediate vertex u (neither the
+/// root nor v) with tracked(u) — the existential semantics of Definition
+/// 4.16 — and to 0 otherwise. `arcs` must be the adjacency `tree` was
+/// searched over. One pass in settle order: a flagged or tracked vertex
+/// flags every vertex its tight arcs reach, and each vertex is final
+/// before it is read because its DAG predecessors settle first.
+template <typename ArcsFn, typename TrackedFn>
+void FlagTrackedPaths(const ShortestPathTree& tree, const ArcsFn& arcs,
+                      const TrackedFn& tracked, std::vector<uint8_t>* via) {
+  via->assign(tree.dist.size(), 0);
+  if (tree.order.empty()) return;
+  const Vertex root = tree.order[0];
+  for (const Vertex u : tree.order) {
+    if ((*via)[u] == 0 && (u == root || !tracked(u))) continue;
+    const Dist du = tree.dist[u];
+    for (const Arc& a : arcs(u)) {
+      if (du + a.weight == tree.dist[a.to]) (*via)[a.to] = 1;
+    }
+  }
+}
+
 /// Result of a pruneability-tracking Dijkstra (Algorithm 4 of the paper).
 struct DistAndPruneResult {
   std::vector<Dist> dist;    // distance from root; kInfDist if unreachable
@@ -94,60 +161,22 @@ struct DistAndPruneResult {
 
 /// Algorithm 4: Dijkstra from `root` that also records, per vertex v, whether
 /// a shortest path from root to v passes through a vertex of `in_p`
-/// (a bitmask over vertices; root's own membership is ignored). The queue is
-/// ordered by (distance, pruned) with pruned entries first, which yields the
-/// existential semantics of Definition 4.16.
+/// (a bitmask over vertices; root's own membership is ignored): one
+/// shortest-path tree search, then the FlagTrackedPaths pass.
 DistAndPruneResult DistAndPrune(const Graph& g, Vertex root,
                                 const std::vector<uint8_t>& in_p);
 
-/// DistAndPrune over any adjacency: `arcs(v)` returns the arcs relaxed out
-/// of v (a graph's neighbours; a digraph's out- or in-arcs for a forward or
-/// backward search).
+/// DistAndPrune over any adjacency (see ShortestPathTreeOver).
 template <typename ArcsFn>
 DistAndPruneResult DistAndPruneOver(size_t num_vertices, Vertex root,
                                     const std::vector<uint8_t>& in_p,
                                     const ArcsFn& arcs) {
-  HC2L_CHECK_LT(root, num_vertices);
   HC2L_CHECK_EQ(in_p.size(), num_vertices);
+  ShortestPathTree tree = ShortestPathTreeOver(num_vertices, root, arcs);
   DistAndPruneResult result;
-  result.dist.assign(num_vertices, kInfDist);
-  result.via.assign(num_vertices, 0);
-
-  // Heap entries ordered by (distance, pruned) with pruned=true first, per
-  // Algorithm 4's "Q is ordered by (d, p) with True < False". Popping pruned
-  // entries first at equal distance yields the existential semantics: via[v]
-  // is set iff SOME shortest root->v path has a tracked intermediate vertex.
-  struct Entry {
-    Dist d;
-    uint8_t not_pruned;  // 0 if pruned: sorts before non-pruned at equal d
-    Vertex v;
-    bool operator>(const Entry& other) const {
-      if (d != other.d) return d > other.d;
-      return not_pruned > other.not_pruned;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
-  std::vector<uint8_t> done(num_vertices, 0);
-
-  queue.push({0, 1, root});
-  while (!queue.empty()) {
-    const Entry top = queue.top();
-    queue.pop();
-    const Vertex v = top.v;
-    if (done[v]) continue;
-    done[v] = 1;
-    result.dist[v] = top.d;
-    result.via[v] = top.not_pruned == 0 ? 1 : 0;
-    // The flag propagates along the path; traversing v itself sets it when v
-    // is a tracked vertex (root's own membership is ignored, and a vertex is
-    // not an intermediate of its own path).
-    const bool next_pruned = result.via[v] != 0 || (v != root && in_p[v] != 0);
-    for (const Arc& a : arcs(v)) {
-      if (done[a.to]) continue;
-      queue.push(
-          {top.d + a.weight, next_pruned ? uint8_t{0} : uint8_t{1}, a.to});
-    }
-  }
+  FlagTrackedPaths(
+      tree, arcs, [&in_p](Vertex u) { return in_p[u] != 0; }, &result.via);
+  result.dist = std::move(tree.dist);
   return result;
 }
 

@@ -1,6 +1,7 @@
 #include "search/directed_dijkstra.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/check.h"
 

@@ -692,18 +692,30 @@ struct Reactor::Impl {
     L->touched.clear();
   }
 
+  /// Acts on the shutdown flags: false once the reactor is stopping;
+  /// begins this loop's drain the first time it sees the drain flag.
+  bool Running(Loop* L) {
+    if (stop.load(std::memory_order_acquire)) return false;
+    if (draining.load(std::memory_order_acquire) && !L->drain_started) {
+      BeginDrain(L);
+    }
+    return true;
+  }
+
   void RunLoop(Loop* L) {
     epoll_event events[64];
-    for (;;) {
+    // The flags are read before every wait as well as after it: a batch
+    // that reads the eventfd also consumes the wakeup of a Stop() or
+    // Drain() that set its flag after this batch's check, and a loop that
+    // only looked after waking would then sleep through it (a zero-budget
+    // Drain() could block forever joining it).
+    while (Running(L)) {
       const int rc = ::epoll_wait(L->epoll_fd, events,
                                   static_cast<int>(std::size(events)),
                                   MillisUntil(L->next_sweep));
       if (rc < 0 && errno != EINTR) break;
       const Clock::time_point wake = Clock::now();
-      if (stop.load(std::memory_order_relaxed)) break;
-      if (draining.load(std::memory_order_relaxed) && !L->drain_started) {
-        BeginDrain(L);
-      }
+      if (!Running(L)) break;
       for (int i = 0; i < std::max(rc, 0); ++i) {
         void* ptr = events[i].data.ptr;
         if (ptr == nullptr) {
@@ -793,7 +805,7 @@ struct Reactor::Impl {
   }
 
   void StopLocked() {
-    stop.store(true, std::memory_order_relaxed);
+    stop.store(true, std::memory_order_release);
     for (const std::unique_ptr<Loop>& l : loops) {
       if (l->event_fd >= 0) Signal(l->event_fd);
     }
@@ -830,7 +842,7 @@ bool Reactor::Drain(std::chrono::milliseconds budget) {
     std::lock_guard<std::mutex> lock(impl_->shutdown_mu);
     if (impl_->stopped) return true;
   }
-  impl_->draining.store(true, std::memory_order_relaxed);
+  impl_->draining.store(true, std::memory_order_release);
   for (const std::unique_ptr<Impl::Loop>& l : impl_->loops) {
     Signal(l->event_fd);
   }

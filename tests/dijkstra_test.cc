@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+
 #include "common/rng.h"
+#include "graph/digraph.h"
 #include "graph/road_network_generator.h"
+#include "search/directed_dijkstra.h"
 #include "test_util.h"
 
 namespace hc2l {
@@ -190,6 +196,159 @@ TEST(DistAndPrune, MatchesBruteForceSemantics) {
           << "root=" << root << " v=" << v << " trial=" << trial;
     }
   }
+}
+
+// --- Algorithm 4 against path enumeration. Small random graphs with
+// weights in {1, 2} have many tied shortest paths; every simple path from
+// the root is enumerated, and the expected flag of v is "some path of
+// minimum length to v has an intermediate tracked vertex".
+
+struct Enumerated {
+  std::vector<Dist> dist;
+  std::vector<uint8_t> via;
+};
+
+/// Enumerates every simple path from `root` along `edges` (from, to,
+/// weight), read backwards when `backward` (a path then runs against the
+/// arcs, as a backward search does).
+Enumerated EnumeratePaths(size_t n, const std::vector<Edge>& edges,
+                          bool backward, Vertex root,
+                          const std::function<bool(Vertex)>& tracked) {
+  Enumerated out{std::vector<Dist>(n, kInfDist), std::vector<uint8_t>(n, 0)};
+  std::vector<uint8_t> on_path(n, 0);
+  std::function<void(Vertex, Dist, bool)> visit;
+  visit = [&](Vertex v, Dist len, bool through) {
+    if (len < out.dist[v]) {
+      out.dist[v] = len;
+      out.via[v] = through ? 1 : 0;
+    } else if (len == out.dist[v] && through) {
+      out.via[v] = 1;
+    }
+    on_path[v] = 1;
+    const bool next_through = through || (v != root && tracked(v));
+    for (const Edge& e : edges) {
+      const Vertex from = backward ? e.v : e.u;
+      const Vertex to = backward ? e.u : e.v;
+      if (from == v && !on_path[to]) visit(to, len + e.weight, next_through);
+    }
+    on_path[v] = 0;
+  };
+  visit(root, 0, false);
+  return out;
+}
+
+/// A random simple graph on n vertices as arcs (both orientations of each
+/// edge when `symmetric`), weights in {1, 2}.
+std::vector<Edge> RandomArcs(Rng& rng, size_t n, bool symmetric) {
+  std::vector<Edge> arcs;
+  for (Vertex u = 0; u < n; ++u) {
+    for (Vertex v = symmetric ? u + 1 : 0; v < n; ++v) {
+      if (u == v || !rng.Chance(symmetric ? 0.45 : 0.3)) continue;
+      const Weight w = rng.Chance(0.5) ? 1 : 2;
+      arcs.push_back({u, v, w});
+      if (symmetric) arcs.push_back({v, u, w});
+    }
+  }
+  return arcs;
+}
+
+/// Compares one search result with the enumeration; `what` names the case.
+::testing::AssertionResult Matches(const std::vector<Dist>& dist,
+                                   const std::vector<uint8_t>& via,
+                                   const Enumerated& truth,
+                                   const std::string& what) {
+  for (Vertex v = 0; v < truth.dist.size(); ++v) {
+    if (dist[v] != truth.dist[v] || via[v] != truth.via[v]) {
+      return ::testing::AssertionFailure()
+             << what << " v=" << v << ": dist " << dist[v] << " via "
+             << int{via[v]} << ", enumeration dist " << truth.dist[v]
+             << " via " << int{truth.via[v]};
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Runs the property on both graph shapes: an undirected graph (one
+/// search) and a digraph in both directions. For each seed and root: a
+/// random mask through DistAndPrune / DirectedDistAndPrune, then every
+/// prefix of a random cut order both as a mask and as the pos[u] < limit
+/// threshold over one shared ShortestPathTree (the labelling's form).
+void CheckAlgorithm4(bool directed) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed * 7919 + (directed ? 1 : 0));
+    const size_t n = 2 + rng.Below(7);
+    const std::vector<Edge> arcs = RandomArcs(rng, n, !directed);
+    GraphBuilder gb(n);
+    DigraphBuilder db(n);
+    for (const Edge& a : arcs) {
+      if (directed) {
+        db.AddArc(a.u, a.v, a.weight);
+      } else if (a.u < a.v) {
+        gb.AddEdge(a.u, a.v, a.weight);
+      }
+    }
+    const Graph g = std::move(gb).Build();
+    const Digraph dg = std::move(db).Build();
+    for (const bool backward : {false, true}) {
+      if (!directed && backward) continue;
+      const SearchDirection dir =
+          backward ? SearchDirection::kBackward : SearchDirection::kForward;
+      const auto search = [&](Vertex root, const std::vector<uint8_t>& mask) {
+        return directed ? DirectedDistAndPrune(dg, root, dir, mask)
+                        : DistAndPrune(g, root, mask);
+      };
+      const auto arcs_of = [&](Vertex v) -> std::span<const Arc> {
+        if (!directed) return g.Neighbors(v);
+        return backward ? dg.InArcs(v) : dg.OutArcs(v);
+      };
+      for (Vertex root = 0; root < n; ++root) {
+        const std::string where = "seed=" + std::to_string(seed) +
+                                  (directed ? " directed" : " undirected") +
+                                  (backward ? " backward" : " forward") +
+                                  " root=" + std::to_string(root);
+        std::vector<uint8_t> mask(n, 0);
+        for (Vertex v = 0; v < n; ++v) mask[v] = rng.Chance(0.4) ? 1 : 0;
+        const DistAndPruneResult r = search(root, mask);
+        const Enumerated masked = EnumeratePaths(
+            n, arcs, backward, root, [&](Vertex u) { return mask[u] != 0; });
+        ASSERT_TRUE(Matches(r.dist, r.via, masked, where + " random mask"));
+
+        std::vector<Vertex> cut(n);
+        for (Vertex v = 0; v < n; ++v) cut[v] = v;
+        for (size_t i = n; i > 1; --i) {
+          std::swap(cut[i - 1], cut[rng.Below(i)]);
+        }
+        cut.resize(1 + rng.Below(n));
+        std::vector<uint32_t> pos(n, UINT32_MAX);
+        for (size_t i = 0; i < cut.size(); ++i) {
+          pos[cut[i]] = static_cast<uint32_t>(i);
+        }
+        const ShortestPathTree tree = ShortestPathTreeOver(n, root, arcs_of);
+        ASSERT_EQ(tree.order.front(), root) << where;
+        for (uint32_t limit = 0; limit <= cut.size(); ++limit) {
+          const auto tracked = [&](Vertex u) { return pos[u] < limit; };
+          const Enumerated truth =
+              EnumeratePaths(n, arcs, backward, root, tracked);
+          const std::string what = where + " limit=" + std::to_string(limit);
+          std::vector<uint8_t> via;
+          FlagTrackedPaths(tree, arcs_of, tracked, &via);
+          ASSERT_TRUE(Matches(tree.dist, via, truth, what + " tree pass"));
+          std::vector<uint8_t> prefix(n, 0);
+          for (size_t i = 0; i < limit; ++i) prefix[cut[i]] = 1;
+          const DistAndPruneResult p = search(root, prefix);
+          ASSERT_TRUE(Matches(p.dist, p.via, truth, what + " prefix mask"));
+        }
+      }
+    }
+  }
+}
+
+TEST(DistAndPrune, MatchesPathEnumerationOnRandomGraphs) {
+  CheckAlgorithm4(/*directed=*/false);
+}
+
+TEST(DirectedDistAndPrune, MatchesPathEnumerationBothDirections) {
+  CheckAlgorithm4(/*directed=*/true);
 }
 
 TEST(BfsHops, GridHopCounts) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -620,13 +622,21 @@ TEST(RebuildLabels, FasterThanFullBuild) {
   opt.cols = 35;
   opt.seed = 3;
   Graph g = GenerateRoadNetwork(opt);
-  Hc2lIndex index = Hc2lIndex::Build(g);
-  const double full_build = index.Stats().build_seconds;
   Graph updated = PerturbWeights(g, 100, 6);
-  ASSERT_TRUE(index.RebuildLabels(updated).ok());
-  const double rebuild = index.Stats().build_seconds;
-  // No partitioning / max-flow work: the rebuild must be clearly cheaper.
-  EXPECT_LT(rebuild, full_build);
+  // The best of five timings of each side: one wall-clock timing can be
+  // stretched by a loaded machine, the fastest of five rarely is.
+  double full_build = std::numeric_limits<double>::infinity();
+  double rebuild = full_build;
+  for (int run = 0; run < 5; ++run) {
+    Hc2lIndex index = Hc2lIndex::Build(g);
+    full_build = std::min(full_build, index.Stats().build_seconds);
+    ASSERT_TRUE(index.RebuildLabels(updated).ok());
+    rebuild = std::min(rebuild, index.Stats().build_seconds);
+  }
+  // No partitioning / max-flow work and no cut ranking: the rebuild must
+  // be cheaper.
+  EXPECT_LT(rebuild, full_build)
+      << "best rebuild " << rebuild << " s, best build " << full_build << " s";
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -20,10 +22,18 @@ namespace hc2l {
 
 class TestClient {
  public:
+  /// How long one recv may wait before ReadLine / ReadToClose give up and
+  /// return their timeout marker, so a server that never answers or never
+  /// closes fails the test and names the blocking call instead of hanging.
+  static constexpr int kReceiveTimeoutSeconds = 20;
+
   /// `rcvbuf_bytes` > 0 shrinks the receive buffer before connecting, so a
   /// client that stops reading stalls the server's writes quickly.
   explicit TestClient(uint16_t port, int rcvbuf_bytes = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    timeval timeout{};
+    timeout.tv_sec = kReceiveTimeoutSeconds;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     if (rcvbuf_bytes > 0) {
       ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf_bytes,
                    sizeof(rcvbuf_bytes));
@@ -55,12 +65,14 @@ class TestClient {
     return true;
   }
 
-  /// The next response line without its '\n', or "<connection closed>".
+  /// The next response line without its '\n', "<connection closed>", or
+  /// "<ReadLine timed out>" after kReceiveTimeoutSeconds without a byte.
   std::string ReadLine() {
     size_t nl;
     while ((nl = buf_.find('\n')) == std::string::npos) {
       char chunk[4096];
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n < 0 && TimedOut()) return "<ReadLine timed out>";
       if (n <= 0) return "<connection closed>";
       buf_.append(chunk, static_cast<size_t>(n));
     }
@@ -69,19 +81,24 @@ class TestClient {
     return line;
   }
 
-  /// Everything still unread, up to the server closing the connection.
+  /// Everything still unread, up to the server closing the connection;
+  /// "<ReadToClose timed out>" is appended when it stays open
+  /// kReceiveTimeoutSeconds without a byte.
   std::string ReadToClose() {
     std::string all = std::move(buf_);
     buf_.clear();
     char chunk[65536];
     for (;;) {
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n < 0 && TimedOut()) return all + "<ReadToClose timed out>";
       if (n <= 0) return all;
       all.append(chunk, static_cast<size_t>(n));
     }
   }
 
  private:
+  static bool TimedOut() { return errno == EAGAIN || errno == EWOULDBLOCK; }
+
   int fd_ = -1;
   bool connected_ = false;
   std::string buf_;

@@ -851,8 +851,10 @@ TEST_F(WireTest, TcpServerCutsWriteStalledConnections) {
       stalled.Send(MatrixRequest(2048, 2048, router_->NumVertices(), false)));
   EXPECT_TRUE(WaitFor([&] { return server->stats().connections_live == 0; },
                       std::chrono::seconds(30)));
-  EXPECT_FALSE(EndsWith(stalled.ReadToClose(), "]}\n"))
+  const std::string delivered = stalled.ReadToClose();
+  EXPECT_FALSE(EndsWith(delivered, "]}\n"))
       << "the stalled response was delivered whole";
+  EXPECT_FALSE(EndsWith(delivered, "<ReadToClose timed out>"));
   server->Stop();
 }
 
@@ -1217,7 +1219,9 @@ TEST_F(WireTest, StalledStreamBlocksOnlyItsOwnLoop) {
   }
   EXPECT_TRUE(WaitFor([&] { return server->stats().connections_live == 1; },
                       std::chrono::seconds(30)));
-  EXPECT_EQ(streamer.ReadToClose().find("\"done\":true"), std::string::npos);
+  const std::string streamed = streamer.ReadToClose();
+  EXPECT_EQ(streamed.find("\"done\":true"), std::string::npos);
+  EXPECT_FALSE(EndsWith(streamed, "<ReadToClose timed out>"));
   ASSERT_TRUE(points.Send("{\"op\":\"ping\"}\n"));
   EXPECT_EQ(points.ReadLine(), "{\"ok\":true,\"op\":\"ping\"}");
   server->Stop();
