@@ -55,8 +55,9 @@ struct BuildOptions {
   double beta = 0.2;
   /// Recursion stops at subgraphs of at most this many vertices.
   uint32_t leaf_size = 8;
-  /// Tail pruning (Definition 4.18): ~10-15% smaller labels, ~20% slower
-  /// construction when on.
+  /// Tail pruning (Definition 4.18): ~9-10% fewer label entries, ~9-12%
+  /// slower construction when on (20k-vertex road network, 1 thread, on a
+  /// 4-vCPU VM: 1.58 vs 1.45 s undirected, 2.53 vs 2.26 s directed).
   bool tail_pruning = true;
   /// Degree-one contraction (Section 4.2.2), honoured by both flavours. For
   /// digraphs the contractible set is decided on the underlying undirected

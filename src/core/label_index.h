@@ -34,8 +34,8 @@ struct Hc2lOptions {
   /// remaining set forms a leaf node and is labelled like a cut.
   uint32_t leaf_size = 8;
   /// Tail pruning (Definition 4.18). Disabling it yields the naive
-  /// upper-bound labelling of Section 4.2.1 (full distance arrays): ~10-15%
-  /// larger labels, ~20% faster construction.
+  /// upper-bound labelling of Section 4.2.1 (full distance arrays): ~10%
+  /// larger labels, ~8-11% faster construction (see BuildOptions).
   bool tail_pruning = true;
   /// Degree-one contraction (Section 4.2.2). For a digraph the contractible
   /// set is decided on the undirected projection, so one-way pendant streets

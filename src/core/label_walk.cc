@@ -93,8 +93,8 @@ struct ChildGraph {
 
 ChildGraph<1> InduceChild(const Graph& sub, std::span<const Vertex> cut,
                           std::span<const Vertex> part,
-                          const CutDistances<1>& dist) {
-  const ShortcutResult sc = ComputeShortcuts(sub, cut, part, dist[0]);
+                          const CutDistances<1>& dist, ThreadPool& pool) {
+  const ShortcutResult sc = ComputeShortcuts(sub, cut, part, dist[0], pool);
   Subgraph child = InducedSubgraph(sub, part, sc.shortcuts);
   ChildGraph<1> out{std::move(child.graph), std::move(child.to_parent), {},
                     sc.shortcuts.size()};
@@ -108,9 +108,9 @@ ChildGraph<1> InduceChild(const Graph& sub, std::span<const Vertex> cut,
 
 ChildGraph<2> InduceChild(const Digraph& sub, std::span<const Vertex> cut,
                           std::span<const Vertex> part,
-                          const CutDistances<2>& dist) {
+                          const CutDistances<2>& dist, ThreadPool& pool) {
   std::vector<DirectedArc> sc =
-      ComputeDirectedShortcuts(sub, cut, part, dist[0], dist[1]);
+      ComputeDirectedShortcuts(sub, cut, part, dist[0], dist[1], pool);
   Subdigraph child = InducedSubdigraph(sub, part, sc);
   const uint64_t count = sc.size();
   return {std::move(child.graph), std::move(child.to_parent), std::move(sc),
@@ -435,7 +435,8 @@ void LabelWalk<kDirections>::Step(Frame frame,
   }
   if (nc.parts[0].empty() && nc.parts[1].empty()) return;
 
-  // 3. Children: Algorithm 3 shortcuts keep each side distance-preserving.
+  // 3. Children: Algorithm 3 shortcuts keep each side distance-preserving;
+  // their border searches run on `pool` like the trees.
   CutDistances<kDirections> dist;
   for (int d = 0; d < kDirections; ++d) {
     dist[d].reserve(m);
@@ -448,7 +449,8 @@ void LabelWalk<kDirections>::Step(Frame frame,
   for (int side = 0; side < 2; ++side) {
     const std::vector<Vertex>& part = nc.parts[side];
     if (part.empty()) continue;
-    ChildGraph<kDirections> child = InduceChild(sub, nc.cut, part, dist);
+    ChildGraph<kDirections> child =
+        InduceChild(sub, nc.cut, part, dist, pool);
     out->shortcuts += child.shortcuts;
     Frame next;
     next.to_global.reserve(part.size());

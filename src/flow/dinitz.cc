@@ -1,42 +1,59 @@
 #include "flow/dinitz.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.h"
 
 namespace hc2l {
 
-DinitzMaxFlow::DinitzMaxFlow(NodeId num_nodes)
-    : num_nodes_(num_nodes), adjacency_(num_nodes) {}
+DinitzMaxFlow::DinitzMaxFlow(NodeId num_nodes) : num_nodes_(num_nodes) {}
 
 size_t DinitzMaxFlow::AddEdge(NodeId u, NodeId v, Capacity capacity) {
   HC2L_CHECK_LT(u, num_nodes_);
   HC2L_CHECK_LT(v, num_nodes_);
+  HC2L_CHECK(arcs_.empty());
   const size_t id = edges_.size();
-  edges_.push_back({v, capacity, id + 1});
-  edges_.push_back({u, 0, id});
-  adjacency_[u].push_back(id);
-  adjacency_[v].push_back(id + 1);
-  original_capacity_.push_back(capacity);
+  edges_.push_back({v, capacity});
+  edges_.push_back({u, 0});
   return id;
+}
+
+void DinitzMaxFlow::BuildArcs() {
+  const size_t m = edges_.size();
+  HC2L_CHECK_LT(m, size_t{std::numeric_limits<uint32_t>::max()});
+  // A stable counting sort of the edge ids by tail (the head of the
+  // paired edge) keeps each node's arcs in insertion order.
+  arc_begin_.assign(num_nodes_ + 1, 0);
+  for (size_t id = 0; id < m; ++id) ++arc_begin_[edges_[id ^ 1].to + 1];
+  for (NodeId v = 0; v < num_nodes_; ++v) arc_begin_[v + 1] += arc_begin_[v];
+  std::vector<uint32_t> fill(arc_begin_.begin(), arc_begin_.end() - 1);
+  position_.resize(m);
+  for (size_t id = 0; id < m; ++id) position_[id] = fill[edges_[id ^ 1].to]++;
+  arcs_.resize(m);
+  for (size_t id = 0; id < m; ++id) {
+    arcs_[position_[id]] = {edges_[id].to, position_[id ^ 1],
+                            edges_[id].capacity};
+  }
 }
 
 bool DinitzMaxFlow::BuildLevels() {
   level_.assign(num_nodes_, UINT32_MAX);
   level_[source_] = 0;
-  std::vector<NodeId> frontier{source_};
-  while (!frontier.empty()) {
-    std::vector<NodeId> next;
-    for (NodeId v : frontier) {
-      for (size_t id : adjacency_[v]) {
-        const Edge& e = edges_[id];
-        if (e.capacity > 0 && level_[e.to] == UINT32_MAX) {
-          level_[e.to] = level_[v] + 1;
-          next.push_back(e.to);
-        }
+  queue_.clear();
+  queue_.push_back(source_);
+  for (size_t head = 0; head < queue_.size(); ++head) {
+    const NodeId v = queue_[head];
+    // Nodes at the sink's level or beyond lead no path to the sink, so
+    // the levels past it are not needed.
+    if (level_[v] >= level_[sink_]) break;
+    for (uint32_t i = arc_begin_[v]; i < arc_begin_[v + 1]; ++i) {
+      const ResidualArc& a = arcs_[i];
+      if (a.capacity > 0 && level_[a.to] == UINT32_MAX) {
+        level_[a.to] = level_[v] + 1;
+        queue_.push_back(a.to);
       }
     }
-    frontier = std::move(next);
   }
   return level_[sink_] != UINT32_MAX;
 }
@@ -45,15 +62,14 @@ DinitzMaxFlow::Capacity DinitzMaxFlow::PushBlockingFlow(NodeId v,
                                                         Capacity limit) {
   if (v == sink_ || limit == 0) return limit;
   Capacity pushed = 0;
-  for (uint32_t& i = next_arc_[v]; i < adjacency_[v].size(); ++i) {
-    const size_t id = adjacency_[v][i];
-    Edge& e = edges_[id];
-    if (e.capacity == 0 || level_[e.to] != level_[v] + 1) continue;
+  for (uint32_t& i = next_arc_[v]; i < arc_begin_[v + 1]; ++i) {
+    ResidualArc& a = arcs_[i];
+    if (a.capacity == 0 || level_[a.to] != level_[v] + 1) continue;
     const Capacity d =
-        PushBlockingFlow(e.to, std::min(limit - pushed, e.capacity));
+        PushBlockingFlow(a.to, std::min(limit - pushed, a.capacity));
     if (d == 0) continue;
-    e.capacity -= d;
-    edges_[e.reverse].capacity += d;
+    a.capacity -= d;
+    arcs_[a.reverse].capacity += d;
     pushed += d;
     if (pushed == limit) return pushed;
   }
@@ -65,35 +81,38 @@ DinitzMaxFlow::Capacity DinitzMaxFlow::MaxFlow(NodeId s, NodeId t) {
   HC2L_CHECK_NE(s, t);
   source_ = s;
   sink_ = t;
+  BuildArcs();
   Capacity total = 0;
   while (BuildLevels()) {
-    next_arc_.assign(num_nodes_, 0);
+    next_arc_.assign(arc_begin_.begin(), arc_begin_.end() - 1);
     total += PushBlockingFlow(source_, kInfCapacity);
   }
   return total;
 }
 
 DinitzMaxFlow::Capacity DinitzMaxFlow::ResidualCapacity(size_t id) const {
-  return edges_[id].capacity;
+  HC2L_CHECK_LT(id, position_.size());  // MaxFlow() ran
+  return arcs_[position_[id]].capacity;
 }
 
 DinitzMaxFlow::Capacity DinitzMaxFlow::Flow(size_t id) const {
   HC2L_CHECK_EQ(id % 2, 0u);  // flow is defined on forward edges
-  return original_capacity_[id / 2] - edges_[id].capacity;
+  return edges_[id].capacity - ResidualCapacity(id);
 }
 
 std::vector<uint8_t> DinitzMaxFlow::ResidualReachableFromSource() const {
+  HC2L_CHECK_EQ(arc_begin_.size(), size_t{num_nodes_} + 1);  // MaxFlow() ran
   std::vector<uint8_t> reachable(num_nodes_, 0);
   std::vector<NodeId> stack{source_};
   reachable[source_] = 1;
   while (!stack.empty()) {
     const NodeId v = stack.back();
     stack.pop_back();
-    for (size_t id : adjacency_[v]) {
-      const Edge& e = edges_[id];
-      if (e.capacity > 0 && reachable[e.to] == 0) {
-        reachable[e.to] = 1;
-        stack.push_back(e.to);
+    for (uint32_t i = arc_begin_[v]; i < arc_begin_[v + 1]; ++i) {
+      const ResidualArc& a = arcs_[i];
+      if (a.capacity > 0 && reachable[a.to] == 0) {
+        reachable[a.to] = 1;
+        stack.push_back(a.to);
       }
     }
   }
@@ -101,25 +120,19 @@ std::vector<uint8_t> DinitzMaxFlow::ResidualReachableFromSource() const {
 }
 
 std::vector<uint8_t> DinitzMaxFlow::ResidualReachingSink() const {
-  // Reverse residual reachability: u reaches t via edge u->v if that edge has
-  // residual capacity. We scan incoming edge stubs via reverse edges: for node
-  // v, each adjacency entry id is an edge (v -> e.to); the edge (e.to -> v) is
-  // edges_[id].reverse viewed from e.to. Walking backwards from t: from node w
-  // we must find all u with residual cap on (u -> w). Those are exactly the
-  // reverse entries stored in adjacency_[w] whose paired edge has capacity.
+  HC2L_CHECK_EQ(arc_begin_.size(), size_t{num_nodes_} + 1);  // MaxFlow() ran
+  // Reverse residual reachability: u reaches t via arc u -> w if that arc
+  // has residual capacity. Walking backwards from t: each arc w -> u
+  // leaving w is paired with the arc u -> w entering it.
   std::vector<uint8_t> reaching(num_nodes_, 0);
   std::vector<NodeId> stack{sink_};
   reaching[sink_] = 1;
   while (!stack.empty()) {
     const NodeId w = stack.back();
     stack.pop_back();
-    for (size_t id : adjacency_[w]) {
-      // adjacency_[w] holds ids of edges leaving w; the reverse of each is an
-      // edge entering w from edges_[id].to. Residual capacity of the entering
-      // edge (u -> w) is edges_[edges_[id].reverse].capacity.
-      const Edge& out = edges_[id];
-      const Edge& in = edges_[out.reverse];
-      if (in.capacity > 0 && reaching[out.to] == 0) {
+    for (uint32_t i = arc_begin_[w]; i < arc_begin_[w + 1]; ++i) {
+      const ResidualArc& out = arcs_[i];
+      if (arcs_[out.reverse].capacity > 0 && reaching[out.to] == 0) {
         reaching[out.to] = 1;
         stack.push_back(out.to);
       }

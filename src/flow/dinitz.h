@@ -24,10 +24,12 @@ class DinitzMaxFlow {
   explicit DinitzMaxFlow(NodeId num_nodes);
 
   /// Adds a directed edge u -> v with the given capacity. Returns an edge id
-  /// usable with ResidualCapacity()/Flow().
+  /// usable with ResidualCapacity()/Flow() after MaxFlow(). Only before
+  /// MaxFlow().
   size_t AddEdge(NodeId u, NodeId v, Capacity capacity);
 
-  /// Computes the maximum s-t flow. Call at most once per instance.
+  /// Computes the maximum s-t flow. Call at most once per instance. Each
+  /// node's arcs are scanned in the order they were added.
   Capacity MaxFlow(NodeId s, NodeId t);
 
   /// Remaining capacity of edge `id` after MaxFlow().
@@ -43,23 +45,36 @@ class DinitzMaxFlow {
   std::vector<uint8_t> ResidualReachingSink() const;
 
  private:
+  // Edge 2k is the k-th added edge u -> v with its capacity, 2k + 1 its
+  // reverse v -> u with none (id ^ 1).
   struct Edge {
     NodeId to;
+    Capacity capacity;
+  };
+  // One residual arc, stored in CSR order.
+  struct ResidualArc {
+    NodeId to;
+    uint32_t reverse;   // position of the paired arc
     Capacity capacity;  // residual capacity
-    size_t reverse;     // index of the reverse edge in edges_
   };
 
+  void BuildArcs();
   bool BuildLevels();
   Capacity PushBlockingFlow(NodeId v, Capacity limit);
 
   NodeId num_nodes_;
   NodeId source_ = 0;
   NodeId sink_ = 0;
-  std::vector<Edge> edges_;
-  std::vector<std::vector<size_t>> adjacency_;  // node -> edge ids
+  std::vector<Edge> edges_;  // as added, with the original capacities
+  // The residual graph as a CSR built by MaxFlow: the arcs leaving node v
+  // are arcs_[arc_begin_[v] .. arc_begin_[v + 1]), in the order they were
+  // added; edge id sits at position position_[id].
+  std::vector<uint32_t> arc_begin_;
+  std::vector<ResidualArc> arcs_;
+  std::vector<uint32_t> position_;
   std::vector<uint32_t> level_;
-  std::vector<uint32_t> next_arc_;
-  std::vector<Capacity> original_capacity_;
+  std::vector<uint32_t> next_arc_;  // per node, a position in arcs_
+  std::vector<NodeId> queue_;       // BFS queue of BuildLevels
 };
 
 }  // namespace hc2l

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "search/dijkstra.h"
-#include "search/directed_dijkstra.h"
 
 namespace hc2l {
 
@@ -38,6 +37,14 @@ Subdigraph Induced(const Digraph& g, std::span<const Vertex> part) {
   return InducedSubdigraph(g, part);
 }
 
+std::span<const Arc> ForwardArcs(const Graph& g, Vertex v) {
+  return g.Neighbors(v);
+}
+
+std::span<const Arc> ForwardArcs(const Digraph& g, Vertex v) {
+  return g.OutArcs(v);
+}
+
 /// Algorithm 3 over either graph shape. `to_cut[j][v]` is d(v -> cut[j])
 /// and `from_cut[j][v]` is d(cut[j] -> v); the undirected case passes one
 /// field twice and only visits border pairs i < j, emitting one edge per
@@ -47,7 +54,7 @@ std::vector<Out> Shortcuts(const G& g, std::span<const Vertex> cut,
                            std::span<const Vertex> part,
                            const std::vector<std::vector<Dist>>& to_cut,
                            const std::vector<std::vector<Dist>>& from_cut,
-                           std::vector<Vertex>* border) {
+                           ThreadPool& pool, std::vector<Vertex>* border) {
   constexpr bool kSymmetric = std::is_same_v<G, Graph>;
   HC2L_CHECK_EQ(cut.size(), to_cut.size());
   const size_t n = g.NumVertices();
@@ -61,30 +68,15 @@ std::vector<Out> Shortcuts(const G& g, std::span<const Vertex> cut,
   const size_t b = border->size();
   if (b < 2) return {};
 
-  // Lines 3-6: distances between border vertices inside G[P].
-  const auto gp = Induced(g, part);
-  std::vector<Vertex> to_child(n, kInvalidVertex);
-  for (size_t i = 0; i < part.size(); ++i) to_child[part[i]] = i;
-  std::vector<std::vector<Dist>> d_gp(b, std::vector<Dist>(b));
-  if constexpr (kSymmetric) {
-    Dijkstra dijkstra(gp.graph);
-    for (size_t i = 0; i < b; ++i) {
-      dijkstra.Run(to_child[(*border)[i]]);
-      for (size_t j = 0; j < b; ++j) {
-        d_gp[i][j] = dijkstra.DistanceTo(to_child[(*border)[j]]);
-      }
-    }
-  } else {
-    for (size_t i = 0; i < b; ++i) {
-      const std::vector<Dist> dist = DirectedDistancesFrom(
-          gp.graph, to_child[(*border)[i]], SearchDirection::kForward);
-      for (size_t j = 0; j < b; ++j) d_gp[i][j] = dist[to_child[(*border)[j]]];
-    }
-  }
-
-  // Lines 7-8: true distances d_G(b_i -> b_j) = min(d_G[P], best detour
-  // through a cut vertex).
-  std::vector<std::vector<Dist>> d_g = d_gp;
+  // Line 8's second term first: d_g[i][j] starts as the best detour
+  // b_i -> cut -> b_j. The search from b_i need not go past the radius
+  // R_i, the largest detour of its row (kInfDist if any is infinite): a
+  // pair with d_G[P] > R_i has d_G = the detour either way and is a
+  // shortcut candidate (condition (1)), so its exact d_G[P] is never read.
+  // The undirected rows only cover j > i (d_G[P] is symmetric); the last
+  // border vertex needs no search.
+  std::vector<std::vector<Dist>> d_g(b, std::vector<Dist>(b, kInfDist));
+  std::vector<Dist> radius(b, 0);
   for (size_t i = 0; i < b; ++i) {
     for (size_t j = kSymmetric ? i + 1 : 0; j < b; ++j) {
       if (i == j) continue;
@@ -95,7 +87,36 @@ std::vector<Out> Shortcuts(const G& g, std::span<const Vertex> cut,
         if (to_c == kInfDist || from_c == kInfDist) continue;
         through_cut = std::min(through_cut, to_c + from_c);
       }
-      d_g[i][j] = std::min(d_gp[i][j], through_cut);
+      d_g[i][j] = through_cut;
+      radius[i] = std::max(radius[i], through_cut);
+    }
+  }
+
+  // Lines 3-6: distances between border vertices inside G[P], kInfDist
+  // for the pairs beyond their row's radius.
+  const auto gp = Induced(g, part);
+  std::vector<Vertex> to_child(n, kInvalidVertex);
+  for (size_t i = 0; i < part.size(); ++i) to_child[part[i]] = i;
+  std::vector<std::vector<Dist>> d_gp(b, std::vector<Dist>(b, kInfDist));
+  const auto search = [&](size_t i) {
+    std::vector<Dist> dist(gp.graph.NumVertices(), kInfDist);
+    SettleFrom(
+        SearchHeap::ForThisThread(), to_child[(*border)[i]], radius[i],
+        [&gp](Vertex v) { return ForwardArcs(gp.graph, v); }, dist,
+        [](Vertex) {});
+    for (size_t j = kSymmetric ? i + 1 : 0; j < b; ++j) {
+      const Dist d = dist[to_child[(*border)[j]]];
+      if (d <= radius[i]) d_gp[i][j] = d;
+    }
+  };
+  pool.ParallelFor(kSymmetric ? b - 1 : b, search);
+
+  // Lines 7-8: true distances d_G(b_i -> b_j) = min(d_G[P], best detour
+  // through a cut vertex).
+  for (size_t i = 0; i < b; ++i) {
+    for (size_t j = kSymmetric ? i + 1 : 0; j < b; ++j) {
+      if (i == j) continue;
+      d_g[i][j] = std::min(d_gp[i][j], d_g[i][j]);
       if (kSymmetric) d_g[j][i] = d_g[i][j];
     }
   }
@@ -128,19 +149,19 @@ std::vector<Out> Shortcuts(const G& g, std::span<const Vertex> cut,
 
 ShortcutResult ComputeShortcuts(
     const Graph& g, std::span<const Vertex> cut, std::span<const Vertex> part,
-    const std::vector<std::vector<Dist>>& dist_from_cut) {
+    const std::vector<std::vector<Dist>>& dist_from_cut, ThreadPool& pool) {
   ShortcutResult result;
-  result.shortcuts = Shortcuts<Graph, Edge>(g, cut, part, dist_from_cut,
-                                            dist_from_cut, &result.border);
+  result.shortcuts = Shortcuts<Graph, Edge>(
+      g, cut, part, dist_from_cut, dist_from_cut, pool, &result.border);
   return result;
 }
 
 std::vector<DirectedArc> ComputeDirectedShortcuts(
     const Digraph& g, std::span<const Vertex> cut, std::span<const Vertex> part,
     const std::vector<std::vector<Dist>>& to_cut,
-    const std::vector<std::vector<Dist>>& from_cut) {
+    const std::vector<std::vector<Dist>>& from_cut, ThreadPool& pool) {
   std::vector<Vertex> border;
-  return Shortcuts<Digraph, DirectedArc>(g, cut, part, to_cut, from_cut,
+  return Shortcuts<Digraph, DirectedArc>(g, cut, part, to_cut, from_cut, pool,
                                          &border);
 }
 

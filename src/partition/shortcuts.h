@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "graph/digraph.h"
 #include "graph/graph.h"
 
@@ -32,19 +33,24 @@ struct ShortcutResult {
 /// d_G[P] and the best detour through a cut vertex (line 7-8). A shortcut is
 /// added iff the detour is strictly shorter and no third border vertex lies
 /// on it (Lemma 4.11's redundancy conditions).
+///
+/// The within-partition distances come from one search per border vertex,
+/// which stops at the row's largest detour (beyond it d_G[P] is never
+/// needed). The searches run on `pool`; the result does not depend on its
+/// size.
 ShortcutResult ComputeShortcuts(
     const Graph& g, std::span<const Vertex> cut, std::span<const Vertex> part,
-    const std::vector<std::vector<Dist>>& dist_from_cut);
+    const std::vector<std::vector<Dist>>& dist_from_cut, ThreadPool& pool);
 
 /// Directed Algorithm 3: the non-redundant shortcut arcs between border
 /// vertices of `part` that keep the child sub-digraph distance-preserving
 /// in both directions. `to_cut[j][v]` is d(v -> cut[j]) and `from_cut[j][v]`
 /// is d(cut[j] -> v) in `g`, the backward and forward searches the
-/// labelling already ran.
+/// labelling already ran. Searches and `pool` as in ComputeShortcuts.
 std::vector<DirectedArc> ComputeDirectedShortcuts(
     const Digraph& g, std::span<const Vertex> cut, std::span<const Vertex> part,
     const std::vector<std::vector<Dist>>& to_cut,
-    const std::vector<std::vector<Dist>>& from_cut);
+    const std::vector<std::vector<Dist>>& from_cut, ThreadPool& pool);
 
 /// Verifies the distance-preserving property (Definition 4.5) of the
 /// shortcut-enhanced subgraph G<P> by comparing all-pairs distances against

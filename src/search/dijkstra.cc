@@ -18,6 +18,22 @@ struct HeapGreater {
 
 }  // namespace
 
+void SearchHeap::Widen() {
+  // Packed keys order exactly like (distance, vertex) pairs, so the array
+  // stays a heap entry for entry.
+  wide_keys_.reserve(keys_.size() + 1);
+  for (const uint64_t key : keys_) {
+    wide_keys_.emplace_back(key >> 32, static_cast<Vertex>(key));
+  }
+  keys_.clear();
+  wide_ = true;
+}
+
+SearchHeap& SearchHeap::ForThisThread() {
+  thread_local SearchHeap heap;
+  return heap;
+}
+
 Dijkstra::Dijkstra(const Graph& graph)
     : graph_(graph),
       dist_(graph.NumVertices(), kInfDist),
@@ -72,11 +88,8 @@ Dist ShortestPathDistance(const Graph& g, Vertex s, Vertex t) {
 }
 
 std::vector<Dist> AllDistancesFrom(const Graph& g, Vertex source) {
-  Dijkstra dijkstra(g);
-  dijkstra.Run(source);
-  std::vector<Dist> out(g.NumVertices());
-  for (Vertex v = 0; v < g.NumVertices(); ++v) out[v] = dijkstra.DistanceTo(v);
-  return out;
+  return DistancesOver(g.NumVertices(), source,
+                       [&g](Vertex v) { return g.Neighbors(v); });
 }
 
 Dist BidirectionalShortestPath(const Graph& g, Vertex s, Vertex t,

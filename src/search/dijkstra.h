@@ -17,6 +17,12 @@ namespace hc2l {
 /// A Dijkstra instance is bound to one graph size; Run() can be called many
 /// times without reallocating. Buffers are reset with version stamps, so a
 /// run costs O(touched) rather than O(n).
+///
+/// Unlike the build's kernel (SettleFrom), it pops ties at one distance in
+/// std::pop_heap order, and that order is part of its contract:
+/// BalancedPartition seeds its cuts from FurthestVertex, the last vertex
+/// settled among those at the maximum distance, so another tie order would
+/// move every cut, and with them every index file.
 class Dijkstra {
  public:
   explicit Dijkstra(const Graph& graph);
@@ -84,6 +90,152 @@ class BidirectionalDijkstra {
   std::vector<std::pair<Dist, Vertex>> heap_[2];
 };
 
+/// The min-heap of the build's search kernel (SettleFrom). Entries are
+/// (distance, vertex) keys ordered lexicographically, so equal distances
+/// pop in vertex order whatever the push order. While every key's distance
+/// fits 32 bits a key is packed as `dist << 32 | vertex` and compared as
+/// one integer; the first push of a larger distance moves the heap, as it
+/// stands (the packed order is the same order), onto (Dist, Vertex) pairs
+/// until Clear(); one 128-bit key for every distance compared slower than
+/// the packed one, so the pairs serve only that case. A pop moves its hole
+/// down to a leaf along the smaller children, choosing each without a
+/// branch, then sifts the last entry up from there (Floyd's variant: one
+/// comparison per level instead of a sift-down's two, since the last entry
+/// usually belongs near the leaves).
+class SearchHeap {
+ public:
+  bool empty() const { return wide_ ? wide_keys_.empty() : keys_.empty(); }
+
+  /// True once a distance of 2^32 or more was pushed since Clear().
+  bool wide() const { return wide_; }
+
+  void Clear() {
+    keys_.clear();
+    wide_keys_.clear();
+    wide_ = false;
+  }
+
+  void Push(Dist d, Vertex v) {
+    if (!wide_) {
+      if ((d >> 32) == 0) {
+        PushKey(&keys_, (d << 32) | v);
+        return;
+      }
+      Widen();
+    }
+    PushKey(&wide_keys_, std::pair<Dist, Vertex>(d, v));
+  }
+
+  /// Removes and returns the least (distance, vertex) entry.
+  std::pair<Dist, Vertex> Pop() {
+    if (!wide_) {
+      const uint64_t key = PopKey(&keys_);
+      return {key >> 32, static_cast<Vertex>(key)};
+    }
+    return PopKey(&wide_keys_);
+  }
+
+  /// The calling thread's heap, reused by its searches (one at a time);
+  /// it keeps the capacity of its largest search until the thread ends.
+  static SearchHeap& ForThisThread();
+
+ private:
+  template <typename Key>
+  static void PushKey(std::vector<Key>* heap, Key key) {
+    std::vector<Key>& h = *heap;
+    size_t hole = h.size();
+    h.push_back(key);
+    while (hole > 0) {
+      const size_t parent = (hole - 1) / 2;
+      if (!(key < h[parent])) break;
+      h[hole] = h[parent];
+      hole = parent;
+    }
+    h[hole] = key;
+  }
+
+  template <typename Key>
+  static Key PopKey(std::vector<Key>* heap) {
+    std::vector<Key>& h = *heap;
+    const Key top = h[0];
+    const Key last = h.back();
+    h.pop_back();
+    const size_t n = h.size();
+    if (n == 0) return top;
+    size_t hole = 0;
+    size_t child = 1;
+    for (; child + 1 < n; child = 2 * hole + 1) {
+      child += h[child + 1] < h[child];
+      h[hole] = h[child];
+      hole = child;
+    }
+    if (child < n) {
+      h[hole] = h[child];
+      hole = child;
+    }
+    while (hole > 0) {
+      const size_t parent = (hole - 1) / 2;
+      if (!(last < h[parent])) break;
+      h[hole] = h[parent];
+      hole = parent;
+    }
+    h[hole] = last;
+    return top;
+  }
+
+  void Widen();
+
+  bool wide_ = false;
+  std::vector<uint64_t> keys_;
+  std::vector<std::pair<Dist, Vertex>> wide_keys_;
+};
+
+/// The build's search kernel: Dijkstra from `root` over any adjacency
+/// (`arcs(v)` returns the arcs relaxed out of v: a graph's neighbours, a
+/// digraph's out- or in-arcs for a forward or backward search). `dist`
+/// must hold kInfDist for every vertex the search can reach; the search
+/// writes the distances it finds there and calls settle(v) for each vertex
+/// it settles — in increasing (distance, vertex) order, at most once each.
+/// It stops before settling a vertex farther than `radius` (kInfDist: no
+/// bound): every vertex within the radius ends exact and settled, and the
+/// distances of the others are upper bounds or kInfDist. An entry is pushed
+/// only when a distance improves; `heap` is cleared first. For searches
+/// whose result does not depend on the order of ties; Dijkstra keeps its
+/// own (see there).
+template <typename ArcsFn, typename SettleFn>
+void SettleFrom(SearchHeap& heap, Vertex root, Dist radius,
+                const ArcsFn& arcs, std::vector<Dist>& dist,
+                const SettleFn& settle) {
+  HC2L_CHECK_LT(root, dist.size());
+  heap.Clear();
+  dist[root] = 0;
+  heap.Push(0, root);
+  while (!heap.empty()) {
+    const auto [d, v] = heap.Pop();
+    if (d > dist[v]) continue;  // stale heap entry
+    if (d > radius) break;
+    settle(v);
+    for (const Arc& a : arcs(v)) {
+      const Dist nd = d + a.weight;
+      if (nd < dist[a.to]) {
+        dist[a.to] = nd;
+        heap.Push(nd, a.to);
+      }
+    }
+  }
+}
+
+/// Distances from `source` over any adjacency (see SettleFrom);
+/// kInfDist where unreachable.
+template <typename ArcsFn>
+std::vector<Dist> DistancesOver(size_t num_vertices, Vertex source,
+                                const ArcsFn& arcs) {
+  std::vector<Dist> dist(num_vertices, kInfDist);
+  SettleFrom(SearchHeap::ForThisThread(), source, kInfDist, arcs, dist,
+             [](Vertex) {});
+  return dist;
+}
+
 /// A shortest-path tree: the distances from the search root and the
 /// vertices the search settled, root first. Weights are positive, so the
 /// settle order is a topological order of the shortest-path DAG: for every
@@ -93,39 +245,15 @@ struct ShortestPathTree {
   std::vector<Vertex> order;  // settled vertices in settle order
 };
 
-/// Dijkstra from `root` over any adjacency: `arcs(v)` returns the arcs
-/// relaxed out of v (a graph's neighbours; a digraph's out- or in-arcs for
-/// a forward or backward search). A heap entry is pushed only when a
-/// distance improves.
+/// The shortest-path tree of `root` over any adjacency (see SettleFrom).
 template <typename ArcsFn>
 ShortestPathTree ShortestPathTreeOver(size_t num_vertices, Vertex root,
                                       const ArcsFn& arcs) {
-  HC2L_CHECK_LT(root, num_vertices);
   ShortestPathTree tree;
   tree.dist.assign(num_vertices, kInfDist);
   tree.order.reserve(num_vertices);
-  const auto greater = [](const std::pair<Dist, Vertex>& a,
-                          const std::pair<Dist, Vertex>& b) {
-    return a.first > b.first;
-  };
-  std::vector<std::pair<Dist, Vertex>> heap;
-  tree.dist[root] = 0;
-  heap.emplace_back(0, root);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), greater);
-    const auto [d, v] = heap.back();
-    heap.pop_back();
-    if (d > tree.dist[v]) continue;  // stale heap entry
-    tree.order.push_back(v);
-    for (const Arc& a : arcs(v)) {
-      const Dist nd = d + a.weight;
-      if (nd < tree.dist[a.to]) {
-        tree.dist[a.to] = nd;
-        heap.emplace_back(nd, a.to);
-        std::push_heap(heap.begin(), heap.end(), greater);
-      }
-    }
-  }
+  SettleFrom(SearchHeap::ForThisThread(), root, kInfDist, arcs, tree.dist,
+             [&tree](Vertex v) { tree.order.push_back(v); });
   return tree;
 }
 

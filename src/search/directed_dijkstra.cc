@@ -18,26 +18,9 @@ std::span<const Arc> ArcsOf(const Digraph& g, Vertex v,
 
 std::vector<Dist> DirectedDistancesFrom(const Digraph& g, Vertex source,
                                         SearchDirection direction) {
-  HC2L_CHECK_LT(source, g.NumVertices());
-  std::vector<Dist> dist(g.NumVertices(), kInfDist);
-  std::vector<std::pair<Dist, Vertex>> heap;
-  dist[source] = 0;
-  heap.push_back({0, source});
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-    const auto [d, v] = heap.back();
-    heap.pop_back();
-    if (d > dist[v]) continue;
-    for (const Arc& a : ArcsOf(g, v, direction)) {
-      const Dist nd = d + a.weight;
-      if (nd < dist[a.to]) {
-        dist[a.to] = nd;
-        heap.push_back({nd, a.to});
-        std::push_heap(heap.begin(), heap.end(), std::greater<>());
-      }
-    }
-  }
-  return dist;
+  return DistancesOver(g.NumVertices(), source, [&g, direction](Vertex v) {
+    return ArcsOf(g, v, direction);
+  });
 }
 
 Dist DirectedShortestPathDistance(const Digraph& g, Vertex s, Vertex t) {

@@ -351,6 +351,179 @@ TEST(DirectedDistAndPrune, MatchesPathEnumerationBothDirections) {
   CheckAlgorithm4(/*directed=*/true);
 }
 
+// --- The build's search kernel (SettleFrom) against a std::pop_heap
+// reference, on seeded random graphs and digraphs of 2-200 vertices. A
+// third of the graphs draw weights from [2^30, 2^32 - 1], so path sums pass
+// 2^32 and the heap's wide (Dist, Vertex) path runs; others use weights
+// in {1, 2}, whose many ties exercise the (distance, vertex) order.
+
+/// Random adjacency lists on n vertices (each edge in both orientations
+/// when `symmetric`), built through the graph builders so that parallel
+/// arcs collapse as in the real graphs.
+struct RandomNetwork {
+  Graph graph;
+  Digraph digraph;
+};
+
+RandomNetwork RandomKernelNetwork(Rng& rng, size_t n) {
+  const int weights = static_cast<int>(rng.Below(3));
+  const auto weight = [&]() -> Weight {
+    switch (weights) {
+      case 0:
+        return static_cast<Weight>(rng.Range(1, 2));
+      case 1:
+        return static_cast<Weight>(rng.Range(1, 1000));
+      default:
+        return static_cast<Weight>(rng.Range(Weight{1} << 30, UINT32_MAX));
+    }
+  };
+  const size_t arcs = rng.Below(3 * n + 1);
+  GraphBuilder gb(n);
+  DigraphBuilder db(n);
+  for (size_t k = 0; k < arcs; ++k) {
+    const Vertex u = static_cast<Vertex>(rng.Below(n));
+    const Vertex v = static_cast<Vertex>(rng.Below(n));
+    const Weight w = weight();
+    gb.AddEdge(u, v, w);
+    db.AddArc(u, v, w);
+  }
+  return {std::move(gb).Build(), std::move(db).Build()};
+}
+
+/// Lazy-deletion Dijkstra through std::pop_heap: the reference.
+template <typename ArcsFn>
+std::vector<Dist> PopHeapDistances(size_t n, Vertex root,
+                                   const ArcsFn& arcs) {
+  std::vector<Dist> dist(n, kInfDist);
+  std::vector<std::pair<Dist, Vertex>> heap{{0, root}};
+  dist[root] = 0;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    const auto [d, v] = heap.back();
+    heap.pop_back();
+    if (d > dist[v]) continue;
+    for (const Arc& a : arcs(v)) {
+      if (d + a.weight < dist[a.to]) {
+        dist[a.to] = d + a.weight;
+        heap.push_back({dist[a.to], a.to});
+        std::push_heap(heap.begin(), heap.end(), std::greater<>());
+      }
+    }
+  }
+  return dist;
+}
+
+/// Checks every root of one adjacency; returns whether some search ran
+/// on the wide heap.
+template <typename ArcsFn>
+bool CheckKernel(size_t n, const ArcsFn& arcs, Rng& rng,
+                 const std::string& where) {
+  bool widened = false;
+  SearchHeap heap;
+  for (Vertex root = 0; root < n; ++root) {
+    const std::string what = where + " root=" + std::to_string(root);
+    const std::vector<Dist> expect = PopHeapDistances(n, root, arcs);
+
+    // Unbounded: exact everywhere, settled once each in (distance,
+    // vertex) order, exactly the reachable set.
+    std::vector<Dist> dist(n, kInfDist);
+    std::vector<Vertex> order;
+    SettleFrom(heap, root, kInfDist, arcs, dist,
+               [&](Vertex v) { order.push_back(v); });
+    widened = widened || heap.wide();
+    EXPECT_EQ(dist, expect) << what;
+    std::vector<uint8_t> seen(n, 0);
+    for (size_t k = 0; k < order.size(); ++k) {
+      const Vertex v = order[k];
+      EXPECT_EQ(seen[v], 0) << what << " settled twice: " << v;
+      seen[v] = 1;
+      if (k > 0) {
+        const Vertex u = order[k - 1];
+        EXPECT_TRUE(expect[u] < expect[v] ||
+                    (expect[u] == expect[v] && u < v))
+            << what << " out of order: " << u << " before " << v;
+      }
+    }
+    for (Vertex v = 0; v < n; ++v) {
+      EXPECT_EQ(seen[v] != 0, expect[v] != kInfDist) << what << " v=" << v;
+    }
+
+    // Bounded by the distance of a random reachable vertex (ties at the
+    // radius included) or by one below it: exact and settled within, and
+    // nothing settled beyond.
+    const Vertex pick = order[rng.Below(order.size())];
+    const Dist radius = expect[pick] - (rng.Chance(0.5) && pick != root);
+    std::vector<Dist> bounded(n, kInfDist);
+    std::vector<uint8_t> settled(n, 0);
+    SettleFrom(heap, root, radius, arcs, bounded,
+               [&](Vertex v) { settled[v] = 1; });
+    widened = widened || heap.wide();
+    for (Vertex v = 0; v < n; ++v) {
+      const bool within = expect[v] <= radius;
+      EXPECT_EQ(settled[v] != 0, within)
+          << what << " radius=" << radius << " v=" << v;
+      if (within) {
+        EXPECT_EQ(bounded[v], expect[v]) << what << " radius=" << radius;
+      } else {
+        EXPECT_TRUE(bounded[v] > radius) << what << " radius=" << radius;
+      }
+    }
+  }
+  return widened;
+}
+
+TEST(SettleFrom, MatchesPopHeapReferenceOnRandomNetworks) {
+  int widened = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed * 7919);
+    const size_t n = 2 + rng.Below(seed % 10 == 0 ? 199 : 60);
+    const RandomNetwork net = RandomKernelNetwork(rng, n);
+    const std::string where = "seed=" + std::to_string(seed);
+    widened += CheckKernel(
+        n, [&](Vertex v) { return net.graph.Neighbors(v); }, rng,
+        where + " graph");
+    widened += CheckKernel(
+        n, [&](Vertex v) { return net.digraph.OutArcs(v); }, rng,
+        where + " digraph out");
+    widened += CheckKernel(
+        n, [&](Vertex v) { return net.digraph.InArcs(v); }, rng,
+        where + " digraph in");
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "first failing " << where;
+    }
+  }
+  // The wide fallback must have run, or the test misses half the heap.
+  EXPECT_GT(widened, 50);
+}
+
+TEST(SettleFrom, WideningKeepsTheHeapOrder) {
+  // Packed keys pushed, then one past 2^32: every entry must come out in
+  // (distance, vertex) order across the switch.
+  SearchHeap heap;
+  std::vector<std::pair<Dist, Vertex>> pushed;
+  Rng rng(17);
+  for (int k = 0; k < 200; ++k) {
+    const Dist d = rng.Below(1000);
+    const Vertex v = static_cast<Vertex>(rng.Below(50));
+    heap.Push(d, v);
+    pushed.emplace_back(d, v);
+  }
+  EXPECT_FALSE(heap.wide());
+  heap.Push(Dist{1} << 32, 3);
+  pushed.emplace_back(Dist{1} << 32, 3);
+  heap.Push(5, UINT32_MAX - 1);
+  pushed.emplace_back(5, UINT32_MAX - 1);
+  EXPECT_TRUE(heap.wide());
+  std::sort(pushed.begin(), pushed.end());
+  for (const auto& entry : pushed) {
+    ASSERT_FALSE(heap.empty());
+    EXPECT_EQ(heap.Pop(), entry);
+  }
+  EXPECT_TRUE(heap.empty());
+  heap.Clear();
+  EXPECT_FALSE(heap.wide());
+}
+
 TEST(BfsHops, GridHopCounts) {
   Graph g = MakeGrid(3, 3, 100);  // weights ignored by BFS
   auto hops = BfsHops(g, 0);
