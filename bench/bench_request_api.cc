@@ -1,22 +1,28 @@
-// Span vs vector on the facade's bulk-query paths, plus the PR's hard
-// promise: the span-output hot path (BatchQueryInto / DistanceMatrixInto /
-// Execute for batch and matrix requests) performs ZERO heap allocations in
-// steady state. This binary both measures the two paths and enforces the
-// allocation claim with a global operator-new hook — it exits non-zero if a
-// warm span-path call allocates, so CI can run it as a gate.
+// Span vs vector on the facade's bulk-query paths, plus the hard promise:
+// the span-output hot path (BatchQueryInto / DistanceMatrixInto / Execute
+// for batch and matrix requests) and hc2ld's coalesced point run (Prepare,
+// one ThreadedRouter::Execute, AppendStagedResponse) perform ZERO heap
+// allocations in steady state. This binary both measures the paths — the
+// coalesced run split per pair into prepare, execute and format — and
+// enforces the allocation claim with a global operator-new hook: it exits
+// non-zero if a warm gated call allocates, so CI can run it as a gate.
 //
 // Plain main() driver (no google-benchmark dependency), same fixture family
 // as bench_micro_query: a synthetic road-network grid.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/timer.h"
 #include "hc2l/hc2l.h"
+#include "server/metrics.h"
+#include "server/wire.h"
 
 // ------------------------------------------------------ allocation hook ---
 // Replacing these in any TU hooks every new/delete in the binary, including
@@ -69,6 +75,9 @@ namespace hc2l {
 namespace {
 
 constexpr size_t kBatchTargets = 4096;
+// hc2ld's point-burst shape: bursts of 16 single-pair point lines.
+constexpr size_t kRunLines = 16;
+constexpr size_t kPointLines = 4096;
 constexpr size_t kMatrixSources = 64;
 constexpr size_t kMatrixTargets = 512;
 
@@ -198,11 +207,102 @@ int Run() {
       matrix_exec.allocs_per_call, knn_span.ns_per_op,
       knn_span.allocs_per_call);
 
-  // --- the gate: warm span/request batch and matrix paths allocate ZERO ---
+  // --- a coalesced point run, as hc2ld's event loop serves one: 16 lines
+  // staged by Prepare, one engine call for their pairs, 16 staged
+  // responses; hc2ld's admission and latency hooks are wired in. ---
+  Result<ThreadedRouter> threaded = router->WithThreads(2);
+  if (!threaded.ok()) std::abort();
+  std::vector<std::string> point_lines(kPointLines);
+  for (std::string& line : point_lines) {
+    line = "{\"op\":\"point\",\"sources\":[" +
+           std::to_string(rng.Below(n)) + "],\"targets\":[" +
+           std::to_string(rng.Below(n)) + "]}";
+  }
+  ServerMetrics metrics(1);
+  ServerMetrics::Shard* shard = &metrics.shard(0);
+  std::atomic<uint32_t> in_flight{0};
+  ServerHooks hooks;
+  hooks.admit = [&in_flight](uint64_t*) {
+    in_flight.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  };
+  hooks.release = [&in_flight](uint64_t count) {
+    in_flight.fetch_sub(static_cast<uint32_t>(count),
+                        std::memory_order_relaxed);
+  };
+  hooks.record = [shard](WireOp op, uint64_t ns) {
+    shard->RecordLatency(op, ns);
+  };
+  RequestHandler handler(std::move(hooks));
+  const RequestHandler::CoalescePolicy policy;
+  std::vector<Vertex> run_sources;
+  std::vector<Vertex> run_targets;
+  std::vector<Dist> run_dists;
+  std::vector<RequestHandler::StagePlan> plans(kRunLines);
+  std::string scratch;
+  std::string outbuf;
+  using Clock = std::chrono::steady_clock;
+  Clock::duration prepare_time{};
+  Clock::duration execute_time{};
+  Clock::duration format_time{};
+  size_t next_line = 0;
+  constexpr size_t kRuns = 20000;
+  const Measured coalesced = Measure(kRuns, kRunLines, [&] {
+    run_sources.clear();
+    run_targets.clear();
+    outbuf.clear();
+    const Clock::time_point received = Clock::now();
+    for (RequestHandler::StagePlan& plan : plans) {
+      scratch.clear();
+      if (handler.Prepare(point_lines[next_line], *router, *threaded, &policy,
+                          &run_sources, &run_targets, &plan, received,
+                          &scratch) != RequestHandler::LineAction::kStaged) {
+        std::abort();
+      }
+      next_line = (next_line + 1) % kPointLines;
+    }
+    const Clock::time_point prepared = Clock::now();
+    QueryRequest request;
+    request.kind = QueryKind::kPointBatch;
+    request.sources = run_sources;
+    request.targets = run_targets;
+    run_dists.resize(run_targets.size());
+    if (!threaded->Execute(request, QueryOutput{run_dists, {}}).ok()) {
+      std::abort();
+    }
+    const Clock::time_point done = Clock::now();
+    for (const RequestHandler::StagePlan& plan : plans) {
+      handler.AppendStagedResponse(plan, run_dists, done, &outbuf);
+    }
+    in_flight.fetch_sub(kRunLines, std::memory_order_relaxed);
+    const Clock::time_point formatted = Clock::now();
+    prepare_time += prepared - received;
+    execute_time += done - prepared;
+    format_time += formatted - done;
+    sink = sink + outbuf.size();
+  });
+  // Measure() runs two warm-up calls before the timed ones.
+  const double run_pairs = static_cast<double>((kRuns + 2) * kRunLines);
+  const auto per_pair = [run_pairs](Clock::duration d) {
+    return static_cast<double>(
+               std::chrono::duration_cast<std::chrono::nanoseconds>(d)
+                   .count()) /
+           run_pairs;
+  };
+  std::printf(
+      "point   run:    %7.2f ns/pair    %6.1f allocs/call  (prepare %.1f, "
+      "execute %.1f, format %.1f ns/pair; %zu lines of 1 pair per run)\n",
+      coalesced.ns_per_op, coalesced.allocs_per_call,
+      per_pair(prepare_time), per_pair(execute_time), per_pair(format_time),
+      kRunLines);
+
+  // --- the gate: warm span/request batch and matrix paths and the
+  // coalesced point run allocate ZERO ---
   const double gated = batch_span.allocs_per_call +
                        batch_exec.allocs_per_call +
                        matrix_span.allocs_per_call +
-                       matrix_exec.allocs_per_call;
+                       matrix_exec.allocs_per_call +
+                       coalesced.allocs_per_call;
   if (gated > 0.0) {
     std::printf("zero-allocation gate: FAIL (%.1f allocations per span-path "
                 "call; expected 0)\n",
@@ -210,8 +310,8 @@ int Run() {
     return 1;
   }
   std::printf("zero-allocation gate: PASS (0 allocations across %zu warm "
-              "span-path calls)\n",
-              2 * (kBatchReps + kMatrixReps));
+              "span-path calls and %zu coalesced point runs)\n",
+              2 * (kBatchReps + kMatrixReps), kRuns);
   return 0;
 }
 

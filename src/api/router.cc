@@ -127,9 +127,8 @@ Status SeqPairs(const Index& index, std::span<const Vertex> sources,
   for (size_t chunk = 0; chunk < n; chunk += kSeqDeadlineCheckQueries) {
     if (dl.Expired()) return DeadlineError();
     const size_t stop = std::min(n, chunk + kSeqDeadlineCheckQueries);
-    for (size_t i = chunk; i < stop; ++i) {
-      out[i] = index.Query(sources[i], targets[i]);
-    }
+    index.PointPairsInto(sources.subspan(chunk, stop - chunk),
+                         targets.subspan(chunk, stop - chunk), out + chunk);
   }
   on_written(0, n);
   return Status::Ok();

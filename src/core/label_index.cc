@@ -18,10 +18,25 @@ namespace {
 constexpr io::StoreSections kDirectionSections[2] = {io::kStoreSections,
                                                      io::kInStoreSections};
 
+/// The offset-table slots of a core pair's arrays at `level`: the source's
+/// in the out store, the target's in the in store.
+struct LevelSlots {
+  uint32_t s_idx;
+  uint32_t t_idx;
+};
+
+[[gnu::always_inline]] inline LevelSlots SlotsAt(const LabelStore& out,
+                                                 const LabelStore& in,
+                                                 uint32_t level, Vertex s,
+                                                 Vertex t) {
+  return {out.base[s] + level, in.base[t] + level};
+}
+
 /// The two aligned arrays a core pair min-reduces at its LCA level: the
 /// source's out-array and the target's in-array, over their common prefix.
-/// The route paths' lookup; CoreQuery spells it out, since GCC does not
-/// inline this into the point-query hot path.
+/// The one operand lookup of the point query, the pair kernel and the route
+/// paths; forced inline, since GCC would otherwise call it from the
+/// point-query hot path.
 struct LevelArrays {
   uint32_t s_idx;  // the source's offset-table slot (out store)
   uint32_t t_idx;  // the target's offset-table slot (in store)
@@ -30,16 +45,24 @@ struct LevelArrays {
   uint32_t len;
 };
 
-LevelArrays ArraysAt(const LabelStore& out, const LabelStore& in,
-                     uint32_t level, Vertex s, Vertex t) {
+[[gnu::always_inline]] inline LevelArrays ArraysAt(const LabelStore& out,
+                                                   const LabelStore& in,
+                                                   uint32_t level, Vertex s,
+                                                   Vertex t) {
+  const LevelSlots slots = SlotsAt(out, in, level, s, t);
   LevelArrays a;
-  a.s_idx = out.base[s] + level;
-  a.t_idx = in.base[t] + level;
+  a.s_idx = slots.s_idx;
+  a.t_idx = slots.t_idx;
   a.ds = out.arena.data() + out.level_start[a.s_idx];
   a.dt = in.arena.data() + in.level_start[a.t_idx];
   a.len = std::min(out.level_len[a.s_idx], in.level_len[a.t_idx]);
   return a;
 }
+
+/// Pairs the pair kernel carries through its stages at once: enough
+/// independent lookups in flight to cover a memory round trip per stage,
+/// few enough that every stage's prefetches are still cached at the next.
+constexpr size_t kPairGroup = 16;
 
 }  // namespace
 
@@ -47,20 +70,14 @@ template <int kDirections>
 Dist LabelIndex<kDirections>::CoreQuery(Vertex s, Vertex t,
                                         uint64_t* hubs_scanned) const {
   if (s == t) return 0;
-  const LabelStore& out = labels_[kOut];
-  const LabelStore& in = labels_[kIn];
-  const uint32_t level = hierarchy_.LcaLevel(s, t);
-  const uint32_t s_idx = out.base[s] + level;
-  const uint32_t t_idx = in.base[t] + level;
-  const uint32_t* a = out.arena.data() + out.level_start[s_idx];
-  const uint32_t* b = in.arena.data() + in.level_start[t_idx];
-  const uint32_t len = std::min(out.level_len[s_idx], in.level_len[t_idx]);
+  const LevelArrays a = ArraysAt(labels_[kOut], labels_[kIn],
+                                 hierarchy_.LcaLevel(s, t), s, t);
   // Both operand arrays are cache-line aligned; hint their first lines while
   // the remaining scalar setup retires.
-  simd::PrefetchArray(a, len * sizeof(uint32_t));
-  simd::PrefetchArray(b, len * sizeof(uint32_t));
-  if (hubs_scanned != nullptr) *hubs_scanned += len;
-  const uint32_t best = simd::MinPlusPadded(a, b, len);
+  simd::PrefetchArray(a.ds, a.len * sizeof(uint32_t));
+  simd::PrefetchArray(a.dt, a.len * sizeof(uint32_t));
+  if (hubs_scanned != nullptr) *hubs_scanned += a.len;
+  const uint32_t best = simd::MinPlusPadded(a.ds, a.dt, a.len);
   return best >= kUnreachableLabel ? kInfDist : best;
 }
 
@@ -103,6 +120,88 @@ Dist LabelIndex<kDirections>::QueryCountingHubs(Vertex s, Vertex t,
   if (up == kInfDist || down == kInfDist) return kInfDist;
   const Dist core = CoreQuery(root_s, root_t, hubs_scanned);
   return AddDist(AddDist(up, core), down);
+}
+
+template <int kDirections>
+void LabelIndex<kDirections>::PointPairsInto(std::span<const Vertex> sources,
+                                             std::span<const Vertex> targets,
+                                             Dist* out) const {
+  HC2L_CHECK_EQ(sources.size(), targets.size());
+  const LabelStore& out_labels = labels_[kOut];
+  const LabelStore& in_labels = labels_[kIn];
+  // The core pairs of one group that still need the labels, by stage.
+  uint32_t slot[kPairGroup] = {};  // the pair's position in the group
+  Vertex cs[kPairGroup] = {};      // core source (contraction root)
+  Vertex ct[kPairGroup] = {};      // core target
+  Dist offset[kPairGroup] = {};    // both pendant detours
+  uint32_t level[kPairGroup] = {};
+  LevelArrays arrays[kPairGroup] = {};
+  for (size_t first = 0; first < sources.size(); first += kPairGroup) {
+    const size_t size = std::min(kPairGroup, sources.size() - first);
+    Dist* group_out = out + first;
+    // Stage 1: resolve every pair as Query does; answer those the labels
+    // play no part in, and prefetch the others' tree codes and offset-table
+    // bases.
+    size_t pending = 0;
+    for (size_t i = 0; i < size; ++i) {
+      const Vertex s = sources[first + i];
+      const Vertex t = targets[first + i];
+      HC2L_CHECK_LT(s, num_vertices_);
+      HC2L_CHECK_LT(t, num_vertices_);
+      if (s == t) {
+        group_out[i] = 0;
+        continue;
+      }
+      Vertex core_s = s;
+      Vertex core_t = t;
+      Dist detours = 0;
+      if (contraction_ != nullptr) {
+        core_s = contraction_->RootCoreId(s);
+        core_t = contraction_->RootCoreId(t);
+        if (core_s == core_t) {
+          group_out[i] = contraction_->SameTreeDistance(s, t);
+          continue;
+        }
+        detours = AddDist(contraction_->DistToRoot(s),
+                          contraction_->DistFromRoot(t));
+        if (detours == kInfDist) {
+          group_out[i] = kInfDist;
+          continue;
+        }
+      }
+      simd::PrefetchRead(&hierarchy_.CodeOf(core_s));
+      simd::PrefetchRead(&hierarchy_.CodeOf(core_t));
+      simd::PrefetchRead(out_labels.base.data() + core_s);
+      simd::PrefetchRead(in_labels.base.data() + core_t);
+      slot[pending] = static_cast<uint32_t>(i);
+      cs[pending] = core_s;
+      ct[pending] = core_t;
+      offset[pending++] = detours;
+    }
+    // Stage 2: LCA levels; prefetch the offset-table entries they select.
+    for (size_t k = 0; k < pending; ++k) {
+      level[k] = hierarchy_.LcaLevel(cs[k], ct[k]);
+      const LevelSlots slots =
+          SlotsAt(out_labels, in_labels, level[k], cs[k], ct[k]);
+      simd::PrefetchRead(out_labels.level_start.data() + slots.s_idx);
+      simd::PrefetchRead(out_labels.level_len.data() + slots.s_idx);
+      simd::PrefetchRead(in_labels.level_start.data() + slots.t_idx);
+      simd::PrefetchRead(in_labels.level_len.data() + slots.t_idx);
+    }
+    // Stage 3: the operand arrays; prefetch their first lines.
+    for (size_t k = 0; k < pending; ++k) {
+      arrays[k] = ArraysAt(out_labels, in_labels, level[k], cs[k], ct[k]);
+      simd::PrefetchArray(arrays[k].ds, arrays[k].len * sizeof(uint32_t));
+      simd::PrefetchArray(arrays[k].dt, arrays[k].len * sizeof(uint32_t));
+    }
+    // Stage 4: the min-plus reductions, CoreQuery's arithmetic exactly.
+    for (size_t k = 0; k < pending; ++k) {
+      const uint32_t best =
+          simd::MinPlusPadded(arrays[k].ds, arrays[k].dt, arrays[k].len);
+      group_out[slot[k]] =
+          best >= kUnreachableLabel ? kInfDist : offset[k] + best;
+    }
+  }
 }
 
 template <int kDirections>

@@ -97,6 +97,15 @@ class LabelIndex {
   /// column.
   Dist QueryCountingHubs(Vertex s, Vertex t, uint64_t* hubs_scanned) const;
 
+  /// Pairwise: writes out[i] = Query(sources[i], targets[i]) for every i
+  /// (the spans have equal length), bit for bit. Pairs go through in groups
+  /// of 16, stage by stage — resolve, LCA level, offset entries, operand
+  /// arrays, min-plus — prefetching each stage's loads for the whole group
+  /// before the next stage reads them, so the group's cache misses overlap
+  /// instead of running one pair after another (docs/query_kernel.md).
+  void PointPairsInto(std::span<const Vertex> sources,
+                      std::span<const Vertex> targets, Dist* out) const;
+
   /// One-to-many: distances from `source` to every target, in order.
   /// The bulk interface for the paper's motivating workloads (Section 1:
   /// matching cars to customers, k-nearest POIs).

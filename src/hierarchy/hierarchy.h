@@ -38,8 +38,8 @@ class BalancedTreeHierarchy {
   /// Index of ℓ(v).
   uint32_t NodeOf(Vertex v) const { return node_of_vertex_[v]; }
 
-  /// Packed code of ℓ(v).
-  TreeCode CodeOf(Vertex v) const { return vertex_code_[v]; }
+  /// Packed code of ℓ(v) (by reference, so a batched query can prefetch it).
+  const TreeCode& CodeOf(Vertex v) const { return vertex_code_[v]; }
 
   /// Depth of LCA(ℓ(s), ℓ(t)) — one XOR + clz (Lemma 4.21).
   uint32_t LcaLevel(Vertex s, Vertex t) const {

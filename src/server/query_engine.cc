@@ -120,9 +120,9 @@ bool BasicQueryEngine<Index>::PointPairsInto(
          chunk += kDeadlineCheckQueries) {
       if (gate.Expired()) return;
       const size_t stop = std::min(end, chunk + kDeadlineCheckQueries);
-      for (size_t i = chunk; i < stop; ++i) {
-        out[i] = index_->Query(sources[i], targets[i]);
-      }
+      index_->PointPairsInto(sources.subspan(chunk, stop - chunk),
+                             targets.subspan(chunk, stop - chunk),
+                             out + chunk);
     }
     call.on_written(begin, end);
   };

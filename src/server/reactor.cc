@@ -296,7 +296,8 @@ struct Reactor::Impl {
 
   /// Executes the run's combined pairwise batch on the snapshot its lines
   /// were prepared against and demultiplexes the distance slices into each
-  /// staged request's response, in order.
+  /// staged request's response, in order. One clock read after the engine
+  /// call ends every staged line's recorded latency.
   void FlushRun(Loop* L) {
     Run& run = L->run;
     if (run.slots.empty()) return;
@@ -309,6 +310,7 @@ struct Reactor::Impl {
     output.distances = run.dists;
     const Result<QueryResponse> response =
         L->snap.threaded->Execute(request, output);
+    const Clock::time_point done = Clock::now();
     if (L->metrics != nullptr) {
       L->metrics->RecordCoalescedBatch(run.slots.size());
     }
@@ -316,7 +318,8 @@ struct Reactor::Impl {
       Conn* c = slot.c;
       c->in_run = false;
       if (response.ok()) {
-        c->handler.AppendStagedResponse(slot.plan, run.dists, &c->outbuf);
+        c->handler.AppendStagedResponse(slot.plan, run.dists, done,
+                                        &c->outbuf);
       } else {
         // Cannot happen for staged requests (ids validated, no deadline),
         // but an engine error must still answer every request.
@@ -393,9 +396,10 @@ struct Reactor::Impl {
       const ThreadedRouter& threaded = *snap.threaded;
       L->scratch.clear();
       RequestHandler::StagePlan plan;
+      // A line's latency starts at the read that completed it.
       const RequestHandler::LineAction action =
           c->handler.Prepare(line, router, threaded, policy, &run.sources,
-                             &run.targets, &plan, &L->scratch);
+                             &run.targets, &plan, c->last_byte, &L->scratch);
       if (action == RequestHandler::LineAction::kStaged) {
         run.slots.push_back({c, plan});
         c->in_run = true;

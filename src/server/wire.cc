@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <mutex>
 #include <type_traits>
 
@@ -237,8 +238,10 @@ void AppendJsonEscaped(std::string* out, std::string_view s) {
 /// Hand-rolled parser for the protocol's JSON subset: objects with string
 /// keys; values that are strings, non-negative integers, arrays of
 /// non-negative integers, or (in skipped unknown keys) anything. No
-/// recursion on attacker-chosen depth beyond kMaxSkipDepth, no exceptions,
-/// position-carrying error messages.
+/// recursion on attacker-chosen depth beyond kMaxSkipDepth, no exceptions.
+/// Every method returns false on malformed input after recording the error's
+/// byte position and text (Fail); Error() turns that record into the
+/// position-carrying Status, so a well-formed line builds no Status at all.
 class JsonCursor {
  public:
   explicit JsonCursor(std::string_view s) : s_(s) {}
@@ -265,26 +268,31 @@ class JsonCursor {
     return false;
   }
 
-  Status Expect(char c) {
-    if (!Consume(c)) {
-      return Error(std::string("expected '") + c + "'");
-    }
-    return Status::Ok();
+  bool Expect(char c) { return Consume(c) || FailExpected(c); }
+
+  /// Records `what` as the error at the current byte; returns false. Out of
+  /// line and cold, so the well-formed path inlines around it.
+  [[gnu::cold, gnu::noinline]] bool Fail(std::string what) {
+    error_pos_ = pos_;
+    error_ = std::move(what);
+    return false;
   }
 
-  Status Error(const std::string& what) const {
+  /// The recorded error as the wire's InvalidArgument status.
+  Status Error() const {
     return Status::InvalidArgument("bad request JSON at byte " +
-                                   std::to_string(pos_) + ": " + what);
+                                   std::to_string(error_pos_) + ": " +
+                                   error_);
   }
 
-  Status ParseString(std::string* out) {
+  bool ParseString(std::string* out) {
     out->clear();
-    if (Status st = Expect('"'); !st.ok()) return st;
+    if (!Expect('"')) return false;
     while (pos_ < s_.size()) {
       const char c = s_[pos_++];
-      if (c == '"') return Status::Ok();
+      if (c == '"') return true;
       if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
+        return Fail("unescaped control character in string");
       }
       if (c != '\\') {
         out->push_back(c);
@@ -316,7 +324,7 @@ class JsonCursor {
         case 'u': {
           // Basic-multilingual-plane escapes only; the protocol's own
           // strings are ASCII enums, so this exists for error quality.
-          if (pos_ + 4 > s_.size()) return Error("truncated \\u escape");
+          if (pos_ + 4 > s_.size()) return Fail("truncated \\u escape");
           uint32_t cp = 0;
           for (int i = 0; i < 4; ++i) {
             const char h = s_[pos_++];
@@ -328,11 +336,11 @@ class JsonCursor {
             } else if (h >= 'A' && h <= 'F') {
               cp |= static_cast<uint32_t>(h - 'A' + 10);
             } else {
-              return Error("bad hex digit in \\u escape");
+              return Fail("bad hex digit in \\u escape");
             }
           }
           if (cp >= 0xD800 && cp <= 0xDFFF) {
-            return Error("surrogate \\u escapes are not supported");
+            return Fail("surrogate \\u escapes are not supported");
           }
           if (cp < 0x80) {
             out->push_back(static_cast<char>(cp));
@@ -347,16 +355,16 @@ class JsonCursor {
           break;
         }
         default:
-          return Error("unsupported string escape");
+          return Fail("unsupported string escape");
       }
     }
-    return Error("unterminated string");
+    return Fail("unterminated string");
   }
 
   /// A string as a view into the line when it holds no escape (every key
   /// and op name a client normally sends), else decoded by ParseString into
   /// *scratch and viewed there. Errors are ParseString's, byte for byte.
-  Status ParseStringView(std::string_view* out, std::string* scratch) {
+  bool ParseStringView(std::string_view* out, std::string* scratch) {
     SkipWs();
     if (pos_ < s_.size() && s_[pos_] == '"') {
       for (size_t i = pos_ + 1; i < s_.size(); ++i) {
@@ -364,21 +372,21 @@ class JsonCursor {
         if (c == '"') {
           *out = s_.substr(pos_ + 1, i - pos_ - 1);
           pos_ = i + 1;
-          return Status::Ok();
+          return true;
         }
         if (c == '\\' || static_cast<unsigned char>(c) < 0x20) break;
       }
     }
-    if (Status st = ParseString(scratch); !st.ok()) return st;
+    if (!ParseString(scratch)) return false;
     *out = *scratch;
-    return Status::Ok();
+    return true;
   }
 
   /// Non-negative integer; saturates at UINT64_MAX instead of wrapping.
-  Status ParseUint(uint64_t* out) {
+  bool ParseUint(uint64_t* out) {
     SkipWs();
     if (pos_ >= s_.size() || s_[pos_] < '0' || s_[pos_] > '9') {
-      return Error("expected a non-negative integer");
+      return Fail("expected a non-negative integer");
     }
     uint64_t v = 0;
     while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') {
@@ -388,33 +396,43 @@ class JsonCursor {
     }
     if (pos_ < s_.size() &&
         (s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      return Error("expected an integer, got a fractional number");
+      return Fail("expected an integer, got a fractional number");
     }
     *out = v;
-    return Status::Ok();
+    return true;
   }
 
-  Status ParseBool(bool* out) {
+  /// ParseUint narrowed to a vertex id: values beyond the 32-bit vertex
+  /// space parse as kInvalidVertex — out of range for every graph, so the
+  /// request's missing-vertex policy decides what happens to them.
+  bool ParseVertex(Vertex* out) {
+    uint64_t v = 0;
+    if (!ParseUint(&v)) return false;
+    *out = v >= kInvalidVertex ? kInvalidVertex : static_cast<Vertex>(v);
+    return true;
+  }
+
+  bool ParseBool(bool* out) {
     SkipWs();
     if (s_.substr(pos_, 4) == "true") {
       pos_ += 4;
       *out = true;
-      return Status::Ok();
+      return true;
     }
     if (s_.substr(pos_, 5) == "false") {
       pos_ += 5;
       *out = false;
-      return Status::Ok();
+      return true;
     }
-    return Error("expected true or false");
+    return Fail("expected true or false");
   }
 
   /// Array of distances as the wire serializes them: non-negative integers
   /// with null for unreachable. APPENDS to *out (the stream reassembler
   /// accumulates chunks into one buffer).
-  Status ParseDistArray(std::vector<Dist>* out) {
-    if (Status st = Expect('['); !st.ok()) return st;
-    if (Consume(']')) return Status::Ok();
+  bool ParseDistArray(std::vector<Dist>* out) {
+    if (!Expect('[')) return false;
+    if (Consume(']')) return true;
     for (;;) {
       SkipWs();
       if (s_.substr(pos_, 4) == "null") {
@@ -422,28 +440,25 @@ class JsonCursor {
         out->push_back(kInfDist);
       } else {
         uint64_t v = 0;
-        if (Status st = ParseUint(&v); !st.ok()) return st;
+        if (!ParseUint(&v)) return false;
         out->push_back(v >= kInfDist ? kInfDist : static_cast<Dist>(v));
       }
-      if (Consume(']')) return Status::Ok();
-      if (Status st = Expect(','); !st.ok()) return st;
+      if (Consume(']')) return true;
+      if (!Expect(',')) return false;
     }
   }
 
-  /// Array of vertex ids. Values beyond the 32-bit vertex space parse as
-  /// kInvalidVertex — out of range for every graph, so the request's
-  /// missing-vertex policy decides what happens to them.
-  Status ParseVertexArray(std::vector<Vertex>* out) {
+  /// Array of vertex ids (ParseVertex each).
+  bool ParseVertexArray(std::vector<Vertex>* out) {
     out->clear();
-    if (Status st = Expect('['); !st.ok()) return st;
-    if (Consume(']')) return Status::Ok();
+    if (!Expect('[')) return false;
+    if (Consume(']')) return true;
     for (;;) {
-      uint64_t v = 0;
-      if (Status st = ParseUint(&v); !st.ok()) return st;
-      out->push_back(v >= kInvalidVertex ? kInvalidVertex
-                                         : static_cast<Vertex>(v));
-      if (Consume(']')) return Status::Ok();
-      if (Status st = Expect(','); !st.ok()) return st;
+      Vertex v = 0;
+      if (!ParseVertex(&v)) return false;
+      out->push_back(v);
+      if (Consume(']')) return true;
+      if (!Expect(',')) return false;
     }
   }
 
@@ -452,77 +467,70 @@ class JsonCursor {
   /// naming no edge); weights must fit 32 bits and a triple must hold
   /// exactly three integers — a truncated or overlong triple is a parse
   /// error, never a silently reshaped update.
-  Status ParseEdgeDeltaArray(std::vector<EdgeDelta>* out) {
+  bool ParseEdgeDeltaArray(std::vector<EdgeDelta>* out) {
     out->clear();
-    if (Status st = Expect('['); !st.ok()) return st;
-    if (Consume(']')) return Status::Ok();
+    if (!Expect('[')) return false;
+    if (Consume(']')) return true;
     for (;;) {
       if (out->size() >= kMaxUpdateEdges) {
-        return Error("update batch exceeds the per-request cap of " +
-                     std::to_string(kMaxUpdateEdges) + " edges");
-      }
-      if (Status st = Expect('['); !st.ok()) return st;
-      uint64_t u = 0;
-      uint64_t v = 0;
-      uint64_t w = 0;
-      if (Status st = ParseUint(&u); !st.ok()) return st;
-      if (Status st = Expect(','); !st.ok()) return st;
-      if (Status st = ParseUint(&v); !st.ok()) return st;
-      if (Status st = Expect(','); !st.ok()) return st;
-      if (Status st = ParseUint(&w); !st.ok()) return st;
-      if (Status st = Expect(']'); !st.ok()) return st;
-      if (w > UINT32_MAX) {
-        return Error("edge weight " + std::to_string(w) +
-                     " exceeds the 32-bit weight space");
+        return Fail("update batch exceeds the per-request cap of " +
+                    std::to_string(kMaxUpdateEdges) + " edges");
       }
       EdgeDelta d;
-      d.u = u >= kInvalidVertex ? kInvalidVertex : static_cast<Vertex>(u);
-      d.v = v >= kInvalidVertex ? kInvalidVertex : static_cast<Vertex>(v);
+      uint64_t w = 0;
+      if (!Expect('[') || !ParseVertex(&d.u) || !Expect(',') ||
+          !ParseVertex(&d.v) || !Expect(',') || !ParseUint(&w) ||
+          !Expect(']')) {
+        return false;
+      }
+      if (w > UINT32_MAX) {
+        return Fail("edge weight " + std::to_string(w) +
+                    " exceeds the 32-bit weight space");
+      }
       d.weight = static_cast<Weight>(w);
       out->push_back(d);
-      if (Consume(']')) return Status::Ok();
-      if (Status st = Expect(','); !st.ok()) return st;
+      if (Consume(']')) return true;
+      if (!Expect(',')) return false;
     }
   }
 
   /// Skips any JSON value (for unknown keys).
-  Status SkipValue(int depth = 0) {
-    if (depth > kMaxSkipDepth) return Error("value nested too deeply");
+  bool SkipValue(int depth = 0) {
+    if (depth > kMaxSkipDepth) return Fail("value nested too deeply");
     SkipWs();
-    if (pos_ >= s_.size()) return Error("expected a value");
+    if (pos_ >= s_.size()) return Fail("expected a value");
     const char c = s_[pos_];
     std::string_view ignored;
     std::string scratch;
     if (c == '"') return ParseStringView(&ignored, &scratch);
     if (c == '{') {
       ++pos_;
-      if (Consume('}')) return Status::Ok();
+      if (Consume('}')) return true;
       for (;;) {
-        if (Status st = ParseStringView(&ignored, &scratch); !st.ok()) {
-          return st;
+        if (!ParseStringView(&ignored, &scratch) || !Expect(':') ||
+            !SkipValue(depth + 1)) {
+          return false;
         }
-        if (Status st = Expect(':'); !st.ok()) return st;
-        if (Status st = SkipValue(depth + 1); !st.ok()) return st;
-        if (Consume('}')) return Status::Ok();
-        if (Status st = Expect(','); !st.ok()) return st;
+        if (Consume('}')) return true;
+        if (!Expect(',')) return false;
       }
     }
     if (c == '[') {
       ++pos_;
-      if (Consume(']')) return Status::Ok();
+      if (Consume(']')) return true;
       for (;;) {
-        if (Status st = SkipValue(depth + 1); !st.ok()) return st;
-        if (Consume(']')) return Status::Ok();
-        if (Status st = Expect(','); !st.ok()) return st;
+        if (!SkipValue(depth + 1)) return false;
+        if (Consume(']')) return true;
+        if (!Expect(',')) return false;
       }
     }
     if (c == 't' || c == 'f' || c == 'n') {
       const std::string_view word = c == 't'   ? "true"
                                     : c == 'f' ? "false"
                                                : "null";
-      if (s_.substr(pos_, word.size()) != word) return Error("bad literal");
+      if (s_.substr(pos_, word.size()) != word) return Fail("bad literal");
       pos_ += word.size();
-      return Status::Ok();
+      return true;
     }
     // Number (any JSON number shape — it is being ignored).
     const size_t start = pos_;
@@ -532,22 +540,34 @@ class JsonCursor {
             (s_[pos_] >= '0' && s_[pos_] <= '9'))) {
       ++pos_;
     }
-    if (pos_ == start) return Error("expected a value");
-    return Status::Ok();
+    if (pos_ == start) return Fail("expected a value");
+    return true;
   }
 
  private:
+  [[gnu::cold, gnu::noinline]] bool FailExpected(char c) {
+    return Fail(std::string("expected '") + c + "'");
+  }
+
   std::string_view s_;
   size_t pos_ = 0;
+  size_t error_pos_ = 0;  // where the recorded error (Fail) happened
+  std::string error_;
 };
+
+/// The ops' wire names, indexed by WireOp: a table, so the parser's name
+/// lookup compares lengths before bytes and never walks a switch per op.
+constexpr std::string_view kWireOpNames[] = {
+    "",     "",      "ping",   "info",     "reload", "update_weights",
+    "point", "batch", "matrix", "knearest", "route"};
+static_assert(std::size(kWireOpNames) ==
+              static_cast<size_t>(WireOp::kRoute) + 1);
 
 WireOp WireOpFromName(std::string_view name) {
   if (name.empty()) return WireOp::kNone;
   for (auto i = static_cast<uint8_t>(WireOp::kPing);
        i <= static_cast<uint8_t>(WireOp::kRoute); ++i) {
-    if (name == WireOpName(static_cast<WireOp>(i))) {
-      return static_cast<WireOp>(i);
-    }
+    if (name == kWireOpNames[i]) return static_cast<WireOp>(i);
   }
   return WireOp::kUnknown;
 }
@@ -555,30 +575,8 @@ WireOp WireOpFromName(std::string_view name) {
 }  // namespace
 
 std::string_view WireOpName(WireOp op) {
-  switch (op) {
-    case WireOp::kPing:
-      return "ping";
-    case WireOp::kInfo:
-      return "info";
-    case WireOp::kReload:
-      return "reload";
-    case WireOp::kUpdateWeights:
-      return "update_weights";
-    case WireOp::kPoint:
-      return "point";
-    case WireOp::kBatch:
-      return "batch";
-    case WireOp::kMatrix:
-      return "matrix";
-    case WireOp::kKNearest:
-      return "knearest";
-    case WireOp::kRoute:
-      return "route";
-    case WireOp::kNone:
-    case WireOp::kUnknown:
-      break;
-  }
-  return "";
+  const auto i = static_cast<size_t>(op);
+  return i < std::size(kWireOpNames) ? kWireOpNames[i] : std::string_view();
 }
 
 Status ParseRequestLine(std::string_view line, WireRequest* req) {
@@ -587,35 +585,32 @@ Status ParseRequestLine(std::string_view line, WireRequest* req) {
     return Status::InvalidArgument("injected wire-parse fault");
   }
   JsonCursor c(line);
-  if (Status st = c.Expect('{'); !st.ok()) return st;
+  if (!c.Expect('{')) return c.Error();
   // Decoding buffers, touched only by strings that hold an escape.
   std::string key_scratch;
   std::string value_scratch;
   if (!c.Consume('}')) {
     for (;;) {
       std::string_view key;
-      if (Status st = c.ParseStringView(&key, &key_scratch); !st.ok()) {
-        return st;
+      if (!c.ParseStringView(&key, &key_scratch) || !c.Expect(':')) {
+        return c.Error();
       }
-      if (Status st = c.Expect(':'); !st.ok()) return st;
-      Status field = Status::Ok();
+      bool field = true;
       if (key == "op") {
         std::string_view name;
         field = c.ParseStringView(&name, &value_scratch);
         req->op = WireOpFromName(name);
         if (req->op == WireOp::kUnknown) req->unknown_op.assign(name);
       } else if (key == "source") {
-        uint64_t v = 0;
-        field = c.ParseUint(&v);
-        req->sources.push_back(v >= kInvalidVertex ? kInvalidVertex
-                                                   : static_cast<Vertex>(v));
+        Vertex v = 0;
+        field = c.ParseVertex(&v);
+        req->sources.push_back(v);
       } else if (key == "sources") {
         field = c.ParseVertexArray(&req->sources);
       } else if (key == "target") {
-        uint64_t v = 0;
-        field = c.ParseUint(&v);
-        req->targets.push_back(v >= kInvalidVertex ? kInvalidVertex
-                                                   : static_cast<Vertex>(v));
+        Vertex v = 0;
+        field = c.ParseVertex(&v);
+        req->targets.push_back(v);
       } else if (key == "targets" || key == "candidates") {
         field = c.ParseVertexArray(&req->targets);
       } else if (key == "k") {
@@ -640,13 +635,13 @@ Status ParseRequestLine(std::string_view line, WireRequest* req) {
       } else if (key == "missing") {
         std::string_view policy;
         field = c.ParseStringView(&policy, &value_scratch);
-        if (field.ok()) {
+        if (field) {
           if (policy == "error") {
             req->options.missing_vertices = MissingVertexPolicy::kError;
           } else if (policy == "unreachable") {
             req->options.missing_vertices = MissingVertexPolicy::kUnreachable;
           } else {
-            field = Status::InvalidArgument(
+            return Status::InvalidArgument(
                 "\"missing\" must be \"error\" or \"unreachable\", got \"" +
                 std::string(policy) + "\"");
           }
@@ -654,13 +649,14 @@ Status ParseRequestLine(std::string_view line, WireRequest* req) {
       } else {
         field = c.SkipValue();
       }
-      if (!field.ok()) return field;
+      if (!field) return c.Error();
       if (c.Consume('}')) break;
-      if (Status st = c.Expect(','); !st.ok()) return st;
+      if (!c.Expect(',')) return c.Error();
     }
   }
   if (!c.AtEnd()) {
-    return c.Error("trailing bytes after the request object");
+    c.Fail("trailing bytes after the request object");
+    return c.Error();
   }
   return Status::Ok();
 }
@@ -702,9 +698,11 @@ void RequestHandler::HandleLine(std::string_view line, const Router& router,
                                 std::string* out) {
   // With no coalescing policy Prepare never stages; a kExecute line is
   // finished immediately — together exactly the old one-shot behavior.
+  const Clock::time_point received =
+      hooks_.record ? Clock::now() : Clock::time_point{};
   if (Prepare(line, router, threaded, /*coalesce=*/nullptr,
               /*sources=*/nullptr, /*targets=*/nullptr, /*plan=*/nullptr,
-              out) == LineAction::kExecute) {
+              received, out) == LineAction::kExecute) {
     ExecuteParsed(router, threaded, out);
   }
 }
@@ -713,8 +711,8 @@ RequestHandler::LineAction RequestHandler::Prepare(
     std::string_view line, const Router& router,
     const ThreadedRouter& threaded, const CoalescePolicy* coalesce,
     std::vector<Vertex>* sources, std::vector<Vertex>* targets,
-    StagePlan* plan, std::string* out) {
-  if (hooks_.record) prepare_start_ = std::chrono::steady_clock::now();
+    StagePlan* plan, Clock::time_point received, std::string* out) {
+  received_ = received;
   while (!line.empty() && (line.back() == '\r')) line.remove_suffix(1);
   if (line.find_first_not_of(" \t") == std::string_view::npos) {
     return LineAction::kDone;
@@ -885,11 +883,12 @@ RequestHandler::LineAction RequestHandler::Prepare(
         req_.options.deadline == std::chrono::nanoseconds::zero() &&
         req_.options.num_threads == 0 &&
         req_.options.missing_vertices != MissingVertexPolicy::kUnchecked;
+    const uint64_t n = router.NumVertices();
     for (size_t i = 0; stageable && i < req_.sources.size(); ++i) {
-      if (req_.sources[i] >= router.NumVertices()) stageable = false;
+      if (req_.sources[i] >= n) stageable = false;
     }
     for (size_t i = 0; stageable && i < req_.targets.size(); ++i) {
-      if (req_.targets[i] >= router.NumVertices()) stageable = false;
+      if (req_.targets[i] >= n) stageable = false;
     }
     if (stageable) {
       // A staged request passes admission individually, exactly as its
@@ -906,7 +905,7 @@ RequestHandler::LineAction RequestHandler::Prepare(
       plan->op = req_.op;
       plan->first = sources->size();
       plan->count = pairs;
-      plan->start = prepare_start_;
+      plan->start = received;
       if (plan->op == WireOp::kBatch) {
         sources->insert(sources->end(), pairs, req_.sources[0]);
       } else {
@@ -944,18 +943,11 @@ void RequestHandler::ExecuteParsed(const Router& router,
     }
   }
   // Latency observability: one record() per executed (admitted) request,
-  // measured from Prepare entry — parse + execute + serialize.
+  // measured from the time Prepare was given — parse + execute + serialize.
   struct RecordGuard {
     const RequestHandler* h;
     ~RecordGuard() {
-      if (h->hooks_.record) {
-        h->hooks_.record(
-            h->req_.op,
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - h->prepare_start_)
-                    .count()));
-      }
+      if (h->hooks_.record) h->Record(h->req_.op, h->received_, Clock::now());
     }
   } record_guard{this};
   // An admitted request pairs with exactly one release() however the
@@ -1151,17 +1143,22 @@ void RequestHandler::StreamMatrix(const ThreadedRouter& threaded,
 
 void RequestHandler::AppendStagedResponse(const StagePlan& plan,
                                           std::span<const Dist> dists,
+                                          Clock::time_point done,
                                           std::string* out) const {
   out->append("{\"ok\":true,\"op\":\"");
   out->append(WireOpName(plan.op));
   out->append("\",\"distances\":[");
   AppendNumberList(out, dists.subspan(plan.first, plan.count));
   out->append("]}\n");
-  if (hooks_.record) {
-    const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::steady_clock::now() - plan.start);
-    hooks_.record(plan.op, static_cast<uint64_t>(elapsed.count()));
-  }
+  if (hooks_.record) Record(plan.op, plan.start, done);
+}
+
+void RequestHandler::Record(WireOp op, Clock::time_point start,
+                            Clock::time_point end) const {
+  hooks_.record(op, static_cast<uint64_t>(
+                        std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            end - start)
+                            .count()));
 }
 
 Status StreamReassembler::Feed(std::string_view line) {
@@ -1194,13 +1191,12 @@ Status StreamReassembler::Feed(std::string_view line) {
   std::vector<Dist> frame_dists;
   {
     JsonCursor c(line);
-    if (Status st = c.Expect('{'); !st.ok()) return Poison(st);
+    if (!c.Expect('{')) return Poison(c.Error());
     if (!c.Consume('}')) {
       for (;;) {
         std::string key;
-        if (Status st = c.ParseString(&key); !st.ok()) return Poison(st);
-        if (Status st = c.Expect(':'); !st.ok()) return Poison(st);
-        Status field = Status::Ok();
+        if (!c.ParseString(&key) || !c.Expect(':')) return Poison(c.Error());
+        bool field = true;
         if (key == "ok") {
           field = c.ParseBool(&ok);
           has_ok = true;
@@ -1237,13 +1233,14 @@ Status StreamReassembler::Feed(std::string_view line) {
         } else {
           field = c.SkipValue();
         }
-        if (!field.ok()) return Poison(field);
+        if (!field) return Poison(c.Error());
         if (c.Consume('}')) break;
-        if (Status st = c.Expect(','); !st.ok()) return Poison(st);
+        if (!c.Expect(',')) return Poison(c.Error());
       }
     }
     if (!c.AtEnd()) {
-      return Poison(c.Error("trailing bytes after the response object"));
+      c.Fail("trailing bytes after the response object");
+      return Poison(c.Error());
     }
   }
 

@@ -221,8 +221,11 @@ struct ServerHooks {
   /// chunks accumulate in *out (the socket-free tests read them all at once).
   std::function<bool(std::string* out)> flush;
   /// Observability: called once per executed query op with the op and its
-  /// handling latency (parse + execute + serialize, nanoseconds; for a
-  /// coalesced request, from its Prepare() to its demultiplexed response).
+  /// handling latency in nanoseconds: parse + execute + serialize, measured
+  /// from the time the caller handed to Prepare() (HandleLine: its own
+  /// entry; the reactor: the read that delivered the line). A coalesced
+  /// request's latency ends at the time its run handed to
+  /// AppendStagedResponse, so it includes the wait for the shared batch.
   std::function<void(WireOp op, uint64_t ns)> record;
 };
 
@@ -238,6 +241,8 @@ class RequestHandler {
   /// cells). Protects the per-connection output buffers from one request
   /// asking for gigabytes; generous for real workloads (4M distances).
   static constexpr uint64_t kMaxResultEntries = uint64_t{1} << 22;
+
+  using Clock = std::chrono::steady_clock;
 
   RequestHandler() = default;
   explicit RequestHandler(ServerHooks hooks) : hooks_(std::move(hooks)) {}
@@ -265,8 +270,9 @@ class RequestHandler {
   ///              *plan records the slice + response shape. Nothing was
   ///              executed and nothing written to *out; the caller runs one
   ///              combined pairwise query over all staged pairs and calls
-  ///              AppendStagedResponse(plan, slice) per staged line to demux
-  ///              — byte-identical to what HandleLine would have produced.
+  ///              AppendStagedResponse(plan, dists, done) per staged line to
+  ///              demux — byte-identical to what HandleLine would have
+  ///              produced.
   ///              The admission hook was already consulted (admitted); the
   ///              caller owes hooks.release one count per kStaged line
   ///              after demuxing (or on abandoning the batch).
@@ -279,13 +285,16 @@ class RequestHandler {
   /// batching: default options (no deadline, no thread override, missing
   /// policy checked), all ids in range, <= coalesce->max_pairs_per_request
   /// pairs. `coalesce == nullptr` disables staging (kStaged never returned).
+  ///
+  /// `received` is when the line arrived; the line's recorded latency
+  /// (hooks.record) starts there. Prepare reads no clock itself.
   enum class LineAction { kDone, kStaged, kExecute };
   struct StagePlan {
     WireOp op = WireOp::kPoint;  // kPoint or kBatch: the response's "op"
     size_t first = 0;            // slice of the caller's staged pair arrays
     size_t count = 0;
-    /// Prepare() entry: the staged request's latency is measured from here.
-    std::chrono::steady_clock::time_point start{};
+    /// Prepare()'s `received`: the staged request's latency starts here.
+    Clock::time_point start{};
   };
   struct CoalescePolicy {
     size_t max_pairs_per_request = 16;
@@ -295,20 +304,24 @@ class RequestHandler {
                      const CoalescePolicy* coalesce,
                      std::vector<Vertex>* sources,
                      std::vector<Vertex>* targets, StagePlan* plan,
-                     std::string* out);
+                     Clock::time_point received, std::string* out);
   /// Executes the request parsed by the last kExecute Prepare(). Exactly the
-  /// tail of HandleLine: admission, engine call, response serialization.
+  /// tail of HandleLine: admission, engine call, response serialization;
+  /// reads the clock once at its end when hooks.record is set.
   void ExecuteParsed(const Router& router, const ThreadedRouter& threaded,
                      std::string* out);
   /// Serializes the response line for one staged request from its slice of
   /// the combined pairwise result, then reports its latency through
-  /// hooks.record — measured from Prepare(), so parse, the wait for the
-  /// shared batch, execute and format all count, as in ExecuteParsed().
+  /// hooks.record: from plan.start to `done`, the caller's one clock read
+  /// for the whole run, so parse, the wait for the shared batch and execute
+  /// all count, as in ExecuteParsed().
   void AppendStagedResponse(const StagePlan& plan, std::span<const Dist> dists,
-                            std::string* out) const;
+                            Clock::time_point done, std::string* out) const;
 
  private:
   void AppendErrorResponse(const Status& status, std::string* out) const;
+  /// hooks_.record(op, end - start); the caller checked the hook is set.
+  void Record(WireOp op, Clock::time_point start, Clock::time_point end) const;
   /// Streamed-matrix execution: header + chunk frames + trailer into *out,
   /// honoring hooks_.flush between frames. `req_` holds the parsed request.
   void StreamMatrix(const ThreadedRouter& threaded, std::string* out);
@@ -320,7 +333,7 @@ class RequestHandler {
   // Classification carried from Prepare() to ExecuteParsed().
   QueryKind kind_ = QueryKind::kPointBatch;
   uint64_t result_entries_ = 0;
-  std::chrono::steady_clock::time_point prepare_start_{};
+  Clock::time_point received_{};  // the last Prepare()'s `received`
 };
 
 /// Client-side reassembly of a streamed matrix response ("stream":true).

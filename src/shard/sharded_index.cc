@@ -185,6 +185,15 @@ Dist ShardedIndex::Query(Vertex s, Vertex t) const {
   return d;
 }
 
+void ShardedIndex::PointPairsInto(std::span<const Vertex> sources,
+                                  std::span<const Vertex> targets,
+                                  Dist* out) const {
+  HC2L_CHECK_EQ(sources.size(), targets.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    out[i] = Query(sources[i], targets[i]);
+  }
+}
+
 void ShardedIndex::BatchQueryInto(Vertex source,
                                   std::span<const Vertex> targets,
                                   Dist* out) const {

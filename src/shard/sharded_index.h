@@ -101,6 +101,11 @@ class ShardedIndex {
   /// the monolithic index over the same graph.
   Dist Query(Vertex s, Vertex t) const;
 
+  /// Writes out[i] = Query(sources[i], targets[i]) for every i (the spans
+  /// have equal length), one pair at a time.
+  void PointPairsInto(std::span<const Vertex> sources,
+                      std::span<const Vertex> targets, Dist* out) const;
+
   /// Writes out[i] = d(source, targets[i]) for every i. One shard batch
   /// computes the source-to-boundary row, the boundary join folds through
   /// D, and targets are answered grouped by home shard. Steady-state calls

@@ -213,6 +213,292 @@ TEST_F(WireTest, MalformedLinesAreErrorsNotAborts) {
             "\"request has no \\\"op\\\"\"}");
 }
 
+/// Request lines and their exact response bytes, recorded from the parser
+/// this table was written against: every error path of the cursor (each
+/// "expected ...", bad literals, unterminated strings, control bytes, \\u
+/// and surrogate escapes, fractional numbers, nesting depth, trailing
+/// bytes), UINT64 saturation, ids >= 2^32, and the shape errors that follow
+/// a clean parse. Answers come from the fixture's 130-vertex graph.
+struct GoldenLine {
+  std::string_view line;
+  std::string_view response;
+};
+constexpr GoldenLine kGoldenLines[] = {
+      {"not json at all",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 0: expected '{'\"}\n"},
+      {"[1,2,3]",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 0: expected '{'\"}\n"},
+      {"\"just a string\"",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 0: expected '{'\"}\n"},
+      {"\x01" "\x02" "\x03" "",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 0: expected '{'\"}\n"},
+      {"{",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 1: expected '\\\"'\"}\n"},
+      {"   {",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 4: expected '\\\"'\"}\n"},
+      {"{\"op\"",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 5: expected ':'\"}\n"},
+      {"{\"op\" \"point\"}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 6: expected ':'\"}\n"},
+      {"{\"op\":}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 6: expected '\\\"'\"}\n"},
+      {"{\"op\":",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 6: expected '\\\"'\"}\n"},
+      {"{op:\"point\"}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 1: expected '\\\"'\"}\n"},
+      {"{\"op\":\"batch\",}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 14: expected '\\\"'\"}\n"},
+      {"{\"op\":\"batch\" \"source\":1}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 14: expected ','\"}\n"},
+      {"{\"op\":\"batch\",\"source\":1,\"targets\":[1 2]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 38: expected ','\"}\n"},
+      {"{\"op\":\"batch\",\"source\":1,\"targets\":1}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 35: expected '['\"}\n"},
+      {"{\"op\":\"batch\",\"source\":1,\"targets\":[1,]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 38: expected a non-negative integer\"}\n"},
+      {"{\"op\":\"batch\",\"source\":1,\"targets\":[",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 36: expected a non-negative integer\"}\n"},
+      {"{\"op\":\"batch\",\"source\":-1,\"targets\":[1]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 23: expected a non-negative integer\"}\n"},
+      {"{\"op\":\"batch\",\"source\":\"one\",\"targets\":[1]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 23: expected a non-negative integer\"}\n"},
+      {"{\"op\":\"batch\",\"source\":1.5,\"targets\":[1]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 24: expected an integer, got a fractional number\"}\n"},
+      {"{\"op\":\"batch\",\"source\":1,\"targets\":[2e3]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 37: expected an integer, got a fractional number\"}\n"},
+      {"{\"op\":\"point\",\"sources\":[1],\"targets\":[7E1]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 40: expected an integer, got a fractional number\"}\n"},
+      {"{\"op\":\"point\",\"sources\":[1],\"targets\":[7],\"k\":}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 46: expected a non-negative integer\"}\n"},
+      {"{\"op\":\"matrix\",\"sources\":[1],\"targets\":[2],\"stream\":1}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 52: expected true or false\"}\n"},
+      {"{\"op\":\"matrix\",\"sources\":[1],\"targets\":[2],\"stream\":tru}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 52: expected true or false\"}\n"},
+      {"{\"op\":\"ping\",\"junk\":nul}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 20: bad literal\"}\n"},
+      {"{\"op\":\"ping\",\"junk\":fals}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 20: bad literal\"}\n"},
+      {"{\"op\":\"ping\",\"junk\":tx}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 20: bad literal\"}\n"},
+      {"{\"op\":\"ping\",\"junk\":}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 20: expected a value\"}\n"},
+      {"{\"op\":\"ping\",\"junk\":-}",
+       "{\"ok\":true,\"op\":\"ping\"}\n"},
+      {"{\"op\":\"ping\",\"junk\":[1,{\"a\":[null,true,false,-1.5e+3,\"s\"]}]}",
+       "{\"ok\":true,\"op\":\"ping\"}\n"},
+      {"{\"op\":\"ping\",\"junk\":{\"a\" 1}}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 25: expected ':'\"}\n"},
+      {"{\"op\":\"ping\",\"junk\":{1:2}}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 21: expected '\\\"'\"}\n"},
+      {"{\"op\":\"ping\",\"junk\":[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 53: value nested too deeply\"}\n"},
+      {"{\"op\":\"ping\",\"junk\":[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]}",
+       "{\"ok\":true,\"op\":\"ping\"}\n"},
+      {"{\"op\":\"ping\",\"junk\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":{\"a\":1}}}}}}}}}}}}}}}}}}}}}}}}}}}}}}}}}}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 185: value nested too deeply\"}\n"},
+      {"{\"op\":\"unterminated",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 19: unterminated string\"}\n"},
+      {"{\"op\":\"ab\\",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 10: unterminated string\"}\n"},
+      {"{\"op\":\"ab\\\"",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 11: unterminated string\"}\n"},
+      {"{\"o\x01" "p\":\"point\"}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 4: unescaped control character in string\"}\n"},
+      {"{\"op\":\"po\x02" "int\"}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 10: unescaped control character in string\"}\n"},
+      {"{\"x\":\"\x03" "\"}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 7: unescaped control character in string\"}\n"},
+      {"{\"op\":\"\\u12\"}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 12: bad hex digit in \\\\u escape\"}\n"},
+      {"{\"op\":\"\\u1",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 9: truncated \\\\u escape\"}\n"},
+      {"{\"op\":\"\\u12G4\"}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 12: bad hex digit in \\\\u escape\"}\n"},
+      {"{\"op\":\"\\uD800\",\"source\":1}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 13: surrogate \\\\u escapes are not supported\"}\n"},
+      {"{\"op\":\"\\udfff\"}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 13: surrogate \\\\u escapes are not supported\"}\n"},
+      {"{\"op\":\"\xc3" "\xa9" "\xe2" "\x82" "\xac" "A\\u0000\"}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"unknown op \\\"\xc3" "\xa9" "\xe2" "\x82" "\xac" "A\\u0000\\\" (expected batch, point, matrix, knearest, route, info, ping, reload or update_weights)\"}\n"},
+      {"{\"op\":\"\\x\"}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 9: unsupported string escape\"}\n"},
+      {"{\"op\":\"a\\\"b\\\\c\\/d\\b\\f\\n\\r\\t\"}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"unknown op \\\"a\\\"b\\\\c/d\\u0008\\u000c\\n\\r\\t\\\" (expected batch, point, matrix, knearest, route, info, ping, reload or update_weights)\"}\n"},
+      {"{\"op\":\"point\",\"sources\":[1],\"targets\":[2]}",
+       "{\"ok\":true,\"op\":\"point\",\"distances\":[103]}\n"},
+      {"{\"op\":\"batch\",\"source\":1,\"targets\":[2,3]}",
+       "{\"ok\":true,\"op\":\"batch\",\"distances\":[103,198]}\n"},
+      {"{\"path\":\"\\q\",\"op\":\"reload\"}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 11: unsupported string escape\"}\n"},
+      {"{}garbage",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 2: trailing bytes after the request object\"}\n"},
+      {"{\"op\":\"ping\"} x",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 14: trailing bytes after the request object\"}\n"},
+      {"{\"op\":\"ping\"}   ",
+       "{\"ok\":true,\"op\":\"ping\"}\n"},
+      {" { \"op\" : \"ping\" } ",
+       "{\"ok\":true,\"op\":\"ping\"}\n"},
+      {"\t{\"op\":\"ping\"}\r",
+       "{\"ok\":true,\"op\":\"ping\"}\n"},
+      {"{}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"request has no \\\"op\\\"\"}\n"},
+      {"{\"source\":1}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"request has no \\\"op\\\"\"}\n"},
+      {"{\"op\":\"fly\",\"source\":1}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"unknown op \\\"fly\\\" (expected batch, point, matrix, knearest, route, info, ping, reload or update_weights)\"}\n"},
+      {"{\"op\":\"point\",\"op\":\"\"}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"request has no \\\"op\\\"\"}\n"},
+      {"{\"op\":\"batch\",\"source\":1,\"targets\":[1],\"missing\":\"maybe\"}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"\\\"missing\\\" must be \\\"error\\\" or \\\"unreachable\\\", got \\\"maybe\\\"\"}\n"},
+      {"{\"op\":\"batch\",\"source\":1,\"targets\":[1],\"missing\":7}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 49: expected '\\\"'\"}\n"},
+      {"{\"op\":\"batch\",\"source\":99999999999999999999999,\"targets\":[1]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"source vertex id 4294967295 out of range [0, 130)\"}\n"},
+      {"{\"op\":\"batch\",\"source\":1,\"targets\":[4294967295,4294967296,18446744073709551616]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"targets[0] = 4294967295 out of range [0, 130)\"}\n"},
+      {"{\"op\":\"batch\",\"source\":1,\"targets\":[4294967296,2],\"missing\":\"unreachable\"}",
+       "{\"ok\":true,\"op\":\"batch\",\"distances\":[null,103]}\n"},
+      {"{\"op\":\"point\",\"sources\":[4294967296],\"targets\":[3]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"source vertex id 4294967295 out of range [0, 130)\"}\n"},
+      {"{\"op\":\"route\",\"source\":0,\"target\":9,\"k\":18446744073709551616}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"\\\"k\\\" = 18446744073709551615 alternative routes exceeds this server's cap of 16\"}\n"},
+      {"{\"op\":\"route\",\"source\":0,\"target\":9,\"k\":17}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"\\\"k\\\" = 17 alternative routes exceeds this server's cap of 16\"}\n"},
+      {"{\"op\":\"batch\",\"source\":0,\"targets\":[1],\"deadline_ms\":99999999999999999999}",
+       "{\"ok\":true,\"op\":\"batch\",\"distances\":[94]}\n"},
+      {"{\"op\":\"batch\",\"source\":0,\"targets\":[1],\"threads\":99999999999999999999}",
+       "{\"ok\":true,\"op\":\"batch\",\"distances\":[94]}\n"},
+      {"{\"op\":\"point\",\"sources\":[3],\"targets\":[7,8]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"\\\"point\\\" is pairwise: needs exactly as many sources as targets (got 1 and 2)\"}\n"},
+      {"{\"op\":\"batch\",\"sources\":[1,2],\"targets\":[3]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"\\\"batch\\\" needs a single \\\"source\\\" (use \\\"point\\\" for pairwise queries)\"}\n"},
+      {"{\"op\":\"route\",\"source\":0}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"\\\"route\\\" needs a single \\\"source\\\" and a single \\\"target\\\"\"}\n"},
+      {"{\"op\":\"knearest\",\"source\":0,\"candidates\":[5,9,99,1000],\"k\":2}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"candidates[3] = 1000 out of range [0, 130)\"}\n"},
+      {"{\"op\":\"matrix\",\"sources\":[0,5,1000],\"targets\":[9,99],\"missing\":\"unreachable\"}",
+       "{\"ok\":true,\"op\":\"matrix\",\"rows\":3,\"cols\":2,\"distances\":[892,1666,375,1179,null,null]}\n"},
+      {"{\"op\":\"update_weights\",\"edges\":[[0,1,-5]]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 37: expected a non-negative integer\"}\n"},
+      {"{\"op\":\"update_weights\",\"edges\":[[0,1,4294967296]]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 48: edge weight 4294967296 exceeds the 32-bit weight space\"}\n"},
+      {"{\"op\":\"update_weights\",\"edges\":[[0,1]]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 36: expected ','\"}\n"},
+      {"{\"op\":\"update_weights\",\"edges\":[[0,1,2,3]]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 38: expected ']'\"}\n"},
+      {"{\"op\":\"update_weights\",\"edges\":[[0,1,2],[3]]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 42: expected ','\"}\n"},
+      {"{\"op\":\"update_weights\",\"edges\":5}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 31: expected '['\"}\n"},
+      {"{\"op\":\"update_weights\",\"edges\":[0,1,2]}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 32: expected '['\"}\n"},
+      {"{\"op\":\"update_weights\",\"edges\":[[0,1,2}",
+       "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 38: expected ']'\"}\n"},
+      {"{\"op\":\"update_weights\",\"edges\":[]}",
+       "{\"ok\":false,\"code\":\"Unimplemented\",\"message\":\"this endpoint has no update_weights hook\"}\n"},
+      {"{\"op\":\"update_weights\",\"edges\":[[0,1,7]]}",
+       "{\"ok\":false,\"code\":\"Unimplemented\",\"message\":\"this endpoint has no update_weights hook\"}\n"},
+      {"{\"op\":\"reload\",\"path\":\"x\"}",
+       "{\"ok\":false,\"code\":\"Unimplemented\",\"message\":\"this endpoint has no reload hook\"}\n"},
+};
+
+TEST_F(WireTest, ParserGoldenResponsesAreByteIdentical) {
+  for (const GoldenLine& golden : kGoldenLines) {
+    std::string out;
+    handler_->HandleLine(golden.line, *router_, *threaded_, &out);
+    EXPECT_EQ(out, golden.response) << golden.line;
+  }
+  // One triple past the update batch cap.
+  std::string cap = R"({"op":"update_weights","edges":[)";
+  for (uint64_t i = 0; i <= kMaxUpdateEdges; ++i) {
+    if (i != 0) cap += ",";
+    cap += "[0,1,2]";
+  }
+  cap += "]}";
+  std::string out;
+  handler_->HandleLine(cap, *router_, *threaded_, &out);
+  EXPECT_EQ(out,
+            "{\"ok\":false,\"code\":\"InvalidArgument\",\"message\":\"bad request JSON at byte 524320: update batch exceeds the per-request cap of 65536 edges\"}\n");
+
+  // The response-frame parser of the stream reassembler shares the cursor.
+  constexpr GoldenLine kGoldenFrames[] = {
+        {"{\"ok\":true,\"op\":\"matrix\",\"stream\":true,\"rows\":1,\"cols\":2} x",
+         "InvalidArgument: bad request JSON at byte 58: trailing bytes after the response object"},
+        {"{\"ok\":tru}",
+         "InvalidArgument: bad request JSON at byte 6: expected true or false"},
+        {"{\"ok\":true,\"distances\":[1,null,nul]}",
+         "InvalidArgument: bad request JSON at byte 31: expected a non-negative integer"},
+        {"{\"ok\":true,\"chunk\":1.5}",
+         "InvalidArgument: bad request JSON at byte 20: expected an integer, got a fractional number"},
+        {"{\"ok\":true,\"op\":\"m\\u00",
+         "InvalidArgument: bad request JSON at byte 20: truncated \\u escape"},
+        {"{\"ok\":true \"op\":\"matrix\"}",
+         "InvalidArgument: bad request JSON at byte 11: expected ','"},
+  };
+  for (const GoldenLine& golden : kGoldenFrames) {
+    StreamReassembler reassembler;
+    EXPECT_EQ(reassembler.Feed(golden.line).ToString(), golden.response)
+        << golden.line;
+  }
+}
+
+TEST_F(WireTest, MutatedLinesGetExactlyOneResponseLine) {
+  // Truncations and byte flips of valid point, batch and matrix lines: a
+  // line holding anything but blanks gets exactly one response line (an
+  // answer or an error), a blank line none.
+  const std::string kValid[] = {
+      R"({"op":"point","sources":[3,10],"targets":[77,91]})",
+      R"({"op":"batch","source":5,"targets":[1,2,3,129]})",
+      R"({"op":"matrix","sources":[0,7],"targets":[9,99,4],"stream":false})",
+      R"({"op":"matrix","sources":[1,2],"targets":[3],"stream":true,)"
+      R"("missing":"unreachable","deadline_ms":5000,"junk":[{"a":null}]})",
+  };
+  std::mt19937_64 rng(25);
+  const auto expect_one = [&](const std::string& line) {
+    std::string out;
+    handler_->HandleLine(line, *router_, *threaded_, &out);
+    std::string_view trimmed(line);
+    while (!trimmed.empty() && trimmed.back() == '\r') trimmed.remove_suffix(1);
+    const bool blank =
+        trimmed.find_first_not_of(" \t") == std::string_view::npos;
+    if (blank) {
+      EXPECT_TRUE(out.empty()) << line;
+      return;
+    }
+    // A streamed matrix answers header, chunks and trailer: count the
+    // lines that are not chunk frames of a successful stream.
+    size_t lines = 0;
+    for (size_t at = 0; at < out.size();) {
+      const size_t nl = out.find('\n', at);
+      ASSERT_NE(nl, std::string::npos) << line;
+      const std::string_view response(out.data() + at, nl - at);
+      if (response.find("\"chunk\":") == std::string_view::npos &&
+          response.find("\"done\":") == std::string_view::npos) {
+        ++lines;
+      }
+      at = nl + 1;
+    }
+    EXPECT_EQ(lines, 1u) << line << " -> " << out;
+  };
+  for (const std::string& valid : kValid) {
+    for (size_t len = 0; len <= valid.size(); ++len) {
+      expect_one(valid.substr(0, len));
+    }
+    for (int round = 0; round < 400; ++round) {
+      std::string line = valid;
+      const int flips = 1 + static_cast<int>(rng() % 3);
+      for (int f = 0; f < flips; ++f) {
+        char& c = line[rng() % line.size()];
+        // Any byte but a newline: the line splitter consumed those.
+        do {
+          c = static_cast<char>(rng() % 256);
+        } while (c == '\n');
+      }
+      expect_one(line);
+    }
+  }
+}
+
 TEST_F(WireTest, EmptyLinesProduceNoResponse) {
   std::string out;
   handler_->HandleLine("", *router_, *threaded_, &out);
@@ -1248,8 +1534,9 @@ TEST_F(WireTest, PreparedStagedResponsesMatchHandleLineByteForByte) {
   for (const std::string& line : kLines) {
     RequestHandler::StagePlan plan;
     std::string out;
-    const RequestHandler::LineAction action = staging.Prepare(
-        line, *router_, *threaded_, &policy, &sources, &targets, &plan, &out);
+    const RequestHandler::LineAction action =
+        staging.Prepare(line, *router_, *threaded_, &policy, &sources,
+                        &targets, &plan, {}, &out);
     ASSERT_EQ(action, RequestHandler::LineAction::kStaged) << line;
     EXPECT_TRUE(out.empty());
     plans.push_back(plan);
@@ -1268,7 +1555,7 @@ TEST_F(WireTest, PreparedStagedResponsesMatchHandleLineByteForByte) {
 
   for (size_t i = 0; i < plans.size(); ++i) {
     std::string staged;
-    staging.AppendStagedResponse(plans[i], dists, &staged);
+    staging.AppendStagedResponse(plans[i], dists, {}, &staged);
     ASSERT_FALSE(staged.empty());
     staged.pop_back();  // trailing newline, like Handle()
     EXPECT_EQ(staged, Handle(kLines[i])) << kLines[i];
@@ -1362,7 +1649,7 @@ TEST_F(WireTest, NumberListsMatchToStringJoinByteForByte) {
     plan.first = first;
     plan.count = count;
     std::string out = "prefix:";  // the writer appends, never overwrites
-    handler.AppendStagedResponse(plan, dists, &out);
+    handler.AppendStagedResponse(plan, dists, {}, &out);
     EXPECT_EQ(out, "prefix:" + ReferenceDistancesResponse(
                                    WireOpName(op), dists.subspan(first, count)))
         << "first " << first << " count " << count;
@@ -1681,7 +1968,7 @@ TEST_F(WireTest, IneligibleLinesAreNotStaged) {
 
   const auto prepare = [&](std::string_view line, std::string* out) {
     return staging.Prepare(line, *router_, *threaded_, &policy, &sources,
-                           &targets, &plan, out);
+                           &targets, &plan, {}, out);
   };
   std::string out;
   // Custom options, an out-of-range id under the error policy, too many
@@ -1710,15 +1997,17 @@ TEST_F(WireTest, IneligibleLinesAreNotStaged) {
   // the execute path.
   EXPECT_EQ(staging.Prepare(R"({"op":"point","sources":[1],"targets":[2]})",
                             *router_, *threaded_, nullptr, &sources, &targets,
-                            &plan, &out),
+                            &plan, {}, &out),
             RequestHandler::LineAction::kExecute);
   EXPECT_TRUE(sources.empty());
 }
 
 TEST_F(WireTest, StagedLatencyIsRecordedFromPrepare) {
-  // A staged request's latency spans Prepare() to its demultiplexed
-  // response (parse, the wait for the shared batch, execute, format), the
-  // same span ExecuteParsed records, not just the shared engine call.
+  // A staged request's latency spans the `received` time handed to
+  // Prepare() (the reactor: the read that delivered the line) to the `done`
+  // time handed to AppendStagedResponse (the reactor: one clock read per
+  // coalesced run), so parse, the wait for the shared batch and execute all
+  // count; the handler reads no clock of its own on this path.
   std::vector<std::pair<WireOp, uint64_t>> records;
   ServerHooks hooks;
   hooks.record = [&records](WireOp op, uint64_t ns) {
@@ -1731,17 +2020,17 @@ TEST_F(WireTest, StagedLatencyIsRecordedFromPrepare) {
   RequestHandler::StagePlan point_plan;
   RequestHandler::StagePlan batch_plan;
   std::string out;
+  const RequestHandler::Clock::time_point read_at =
+      RequestHandler::Clock::now();
+  constexpr std::chrono::microseconds kBatchGap(250);
   ASSERT_EQ(staging.Prepare(R"({"op":"point","sources":[3],"targets":[77]})",
                             *router_, *threaded_, &policy, &sources, &targets,
-                            &point_plan, &out),
+                            &point_plan, read_at, &out),
             RequestHandler::LineAction::kStaged);
   ASSERT_EQ(staging.Prepare(R"({"op":"batch","source":5,"targets":[1,2]})",
                             *router_, *threaded_, &policy, &sources, &targets,
-                            &batch_plan, &out),
+                            &batch_plan, read_at + kBatchGap, &out),
             RequestHandler::LineAction::kStaged);
-  // Other connections' lines joining the same batch take this long.
-  constexpr std::chrono::milliseconds kBatchWait(20);
-  std::this_thread::sleep_for(kBatchWait);
 
   QueryRequest request;
   request.kind = QueryKind::kPointBatch;
@@ -1751,17 +2040,35 @@ TEST_F(WireTest, StagedLatencyIsRecordedFromPrepare) {
   QueryOutput output;
   output.distances = dists;
   ASSERT_TRUE(threaded_->Execute(request, output).ok());
-  staging.AppendStagedResponse(point_plan, dists, &out);
-  staging.AppendStagedResponse(batch_plan, dists, &out);
+  // Other connections' lines joining the same batch take this long.
+  constexpr std::chrono::milliseconds kRun(20);
+  staging.AppendStagedResponse(point_plan, dists, read_at + kRun, &out);
+  staging.AppendStagedResponse(batch_plan, dists, read_at + kRun, &out);
 
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].first, WireOp::kPoint);
   EXPECT_EQ(records[1].first, WireOp::kBatch);
-  for (const auto& [op, ns] : records) {
-    EXPECT_GE(ns, static_cast<uint64_t>(
-                      std::chrono::nanoseconds(kBatchWait).count()))
-        << WireOpName(op);
-  }
+  EXPECT_EQ(records[0].second,
+            static_cast<uint64_t>(std::chrono::nanoseconds(kRun).count()));
+  EXPECT_EQ(records[1].second, static_cast<uint64_t>(
+                                   std::chrono::nanoseconds(kRun - kBatchGap)
+                                       .count()));
+
+  // HandleLine reads the clock at its own entry and at the end of the
+  // execution: one record per executed line, never an unset start.
+  records.clear();
+  const RequestHandler::Clock::time_point before =
+      RequestHandler::Clock::now();
+  out.clear();
+  staging.HandleLine(R"({"op":"point","sources":[3],"targets":[77]})",
+                     *router_, *threaded_, &out);
+  const uint64_t bound = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          RequestHandler::Clock::now() - before)
+          .count());
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].first, WireOp::kPoint);
+  EXPECT_LE(records[0].second, bound);
 }
 
 }  // namespace
