@@ -1,11 +1,12 @@
-// Span vs vector on the facade's bulk-query paths, plus the hard promise:
-// the span-output hot path (BatchQueryInto / DistanceMatrixInto / Execute
-// for batch and matrix requests) and hc2ld's coalesced point run (Prepare,
-// one ThreadedRouter::Execute, AppendStagedResponse) perform ZERO heap
-// allocations in steady state. This binary both measures the paths — the
-// coalesced run split per pair into prepare, execute and format — and
-// enforces the allocation claim with a global operator-new hook: it exits
-// non-zero if a warm gated call allocates, so CI can run it as a gate.
+// The facade's bulk-query paths, plus the hard promise: the span-output hot
+// path (Execute for batch, matrix and lone-pair point requests on Router
+// and ThreadedRouter, and DistanceMatrixInto) and hc2ld's coalesced point
+// run (Prepare, one ThreadedRouter::Execute, AppendStagedResponse) perform
+// ZERO heap allocations in steady state. This binary both measures the
+// paths — the coalesced run split per pair into prepare, execute and
+// format — and enforces the allocation claim with a global operator-new
+// hook: it exits non-zero if a warm gated call allocates, so CI can run it
+// as a gate.
 //
 // Plain main() driver (no google-benchmark dependency), same fixture family
 // as bench_micro_query: a synthetic road-network grid.
@@ -133,17 +134,9 @@ int Run() {
 
   volatile Dist sink = 0;
 
-  // --- one-to-many batch: vector vs span vs request ---
+  // --- one-to-many batch request ---
   constexpr size_t kBatchReps = 400;
-  const Measured batch_vec = Measure(kBatchReps, kBatchTargets, [&] {
-    const Result<std::vector<Dist>> out = router->BatchQuery(source, targets);
-    sink = sink + (*out)[0];
-  });
   std::vector<Dist> batch_out(kBatchTargets);
-  const Measured batch_span = Measure(kBatchReps, kBatchTargets, [&] {
-    if (!router->BatchQueryInto(source, targets, batch_out).ok()) std::abort();
-    sink = sink + batch_out[0];
-  });
   QueryRequest batch_req;
   batch_req.kind = QueryKind::kPointBatch;
   batch_req.sources = std::span<const Vertex>(&source, 1);
@@ -155,13 +148,9 @@ int Run() {
     sink = sink + batch_out[0];
   });
 
-  // --- many-to-many matrix: vector vs span vs request ---
+  // --- many-to-many matrix: span wrapper vs request ---
   constexpr size_t kMatrixReps = 60;
   constexpr size_t kMatrixOps = kMatrixSources * kMatrixTargets;
-  const Measured matrix_vec = Measure(kMatrixReps, kMatrixOps, [&] {
-    const auto out = router->DistanceMatrix(msources, mtargets);
-    sink = sink + (*out)[0][0];
-  });
   std::vector<Dist> matrix_out(kMatrixOps);
   const Measured matrix_span = Measure(kMatrixReps, kMatrixOps, [&] {
     if (!router->DistanceMatrixInto(msources, mtargets, matrix_out).ok()) {
@@ -180,38 +169,68 @@ int Run() {
     sink = sink + matrix_out[0];
   });
 
-  // --- k-nearest through the span path (reported, not gated) ---
+  // --- k-nearest request (reported, not gated) ---
   constexpr size_t kKnnReps = 400;
   std::vector<Dist> knn_d(16);
   std::vector<Vertex> knn_v(16);
-  const Measured knn_span = Measure(kKnnReps, kBatchTargets, [&] {
-    const Result<size_t> w =
-        router->KNearestInto(source, targets, 16, knn_d, knn_v);
-    if (!w.ok()) std::abort();
+  QueryRequest knn_req;
+  knn_req.kind = QueryKind::kKNearest;
+  knn_req.sources = std::span<const Vertex>(&source, 1);
+  knn_req.targets = targets;
+  knn_req.k = 16;
+  const Measured knn_exec = Measure(kKnnReps, kBatchTargets, [&] {
+    const Result<QueryResponse> r =
+        router->Execute(knn_req, QueryOutput{knn_d, knn_v});
+    if (!r.ok()) std::abort();
     sink = sink + knn_d[0];
   });
 
+  // --- lone-pair point requests (1 x 1), what an uncoalesced point line
+  // becomes, on both executors ---
+  Result<ThreadedRouter> threaded = router->WithThreads(2);
+  if (!threaded.ok()) std::abort();
+  constexpr size_t kPointReps = 20000;
+  std::vector<Vertex> point_sources(kPointLines);
+  std::vector<Vertex> point_targets(kPointLines);
+  for (size_t i = 0; i < kPointLines; ++i) {
+    point_sources[i] = static_cast<Vertex>(rng.Below(n));
+    point_targets[i] = static_cast<Vertex>(rng.Below(n));
+  }
+  size_t next_pair = 0;
+  Dist point_out = 0;
+  const auto lone_pair = [&](const auto& executor) {
+    QueryRequest request;
+    request.kind = QueryKind::kPointBatch;
+    request.sources = std::span<const Vertex>(&point_sources[next_pair], 1);
+    request.targets = std::span<const Vertex>(&point_targets[next_pair], 1);
+    next_pair = (next_pair + 1) % kPointLines;
+    if (!executor.Execute(request, QueryOutput{{&point_out, 1}}).ok()) {
+      std::abort();
+    }
+    sink = sink + point_out;
+  };
+  const Measured point_seq =
+      Measure(kPointReps, 1, [&] { lone_pair(*router); });
+  const Measured point_par =
+      Measure(kPointReps, 1, [&] { lone_pair(*threaded); });
+
   std::printf(
-      "batch   vector: %7.2f ns/target  %6.1f allocs/call\n"
-      "batch   span:   %7.2f ns/target  %6.1f allocs/call\n"
       "batch   request:%7.2f ns/target  %6.1f allocs/call\n"
-      "matrix  vector: %7.2f ns/pair    %6.1f allocs/call\n"
       "matrix  span:   %7.2f ns/pair    %6.1f allocs/call\n"
       "matrix  request:%7.2f ns/pair    %6.1f allocs/call\n"
-      "knn     span:   %7.2f ns/cand    %6.1f allocs/call\n",
-      batch_vec.ns_per_op, batch_vec.allocs_per_call, batch_span.ns_per_op,
-      batch_span.allocs_per_call, batch_exec.ns_per_op,
-      batch_exec.allocs_per_call, matrix_vec.ns_per_op,
-      matrix_vec.allocs_per_call, matrix_span.ns_per_op,
+      "knn     request:%7.2f ns/cand    %6.1f allocs/call\n"
+      "point   1x1 Router:         %7.2f ns/pair  %6.1f allocs/call\n"
+      "point   1x1 ThreadedRouter: %7.2f ns/pair  %6.1f allocs/call\n",
+      batch_exec.ns_per_op, batch_exec.allocs_per_call, matrix_span.ns_per_op,
       matrix_span.allocs_per_call, matrix_exec.ns_per_op,
-      matrix_exec.allocs_per_call, knn_span.ns_per_op,
-      knn_span.allocs_per_call);
+      matrix_exec.allocs_per_call, knn_exec.ns_per_op,
+      knn_exec.allocs_per_call, point_seq.ns_per_op,
+      point_seq.allocs_per_call, point_par.ns_per_op,
+      point_par.allocs_per_call);
 
   // --- a coalesced point run, as hc2ld's event loop serves one: 16 lines
   // staged by Prepare, one engine call for their pairs, 16 staged
   // responses; hc2ld's admission and latency hooks are wired in. ---
-  Result<ThreadedRouter> threaded = router->WithThreads(2);
-  if (!threaded.ok()) std::abort();
   std::vector<std::string> point_lines(kPointLines);
   for (std::string& line : point_lines) {
     line = "{\"op\":\"point\",\"sources\":[" +
@@ -296,13 +315,13 @@ int Run() {
       per_pair(prepare_time), per_pair(execute_time), per_pair(format_time),
       kRunLines);
 
-  // --- the gate: warm span/request batch and matrix paths and the
+  // --- the gate: warm batch, matrix and lone-pair point requests and the
   // coalesced point run allocate ZERO ---
-  const double gated = batch_span.allocs_per_call +
-                       batch_exec.allocs_per_call +
+  const double gated = batch_exec.allocs_per_call +
                        matrix_span.allocs_per_call +
                        matrix_exec.allocs_per_call +
-                       coalesced.allocs_per_call;
+                       point_seq.allocs_per_call +
+                       point_par.allocs_per_call + coalesced.allocs_per_call;
   if (gated > 0.0) {
     std::printf("zero-allocation gate: FAIL (%.1f allocations per span-path "
                 "call; expected 0)\n",
@@ -311,7 +330,7 @@ int Run() {
   }
   std::printf("zero-allocation gate: PASS (0 allocations across %zu warm "
               "span-path calls and %zu coalesced point runs)\n",
-              2 * (kBatchReps + kMatrixReps), kRuns);
+              kBatchReps + 2 * kMatrixReps + 2 * kPointReps, kRuns);
   return 0;
 }
 

@@ -1,8 +1,8 @@
 // Delivery route optimisation: plan a multi-stop delivery tour (another
 // motivating application from Section 1 — "optimizing delivery routes with
-// multiple pick up and drop off points"). The hc2l::Router facade supplies
-// the full stop-to-stop distance matrix in one call; a nearest-neighbour +
-// 2-opt heuristic builds the tour.
+// multiple pick up and drop off points"). One kMatrix request to the
+// hc2l::Router facade fills the full stop-to-stop distance matrix; a
+// nearest-neighbour + 2-opt heuristic builds the tour.
 //
 //   $ ./build/example_delivery_routing
 
@@ -38,17 +38,24 @@ int main() {
   }
   const size_t k = stops.size();
 
-  // Full distance matrix from the index — k^2 exact distances, target
-  // resolution hoisted once by the facade's DistanceMatrix.
+  // Full distance matrix from the index — k^2 exact distances in one
+  // request, written row-major into a buffer the caller owns.
   Timer timer;
-  Result<std::vector<std::vector<Dist>>> matrix_result =
-      index.DistanceMatrix(stops, stops);
-  if (!matrix_result.ok()) {
+  QueryRequest request;
+  request.kind = QueryKind::kMatrix;
+  request.sources = stops;
+  request.targets = stops;
+  std::vector<Dist> flat(k * k);
+  const Result<QueryResponse> response =
+      index.Execute(request, QueryOutput(flat));
+  if (!response.ok()) {
     std::fprintf(stderr, "matrix failed: %s\n",
-                 matrix_result.status().ToString().c_str());
+                 response.status().ToString().c_str());
     return 1;
   }
-  const std::vector<std::vector<Dist>>& matrix = *matrix_result;
+  const auto matrix = [&](size_t from, size_t to) {
+    return flat[from * k + to];
+  };
   std::printf("Distance matrix (%zux%zu) in %.3f ms\n", k, k,
               timer.Millis());
 
@@ -60,7 +67,8 @@ int main() {
     const size_t last = tour.back();
     size_t best = SIZE_MAX;
     for (size_t j = 0; j < k; ++j) {
-      if (!visited[j] && (best == SIZE_MAX || matrix[last][j] < matrix[last][best])) {
+      if (!visited[j] &&
+          (best == SIZE_MAX || matrix(last, j) < matrix(last, best))) {
         best = j;
       }
     }
@@ -69,8 +77,8 @@ int main() {
   }
   auto tour_length = [&](const std::vector<size_t>& t) {
     Dist total = 0;
-    for (size_t i = 0; i + 1 < t.size(); ++i) total += matrix[t[i]][t[i + 1]];
-    total += matrix[t.back()][t.front()];
+    for (size_t i = 0; i + 1 < t.size(); ++i) total += matrix(t[i], t[i + 1]);
+    total += matrix(t.back(), t.front());
     return total;
   };
   const Dist greedy = tour_length(tour);

@@ -1,7 +1,8 @@
 // k-nearest POI recommendation (Section 1: "providing recommendation on
 // k-nearest POIs to their customers"): given a set of points of interest,
 // answer "nearest k restaurants to this user" with exact road distances
-// through Router::KNearest. Also demonstrates persistence through the
+// through a kNearest request to Router::Execute. Also demonstrates
+// persistence through the
 // facade: Save writes the flavour's format, Router::Open sniffs the magic
 // and reloads the right index — the workflow a serving system uses to skip
 // reconstruction at startup.
@@ -9,6 +10,7 @@
 //   $ ./build/example_poi_recommendation
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,18 +56,26 @@ int main() {
   for (Vertex& p : pois) p = static_cast<Vertex>(rng.Below(city.NumVertices()));
 
   constexpr size_t kNearest = 5;
+  QueryRequest request;
+  request.kind = QueryKind::kKNearest;
+  request.targets = pois;
+  request.k = kNearest;
+  std::vector<Dist> dists(kNearest);
+  std::vector<Vertex> nearest(kNearest);
   for (int user = 0; user < 5; ++user) {
     const Vertex location = static_cast<Vertex>(rng.Below(city.NumVertices()));
-    const Result<std::vector<std::pair<Dist, Vertex>>> ranked =
-        index.KNearest(location, pois, kNearest);
+    request.sources = std::span<const Vertex>(&location, 1);
+    const Result<QueryResponse> ranked =
+        index.Execute(request, QueryOutput(dists, nearest));
     if (!ranked.ok()) {
       std::fprintf(stderr, "k-nearest failed: %s\n",
                    ranked.status().ToString().c_str());
       return 1;
     }
     std::printf("user at %u -> nearest POIs:", location);
-    for (const auto& [dist, poi] : *ranked) {
-      std::printf(" %u (%llum)", poi, static_cast<unsigned long long>(dist));
+    for (size_t i = 0; i < ranked->written; ++i) {
+      std::printf(" %u (%llum)", nearest[i],
+                  static_cast<unsigned long long>(dists[i]));
     }
     std::printf("\n");
   }

@@ -1,10 +1,10 @@
 // Ride hailing: the paper's motivating workload (Section 1) — match each
 // customer to their nearest cars, requiring millions of shortest-path
 // distances per second. This example places cars and customers on a
-// synthetic city, answers every car-customer distance through the facade's
-// DistanceMatrix, and contrasts the sequential throughput with the parallel
-// query handle (Router::WithThreads), which shards the same matrix across
-// all cores with bit-identical results.
+// synthetic city, answers every car-customer distance with one kMatrix
+// request to the facade's Execute, and contrasts the sequential throughput
+// with the parallel query handle (Router::WithThreads), which shards the
+// same request across all cores with bit-identical results.
 //
 //   $ ./build/example_ride_hailing
 
@@ -50,15 +50,16 @@ int main() {
   const uint64_t num_queries =
       static_cast<uint64_t>(cars.size()) * customers.size();
 
-  // Nearest 3 cars per customer from the car-customer distance matrix.
+  // Nearest 3 cars per customer from the row-major car-customer matrix.
   constexpr size_t kNearest = 3;
-  const auto match = [&](const std::vector<std::vector<Dist>>& car_to_customer) {
+  const auto match = [&](const std::vector<Dist>& car_to_customer) {
     uint64_t assignments = 0;
     std::vector<std::pair<Dist, Vertex>> ranked;
     for (size_t c = 0; c < customers.size(); ++c) {
       ranked.clear();
       for (size_t car = 0; car < cars.size(); ++car) {
-        ranked.emplace_back(car_to_customer[car][c], cars[car]);
+        ranked.emplace_back(car_to_customer[car * customers.size() + c],
+                            cars[car]);
       }
       std::partial_sort(ranked.begin(), ranked.begin() + kNearest,
                         ranked.end());
@@ -67,15 +68,19 @@ int main() {
     return assignments;
   };
 
+  QueryRequest request;
+  request.kind = QueryKind::kMatrix;
+  request.sources = cars;
+  request.targets = customers;
   Timer seq_timer;
-  Result<std::vector<std::vector<Dist>>> matrix =
-      index.DistanceMatrix(cars, customers);
-  if (!matrix.ok()) {
+  std::vector<Dist> matrix(num_queries);
+  if (Result<QueryResponse> r = index.Execute(request, QueryOutput(matrix));
+      !r.ok()) {
     std::fprintf(stderr, "matrix failed: %s\n",
-                 matrix.status().ToString().c_str());
+                 r.status().ToString().c_str());
     return 1;
   }
-  match(*matrix);
+  match(matrix);
   const double seq_seconds = seq_timer.Seconds();
   std::printf(
       "Sequential matching: %llu distance queries in %.3fs (%.2f M "
@@ -92,16 +97,17 @@ int main() {
     return 1;
   }
   Timer par_timer;
-  Result<std::vector<std::vector<Dist>>> par_matrix =
-      engine->DistanceMatrix(cars, customers);
-  if (!par_matrix.ok()) {
+  std::vector<Dist> par_matrix(num_queries);
+  if (Result<QueryResponse> r =
+          engine->Execute(request, QueryOutput(par_matrix));
+      !r.ok()) {
     std::fprintf(stderr, "parallel matrix failed: %s\n",
-                 par_matrix.status().ToString().c_str());
+                 r.status().ToString().c_str());
     return 1;
   }
-  match(*par_matrix);
+  match(par_matrix);
   const double par_seconds = par_timer.Seconds();
-  const bool identical = *par_matrix == *matrix;
+  const bool identical = par_matrix == matrix;
   std::printf(
       "Parallel matching (%u threads): %.3fs (%.2f M queries/s, %.2fx) — "
       "results %s\n",

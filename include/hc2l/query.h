@@ -3,12 +3,12 @@
 
 /// The request/response bulk-query model of the public HC2L API.
 ///
-/// An RPC front end (hc2ld, or any long-lived server) does not want the
-/// facade's convenience methods: those return freshly allocated
-/// std::vector results on every call, while a server wants to parse a
-/// request into borrowed id spans, execute it into connection-owned output
-/// buffers, and serialize from there — zero copies, zero per-request heap
-/// traffic. This header is that contract:
+/// This is the facade's one bulk-query surface. A caller — an RPC front end
+/// (hc2ld, or any long-lived server) above all — parses a request into
+/// borrowed id spans, executes it into buffers it owns (a server: its
+/// connection's), and serializes from there: zero copies, zero per-request
+/// heap traffic once the per-thread scratch is warm. This header is that
+/// contract:
 ///
 ///   - QueryRequest   — what to compute: a kind (point batch | matrix |
 ///                      k-nearest | route), source/target id spans, per-request
@@ -18,16 +18,14 @@
 ///   - QueryResponse  — what happened: slots written, result shape.
 ///
 /// Router::Execute runs a request sequentially; ThreadedRouter::Execute
-/// shards it over the query engine. Both produce bit-identical distances to
-/// the vector-returning facade methods; the vector methods are in fact thin
-/// wrappers over the same span paths.
+/// shards it over the query engine. Both produce bit-identical results.
 ///
 /// Shape contract (violations are kInvalidArgument, never an abort):
 ///
-///   kPointBatch  sources.size() == 1: one-to-many, distances[i] =
-///                d(sources[0], targets[i]). Otherwise sources.size() must
-///                equal targets.size(): pairwise, distances[i] =
-///                d(sources[i], targets[i]). Either way
+///   kPointBatch  sources.size() == targets.size(): pairwise, distances[i]
+///                = d(sources[i], targets[i]) — a lone pair (1 x 1) included.
+///                Otherwise sources.size() must be 1: one-to-many,
+///                distances[i] = d(sources[0], targets[i]). Either way
 ///                output.distances.size() must equal targets.size() exactly.
 ///   kMatrix      row-major many-to-many: distances[i * targets.size() + j]
 ///                = d(sources[i], targets[j]); output.distances.size() must
@@ -52,10 +50,11 @@
 ///
 /// Deadline semantics: QueryOptions::deadline is a wall-clock budget
 /// measured from Execute entry; zero means unlimited. Expiry is detected at
-/// chunk boundaries (roughly every thousand queries) and fails the request
-/// with kDeadlineExceeded; output spans may then hold partial results and
-/// their contents are unspecified. A request whose budget is already spent
-/// fails before computing anything.
+/// chunk boundaries (roughly every thousand queries; once, before the
+/// unpacking, for kRoute) and fails the request with kDeadlineExceeded;
+/// output spans may then hold partial results and their contents are
+/// unspecified. A request whose budget is already spent fails before
+/// computing anything.
 ///
 /// Buffer ownership: the request and output spans are BORROWED for the
 /// duration of the Execute call only — the library never stores them. The
@@ -103,7 +102,7 @@ enum class QueryKind : uint8_t {
 /// library's.
 enum class MissingVertexPolicy : uint8_t {
   /// Any out-of-range id fails the request with kInvalidArgument (the
-  /// default, matching the facade's vector-returning methods).
+  /// default, matching Router::Distance).
   kError = 0,
   /// Out-of-range ids behave like unreachable vertices: kInfDist distances,
   /// excluded from k-nearest results. The request succeeds.

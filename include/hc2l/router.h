@@ -21,6 +21,12 @@
 ///   hc2l::Result<hc2l::Router> o = hc2l::Router::Open("x.idx"); // sniffs
 ///   // o->directed() tells which format the file held.
 ///
+/// Bulk queries — pairwise and one-to-many points, matrices, k-nearest and
+/// span-written routes — have one entry point, Execute (hc2l/query.h): a
+/// request of borrowed id spans answered into caller-owned output spans.
+/// Router::Execute runs it on the calling thread; the ThreadedRouter from
+/// WithThreads runs the same requests over a query engine.
+///
 /// Error model: every fallible entry point returns Status / Result<T>
 /// (hc2l/status.h); bad input — missing or corrupt files, out-of-range
 /// vertex ids, invalid options — never aborts the process.
@@ -35,7 +41,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -197,26 +202,6 @@ class Router {
   /// inputs up front. Out-of-range ids abort (internal invariant).
   Dist DistanceUnchecked(Vertex s, Vertex t) const;
 
-  /// One-to-many: d(source, targets[i]) for every target, in order. A thin
-  /// allocating wrapper over BatchQueryInto.
-  Result<std::vector<Dist>> BatchQuery(Vertex source,
-                                       std::span<const Vertex> targets) const;
-
-  /// Many-to-many: result[i][j] = d(sources[i], targets[j]), answered as
-  /// hierarchy-blocked panels (both sides split down the hierarchy, one
-  /// min-plus panel per LCA block). A thin allocating wrapper over the same
-  /// path as DistanceMatrixInto.
-  Result<std::vector<std::vector<Dist>>> DistanceMatrix(
-      std::span<const Vertex> sources, std::span<const Vertex> targets) const;
-
-  /// The k candidates nearest to (from, for directed) `source`, as
-  /// (distance, candidate) pairs sorted ascending, ties broken
-  /// deterministically by candidate order; unreachable candidates excluded.
-  /// k == 0 or an empty candidate set is an empty result, not an error. A
-  /// thin allocating wrapper over KNearestInto.
-  Result<std::vector<std::pair<Dist, Vertex>>> KNearest(
-      Vertex source, std::span<const Vertex> candidates, size_t k) const;
-
   // --- Route unpacking (docs/api.md "Routes") ---
 
   /// Reconstructs one shortest path s..t (s -> t for directed indexes):
@@ -232,10 +217,10 @@ class Router {
 
   /// Route() into a caller-owned span: writes the vertex sequence into
   /// out_vertices, the path weight into *weight, and returns the vertex
-  /// count (0 when unreachable). The hot path performs no per-call heap
-  /// allocation once its per-thread scratch is warm. A path longer than
-  /// out_vertices fails with kInvalidArgument naming the required size
-  /// (out_vertices is then untouched).
+  /// count (0 when unreachable) — Execute with a kRoute request. The hot
+  /// path performs no per-call heap allocation once its per-thread scratch
+  /// is warm. A path longer than out_vertices fails with kInvalidArgument
+  /// naming the required size (out_vertices is then untouched).
   Result<size_t> RouteInto(Vertex s, Vertex t, std::span<Vertex> out_vertices,
                            Dist* weight) const;
 
@@ -248,41 +233,25 @@ class Router {
   Result<std::vector<RoutePath>> Routes(Vertex s, Vertex t, size_t k) const;
 
   // --- Zero-copy request/response surface (hc2l/query.h) ---
-  // Span-writing forms of the bulk queries: results land in caller-owned
-  // memory and the hot path performs no per-call heap allocation once its
-  // per-thread scratch is warm. Bit-identical distances to the vector
-  // methods above (which wrap these).
+  // Results land in caller-owned memory, and the hot path performs no
+  // per-call heap allocation once its per-thread scratch is warm.
 
   /// Executes `request` sequentially on the calling thread (Router ignores
   /// QueryOptions::num_threads — it is a cap, and sequential execution
   /// satisfies every cap; use ThreadedRouter::Execute to parallelize).
   /// Shape contract and deadline semantics: hc2l/query.h. Errors:
   /// kInvalidArgument (shape mismatch, out-of-range id under the kError
-  /// policy), kDeadlineExceeded.
+  /// policy), kDeadlineExceeded, kFailedPrecondition (a route without hints
+  /// or an attached graph).
   Result<QueryResponse> Execute(const QueryRequest& request,
                                 const QueryOutput& out) const;
 
-  /// Writes d(source, targets[i]) into out[i] for every i. out.size() must
-  /// equal targets.size() exactly.
-  Status BatchQueryInto(Vertex source, std::span<const Vertex> targets,
-                        std::span<Dist> out) const;
-
-  /// Writes the row-major matrix out[i * targets.size() + j] =
-  /// d(sources[i], targets[j]). out.size() must equal
-  /// sources.size() * targets.size() exactly.
+  /// Execute with a kMatrix request: the row-major matrix
+  /// out[i * targets.size() + j] = d(sources[i], targets[j]); out.size()
+  /// must equal sources.size() * targets.size() exactly.
   Status DistanceMatrixInto(std::span<const Vertex> sources,
                             std::span<const Vertex> targets,
                             std::span<Dist> out) const;
-
-  /// K-nearest into parallel caller-owned spans (out_dists[i],
-  /// out_vertices[i] is the i-th neighbor). Both spans must have equal size
-  /// >= min(k, candidates.size()); returns how many slots were written
-  /// (fewer when candidates are unreachable; 0 for k == 0 or no
-  /// candidates — an empty result, not an error).
-  Result<size_t> KNearestInto(Vertex source,
-                              std::span<const Vertex> candidates, size_t k,
-                              std::span<Dist> out_dists,
-                              std::span<Vertex> out_vertices) const;
 
   /// Dynamic weight updates (Section 5.4, undirected only): refreshes every
   /// distance value for a graph with the SAME topology but changed weights,
@@ -343,9 +312,10 @@ class Router {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Parallel bulk queries over a borrowed Router (see Router::WithThreads).
-/// All methods are const and safe to call concurrently from several caller
-/// threads. Do not outlive (or move) the Router it was created from.
+/// Parallel bulk queries over a borrowed Router (see Router::WithThreads):
+/// the same Execute contract, run over the query engine. All methods are
+/// const and safe to call concurrently from several caller threads. Do not
+/// outlive (or move) the Router it was created from.
 class ThreadedRouter {
  public:
   ThreadedRouter(ThreadedRouter&&) noexcept;
@@ -355,53 +325,20 @@ class ThreadedRouter {
   /// Total participating threads (>= 1).
   uint32_t NumThreads() const;
 
-  /// out[i] = d(pairs[i].first, pairs[i].second), sharded across the pool.
-  Result<std::vector<Dist>> PointQueries(
-      std::span<const std::pair<Vertex, Vertex>> pairs) const;
-
-  /// One-to-many, targets sharded across the pool.
-  Result<std::vector<Dist>> BatchQuery(Vertex source,
-                                       std::span<const Vertex> targets) const;
-
-  /// Many-to-many, the longer side sliced across the pool; each slice is
-  /// one blocked-matrix call.
-  Result<std::vector<std::vector<Dist>>> DistanceMatrix(
-      std::span<const Vertex> sources, std::span<const Vertex> targets) const;
-
-  /// K nearest with parallel distance computation and deterministic
-  /// sequential selection. k == 0 or an empty candidate set is an empty
-  /// result, not an error.
-  Result<std::vector<std::pair<Dist, Vertex>>> KNearest(
-      Vertex source, std::span<const Vertex> candidates, size_t k) const;
-
-  // --- Zero-copy request/response surface (hc2l/query.h) ---
-  // Same contracts as the Router forms; execution shards over the borrowed
-  // Router's query engine. QueryOptions::num_threads caps the shards in
-  // flight per request (1 = inline on the caller); results are bit-identical
-  // to the sequential forms for every cap.
-
-  /// Executes `request` over the query engine. Errors: kInvalidArgument,
-  /// kDeadlineExceeded (see hc2l/query.h).
+  /// Executes `request` over the query engine: pairs and one-to-many
+  /// targets shard across the pool, a matrix slices its longer side, and
+  /// k-nearest computes its distances in parallel before a deterministic
+  /// sequential selection. QueryOptions::num_threads caps the shards in
+  /// flight per request (1 = inline on the caller); results are
+  /// bit-identical to Router::Execute for every cap. Errors: as
+  /// Router::Execute.
   Result<QueryResponse> Execute(const QueryRequest& request,
                                 const QueryOutput& out) const;
 
-  /// Writes d(source, targets[i]) into out[i]; out.size() must equal
-  /// targets.size() exactly.
-  Status BatchQueryInto(Vertex source, std::span<const Vertex> targets,
-                        std::span<Dist> out) const;
-
-  /// Row-major many-to-many; out.size() must equal
-  /// sources.size() * targets.size() exactly.
+  /// Execute with a kMatrix request; see Router::DistanceMatrixInto.
   Status DistanceMatrixInto(std::span<const Vertex> sources,
                             std::span<const Vertex> targets,
                             std::span<Dist> out) const;
-
-  /// K-nearest into parallel spans of equal size >=
-  /// min(k, candidates.size()); returns the number of slots written.
-  Result<size_t> KNearestInto(Vertex source,
-                              std::span<const Vertex> candidates, size_t k,
-                              std::span<Dist> out_dists,
-                              std::span<Vertex> out_vertices) const;
 
  private:
   friend class Router;

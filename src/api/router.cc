@@ -75,14 +75,15 @@ Status CheckVertices(const char* what, std::span<const Vertex> vs,
 
 // ------------------------------------------------- request execution ---
 //
-// Execute and the *Into span forms funnel into three primitives — Pairs,
-// Batch, Matrix — provided by a Runner: SeqRunner answers them inline on
-// the calling thread (Router), PoolRunner shards them over the query engine
-// (ThreadedRouter). Policy handling (missing-vertex filtering) and shape
-// validation live above the runners, so both executors share them; the
-// primitives only ever see in-range ids. Each primitive reports the output
-// ranges it finished to its RangeCallback (QueryOutput::on_written): the
-// SeqRunner once over the whole output, the PoolRunner per engine shard.
+// Execute is the one bulk-query entry point of both executors. It funnels
+// into three primitives — Pairs, Batch, Matrix — plus Route, provided by a
+// Runner: SeqRunner answers them inline on the calling thread (Router),
+// PoolRunner shards them over the query engine (ThreadedRouter). Shape and
+// id validation and the missing-vertex policy live above the runners, so
+// both executors share them; the primitives only ever see in-range ids.
+// Each primitive reports the output ranges it finished to its RangeCallback
+// (QueryOutput::on_written): the SeqRunner once over the whole output, the
+// PoolRunner per engine shard.
 
 /// A request's absolute deadline, resolved once at Execute entry.
 struct Deadline {
@@ -168,9 +169,9 @@ Status SeqMatrix(const Index& index, std::span<const Vertex> sources,
 }
 
 /// Per-thread staging buffers of the facade layer: missing-vertex
-/// filtering, k-nearest distance staging, row-pointer tables for the
-/// vector<vector> wrappers. Kept separate from the core QueryScratch (which
-/// the index primitives use underneath on the same thread).
+/// filtering, k-nearest distance staging, route unpacking. Kept separate
+/// from the core QueryScratch (which the index primitives use underneath on
+/// the same thread).
 struct FacadeScratch {
   std::vector<Vertex> ids_a;  // filtered sources (pairwise / matrix)
   std::vector<Vertex> ids_b;  // filtered targets
@@ -178,8 +179,7 @@ struct FacadeScratch {
   std::vector<uint32_t> pos_b;
   std::vector<Dist> stage;
   std::vector<Dist> knn;
-  std::vector<Dist*> rows;
-  RoutePath route;  // staging for RouteInto / Execute(kRoute)
+  RoutePath route;
 };
 
 FacadeScratch& TlsFacadeScratch() {
@@ -194,74 +194,54 @@ bool AllInRange(std::span<const Vertex> vs, uint64_t n) {
   return true;
 }
 
-/// One-to-many under the request's missing-vertex policy; ids may be out of
-/// range. Writes every slot of out[0 .. targets.size()), reporting them to
-/// `on_written` (the filter-and-scatter path: once, after the scatter).
+// The *WithPolicy functions run a primitive on ids the kError policy has
+// already validated (or kUnchecked vouches for); under kUnreachable they
+// answer the in-range ids through the primitive into staging and scatter
+// them into an output frame of kInfDist, reporting the whole output to
+// `on_written` once, after the scatter.
+
+/// One-to-many: writes every slot of out[0 .. targets.size()).
 template <typename Runner>
 Status BatchWithPolicy(const Runner& runner, uint64_t n, Vertex source,
                        std::span<const Vertex> targets, Dist* out,
                        MissingVertexPolicy policy, const Deadline& dl,
                        FacadeScratch& fs, RangeCallback on_written) {
-  if (policy != MissingVertexPolicy::kUnreachable) {
-    // kUnchecked skips the validation scan entirely (trusted caller).
-    if (policy == MissingVertexPolicy::kError) {
-      if (Status st = CheckVertex("source", source, n); !st.ok()) return st;
-      if (Status st = CheckVertices("targets", targets, n); !st.ok()) {
-        return st;
-      }
-    }
+  if (policy != MissingVertexPolicy::kUnreachable ||
+      (source < n && AllInRange(targets, n))) {
     return runner.Batch(source, targets, out, dl, on_written);
-  }
-  if (source >= n) {
-    std::fill(out, out + targets.size(), kInfDist);
-    on_written(0, targets.size());
-    return Status::Ok();
-  }
-  if (AllInRange(targets, n)) {
-    return runner.Batch(source, targets, out, dl, on_written);
-  }
-  // Degenerate lenient path: answer the in-range targets through the normal
-  // primitive, scatter back, leave the rest unreachable.
-  fs.ids_b.clear();
-  fs.pos_b.clear();
-  for (size_t i = 0; i < targets.size(); ++i) {
-    if (targets[i] < n) {
-      fs.ids_b.push_back(targets[i]);
-      fs.pos_b.push_back(static_cast<uint32_t>(i));
-    }
   }
   std::fill(out, out + targets.size(), kInfDist);
-  fs.stage.resize(fs.ids_b.size());
-  if (Status st = runner.Batch(source, fs.ids_b, fs.stage.data(), dl);
-      !st.ok()) {
-    return st;
-  }
-  for (size_t j = 0; j < fs.ids_b.size(); ++j) {
-    out[fs.pos_b[j]] = fs.stage[j];
+  if (source < n) {
+    fs.ids_b.clear();
+    fs.pos_b.clear();
+    for (size_t i = 0; i < targets.size(); ++i) {
+      if (targets[i] < n) {
+        fs.ids_b.push_back(targets[i]);
+        fs.pos_b.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    fs.stage.resize(fs.ids_b.size());
+    if (Status st = runner.Batch(source, fs.ids_b, fs.stage.data(), dl);
+        !st.ok()) {
+      return st;
+    }
+    for (size_t j = 0; j < fs.ids_b.size(); ++j) {
+      out[fs.pos_b[j]] = fs.stage[j];
+    }
   }
   on_written(0, targets.size());
   return Status::Ok();
 }
 
-/// Pairwise point queries under the missing-vertex policy.
+/// Pairwise: out[i] = d(sources[i], targets[i]).
 template <typename Runner>
 Status PairsWithPolicy(const Runner& runner, uint64_t n,
                        std::span<const Vertex> sources,
                        std::span<const Vertex> targets, Dist* out,
                        MissingVertexPolicy policy, const Deadline& dl,
                        FacadeScratch& fs, RangeCallback on_written) {
-  if (policy != MissingVertexPolicy::kUnreachable) {
-    if (policy == MissingVertexPolicy::kError) {
-      if (Status st = CheckVertices("sources", sources, n); !st.ok()) {
-        return st;
-      }
-      if (Status st = CheckVertices("targets", targets, n); !st.ok()) {
-        return st;
-      }
-    }
-    return runner.Pairs(sources, targets, out, dl, on_written);
-  }
-  if (AllInRange(sources, n) && AllInRange(targets, n)) {
+  if (policy != MissingVertexPolicy::kUnreachable ||
+      (AllInRange(sources, n) && AllInRange(targets, n))) {
     return runner.Pairs(sources, targets, out, dl, on_written);
   }
   fs.ids_a.clear();
@@ -287,7 +267,7 @@ Status PairsWithPolicy(const Runner& runner, uint64_t n,
   return Status::Ok();
 }
 
-/// Row-major many-to-many under the missing-vertex policy.
+/// Row-major many-to-many.
 template <typename Runner>
 Status MatrixWithPolicy(const Runner& runner, uint64_t n,
                         std::span<const Vertex> sources,
@@ -295,23 +275,12 @@ Status MatrixWithPolicy(const Runner& runner, uint64_t n,
                         MissingVertexPolicy policy, const Deadline& dl,
                         FacadeScratch& fs, RangeCallback on_written) {
   const size_t cols = targets.size();
-  const MatrixRows rows{.flat = out, .stride = cols};
-  if (policy != MissingVertexPolicy::kUnreachable) {
-    if (policy == MissingVertexPolicy::kError) {
-      if (Status st = CheckVertices("sources", sources, n); !st.ok()) {
-        return st;
-      }
-      if (Status st = CheckVertices("targets", targets, n); !st.ok()) {
-        return st;
-      }
-    }
-    return runner.Matrix(sources, targets, rows, dl, on_written);
+  if (policy != MissingVertexPolicy::kUnreachable ||
+      (AllInRange(sources, n) && AllInRange(targets, n))) {
+    return runner.Matrix(sources, targets,
+                         MatrixRows{.flat = out, .stride = cols}, dl,
+                         on_written);
   }
-  if (AllInRange(sources, n) && AllInRange(targets, n)) {
-    return runner.Matrix(sources, targets, rows, dl, on_written);
-  }
-  // Compute the in-range submatrix into staging, scatter it into the output
-  // frame of kInfDist rows/columns.
   fs.ids_a.clear();
   fs.pos_a.clear();
   for (size_t i = 0; i < sources.size(); ++i) {
@@ -357,8 +326,38 @@ std::string ShapeError(const char* what, size_t got, size_t need) {
          " slots; " + what + " needs exactly " + std::to_string(need);
 }
 
+/// A default-options request of `kind` over the given id spans.
+QueryRequest RequestOf(QueryKind kind, std::span<const Vertex> sources,
+                       std::span<const Vertex> targets) {
+  QueryRequest request;
+  request.kind = kind;
+  request.sources = sources;
+  request.targets = targets;
+  return request;
+}
+
+/// A response's slot count, for the wrappers that return only that.
+Result<size_t> WrittenOf(const Result<QueryResponse>& response) {
+  if (!response.ok()) return response.status();
+  return response->written;
+}
+
+/// The kError policy's id check, naming the first out-of-range id. A
+/// matrix's sources are rows, a list even when there is only one; elsewhere
+/// a lone source is "source".
+Status CheckIds(const QueryRequest& req, uint64_t n, const char* targets_name) {
+  if (req.options.missing_vertices != MissingVertexPolicy::kError) {
+    return Status::Ok();
+  }
+  Status st = req.sources.size() == 1 && req.kind != QueryKind::kMatrix
+                  ? CheckVertex("source", req.sources[0], n)
+                  : CheckVertices("sources", req.sources, n);
+  if (!st.ok()) return st;
+  return CheckVertices(targets_name, req.targets, n);
+}
+
 /// The shared Execute implementation: shape validation, policy dispatch,
-/// response assembly. `runner` supplies the three compute primitives.
+/// response assembly. `runner` supplies the compute primitives.
 template <typename Runner>
 Result<QueryResponse> ExecuteRequest(const QueryRequest& req,
                                      const QueryOutput& out, uint64_t n,
@@ -372,28 +371,29 @@ Result<QueryResponse> ExecuteRequest(const QueryRequest& req,
         return Status::InvalidArgument(ShapeError(
             "a point batch", out.distances.size(), req.targets.size()));
       }
-      if (req.sources.size() == 1) {
-        if (Status st =
-                BatchWithPolicy(runner, n, req.sources[0], req.targets,
-                                out.distances.data(), policy, dl, fs,
-                                out.on_written);
-            !st.ok()) {
-          return st;
-        }
-      } else if (req.sources.size() == req.targets.size()) {
-        if (Status st =
-                PairsWithPolicy(runner, n, req.sources, req.targets,
-                                out.distances.data(), policy, dl, fs,
-                                out.on_written);
-            !st.ok()) {
-          return st;
-        }
-      } else {
+      // Equal counts are pairwise (a lone pair included); one-to-many is a
+      // single source against any other number of targets.
+      const bool pairwise = req.sources.size() == req.targets.size();
+      if (!pairwise && req.sources.size() != 1) {
         return Status::InvalidArgument(
             "a point batch needs one source (one-to-many) or exactly as many "
             "sources as targets (pairwise); got " +
             std::to_string(req.sources.size()) + " sources for " +
             std::to_string(req.targets.size()) + " targets");
+      }
+      if (Status st = CheckIds(req, n, "targets"); !st.ok()) {
+        return st;
+      }
+      if (Status st = pairwise ? PairsWithPolicy(runner, n, req.sources,
+                                                 req.targets,
+                                                 out.distances.data(), policy,
+                                                 dl, fs, out.on_written)
+                               : BatchWithPolicy(runner, n, req.sources[0],
+                                                 req.targets,
+                                                 out.distances.data(), policy,
+                                                 dl, fs, out.on_written);
+          !st.ok()) {
+        return st;
       }
       return QueryResponse{req.targets.size(), 1, req.targets.size()};
     }
@@ -402,6 +402,9 @@ Result<QueryResponse> ExecuteRequest(const QueryRequest& req,
       if (out.distances.size() != need) {
         return Status::InvalidArgument(
             ShapeError("a distance matrix", out.distances.size(), need));
+      }
+      if (Status st = CheckIds(req, n, "targets"); !st.ok()) {
+        return st;
       }
       if (Status st =
               MatrixWithPolicy(runner, n, req.sources, req.targets,
@@ -431,14 +434,8 @@ Result<QueryResponse> ExecuteRequest(const QueryRequest& req,
             "output spans hold " + std::to_string(out.distances.size()) +
             " slots; k-nearest may write up to " + std::to_string(need));
       }
-      if (policy == MissingVertexPolicy::kError) {
-        if (Status st = CheckVertex("source", req.sources[0], n); !st.ok()) {
-          return st;
-        }
-        if (Status st = CheckVertices("candidates", req.targets, n);
-            !st.ok()) {
-          return st;
-        }
+      if (Status st = CheckIds(req, n, "candidates"); !st.ok()) {
+        return st;
       }
       // k == 0 or no candidates: an empty result, not an error.
       if (need == 0) return QueryResponse{0, 1, 0};
@@ -481,6 +478,9 @@ Result<QueryResponse> ExecuteRequest(const QueryRequest& req,
         out.distances[0] = kInfDist;
         return QueryResponse{0, 1, 0};
       }
+      // One unpacking (or, hint-less, one whole-graph bidirectional
+      // search) has no chunk boundary to poll at: a spent budget fails here.
+      if (dl.Expired()) return DeadlineError();
       if (Status st = runner.Route(s, t, &fs.route); !st.ok()) return st;
       if (fs.route.vertices.size() > out.vertices.size()) {
         return Status::InvalidArgument(
@@ -772,47 +772,6 @@ Dist Router::DistanceUnchecked(Vertex s, Vertex t) const {
   return impl_->Visit([&](const auto& index) { return index.Query(s, t); });
 }
 
-Result<std::vector<Dist>> Router::BatchQuery(
-    Vertex source, std::span<const Vertex> targets) const {
-  std::vector<Dist> out(targets.size(), kInfDist);
-  if (Status st = BatchQueryInto(source, targets, out); !st.ok()) return st;
-  return out;
-}
-
-Result<std::vector<std::vector<Dist>>> Router::DistanceMatrix(
-    std::span<const Vertex> sources, std::span<const Vertex> targets) const {
-  const uint64_t n = NumVertices();
-  if (Status st = CheckVertices("sources", sources, n); !st.ok()) return st;
-  if (Status st = CheckVertices("targets", targets, n); !st.ok()) return st;
-  std::vector<std::vector<Dist>> matrix(
-      sources.size(), std::vector<Dist>(targets.size(), kInfDist));
-  if (sources.empty() || targets.empty()) return matrix;
-  FacadeScratch& fs = TlsFacadeScratch();
-  fs.rows.resize(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) fs.rows[i] = matrix[i].data();
-  if (Status st = SeqRunner{impl_.get()}.Matrix(
-          sources, targets, MatrixRows{.rows = fs.rows.data()}, Deadline{});
-      !st.ok()) {
-    return st;
-  }
-  return matrix;
-}
-
-Result<std::vector<std::pair<Dist, Vertex>>> Router::KNearest(
-    Vertex source, std::span<const Vertex> candidates, size_t k) const {
-  const size_t need = std::min(k, candidates.size());
-  std::vector<Dist> dists(need);
-  std::vector<Vertex> vertices(need);
-  Result<size_t> written = KNearestInto(source, candidates, k, dists, vertices);
-  if (!written.ok()) return written.status();
-  std::vector<std::pair<Dist, Vertex>> out;
-  out.reserve(*written);
-  for (size_t i = 0; i < *written; ++i) {
-    out.emplace_back(dists[i], vertices[i]);
-  }
-  return out;
-}
-
 Status Router::Route(Vertex s, Vertex t, RoutePath* out) const {
   const uint64_t n = NumVertices();
   if (Status st = CheckVertex("source", s, n); !st.ok()) return st;
@@ -823,20 +782,8 @@ Status Router::Route(Vertex s, Vertex t, RoutePath* out) const {
 Result<size_t> Router::RouteInto(Vertex s, Vertex t,
                                  std::span<Vertex> out_vertices,
                                  Dist* weight) const {
-  const uint64_t n = NumVertices();
-  if (Status st = CheckVertex("source", s, n); !st.ok()) return st;
-  if (Status st = CheckVertex("target", t, n); !st.ok()) return st;
-  FacadeScratch& fs = TlsFacadeScratch();
-  if (Status st = RouteOnImpl(*impl_, s, t, &fs.route); !st.ok()) return st;
-  if (fs.route.vertices.size() > out_vertices.size()) {
-    return Status::InvalidArgument(
-        "output vertex span holds " + std::to_string(out_vertices.size()) +
-        " slots; this route needs " + std::to_string(fs.route.vertices.size()));
-  }
-  std::copy(fs.route.vertices.begin(), fs.route.vertices.end(),
-            out_vertices.begin());
-  *weight = fs.route.weight;
-  return fs.route.vertices.size();
+  return WrittenOf(Execute(RequestOf(QueryKind::kRoute, {&s, 1}, {&t, 1}),
+                           QueryOutput({weight, 1}, out_vertices)));
 }
 
 Result<std::vector<RoutePath>> Router::Routes(Vertex s, Vertex t,
@@ -854,46 +801,12 @@ Result<QueryResponse> Router::Execute(const QueryRequest& request,
   return ExecuteRequest(request, out, NumVertices(), SeqRunner{impl_.get()});
 }
 
-Status Router::BatchQueryInto(Vertex source, std::span<const Vertex> targets,
-                              std::span<Dist> out) const {
-  if (out.size() != targets.size()) {
-    return Status::InvalidArgument(
-        ShapeError("a point batch", out.size(), targets.size()));
-  }
-  const uint64_t n = NumVertices();
-  if (Status st = CheckVertex("source", source, n); !st.ok()) return st;
-  if (Status st = CheckVertices("targets", targets, n); !st.ok()) return st;
-  return SeqRunner{impl_.get()}.Batch(source, targets, out.data(), Deadline{});
-}
-
 Status Router::DistanceMatrixInto(std::span<const Vertex> sources,
                                   std::span<const Vertex> targets,
                                   std::span<Dist> out) const {
-  if (out.size() != sources.size() * targets.size()) {
-    return Status::InvalidArgument(ShapeError(
-        "a distance matrix", out.size(), sources.size() * targets.size()));
-  }
-  const uint64_t n = NumVertices();
-  if (Status st = CheckVertices("sources", sources, n); !st.ok()) return st;
-  if (Status st = CheckVertices("targets", targets, n); !st.ok()) return st;
-  return SeqRunner{impl_.get()}.Matrix(
-      sources, targets, MatrixRows{.flat = out.data(), .stride = targets.size()},
-      Deadline{});
-}
-
-Result<size_t> Router::KNearestInto(Vertex source,
-                                    std::span<const Vertex> candidates,
-                                    size_t k, std::span<Dist> out_dists,
-                                    std::span<Vertex> out_vertices) const {
-  QueryRequest request;
-  request.kind = QueryKind::kKNearest;
-  request.sources = std::span<const Vertex>(&source, 1);
-  request.targets = candidates;
-  request.k = k;
-  Result<QueryResponse> response =
-      Execute(request, QueryOutput{out_dists, out_vertices});
-  if (!response.ok()) return response.status();
-  return response->written;
+  return Execute(RequestOf(QueryKind::kMatrix, sources, targets),
+                 QueryOutput(out))
+      .status();
 }
 
 Status Router::RebuildLabels(const Graph& updated, bool tail_pruning,
@@ -1080,110 +993,18 @@ uint32_t ThreadedRouter::NumThreads() const {
   return impl_->Visit([](const auto& engine) { return engine.NumThreads(); });
 }
 
-Result<std::vector<Dist>> ThreadedRouter::PointQueries(
-    std::span<const std::pair<Vertex, Vertex>> pairs) const {
-  const uint64_t n = impl_->num_vertices;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (pairs[i].first >= n || pairs[i].second >= n) {
-      return Status::InvalidArgument(
-          "pairs[" + std::to_string(i) + "] = (" +
-          std::to_string(pairs[i].first) + ", " +
-          std::to_string(pairs[i].second) + ") out of range [0, " +
-          std::to_string(n) + ")");
-    }
-  }
-  return impl_->Visit(
-      [&](const auto& engine) { return engine.PointQueries(pairs); });
-}
-
-Result<std::vector<Dist>> ThreadedRouter::BatchQuery(
-    Vertex source, std::span<const Vertex> targets) const {
-  std::vector<Dist> out(targets.size(), kInfDist);
-  if (Status st = BatchQueryInto(source, targets, out); !st.ok()) return st;
-  return out;
-}
-
-Result<std::vector<std::vector<Dist>>> ThreadedRouter::DistanceMatrix(
-    std::span<const Vertex> sources, std::span<const Vertex> targets) const {
-  const uint64_t n = impl_->num_vertices;
-  if (Status st = CheckVertices("sources", sources, n); !st.ok()) return st;
-  if (Status st = CheckVertices("targets", targets, n); !st.ok()) return st;
-  std::vector<std::vector<Dist>> matrix(
-      sources.size(), std::vector<Dist>(targets.size(), kInfDist));
-  if (sources.empty() || targets.empty()) return matrix;
-  FacadeScratch& fs = TlsFacadeScratch();
-  fs.rows.resize(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) fs.rows[i] = matrix[i].data();
-  if (Status st = PoolRunner{impl_.get()}.Matrix(
-          sources, targets, MatrixRows{.rows = fs.rows.data()}, Deadline{});
-      !st.ok()) {
-    return st;
-  }
-  return matrix;
-}
-
-Result<std::vector<std::pair<Dist, Vertex>>> ThreadedRouter::KNearest(
-    Vertex source, std::span<const Vertex> candidates, size_t k) const {
-  const size_t need = std::min(k, candidates.size());
-  std::vector<Dist> dists(need);
-  std::vector<Vertex> vertices(need);
-  Result<size_t> written = KNearestInto(source, candidates, k, dists, vertices);
-  if (!written.ok()) return written.status();
-  std::vector<std::pair<Dist, Vertex>> out;
-  out.reserve(*written);
-  for (size_t i = 0; i < *written; ++i) {
-    out.emplace_back(dists[i], vertices[i]);
-  }
-  return out;
-}
-
 Result<QueryResponse> ThreadedRouter::Execute(const QueryRequest& request,
                                               const QueryOutput& out) const {
   return ExecuteRequest(request, out, impl_->num_vertices,
                         PoolRunner{impl_.get(), request.options.num_threads});
 }
 
-Status ThreadedRouter::BatchQueryInto(Vertex source,
-                                      std::span<const Vertex> targets,
-                                      std::span<Dist> out) const {
-  if (out.size() != targets.size()) {
-    return Status::InvalidArgument(
-        ShapeError("a point batch", out.size(), targets.size()));
-  }
-  const uint64_t n = impl_->num_vertices;
-  if (Status st = CheckVertex("source", source, n); !st.ok()) return st;
-  if (Status st = CheckVertices("targets", targets, n); !st.ok()) return st;
-  return PoolRunner{impl_.get()}.Batch(source, targets, out.data(),
-                                       Deadline{});
-}
-
 Status ThreadedRouter::DistanceMatrixInto(std::span<const Vertex> sources,
                                           std::span<const Vertex> targets,
                                           std::span<Dist> out) const {
-  if (out.size() != sources.size() * targets.size()) {
-    return Status::InvalidArgument(ShapeError(
-        "a distance matrix", out.size(), sources.size() * targets.size()));
-  }
-  const uint64_t n = impl_->num_vertices;
-  if (Status st = CheckVertices("sources", sources, n); !st.ok()) return st;
-  if (Status st = CheckVertices("targets", targets, n); !st.ok()) return st;
-  return PoolRunner{impl_.get()}.Matrix(
-      sources, targets,
-      MatrixRows{.flat = out.data(), .stride = targets.size()}, Deadline{});
-}
-
-Result<size_t> ThreadedRouter::KNearestInto(
-    Vertex source, std::span<const Vertex> candidates, size_t k,
-    std::span<Dist> out_dists, std::span<Vertex> out_vertices) const {
-  QueryRequest request;
-  request.kind = QueryKind::kKNearest;
-  request.sources = std::span<const Vertex>(&source, 1);
-  request.targets = candidates;
-  request.k = k;
-  Result<QueryResponse> response =
-      Execute(request, QueryOutput{out_dists, out_vertices});
-  if (!response.ok()) return response.status();
-  return response->written;
+  return Execute(RequestOf(QueryKind::kMatrix, sources, targets),
+                 QueryOutput(out))
+      .status();
 }
 
 }  // namespace hc2l

@@ -72,7 +72,10 @@ double MeasureAvgBatchTargetMicros(const Hc2lIndex& index,
   uint64_t local = 0;
   Timer timer;
   for (size_t i = 0; i < num_sources; ++i) {
-    const std::vector<Dist> dists = index.BatchQuery(pairs[i].first, targets);
+    // One result vector per call, allocated and filled as a caller keeping
+    // each batch's answers would (the figure has always included it).
+    std::vector<Dist> dists(targets.size(), kInfDist);
+    index.BatchQueryInto(pairs[i].first, targets, dists.data());
     local += dists.back() == kInfDist ? 1 : dists.back();
   }
   const double micros = timer.Micros();

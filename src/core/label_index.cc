@@ -205,14 +205,6 @@ void LabelIndex<kDirections>::PointPairsInto(std::span<const Vertex> sources,
 }
 
 template <int kDirections>
-std::vector<Dist> LabelIndex<kDirections>::BatchQuery(
-    Vertex source, std::span<const Vertex> targets) const {
-  std::vector<Dist> out(targets.size(), kInfDist);
-  BatchQueryInto(source, targets, out.data());
-  return out;
-}
-
-template <int kDirections>
 void LabelIndex<kDirections>::BatchQueryInto(Vertex source,
                                              std::span<const Vertex> targets,
                                              Dist* out) const {
@@ -227,17 +219,6 @@ void LabelIndex<kDirections>::BatchQueryInto(Vertex source,
 }
 
 template <int kDirections>
-std::vector<std::vector<Dist>> LabelIndex<kDirections>::DistanceMatrix(
-    std::span<const Vertex> sources, std::span<const Vertex> targets) const {
-  std::vector<std::vector<Dist>> matrix(
-      sources.size(), std::vector<Dist>(targets.size(), kInfDist));
-  std::vector<Dist*> row_ptrs(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) row_ptrs[i] = matrix[i].data();
-  DistanceMatrixInto(sources, targets, MatrixRows{.rows = row_ptrs.data()});
-  return matrix;
-}
-
-template <int kDirections>
 bool LabelIndex<kDirections>::DistanceMatrixInto(
     std::span<const Vertex> sources, std::span<const Vertex> targets,
     const MatrixRows& rows, StopPoll stop) const {
@@ -249,13 +230,6 @@ bool LabelIndex<kDirections>::DistanceMatrixInto(
       [&](Vertex v) { return Resolve(v, /*as_source=*/false); },
       [&](Vertex s, Vertex t) { return contraction_->SameTreeDistance(s, t); },
       rows, stop);
-}
-
-template <int kDirections>
-std::vector<std::pair<Dist, Vertex>> LabelIndex<kDirections>::KNearest(
-    Vertex source, std::span<const Vertex> candidates, size_t k) const {
-  const std::vector<Dist> dists = BatchQuery(source, candidates);
-  return SelectKNearest(dists, candidates, k);
 }
 
 // --- Route unpacking. CoreRoute walks the hint stores from both ends: the

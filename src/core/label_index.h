@@ -106,24 +106,16 @@ class LabelIndex {
   void PointPairsInto(std::span<const Vertex> sources,
                       std::span<const Vertex> targets, Dist* out) const;
 
-  /// One-to-many: distances from `source` to every target, in order.
-  /// The bulk interface for the paper's motivating workloads (Section 1:
-  /// matching cars to customers, k-nearest POIs).
-  std::vector<Dist> BatchQuery(Vertex source,
-                               std::span<const Vertex> targets) const;
-
-  /// Span-writing BatchQuery: writes out[i] = d(source, targets[i]) for every
-  /// i (every slot is written; no pre-fill needed). The source side is
-  /// resolved once and targets are swept grouped by LCA level. Working
+  /// One-to-many, the bulk interface for the paper's motivating workloads
+  /// (Section 1: matching cars to customers, k-nearest POIs): writes
+  /// out[i] = d(source, targets[i]) for every i (every slot is written; no
+  /// pre-fill needed). The source side is resolved once and targets are
+  /// swept grouped by LCA level. Working
   /// memory comes from the calling thread's QueryScratch, so steady-state
   /// calls do not allocate — the primitive under the facade's zero-copy
   /// request path.
   void BatchQueryInto(Vertex source, std::span<const Vertex> targets,
                       Dist* out) const;
-
-  /// Many-to-many distance matrix: result[i][j] = d(sources[i], targets[j]).
-  std::vector<std::vector<Dist>> DistanceMatrix(
-      std::span<const Vertex> sources, std::span<const Vertex> targets) const;
 
   /// The many-to-many primitive under every matrix path: writes
   /// rows.Row(i)[j] = d(sources[i], targets[j]) for every cell. Both sides
@@ -137,12 +129,6 @@ class LabelIndex {
   bool DistanceMatrixInto(std::span<const Vertex> sources,
                           std::span<const Vertex> targets,
                           const MatrixRows& rows, StopPoll stop = {}) const;
-
-  /// The k candidates nearest to `source` (ties broken deterministically by
-  /// candidate order), as (distance, candidate) pairs sorted ascending;
-  /// unreachable candidates are excluded, so fewer than k entries may return.
-  std::vector<std::pair<Dist, Vertex>> KNearest(
-      Vertex source, std::span<const Vertex> candidates, size_t k) const;
 
   /// Reconstructs one shortest path s -> t from the labels: out->vertices
   /// holds the full original-id sequence (s first, t last; the single

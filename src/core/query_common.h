@@ -22,31 +22,18 @@ struct PendingTarget {
   Dist offset;  // contraction detour (source side + target side)
 };
 
-/// Row-output view of the matrix paths: either a flat row-major buffer
-/// (`flat` + `stride`) or an array of per-row pointers (`rows`, which wins
-/// when non-null), with every row shifted right by `col` columns. Lets the
-/// zero-copy request path (one flat caller span), the vector<vector>
-/// wrappers and the engine's slices share one implementation.
+/// Row-output view of the matrix paths: a row-major buffer whose row i
+/// starts at `flat + i * stride`. The zero-copy request path (one flat
+/// caller span) and the engine's slices (a sub-block of it) share it.
 struct MatrixRows {
   Dist* flat = nullptr;
   size_t stride = 0;
-  Dist* const* rows = nullptr;
-  size_t col = 0;
 
-  Dist* Row(size_t i) const {
-    return (rows != nullptr ? rows[i] : flat + i * stride) + col;
-  }
+  Dist* Row(size_t i) const { return flat + i * stride; }
 
   /// The view whose cell (0, 0) is this view's cell (row, col).
-  MatrixRows Slice(size_t row, size_t col_offset) const {
-    MatrixRows out = *this;
-    if (rows != nullptr) {
-      out.rows += row;
-    } else {
-      out.flat += row * stride;
-    }
-    out.col += col_offset;
-    return out;
+  MatrixRows Slice(size_t row, size_t col) const {
+    return {.flat = flat + row * stride + col, .stride = stride};
   }
 };
 
@@ -334,38 +321,14 @@ bool BlockedDistanceMatrix(std::span<const Vertex> sources,
   return true;
 }
 
-/// Deterministic k-nearest selection shared by both indexes and the parallel
-/// query engine: candidates are ranked by (distance, candidate position), so
-/// ties break by input order — the same result regardless of sort internals
-/// or how many threads produced `dists`. Unreachable candidates are excluded,
-/// so fewer than k entries may return.
-inline std::vector<std::pair<Dist, Vertex>> SelectKNearest(
-    std::span<const Dist> dists, std::span<const Vertex> candidates,
-    size_t k) {
-  std::vector<uint32_t> idx;
-  idx.reserve(candidates.size());
-  for (uint32_t i = 0; i < candidates.size(); ++i) {
-    if (dists[i] != kInfDist) idx.push_back(i);
-  }
-  const size_t keep = std::min(k, idx.size());
-  std::partial_sort(idx.begin(), idx.begin() + keep, idx.end(),
-                    [&](uint32_t a, uint32_t b) {
-                      if (dists[a] != dists[b]) return dists[a] < dists[b];
-                      return a < b;
-                    });
-  std::vector<std::pair<Dist, Vertex>> out;
-  out.reserve(keep);
-  for (size_t i = 0; i < keep; ++i) {
-    out.emplace_back(dists[idx[i]], candidates[idx[i]]);
-  }
-  return out;
-}
-
-/// Span-writing SelectKNearest for the request/response API: identical
-/// selection (ranked by (distance, candidate position), unreachable
-/// excluded) written into caller-owned arrays. `out_dists`/`out_vertices`
-/// must hold at least min(k, candidates.size()) slots. The ranking buffer
-/// reuses `scratch->knn_idx` capacity. Returns the number of slots written.
+/// Deterministic k-nearest selection of the request path: candidates are
+/// ranked by (distance, candidate position), so ties break by input order —
+/// the same result regardless of sort internals or how many threads produced
+/// `dists`. Unreachable candidates are excluded, so fewer than k may be
+/// selected. The selection goes into caller-owned arrays:
+/// `out_dists`/`out_vertices` must hold at least min(k, candidates.size())
+/// slots. The ranking buffer reuses `scratch->knn_idx` capacity. Returns the
+/// number of slots written.
 inline size_t SelectKNearestInto(std::span<const Dist> dists,
                                  std::span<const Vertex> candidates, size_t k,
                                  Dist* out_dists, Vertex* out_vertices,

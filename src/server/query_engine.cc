@@ -89,27 +89,6 @@ size_t BasicQueryEngine<Index>::NumShards(size_t queries,
 }
 
 template <typename Index>
-std::vector<Dist> BasicQueryEngine<Index>::PointQueries(
-    std::span<const std::pair<Vertex, Vertex>> pairs) const {
-  std::vector<Dist> out(pairs.size(), kInfDist);
-  const size_t shards = NumShards(pairs.size());
-  const auto run = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      out[i] = index_->Query(pairs[i].first, pairs[i].second);
-    }
-  };
-  if (shards <= 1) {
-    run(0, pairs.size());
-    return out;
-  }
-  pool_.ParallelFor(shards, [&](size_t s) {
-    const ShardRange r = ShardOf(pairs.size(), shards, s);
-    run(r.begin, r.end);
-  });
-  return out;
-}
-
-template <typename Index>
 bool BasicQueryEngine<Index>::PointPairsInto(
     std::span<const Vertex> sources, std::span<const Vertex> targets,
     Dist* out, const EngineCallOptions& call) const {
@@ -136,14 +115,6 @@ bool BasicQueryEngine<Index>::PointPairsInto(
     });
   }
   return !gate.expired();
-}
-
-template <typename Index>
-std::vector<Dist> BasicQueryEngine<Index>::BatchQuery(
-    Vertex source, std::span<const Vertex> targets) const {
-  std::vector<Dist> out(targets.size(), kInfDist);
-  BatchQueryInto(source, targets, out.data());
-  return out;
 }
 
 template <typename Index>
@@ -177,18 +148,6 @@ bool BasicQueryEngine<Index>::BatchQueryInto(
     });
   }
   return !gate.expired();
-}
-
-template <typename Index>
-std::vector<std::vector<Dist>> BasicQueryEngine<Index>::DistanceMatrix(
-    std::span<const Vertex> sources, std::span<const Vertex> targets) const {
-  std::vector<std::vector<Dist>> matrix(
-      sources.size(), std::vector<Dist>(targets.size(), kInfDist));
-  if (sources.empty() || targets.empty()) return matrix;
-  std::vector<Dist*> row_ptrs(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) row_ptrs[i] = matrix[i].data();
-  DistanceMatrixInto(sources, targets, MatrixRows{.rows = row_ptrs.data()});
-  return matrix;
 }
 
 template <typename Index>
@@ -236,14 +195,6 @@ bool BasicQueryEngine<Index>::DistanceMatrixInto(
   // only once all of them are.
   if (!by_sources) call.on_written(0, cells);
   return true;
-}
-
-template <typename Index>
-std::vector<std::pair<Dist, Vertex>> BasicQueryEngine<Index>::KNearest(
-    Vertex source, std::span<const Vertex> candidates, size_t k) const {
-  const std::vector<Dist> dists = BatchQuery(source, candidates);
-  // Same deterministic selection the index uses, so engine == index exactly.
-  return SelectKNearest(dists, candidates, k);
 }
 
 template class BasicQueryEngine<Hc2lIndex>;

@@ -5,15 +5,15 @@
 /// index.
 ///
 /// The index is read-only after construction, so query scaling is purely a
-/// matter of partitioning work: the engine splits PointQueries / BatchQuery /
-/// DistanceMatrix / KNearest workloads into contiguous shards over a
-/// reusable thread pool, each shard writing its own disjoint slice of the
-/// preallocated result. Because every output slot is a pure function of
-/// (index, inputs) and is written exactly once, results are **bit-identical
-/// to the sequential index methods and independent of thread count or
-/// scheduling order** — the property the differential test suite pins down.
+/// matter of partitioning work: the engine splits pairwise, one-to-many and
+/// many-to-many workloads into contiguous shards over a reusable thread
+/// pool, each shard writing its own disjoint slice of the caller's output.
+/// Because every output slot is a pure function of (index, inputs) and is
+/// written exactly once, results are **bit-identical to the sequential
+/// index methods and independent of thread count or scheduling order** —
+/// the property the differential test suite pins down.
 ///
-/// DistanceMatrix splits the longer side into at most NumThreads()
+/// DistanceMatrixInto splits the longer side into at most NumThreads()
 /// contiguous slices; each worker runs the index's blocked many-to-many
 /// primitive (`Index::DistanceMatrixInto`: both sides split down the
 /// hierarchy, one min-plus panel kernel per LCA block) on its slice against
@@ -38,8 +38,6 @@
 #include <chrono>
 #include <cstdint>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "common/thread_pool.h"
 #include "common/types.h"
@@ -97,40 +95,25 @@ class BasicQueryEngine {
 
   const Index& index() const { return *index_; }
 
-  /// out[i] = d(pairs[i].first, pairs[i].second); independent point queries
-  /// sharded across the pool.
-  std::vector<Dist> PointQueries(
-      std::span<const std::pair<Vertex, Vertex>> pairs) const;
+  // Each entry point writes into caller-owned memory with no per-call
+  // result allocation, and returns false iff the call's deadline expired
+  // before completion — output contents are then unspecified. K-nearest is
+  // a BatchQueryInto plus SelectKNearestInto (the facade's request path).
 
-  /// One-to-many, targets sharded across the pool.
-  std::vector<Dist> BatchQuery(Vertex source,
-                               std::span<const Vertex> targets) const;
-
-  /// Many-to-many, the longer side sliced across the pool.
-  std::vector<std::vector<Dist>> DistanceMatrix(
-      std::span<const Vertex> sources, std::span<const Vertex> targets) const;
-
-  /// K nearest candidates from `source` (distances computed in parallel, the
-  /// final deterministic selection is sequential).
-  std::vector<std::pair<Dist, Vertex>> KNearest(
-      Vertex source, std::span<const Vertex> candidates, size_t k) const;
-
-  // Span-output entry points (the request/response hot path): identical
-  // results to the vector methods, written into caller-owned memory with no
-  // per-call result allocation. Each returns false iff the call's deadline
-  // expired before completion — output contents are then unspecified.
-
-  /// out[i] = d(sources[i], targets[i]); spans must be the same length.
+  /// out[i] = d(sources[i], targets[i]), independent pairs sharded across
+  /// the pool; spans must be the same length.
   bool PointPairsInto(std::span<const Vertex> sources,
                       std::span<const Vertex> targets, Dist* out,
                       const EngineCallOptions& call = {}) const;
 
-  /// One-to-many into out[0 .. targets.size()).
+  /// One-to-many into out[0 .. targets.size()), targets sharded across the
+  /// pool.
   bool BatchQueryInto(Vertex source, std::span<const Vertex> targets,
                       Dist* out, const EngineCallOptions& call = {}) const;
 
-  /// Many-to-many; row i of `rows` receives d(sources[i], targets[j]) for
-  /// every j. Each slice of the longer side is one blocked-matrix call.
+  /// Many-to-many, the longer side sliced across the pool; row i of `rows`
+  /// receives d(sources[i], targets[j]) for every j. Each slice is one
+  /// blocked-matrix call.
   bool DistanceMatrixInto(std::span<const Vertex> sources,
                           std::span<const Vertex> targets,
                           const MatrixRows& rows,

@@ -10,12 +10,15 @@ namespace hc2l {
 namespace {
 
 using ::hc2l::testing::MakeGrid;
+using ::hc2l::testing::BatchQuery;
+using ::hc2l::testing::DistanceMatrix;
+using ::hc2l::testing::KNearest;
 
 TEST(BatchQuery, MatchesSingleQueries) {
   Graph g = MakeGrid(9, 9, 3);
   Hc2lIndex index = Hc2lIndex::Build(g);
   const std::vector<Vertex> targets = {0, 5, 17, 44, 80, 80, 12};
-  const auto batch = index.BatchQuery(40, targets);
+  const auto batch = BatchQuery(index, 40, targets);
   ASSERT_EQ(batch.size(), targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
     EXPECT_EQ(batch[i], index.Query(40, targets[i]));
@@ -25,7 +28,7 @@ TEST(BatchQuery, MatchesSingleQueries) {
 TEST(BatchQuery, EmptyTargets) {
   Graph g = MakeGrid(3, 3);
   Hc2lIndex index = Hc2lIndex::Build(g);
-  EXPECT_TRUE(index.BatchQuery(0, {}).empty());
+  EXPECT_TRUE(BatchQuery(index, 0, {}).empty());
 }
 
 TEST(DistanceMatrix, MatchesDijkstraMatrix) {
@@ -37,7 +40,7 @@ TEST(DistanceMatrix, MatchesDijkstraMatrix) {
   Hc2lIndex index = Hc2lIndex::Build(g);
   const std::vector<Vertex> sources = {0, 13, 57};
   const std::vector<Vertex> targets = {3, 99, 101, 42};
-  const auto matrix = index.DistanceMatrix(sources, targets);
+  const auto matrix = DistanceMatrix(index, sources, targets);
   ASSERT_EQ(matrix.size(), sources.size());
   Dijkstra dijkstra(g);
   for (size_t i = 0; i < sources.size(); ++i) {
@@ -53,7 +56,7 @@ TEST(KNearest, ReturnsSortedNearest) {
   Graph g = MakeGrid(8, 8, 10);
   Hc2lIndex index = Hc2lIndex::Build(g);
   const std::vector<Vertex> candidates = {63, 0, 7, 56, 27, 36};
-  const auto nearest = index.KNearest(0, candidates, 3);
+  const auto nearest = KNearest(index, 0, candidates, 3);
   ASSERT_EQ(nearest.size(), 3u);
   EXPECT_EQ(nearest[0].second, 0u);  // the source itself, distance 0
   EXPECT_EQ(nearest[0].first, 0u);
@@ -77,7 +80,7 @@ TEST(KNearest, ExcludesUnreachableAndClampsK) {
   Graph g = std::move(b).Build();
   Hc2lIndex index = Hc2lIndex::Build(g);
   const std::vector<Vertex> candidates = {1, 2, 3, 4};
-  const auto nearest = index.KNearest(0, candidates, 10);
+  const auto nearest = KNearest(index, 0, candidates, 10);
   ASSERT_EQ(nearest.size(), 2u);
   EXPECT_EQ(nearest[0].second, 1u);
   EXPECT_EQ(nearest[1].second, 2u);
@@ -90,7 +93,7 @@ TEST(KNearest, TiesBreakByCandidateOrder) {
   Graph g = testing::MakeStar(6, 5);
   Hc2lIndex index = Hc2lIndex::Build(g);
   const std::vector<Vertex> candidates = {4, 2, 5, 2, 1};
-  const auto nearest = index.KNearest(0, candidates, 4);
+  const auto nearest = KNearest(index, 0, candidates, 4);
   ASSERT_EQ(nearest.size(), 4u);
   EXPECT_EQ(nearest[0].second, 4u);
   EXPECT_EQ(nearest[1].second, 2u);
@@ -130,7 +133,7 @@ TEST(BatchQuery, EdgeCasesMatchDijkstraAndParallelPath) {
   Dijkstra dijkstra(f.graph);
   dijkstra.Run(f.source);
 
-  const auto sequential = f.index.BatchQuery(f.source, f.targets);
+  const auto sequential = BatchQuery(f.index, f.source, f.targets);
   ASSERT_EQ(sequential.size(), f.targets.size());
   for (size_t i = 0; i < f.targets.size(); ++i) {
     EXPECT_EQ(sequential[i], dijkstra.DistanceTo(f.targets[i])) << "i=" << i;
@@ -143,7 +146,7 @@ TEST(BatchQuery, EdgeCasesMatchDijkstraAndParallelPath) {
     options.num_threads = threads;
     options.min_shard_queries = 2;
     const QueryEngine engine(f.index, options);
-    EXPECT_EQ(engine.BatchQuery(f.source, f.targets), sequential)
+    EXPECT_EQ(BatchQuery(engine, f.source, f.targets), sequential)
         << threads << " threads";
   }
 }
@@ -151,7 +154,7 @@ TEST(BatchQuery, EdgeCasesMatchDijkstraAndParallelPath) {
 TEST(DistanceMatrix, EdgeCasesMatchSequentialAndParallelPaths) {
   EdgeCaseFixture f = EdgeCaseFixture::Make();
   const std::vector<Vertex> sources = {0, 5, 0, 3};  // duplicate source too
-  const auto matrix = f.index.DistanceMatrix(sources, f.targets);
+  const auto matrix = DistanceMatrix(f.index, sources, f.targets);
   Dijkstra dijkstra(f.graph);
   for (size_t i = 0; i < sources.size(); ++i) {
     dijkstra.Run(sources[i]);
@@ -168,33 +171,33 @@ TEST(DistanceMatrix, EdgeCasesMatchSequentialAndParallelPaths) {
     // slices, every block of which is narrow (answered pair by pair).
     options.min_shard_queries = 2;
     const QueryEngine engine(f.index, options);
-    EXPECT_EQ(engine.DistanceMatrix(sources, f.targets), matrix)
+    EXPECT_EQ(DistanceMatrix(engine, sources, f.targets), matrix)
         << threads << " threads";
   }
 }
 
 TEST(BatchQuery, EmptyTargetsAcrossAllPaths) {
   EdgeCaseFixture f = EdgeCaseFixture::Make();
-  EXPECT_TRUE(f.index.BatchQuery(0, {}).empty());
+  EXPECT_TRUE(BatchQuery(f.index, 0, {}).empty());
   const std::vector<Vertex> two_sources = {1, 2};
-  const auto matrix = f.index.DistanceMatrix(two_sources, {});
+  const auto matrix = DistanceMatrix(f.index, two_sources, {});
   ASSERT_EQ(matrix.size(), 2u);
   EXPECT_TRUE(matrix[0].empty());
-  EXPECT_TRUE(f.index.DistanceMatrix({}, f.targets).empty());
-  EXPECT_TRUE(f.index.KNearest(0, {}, 3).empty());
+  EXPECT_TRUE(DistanceMatrix(f.index, {}, f.targets).empty());
+  EXPECT_TRUE(KNearest(f.index, 0, {}, 3).empty());
   const QueryEngine engine(f.index, {});
-  EXPECT_TRUE(engine.BatchQuery(0, {}).empty());
-  EXPECT_TRUE(engine.DistanceMatrix({}, f.targets).empty());
-  EXPECT_TRUE(engine.KNearest(0, {}, 3).empty());
+  EXPECT_TRUE(BatchQuery(engine, 0, {}).empty());
+  EXPECT_TRUE(DistanceMatrix(engine, {}, f.targets).empty());
+  EXPECT_TRUE(KNearest(engine, 0, {}, 3).empty());
 }
 
 TEST(KNearest, UnreachableSourceComponentReturnsEmpty) {
   EdgeCaseFixture f = EdgeCaseFixture::Make();
   // All candidates in the other component: nothing reachable, k ignored.
   const std::vector<Vertex> candidates = {4, 5, 6, 7};
-  EXPECT_TRUE(f.index.KNearest(0, candidates, 10).empty());
+  EXPECT_TRUE(KNearest(f.index, 0, candidates, 10).empty());
   const QueryEngine engine(f.index, {});
-  EXPECT_TRUE(engine.KNearest(0, candidates, 10).empty());
+  EXPECT_TRUE(KNearest(engine, 0, candidates, 10).empty());
 }
 
 }  // namespace

@@ -28,9 +28,14 @@
 #include "search/dijkstra.h"
 #include "search/directed_dijkstra.h"
 #include "shard/sharded_index.h"
+#include "test_util.h"
 
 namespace hc2l {
 namespace {
+
+using ::hc2l::testing::BatchQuery;
+using ::hc2l::testing::DistanceMatrix;
+using ::hc2l::testing::KNearest;
 
 Weight RandomWeight(Rng& rng) {
   switch (rng.Below(4)) {
@@ -293,7 +298,7 @@ void CheckAlternativesAgainstOracle(RoutesFn routes_fn, const GraphT& g,
 
 /// Runs the batch and matrix oracles through the facade's request/response
 /// path (Router::Execute with caller-owned span outputs): the zero-copy API
-/// must agree with the oracle bit for bit, like the vector methods do.
+/// must agree with the oracle bit for bit, like the index primitives do.
 void CheckExecuteAgainstOracle(const Router& router,
                                const std::vector<std::vector<Dist>>& oracle,
                                Vertex batch_source,
@@ -364,7 +369,7 @@ void CheckUndirectedSeed(uint64_t seed) {
   const std::vector<Vertex> targets = MakeTargets(rng, n, batch_source);
 
   // Batch.
-  const std::vector<Dist> batch = index.BatchQuery(batch_source, targets);
+  const std::vector<Dist> batch = BatchQuery(index, batch_source, targets);
   ASSERT_EQ(batch.size(), targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
     ASSERT_EQ(batch[i], oracle[batch_source][targets[i]])
@@ -377,7 +382,7 @@ void CheckUndirectedSeed(uint64_t seed) {
   for (size_t i = 0; i < num_sources; ++i) {
     sources.push_back(static_cast<Vertex>(rng.Below(n)));
   }
-  const auto matrix = index.DistanceMatrix(sources, targets);
+  const auto matrix = DistanceMatrix(index, sources, targets);
   ASSERT_EQ(matrix.size(), sources.size());
   for (size_t i = 0; i < sources.size(); ++i) {
     ASSERT_EQ(matrix[i].size(), targets.size());
@@ -389,7 +394,7 @@ void CheckUndirectedSeed(uint64_t seed) {
 
   // K-nearest for several k, including 0 and beyond the candidate count.
   for (const size_t k : {size_t{0}, size_t{1}, size_t{3}, targets.size() + 5}) {
-    const auto nearest = index.KNearest(batch_source, targets, k);
+    const auto nearest = KNearest(index, batch_source, targets, k);
     const auto expected = OracleKNearest(oracle[batch_source], targets, k);
     ASSERT_EQ(nearest, expected) << "k=" << k;
   }
@@ -466,10 +471,10 @@ void CheckUndirectedSeed(uint64_t seed) {
           << "round-trip point s=" << s << " t=" << t;
     }
   }
-  ASSERT_EQ(loaded->BatchQuery(batch_source, targets), batch);
-  ASSERT_EQ(loaded->DistanceMatrix(sources, targets), matrix);
-  ASSERT_EQ(loaded->KNearest(batch_source, targets, 3),
-            index.KNearest(batch_source, targets, 3));
+  ASSERT_EQ(BatchQuery(*loaded, batch_source, targets), batch);
+  ASSERT_EQ(DistanceMatrix(*loaded, sources, targets), matrix);
+  ASSERT_EQ(KNearest(*loaded, batch_source, targets, 3),
+            KNearest(index, batch_source, targets, 3));
   // Hints survive the round-trip: the loaded index unpacks correct routes.
   ASSERT_TRUE(loaded->HasRouteHints());
   for (Vertex s = 0; s < n; s += 2) {
@@ -513,7 +518,7 @@ void CheckDirectedSeed(uint64_t seed) {
   const Vertex batch_source = static_cast<Vertex>(rng.Below(n));
   const std::vector<Vertex> targets = MakeTargets(rng, n, batch_source);
 
-  const std::vector<Dist> batch = index.BatchQuery(batch_source, targets);
+  const std::vector<Dist> batch = BatchQuery(index, batch_source, targets);
   ASSERT_EQ(batch.size(), targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
     ASSERT_EQ(batch[i], oracle[batch_source][targets[i]])
@@ -525,7 +530,7 @@ void CheckDirectedSeed(uint64_t seed) {
   for (size_t i = 0; i < num_sources; ++i) {
     sources.push_back(static_cast<Vertex>(rng.Below(n)));
   }
-  const auto matrix = index.DistanceMatrix(sources, targets);
+  const auto matrix = DistanceMatrix(index, sources, targets);
   ASSERT_EQ(matrix.size(), sources.size());
   for (size_t i = 0; i < sources.size(); ++i) {
     for (size_t j = 0; j < targets.size(); ++j) {
@@ -535,7 +540,7 @@ void CheckDirectedSeed(uint64_t seed) {
   }
 
   for (const size_t k : {size_t{0}, size_t{2}, targets.size() + 5}) {
-    const auto nearest = index.KNearest(batch_source, targets, k);
+    const auto nearest = KNearest(index, batch_source, targets, k);
     const auto expected = OracleKNearest(oracle[batch_source], targets, k);
     ASSERT_EQ(nearest, expected) << "k=" << k;
   }
@@ -601,8 +606,8 @@ void CheckDirectedSeed(uint64_t seed) {
           << "round-trip point s=" << s << " t=" << t;
     }
   }
-  ASSERT_EQ(loaded->BatchQuery(batch_source, targets), batch);
-  ASSERT_EQ(loaded->DistanceMatrix(sources, targets), matrix);
+  ASSERT_EQ(BatchQuery(*loaded, batch_source, targets), batch);
+  ASSERT_EQ(DistanceMatrix(*loaded, sources, targets), matrix);
   // Hints survive the round-trip: the loaded index unpacks correct directed
   // routes.
   ASSERT_TRUE(loaded->HasRouteHints());
@@ -682,7 +687,8 @@ void CheckShardedSeed(uint64_t seed, const GraphT& g, size_t n,
   Rng rng(seed * 7331 + 11);
   const Vertex batch_source = static_cast<Vertex>(rng.Below(n));
   const std::vector<Vertex> targets = MakeTargets(rng, n, batch_source);
-  const std::vector<Dist> expected_batch = mono.BatchQuery(batch_source, targets);
+  const std::vector<Dist> expected_batch =
+      BatchQuery(mono, batch_source, targets);
   std::vector<Dist> batch(targets.size(), Dist{0xDEAD});
   sharded.BatchQueryInto(batch_source, targets, batch.data());
   ASSERT_EQ(batch, expected_batch);

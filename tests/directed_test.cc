@@ -16,6 +16,8 @@ namespace hc2l {
 namespace {
 
 using ::hc2l::testing::FileBytes;
+using ::hc2l::testing::BatchQuery;
+using ::hc2l::testing::DistanceMatrix;
 
 /// All-pairs directed distances by repeated Dijkstra (ground truth).
 std::vector<std::vector<Dist>> AllPairs(const Digraph& g) {
@@ -336,7 +338,7 @@ TEST(DirectedHc2l, OneWayPendantQueriesThroughTheIndex) {
   EXPECT_EQ(index.Query(5, 6), kInfDist);
   // Batch over every flavour of target at once.
   const std::vector<Vertex> targets = {0, 3, 4, 5, 6};
-  const std::vector<Dist> batch = index.BatchQuery(6, targets);
+  const std::vector<Dist> batch = BatchQuery(index, 6, targets);
   for (size_t i = 0; i < targets.size(); ++i) {
     EXPECT_EQ(batch[i], index.Query(6, targets[i])) << "target " << targets[i];
   }
@@ -365,11 +367,11 @@ TEST(DirectedHc2l, ContractionOnOffAgreeOnPendantHeavyNetworks) {
     }
     for (int i = 0; i < 32; ++i) {
       const Vertex s = static_cast<Vertex>(rng.Below(g.NumVertices()));
-      ASSERT_EQ(a.BatchQuery(s, targets), b.BatchQuery(s, targets))
+      ASSERT_EQ(BatchQuery(a, s, targets), BatchQuery(b, s, targets))
           << "seed " << seed << " s " << s;
     }
-    ASSERT_EQ(a.DistanceMatrix(targets, targets),
-              b.DistanceMatrix(targets, targets))
+    ASSERT_EQ(DistanceMatrix(a, targets, targets),
+              DistanceMatrix(b, targets, targets))
         << "seed " << seed;
   }
 }

@@ -22,10 +22,12 @@
 #include "search/dijkstra.h"
 #include "search/directed_dijkstra.h"
 #include "server/query_engine.h"
+#include "test_util.h"
 
 namespace hc2l {
 namespace {
 
+using ::hc2l::testing::DistanceMatrix;
 using Matrix = std::vector<std::vector<Dist>>;
 
 /// Two disjoint road networks (pendant trees included) in one graph, so
@@ -150,15 +152,16 @@ Matrix PerPairQuery(const Index& index, const std::vector<Vertex>& sources,
   return m;
 }
 
-/// Every matrix path of `index` against `expected`: the vector method, the
-/// span primitive with a non-zero column offset, and the engine at 1, 2 and
-/// 4 threads with shards small enough to cut several slices.
+/// Every matrix path of `index` against `expected`: the span primitive into
+/// a packed buffer and into a sliced view with a non-zero column offset,
+/// and the engine at 1, 2 and 4 threads with shards small enough to cut
+/// several slices.
 template <typename Index>
 void ExpectAllPathsEqual(const Index& index,
                          const std::vector<Vertex>& sources,
                          const std::vector<Vertex>& targets,
                          const Matrix& expected, const std::string& what) {
-  EXPECT_EQ(index.DistanceMatrix(sources, targets), expected) << what;
+  EXPECT_EQ(DistanceMatrix(index, sources, targets), expected) << what;
 
   // Span form into a wider flat buffer at column offset 2: the view's
   // shift must land every cell and leave the margins alone.
@@ -181,7 +184,7 @@ void ExpectAllPathsEqual(const Index& index,
     options.num_threads = threads;
     options.min_shard_queries = 8;
     const BasicQueryEngine<Index> engine(index, options);
-    EXPECT_EQ(engine.DistanceMatrix(sources, targets), expected)
+    EXPECT_EQ(DistanceMatrix(engine, sources, targets), expected)
         << what << " engine threads=" << threads;
   }
 }

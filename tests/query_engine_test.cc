@@ -23,6 +23,10 @@ namespace hc2l {
 namespace {
 
 using ::hc2l::testing::MakeGrid;
+using ::hc2l::testing::BatchQuery;
+using ::hc2l::testing::DistanceMatrix;
+using ::hc2l::testing::KNearest;
+using ::hc2l::testing::PointQueries;
 
 const Graph& FixtureGraph() {
   static const Graph* g = [] {
@@ -81,7 +85,7 @@ TEST(QueryEngine, PointQueriesMatchSequentialAcrossThreadCounts) {
   for (const auto& [s, t] : pairs) expected.push_back(index.Query(s, t));
   for (const uint32_t threads : kThreadCounts) {
     const QueryEngine engine(index, EngineOptions(threads));
-    EXPECT_EQ(engine.PointQueries(pairs), expected) << threads << " threads";
+    EXPECT_EQ(PointQueries(engine, pairs), expected) << threads << " threads";
   }
 }
 
@@ -95,10 +99,10 @@ TEST(QueryEngine, BatchQueryMatchesSequentialAcrossThreadCounts) {
   const Vertex source = 17;
   targets.push_back(source);      // self
   targets.push_back(targets[3]);  // duplicate
-  const auto expected = index.BatchQuery(source, targets);
+  const auto expected = BatchQuery(index, source, targets);
   for (const uint32_t threads : kThreadCounts) {
     const QueryEngine engine(index, EngineOptions(threads));
-    EXPECT_EQ(engine.BatchQuery(source, targets), expected)
+    EXPECT_EQ(BatchQuery(engine, source, targets), expected)
         << threads << " threads";
   }
 }
@@ -128,10 +132,10 @@ TEST(QueryEngine, DistanceMatrixMatchesSequentialAcrossThreadCounts) {
         expected[i][j] = index.Query(sources[i], targets[j]);
       }
     }
-    EXPECT_EQ(index.DistanceMatrix(sources, targets), expected);
+    EXPECT_EQ(DistanceMatrix(index, sources, targets), expected);
     for (const uint32_t threads : kThreadCounts) {
       const QueryEngine engine(index, EngineOptions(threads));
-      EXPECT_EQ(engine.DistanceMatrix(sources, targets), expected)
+      EXPECT_EQ(DistanceMatrix(engine, sources, targets), expected)
           << rows << "x" << cols << ", " << threads << " threads";
     }
   }
@@ -145,10 +149,10 @@ TEST(QueryEngine, KNearestMatchesSequentialAcrossThreadCounts) {
     candidates.push_back(static_cast<Vertex>(rng.Below(index.NumVertices())));
   }
   for (const size_t k : {size_t{0}, size_t{5}, size_t{1000}}) {
-    const auto expected = index.KNearest(40, candidates, k);
+    const auto expected = KNearest(index, 40, candidates, k);
     for (const uint32_t threads : kThreadCounts) {
       const QueryEngine engine(index, EngineOptions(threads));
-      EXPECT_EQ(engine.KNearest(40, candidates, k), expected)
+      EXPECT_EQ(KNearest(engine, 40, candidates, k), expected)
           << threads << " threads, k=" << k;
     }
   }
@@ -168,39 +172,39 @@ TEST(QueryEngine, DirectedEngineMatchesSequentialAcrossThreadCounts) {
   for (size_t i = 0; i < 150; ++i) {
     targets.push_back(static_cast<Vertex>(rng.Below(index.NumVertices())));
   }
-  const auto expected_batch = index.BatchQuery(sources[0], targets);
-  const auto expected_matrix = index.DistanceMatrix(sources, targets);
-  const auto expected_nearest = index.KNearest(sources[0], targets, 7);
+  const auto expected_batch = BatchQuery(index, sources[0], targets);
+  const auto expected_matrix = DistanceMatrix(index, sources, targets);
+  const auto expected_nearest = KNearest(index, sources[0], targets, 7);
   for (const uint32_t threads : kThreadCounts) {
     const DirectedQueryEngine engine(index, EngineOptions(threads));
-    EXPECT_EQ(engine.PointQueries(pairs), expected_points);
-    EXPECT_EQ(engine.BatchQuery(sources[0], targets), expected_batch);
-    EXPECT_EQ(engine.DistanceMatrix(sources, targets), expected_matrix);
-    EXPECT_EQ(engine.KNearest(sources[0], targets, 7), expected_nearest);
+    EXPECT_EQ(PointQueries(engine, pairs), expected_points);
+    EXPECT_EQ(BatchQuery(engine, sources[0], targets), expected_batch);
+    EXPECT_EQ(DistanceMatrix(engine, sources, targets), expected_matrix);
+    EXPECT_EQ(KNearest(engine, sources[0], targets, 7), expected_nearest);
   }
 }
 
 TEST(QueryEngine, EmptyWorkloads) {
   const auto& index = FixtureIndex();
   const QueryEngine engine(index, EngineOptions(4));
-  EXPECT_TRUE(engine.PointQueries({}).empty());
-  EXPECT_TRUE(engine.BatchQuery(0, {}).empty());
-  EXPECT_TRUE(engine.DistanceMatrix({}, {}).empty());
+  EXPECT_TRUE(PointQueries(engine, {}).empty());
+  EXPECT_TRUE(BatchQuery(engine, 0, {}).empty());
+  EXPECT_TRUE(DistanceMatrix(engine, {}, {}).empty());
   const std::vector<Vertex> sources = {1, 2};
-  const auto matrix = engine.DistanceMatrix(sources, {});
+  const auto matrix = DistanceMatrix(engine, sources, {});
   ASSERT_EQ(matrix.size(), 2u);
   EXPECT_TRUE(matrix[0].empty());
   EXPECT_TRUE(matrix[1].empty());
-  EXPECT_TRUE(engine.KNearest(0, {}, 5).empty());
+  EXPECT_TRUE(KNearest(engine, 0, {}, 5).empty());
 }
 
 TEST(QueryEngine, RepeatedCallsAreDeterministic) {
   const auto& index = FixtureIndex();
   const QueryEngine engine(index, EngineOptions(8));
   const auto pairs = UniformRandomPairs(index.NumVertices(), 512, 3);
-  const auto first = engine.PointQueries(pairs);
+  const auto first = PointQueries(engine, pairs);
   for (int round = 0; round < 5; ++round) {
-    EXPECT_EQ(engine.PointQueries(pairs), first) << "round " << round;
+    EXPECT_EQ(PointQueries(engine, pairs), first) << "round " << round;
   }
 }
 
@@ -217,9 +221,9 @@ TEST(QueryEngine, ConcurrentCallersGetConsistentResults) {
     targets.push_back(static_cast<Vertex>(rng.Below(index.NumVertices())));
   }
   const std::vector<Vertex> sources(targets.begin(), targets.begin() + 40);
-  const auto expected_points = engine.PointQueries(pairs);
-  const auto expected_batch = index.BatchQuery(9, targets);
-  const auto expected_matrix = index.DistanceMatrix(sources, targets);
+  const auto expected_points = PointQueries(engine, pairs);
+  const auto expected_batch = BatchQuery(index, 9, targets);
+  const auto expected_matrix = DistanceMatrix(index, sources, targets);
 
   // Matrix callers also exercise the per-thread sort and panel scratch on
   // the pool workers.
@@ -229,10 +233,10 @@ TEST(QueryEngine, ConcurrentCallersGetConsistentResults) {
     callers.emplace_back([&, c]() {
       for (int round = 0; round < 8; ++round) {
         if (c % 3 == 0) {
-          if (engine.PointQueries(pairs) != expected_points) ++mismatches;
+          if (PointQueries(engine, pairs) != expected_points) ++mismatches;
         } else if (c % 3 == 1) {
-          if (engine.BatchQuery(9, targets) != expected_batch) ++mismatches;
-        } else if (engine.DistanceMatrix(sources, targets) !=
+          if (BatchQuery(engine, 9, targets) != expected_batch) ++mismatches;
+        } else if (DistanceMatrix(engine, sources, targets) !=
                    expected_matrix) {
           ++mismatches;
         }

@@ -1,13 +1,15 @@
-// Request/response API tests: hc2l::Router::Execute / ThreadedRouter::Execute
-// and the span-writing *Into forms. The contract under test:
+// Request/response API tests: hc2l::Router::Execute / ThreadedRouter::Execute,
+// the facade's one bulk-query entry point. The contract under test:
 //
-//  - span outputs are bit-identical to the vector-returning methods,
+//  - every kind answers what per-pair Distance answers (k-nearest: its
+//    ranking by (distance, candidate position)), on both executors,
+//  - a lone pair (1 x 1) is pairwise and equals Distance under every
+//    missing-vertex policy, on monolithic and sharded indexes alike,
 //  - every shape violation (under/oversized spans, mismatched pairwise
 //    spans) is a Status, never an abort,
 //  - out-of-range ids obey the request's MissingVertexPolicy,
 //  - an expired deadline is kDeadlineExceeded on every kind and executor,
-//  - k == 0 and empty candidate sets are empty results, not errors, on
-//    Router, ThreadedRouter and the request path alike,
+//  - k == 0 and empty candidate sets are empty results, not errors,
 //  - QueryOutput::on_written reports disjoint ranges that cover the output
 //    exactly once, each already holding its final values.
 
@@ -15,11 +17,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "hc2l/hc2l.h"
+#include "shard/sharded_index.h"
+#include "test_util.h"
 
 namespace hc2l {
 namespace {
@@ -75,9 +81,10 @@ INSTANTIATE_TEST_SUITE_P(BothFlavours, RequestApiTest, ::testing::Bool(),
 
 TEST_P(RequestApiTest, ExecuteBatchMatchesVectorMethods) {
   const Vertex source = 5;
-  const Result<std::vector<Dist>> expected =
-      router_->BatchQuery(source, targets_);
-  ASSERT_TRUE(expected.ok());
+  std::vector<Dist> expected;
+  for (const Vertex t : targets_) {
+    expected.push_back(*router_->Distance(source, t));
+  }
 
   QueryRequest req;
   req.kind = QueryKind::kPointBatch;
@@ -90,13 +97,13 @@ TEST_P(RequestApiTest, ExecuteBatchMatchesVectorMethods) {
   ASSERT_TRUE(seq.ok()) << seq.status().ToString();
   EXPECT_EQ(seq->written, targets_.size());
   EXPECT_EQ(seq->rows, 1u);
-  EXPECT_EQ(out, *expected);
+  EXPECT_EQ(out, expected);
 
   std::fill(out.begin(), out.end(), 12345);
   const Result<QueryResponse> par =
       threaded_->Execute(req, QueryOutput{out, {}});
   ASSERT_TRUE(par.ok()) << par.status().ToString();
-  EXPECT_EQ(out, *expected);
+  EXPECT_EQ(out, expected);
 }
 
 TEST_P(RequestApiTest, ExecutePairwiseMatchesDistance) {
@@ -126,9 +133,12 @@ TEST_P(RequestApiTest, ExecutePairwiseMatchesDistance) {
 }
 
 TEST_P(RequestApiTest, ExecuteMatrixMatchesVectorMethods) {
-  const Result<std::vector<std::vector<Dist>>> expected =
-      router_->DistanceMatrix(sources_, targets_);
-  ASSERT_TRUE(expected.ok());
+  std::vector<std::vector<Dist>> expected(sources_.size());
+  for (size_t i = 0; i < sources_.size(); ++i) {
+    for (const Vertex t : targets_) {
+      expected[i].push_back(*router_->Distance(sources_[i], t));
+    }
+  }
 
   QueryRequest req;
   req.kind = QueryKind::kMatrix;
@@ -142,7 +152,7 @@ TEST_P(RequestApiTest, ExecuteMatrixMatchesVectorMethods) {
   EXPECT_EQ(seq->cols, targets_.size());
   for (size_t i = 0; i < sources_.size(); ++i) {
     for (size_t j = 0; j < targets_.size(); ++j) {
-      ASSERT_EQ(flat[i * targets_.size() + j], (*expected)[i][j])
+      ASSERT_EQ(flat[i * targets_.size() + j], expected[i][j])
           << "cell " << i << "," << j;
     }
   }
@@ -153,7 +163,7 @@ TEST_P(RequestApiTest, ExecuteMatrixMatchesVectorMethods) {
   ASSERT_TRUE(par.ok()) << par.status().ToString();
   for (size_t i = 0; i < sources_.size(); ++i) {
     for (size_t j = 0; j < targets_.size(); ++j) {
-      ASSERT_EQ(flat[i * targets_.size() + j], (*expected)[i][j]);
+      ASSERT_EQ(flat[i * targets_.size() + j], expected[i][j]);
     }
   }
 }
@@ -161,8 +171,14 @@ TEST_P(RequestApiTest, ExecuteMatrixMatchesVectorMethods) {
 TEST_P(RequestApiTest, ExecuteKNearestMatchesVectorMethods) {
   const Vertex source = 2;
   const size_t k = 5;
-  const auto expected = router_->KNearest(source, targets_, k);
-  ASSERT_TRUE(expected.ok());
+  // The reachable candidates ranked by (distance, candidate position).
+  std::vector<std::pair<Dist, size_t>> ranked;
+  for (size_t i = 0; i < targets_.size(); ++i) {
+    const Dist d = *router_->Distance(source, targets_[i]);
+    if (d != kInfDist) ranked.emplace_back(d, i);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  ranked.resize(std::min(k, ranked.size()));
 
   QueryRequest req;
   req.kind = QueryKind::kKNearest;
@@ -174,60 +190,19 @@ TEST_P(RequestApiTest, ExecuteKNearestMatchesVectorMethods) {
   const Result<QueryResponse> seq =
       router_->Execute(req, QueryOutput{dists, verts});
   ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-  ASSERT_EQ(seq->written, expected->size());
+  ASSERT_EQ(seq->written, ranked.size());
   for (size_t i = 0; i < seq->written; ++i) {
-    EXPECT_EQ(dists[i], (*expected)[i].first) << i;
-    EXPECT_EQ(verts[i], (*expected)[i].second) << i;
+    EXPECT_EQ(dists[i], ranked[i].first) << i;
+    EXPECT_EQ(verts[i], targets_[ranked[i].second]) << i;
   }
 
   const Result<QueryResponse> par =
       threaded_->Execute(req, QueryOutput{dists, verts});
   ASSERT_TRUE(par.ok()) << par.status().ToString();
-  ASSERT_EQ(par->written, expected->size());
+  ASSERT_EQ(par->written, ranked.size());
   for (size_t i = 0; i < par->written; ++i) {
-    EXPECT_EQ(dists[i], (*expected)[i].first) << i;
-    EXPECT_EQ(verts[i], (*expected)[i].second) << i;
-  }
-}
-
-TEST_P(RequestApiTest, IntoFormsMatchVectorForms) {
-  const Vertex source = 7;
-  const auto batch = router_->BatchQuery(source, targets_);
-  ASSERT_TRUE(batch.ok());
-  std::vector<Dist> out(targets_.size());
-  ASSERT_TRUE(router_->BatchQueryInto(source, targets_, out).ok());
-  EXPECT_EQ(out, *batch);
-  ASSERT_TRUE(threaded_->BatchQueryInto(source, targets_, out).ok());
-  EXPECT_EQ(out, *batch);
-
-  const auto matrix = router_->DistanceMatrix(sources_, targets_);
-  ASSERT_TRUE(matrix.ok());
-  std::vector<Dist> flat(sources_.size() * targets_.size());
-  ASSERT_TRUE(router_->DistanceMatrixInto(sources_, targets_, flat).ok());
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    for (size_t j = 0; j < targets_.size(); ++j) {
-      ASSERT_EQ(flat[i * targets_.size() + j], (*matrix)[i][j]);
-    }
-  }
-  std::fill(flat.begin(), flat.end(), 0);
-  ASSERT_TRUE(threaded_->DistanceMatrixInto(sources_, targets_, flat).ok());
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    for (size_t j = 0; j < targets_.size(); ++j) {
-      ASSERT_EQ(flat[i * targets_.size() + j], (*matrix)[i][j]);
-    }
-  }
-
-  const auto nearest = router_->KNearest(source, targets_, 4);
-  ASSERT_TRUE(nearest.ok());
-  std::vector<Dist> kd(4);
-  std::vector<Vertex> kv(4);
-  const Result<size_t> written =
-      router_->KNearestInto(source, targets_, 4, kd, kv);
-  ASSERT_TRUE(written.ok());
-  ASSERT_EQ(*written, nearest->size());
-  for (size_t i = 0; i < *written; ++i) {
-    EXPECT_EQ(kd[i], (*nearest)[i].first);
-    EXPECT_EQ(kv[i], (*nearest)[i].second);
+    EXPECT_EQ(dists[i], ranked[i].first) << i;
+    EXPECT_EQ(verts[i], targets_[ranked[i].second]) << i;
   }
 }
 
@@ -236,11 +211,15 @@ TEST_P(RequestApiTest, ShapeMismatchesAreInvalidArgument) {
   std::vector<Dist> small(targets_.size() - 1);
   std::vector<Dist> big(targets_.size() + 1);
 
-  EXPECT_EQ(router_->BatchQueryInto(source, targets_, small).code(),
+  QueryRequest batch;
+  batch.kind = QueryKind::kPointBatch;
+  batch.sources = std::span<const Vertex>(&source, 1);
+  batch.targets = targets_;
+  EXPECT_EQ(router_->Execute(batch, QueryOutput(small)).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(router_->BatchQueryInto(source, targets_, big).code(),
+  EXPECT_EQ(router_->Execute(batch, QueryOutput(big)).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(threaded_->BatchQueryInto(source, targets_, small).code(),
+  EXPECT_EQ(threaded_->Execute(batch, QueryOutput(small)).status().code(),
             StatusCode::kInvalidArgument);
 
   std::vector<Dist> matrix_small(sources_.size() * targets_.size() - 1);
@@ -253,13 +232,19 @@ TEST_P(RequestApiTest, ShapeMismatchesAreInvalidArgument) {
       StatusCode::kInvalidArgument);
 
   // K-nearest: unequal spans, and spans smaller than min(k, candidates).
+  QueryRequest knearest;
+  knearest.kind = QueryKind::kKNearest;
+  knearest.sources = std::span<const Vertex>(&source, 1);
+  knearest.targets = targets_;
+  knearest.k = 4;
   std::vector<Dist> kd(4);
   std::vector<Vertex> kv(3);
-  EXPECT_EQ(router_->KNearestInto(source, targets_, 4, kd, kv).status().code(),
+  EXPECT_EQ(router_->Execute(knearest, QueryOutput(kd, kv)).status().code(),
             StatusCode::kInvalidArgument);
   std::vector<Vertex> kv4(4);
+  knearest.k = 8;
   EXPECT_EQ(
-      router_->KNearestInto(source, targets_, 8, kd, kv4).status().code(),
+      threaded_->Execute(knearest, QueryOutput(kd, kv4)).status().code(),
       StatusCode::kInvalidArgument);
 
   // Pairwise with mismatched span lengths (neither broadcast nor pairwise).
@@ -401,7 +386,7 @@ TEST_P(RequestApiTest, MissingVertexPolicyUnreachable) {
   const Result<QueryResponse> kn = router_->Execute(kreq, QueryOutput{kd, kv});
   ASSERT_TRUE(kn.ok());
   const std::vector<Vertex> good = {2, 5, 8};
-  const auto expected = router_->KNearest(source, good, 5);
+  const auto expected = testing::KNearest(*router_, source, good, 5);
   ASSERT_TRUE(expected.ok());
   ASSERT_EQ(kn->written, expected->size());
   for (size_t i = 0; i < kn->written; ++i) {
@@ -474,6 +459,134 @@ TEST_P(RequestApiTest, DeadlineExceededOnEveryKind) {
   // A generous budget succeeds.
   batch.options.deadline = std::chrono::seconds(30);
   EXPECT_TRUE(router_->Execute(batch, QueryOutput{out, {}}).ok());
+
+  // A route is one unpacking with no chunk boundary to poll at, so a spent
+  // budget fails before it starts: from route hints, and on a hint-less
+  // index before the attached graph's whole-graph bidirectional search.
+  BuildOptions hintless;
+  hintless.route_hints = false;
+  Result<Router> bare = GetParam() ? Router::Build(TestDigraph(), hintless)
+                                   : Router::Build(TestGraph(), hintless);
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  if (GetParam()) bare->AttachDigraph(TestDigraph());
+  Result<ThreadedRouter> bare_threaded = bare->WithThreads(2);
+  ASSERT_TRUE(bare_threaded.ok()) << bare_threaded.status().ToString();
+  const Vertex target = n_ - 1;
+  QueryRequest route;
+  route.kind = QueryKind::kRoute;
+  route.sources = std::span<const Vertex>(&source, 1);
+  route.targets = std::span<const Vertex>(&target, 1);
+  std::vector<Dist> rd(1);
+  std::vector<Vertex> rv(n_);
+  const auto route_on_every_executor = [&](StatusCode want) {
+    EXPECT_EQ(router_->Execute(route, QueryOutput(rd, rv)).status().code(),
+              want);
+    EXPECT_EQ(threaded_->Execute(route, QueryOutput(rd, rv)).status().code(),
+              want);
+    EXPECT_EQ(bare->Execute(route, QueryOutput(rd, rv)).status().code(),
+              want);
+    EXPECT_EQ(
+        bare_threaded->Execute(route, QueryOutput(rd, rv)).status().code(),
+        want);
+  };
+  route.options.deadline = std::chrono::milliseconds(-5);
+  route_on_every_executor(StatusCode::kDeadlineExceeded);
+  route.options.deadline = std::chrono::seconds(30);
+  route_on_every_executor(StatusCode::kOk);
+}
+
+/// Router and ThreadedRouters of 1 and 4 threads over one index, for the
+/// lone-pair checks below.
+struct Executors {
+  Router router;
+  ThreadedRouter one;
+  ThreadedRouter four;
+};
+
+Executors ExecutorsOver(Result<Router> built) {
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  Router router = std::move(built).value();
+  Result<ThreadedRouter> one = router.WithThreads(1);
+  Result<ThreadedRouter> four = router.WithThreads(4);
+  EXPECT_TRUE(one.ok() && four.ok());
+  // The handles borrow router's impl, which the move below keeps in place.
+  return Executors{std::move(router), std::move(one).value(),
+                   std::move(four).value()};
+}
+
+TEST(LonePairExecute, EqualsDistanceUnderEveryPolicy) {
+  // A 1 x 1 point request is pairwise: it must answer exactly what Distance
+  // answers, and degrade or fail on out-of-range ids as its policy says, on
+  // every executor and index kind.
+  const std::string manifest = ::testing::TempDir() + "/hc2l_lone_pair.hc2s";
+  ShardOptions shard_options;
+  shard_options.num_shards = 3;
+  Result<ShardedIndex> sharded =
+      ShardedIndex::Build(TestGraph(), shard_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_TRUE(sharded->Save(manifest).ok());
+
+  struct Named {
+    const char* name;
+    Executors executors;
+  };
+  std::vector<Named> indexes;
+  indexes.push_back({"undirected", ExecutorsOver(Router::Build(TestGraph()))});
+  indexes.push_back(
+      {"one-way directed", ExecutorsOver(Router::Build(TestDigraph()))});
+  indexes.push_back({"3 shards", ExecutorsOver(Router::Open(manifest))});
+  for (uint32_t k = 0; k < 3; ++k) {
+    std::remove((manifest + "." + std::to_string(k)).c_str());
+  }
+  std::remove(manifest.c_str());
+
+  for (const Named& index : indexes) {
+    const Router& router = index.executors.router;
+    const Vertex n = static_cast<Vertex>(router.NumVertices());
+    const Vertex bad = n + 3;
+    Rng rng(5);
+    std::vector<std::pair<Vertex, Vertex>> pairs = {{0, 0}, {0, n - 1}};
+    for (int i = 0; i < 40; ++i) {
+      pairs.emplace_back(static_cast<Vertex>(rng.Below(n)),
+                         static_cast<Vertex>(rng.Below(n)));
+    }
+    const auto check = [&](const auto& executor, const char* executor_name) {
+      SCOPED_TRACE(std::string(index.name) + ", " + executor_name);
+      QueryRequest req;
+      Dist out = 12345;
+      const auto run = [&](Vertex s, Vertex t, MissingVertexPolicy policy) {
+        req.sources = std::span<const Vertex>(&s, 1);
+        req.targets = std::span<const Vertex>(&t, 1);
+        req.options.missing_vertices = policy;
+        out = 12345;
+        return executor.Execute(req, QueryOutput({&out, 1}));
+      };
+      for (const auto& [s, t] : pairs) {
+        const Dist want = *router.Distance(s, t);
+        for (const MissingVertexPolicy policy :
+             {MissingVertexPolicy::kError, MissingVertexPolicy::kUnreachable,
+              MissingVertexPolicy::kUnchecked}) {
+          const Result<QueryResponse> r = run(s, t, policy);
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          EXPECT_EQ(r->written, 1u);
+          EXPECT_EQ(out, want) << s << " -> " << t;
+        }
+      }
+      for (const auto& [s, t] : {std::pair<Vertex, Vertex>{bad, 1},
+                                 std::pair<Vertex, Vertex>{1, bad}}) {
+        const Result<QueryResponse> lenient =
+            run(s, t, MissingVertexPolicy::kUnreachable);
+        ASSERT_TRUE(lenient.ok()) << lenient.status().ToString();
+        EXPECT_EQ(out, kInfDist);
+        const Result<QueryResponse> strict =
+            run(s, t, MissingVertexPolicy::kError);
+        EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument);
+      }
+    };
+    check(router, "Router");
+    check(index.executors.one, "ThreadedRouter(1)");
+    check(index.executors.four, "ThreadedRouter(4)");
+  }
 }
 
 TEST_P(RequestApiTest, KNearestEmptyEdgesAreNotErrors) {
@@ -481,18 +594,18 @@ TEST_P(RequestApiTest, KNearestEmptyEdgesAreNotErrors) {
   const std::vector<Vertex> empty;
 
   // k == 0 with candidates; k > 0 with no candidates — empty results
-  // everywhere, never errors, on all three surfaces.
-  const auto vk0 = router_->KNearest(source, targets_, 0);
+  // everywhere, never errors, on both executors.
+  const auto vk0 = testing::KNearest(*router_, source, targets_, 0);
   ASSERT_TRUE(vk0.ok());
   EXPECT_TRUE(vk0->empty());
-  const auto vempty = router_->KNearest(source, empty, 4);
+  const auto vempty = testing::KNearest(*router_, source, empty, 4);
   ASSERT_TRUE(vempty.ok());
   EXPECT_TRUE(vempty->empty());
 
-  const auto tk0 = threaded_->KNearest(source, targets_, 0);
+  const auto tk0 = testing::KNearest(*threaded_, source, targets_, 0);
   ASSERT_TRUE(tk0.ok());
   EXPECT_TRUE(tk0->empty());
-  const auto tempty = threaded_->KNearest(source, empty, 4);
+  const auto tempty = testing::KNearest(*threaded_, source, empty, 4);
   ASSERT_TRUE(tempty.ok());
   EXPECT_TRUE(tempty->empty());
 
@@ -797,6 +910,7 @@ TEST_P(RequestApiTest, WrittenRangesCoverTheOutputExactlyOnce) {
   };
   const auto one = std::span<const Vertex>(&source, 1);
   const auto bad_one = std::span<const Vertex>(&bad, 1);
+  const auto target_one = std::span<const Vertex>(&targets_[3], 1);
   const std::vector<Case> cases = {
       {"batch", QueryKind::kPointBatch, one, targets_,
        MissingVertexPolicy::kError},
@@ -809,6 +923,10 @@ TEST_P(RequestApiTest, WrittenRangesCoverTheOutputExactlyOnce) {
       {"pairs", QueryKind::kPointBatch, targets_, rotated,
        MissingVertexPolicy::kError},
       {"pairs scatter", QueryKind::kPointBatch, targets_, rotated_bad,
+       MissingVertexPolicy::kUnreachable},
+      {"lone pair", QueryKind::kPointBatch, one, target_one,
+       MissingVertexPolicy::kError},
+      {"lone pair missing", QueryKind::kPointBatch, bad_one, target_one,
        MissingVertexPolicy::kUnreachable},
       {"matrix wide", QueryKind::kMatrix, sources_, targets_,
        MissingVertexPolicy::kError},
@@ -862,6 +980,11 @@ TEST_P(RequestApiTest, WrittenRangesCoverTheOutputExactlyOnce) {
   bad_pairs.sources = sources_;
   bad_pairs.targets = targets_;
   std::vector<Dist> pairs_out(targets_.size());
+  QueryRequest bad_lone_pair;
+  bad_lone_pair.kind = QueryKind::kPointBatch;
+  bad_lone_pair.sources = one;
+  bad_lone_pair.targets = bad_one;
+  std::vector<Dist> lone_out(1);
   QueryRequest knearest;
   knearest.kind = QueryKind::kKNearest;
   knearest.sources = one;
@@ -885,7 +1008,8 @@ TEST_P(RequestApiTest, WrittenRangesCoverTheOutputExactlyOnce) {
     const RangeReport shape = run(bad_shape, short_out, {});
     const RangeReport id = run(bad_id, bad_id_out, {});
     const RangeReport pairs = run(bad_pairs, pairs_out, {});
-    for (const RangeReport* r : {&shape, &id, &pairs}) {
+    const RangeReport lone = run(bad_lone_pair, lone_out, {});
+    for (const RangeReport* r : {&shape, &id, &pairs, &lone}) {
       EXPECT_EQ(r->response.status().code(), StatusCode::kInvalidArgument);
       EXPECT_TRUE(r->ranges.empty());
     }

@@ -15,9 +15,15 @@
 #include <vector>
 
 #include "hc2l/hc2l.h"
+#include "test_util.h"
 
 namespace hc2l {
 namespace {
+
+using testing::BatchQuery;
+using testing::DistanceMatrix;
+using testing::KNearest;
+using testing::PointQueries;
 
 Graph TestGraph(uint32_t rows, uint32_t cols, uint64_t seed) {
   RoadNetworkOptions opt;
@@ -145,10 +151,10 @@ TEST(RouterOpen, SniffsUndirectedFormat) {
   for (const Vertex t : targets) {
     ASSERT_EQ(*opened->Distance(source, t), *built->Distance(source, t));
   }
-  ASSERT_EQ(*opened->BatchQuery(source, targets),
-            *built->BatchQuery(source, targets));
-  ASSERT_EQ(*opened->KNearest(source, targets, 5),
-            *built->KNearest(source, targets, 5));
+  ASSERT_EQ(*BatchQuery(*opened, source, targets),
+            *BatchQuery(*built, source, targets));
+  ASSERT_EQ(*KNearest(*opened, source, targets, 5),
+            *KNearest(*built, source, targets, 5));
 }
 
 TEST(RouterOpen, SniffsDirectedFormat) {
@@ -174,10 +180,10 @@ TEST(RouterOpen, SniffsDirectedFormat) {
   for (const Vertex t : targets) {
     ASSERT_EQ(*opened->Distance(source, t), *built->Distance(source, t));
   }
-  ASSERT_EQ(*opened->BatchQuery(source, targets),
-            *built->BatchQuery(source, targets));
-  ASSERT_EQ(*opened->DistanceMatrix(targets, targets),
-            *built->DistanceMatrix(targets, targets));
+  ASSERT_EQ(*BatchQuery(*opened, source, targets),
+            *BatchQuery(*built, source, targets));
+  ASSERT_EQ(*DistanceMatrix(*opened, targets, targets),
+            *DistanceMatrix(*built, targets, targets));
 }
 
 TEST(RouterRoute, RouteIntoMatchesRouteAndRejectsShortSpans) {
@@ -351,17 +357,17 @@ TEST(RouterQueries, OutOfRangeIdsAreInvalidArgument) {
             StatusCode::kInvalidArgument);
 
   const std::vector<Vertex> bad_targets = {0, 1, n};
-  EXPECT_EQ(router->BatchQuery(0, bad_targets).status().code(),
+  EXPECT_EQ(BatchQuery(*router, 0, bad_targets).status().code(),
             StatusCode::kInvalidArgument);
   // The message pinpoints the offending position.
-  EXPECT_NE(router->BatchQuery(0, bad_targets).status().message().find(
+  EXPECT_NE(BatchQuery(*router, 0, bad_targets).status().message().find(
                 "targets[2]"),
             std::string::npos);
 
   const std::vector<Vertex> ok_targets = {0, 1, 2};
-  EXPECT_EQ(router->DistanceMatrix(bad_targets, ok_targets).status().code(),
+  EXPECT_EQ(DistanceMatrix(*router, bad_targets, ok_targets).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(router->KNearest(0, bad_targets, 2).status().code(),
+  EXPECT_EQ(KNearest(*router, 0, bad_targets, 2).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -438,20 +444,20 @@ TEST(RouterThreaded, MatchesSequentialFacade) {
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_GE(engine->NumThreads(), 1u);
 
-  const auto point = engine->PointQueries(pairs);
+  const auto point = PointQueries(*engine, pairs);
   ASSERT_TRUE(point.ok());
   for (size_t i = 0; i < pairs.size(); ++i) {
     ASSERT_EQ((*point)[i], *router->Distance(pairs[i].first, pairs[i].second));
   }
-  ASSERT_EQ(*engine->BatchQuery(targets[0], targets),
-            *router->BatchQuery(targets[0], targets));
-  ASSERT_EQ(*engine->KNearest(targets[0], targets, 7),
-            *router->KNearest(targets[0], targets, 7));
+  ASSERT_EQ(*BatchQuery(*engine, targets[0], targets),
+            *BatchQuery(*router, targets[0], targets));
+  ASSERT_EQ(*KNearest(*engine, targets[0], targets, 7),
+            *KNearest(*router, targets[0], targets, 7));
 
   // Validation applies to the handle too.
   const Vertex n = static_cast<Vertex>(router->NumVertices());
   const std::vector<std::pair<Vertex, Vertex>> bad = {{0, 1}, {n, 0}};
-  EXPECT_EQ(engine->PointQueries(bad).status().code(),
+  EXPECT_EQ(PointQueries(*engine, bad).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(router->WithThreads(100000).status().code(),
             StatusCode::kInvalidArgument);

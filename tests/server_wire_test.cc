@@ -34,9 +34,12 @@
 #include "hc2l/server.h"
 #include "server/wire.h"
 #include "server_test_util.h"
+#include "test_util.h"
 
 namespace hc2l {
 namespace {
+
+using ::hc2l::testing::KNearest;
 
 Graph WireTestGraph() {
   RoadNetworkOptions opt;
@@ -713,9 +716,9 @@ TEST_F(WireTest, ResponsesMatchRouterDistances) {
       R"({"op":"batch","source":0,"targets":[999999],"missing":"unreachable"})");
   EXPECT_EQ(lenient, "{\"ok\":true,\"op\":\"batch\",\"distances\":[null]}");
 
-  // K-nearest mirrors Router::KNearest exactly.
+  // K-nearest mirrors the facade's k-nearest request exactly.
   const auto nearest =
-      router_->KNearest(0, std::vector<Vertex>{7, 8, 9, 10}, 2);
+      KNearest(*router_, 0, std::vector<Vertex>{7, 8, 9, 10}, 2);
   ASSERT_TRUE(nearest.ok());
   std::string kexpected = "{\"ok\":true,\"op\":\"knearest\",\"count\":" +
                           std::to_string(nearest->size()) + ",\"neighbors\":[";

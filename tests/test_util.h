@@ -1,13 +1,18 @@
 #ifndef HC2L_TESTS_TEST_UTIL_H_
 #define HC2L_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
+#include "core/query_common.h"
 #include "graph/graph.h"
+#include "hc2l/router.h"
 
 namespace hc2l::testing {
 
@@ -104,6 +109,122 @@ inline std::string FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
+}
+
+// --- One helper per bulk query kind, returning the answers as vectors.
+// On a Router or ThreadedRouter each runs one default-options Execute and
+// returns its Result; on an index or a query engine each runs the span
+// primitives (PointPairsInto, BatchQueryInto, DistanceMatrixInto,
+// SelectKNearestInto) and returns the values.
+
+template <typename Q>
+concept Executor = requires(const Q& q) {
+  q.Execute(QueryRequest{}, QueryOutput{});
+};
+
+/// Runs `request` on `q` into `out`, then returns `value()` or the error.
+template <typename Q, typename Fn>
+auto ExecuteThen(const Q& q, const QueryRequest& request,
+                 const QueryOutput& out, const Fn& value)
+    -> Result<decltype(value(size_t{}))> {
+  const Result<QueryResponse> response = q.Execute(request, out);
+  if (!response.ok()) return response.status();
+  return value(response->written);
+}
+
+/// out[i] = d(pairs[i].first, pairs[i].second).
+template <typename Q>
+auto PointQueries(const Q& q,
+                  std::span<const std::pair<Vertex, Vertex>> pairs) {
+  std::vector<Vertex> sources;
+  std::vector<Vertex> targets;
+  for (const auto& [s, t] : pairs) {
+    sources.push_back(s);
+    targets.push_back(t);
+  }
+  std::vector<Dist> out(pairs.size(), kInfDist);
+  if constexpr (Executor<Q>) {
+    QueryRequest request;
+    request.sources = sources;
+    request.targets = targets;
+    return ExecuteThen(q, request, QueryOutput(out),
+                       [&](size_t) { return out; });
+  } else {
+    q.PointPairsInto(sources, targets, out.data());
+    return out;
+  }
+}
+
+/// out[i] = d(source, targets[i]).
+template <typename Q>
+auto BatchQuery(const Q& q, Vertex source, std::span<const Vertex> targets) {
+  std::vector<Dist> out(targets.size(), kInfDist);
+  if constexpr (Executor<Q>) {
+    QueryRequest request;
+    request.sources = std::span<const Vertex>(&source, 1);
+    request.targets = targets;
+    return ExecuteThen(q, request, QueryOutput(out),
+                       [&](size_t) { return out; });
+  } else {
+    q.BatchQueryInto(source, targets, out.data());
+    return out;
+  }
+}
+
+/// result[i][j] = d(sources[i], targets[j]).
+template <typename Q>
+auto DistanceMatrix(const Q& q, std::span<const Vertex> sources,
+                    std::span<const Vertex> targets) {
+  std::vector<Dist> flat(sources.size() * targets.size(), kInfDist);
+  const auto rows = [&](size_t) {
+    std::vector<std::vector<Dist>> matrix(sources.size());
+    for (size_t i = 0; i < sources.size(); ++i) {
+      matrix[i].assign(flat.begin() + i * targets.size(),
+                       flat.begin() + (i + 1) * targets.size());
+    }
+    return matrix;
+  };
+  if constexpr (Executor<Q>) {
+    QueryRequest request;
+    request.kind = QueryKind::kMatrix;
+    request.sources = sources;
+    request.targets = targets;
+    return ExecuteThen(q, request, QueryOutput(flat), rows);
+  } else {
+    q.DistanceMatrixInto(
+        sources, targets,
+        MatrixRows{.flat = flat.data(), .stride = targets.size()});
+    return rows(0);
+  }
+}
+
+/// The k candidates nearest to `source` as (distance, candidate) pairs,
+/// ascending, ties by candidate position, unreachable ones excluded.
+template <typename Q>
+auto KNearest(const Q& q, Vertex source, std::span<const Vertex> candidates,
+              size_t k) {
+  const size_t slots = std::min(k, candidates.size());
+  std::vector<Dist> dists(slots);
+  std::vector<Vertex> vertices(slots);
+  const auto pairs = [&](size_t written) {
+    std::vector<std::pair<Dist, Vertex>> out;
+    for (size_t i = 0; i < written; ++i) {
+      out.emplace_back(dists[i], vertices[i]);
+    }
+    return out;
+  };
+  if constexpr (Executor<Q>) {
+    QueryRequest request;
+    request.kind = QueryKind::kKNearest;
+    request.sources = std::span<const Vertex>(&source, 1);
+    request.targets = candidates;
+    request.k = k;
+    return ExecuteThen(q, request, QueryOutput(dists, vertices), pairs);
+  } else {
+    const std::vector<Dist> all = BatchQuery(q, source, candidates);
+    return pairs(SelectKNearestInto(all, candidates, k, dists.data(),
+                                    vertices.data(), &TlsQueryScratch()));
+  }
 }
 
 }  // namespace hc2l::testing

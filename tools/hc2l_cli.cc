@@ -344,25 +344,32 @@ int RunQuery(const Args& args) {
     if (in != stdin) std::fclose(in);
     return 2;
   }
-  std::vector<std::pair<Vertex, Vertex>> pairs;
+  std::vector<Vertex> sources;
+  std::vector<Vertex> targets;
   std::vector<uint8_t> in_range;
   while (std::fscanf(in, "%llu %llu", &s, &t) == 2) {
     const bool ok = s >= 1 && t >= 1 && s <= n && t <= n;
     in_range.push_back(ok ? 1 : 0);
-    pairs.emplace_back(ok ? static_cast<Vertex>(s - 1) : 0,
-                       ok ? static_cast<Vertex>(t - 1) : 0);
+    sources.push_back(ok ? static_cast<Vertex>(s - 1) : 0);
+    targets.push_back(ok ? static_cast<Vertex>(t - 1) : 0);
   }
   if (in != stdin) std::fclose(in);
 
   Result<ThreadedRouter> engine = router->WithThreads(parallel_options);
   if (!engine.ok()) return Fail(engine.status());
-  Result<std::vector<Dist>> dists = engine->PointQueries(pairs);
-  if (!dists.ok()) return Fail(dists.status());
-  for (size_t i = 0; i < dists->size(); ++i) {
+  QueryRequest request;
+  request.kind = QueryKind::kPointBatch;
+  request.sources = sources;
+  request.targets = targets;
+  std::vector<Dist> dists(targets.size());
+  Result<QueryResponse> response =
+      engine->Execute(request, QueryOutput(dists));
+  if (!response.ok()) return Fail(response.status());
+  for (size_t i = 0; i < dists.size(); ++i) {
     if (in_range[i] == 0) {
       std::printf("out-of-range\n");
     } else {
-      print_dist((*dists)[i]);
+      print_dist(dists[i]);
     }
   }
   return 0;
