@@ -1,7 +1,8 @@
 // Google-benchmark micro measurements: per-query latency of every method on
-// one mid-size dataset, the O(1) LCA-level primitive, and the SIMD vs scalar
-// min-plus kernel. Complements the table benches with statistically robust
-// per-op numbers.
+// one mid-size dataset, the O(1) LCA-level primitive, the SIMD vs scalar
+// min-plus kernel, the matrix panel kernel (one vs two sources per pass)
+// and the wire's distance-list writer. Complements the table benches with
+// statistically robust per-op numbers.
 //
 // After the google-benchmark run, a machine-readable snapshot is written to
 // BENCH_query.json (override with HC2L_BENCH_JSON=<path>) so the perf
@@ -32,6 +33,7 @@
 #include "graph/road_network_generator.h"
 #include "hierarchy/tree_code.h"
 #include "search/dijkstra.h"
+#include "server/wire.h"
 
 namespace hc2l {
 namespace {
@@ -166,6 +168,57 @@ void BM_MinPlusScalarRef(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinPlusScalarRef)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
+
+/// The matrix block kernel alone: `sources` (1 or 2) source arrays of
+/// `height` entries against a panel of kPanelWidth columns of that height,
+/// per kernel pass. Reported per source row, so the one- and two-source
+/// rows compare directly.
+void BM_MinPlusPanel(benchmark::State& state) {
+  constexpr size_t kPanelWidth = 2048;
+  const size_t sources = static_cast<size_t>(state.range(0));
+  const size_t height = static_cast<size_t>(state.range(1));
+  const auto panel = KernelArray(kPanelWidth * height, 3);
+  const auto a0 = KernelArray(height, 4);
+  const auto a1 = KernelArray(height, 5);
+  std::vector<uint32_t> out0(kPanelWidth), out1(kPanelWidth);
+  for (auto _ : state) {
+    const uint32_t* p = panel.data();
+    benchmark::DoNotOptimize(p);
+    benchmark::DoNotOptimize(out0.data());
+    benchmark::DoNotOptimize(out1.data());
+    if (sources == 1) {
+      simd::MinPlusPanel(a0.data(), height, p, height, kPanelWidth,
+                         out0.data());
+    } else {
+      simd::MinPlusPanel<2>({{a0.data(), height, out0.data()},
+                             {a1.data(), height, out1.data()}},
+                            p, height, kPanelWidth);
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(sources));
+}
+BENCHMARK(BM_MinPlusPanel)
+    ->ArgNames({"sources", "height"})
+    ->ArgsProduct({{1, 2}, {16, 40, 128}});
+
+/// The wire's distance-list writer alone: one 256x256 matrix's worth of
+/// distances of 4-7 digits, the size of a served road-network answer.
+void BM_AppendNumberList(benchmark::State& state) {
+  std::vector<Dist> values(65536);
+  Rng rng(6);
+  for (Dist& d : values) d = 1000 + rng.Below(9'999'000);
+  std::string text;
+  for (auto _ : state) {
+    text.clear();
+    AppendNumberList(&text, std::span<const Dist>(values));
+    benchmark::DoNotOptimize(text.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(values.size()));
+}
+BENCHMARK(BM_AppendNumberList);
 
 void BM_H2hQuery(benchmark::State& state) {
   static const auto* index = new H2hIndex(BenchGraph());

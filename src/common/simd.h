@@ -14,7 +14,7 @@
 /// maps a result >= UINT32_MAX back to kInfDist.
 ///
 /// MinPlusPanel is the same reduction transposed for the many-to-many
-/// matrix: one source array against a panel of target columns.
+/// matrix: one or two source arrays against a panel of target columns.
 ///
 /// Dispatch is at compile time: AVX2 > SSE2 (with an SSE4.1 refinement) >
 /// NEON > scalar. All paths are bit-identical to MinPlusScalar — the scalar
@@ -160,26 +160,31 @@ inline uint32_t MinPlusPadded(const uint32_t* a, const uint32_t* b,
 
 namespace internal {
 
-/// One 32-lane strip of MinPlusPanel: four accumulators, a[h] broadcast
-/// once per row (its complement hoisted for the saturating sum).
-inline void PanelStrip(const uint32_t* a, size_t len, const uint32_t* strip,
-                       uint32_t* out) {
-  __m256i best[4];
-  for (__m256i& b : best) b = _mm256_set1_epi32(-1);
-  for (size_t h = 0; h < len; ++h) {
-    const __m256i va = _mm256_set1_epi32(static_cast<int>(a[h]));
-    const __m256i not_a = _mm256_set1_epi32(static_cast<int>(~a[h]));
-    const uint32_t* row = strip + h * 32;
-    for (int k = 0; k < 4; ++k) {
-      const __m256i vb =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + 8 * k));
-      best[k] = _mm256_min_epu32(
-          best[k], _mm256_add_epi32(_mm256_min_epu32(vb, not_a), va));
-    }
-  }
-  for (int k = 0; k < 4; ++k) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * k), best[k]);
-  }
+/// MinPlusPanel's lane primitives (see PanelStrip): a row's source entry
+/// is broadcast once, its complement hoisted for the saturating sum. The
+/// complement is one xor of the broadcast, so the entry is used only as a
+/// broadcast operand and compiles to a broadcast load (a load-port uop,
+/// where broadcasting a register value costs two shuffle-port uops).
+using PanelVec = __m256i;
+inline constexpr size_t kPanelVecLanes = 8;
+struct PanelRow {
+  __m256i va;
+  __m256i not_a;
+};
+inline PanelRow PanelBroadcast(const uint32_t* a) {
+  const __m256i va = _mm256_set1_epi32(static_cast<int>(*a));
+  return {va, _mm256_xor_si256(va, _mm256_set1_epi32(-1))};
+}
+inline PanelVec PanelFill() { return _mm256_set1_epi32(-1); }
+inline PanelVec PanelLoad(const uint32_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+inline void PanelStore(uint32_t* p, PanelVec v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+inline PanelVec PanelStep(PanelVec best, PanelVec vb, const PanelRow& r) {
+  return _mm256_min_epu32(
+      best, _mm256_add_epi32(_mm256_min_epu32(vb, r.not_a), r.va));
 }
 
 }  // namespace internal
@@ -247,23 +252,25 @@ inline uint32_t MinPlusPadded(const uint32_t* a, const uint32_t* b,
 
 namespace internal {
 
-inline void PanelStrip(const uint32_t* a, size_t len, const uint32_t* strip,
-                       uint32_t* out) {
-  __m128i best[8];
-  for (__m128i& b : best) b = _mm_set1_epi32(-1);
-  for (size_t h = 0; h < len; ++h) {
-    const __m128i va = _mm_set1_epi32(static_cast<int>(a[h]));
-    const __m128i not_a = _mm_set1_epi32(static_cast<int>(~a[h]));
-    const uint32_t* row = strip + h * 32;
-    for (int k = 0; k < 8; ++k) {
-      const __m128i vb =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + 4 * k));
-      best[k] = MinU32(best[k], _mm_add_epi32(MinU32(vb, not_a), va));
-    }
-  }
-  for (int k = 0; k < 8; ++k) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 4 * k), best[k]);
-  }
+using PanelVec = __m128i;
+inline constexpr size_t kPanelVecLanes = 4;
+struct PanelRow {
+  __m128i va;
+  __m128i not_a;
+};
+inline PanelRow PanelBroadcast(const uint32_t* a) {
+  const __m128i va = _mm_set1_epi32(static_cast<int>(*a));
+  return {va, _mm_xor_si128(va, _mm_set1_epi32(-1))};
+}
+inline PanelVec PanelFill() { return _mm_set1_epi32(-1); }
+inline PanelVec PanelLoad(const uint32_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+inline void PanelStore(uint32_t* p, PanelVec v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+inline PanelVec PanelStep(PanelVec best, PanelVec vb, const PanelRow& r) {
+  return MinU32(best, _mm_add_epi32(MinU32(vb, r.not_a), r.va));
 }
 
 }  // namespace internal
@@ -297,18 +304,17 @@ inline uint32_t MinPlusPadded(const uint32_t* a, const uint32_t* b,
 
 namespace internal {
 
-inline void PanelStrip(const uint32_t* a, size_t len, const uint32_t* strip,
-                       uint32_t* out) {
-  uint32x4_t best[8];
-  for (uint32x4_t& b : best) b = vdupq_n_u32(UINT32_MAX);
-  for (size_t h = 0; h < len; ++h) {
-    const uint32x4_t va = vdupq_n_u32(a[h]);
-    const uint32_t* row = strip + h * 32;
-    for (int k = 0; k < 8; ++k) {
-      best[k] = vminq_u32(best[k], vqaddq_u32(va, vld1q_u32(row + 4 * k)));
-    }
-  }
-  for (int k = 0; k < 8; ++k) vst1q_u32(out + 4 * k, best[k]);
+using PanelVec = uint32x4_t;
+inline constexpr size_t kPanelVecLanes = 4;
+struct PanelRow {
+  uint32x4_t va;  // vqaddq_u32 saturates natively: no complement needed
+};
+inline PanelRow PanelBroadcast(const uint32_t* a) { return {vld1q_dup_u32(a)}; }
+inline PanelVec PanelFill() { return vdupq_n_u32(UINT32_MAX); }
+inline PanelVec PanelLoad(const uint32_t* p) { return vld1q_u32(p); }
+inline void PanelStore(uint32_t* p, PanelVec v) { vst1q_u32(p, v); }
+inline PanelVec PanelStep(PanelVec best, PanelVec vb, const PanelRow& r) {
+  return vminq_u32(best, vqaddq_u32(r.va, vb));
 }
 
 }  // namespace internal
@@ -326,15 +332,16 @@ inline uint32_t MinPlusPadded(const uint32_t* a, const uint32_t* b,
 
 namespace internal {
 
-inline void PanelStrip(const uint32_t* a, size_t len, const uint32_t* strip,
-                       uint32_t* out) {
-  for (size_t j = 0; j < 32; ++j) out[j] = UINT32_MAX;
-  for (size_t h = 0; h < len; ++h) {
-    for (size_t j = 0; j < 32; ++j) {
-      const uint32_t sum = SatAdd32(a[h], strip[h * 32 + j]);
-      if (sum < out[j]) out[j] = sum;
-    }
-  }
+using PanelVec = uint32_t;
+inline constexpr size_t kPanelVecLanes = 1;
+using PanelRow = uint32_t;
+inline PanelRow PanelBroadcast(const uint32_t* a) { return *a; }
+inline PanelVec PanelFill() { return UINT32_MAX; }
+inline PanelVec PanelLoad(const uint32_t* p) { return *p; }
+inline void PanelStore(uint32_t* p, PanelVec v) { *p = v; }
+inline PanelVec PanelStep(PanelVec best, PanelVec vb, PanelRow a) {
+  const uint32_t sum = SatAdd32(a, vb);
+  return sum < best ? sum : best;
 }
 
 }  // namespace internal
@@ -342,33 +349,114 @@ inline void PanelStrip(const uint32_t* a, size_t len, const uint32_t* strip,
 #endif
 
 /// Columns per MinPlusPanel strip: one strip's accumulators stay in
-/// registers (four AVX2 or eight 128-bit vectors).
+/// registers (four AVX2 or eight 128-bit vectors per source).
 inline constexpr size_t kPanelLanes = 32;
 
-/// The block kernel of the many-to-many matrix: one source array `a` against
-/// `width` target arrays transposed into a column panel. The panel is
-/// strip-major — ceil(width / kPanelLanes) strips of `height` rows by
+/// One source of a MinPlusPanel pass: its array `a`, the rows it reduces
+/// over (`len` <= the panel height) and where its column results go.
+struct PanelSource {
+  const uint32_t* a;
+  size_t len;
+  uint32_t* out;
+};
+
+namespace internal {
+
+/// One kPanelLanes-lane strip against one or two sources: each strip row
+/// is loaded once and feeds every source's accumulators (the
+/// register-blocked micro-kernel of Goto & van de Geijn). The rows both
+/// sources reduce over run jointly; src[0], the longer, then continues
+/// alone over its remaining rows, so each source's column reads exactly
+/// min over h < its own len. (Only src[0] ever continues, which keeps every
+/// accumulator index a compile-time constant and so in a register.)
+template <size_t kSources>
+inline void PanelStrip(const PanelSource (&src)[kSources],
+                       const uint32_t* strip,
+                       uint32_t* const (&out)[kSources]) {
+  static_assert(kSources == 1 || kSources == 2);
+  constexpr size_t kVecs = kPanelLanes / kPanelVecLanes;
+  PanelVec best[kSources][kVecs];
+  for (auto& accumulators : best) {
+    for (PanelVec& b : accumulators) b = PanelFill();
+  }
+  const size_t common = src[kSources - 1].len;
+  for (size_t h = 0; h < common; ++h) {
+    PanelRow r[kSources];
+    for (size_t s = 0; s < kSources; ++s) r[s] = PanelBroadcast(src[s].a + h);
+    const uint32_t* row = strip + h * kPanelLanes;
+    for (size_t k = 0; k < kVecs; ++k) {
+      const PanelVec vb = PanelLoad(row + k * kPanelVecLanes);
+      for (size_t s = 0; s < kSources; ++s) {
+        best[s][k] = PanelStep(best[s][k], vb, r[s]);
+      }
+    }
+  }
+  for (size_t h = common; h < src[0].len; ++h) {
+    const PanelRow r = PanelBroadcast(src[0].a + h);
+    const uint32_t* row = strip + h * kPanelLanes;
+    for (size_t k = 0; k < kVecs; ++k) {
+      best[0][k] =
+          PanelStep(best[0][k], PanelLoad(row + k * kPanelVecLanes), r);
+    }
+  }
+  for (size_t s = 0; s < kSources; ++s) {
+    for (size_t k = 0; k < kVecs; ++k) {
+      PanelStore(out[s] + k * kPanelVecLanes, best[s][k]);
+    }
+  }
+}
+
+}  // namespace internal
+
+/// The block kernel of the many-to-many matrix: one or two source arrays
+/// against `width` target arrays transposed into a column panel. The panel
+/// is strip-major — ceil(width / kPanelLanes) strips of `height` rows by
 /// kPanelLanes lanes, entry (h, j) at
 ///   panel[((j / kPanelLanes) * height + h) * kPanelLanes + j % kPanelLanes]
-/// — and for every column j < width the kernel writes
-///   out[j] = min_{h < len} sat32(a[h] + panel(h, j)),   len <= height,
-/// broadcasting a[h] once per row and min-reducing a whole strip at a time.
-/// Every variant is bit-identical to MinPlusScalar run per column. Lanes of
-/// the last strip past `width` are read but never written to `out`; a column
-/// padded with UINT32_MAX below its true length saturates there and never
-/// wins, which is what lets one panel serve arrays of different lengths.
-inline void MinPlusPanel(const uint32_t* a, size_t len, const uint32_t* panel,
-                         size_t height, size_t width, uint32_t* out) {
+/// — and for every source s and column j < width the kernel writes
+///   s.out[j] = min_{h < s.len} sat32(s.a[h] + panel(h, j)),  s.len <= height,
+/// broadcasting s.a[h] once per row and min-reducing a whole strip at a
+/// time; with two sources each strip row read serves both. Every variant is
+/// bit-identical to MinPlusScalar run per (source, column). Lanes of the
+/// last strip past `width` are read but never written to any `out`; a
+/// column padded with UINT32_MAX below its true length saturates there and
+/// never wins, which is what lets one panel serve arrays of different
+/// lengths.
+template <size_t kSources>
+inline void MinPlusPanel(const PanelSource (&sources)[kSources],
+                         const uint32_t* panel, size_t height, size_t width) {
+  if constexpr (kSources == 2) {
+    // PanelStrip continues only its first source: put the longer there.
+    if (sources[1].len > sources[0].len) {
+      MinPlusPanel<2>({sources[1], sources[0]}, panel, height, width);
+      return;
+    }
+  }
+  uint32_t* out[kSources];
   const size_t full = width / kPanelLanes;
   for (size_t k = 0; k < full; ++k) {
-    internal::PanelStrip(a, len, panel + k * height * kPanelLanes,
-                         out + k * kPanelLanes);
+    for (size_t s = 0; s < kSources; ++s) {
+      out[s] = sources[s].out + k * kPanelLanes;
+    }
+    internal::PanelStrip(sources, panel + k * height * kPanelLanes, out);
   }
   if (const size_t rest = width % kPanelLanes; rest != 0) {
-    uint32_t tail[kPanelLanes];
-    internal::PanelStrip(a, len, panel + full * height * kPanelLanes, tail);
-    for (size_t j = 0; j < rest; ++j) out[full * kPanelLanes + j] = tail[j];
+    uint32_t tail[kSources][kPanelLanes];
+    for (size_t s = 0; s < kSources; ++s) out[s] = tail[s];
+    internal::PanelStrip(sources, panel + full * height * kPanelLanes, out);
+    for (size_t s = 0; s < kSources; ++s) {
+      for (size_t j = 0; j < rest; ++j) {
+        sources[s].out[full * kPanelLanes + j] = tail[s][j];
+      }
+    }
   }
+}
+
+/// MinPlusPanel for one source: out[j] = min_{h < len} sat32(a[h] +
+/// panel(h, j)).
+inline void MinPlusPanel(const uint32_t* a, size_t len, const uint32_t* panel,
+                         size_t height, size_t width, uint32_t* out) {
+  MinPlusPanel<1>({{a, len, out}}, panel, height, width);
 }
 
 }  // namespace simd

@@ -22,6 +22,22 @@ struct PendingTarget {
   Dist offset;  // contraction detour (source side + target side)
 };
 
+/// A PendingTarget in SweepPendingByLevel's level order, its array
+/// resolved.
+struct SweepTarget {
+  const uint32_t* data;
+  uint32_t len;
+  uint32_t out_index;
+  Dist offset;
+};
+
+/// One level array of the arena: its first entry and true (unpadded)
+/// length.
+struct LevelArray {
+  const uint32_t* data;
+  uint32_t len;
+};
+
 /// Row-output view of the matrix paths: a row-major buffer whose row i
 /// starts at `flat + i * stride`. The zero-copy request path (one flat
 /// caller span) and the engine's slices (a sub-block of it) share it.
@@ -118,16 +134,18 @@ struct QueryScratch {
   std::vector<uint32_t> level_of;
   // SweepPendingByLevel's counting sort.
   std::vector<uint32_t> bucket_pos;
-  std::vector<uint32_t> order;
+  std::vector<SweepTarget> sweep_targets;
   std::vector<uint32_t> cursor;
   // SelectKNearestInto's candidate ranking.
   std::vector<uint32_t> knn_idx;
   // BlockedDistanceMatrix: both resolved sides, the here-groups of their
-  // nodes, one block's column panel and its per-column metadata and kernel
-  // output.
+  // nodes, one block's level arrays of both sides, one panel of it and the
+  // panel's per-column metadata and kernel output.
   std::vector<ResolvedVertex> matrix_sources;
   std::vector<ResolvedVertex> matrix_targets;
   std::vector<MatrixGroup> matrix_groups;
+  std::vector<LevelArray> source_arrays;
+  std::vector<LevelArray> target_arrays;
   std::vector<uint32_t> panel;
   std::vector<uint32_t> panel_out;
   std::vector<uint32_t> panel_pos;
@@ -146,10 +164,11 @@ inline QueryScratch& TlsQueryScratch() {
 /// vertices and its 0- and 1-subtrees, and at each node answers the four
 /// rectangles whose pairs have their LCA there — S_here x T, S_0 x T_here,
 /// S_0 x T_1, S_1 x [T_here, T_0] — from that level's arrays alone (source
-/// arrays from `source_labels`, target arrays from `target_labels`). Blocks
-/// of at least 4 sources x 8 targets transpose the target arrays into a
-/// column panel for simd::MinPlusPanel; narrower ones reduce pair by pair
-/// with simd::MinPlusPadded. A subproblem with one source left is swept
+/// arrays from `source_labels`, target arrays from `target_labels`). Each
+/// block resolves both sides' arrays once; blocks of at least 4 sources x 8
+/// targets transpose the target arrays into a column panel for
+/// simd::MinPlusPanel, two sources per pass; narrower ones reduce pair by
+/// pair with simd::MinPlusPadded. A subproblem with one source left is swept
 /// by level like a batch (SweepPendingByLevel). Writes every cell of the
 /// matrix as min-plus + both detours (kInfDist when unreachable) and
 /// records in scratch->matrix_groups every node with vertices of both
@@ -167,10 +186,11 @@ bool BlockedMinPlus(const LabelStore& source_labels,
 /// `scratch->pending` by LCA level (scratch->level_of, parallel to pending,
 /// values <= height) and sweeps each level bucket against the source's
 /// level array at source_labels index s_base + level (the directed index's
-/// out-labels; the undirected one passes one store twice), prefetching the
-/// next target's array while reducing the current one. Writes
-/// out[pending[p].out_index] for every p < count. The counting-sort buffers
-/// reuse `scratch` capacity, so steady-state calls do not allocate.
+/// out-labels; the undirected one passes one store twice). The counting
+/// sort resolves every target's array as it scatters the target, and the
+/// sweep prefetches arrays a few targets ahead of the one it reduces.
+/// Writes out[pending[p].out_index] for every p < count. The counting-sort
+/// buffers reuse `scratch` capacity, so steady-state calls do not allocate.
 inline void SweepPendingByLevel(const LabelStore& source_labels,
                                 const LabelStore& target_labels,
                                 uint32_t s_base, uint32_t height, size_t count,
@@ -182,18 +202,26 @@ inline void SweepPendingByLevel(const LabelStore& source_labels,
   bucket_pos.assign(height + 2, 0);
   for (size_t p = 0; p < count; ++p) ++bucket_pos[level_of[p] + 1];
   for (uint32_t l = 0; l <= height; ++l) bucket_pos[l + 1] += bucket_pos[l];
-  std::vector<uint32_t>& order = scratch->order;
-  order.resize(count);
+  // Scatter the targets into level order with their arrays resolved: the
+  // lookups of different targets are independent, so their misses overlap
+  // here instead of stalling the sweep.
+  std::vector<SweepTarget>& sorted = scratch->sweep_targets;
+  if (sorted.size() < count) sorted.resize(count);
   {
     std::vector<uint32_t>& cursor = scratch->cursor;
     cursor.assign(bucket_pos.begin(), bucket_pos.end() - 1);
     for (size_t p = 0; p < count; ++p) {
-      order[cursor[level_of[p]]++] = static_cast<uint32_t>(p);
+      const uint32_t idx = target_labels.base[pending[p].core] + level_of[p];
+      sorted[cursor[level_of[p]]++] = {
+          target_labels.arena.data() + target_labels.level_start[idx],
+          target_labels.level_len[idx], pending[p].out_index,
+          pending[p].offset};
     }
   }
 
-  // Per level, resolve the source array once and sweep the bucket.
-  const uint32_t* arena = target_labels.arena.data();
+  // Per level, resolve the source array once and sweep the bucket,
+  // prefetching the array kArrayAhead targets ahead.
+  constexpr uint32_t kArrayAhead = 3;
   for (uint32_t level = 0; level <= height; ++level) {
     const uint32_t bucket_begin = bucket_pos[level];
     const uint32_t bucket_end = bucket_pos[level + 1];
@@ -204,17 +232,13 @@ inline void SweepPendingByLevel(const LabelStore& source_labels,
     const uint32_t len_a = source_labels.level_len[s_idx];
     simd::PrefetchArray(a, len_a * sizeof(uint32_t));
     for (uint32_t p = bucket_begin; p < bucket_end; ++p) {
-      if (p + 1 < bucket_end) {
-        const PendingTarget& next = pending[order[p + 1]];
-        const uint32_t n_idx = target_labels.base[next.core] + level;
-        simd::PrefetchArray(arena + target_labels.level_start[n_idx],
-                            target_labels.level_len[n_idx] * sizeof(uint32_t));
+      if (p + kArrayAhead < count) {
+        const SweepTarget& next = sorted[p + kArrayAhead];
+        simd::PrefetchArray(next.data, next.len * sizeof(uint32_t));
       }
-      const PendingTarget& cur = pending[order[p]];
-      const uint32_t t_idx = target_labels.base[cur.core] + level;
-      const uint32_t* b = arena + target_labels.level_start[t_idx];
-      const uint32_t len = std::min(len_a, target_labels.level_len[t_idx]);
-      const uint32_t best = simd::MinPlusPadded(a, b, len);
+      const SweepTarget& cur = sorted[p];
+      const uint32_t best =
+          simd::MinPlusPadded(a, cur.data, std::min(len_a, cur.len));
       out[cur.out_index] =
           best >= kUnreachableLabel ? kInfDist : cur.offset + best;
     }

@@ -129,16 +129,20 @@ std::vector<Vertex> Pick(size_t n, size_t count, uint64_t seed,
   return out;
 }
 
-/// The shapes every flavour runs: thin (one-source level sweeps and
-/// all-narrow blocks), square and wide (panels, including more than 2048
-/// columns).
+/// The shapes every flavour runs, so every branch of the blocked matrix
+/// meets per-pair Query: thin (one-source level sweeps and all-narrow
+/// pair-by-pair blocks), shapes at and around the panel thresholds (4
+/// sources x 8 targets) with odd source counts (a two-source kernel pass
+/// plus a lone last source) and partial 32-lane strips, square and wide
+/// (panels, including more than 2048 columns).
 struct Shape {
   size_t sources;
   size_t targets;
 };
-constexpr Shape kShapes[] = {{1, 1},   {1, 300},  {300, 1},  {3, 250},
-                             {250, 3}, {4, 8},    {7, 9},    {60, 90},
-                             {180, 170}, {5, 2300}};
+constexpr Shape kShapes[] = {
+    {1, 1},   {1, 300}, {300, 1},  {3, 7},     {3, 250},   {250, 3},
+    {4, 8},   {5, 9},   {7, 9},    {7, 33},    {33, 7},    {60, 90},
+    {180, 170}, {255, 257}, {5, 2300}};
 
 template <typename Index>
 Matrix PerPairQuery(const Index& index, const std::vector<Vertex>& sources,

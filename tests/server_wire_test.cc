@@ -1687,6 +1687,68 @@ TEST_F(WireTest, NumberListsMatchToStringJoinByteForByte) {
   }
 }
 
+TEST(NumberWriterTest, GroupsOfFourMatchToCharsByteForByte) {
+  // Distance lists may be formatted four entries at a time: a group of
+  // four values below 10^8 in one step, any other group and the last
+  // entries of a list entry by entry. Every way a list can fall into such
+  // groups must read exactly like std::to_chars.
+  const auto expect_matches = [](std::span<const Dist> values,
+                                 const std::string& what) {
+    std::string out = "prefix:";
+    AppendNumberList(&out, values);
+    ASSERT_TRUE(out == "prefix:" + ToCharsJoin<Dist>(values)) << what;
+  };
+
+  // Lists of every length 0-12 at every start offset of the probe values,
+  // so each probe value lands in every lane of a group and in the tail.
+  const std::vector<Dist> probe = WriterProbeValues<Dist>(0);
+  for (size_t len = 0; len <= 12; ++len) {
+    for (size_t first = 0; first + len <= probe.size(); ++first) {
+      expect_matches(std::span<const Dist>(probe).subspan(first, len),
+                     "first " + std::to_string(first) + " len " +
+                         std::to_string(len));
+    }
+  }
+
+  // A null or a value of 10^8 or more in each lane of a group of small
+  // values, and groups made only of such entries.
+  const Dist kOutliers[] = {kInfDist,        100'000'000,    99'999'999,
+                            100'000'001,     kInfDist - 1,   uint64_t{1} << 32,
+                            uint64_t{1} << 27};
+  for (const Dist outlier : kOutliers) {
+    for (size_t lane = 0; lane < 4; ++lane) {
+      std::vector<Dist> values = {7, 1234, 0, 98'765'432, 5, 10, 100, 1000};
+      values[4 + lane] = outlier;
+      expect_matches(values, "outlier " + std::to_string(outlier) +
+                                 " lane " + std::to_string(lane));
+    }
+    expect_matches(std::vector<Dist>(8, outlier),
+                   "all outliers " + std::to_string(outlier));
+  }
+
+  // Runs crossing the 4 KiB formatting block at shifting offsets: widths
+  // of 1 to 8 digits, with a null or a wide value now and then.
+  std::mt19937_64 rng(27);
+  for (const size_t count : {400, 455, 456, 457, 1000, 5003}) {
+    std::vector<Dist> values(count);
+    for (size_t i = 0; i < count; ++i) {
+      const uint64_t kind = rng() % 40;
+      values[i] = kind == 0   ? kInfDist
+                  : kind == 1 ? rng()
+                              : rng() % (uint64_t{10} << (rng() % 24));
+    }
+    expect_matches(values, "block run " + std::to_string(count));
+    std::vector<Dist> eight_digits(count);
+    for (Dist& d : eight_digits) d = 10'000'000 + rng() % 90'000'000;
+    expect_matches(eight_digits, "eight-digit run " + std::to_string(count));
+  }
+
+  // Every value in [0, 2^22) through full groups of four.
+  std::vector<Dist> all(size_t{1} << 22);
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  expect_matches(all, "[0, 2^22)");
+}
+
 TEST(WireDisconnectedTest, MatrixNullsAndLongRoutesMatchReferences) {
   // Two components: a 1500-vertex path (its end-to-end route lists more
   // vertex ids than one formatting block holds) and a 20-vertex path. A

@@ -220,6 +220,117 @@ TEST(MinPlusPanel, SentinelColumnsAndSaturatingSums) {
   for (const uint32_t v : out) EXPECT_EQ(v, kSentinel);
 }
 
+/// Runs the two-source MinPlusPanel and checks each source's outputs
+/// against MinPlusScalar per column over min(len_source, len_column), with
+/// nothing written past either output's `width` entries.
+void ExpectTwoSourcePanelMatchesScalar(
+    const std::vector<uint32_t>& a0, const std::vector<uint32_t>& a1,
+    const std::vector<std::vector<uint32_t>>& columns, size_t height,
+    const std::string& what) {
+  const std::vector<uint32_t> panel = BuildPanel(columns, height);
+  const size_t width = columns.size();
+  std::vector<uint32_t> out0(width + 1, 12345), out1(width + 1, 54321);
+  simd::MinPlusPanel<2>({{a0.data(), std::min(a0.size(), height), out0.data()},
+                         {a1.data(), std::min(a1.size(), height), out1.data()}},
+                        panel.data(), height, width);
+  for (size_t j = 0; j < width; ++j) {
+    ASSERT_EQ(out0[j],
+              simd::MinPlusScalar(a0.data(), columns[j].data(),
+                                  std::min(a0.size(), columns[j].size())))
+        << what << " source 0 column " << j;
+    ASSERT_EQ(out1[j],
+              simd::MinPlusScalar(a1.data(), columns[j].data(),
+                                  std::min(a1.size(), columns[j].size())))
+        << what << " source 1 column " << j;
+  }
+  EXPECT_EQ(out0[width], 12345u) << what;
+  EXPECT_EQ(out1[width], 54321u) << what;
+}
+
+TEST(MinPlusPanel, TwoSourcesMatchScalarPerSourceAndColumn) {
+  Rng rng(20261019);
+  // Every width 1-70 (partial strips at both sides of the 32-lane strip)
+  // against source pairs whose lengths are shorter than, equal to and
+  // longer than each other, zero included.
+  for (size_t width = 1; width <= 70; ++width) {
+    for (int rep = 0; rep < 12; ++rep) {
+      const size_t height = rng.Below(50);
+      std::vector<std::vector<uint32_t>> columns(width);
+      for (auto& column : columns) {
+        column.resize(height == 0 ? 0 : rng.Below(height + 1));
+        for (uint32_t& v : column) v = AdversarialValue(rng);
+      }
+      size_t len0 = rng.Below(height + 1);
+      size_t len1 = rng.Below(height + 1);
+      switch (rep % 4) {
+        case 0:
+          len1 = len0;  // equal
+          break;
+        case 1:
+          len0 = 0;  // one empty source beside a longer one
+          break;
+        case 2:
+          len1 = 0;
+          break;
+        default:
+          break;  // independent: either may be the longer
+      }
+      std::vector<uint32_t> a0(len0), a1(len1);
+      for (uint32_t& v : a0) v = AdversarialValue(rng);
+      for (uint32_t& v : a1) v = AdversarialValue(rng);
+      ExpectTwoSourcePanelMatchesScalar(
+          a0, a1, columns, height,
+          "width=" + std::to_string(width) + " height=" +
+              std::to_string(height) + " lens=" + std::to_string(len0) + "," +
+              std::to_string(len1));
+    }
+  }
+  // Both orders of a long and a short source over one panel, so each
+  // side's continuation past the other's length is exercised.
+  for (const size_t width : {5, 32, 47}) {
+    const size_t height = 40;
+    std::vector<std::vector<uint32_t>> columns(width);
+    for (auto& column : columns) {
+      column.resize(height);
+      for (uint32_t& v : column) v = static_cast<uint32_t>(rng.Below(1000));
+    }
+    std::vector<uint32_t> longer(height), shorter(3);
+    // The longer source wins only in its last rows.
+    for (size_t h = 0; h < height; ++h) {
+      longer[h] = h + 5 < height ? 1'000'000 : static_cast<uint32_t>(h);
+    }
+    for (uint32_t& v : shorter) v = 500'000;
+    ExpectTwoSourcePanelMatchesScalar(longer, shorter, columns, height,
+                                      "long,short");
+    ExpectTwoSourcePanelMatchesScalar(shorter, longer, columns, height,
+                                      "short,long");
+  }
+}
+
+TEST(MinPlusPanel, TwoSourcesSentinelColumnsAndSaturatingSums) {
+  const size_t height = 13;
+  std::vector<std::vector<uint32_t>> columns(41);
+  for (size_t j = 0; j < columns.size(); ++j) {
+    columns[j].assign(height, kSentinel);
+    if (j % 3 == 1) {
+      columns[j][j % height] = kSentinel - 2;  // wraps past 2^32 if unsaturated
+    } else if (j % 3 == 2) {
+      columns[j][j % height] = static_cast<uint32_t>(j);
+    }
+  }
+  std::vector<uint32_t> a0(height), a1(height - 4);
+  for (size_t h = 0; h < a0.size(); ++h) {
+    a0[h] = h % 2 == 0 ? (uint32_t{1} << 31) + static_cast<uint32_t>(h)
+                       : static_cast<uint32_t>(10 * h);
+  }
+  for (size_t h = 0; h < a1.size(); ++h) {
+    a1[h] = h % 3 == 0 ? kSentinel : kSentinel - 1 - static_cast<uint32_t>(h);
+  }
+  ExpectTwoSourcePanelMatchesScalar(a0, a1, columns, height, "sentinel-heavy");
+  ExpectTwoSourcePanelMatchesScalar(a1, a0, columns, height,
+                                    "sentinel-heavy swapped");
+}
+
 TEST(PaddedLength, RoundsToVectorMultiple) {
   EXPECT_EQ(simd::PaddedLength(0), 0u);
   EXPECT_EQ(simd::PaddedLength(1), simd::kPadLanes);
