@@ -253,7 +253,6 @@ int Run() {
     shard->RecordLatency(op, ns);
   };
   RequestHandler handler(std::move(hooks));
-  const RequestHandler::CoalescePolicy policy;
   std::vector<Vertex> run_sources;
   std::vector<Vertex> run_targets;
   std::vector<Dist> run_dists;
@@ -273,7 +272,7 @@ int Run() {
     const Clock::time_point received = Clock::now();
     for (RequestHandler::StagePlan& plan : plans) {
       scratch.clear();
-      if (handler.Prepare(point_lines[next_line], *router, *threaded, &policy,
+      if (handler.Prepare(point_lines[next_line], *router, *threaded,
                           &run_sources, &run_targets, &plan, received,
                           &scratch) != RequestHandler::LineAction::kStaged) {
         std::abort();

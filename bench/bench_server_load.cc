@@ -4,18 +4,15 @@
 //
 // Three phases:
 //  - point: N connections, each pipelining bursts of single-pair point
-//    requests, once with request coalescing (the reactor merges the staged
-//    lines of a burst — and of concurrently ready connections — into one
-//    engine batch) and once with --no-coalesce semantics. The headline
-//    number is the throughput ratio between the two runs: it is a property
-//    of the serving path, not of the machine, so check_bench.py gates it on
-//    every runner (floor 1.0 — coalescing must never LOSE throughput).
+//    requests, which the reactor coalesces (the staged lines of a burst —
+//    and of concurrently ready connections — run as one engine batch); the
+//    bench fails if coalescing did not engage.
 //  - batch: the same closed loop with 8-target batch requests, depth 1.
 //  - matrix: one connection requesting a 100x100 matrix monolithically and
 //    then as a chunked stream ("stream":true), timing both round trips.
 //
 // The numbers are merged into BENCH_query.json as the "server_load"
-// section (machine-matched absolutes + the always-on coalesce-ratio floor).
+// section (machine-matched absolutes).
 // Like "large_graph", the merge splices BEFORE the "update_latency"/
 // "parallel" markers; run it AFTER bench_large_graph, whose own merge
 // truncates forward from its marker.
@@ -364,56 +361,34 @@ int main() {
   // A deliberately small serving configuration: 2 event loops and a
   // 2-thread engine make per-request dispatch the bottleneck, which is
   // exactly the overhead coalescing amortizes.
-  const auto run_mode = [&](bool coalesce) {
-    ServerOptions options;
-    options.port = 0;
-    options.num_threads = 2;
-    options.reactor_threads = 2;
-    options.coalesce = coalesce;
-    Result<QueryServer> server = QueryServer::Start(*router, options);
-    if (!server.ok()) {
-      std::fprintf(stderr, "FATAL: server start failed: %s\n",
-                   server.status().ToString().c_str());
-      std::exit(1);
-    }
-    PhaseResult best;
-    for (int rep = 0; rep < 3; ++rep) {
-      const PhaseResult r = RunClosedLoop(server->port(), kConnections,
-                                          kBursts, kDepth, n, PointLine);
-      if (rep == 0 || r.qps > best.qps) best = r;
-    }
-    if (coalesce) {
-      const QueryServer::Stats stats = server->stats();
-      if (stats.requests_coalesced == 0 || stats.coalesced_batches == 0 ||
-          stats.coalesced_batches >= stats.requests_coalesced) {
-        std::fprintf(stderr,
-                     "FATAL: coalescing did not engage (coalesced=%llu "
-                     "batches=%llu)\n",
-                     static_cast<unsigned long long>(stats.requests_coalesced),
-                     static_cast<unsigned long long>(
-                         stats.coalesced_batches));
-        std::exit(1);
-      }
-    }
-    server->Stop();
-    return best;
-  };
-
-  const PhaseResult uncoalesced = run_mode(false);
-  const PhaseResult coalesced = run_mode(true);
-  const double ratio =
-      uncoalesced.qps > 0 ? coalesced.qps / uncoalesced.qps : 0.0;
-
-  // Batch and matrix phases on one coalescing server.
   ServerOptions options;
   options.port = 0;
   options.num_threads = 2;
   options.reactor_threads = 2;
   Result<QueryServer> server = QueryServer::Start(*router, options);
   if (!server.ok()) {
-    std::fprintf(stderr, "FATAL: server start failed\n");
+    std::fprintf(stderr, "FATAL: server start failed: %s\n",
+                 server.status().ToString().c_str());
     return 1;
   }
+  PhaseResult coalesced;
+  for (int rep = 0; rep < 3; ++rep) {
+    const PhaseResult r = RunClosedLoop(server->port(), kConnections, kBursts,
+                                        kDepth, n, PointLine);
+    if (rep == 0 || r.qps > coalesced.qps) coalesced = r;
+  }
+  const QueryServer::Stats stats = server->stats();
+  if (stats.requests_coalesced == 0 || stats.coalesced_batches == 0 ||
+      stats.coalesced_batches >= stats.requests_coalesced) {
+    std::fprintf(stderr,
+                 "FATAL: coalescing did not engage (coalesced=%llu "
+                 "batches=%llu)\n",
+                 static_cast<unsigned long long>(stats.requests_coalesced),
+                 static_cast<unsigned long long>(stats.coalesced_batches));
+    return 1;
+  }
+
+  // Batch and matrix phases on the same server.
   const PhaseResult batch = RunClosedLoop(server->port(), kConnections,
                                           kBursts, 1, n, BatchLine);
   const double matrix_ms =
@@ -424,8 +399,6 @@ int main() {
 
   TablePrinter table({"Metric", "Value"});
   table.AddRow({"point qps, coalesced", FormatDouble(coalesced.qps, 0)});
-  table.AddRow({"point qps, uncoalesced", FormatDouble(uncoalesced.qps, 0)});
-  table.AddRow({"coalesce ratio", FormatDouble(ratio, 2) + "x"});
   table.AddRow({"burst p50 [us]", FormatDouble(coalesced.p50_us, 1)});
   table.AddRow({"burst p99 [us]", FormatDouble(coalesced.p99_us, 1)});
   table.AddRow({"batch qps (8 targets)", FormatDouble(batch.qps, 0)});
@@ -442,8 +415,6 @@ int main() {
       "    \"pipeline_depth\": %zu,\n"
       "    \"point_requests\": %llu,\n"
       "    \"qps_coalesced\": %.1f,\n"
-      "    \"qps_uncoalesced\": %.1f,\n"
-      "    \"coalesce_ratio\": %.3f,\n"
       "    \"burst_p50_us\": %.1f,\n"
       "    \"burst_p99_us\": %.1f,\n"
       "    \"batch_qps\": %.1f,\n"
@@ -451,8 +422,7 @@ int main() {
       "    \"stream_matrix_ms\": %.3f\n  }",
       kConnections, kDepth,
       static_cast<unsigned long long>(coalesced.requests), coalesced.qps,
-      uncoalesced.qps, ratio, coalesced.p50_us, coalesced.p99_us, batch.qps,
-      matrix_ms, stream_ms);
+      coalesced.p50_us, coalesced.p99_us, batch.qps, matrix_ms, stream_ms);
   const char* json = std::getenv("HC2L_BENCH_JSON");
   const std::string path = json != nullptr ? json : "BENCH_query.json";
   MergeServerLoadSection(path, section);

@@ -95,9 +95,9 @@ enum class OpenMode {
   /// Map the label and (when present) hint arenas of the index file in
   /// place: O(1) open — only the metadata section is parsed, no arena
   /// copy — with the mapped pages advised MADV_RANDOM for the label access
-  /// pattern. Every index file maps, with or without route hints. Shard
-  /// manifests open every member shard in this mode. Queries are
-  /// bit-identical to kHeap.
+  /// pattern. Every index file maps, with or without route hints. A shard
+  /// manifest maps every member file's arena slices into one reserved
+  /// address range. Queries are bit-identical to kHeap.
   kMmap,
 };
 
@@ -138,8 +138,8 @@ struct IndexInfo {
   /// arenas, so its heap share is only the parsed metadata.
   uint64_t mapped_bytes = 0;
   uint64_t heap_bytes = 0;
-  /// Member shards when the router was opened from a shard manifest
-  /// (HC2S0001); 0 for a monolithic index.
+  /// Member files the arenas came from when the router was opened from a
+  /// shard manifest (HC2S0002); 0 otherwise, including after a repair.
   uint64_t num_shards = 0;
 };
 
@@ -152,11 +152,11 @@ class Router {
  public:
   /// Opens a serialized index, sniffing the format magic: HC2L0004 loads
   /// the undirected index, HC2D0004 the directed one (route hints come back
-  /// when the file has hint sections), and HC2S0001 — a shard manifest
-  /// written by `hc2l shard` — loads every member shard and answers queries
-  /// across them, bit-identical to the monolithic index over the same
-  /// graph. Errors: kNotFound (cannot open), kInvalidArgument (any other
-  /// magic), kDataLoss (truncated or corrupt).
+  /// when the file has hint sections), and HC2S0002 — a shard manifest
+  /// written by `hc2l shard` — loads the ordinary index of its flavour, its
+  /// arenas assembled from the member files. Errors: kNotFound (cannot
+  /// open), kInvalidArgument (any other magic), kDataLoss (truncated or
+  /// corrupt, or a member file of another build or slot).
   static Result<Router> Open(const std::string& path);
 
   /// Open with an explicit label-storage mode (see OpenMode). The
@@ -187,10 +187,8 @@ class Router {
   IndexInfo Info() const;
 
   /// Serializes the index in its flavour's sectioned, mmap-able format
-  /// (HC2L0004 / HC2D0004). Hint-less indexes (route_hints = false) omit
-  /// the hint sections. A sharded router does not Save
-  /// (kFailedPrecondition) — its on-disk form is the manifest it was opened
-  /// from.
+  /// (HC2L0004 / HC2D0004), also when it was opened from a shard manifest.
+  /// Hint-less indexes (route_hints = false) omit the hint sections.
   Status Save(const std::string& path) const;
 
   /// Exact distance d(s, t) — d(s -> t) for directed indexes; kInfDist when

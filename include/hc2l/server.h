@@ -14,7 +14,7 @@
 /// shared ThreadedRouter, so concurrent connections share the engine's
 /// worker pool instead of spawning their own. Small concurrently-arriving
 /// point/batch requests are coalesced into one engine batch (bit-identical
-/// answers, demultiplexed per connection; ServerOptions::coalesce).
+/// answers, demultiplexed per connection).
 ///
 ///   hc2l::Result<hc2l::Router> router = hc2l::Router::Open("city.idx");
 ///   hc2l::Result<hc2l::QueryServer> server =
@@ -129,10 +129,6 @@ struct ServerOptions {
   /// connection goes to the loop with the fewest live connections.
   /// 0 = clamp(hardware_concurrency / 2, 2, 8).
   uint32_t reactor_threads = 0;
-  /// Coalesce small concurrently-arriving default-option point/batch
-  /// requests into one engine batch. Answers are bit-identical either way;
-  /// disable to trade batching throughput for strict per-request execution.
-  bool coalesce = true;
 };
 
 /// The TCP front end. Construction binds, listens and spawns the accept

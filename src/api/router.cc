@@ -17,7 +17,6 @@
 #include "search/dijkstra.h"
 #include "search/directed_dijkstra.h"
 #include "server/query_engine.h"
-#include "shard/sharded_index.h"
 
 namespace hc2l {
 
@@ -504,7 +503,6 @@ struct Router::Impl {
   // Exactly one is non-null.
   std::unique_ptr<Hc2lIndex> undirected;
   std::unique_ptr<DirectedHc2lIndex> directed;
-  std::unique_ptr<ShardedIndex> sharded;
   // The graph UpdateWeights repairs against (and hint-less undirected
   // indexes unpack routes against): kept by Build(const Graph&), attachable
   // after Open via AttachGraph, carried forward (with the deltas applied)
@@ -523,8 +521,7 @@ struct Router::Impl {
   template <typename Fn>
   decltype(auto) Visit(Fn&& fn) const {
     if (undirected != nullptr) return fn(*undirected);
-    if (directed != nullptr) return fn(*directed);
-    return fn(*sharded);
+    return fn(*directed);
   }
 };
 
@@ -536,11 +533,6 @@ namespace {
 template <typename RouterImpl>
 Status RouteOnImpl(const RouterImpl& impl, Vertex s, Vertex t,
                    RoutePath* out) {
-  if (impl.sharded != nullptr) {
-    // Sharded indexes always carry route hints (Build forces them on, Load
-    // rejects hint-less shards).
-    return impl.sharded->Route(s, t, out);
-  }
   if (impl.undirected != nullptr) {
     if (impl.undirected->HasRouteHints()) {
       return impl.undirected->Route(s, t, out);
@@ -573,9 +565,6 @@ Status RoutesOnImpl(const RouterImpl& impl, Vertex s, Vertex t, size_t k,
                     std::vector<RoutePath>* out) {
   out->clear();
   if (k == 0) return Status::Ok();
-  if (impl.sharded != nullptr) {
-    return impl.sharded->Routes(s, t, k, out);
-  }
   if (impl.undirected != nullptr && impl.undirected->HasRouteHints()) {
     return impl.undirected->Routes(s, t, k, out);
   }
@@ -643,6 +632,12 @@ Result<Router> Router::Open(const std::string& path, OpenMode mode) {
       return Status::DataLoss(path + " is too short to hold an index header");
     }
   }
+  if (magic == kShardManifestMagic) {
+    // A manifest loads as the ordinary index of the flavour it names.
+    const Result<uint64_t> flavour = ManifestFlavour(path);
+    if (!flavour.ok()) return flavour.status();
+    magic = *flavour;
+  }
   const bool use_mmap = mode == OpenMode::kMmap;
   auto impl = std::make_unique<Impl>();
   if (magic == kHc2lIndexMagic) {
@@ -655,14 +650,10 @@ Result<Router> Router::Open(const std::string& path, OpenMode mode) {
     if (!index.ok()) return index.status();
     impl->directed =
         std::make_unique<DirectedHc2lIndex>(std::move(index).value());
-  } else if (magic == kShardManifestMagic) {
-    Result<ShardedIndex> index = ShardedIndex::Load(path, use_mmap);
-    if (!index.ok()) return index.status();
-    impl->sharded = std::make_unique<ShardedIndex>(std::move(index).value());
   } else {
     return Status::InvalidArgument(
         path + " is not an HC2L index (unrecognized format magic; expected "
-               "HC2L0004, HC2D0004 or an HC2S0001 shard manifest)");
+               "HC2L0004, HC2D0004 or an HC2S0002 shard manifest)");
   }
   return Router(std::move(impl));
 }
@@ -687,10 +678,7 @@ Result<Router> Router::Build(const Digraph& graph,
   return Router(std::move(impl));
 }
 
-bool Router::directed() const {
-  if (impl_->sharded != nullptr) return impl_->sharded->directed();
-  return impl_->directed != nullptr;
-}
+bool Router::directed() const { return impl_->directed != nullptr; }
 
 uint64_t Router::NumVertices() const {
   return impl_->Visit(
@@ -701,63 +689,33 @@ IndexInfo Router::Info() const {
   IndexInfo info;
   info.directed = directed();
   info.num_vertices = NumVertices();
-  // Sums for sizes, max for heights and cuts over the member indexes (one
-  // for a monolithic router). Only the undirected flavour records its
-  // shortcut count and build time.
-  double weighted_cut = 0.0;
-  const auto add = [&](const auto& index) {
+  impl_->Visit([&](const auto& index) {
     const BalancedTreeHierarchy& h = index.Hierarchy();
-    info.num_core_vertices += index.NumCoreVertices();
-    info.num_contracted += index.NumContracted();
-    info.tree_height = std::max(info.tree_height, index.TreeHeight());
-    info.num_tree_nodes += h.NumNodes();
-    info.max_cut_size = std::max<uint64_t>(info.max_cut_size, h.MaxCutSize());
-    weighted_cut += h.AvgCutSize() * static_cast<double>(h.NumNodes());
-    info.label_entries += index.NumEntries();
-    info.label_logical_bytes += index.LabelLogicalBytes();
-    info.label_resident_bytes += index.LabelSizeBytes();
-    info.lca_bytes += index.LcaStorageBytes();
-    info.mapped_bytes += index.MappedBytes();
-    info.heap_bytes += index.ArenaResidentBytes() - index.MappedBytes();
-    if constexpr (std::is_same_v<std::decay_t<decltype(index)>, Hc2lIndex>) {
-      info.num_shortcuts += index.Stats().num_shortcuts;
-      info.build_seconds += index.Stats().build_seconds;
-    }
-  };
-  if (impl_->sharded != nullptr) {
-    // Replicated boundary vertices make the core/contracted sums slightly
-    // exceed the monolithic figures — that duplication is exactly the
-    // sharding overhead the fields should surface.
-    const ShardedIndex& sharded = *impl_->sharded;
-    info.num_shards = sharded.NumShards();
-    for (const Hc2lIndex& shard : sharded.UndirectedShards()) add(shard);
-    for (const DirectedHc2lIndex& shard : sharded.DirectedShards()) add(shard);
-    // The weighted mean of the shard averages.
-    if (info.num_tree_nodes > 0) {
-      info.avg_cut_size =
-          weighted_cut / static_cast<double>(info.num_tree_nodes);
-    }
-    return info;
-  }
-  const auto monolithic = [&](const auto& index) {
-    add(index);
-    info.avg_cut_size = index.Hierarchy().AvgCutSize();
-  };
+    info.num_core_vertices = index.NumCoreVertices();
+    info.num_contracted = index.NumContracted();
+    info.tree_height = index.TreeHeight();
+    info.num_tree_nodes = h.NumNodes();
+    info.max_cut_size = h.MaxCutSize();
+    info.avg_cut_size = h.AvgCutSize();
+    info.label_entries = index.NumEntries();
+    info.label_logical_bytes = index.LabelLogicalBytes();
+    info.label_resident_bytes = index.LabelSizeBytes();
+    info.lca_bytes = index.LcaStorageBytes();
+    info.mapped_bytes = index.MappedBytes();
+    info.heap_bytes = index.ArenaResidentBytes() - index.MappedBytes();
+    info.num_shards = index.Members().size();
+  });
+  // Only the undirected flavour records its shortcut count and build time.
   if (impl_->undirected != nullptr) {
-    monolithic(*impl_->undirected);
+    info.num_shortcuts = impl_->undirected->Stats().num_shortcuts;
+    info.build_seconds = impl_->undirected->Stats().build_seconds;
   } else {
-    monolithic(*impl_->directed);
     info.build_seconds = impl_->directed_build_seconds;
   }
   return info;
 }
 
 Status Router::Save(const std::string& path) const {
-  if (impl_->sharded != nullptr) {
-    return Status::FailedPrecondition(
-        "a sharded router does not Save; its on-disk form is the manifest it "
-        "was opened from (write new shards with `hc2l shard`)");
-  }
   return impl_->Visit([&](const auto& index) { return index.Save(path); });
 }
 
@@ -813,9 +771,8 @@ Status Router::RebuildLabels(const Graph& updated, bool tail_pruning,
                              uint32_t num_threads) {
   if (impl_->undirected == nullptr) {
     return Status::FailedPrecondition(
-        "RebuildLabels is only supported by monolithic undirected indexes "
-        "(the directed extension rebuilds from scratch; sharded indexes "
-        "re-shard with `hc2l shard`)");
+        "RebuildLabels is only supported by undirected indexes (the "
+        "directed extension rebuilds from scratch)");
   }
   // The concrete index validates what it can cheaply detect (vertex count,
   // pendant structure) before mutating anything.
@@ -840,9 +797,8 @@ Result<Router> Router::UpdateWeights(std::span<const EdgeDelta> deltas,
                                      uint32_t num_threads) const {
   if (impl_->undirected == nullptr) {
     return Status::FailedPrecondition(
-        "UpdateWeights is only supported by monolithic undirected indexes "
-        "(the directed extension rebuilds from scratch; sharded indexes "
-        "re-shard with `hc2l shard`)");
+        "UpdateWeights is only supported by undirected indexes (the "
+        "directed extension rebuilds from scratch)");
   }
   if (impl_->graph == nullptr) {
     return Status::FailedPrecondition(
@@ -884,7 +840,6 @@ struct ThreadedRouter::Impl {
   // Exactly one is non-null, matching the Router's flavour.
   std::unique_ptr<QueryEngine> undirected;
   std::unique_ptr<DirectedQueryEngine> directed;
-  std::unique_ptr<BasicQueryEngine<ShardedIndex>> sharded;
   // The borrowed Router's impl (the handle must not outlive it anyway):
   // route requests are single queries, answered inline through the same
   // hint-or-fallback primitive as Router::Route rather than sharded.
@@ -894,8 +849,7 @@ struct ThreadedRouter::Impl {
   template <typename Fn>
   decltype(auto) Visit(Fn&& fn) const {
     if (undirected != nullptr) return fn(*undirected);
-    if (directed != nullptr) return fn(*directed);
-    return fn(*sharded);
+    return fn(*directed);
   }
 };
 
@@ -979,12 +933,9 @@ Result<ThreadedRouter> Router::WithThreads(
   if (impl_->undirected != nullptr) {
     impl->undirected =
         std::make_unique<QueryEngine>(*impl_->undirected, engine_options);
-  } else if (impl_->directed != nullptr) {
+  } else {
     impl->directed = std::make_unique<DirectedQueryEngine>(*impl_->directed,
                                                            engine_options);
-  } else {
-    impl->sharded = std::make_unique<BasicQueryEngine<ShardedIndex>>(
-        *impl_->sharded, engine_options);
   }
   return ThreadedRouter(std::move(impl));
 }

@@ -1,16 +1,16 @@
 #ifndef HC2L_COMMON_BINARY_IO_H_
 #define HC2L_COMMON_BINARY_IO_H_
 
-/// Minimal binary serialization helpers shared by the index, hierarchy and
-/// shard-manifest Save/Load paths (no exceptions; plain fwrite/fread). The read side goes through a
-/// bounded Reader that knows how many bytes the file still holds: every
-/// size field is validated against that bound BEFORE any allocation, so a
-/// bit-flipped or truncated size field becomes a clean load failure instead
-/// of a multi-gigabyte resize (which would throw bad_alloc — an abort under
-/// this library's no-exceptions policy) or an out-of-memory kill. Pinned by
-/// tests/load_fuzz_test.cc over systematic truncations and seeded bit
-/// flips of every format. The label stores themselves are written and read
-/// by the section codec (common/section_file.h).
+/// Minimal binary serialization helpers shared by the index and hierarchy
+/// Save/Load paths (no exceptions; plain fwrite/fread). The read side goes
+/// through a bounded Reader that knows how many bytes the file still holds:
+/// every size field is validated against that bound BEFORE any allocation, so a
+/// bit-flipped or truncated size field becomes a clean load failure instead of
+/// a multi-gigabyte resize (which would throw bad_alloc — an abort under this
+/// library's no-exceptions policy) or an out-of-memory kill. Pinned by
+/// tests/load_fuzz_test.cc over systematic truncations and seeded bit flips of
+/// every format. The label stores themselves are written and read by the
+/// section codec (common/section_file.h).
 
 #include <cstdint>
 #include <cstdio>

@@ -25,6 +25,28 @@ std::shared_ptr<MappedFile> MappedFile::Open(const std::string& path) {
       new MappedFile(static_cast<const uint8_t*>(base), size));
 }
 
+std::shared_ptr<MappedFile> MappedFile::Reserve(size_t size) {
+  if (size == 0) return nullptr;
+  void* base = ::mmap(nullptr, size, PROT_NONE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (base == MAP_FAILED) return nullptr;
+  return std::shared_ptr<MappedFile>(
+      new MappedFile(static_cast<const uint8_t*>(base), size));
+}
+
+bool MappedFile::MapInto(size_t offset, int fd, uint64_t file_offset,
+                         size_t bytes) {
+  if (offset > size_ || bytes > size_ - offset) return false;
+  void* at = const_cast<uint8_t*>(data_) + offset;
+  void* mapped = ::mmap(at, bytes, PROT_READ, MAP_PRIVATE | MAP_FIXED, fd,
+                        static_cast<off_t>(file_offset));
+  return mapped == at;
+}
+
+size_t MappedFile::PageSize() {
+  return static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+}
+
 MappedFile::~MappedFile() {
   if (data_ != nullptr) {
     ::munmap(const_cast<uint8_t*>(data_), size_);
@@ -33,7 +55,7 @@ MappedFile::~MappedFile() {
 
 void MappedFile::AdviseRandom(size_t offset, size_t bytes) const {
   if (bytes == 0 || offset >= size_) return;
-  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  const size_t page = PageSize();
   const size_t begin = offset & ~(page - 1);
   const size_t end = offset + std::min(bytes, size_ - offset);
   [[maybe_unused]] const int rc =

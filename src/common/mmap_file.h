@@ -27,6 +27,19 @@ class MappedFile {
   const uint8_t* data() const { return data_; }
   size_t size() const { return size_; }
 
+  /// Reserves `size` bytes of address space for this process alone:
+  /// PROT_NONE, no backing, nothing readable until MapInto fills it (a
+  /// shard manifest's member slices are mapped into one such range, so its
+  /// arenas are contiguous views). nullptr when it cannot be reserved.
+  static std::shared_ptr<MappedFile> Reserve(size_t size);
+
+  /// Maps `bytes` of the open file `fd` from `file_offset`, read-only, at
+  /// `offset` inside this reservation (MAP_FIXED; all three page multiples,
+  /// the range inside the reservation). False on failure.
+  bool MapInto(size_t offset, int fd, uint64_t file_offset, size_t bytes);
+
+  static size_t PageSize();
+
   /// madvise(MADV_RANDOM) on the byte range [offset, offset + bytes): label
   /// lookups are pointer-chases, so read-ahead only pollutes the page
   /// cache. Best effort; rounding to page boundaries happens here.

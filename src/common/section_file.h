@@ -22,8 +22,10 @@
 /// through SectionWriter::WriteStore and SectionFile::ReadStore, once per
 /// direction. Byte-level spec: docs/format.md.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -50,6 +52,9 @@ inline constexpr uint64_t kSectionHintArena = 4;       // undirected / out
 inline constexpr uint64_t kSectionInHintArena = 5;     // directed only
 inline constexpr uint64_t kSectionLabelOffsets = 6;    // undirected / out
 inline constexpr uint64_t kSectionInLabelOffsets = 7;  // directed only
+/// Shard manifests only (docs/format.md): the member table naming the files
+/// that hold the arena slices a manifest has no sections for.
+inline constexpr uint64_t kSectionMembers = 8;
 
 /// The sections of one direction: the offset tables its label and hint
 /// stores share, the label arena, and the hint arena (absent from files of
@@ -361,7 +366,7 @@ inline const SectionEntry* FindSection(
 
 /// Reading side of the codec. Open checks the magic, validates the section
 /// table against the real file size and, for mmap opens, maps the file;
-/// ReadMeta hands the meta section to the flavour's parser (straight off
+/// ReadSection hands the meta section to the flavour's parser (straight off
 /// the mapping, or through a bounded stdio reader); ReadStore attaches one
 /// direction's stores by view (mmap: no copy, no arena page touched) or by
 /// straight reads (heap).
@@ -372,15 +377,15 @@ class SectionFile {
       : path_(std::move(path)), name_(std::move(name)) {}
 
   /// kNotFound when the file cannot be opened, kInvalidArgument when it
-  /// starts with another magic, kDataLoss on a corrupt section table or a
-  /// failed mapping.
-  Status Open(uint64_t magic, bool use_mmap) {
+  /// starts with none of `magics`, kDataLoss on a corrupt section table or
+  /// a failed mapping.
+  Status Open(std::initializer_list<uint64_t> magics, bool use_mmap) {
     file_.reset(std::fopen(path_.c_str(), "rb"));
     if (file_ == nullptr) return Status::NotFound("cannot open " + path_);
     Reader r(file_.get());
     const uint64_t file_size = r.remaining();
-    uint64_t file_magic = 0;
-    if (!ReadValue(&r, &file_magic) || file_magic != magic) {
+    if (!ReadValue(&r, &magic_) ||
+        std::find(magics.begin(), magics.end(), magic_) == magics.end()) {
       return Status::InvalidArgument(path_ + " is not a sectioned " + name_ +
                                      " file");
     }
@@ -397,49 +402,70 @@ class SectionFile {
     return Status::Ok();
   }
 
-  /// Runs `parse(Reader*)` over the meta section, bounded to it so a
-  /// corrupt size field cannot read into the label sections.
+  uint64_t magic() const { return magic_; }  // one of Open's `magics`
+
+  /// Runs `parse(Reader*)` over section `id`, bounded to it so a corrupt
+  /// size field cannot read into the next section. False when the file has
+  /// no such section.
   template <typename Parse>
-  bool ReadMeta(Parse&& parse) {
-    const SectionEntry* meta = FindSection(sections_, kSectionMeta);
-    if (meta == nullptr) return false;
+  bool ReadSection(uint64_t id, Parse&& parse) {
+    const SectionEntry* section = FindSection(sections_, id);
+    if (section == nullptr) return false;
     if (mapping_ != nullptr) {
-      Reader r(mapping_->data() + meta->offset, meta->bytes);
+      Reader r(mapping_->data() + section->offset, section->bytes);
       return parse(&r);
     }
-    if (!Seek(meta->offset)) return false;
+    if (!Seek(section->offset)) return false;
     Reader r(file_.get());
-    r.LimitTo(meta->bytes);
+    r.LimitTo(section->bytes);
     return parse(&r);
+  }
+
+  /// Loads one direction's offset tables into `labels` and, when non-null,
+  /// `hints` (mapped views or owned copies; the counts must match the
+  /// section's size) and checks them with ValidateLabelShape. All a shard
+  /// manifest holds of a store: its arenas are in the member files.
+  bool ReadTables(const StoreSections& ids, const LabelStoreCounts& c,
+                  LabelStore* labels, LabelStore* hints) {
+    const SectionEntry* offsets = FindSection(sections_, ids.offsets);
+    if (offsets == nullptr || !OffsetsSectionMatches(*offsets, c)) {
+      return false;
+    }
+    if (mapping_ != nullptr) {
+      AttachOffsetsView(mapping_->data() + offsets->offset, c, labels, hints);
+    } else {
+      if (!Seek(offsets->offset)) return false;
+      Reader tables(file_.get());
+      tables.LimitTo(offsets->bytes);
+      if (!ReadLabelStoreOffsets(&tables, c, labels, hints)) return false;
+    }
+    return ValidateLabelShape(*labels, c.arena_entries);
   }
 
   /// Loads one direction: `labels` always, `hints` only when the file
   /// carries that direction's hint arena (otherwise `hints` is left
-  /// untouched, i.e. empty). The counts declared in the meta section must
-  /// match the sections' byte sizes exactly, a hint arena must be as large
-  /// as its label arena, and the offset tables must pass
-  /// ValidateLabelShape; heap loads also range-check every hint entry.
+  /// untouched, i.e. empty). The tables load as in ReadTables, each arena
+  /// section must hold exactly c.arena_entries, and a hint arena must be
+  /// as large as its label arena; heap loads also range-check every hint
+  /// entry.
   bool ReadStore(const StoreSections& ids, const LabelStoreCounts& c,
                  LabelStore* labels, LabelStore* hints) {
-    const SectionEntry* offsets = FindSection(sections_, ids.offsets);
     const SectionEntry* label_arena = FindSection(sections_, ids.labels);
     const SectionEntry* hint_arena = FindSection(sections_, ids.hints);
     // The byte-size division keeps forged entry counts from overflowing.
-    if (offsets == nullptr || label_arena == nullptr ||
-        !OffsetsSectionMatches(*offsets, c) ||
+    if (label_arena == nullptr ||
         label_arena->bytes % sizeof(uint32_t) != 0 ||
         label_arena->bytes / sizeof(uint32_t) != c.arena_entries ||
         (hint_arena != nullptr && hint_arena->bytes != label_arena->bytes)) {
       return false;
     }
     if (hint_arena == nullptr) hints = nullptr;
+    if (!ReadTables(ids, c, labels, hints)) return false;
     const std::pair<LabelStore*, const SectionEntry*> arenas[] = {
         {labels, label_arena}, {hints, hint_arena}};
 
     if (mapping_ != nullptr) {
       const uint8_t* base = mapping_->data();
-      AttachOffsetsView(base + offsets->offset, c, labels, hints);
-      if (!ValidateLabelShape(*labels, c.arena_entries)) return false;
       for (const auto& [store, s] : arenas) {
         if (store == nullptr) continue;
         store->arena.ResetView(
@@ -450,13 +476,6 @@ class SectionFile {
       return true;
     }
 
-    if (!Seek(offsets->offset)) return false;
-    Reader tables(file_.get());
-    tables.LimitTo(offsets->bytes);
-    if (!ReadLabelStoreOffsets(&tables, c, labels, hints) ||
-        !ValidateLabelShape(*labels, c.arena_entries)) {
-      return false;
-    }
     for (const auto& [store, s] : arenas) {
       if (store == nullptr) continue;
       if (!Seek(s->offset)) return false;
@@ -487,6 +506,7 @@ class SectionFile {
 
   std::string path_;
   std::string name_;
+  uint64_t magic_ = 0;
   FilePtr file_;
   std::shared_ptr<MappedFile> mapping_;
   std::vector<SectionEntry> sections_;

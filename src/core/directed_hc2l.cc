@@ -20,8 +20,8 @@ DirectedHc2lIndex DirectedHc2lIndex::Build(const Digraph& g,
 // weights; the core (LabelIndex::SaveSections) appends the hierarchy and
 // writes the out- and in-direction stores, with hint arenas for both
 // directions or neither.
-Status DirectedHc2lIndex::Save(const std::string& path) const {
-  return SaveSections(path, kDirectedIndexMagic, [&](std::FILE* out) {
+Status DirectedHc2lIndex::Save(const std::string& path, bool manifest) const {
+  const auto write_body = [&](std::FILE* out) {
     // core_id_ / to_original_ are derivable (a vertex is in the core iff
     // its depth is 0, and its core id is then its root id), so the format
     // does not carry them; Load reconstructs both.
@@ -39,7 +39,8 @@ Status DirectedHc2lIndex::Save(const std::string& path) const {
            io::WriteVector(out, c.down_weight_) &&
            io::WriteVector(out, c.up_dist_) &&
            io::WriteVector(out, c.down_dist_);
-  });
+  };
+  return SaveSections(path, kDirectedIndexMagic, manifest, write_body);
 }
 
 Result<DirectedHc2lIndex> DirectedHc2lIndex::Load(const std::string& path) {

@@ -42,12 +42,15 @@ class DirectedHc2lIndex : public LabelIndex<2> {
   /// mmap-able HC2D0004: a 64-byte-aligned section table; metadata, one
   /// offsets section per direction and the raw arenas as separate sections
   /// (two label arenas, plus two hint arenas when the index has hints).
-  Status Save(const std::string& path) const;
+  /// With `manifest`, an index with a member layout (LayOutMembers) saves
+  /// as a shard manifest plus member files instead (docs/format.md).
+  Status Save(const std::string& path, bool manifest = false) const;
 
-  /// Loads an index previously written by Save() (HC2D0004; hint sections
-  /// restore route hints). Errors: kNotFound (cannot open),
-  /// kInvalidArgument (not a directed HC2L file), kDataLoss (truncated or
-  /// corrupt, including a file with only one direction's hint arena).
+  /// Loads an index previously written by Save() (HC2D0004, or an HC2S0002
+  /// manifest of this flavour; hint sections restore route hints). Errors:
+  /// kNotFound (cannot open), kInvalidArgument (not a directed HC2L file),
+  /// kDataLoss (truncated or corrupt, including a file with only one
+  /// direction's hint arena).
   static Result<DirectedHc2lIndex> Load(const std::string& path);
 
   /// Load with an explicit open mode. With use_mmap the arenas are mapped

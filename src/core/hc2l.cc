@@ -293,6 +293,7 @@ Status Hc2lIndex::RelabelWalk(const Graph& core, bool scoped,
   }
 
   walk.MoveInto(&labels_, &hints_);
+  members_.clear();  // the walk lays the stores out compactly
   // Cut repairs may have moved vertices between nodes.
   height_ = hierarchy_.Height();
   stats_.num_shortcuts = walk.shortcuts() + clean_shortcuts.load();
@@ -330,6 +331,7 @@ Hc2lIndex Hc2lIndex::Clone() const {
   };
   copy_store(labels_[0], &out.labels_[0]);
   if (HasRouteHints()) copy_store(hints_[0], &out.hints_[0]);
+  out.members_ = members_;
   out.repair_cache_ = repair_cache_;
   out.repair_cache_tail_pruning_ = repair_cache_tail_pruning_;
   out.repair_stats_ = repair_stats_;
@@ -378,8 +380,8 @@ bool Hc2lIndex::IdenticalTo(const Hc2lIndex& other) const {
 // contraction; the core (LabelIndex::SaveSections) appends the hierarchy and
 // writes the label store and, when the index has route hints, its hint
 // store.
-Status Hc2lIndex::Save(const std::string& path) const {
-  return SaveSections(path, kHc2lIndexMagic, [&](std::FILE* out) {
+Status Hc2lIndex::Save(const std::string& path, bool manifest) const {
+  const auto write_body = [&](std::FILE* out) {
     const uint8_t has_contraction = contraction_ != nullptr ? 1 : 0;
     bool ok =
         io::WriteValue(out, stats_) && io::WriteValue(out, has_contraction);
@@ -395,7 +397,8 @@ Status Hc2lIndex::Save(const std::string& path) const {
            io::WriteVector(out, c.depth_) && io::WriteValue(out, contracted);
     }
     return ok;
-  });
+  };
+  return SaveSections(path, kHc2lIndexMagic, manifest, write_body);
 }
 
 Result<Hc2lIndex> Hc2lIndex::Load(const std::string& path) {

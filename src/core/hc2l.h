@@ -140,11 +140,14 @@ class Hc2lIndex : public LabelIndex<1> {
   /// RepairLabels vs RebuildLabels.
   bool IdenticalTo(const Hc2lIndex& other) const;
 
-  /// Serializes the index (labels, hierarchy, contraction) to a file.
-  Status Save(const std::string& path) const;
+  /// Serializes the index (labels, hierarchy, contraction) to a file. With
+  /// `manifest`, an index with a member layout (LayOutMembers) saves as a
+  /// shard manifest plus member files instead (docs/format.md).
+  Status Save(const std::string& path, bool manifest = false) const;
 
   /// Loads an index previously written by Save() (HC2L0004; a file with a
-  /// hint section restores route hints, so Route works without a graph).
+  /// hint section restores route hints, so Route works without a graph),
+  /// or an HC2S0002 manifest of this flavour (Members() reports its layout).
   /// Errors: kNotFound (cannot open), kInvalidArgument (not an undirected
   /// index), kDataLoss (truncated or corrupt).
   static Result<Hc2lIndex> Load(const std::string& path);

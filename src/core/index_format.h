@@ -29,11 +29,15 @@ inline constexpr uint64_t kHc2lIndexMagic = 0x4843324c30303034ULL;
 /// Either both directions carry hint arenas or neither does.
 inline constexpr uint64_t kDirectedIndexMagic = 0x4843324430303034ULL;
 
-/// Shard manifest ("HC2S0001"): not an index itself but a directory of
-/// per-partition index files plus the boundary-vertex tables that make
-/// cross-shard queries exact (src/shard/). Router::Open sniffs it like the
-/// index magics and opens every member shard.
-inline constexpr uint64_t kShardManifestMagic = 0x4843325330303031ULL;
+/// Shard manifest ("HC2S0002"): one ordinary index of either flavour whose
+/// arenas are stored split by hierarchy subtree. A sectioned file with the
+/// flavour's meta and offsets sections and a member table naming one
+/// member file per subtree; each member file holds its slice of every
+/// label and hint arena, page-aligned and sentinel-padded
+/// (docs/format.md). Router::Open sniffs it like the index magics and
+/// returns the ordinary index, its arenas read from or mapped out of the
+/// member files.
+inline constexpr uint64_t kShardManifestMagic = 0x4843325330303032ULL;
 
 }  // namespace hc2l
 

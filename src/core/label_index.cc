@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/section_file.h"
 #include "common/simd.h"
+#include "core/index_format.h"
 
 namespace hc2l {
 
@@ -534,15 +535,292 @@ size_t LabelIndex<kDirections>::ArenaResidentBytes() const {
 // On-disk format (src/core/index_format.h, docs/format.md): both flavours
 // write the sectioned layout through the section codec
 // (common/section_file.h), which lays the arenas out on 64-byte file
-// offsets so OpenMode::kMmap can use them in place.
+// offsets so OpenMode::kMmap can use them in place. A shard manifest
+// (HC2S0002) is the same file with a member table instead of the arena
+// sections; member file k holds member k's slice of every arena.
+
+namespace {
+
+/// Member slices start on these boundaries in the member files and in the
+/// arenas alike, so an mmap open can map each one into place.
+constexpr size_t kMemberPageBytes = 4096;
+constexpr size_t kMemberPageEntries = kMemberPageBytes / sizeof(uint32_t);
+
+/// A member file's first page: the manifest magic and a zero section count
+/// (so no loader takes it for a manifest or an index), the build id, its
+/// slot and the member count; zeros fill the rest of the page.
+struct MemberHeader {
+  uint64_t magic = kShardManifestMagic;
+  uint64_t section_count = 0;
+  uint64_t build_id = 0;
+  uint64_t index = 0;
+  uint64_t count = 0;
+};
+
+/// The manifest's member-table section.
+struct MemberTable {
+  uint64_t flavour = 0;   // HC2L0004 or HC2D0004: whose meta body it holds
+  uint64_t build_id = 0;  // digest of the arenas, in every member header
+  std::vector<MemberSlice> members;
+  std::vector<std::string> names;  // relative to the manifest's directory
+};
+
+bool WriteMemberTable(std::FILE* f, const MemberTable& table) {
+  bool ok = io::WriteValue(f, table.flavour) &&
+            io::WriteValue(f, table.build_id) &&
+            io::WriteValue(f, uint64_t{table.members.size()});
+  for (size_t k = 0; ok && k < table.members.size(); ++k) {
+    ok = io::WriteValue(f, uint64_t{table.names[k].size()}) &&
+         io::WritePod(f, table.names[k].data(), table.names[k].size()) &&
+         io::WriteValue(f, table.members[k]);
+  }
+  return ok;
+}
+
+/// Checks what needs no other section: 1..4096 members, safe names (a
+/// forged manifest must not open paths outside its directory) and
+/// page-multiple slices. The flavour is checked by the loader.
+bool ReadMemberTable(io::Reader* r, MemberTable* table) {
+  uint64_t count = 0;
+  if (!io::ReadValue(r, &table->flavour) ||
+      !io::ReadValue(r, &table->build_id) || !io::ReadValue(r, &count) ||
+      count == 0 || count > 4096) {
+    return false;
+  }
+  table->members.assign(count, {});
+  table->names.assign(count, {});
+  for (size_t k = 0; k < count; ++k) {
+    std::string& name = table->names[k];
+    const MemberSlice& m = table->members[k];
+    uint64_t len = 0;
+    if (!io::ReadValue(r, &len) || len == 0 || len > 4096 ||
+        !r->CanHold(len, 1)) {
+      return false;
+    }
+    name.resize(len);
+    if (!r->Read(name.data(), len) || name.front() == '/' ||
+        name.find("..") != std::string::npos ||
+        !io::ReadValue(r, &table->members[k]) ||
+        m.entries[0] % kMemberPageEntries != 0 ||
+        m.entries[1] % kMemberPageEntries != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Fills `arenas` (member-file order; arena a holds `entries[a]`, which its
+/// slices must add up to) from the member files next to `manifest_path`.
+/// Each member file must be exactly its header page plus its slices and
+/// carry the table's build id, its slot and the member count; all of them
+/// are checked before any arena is allocated or mapped. A heap open then
+/// reads the slices into owned arenas; an mmap open maps them into one
+/// reserved range, which *reservation then owns. Errors: kNotFound (a
+/// missing member), kDataLoss naming a bad member, else `corrupt`.
+Status AttachMembers(const std::string& manifest_path, const MemberTable& table,
+                     std::span<const uint64_t> entries,
+                     std::span<LabelArena* const> arenas, bool use_mmap,
+                     std::shared_ptr<MappedFile>* reservation,
+                     const Status& corrupt) {
+  // The slices must tile every arena, which the 32-bit offsets bound; each
+  // arena's byte offset in the reserved range.
+  std::vector<size_t> offset(arenas.size());
+  size_t total = 0;
+  for (size_t a = 0; a < arenas.size(); ++a) {
+    uint64_t sum = 0;
+    for (const MemberSlice& m : table.members) {
+      const uint64_t slice = m.entries[a / 2];
+      if (slice > entries[a] - sum) return corrupt;
+      sum += slice;
+    }
+    if (sum != entries[a] || sum > UINT32_MAX) return corrupt;
+    offset[a] = total;
+    total += entries[a] * sizeof(uint32_t);
+  }
+  // Opens member k positioned at its first slice, or fails.
+  const std::string dir =
+      manifest_path.substr(0, manifest_path.find_last_of('/') + 1);
+  const auto open_member = [&](size_t k, io::FilePtr* f) {
+    const std::string path = dir + table.names[k];
+    f->reset(std::fopen(path.c_str(), "rb"));
+    if (*f == nullptr) return Status::NotFound("cannot open " + path);
+    io::Reader r(f->get());
+    uint64_t size = kMemberPageBytes;
+    for (size_t a = 0; a < arenas.size(); ++a) {
+      size += table.members[k].entries[a / 2] * sizeof(uint32_t);
+    }
+    MemberHeader header;
+    if (r.remaining() != size || !io::ReadValue(&r, &header) ||
+        header.magic != kShardManifestMagic || header.section_count != 0 ||
+        header.build_id != table.build_id || header.index != k ||
+        header.count != table.members.size() ||
+        std::fseek(f->get(), kMemberPageBytes, SEEK_SET) != 0) {
+      return Status::DataLoss(
+          "truncated, corrupt or foreign shard member file: " + path);
+    }
+    return Status::Ok();
+  };
+  for (size_t k = 0; k < table.members.size(); ++k) {
+    io::FilePtr f;
+    if (Status st = open_member(k, &f); !st.ok()) return st;
+  }
+
+  // On a system whose pages exceed the slice alignment the slices are read.
+  std::shared_ptr<MappedFile> range;
+  if (use_mmap && total > 0 && kMemberPageBytes % MappedFile::PageSize() == 0) {
+    range = MappedFile::Reserve(total);
+    if (range == nullptr) return corrupt;
+  } else {
+    for (size_t a = 0; a < arenas.size(); ++a) arenas[a]->Reset(entries[a]);
+  }
+  std::vector<size_t> filled(arenas.size(), 0);  // bytes, per arena
+  for (size_t k = 0; k < table.members.size(); ++k) {
+    io::FilePtr f;
+    if (Status st = open_member(k, &f); !st.ok()) return st;
+    io::Reader body(f.get());  // the slices, back to back
+    uint64_t at = kMemberPageBytes;  // the next slice's file offset
+    for (size_t a = 0; a < arenas.size(); ++a) {
+      const size_t bytes = table.members[k].entries[a / 2] * sizeof(uint32_t);
+      char* heap = reinterpret_cast<char*>(arenas[a]->data());
+      if (bytes != 0 &&
+          !(range != nullptr ? range->MapInto(offset[a] + filled[a],
+                                              ::fileno(f.get()), at, bytes)
+                             : body.Read(heap + filled[a], bytes))) {
+        return Status::DataLoss("cannot read shard member file " +
+                                table.names[k]);
+      }
+      filled[a] += bytes;
+      at += bytes;
+    }
+  }
+  if (range != nullptr) {
+    for (size_t a = 0; a < arenas.size(); ++a) {
+      arenas[a]->ResetView(
+          reinterpret_cast<const uint32_t*>(range->data() + offset[a]),
+          entries[a]);
+    }
+    range->AdviseRandom(0, total);
+    *reservation = std::move(range);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<uint64_t> ManifestFlavour(const std::string& path) {
+  io::SectionFile file(path, "HC2L shard manifest");
+  if (Status st = file.Open({kShardManifestMagic}, /*use_mmap=*/false);
+      !st.ok()) {
+    return st;
+  }
+  uint64_t flavour = 0;
+  if (!file.ReadSection(io::kSectionMembers, [&](io::Reader* r) {
+        return io::ReadValue(r, &flavour);
+      })) {
+    return file.Corrupt();
+  }
+  return flavour;
+}
+
+template <int kDirections>
+void LabelIndex<kDirections>::LayOutMembers(std::span<const uint32_t> member_of,
+                                            uint32_t num_members) {
+  const size_t core = NumCoreVertices();
+  HC2L_CHECK_EQ(member_of.size(), core);
+  std::vector<std::vector<Vertex>> vertices(num_members);
+  for (Vertex v = 0; v < core; ++v) {
+    HC2L_CHECK_LT(member_of[v], num_members);
+    vertices[member_of[v]].push_back(v);
+  }
+  members_.assign(num_members, {});
+  HC2L_CHECK(HasRouteHints());  // a manifest's members carry hint slices
+  for (int d = 0; d < kDirections; ++d) {
+    const LabelStore& from = labels_[d];
+    U32Array start;
+    start.assign(from.level_start.size(), 0);
+    size_t pos = 0;
+    for (uint32_t k = 0; k < num_members; ++k) {
+      const size_t first = pos;
+      for (const Vertex v : vertices[k]) {
+        for (uint32_t a = from.base[v]; a < from.base[v + 1]; ++a) {
+          start.Set(a, static_cast<uint32_t>(pos));
+          pos += LabelArena::PaddedCapacity(from.level_len[a]);
+        }
+      }
+      pos = (pos + kMemberPageEntries - 1) & ~(kMemberPageEntries - 1);
+      members_[k].entries[d] = pos - first;
+      members_[k].core_vertices = vertices[k].size();
+    }
+    // The offsets stay 32-bit, as in LabelStore::BuildFrom.
+    HC2L_CHECK_LE(pos, uint64_t{UINT32_MAX});
+    for (LabelStore* store : {&labels_[d], &hints_[d]}) {
+      LabelArena arena;
+      arena.Reset(pos);
+      for (size_t a = 0; a < start.size(); ++a) {
+        std::copy_n(store->arena.data() + store->level_start[a],
+                    store->level_len[a], arena.data() + start[a]);
+      }
+      store->arena = std::move(arena);
+      store->level_start = start;
+    }
+  }
+}
 
 template <int kDirections>
 Status LabelIndex<kDirections>::SaveSections(
-    const std::string& path, uint64_t magic,
+    const std::string& path, uint64_t magic, bool manifest,
     const std::function<bool(std::FILE*)>& write_body) const {
   const bool hints = HasRouteHints();
+  MemberTable table;
+  if (manifest) {
+    HC2L_CHECK(!members_.empty());
+    table.flavour = magic;
+    table.members = members_;
+    // Every arena in member-file order. The build id is their FNV-1a
+    // digest: a member file with other bytes than this build's slices
+    // fails a load.
+    std::vector<const LabelArena*> arenas;
+    table.build_id = 1469598103934665603ull;
+    for (int d = 0; d < kDirections; ++d) {
+      for (const LabelStore* store : {&labels_[d], &hints_[d]}) {
+        arenas.push_back(&store->arena);
+        for (size_t i = 0; i < store->arena.size(); ++i) {
+          table.build_id =
+              (table.build_id ^ store->arena.data()[i]) * 1099511628211ull;
+        }
+      }
+    }
+    const std::string dir = path.substr(0, path.find_last_of('/') + 1);
+    std::vector<size_t> first(arenas.size(), 0);
+    for (size_t k = 0; k < members_.size(); ++k) {
+      table.names.push_back(path.substr(dir.size()) + "." + std::to_string(k));
+      const std::string member = dir + table.names.back();
+      io::FilePtr f(std::fopen(member.c_str(), "wb"));
+      if (f == nullptr) {
+        return Status::Unavailable("cannot open " + member + " for writing");
+      }
+      MemberHeader header;
+      header.build_id = table.build_id;
+      header.index = k;
+      header.count = members_.size();
+      static constexpr char kZeros[kMemberPageBytes] = {};
+      bool ok =
+          io::WriteValue(f.get(), header) &&
+          io::WritePod(f.get(), kZeros, kMemberPageBytes - sizeof(header));
+      for (size_t a = 0; a < arenas.size(); ++a) {
+        const size_t entries = members_[k].entries[a / 2];
+        ok = ok && io::WritePod(f.get(), arenas[a]->data() + first[a],
+                                entries * sizeof(uint32_t));
+        first[a] += entries;
+      }
+      if (!ok || std::fflush(f.get()) != 0) {
+        return Status::Unavailable("write error on " + member);
+      }
+    }
+  }
   return io::WriteSectionFile(
-      path, magic, io::SectionCount(kDirections, hints),
+      path, manifest ? kShardManifestMagic : magic,
+      manifest ? 2 + kDirections : io::SectionCount(kDirections, hints),
       [&](io::SectionWriter& w) {
         std::FILE* out = w.file();
         bool ok = w.Begin(io::kSectionMeta) && write_body(out) &&
@@ -552,10 +830,17 @@ Status LabelIndex<kDirections>::SaveSections(
         }
         ok = ok && w.End();
         for (int d = 0; d < kDirections; ++d) {
-          ok = ok && w.WriteStore(kDirectionSections[d], labels_[d],
-                                  hints ? &hints_[d] : nullptr);
+          // A manifest keeps only the offset tables; the member files hold
+          // the arenas.
+          ok = ok && (manifest
+                          ? w.Begin(kDirectionSections[d].offsets) &&
+                                io::WriteLabelStoreOffsets(out, labels_[d]) &&
+                                w.End()
+                          : w.WriteStore(kDirectionSections[d], labels_[d],
+                                         hints ? &hints_[d] : nullptr));
         }
-        return ok;
+        return ok && (!manifest || (w.Begin(io::kSectionMembers) &&
+                                    WriteMemberTable(out, table) && w.End()));
       });
 }
 
@@ -565,8 +850,24 @@ Status LabelIndex<kDirections>::LoadSections(
     bool use_mmap, const std::function<bool(io::Reader*)>& parse_body,
     const std::function<bool(size_t)>& check_body) {
   io::SectionFile file(path, name);
-  if (Status st = file.Open(magic, use_mmap); !st.ok()) return st;
-  mapping_ = file.mapping();
+  if (Status st = file.Open({magic, kShardManifestMagic}, use_mmap);
+      !st.ok()) {
+    return st;
+  }
+  if (file.mapping() != nullptr) mappings_.push_back(file.mapping());
+  const bool manifest = file.magic() == kShardManifestMagic;
+  MemberTable table;
+  if (manifest) {
+    if (!file.ReadSection(io::kSectionMembers, [&](io::Reader* in) {
+          return ReadMemberTable(in, &table);
+        })) {
+      return file.Corrupt();
+    }
+    if (table.flavour != magic) {
+      return Status::InvalidArgument(path + " is a shard manifest of another "
+                                     "index flavour than " + name);
+    }
+  }
   std::array<io::LabelStoreCounts, kDirections> counts;
   const auto parse_meta = [&](io::Reader* in) {
     bool ok = parse_body(in) && hierarchy_.ReadFrom(in);
@@ -575,14 +876,42 @@ Status LabelIndex<kDirections>::LoadSections(
     }
     return ok;
   };
-  if (!file.ReadMeta(parse_meta)) return file.Corrupt();
+  if (!file.ReadSection(io::kSectionMeta, parse_meta)) return file.Corrupt();
   for (int d = 0; d < kDirections; ++d) {
-    if (!file.ReadStore(kDirectionSections[d], counts[d], &labels_[d],
-                        &hints_[d]) ||
-        // Hint arenas come for every direction or for none.
-        hints_[d].base.empty() != hints_[0].base.empty()) {
+    const bool ok =
+        manifest ? file.ReadTables(kDirectionSections[d], counts[d],
+                                   &labels_[d], &hints_[d])
+                 : file.ReadStore(kDirectionSections[d], counts[d],
+                                  &labels_[d], &hints_[d]);
+    // Hint arenas come for every direction or for none.
+    if (!ok || hints_[d].base.empty() != hints_[0].base.empty()) {
       return file.Corrupt();
     }
+  }
+  if (manifest) {
+    std::vector<uint64_t> entries;
+    std::vector<LabelArena*> arenas;
+    for (int d = 0; d < kDirections; ++d) {
+      for (LabelStore* store : {&labels_[d], &hints_[d]}) {
+        entries.push_back(counts[d].arena_entries);
+        arenas.push_back(&store->arena);
+      }
+    }
+    std::shared_ptr<MappedFile> range;
+    if (Status st = AttachMembers(path, table, entries, arenas, use_mmap,
+                                  &range, file.Corrupt());
+        !st.ok()) {
+      return st;
+    }
+    // As for an ordinary file, only hint arenas read into memory get their
+    // entries range-checked.
+    for (int d = 0; d < kDirections; ++d) {
+      if (range == nullptr && !io::HintEntriesInRange(hints_[d])) {
+        return file.Corrupt();
+      }
+    }
+    if (range != nullptr) mappings_.push_back(std::move(range));
+    members_ = std::move(table.members);
   }
 
   // Query-path hardening: the per-vertex code tables are indexed without

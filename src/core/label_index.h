@@ -53,6 +53,19 @@ struct Hc2lOptions {
   uint32_t num_threads = 1;
 };
 
+/// One member of a shard manifest's arena layout (LayOutMembers): its core
+/// vertices and its slice's entries in each direction's arenas (4096-byte
+/// aligned; a hint arena is sliced like its label arena).
+struct MemberSlice {
+  uint64_t core_vertices = 0;
+  std::array<uint64_t, 2> entries{};
+};
+
+/// The index magic (HC2L0004 or HC2D0004) the shard manifest at `path`
+/// stands for. Errors: kNotFound, kInvalidArgument (not a manifest),
+/// kDataLoss (corrupt).
+Result<uint64_t> ManifestFlavour(const std::string& path);
+
 /// The pendant contraction a flavour answers through.
 template <int kDirections>
 using LabelContraction =
@@ -198,6 +211,18 @@ class LabelIndex {
   /// structures hold on the heap.
   size_t ArenaResidentBytes() const;
 
+  /// Re-lays every label and hint arena for a shard manifest: member k's
+  /// core vertices (those with member_of[v] == k, one entry per core
+  /// vertex) get their arrays back to back in one page-aligned slice,
+  /// members in order. Only the arena offsets move; every answer stays.
+  void LayOutMembers(std::span<const uint32_t> member_of,
+                     uint32_t num_members);
+
+  /// The member slices of a sharded layout (LayOutMembers, or an open of
+  /// a shard manifest); empty for a compact store — built, relabelled or
+  /// opened from an ordinary file.
+  const std::vector<MemberSlice>& Members() const { return members_; }
+
  protected:
   /// Direction 0 holds the source-side (out) arrays, the last direction the
   /// target-side (in) arrays; the undirected index reads one store twice.
@@ -239,17 +264,22 @@ class LabelIndex {
   /// (`write_body`), then the hierarchy and every direction's store counts;
   /// each direction's offsets, label arena and (with hints) hint arena
   /// follow as their own sections.
-  Status SaveSections(const std::string& path, uint64_t magic,
+  /// With `manifest` (a member layout is required) it saves a shard
+  /// manifest instead: the same meta and offsets sections and a member
+  /// table, magic HC2S0002, and member k's slice of every arena in
+  /// `<manifest filename>.<k>` next to it.
+  Status SaveSections(const std::string& path, uint64_t magic, bool manifest,
                       const std::function<bool(std::FILE*)>& write_body) const;
 
-  /// Loads a file written by SaveSections into this empty index. `name`
-  /// labels the format in error messages. `parse_body` reads the flavour's
-  /// meta body; after the shared checks — every direction present with or
-  /// without hints alike, code tables covering every core vertex, and every
-  /// vertex owning at least depth+1 arrays in every store, so any LCA level
-  /// indexes inside its range — `check_body(core vertex count)` runs the
-  /// flavour's contraction checks. Errors as SectionFile::Open, then
-  /// kDataLoss for any failed parse or check.
+  /// Loads a file written by SaveSections, either form, into this empty index
+  /// (a manifest's arenas are read from its member files, or mapped into one
+  /// reserved address range). `name` labels the format in error messages.
+  /// `parse_body` reads the flavour's meta body; after the shared checks —
+  /// every direction present with or without hints alike, code tables covering
+  /// every core vertex, and every vertex owning at least depth+1 arrays in
+  /// every store, so any LCA level indexes inside its range — `check_body(core
+  /// vertex count)` runs the flavour's contraction checks. Errors as
+  /// SectionFile::Open, then kDataLoss for any failed parse or check.
   Status LoadSections(const std::string& path, const std::string& name,
                       uint64_t magic, bool use_mmap,
                       const std::function<bool(io::Reader*)>& parse_body,
@@ -274,10 +304,12 @@ class LabelIndex {
   /// v on a shortest path from the hub (kInvalidVertex for the hub itself
   /// or an unreachable hub). Empty when the index is hint-less.
   std::array<LabelStore, kDirections> hints_;
-  /// The file mapping backing view-mode arenas (Load with use_mmap); null
-  /// for built or heap-loaded indexes. Held for lifetime only — all access
-  /// goes through the label stores.
-  std::shared_ptr<MappedFile> mapping_;
+  /// The mappings backing view-mode tables and arenas (Load with use_mmap:
+  /// the file, plus a manifest's reserved range of member slices); empty
+  /// otherwise. Held for lifetime only — access goes through the stores.
+  std::vector<std::shared_ptr<MappedFile>> mappings_;
+  /// The member layout of the arenas (Members()).
+  std::vector<MemberSlice> members_;
 };
 
 extern template class LabelIndex<1>;

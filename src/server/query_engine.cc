@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "core/query_common.h"
-#include "shard/sharded_index.h"
 
 namespace hc2l {
 
@@ -199,6 +198,5 @@ bool BasicQueryEngine<Index>::DistanceMatrixInto(
 
 template class BasicQueryEngine<Hc2lIndex>;
 template class BasicQueryEngine<DirectedHc2lIndex>;
-template class BasicQueryEngine<ShardedIndex>;
 
 }  // namespace hc2l

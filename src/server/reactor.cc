@@ -161,7 +161,6 @@ struct Reactor::Impl {
   int listen_fd = -1;
   ReactorEnv env;
   std::vector<std::unique_ptr<Loop>> loops;  // fixed once Start() returns
-  const RequestHandler::CoalescePolicy coalesce_policy{};
 
   // Serializes the connection-limit check with placement, so concurrent
   // accepts on different loops see each other's charges.
@@ -380,8 +379,6 @@ struct Reactor::Impl {
   /// here, after any staged answers of this connection.
   void ProcessLines(Loop* L, Conn* c) {
     const ServerLimits& limits = env.options.limits;
-    const RequestHandler::CoalescePolicy* policy =
-        env.options.coalesce ? &coalesce_policy : nullptr;
     Run& run = L->run;
     const std::string_view view(c->inbuf);
     size_t consumed = 0;
@@ -398,7 +395,7 @@ struct Reactor::Impl {
       RequestHandler::StagePlan plan;
       // A line's latency starts at the read that completed it.
       const RequestHandler::LineAction action =
-          c->handler.Prepare(line, router, threaded, policy, &run.sources,
+          c->handler.Prepare(line, router, threaded, &run.sources,
                              &run.targets, &plan, c->last_byte, &L->scratch);
       if (action == RequestHandler::LineAction::kStaged) {
         run.slots.push_back({c, plan});

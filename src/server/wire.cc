@@ -799,22 +799,22 @@ void RequestHandler::AppendErrorResponse(const Status& status,
 void RequestHandler::HandleLine(std::string_view line, const Router& router,
                                 const ThreadedRouter& threaded,
                                 std::string* out) {
-  // With no coalescing policy Prepare never stages; a kExecute line is
-  // finished immediately — together exactly the old one-shot behavior.
+  // Without run arrays Prepare never stages; a kExecute line is finished
+  // immediately — together exactly the old one-shot behavior.
   const Clock::time_point received =
       hooks_.record ? Clock::now() : Clock::time_point{};
-  if (Prepare(line, router, threaded, /*coalesce=*/nullptr,
-              /*sources=*/nullptr, /*targets=*/nullptr, /*plan=*/nullptr,
-              received, out) == LineAction::kExecute) {
+  if (Prepare(line, router, threaded, /*sources=*/nullptr,
+              /*targets=*/nullptr, /*plan=*/nullptr, received,
+              out) == LineAction::kExecute) {
     ExecuteParsed(router, threaded, out);
   }
 }
 
 RequestHandler::LineAction RequestHandler::Prepare(
     std::string_view line, const Router& router,
-    const ThreadedRouter& threaded, const CoalescePolicy* coalesce,
-    std::vector<Vertex>* sources, std::vector<Vertex>* targets,
-    StagePlan* plan, Clock::time_point received, std::string* out) {
+    const ThreadedRouter& threaded, std::vector<Vertex>* sources,
+    std::vector<Vertex>* targets, StagePlan* plan, Clock::time_point received,
+    std::string* out) {
   received_ = received;
   while (!line.empty() && (line.back() == '\r')) line.remove_suffix(1);
   if (line.find_first_not_of(" \t") == std::string_view::npos) {
@@ -978,11 +978,11 @@ RequestHandler::LineAction RequestHandler::Prepare(
   // eligibility rules guarantee batching cannot change any answer: exact
   // distances, no per-request deadline or thread override, and every id
   // verified in range (so the missing-vertex policy never fires).
-  if (coalesce != nullptr && plan != nullptr && sources != nullptr &&
-      targets != nullptr && kind_ == QueryKind::kPointBatch) {
+  if (plan != nullptr && sources != nullptr && targets != nullptr &&
+      kind_ == QueryKind::kPointBatch) {
     const size_t pairs = req_.targets.size();
     bool stageable =
-        pairs >= 1 && pairs <= coalesce->max_pairs_per_request &&
+        pairs >= 1 && pairs <= kMaxStagedPairs &&
         req_.options.deadline == std::chrono::nanoseconds::zero() &&
         req_.options.num_threads == 0 &&
         req_.options.missing_vertices != MissingVertexPolicy::kUnchecked;

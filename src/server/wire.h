@@ -242,6 +242,9 @@ class RequestHandler {
   /// asking for gigabytes; generous for real workloads (4M distances).
   static constexpr uint64_t kMaxResultEntries = uint64_t{1} << 22;
 
+  /// Pairs a request may carry and still be staged into a coalesced run.
+  static constexpr size_t kMaxStagedPairs = 16;
+
   using Clock = std::chrono::steady_clock;
 
   RequestHandler() = default;
@@ -283,8 +286,9 @@ class RequestHandler {
   ///
   /// Coalescing only stages requests whose answers cannot depend on
   /// batching: default options (no deadline, no thread override, missing
-  /// policy checked), all ids in range, <= coalesce->max_pairs_per_request
-  /// pairs. `coalesce == nullptr` disables staging (kStaged never returned).
+  /// policy checked), all ids in range, <= kMaxStagedPairs pairs. Without
+  /// run arrays (`sources`, `targets` or `plan` null) nothing is staged
+  /// (kStaged never returned), as in HandleLine.
   ///
   /// `received` is when the line arrived; the line's recorded latency
   /// (hooks.record) starts there. Prepare reads no clock itself.
@@ -296,12 +300,8 @@ class RequestHandler {
     /// Prepare()'s `received`: the staged request's latency starts here.
     Clock::time_point start{};
   };
-  struct CoalescePolicy {
-    size_t max_pairs_per_request = 16;
-  };
   LineAction Prepare(std::string_view line, const Router& router,
                      const ThreadedRouter& threaded,
-                     const CoalescePolicy* coalesce,
                      std::vector<Vertex>* sources,
                      std::vector<Vertex>* targets, StagePlan* plan,
                      Clock::time_point received, std::string* out);

@@ -1,6 +1,6 @@
 // Corrupt-index fuzz hardening for the loaders, over every on-disk format:
 // the sectioned index files (HC2L0004 / HC2D0004) with and without their
-// optional hint sections, and the HC2S0001 shard manifest.
+// optional hint sections, and the HC2S0002 shard manifest.
 // Router::Open on a truncated, bit-flipped, size-field-smashed or
 // plain-garbage file — in BOTH OpenMode::kHeap and OpenMode::kMmap — must
 // return a Status — never crash, never abort, and never allocate beyond
@@ -177,7 +177,7 @@ const std::vector<FormatFile>& AllFormats() {
     EXPECT_TRUE(sharded.ok());
     const std::string manifest = ProcessTempPath("seed.hc2s");
     EXPECT_TRUE(sharded->Save(manifest).ok());
-    out->push_back({"HC2S0001-shard-manifest", ReadFileBytes(manifest),
+    out->push_back({"HC2S0002-shard-manifest", ReadFileBytes(manifest),
                     sharded->NumVertices(), kShardManifestMagic, false,
                     false});
     std::remove(manifest.c_str());  // the .0/.1/.2 shard files remain
@@ -634,16 +634,17 @@ TEST_F(LoadFuzzTest, SmashedHierarchyLinksAreRejected) {
 
 TEST_F(LoadFuzzTest, ShardManifestCrossValidatesItsShards) {
   // The manifest is only as good as the shard files it names: a missing,
-  // truncated or transposed member shard must fail the open — in both
-  // modes — even though the manifest bytes themselves are pristine.
+  // truncated or transposed member shard, or one from another build, must
+  // fail the open — in both modes — even though the manifest bytes
+  // themselves are pristine.
   RoadNetworkOptions opt;
   opt.rows = 6;
   opt.cols = 6;
   opt.seed = 9;
+  const Graph graph = GenerateRoadNetwork(opt);
   ShardOptions shard_options;
   shard_options.num_shards = 3;
-  Result<ShardedIndex> sharded =
-      ShardedIndex::Build(GenerateRoadNetwork(opt), shard_options);
+  Result<ShardedIndex> sharded = ShardedIndex::Build(graph, shard_options);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   const std::string manifest = ProcessTempPath("xval.hc2s");
   ASSERT_TRUE(sharded->Save(manifest).ok());
@@ -686,9 +687,31 @@ TEST_F(LoadFuzzTest, ShardManifestCrossValidatesItsShards) {
   WriteFileBytes(shard1, shard1_bytes.data(), shard1_bytes.size());
   open_succeeds("restored shard files");
 
-  std::remove(manifest.c_str());
-  for (size_t k = 0; k < 3; ++k) {
-    std::remove((manifest + "." + std::to_string(k)).c_str());
+  // The same graph with every weight doubled cuts into the same hierarchy
+  // and the same slice sizes, so only the build id tells its member 0
+  // apart from the real one.
+  Graph doubled = graph;
+  for (const Edge& e : graph.UndirectedEdges()) {
+    ASSERT_TRUE(doubled.UpdateEdgeWeight(e.u, e.v, 2 * e.weight));
+  }
+  Result<ShardedIndex> other = ShardedIndex::Build(doubled, shard_options);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  const std::string other_manifest = ProcessTempPath("xval_other.hc2s");
+  ASSERT_TRUE(other->Save(other_manifest).ok());
+  const std::vector<char> other0_bytes = ReadFileBytes(other_manifest + ".0");
+  EXPECT_EQ(other0_bytes.size(), shard0_bytes.size());
+  EXPECT_NE(other0_bytes, shard0_bytes);
+  WriteFileBytes(shard0, other0_bytes.data(), other0_bytes.size());
+  open_fails("shard file of another build");
+
+  WriteFileBytes(shard0, shard0_bytes.data(), shard0_bytes.size());
+  open_succeeds("restored shard file");
+
+  for (const std::string& m : {manifest, other_manifest}) {
+    std::remove(m.c_str());
+    for (size_t k = 0; k < 3; ++k) {
+      std::remove((m + "." + std::to_string(k)).c_str());
+    }
   }
 }
 

@@ -9,12 +9,15 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/index_format.h"
 #include "hc2l/hc2l.h"
+#include "shard/sharded_index.h"
 #include "test_util.h"
 
 namespace hc2l {
@@ -55,7 +58,8 @@ TEST(RouterOpen, WrongMagicIsInvalidArgument) {
   // little-endian, i.e. the name reversed on disk.
   std::vector<std::string> headers = {"GARBAGE! definitely not an index"};
   for (const char* retired :
-       {"HC2L0002", "HC2L0003", "HC2D0001", "HC2D0002", "HC2D0003"}) {
+       {"HC2L0002", "HC2L0003", "HC2D0001", "HC2D0002", "HC2D0003",
+        "HC2S0001"}) {
     const std::string name = retired;
     headers.push_back(std::string(name.rbegin(), name.rend()) +
                       std::string(120, '\0'));
@@ -73,11 +77,11 @@ TEST(RouterOpen, WrongMagicIsInvalidArgument) {
       EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
       // The message names exactly the formats Open accepts.
       const std::string& message = r.status().message();
-      for (const char* accepted : {"HC2L0004", "HC2D0004", "HC2S0001"}) {
+      for (const char* accepted : {"HC2L0004", "HC2D0004", "HC2S0002"}) {
         EXPECT_NE(message.find(accepted), std::string::npos) << message;
       }
-      for (const char* retired :
-           {"HC2L0002", "HC2L0003", "HC2D0001", "HC2D0002", "HC2D0003"}) {
+      for (const char* retired : {"HC2L0002", "HC2L0003", "HC2D0001",
+                                  "HC2D0002", "HC2D0003", "HC2S0001"}) {
         EXPECT_EQ(message.find(retired), std::string::npos) << message;
       }
     }
@@ -546,6 +550,132 @@ TEST(RouterUpdateWeights, DirectedIsFailedPrecondition) {
   const EdgeDelta deltas[] = {{0, 1, 5}};
   EXPECT_EQ(router->UpdateWeights(deltas).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+/// Saves a 3-member shard manifest of `g` under TempDir; returns its path.
+template <typename GraphT>
+std::string SaveShardManifest(const GraphT& g, const std::string& name) {
+  ShardOptions options;
+  options.num_shards = 3;
+  Result<ShardedIndex> sharded = ShardedIndex::Build(g, options);
+  EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
+  const std::string manifest = ::testing::TempDir() + "/" + name;
+  EXPECT_TRUE(sharded->Save(manifest).ok());
+  return manifest;
+}
+
+void RemoveShardManifest(const std::string& manifest) {
+  std::remove(manifest.c_str());
+  for (int k = 0; k < 3; ++k) {
+    std::remove((manifest + "." + std::to_string(k)).c_str());
+  }
+}
+
+/// The magic a saved file starts with.
+uint64_t FileMagic(const std::string& path) {
+  uint64_t magic = 0;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return 0;
+  if (std::fread(&magic, sizeof(magic), 1, f) != 1) magic = 0;
+  std::fclose(f);
+  return magic;
+}
+
+void ExpectSameDistances(const Router& a, const Router& b) {
+  ASSERT_EQ(a.NumVertices(), b.NumVertices());
+  const Vertex n = static_cast<Vertex>(a.NumVertices());
+  for (Vertex s = 0; s < n; ++s) {
+    for (Vertex t = 0; t < n; ++t) {
+      ASSERT_EQ(*a.Distance(s, t), *b.Distance(s, t)) << s << " -> " << t;
+    }
+  }
+}
+
+TEST(RouterShardManifest, UpdateWeightsMatchesMonolithic) {
+  // A manifest opens as the ordinary index, so after AttachGraph the same
+  // repair runs on it as on a monolithic router, in both open modes, and
+  // the repaired router saves an ordinary file.
+  const Graph g = TestGraph(10, 10, 41);
+  const std::string manifest = SaveShardManifest(g, "hc2l_router_upd.hc2s");
+  const std::vector<Edge> edges = g.UndirectedEdges();
+  std::vector<EdgeDelta> deltas;
+  for (size_t i = 0; i < edges.size(); i += edges.size() / 5) {
+    const Edge& e = edges[i];
+    const Weight w =
+        i % 2 == 0 ? e.weight * 3 : std::max<Weight>(1, e.weight / 2);
+    deltas.push_back({e.u, e.v, w});
+  }
+  Result<Router> mono = Router::Build(g);
+  ASSERT_TRUE(mono.ok());
+  Result<Router> mono_updated = mono->UpdateWeights(deltas);
+  ASSERT_TRUE(mono_updated.ok()) << mono_updated.status().ToString();
+
+  for (const OpenMode mode : {OpenMode::kHeap, OpenMode::kMmap}) {
+    SCOPED_TRACE(mode == OpenMode::kMmap ? "mmap" : "heap");
+    Result<Router> opened = Router::Open(manifest, mode);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened->Info().num_shards, 3u);
+    EXPECT_EQ(opened->Info().mapped_bytes > 0, mode == OpenMode::kMmap);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameDistances(*opened, *mono));
+    opened->AttachGraph(g);
+    Result<Router> updated = opened->UpdateWeights(deltas);
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    ASSERT_NO_FATAL_FAILURE(ExpectSameDistances(*updated, *mono_updated));
+
+    // The repaired router writes an ordinary HC2L0004 file that reopens
+    // with the same answers.
+    const std::string path = ::testing::TempDir() + "/hc2l_router_upd.idx";
+    ASSERT_TRUE(updated->Save(path).ok());
+    EXPECT_EQ(FileMagic(path), kHc2lIndexMagic);
+    Result<Router> reopened = Router::Open(path, mode);
+    std::remove(path.c_str());
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(reopened->Info().num_shards, 0u);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameDistances(*reopened, *mono_updated));
+
+    // A full relabel works on the manifest-opened router too.
+    Graph updated_graph = g;
+    for (const EdgeDelta& d : deltas) {
+      ASSERT_TRUE(updated_graph.UpdateEdgeWeight(d.u, d.v, d.weight));
+    }
+    ASSERT_TRUE(opened->RebuildLabels(updated_graph).ok());
+    ASSERT_NO_FATAL_FAILURE(ExpectSameDistances(*opened, *mono_updated));
+  }
+  RemoveShardManifest(manifest);
+}
+
+TEST(RouterShardManifest, SaveWritesAnOrdinaryIndex) {
+  // Save of a manifest-opened router writes its flavour's ordinary file,
+  // which reopens with identical answers; a directed manifest still
+  // refuses UpdateWeights like any directed router.
+  const Graph g = TestGraph(8, 8, 43);
+  const Digraph dg = TestDigraph(8, 8, 43);
+  const std::string und = SaveShardManifest(g, "hc2l_router_save_u.hc2s");
+  const std::string dir = SaveShardManifest(dg, "hc2l_router_save_d.hc2s");
+  const std::string path = ::testing::TempDir() + "/hc2l_router_save.idx";
+  for (const OpenMode mode : {OpenMode::kHeap, OpenMode::kMmap}) {
+    for (const auto& [manifest, magic] :
+         {std::pair{und, kHc2lIndexMagic},
+          std::pair{dir, kDirectedIndexMagic}}) {
+      SCOPED_TRACE(manifest);
+      Result<Router> opened = Router::Open(manifest, mode);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      ASSERT_TRUE(opened->Save(path).ok());
+      EXPECT_EQ(FileMagic(path), magic);
+      Result<Router> reopened = Router::Open(path, mode);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      EXPECT_EQ(reopened->directed(), magic == kDirectedIndexMagic);
+      ASSERT_NO_FATAL_FAILURE(ExpectSameDistances(*opened, *reopened));
+      if (magic == kDirectedIndexMagic) {
+        const EdgeDelta deltas[] = {{0, 1, 5}};
+        EXPECT_EQ(opened->UpdateWeights(deltas).status().code(),
+                  StatusCode::kFailedPrecondition);
+      }
+    }
+  }
+  std::remove(path.c_str());
+  RemoveShardManifest(und);
+  RemoveShardManifest(dir);
 }
 
 TEST(RouterInfo, PopulatedForBothFlavours) {

@@ -1530,7 +1530,6 @@ TEST_F(WireTest, PreparedStagedResponsesMatchHandleLineByteForByte) {
       R"({"op":"batch","source":0,"targets":[99]})",
   };
   RequestHandler staging;  // hook-less, like the fixture's handler_
-  const RequestHandler::CoalescePolicy policy;
   std::vector<Vertex> sources;
   std::vector<Vertex> targets;
   std::vector<RequestHandler::StagePlan> plans;
@@ -1538,7 +1537,7 @@ TEST_F(WireTest, PreparedStagedResponsesMatchHandleLineByteForByte) {
     RequestHandler::StagePlan plan;
     std::string out;
     const RequestHandler::LineAction action =
-        staging.Prepare(line, *router_, *threaded_, &policy, &sources,
+        staging.Prepare(line, *router_, *threaded_, &sources,
                         &targets, &plan, {}, &out);
     ASSERT_EQ(action, RequestHandler::LineAction::kStaged) << line;
     EXPECT_TRUE(out.empty());
@@ -2026,13 +2025,12 @@ TEST(WireThreadsTest, ExpiredMatrixYieldsOnlyTheErrorLine) {
 
 TEST_F(WireTest, IneligibleLinesAreNotStaged) {
   RequestHandler staging;
-  const RequestHandler::CoalescePolicy policy;
   std::vector<Vertex> sources;
   std::vector<Vertex> targets;
   RequestHandler::StagePlan plan;
 
   const auto prepare = [&](std::string_view line, std::string* out) {
-    return staging.Prepare(line, *router_, *threaded_, &policy, &sources,
+    return staging.Prepare(line, *router_, *threaded_, &sources,
                            &targets, &plan, {}, out);
   };
   std::string out;
@@ -2058,11 +2056,11 @@ TEST_F(WireTest, IneligibleLinesAreNotStaged) {
   // No pairs were appended by any of the above.
   EXPECT_TRUE(sources.empty());
   EXPECT_TRUE(targets.empty());
-  // With coalescing disabled (nullptr policy) even an eligible line takes
-  // the execute path.
+  // Without run arrays to stage into (as HandleLine calls it) even an
+  // eligible line takes the execute path.
   EXPECT_EQ(staging.Prepare(R"({"op":"point","sources":[1],"targets":[2]})",
-                            *router_, *threaded_, nullptr, &sources, &targets,
-                            &plan, {}, &out),
+                            *router_, *threaded_, nullptr, nullptr, nullptr,
+                            {}, &out),
             RequestHandler::LineAction::kExecute);
   EXPECT_TRUE(sources.empty());
 }
@@ -2079,7 +2077,6 @@ TEST_F(WireTest, StagedLatencyIsRecordedFromPrepare) {
     records.emplace_back(op, ns);
   };
   RequestHandler staging(std::move(hooks));
-  const RequestHandler::CoalescePolicy policy;
   std::vector<Vertex> sources;
   std::vector<Vertex> targets;
   RequestHandler::StagePlan point_plan;
@@ -2089,11 +2086,11 @@ TEST_F(WireTest, StagedLatencyIsRecordedFromPrepare) {
       RequestHandler::Clock::now();
   constexpr std::chrono::microseconds kBatchGap(250);
   ASSERT_EQ(staging.Prepare(R"({"op":"point","sources":[3],"targets":[77]})",
-                            *router_, *threaded_, &policy, &sources, &targets,
+                            *router_, *threaded_, &sources, &targets,
                             &point_plan, read_at, &out),
             RequestHandler::LineAction::kStaged);
   ASSERT_EQ(staging.Prepare(R"({"op":"batch","source":5,"targets":[1,2]})",
-                            *router_, *threaded_, &policy, &sources, &targets,
+                            *router_, *threaded_, &sources, &targets,
                             &batch_plan, read_at + kBatchGap, &out),
             RequestHandler::LineAction::kStaged);
 

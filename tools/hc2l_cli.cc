@@ -25,12 +25,12 @@
 //
 //   hc2l shard --graph network.gr --out index.hc2s [--shards N]
 //              [--directed] [--beta B] [--leaf-size L] [--threads T]
-//       Partition the graph into N shards (recursive balanced cuts), build
-//       one HC2L index per shard plus the boundary-pair distance table, and
-//       write an HC2S0001 manifest (with the per-shard index files next to
-//       it as index.hc2s.0, .1, ...). The manifest opens through every
-//       --index flag below and answers bit-identically to a monolithic
-//       index over the same graph.
+//       Build one HC2L index (HC2L_p at --threads), cut its hierarchy into
+//       N subtrees and write an HC2S0002 manifest with one member file per
+//       subtree next to it (index.hc2s.0, .1, ...), each holding that
+//       subtree's slice of every label and hint arena. Prints the core
+//       vertices per member. The manifest opens through every --index flag
+//       below as the ordinary index.
 //
 //   hc2l query --index index.hc2l [--pairs pairs.txt] [--threads T] [--mmap]
 //       Answer distance queries. The index format is sniffed by
@@ -288,13 +288,18 @@ int RunShard(const Args& args) {
     return ShardedIndex::Build(*graph, options);
   }();
   if (!index.ok()) return Fail(index.status());
+  std::string members;
+  for (const uint64_t count : index->MemberCoreVertices()) {
+    if (!members.empty()) members += " ";
+    members += std::to_string(count);
+  }
   std::printf(
-      "sharded %s index in %.2fs: %zu shards, %zu vertices, %zu boundary "
-      "vertices\n",
-      index->directed() ? "directed" : "undirected", timer.Seconds(),
-      index->NumShards(), index->NumVertices(), index->NumBoundaryVertices());
+      "sharded %s index in %.2fs: %zu shards, %zu vertices, core vertices "
+      "per member: %s\n",
+      args.Has("--directed") ? "directed" : "undirected", timer.Seconds(),
+      index->NumShards(), index->NumVertices(), members.c_str());
   if (Status s = index->Save(out); !s.ok()) return Fail(s);
-  std::printf("saved %s (+ %zu shard files)\n", out, index->NumShards());
+  std::printf("saved %s (+ %zu member files)\n", out, index->NumShards());
   return 0;
 }
 

@@ -3,7 +3,7 @@
 // over TCP.
 //
 //   hc2ld --index city.idx --port 8040 [--host 127.0.0.1] [--threads 0]
-//         [--workers 0] [--no-coalesce] [--graph city.gr]
+//         [--workers 0] [--graph city.gr]
 //         [--max-connections N] [--max-in-flight N]
 //         [--drain-ms MS] [--idle-timeout-ms MS] [--read-timeout-ms MS]
 //         [--max-requests-per-connection N]
@@ -97,7 +97,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: hc2ld --index FILE [--port P] [--host H] [--threads T]\n"
-      "             [--workers W] [--no-coalesce] [--mmap] [--graph FILE]\n"
+      "             [--workers W] [--mmap] [--graph FILE]\n"
       "             [--max-connections N] [--max-in-flight N]\n"
       "             [--idle-timeout-ms MS] [--read-timeout-ms MS]\n"
       "             [--max-requests-per-connection N] [--drain-ms MS]\n"
@@ -112,8 +112,6 @@ int Usage() {
       "  --workers W runs W event loops; each reads, executes and answers\n"
       "  the connections placed on it (0, the default, picks\n"
       "  clamp(cores/2, 2, 8));\n"
-      "  --no-coalesce disables merging small concurrent point/batch "
-      "requests.\n"
       "  Limit flags default to the library's ServerLimits; 0 disables the "
       "limit.\n"
       "  SIGTERM drains gracefully within --drain-ms (default 5000); "
@@ -158,7 +156,6 @@ int main(int argc, char** argv) {
   options.port = static_cast<uint16_t>(port);
   options.num_threads = static_cast<uint32_t>(threads);
   options.reactor_threads = static_cast<uint32_t>(workers);
-  options.coalesce = !HasFlag(argc, argv, "--no-coalesce");
   options.limits.max_connections = static_cast<uint32_t>(max_connections);
   options.limits.max_in_flight = static_cast<uint32_t>(max_in_flight);
   options.limits.idle_timeout_ms = static_cast<uint32_t>(idle_timeout_ms);
