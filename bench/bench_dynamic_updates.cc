@@ -12,13 +12,12 @@
 // The scoped tier also reports the recomputed/total label-entry ratio, which
 // is deterministic in (graph, deltas) and therefore CPU-independent: it is
 // merged into BENCH_query.json as the "update_latency" section and gated by
-// tools/check_bench.py on every runner. The section is spliced in BEFORE any
-// "parallel" section — bench_parallel_query truncates from its own marker to
-// EOF when re-merging, so anything after it would be destroyed.
+// tools/check_bench.py on every runner.
 
 #include <cstdio>
 #include <cstdlib>
 
+#include "benchsupport/bench_json.h"
 #include "benchsupport/evaluation.h"
 #include "benchsupport/table_printer.h"
 #include "core/hc2l.h"
@@ -58,51 +57,6 @@ Graph SmallBatch(const Graph& g, size_t count, uint64_t seed,
   GraphBuilder builder(g.NumVertices());
   builder.AddEdges(edges);
   return std::move(builder).Build();
-}
-
-/// Splices the "update_latency" section into BENCH_query.json, replacing a
-/// prior copy and keeping it ahead of any "parallel" section (whose merge
-/// truncates from its marker to EOF).
-void MergeUpdateSection(const std::string& path, const std::string& section) {
-  std::string existing;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb"); f != nullptr) {
-    char buf[4096];
-    size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      existing.append(buf, got);
-    }
-    std::fclose(f);
-  }
-  const std::string kMarker = ",\n  \"update_latency\":";
-  const std::string kParallelMarker = ",\n  \"parallel\":";
-  // Drop a previously merged copy (it ends where the parallel section — or
-  // the closing brace — begins).
-  if (const size_t m = existing.find(kMarker); m != std::string::npos) {
-    const size_t p = existing.find(kParallelMarker, m);
-    existing = existing.substr(0, m) +
-               (p != std::string::npos ? existing.substr(p) : "\n}\n");
-  }
-  std::string out;
-  const size_t close = existing.rfind('}');
-  if (close == std::string::npos) {
-    out = "{\n  \"bench\": \"dynamic_updates\"" + section + "\n}\n";
-  } else if (const size_t p = existing.find(kParallelMarker);
-             p != std::string::npos) {
-    out = existing.substr(0, p) + section + existing.substr(p);
-  } else {
-    out = existing.substr(0, close);
-    while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
-      out.pop_back();
-    }
-    out += section + "\n}\n";
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
 }
 
 }  // namespace
@@ -199,7 +153,7 @@ int main() {
 
   char head[96];
   std::snprintf(head, sizeof(head),
-                ",\n  \"update_latency\": {\n"
+                "{\n"
                 "    \"batch_edges\": %zu,\n"
                 "    \"datasets\": {",
                 kBatchEdges);
@@ -207,7 +161,7 @@ int main() {
       std::string(head) + json_datasets + "}\n  }";
   const char* json = std::getenv("HC2L_BENCH_JSON");
   const std::string path = json != nullptr ? json : "BENCH_query.json";
-  MergeUpdateSection(path, section);
+  if (!MergeBenchSection(path, "update_latency", section)) return 1;
   std::printf("merged update_latency section into %s\n", path.c_str());
   return 0;
 }

@@ -11,14 +11,14 @@
 // copies every arena byte and scans the hint entries. The numbers are
 // merged into BENCH_query.json as the "large_graph" section and gated by
 // tools/check_bench.py (machine-matched absolutes plus an always-on
-// speedup floor). Like the "route" section, the merge splices BEFORE the
-// "update_latency"/"parallel" markers, whose own merges truncate forward.
+// speedup floor).
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "benchsupport/bench_json.h"
 #include "benchsupport/table_printer.h"
 #include "benchsupport/workload.h"
 #include "common/timer.h"
@@ -73,55 +73,6 @@ std::vector<double> MeasureQueryNs(const std::vector<const Router*>& routers,
 
 /// The most a sharded query may cost over a monolithic one.
 constexpr double kMaxShardedQueryRatio = 1.5;
-
-/// Splices the "large_graph" section into BENCH_query.json, before the
-/// "update_latency"/"parallel" markers (their merges truncate forward and
-/// would destroy anything placed after them).
-void MergeLargeGraphSection(const std::string& path,
-                            const std::string& section) {
-  std::string existing;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb"); f != nullptr) {
-    char buf[4096];
-    size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      existing.append(buf, got);
-    }
-    std::fclose(f);
-  }
-  const std::string kMarker = ",\n  \"large_graph\":";
-  const std::string kUpdateMarker = ",\n  \"update_latency\":";
-  const std::string kParallelMarker = ",\n  \"parallel\":";
-  if (const size_t m = existing.find(kMarker); m != std::string::npos) {
-    size_t next = existing.find(kUpdateMarker, m);
-    if (next == std::string::npos) {
-      next = existing.find(kParallelMarker, m);
-    }
-    existing = existing.substr(0, m) +
-               (next != std::string::npos ? existing.substr(next) : "\n}\n");
-  }
-  std::string out;
-  size_t insert = existing.find(kUpdateMarker);
-  if (insert == std::string::npos) insert = existing.find(kParallelMarker);
-  const size_t close = existing.rfind('}');
-  if (close == std::string::npos) {
-    out = "{\n  \"bench\": \"large_graph\"" + section + "\n}\n";
-  } else if (insert != std::string::npos) {
-    out = existing.substr(0, insert) + section + existing.substr(insert);
-  } else {
-    out = existing.substr(0, close);
-    while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
-      out.pop_back();
-    }
-    out += section + "\n}\n";
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-}
 
 std::string TempPath(const char* name) {
   const char* dir = std::getenv("TMPDIR");
@@ -225,7 +176,7 @@ int main() {
   char section[768];
   std::snprintf(
       section, sizeof(section),
-      ",\n  \"large_graph\": {\n"
+      "{\n"
       "    \"api\": \"router\",\n"
       "    \"vertices\": %zu,\n"
       "    \"queries\": %zu,\n"
@@ -244,8 +195,8 @@ int main() {
       sharded->NumShards(), members.c_str(), mono_ns, sharded_ns);
   const char* json = std::getenv("HC2L_BENCH_JSON");
   const std::string path = json != nullptr ? json : "BENCH_query.json";
-  MergeLargeGraphSection(path, section);
-  std::printf("merged large_graph section into %s\n", path.c_str());
+  const bool merged = MergeBenchSection(path, "large_graph", section);
+  if (merged) std::printf("merged large_graph section into %s\n", path.c_str());
 
   std::remove(index_path.c_str());
   std::remove(manifest_path.c_str());
@@ -260,5 +211,5 @@ int main() {
                  kMaxShardedQueryRatio);
     return 1;
   }
-  return 0;
+  return merged ? 0 : 1;
 }

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "benchsupport/bench_json.h"
 #include "benchsupport/workload.h"
 #include "common/simd.h"
 #include "hc2l/hc2l.h"
@@ -165,45 +166,6 @@ double TimePoints(const ThreadedRouter& engine,
   return timer.Seconds() * 1e9 / static_cast<double>(rounds * pairs.size());
 }
 
-/// Splices `section` into an existing BENCH_query.json (replacing any prior
-/// "parallel" section) or starts a fresh file.
-void MergeIntoBenchJson(const std::string& path, const std::string& section) {
-  std::string existing;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb"); f != nullptr) {
-    char buf[4096];
-    size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      existing.append(buf, got);
-    }
-    std::fclose(f);
-  }
-  // Drop a previously merged parallel section (it is always the last key).
-  const size_t marker = existing.find(",\n  \"parallel\":");
-  if (marker != std::string::npos) {
-    existing.resize(marker);
-    existing += "\n}\n";
-  }
-  std::string out;
-  const size_t close = existing.rfind('}');
-  if (close == std::string::npos) {
-    out = "{\n  \"bench\": \"parallel_query\"" + section + "\n}\n";
-  } else {
-    // Re-close the object with the parallel section appended.
-    out = existing.substr(0, close);
-    while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
-      out.pop_back();
-    }
-    out += section + "\n}\n";
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-}
-
 int Run() {
   RoadNetworkOptions opt;
   opt.rows = 48;
@@ -318,7 +280,7 @@ int Run() {
 
   char head[192];
   std::snprintf(head, sizeof(head),
-                ",\n  \"parallel\": {\n"
+                "{\n"
                 "    \"api\": \"router\",\n"
                 "    \"hardware_threads\": %u,\n"
                 "    \"matrix_speedup_best\": %.2f,\n"
@@ -330,7 +292,7 @@ int Run() {
 
   const char* json = std::getenv("HC2L_BENCH_JSON");
   const std::string path = json != nullptr ? json : "BENCH_query.json";
-  MergeIntoBenchJson(path, section);
+  if (!MergeBenchSection(path, "parallel", section)) return 1;
   std::printf("merged parallel section into %s\n", path.c_str());
   return 0;
 }

@@ -10,16 +10,14 @@
 //  - k-alternative routes (k=4) per returned alternative.
 //
 // The ns/edge numbers are merged into BENCH_query.json as the "route"
-// section and gated machine-matched by tools/check_bench.py. The section is
-// spliced in BEFORE the "update_latency"/"parallel" sections: both of those
-// merges truncate forward from their own markers, so anything placed after
-// them would be destroyed on re-merge.
+// section and gated machine-matched by tools/check_bench.py.
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "benchsupport/bench_json.h"
 #include "benchsupport/table_printer.h"
 #include "benchsupport/workload.h"
 #include "common/timer.h"
@@ -114,55 +112,6 @@ RouteNumbers MeasureRoutes(const Router& with_hints, const Router& fallback,
   return out;
 }
 
-/// Splices the "route" section into BENCH_query.json. A prior copy is
-/// dropped first; the fresh section lands before the "update_latency" and
-/// "parallel" sections, whose own merges truncate forward and would destroy
-/// anything placed after them.
-void MergeRouteSection(const std::string& path, const std::string& section) {
-  std::string existing;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb"); f != nullptr) {
-    char buf[4096];
-    size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      existing.append(buf, got);
-    }
-    std::fclose(f);
-  }
-  const std::string kMarker = ",\n  \"route\":";
-  const std::string kUpdateMarker = ",\n  \"update_latency\":";
-  const std::string kParallelMarker = ",\n  \"parallel\":";
-  if (const size_t m = existing.find(kMarker); m != std::string::npos) {
-    size_t next = existing.find(kUpdateMarker, m);
-    if (next == std::string::npos) {
-      next = existing.find(kParallelMarker, m);
-    }
-    existing = existing.substr(0, m) +
-               (next != std::string::npos ? existing.substr(next) : "\n}\n");
-  }
-  std::string out;
-  size_t insert = existing.find(kUpdateMarker);
-  if (insert == std::string::npos) insert = existing.find(kParallelMarker);
-  const size_t close = existing.rfind('}');
-  if (close == std::string::npos) {
-    out = "{\n  \"bench\": \"route_unpack\"" + section + "\n}\n";
-  } else if (insert != std::string::npos) {
-    out = existing.substr(0, insert) + section + existing.substr(insert);
-  } else {
-    out = existing.substr(0, close);
-    while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
-      out.pop_back();
-    }
-    out += section + "\n}\n";
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main() {
@@ -213,7 +162,7 @@ int main() {
   char section[640];
   std::snprintf(
       section, sizeof(section),
-      ",\n  \"route\": {\n"
+      "{\n"
       "    \"api\": \"router\",\n"
       "    \"queries\": %zu,\n"
       "    \"undirected\": {\"ns_per_route\": %.1f, \"ns_per_edge\": %.2f, "
@@ -228,7 +177,7 @@ int main() {
       d.alt_ns_per_route);
   const char* json = std::getenv("HC2L_BENCH_JSON");
   const std::string path = json != nullptr ? json : "BENCH_query.json";
-  MergeRouteSection(path, section);
+  if (!MergeBenchSection(path, "route", section)) return 1;
   std::printf("merged route section into %s\n", path.c_str());
   return 0;
 }

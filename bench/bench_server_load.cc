@@ -13,9 +13,6 @@
 //
 // The numbers are merged into BENCH_query.json as the "server_load"
 // section (machine-matched absolutes).
-// Like "large_graph", the merge splices BEFORE the "update_latency"/
-// "parallel" markers; run it AFTER bench_large_graph, whose own merge
-// truncates forward from its marker.
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -31,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "benchsupport/bench_json.h"
 #include "benchsupport/table_printer.h"
 #include "common/timer.h"
 #include "graph/road_network_generator.h"
@@ -280,55 +278,6 @@ double MeasureMatrixMs(uint16_t port, size_t side, size_t num_vertices,
   return best;
 }
 
-/// Splices the "server_load" section into BENCH_query.json before the
-/// "update_latency"/"parallel" markers (their merges truncate forward and
-/// would destroy anything placed after them).
-void MergeServerLoadSection(const std::string& path,
-                            const std::string& section) {
-  std::string existing;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb"); f != nullptr) {
-    char buf[4096];
-    size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      existing.append(buf, got);
-    }
-    std::fclose(f);
-  }
-  const std::string kMarker = ",\n  \"server_load\":";
-  const std::string kUpdateMarker = ",\n  \"update_latency\":";
-  const std::string kParallelMarker = ",\n  \"parallel\":";
-  if (const size_t m = existing.find(kMarker); m != std::string::npos) {
-    size_t next = existing.find(kUpdateMarker, m);
-    if (next == std::string::npos) {
-      next = existing.find(kParallelMarker, m);
-    }
-    existing = existing.substr(0, m) +
-               (next != std::string::npos ? existing.substr(next) : "\n}\n");
-  }
-  std::string out;
-  size_t insert = existing.find(kUpdateMarker);
-  if (insert == std::string::npos) insert = existing.find(kParallelMarker);
-  const size_t close = existing.rfind('}');
-  if (close == std::string::npos) {
-    out = "{\n  \"bench\": \"server_load\"" + section + "\n}\n";
-  } else if (insert != std::string::npos) {
-    out = existing.substr(0, insert) + section + existing.substr(insert);
-  } else {
-    out = existing.substr(0, close);
-    while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
-      out.pop_back();
-    }
-    out += section + "\n}\n";
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main() {
@@ -409,7 +358,7 @@ int main() {
   char section[768];
   std::snprintf(
       section, sizeof(section),
-      ",\n  \"server_load\": {\n"
+      "{\n"
       "    \"api\": \"router\",\n"
       "    \"connections\": %zu,\n"
       "    \"pipeline_depth\": %zu,\n"
@@ -425,7 +374,7 @@ int main() {
       coalesced.p50_us, coalesced.p99_us, batch.qps, matrix_ms, stream_ms);
   const char* json = std::getenv("HC2L_BENCH_JSON");
   const std::string path = json != nullptr ? json : "BENCH_query.json";
-  MergeServerLoadSection(path, section);
+  if (!MergeBenchSection(path, "server_load", section)) return 1;
   std::printf("merged server_load section into %s\n", path.c_str());
   return 0;
 }

@@ -17,8 +17,9 @@
 ///   - QueryOutput    — where to write it: caller-owned spans.
 ///   - QueryResponse  — what happened: slots written, result shape.
 ///
-/// Router::Execute runs a request sequentially; ThreadedRouter::Execute
-/// shards it over the query engine. Both produce bit-identical results.
+/// Both executors run a request on the query engine: Router::Execute on a
+/// one-thread engine, inline on the caller; ThreadedRouter::Execute shards
+/// it over a pooled one. Both produce bit-identical results.
 ///
 /// Shape contract (violations are kInvalidArgument, never an abort):
 ///
@@ -121,9 +122,9 @@ struct QueryOptions {
   /// Wall-clock budget measured from Execute entry; zero = unlimited. On
   /// expiry the request fails with kDeadlineExceeded (output unspecified).
   std::chrono::nanoseconds deadline{0};
-  /// Parallelism cap: 0 = the executor's default (Router: sequential;
-  /// ThreadedRouter: its full pool), 1 = force inline sequential execution
-  /// even on a ThreadedRouter, n > 1 = cap the shards in flight at n.
+  /// Parallelism cap: 0 = the executor's default (Router: its one thread;
+  /// ThreadedRouter: its full pool), 1 = force inline execution even on a
+  /// ThreadedRouter, n > 1 = cap the shards in flight at n.
   uint32_t num_threads = 0;
   /// Out-of-range id handling; see MissingVertexPolicy.
   MissingVertexPolicy missing_vertices = MissingVertexPolicy::kError;

@@ -24,8 +24,9 @@
 /// Bulk queries — pairwise and one-to-many points, matrices, k-nearest and
 /// span-written routes — have one entry point, Execute (hc2l/query.h): a
 /// request of borrowed id spans answered into caller-owned output spans.
-/// Router::Execute runs it on the calling thread; the ThreadedRouter from
-/// WithThreads runs the same requests over a query engine.
+/// There is one executor, the query engine: a Router is that engine at one
+/// thread, run inline on the calling thread; the ThreadedRouter from
+/// WithThreads runs the same requests on a pooled engine.
 ///
 /// Error model: every fallible entry point returns Status / Result<T>
 /// (hc2l/status.h); bad input — missing or corrupt files, out-of-range
@@ -234,10 +235,10 @@ class Router {
   // Results land in caller-owned memory, and the hot path performs no
   // per-call heap allocation once its per-thread scratch is warm.
 
-  /// Executes `request` sequentially on the calling thread (Router ignores
-  /// QueryOptions::num_threads — it is a cap, and sequential execution
-  /// satisfies every cap; use ThreadedRouter::Execute to parallelize).
-  /// Shape contract and deadline semantics: hc2l/query.h. Errors:
+  /// Executes `request` on this Router's one-thread query engine, inline on
+  /// the calling thread (QueryOptions::num_threads is a cap, which one
+  /// thread satisfies; ThreadedRouter::Execute parallelizes). Shape
+  /// contract and deadline semantics: hc2l/query.h. Errors:
   /// kInvalidArgument (shape mismatch, out-of-range id under the kError
   /// policy), kDeadlineExceeded, kFailedPrecondition (a route without hints
   /// or an attached graph).
@@ -323,13 +324,12 @@ class ThreadedRouter {
   /// Total participating threads (>= 1).
   uint32_t NumThreads() const;
 
-  /// Executes `request` over the query engine: pairs and one-to-many
-  /// targets shard across the pool, a matrix slices its longer side, and
-  /// k-nearest computes its distances in parallel before a deterministic
-  /// sequential selection. QueryOptions::num_threads caps the shards in
-  /// flight per request (1 = inline on the caller); results are
-  /// bit-identical to Router::Execute for every cap. Errors: as
-  /// Router::Execute.
+  /// Router::Execute on a pooled engine: pairs and one-to-many targets
+  /// shard across the pool, a matrix slices its longer side, and k-nearest
+  /// computes its distances in parallel before a deterministic sequential
+  /// selection. QueryOptions::num_threads caps the shards in flight per
+  /// request (1 = inline on the caller); results are bit-identical to
+  /// Router::Execute for every cap. Errors: as Router::Execute.
   Result<QueryResponse> Execute(const QueryRequest& request,
                                 const QueryOutput& out) const;
 

@@ -1,10 +1,8 @@
 #include "hc2l/router.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <thread>
-#include <type_traits>
 
 #include "common/binary_io.h"
 #include "common/timer.h"
@@ -74,36 +72,14 @@ Status CheckVertices(const char* what, std::span<const Vertex> vs,
 
 // ------------------------------------------------- request execution ---
 //
-// Execute is the one bulk-query entry point of both executors. It funnels
-// into three primitives — Pairs, Batch, Matrix — plus Route, provided by a
-// Runner: SeqRunner answers them inline on the calling thread (Router),
-// PoolRunner shards them over the query engine (ThreadedRouter). Shape and
-// id validation and the missing-vertex policy live above the runners, so
-// both executors share them; the primitives only ever see in-range ids.
-// Each primitive reports the output ranges it finished to its RangeCallback
-// (QueryOutput::on_written): the SeqRunner once over the whole output, the
-// PoolRunner per engine shard.
-
-/// A request's absolute deadline, resolved once at Execute entry.
-struct Deadline {
-  bool enabled = false;
-  std::chrono::steady_clock::time_point at{};
-
-  static Deadline From(std::chrono::nanoseconds budget) {
-    Deadline d;
-    // Zero means unlimited; a negative budget (a caller's remaining time
-    // that already ran out) is an expired deadline, not an absent one.
-    if (budget.count() != 0) {
-      d.enabled = true;
-      d.at = std::chrono::steady_clock::now() + budget;
-    }
-    return d;
-  }
-
-  bool Expired() const {
-    return enabled && std::chrono::steady_clock::now() >= at;
-  }
-};
+// Execute is the one bulk-query entry point of both executors, and both run
+// it on the query engine through one EngineRunner: a Router on its own
+// one-thread engine, inline on the calling thread; a ThreadedRouter on a
+// pooled one, capped per request by QueryOptions::num_threads. The runner
+// supplies three primitives — Pairs, Batch, Matrix — plus Route. Shape and
+// id validation and the missing-vertex policy live above the runner; the
+// primitives only ever see in-range ids, and report the output ranges they
+// finished to their RangeCallback (QueryOutput::on_written) per shard.
 
 Status DeadlineError() {
   return Status::DeadlineExceeded(
@@ -111,61 +87,17 @@ Status DeadlineError() {
       "unspecified");
 }
 
-/// Queries answered between sequential deadline polls (same rationale as the
-/// engine's chunking: a poll is ~20 ns, a query tens, so ~1k amortizes the
-/// poll away while bounding overshoot).
-constexpr size_t kSeqDeadlineCheckQueries = 1024;
+/// A query engine of the index's flavour; exactly one is non-null.
+struct FlavourEngine {
+  std::unique_ptr<QueryEngine> undirected;
+  std::unique_ptr<DirectedQueryEngine> directed;
 
-// The sequential primitives write their whole output on the calling thread
-// and report it to `on_written` as one range once it is complete.
-
-template <typename Index>
-Status SeqPairs(const Index& index, std::span<const Vertex> sources,
-                std::span<const Vertex> targets, Dist* out, const Deadline& dl,
-                RangeCallback on_written) {
-  const size_t n = std::min(sources.size(), targets.size());
-  for (size_t chunk = 0; chunk < n; chunk += kSeqDeadlineCheckQueries) {
-    if (dl.Expired()) return DeadlineError();
-    const size_t stop = std::min(n, chunk + kSeqDeadlineCheckQueries);
-    index.PointPairsInto(sources.subspan(chunk, stop - chunk),
-                         targets.subspan(chunk, stop - chunk), out + chunk);
+  template <typename Fn>
+  decltype(auto) Visit(Fn&& fn) const {
+    if (undirected != nullptr) return fn(*undirected);
+    return fn(*directed);
   }
-  on_written(0, n);
-  return Status::Ok();
-}
-
-template <typename Index>
-Status SeqBatch(const Index& index, Vertex source,
-                std::span<const Vertex> targets, Dist* out, const Deadline& dl,
-                RangeCallback on_written) {
-  if (!dl.enabled) {
-    index.BatchQueryInto(source, targets, out);
-    on_written(0, targets.size());
-    return Status::Ok();
-  }
-  for (size_t chunk = 0; chunk < targets.size();
-       chunk += kSeqDeadlineCheckQueries) {
-    if (dl.Expired()) return DeadlineError();
-    const size_t stop =
-        std::min(targets.size(), chunk + kSeqDeadlineCheckQueries);
-    index.BatchQueryInto(source, targets.subspan(chunk, stop - chunk),
-                         out + chunk);
-  }
-  on_written(0, targets.size());
-  return Status::Ok();
-}
-
-template <typename Index>
-Status SeqMatrix(const Index& index, std::span<const Vertex> sources,
-                 std::span<const Vertex> targets, const MatrixRows& rows,
-                 const Deadline& dl, RangeCallback on_written) {
-  const auto expired = [&dl] { return dl.Expired(); };
-  if (!index.DistanceMatrixInto(sources, targets, rows, expired)) {
-    return DeadlineError();
-  }
-  on_written(0, sources.size() * targets.size());
-  return Status::Ok();
-}
+};
 
 /// Per-thread staging buffers of the facade layer: missing-vertex
 /// filtering, k-nearest distance staging, route unpacking. Kept separate
@@ -359,8 +291,9 @@ Status CheckIds(const QueryRequest& req, uint64_t n, const char* targets_name) {
 /// response assembly. `runner` supplies the compute primitives.
 template <typename Runner>
 Result<QueryResponse> ExecuteRequest(const QueryRequest& req,
-                                     const QueryOutput& out, uint64_t n,
+                                     const QueryOutput& out,
                                      const Runner& runner) {
+  const uint64_t n = runner.NumVertices();
   const MissingVertexPolicy policy = req.options.missing_vertices;
   const Deadline dl = Deadline::From(req.options.deadline);
   FacadeScratch& fs = TlsFacadeScratch();
@@ -515,6 +448,10 @@ struct Router::Impl {
   // persist one), so the facade times Build itself; 0 after Open. The
   // undirected flavour carries its own persisted Hc2lStats instead.
   double directed_build_seconds = 0.0;
+  // The one-thread engine Execute runs on (a pool of one starts no worker,
+  // so every call runs inline on the caller). Declared last: it borrows the
+  // index and must go first.
+  FlavourEngine engine;
 
   /// Calls fn on whichever concrete index is present. All instantiations
   /// must return the same type (the query surfaces are shape-identical).
@@ -523,31 +460,42 @@ struct Router::Impl {
     if (undirected != nullptr) return fn(*undirected);
     return fn(*directed);
   }
+
+  /// A query engine over this impl's index.
+  FlavourEngine EngineOf(const QueryEngineOptions& options) const {
+    FlavourEngine e;
+    if (undirected != nullptr) {
+      e.undirected = std::make_unique<QueryEngine>(*undirected, options);
+    } else {
+      e.directed = std::make_unique<DirectedQueryEngine>(*directed, options);
+    }
+    return e;
+  }
+
+  /// The shared Route primitive: hint-based unpacking when the index
+  /// carries route hints, the graph-backed bidirectional-Dijkstra fallback
+  /// otherwise (so hint-less indexes keep answering routes once a graph is
+  /// attached).
+  Status Route(Vertex s, Vertex t, RoutePath* out) const;
+
+  /// K-alternative routes need the hint store (alternatives enumerate the
+  /// LCA's separator hubs); a hint-less index degrades to the single
+  /// fallback shortest path.
+  Status Routes(Vertex s, Vertex t, size_t k,
+                std::vector<RoutePath>* out) const;
 };
 
-namespace {
-
-/// The shared Route primitive: hint-based unpacking when the index carries
-/// route hints, the graph-backed bidirectional-Dijkstra fallback otherwise
-/// (so hint-less indexes keep answering routes once a graph is attached). Templated over Router::Impl like the runners.
-template <typename RouterImpl>
-Status RouteOnImpl(const RouterImpl& impl, Vertex s, Vertex t,
-                   RoutePath* out) {
-  if (impl.undirected != nullptr) {
-    if (impl.undirected->HasRouteHints()) {
-      return impl.undirected->Route(s, t, out);
-    }
-    if (impl.graph != nullptr) {
-      out->weight =
-          BidirectionalShortestPath(*impl.graph, s, t, &out->vertices);
+Status Router::Impl::Route(Vertex s, Vertex t, RoutePath* out) const {
+  if (undirected != nullptr) {
+    if (undirected->HasRouteHints()) return undirected->Route(s, t, out);
+    if (graph != nullptr) {
+      out->weight = BidirectionalShortestPath(*graph, s, t, &out->vertices);
       return Status::Ok();
     }
   } else {
-    if (impl.directed->HasRouteHints()) {
-      return impl.directed->Route(s, t, out);
-    }
-    if (impl.digraph != nullptr) {
-      out->weight = DirectedShortestPath(*impl.digraph, s, t, &out->vertices);
+    if (directed->HasRouteHints()) return directed->Route(s, t, out);
+    if (digraph != nullptr) {
+      out->weight = DirectedShortestPath(*digraph, s, t, &out->vertices);
       return Status::Ok();
     }
   }
@@ -557,61 +505,77 @@ Status RouteOnImpl(const RouterImpl& impl, Vertex s, Vertex t,
       "unpack against; attach one with AttachGraph / AttachDigraph");
 }
 
-/// K-alternative routes need the hint store (alternatives enumerate the
-/// LCA's separator hubs); a hint-less index degrades to the single fallback
-/// shortest path.
-template <typename RouterImpl>
-Status RoutesOnImpl(const RouterImpl& impl, Vertex s, Vertex t, size_t k,
-                    std::vector<RoutePath>* out) {
+Status Router::Impl::Routes(Vertex s, Vertex t, size_t k,
+                            std::vector<RoutePath>* out) const {
   out->clear();
   if (k == 0) return Status::Ok();
-  if (impl.undirected != nullptr && impl.undirected->HasRouteHints()) {
-    return impl.undirected->Routes(s, t, k, out);
+  if (undirected != nullptr && undirected->HasRouteHints()) {
+    return undirected->Routes(s, t, k, out);
   }
-  if (impl.directed != nullptr && impl.directed->HasRouteHints()) {
-    return impl.directed->Routes(s, t, k, out);
+  if (directed != nullptr && directed->HasRouteHints()) {
+    return directed->Routes(s, t, k, out);
   }
   RoutePath path;
-  if (Status st = RouteOnImpl(impl, s, t, &path); !st.ok()) return st;
+  if (Status st = Route(s, t, &path); !st.ok()) return st;
   if (path.weight != kInfDist) out->push_back(std::move(path));
   return Status::Ok();
 }
 
-/// Sequential executor over the Router's concrete index. Templated over the
-/// impl type (Router::Impl — private, so namespace-scope code cannot name
+namespace {
+
+/// The executor of both Router flavours: the request primitives on `engine`,
+/// at most `max_threads` shards in flight (0 = the pool size), and routes
+/// answered inline through `router`'s hint-or-fallback primitive. Templated
+/// over Router::Impl, which is private (namespace-scope code cannot name
 /// it; aggregate deduction at the call sites supplies it).
 template <typename RouterImpl>
-struct SeqRunner {
-  const RouterImpl* impl;
+struct EngineRunner {
+  const FlavourEngine* engine;
+  const RouterImpl* router;
+  uint32_t max_threads;
+
+  uint64_t NumVertices() const {
+    return engine->Visit(
+        [](const auto& e) -> uint64_t { return e.index().NumVertices(); });
+  }
+
+  EngineCallOptions Call(const Deadline& dl, RangeCallback on_written) const {
+    return {dl, max_threads, on_written};
+  }
 
   Status Pairs(std::span<const Vertex> s, std::span<const Vertex> t,
                Dist* out, const Deadline& dl,
                RangeCallback on_written = {}) const {
-    return impl->Visit([&](const auto& index) {
-      return SeqPairs(index, s, t, out, dl, on_written);
+    const bool done = engine->Visit([&](const auto& e) {
+      return e.PointPairsInto(s, t, out, Call(dl, on_written));
     });
+    return done ? Status::Ok() : DeadlineError();
   }
   Status Batch(Vertex source, std::span<const Vertex> targets, Dist* out,
                const Deadline& dl, RangeCallback on_written = {}) const {
-    return impl->Visit([&](const auto& index) {
-      return SeqBatch(index, source, targets, out, dl, on_written);
+    const bool done = engine->Visit([&](const auto& e) {
+      return e.BatchQueryInto(source, targets, out, Call(dl, on_written));
     });
+    return done ? Status::Ok() : DeadlineError();
   }
   Status Matrix(std::span<const Vertex> s, std::span<const Vertex> t,
                 const MatrixRows& rows, const Deadline& dl,
                 RangeCallback on_written = {}) const {
-    return impl->Visit([&](const auto& index) {
-      return SeqMatrix(index, s, t, rows, dl, on_written);
+    const bool done = engine->Visit([&](const auto& e) {
+      return e.DistanceMatrixInto(s, t, rows, Call(dl, on_written));
     });
+    return done ? Status::Ok() : DeadlineError();
   }
   Status Route(Vertex s, Vertex t, RoutePath* out) const {
-    return RouteOnImpl(*impl, s, t, out);
+    return router->Route(s, t, out);
   }
 };
 
 }  // namespace
 
-Router::Router(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
+Router::Router(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {
+  impl_->engine = impl_->EngineOf(QueryEngineOptions{.num_threads = 1});
+}
 Router::Router(Router&&) noexcept = default;
 Router& Router::operator=(Router&&) noexcept = default;
 Router::~Router() = default;
@@ -734,7 +698,7 @@ Status Router::Route(Vertex s, Vertex t, RoutePath* out) const {
   const uint64_t n = NumVertices();
   if (Status st = CheckVertex("source", s, n); !st.ok()) return st;
   if (Status st = CheckVertex("target", t, n); !st.ok()) return st;
-  return RouteOnImpl(*impl_, s, t, out);
+  return impl_->Route(s, t, out);
 }
 
 Result<size_t> Router::RouteInto(Vertex s, Vertex t,
@@ -750,13 +714,14 @@ Result<std::vector<RoutePath>> Router::Routes(Vertex s, Vertex t,
   if (Status st = CheckVertex("source", s, n); !st.ok()) return st;
   if (Status st = CheckVertex("target", t, n); !st.ok()) return st;
   std::vector<RoutePath> out;
-  if (Status st = RoutesOnImpl(*impl_, s, t, k, &out); !st.ok()) return st;
+  if (Status st = impl_->Routes(s, t, k, &out); !st.ok()) return st;
   return out;
 }
 
 Result<QueryResponse> Router::Execute(const QueryRequest& request,
                                       const QueryOutput& out) const {
-  return ExecuteRequest(request, out, NumVertices(), SeqRunner{impl_.get()});
+  return ExecuteRequest(request, out,
+                        EngineRunner{&impl_->engine, impl_.get(), 1});
 }
 
 Status Router::DistanceMatrixInto(std::span<const Vertex> sources,
@@ -837,71 +802,11 @@ Result<Router> Router::UpdateWeights(std::span<const EdgeDelta> deltas,
 // ------------------------------------------------------------- threaded ---
 
 struct ThreadedRouter::Impl {
-  // Exactly one is non-null, matching the Router's flavour.
-  std::unique_ptr<QueryEngine> undirected;
-  std::unique_ptr<DirectedQueryEngine> directed;
-  // The borrowed Router's impl (the handle must not outlive it anyway):
-  // route requests are single queries, answered inline through the same
-  // hint-or-fallback primitive as Router::Route rather than sharded.
+  FlavourEngine engine;
+  // The borrowed Router's impl: a route is one query, answered inline by
+  // its hint-or-fallback primitive rather than sharded.
   const Router::Impl* router = nullptr;
-  uint64_t num_vertices = 0;
-
-  template <typename Fn>
-  decltype(auto) Visit(Fn&& fn) const {
-    if (undirected != nullptr) return fn(*undirected);
-    return fn(*directed);
-  }
 };
-
-namespace {
-
-/// Parallel executor over the ThreadedRouter's query engine. `max_threads`
-/// is the per-request cap (QueryOptions::num_threads); 1 makes the engine
-/// run inline on the caller, so this runner also covers forced-sequential
-/// requests. Templated over the (private) impl type like SeqRunner.
-template <typename ThreadedImpl>
-struct PoolRunner {
-  const ThreadedImpl* impl;
-  uint32_t max_threads = 0;
-
-  EngineCallOptions Call(const Deadline& dl, RangeCallback on_written) const {
-    EngineCallOptions call;
-    call.has_deadline = dl.enabled;
-    call.deadline = dl.at;
-    call.max_threads = max_threads;
-    call.on_written = on_written;
-    return call;
-  }
-
-  Status Pairs(std::span<const Vertex> s, std::span<const Vertex> t,
-               Dist* out, const Deadline& dl,
-               RangeCallback on_written = {}) const {
-    const bool done = impl->Visit([&](const auto& engine) {
-      return engine.PointPairsInto(s, t, out, Call(dl, on_written));
-    });
-    return done ? Status::Ok() : DeadlineError();
-  }
-  Status Batch(Vertex source, std::span<const Vertex> targets, Dist* out,
-               const Deadline& dl, RangeCallback on_written = {}) const {
-    const bool done = impl->Visit([&](const auto& engine) {
-      return engine.BatchQueryInto(source, targets, out, Call(dl, on_written));
-    });
-    return done ? Status::Ok() : DeadlineError();
-  }
-  Status Matrix(std::span<const Vertex> s, std::span<const Vertex> t,
-                const MatrixRows& rows, const Deadline& dl,
-                RangeCallback on_written = {}) const {
-    const bool done = impl->Visit([&](const auto& engine) {
-      return engine.DistanceMatrixInto(s, t, rows, Call(dl, on_written));
-    });
-    return done ? Status::Ok() : DeadlineError();
-  }
-  Status Route(Vertex s, Vertex t, RoutePath* out) const {
-    return RouteOnImpl(*impl->router, s, t, out);
-  }
-};
-
-}  // namespace
 
 ThreadedRouter::ThreadedRouter(std::unique_ptr<Impl> impl)
     : impl_(std::move(impl)) {}
@@ -928,26 +833,21 @@ Result<ThreadedRouter> Router::WithThreads(
   engine_options.num_threads = options.num_threads;
   engine_options.min_shard_queries = std::max(1u, options.min_shard_queries);
   auto impl = std::make_unique<ThreadedRouter::Impl>();
+  impl->engine = impl_->EngineOf(engine_options);
   impl->router = impl_.get();
-  impl->num_vertices = NumVertices();
-  if (impl_->undirected != nullptr) {
-    impl->undirected =
-        std::make_unique<QueryEngine>(*impl_->undirected, engine_options);
-  } else {
-    impl->directed = std::make_unique<DirectedQueryEngine>(*impl_->directed,
-                                                           engine_options);
-  }
   return ThreadedRouter(std::move(impl));
 }
 
 uint32_t ThreadedRouter::NumThreads() const {
-  return impl_->Visit([](const auto& engine) { return engine.NumThreads(); });
+  return impl_->engine.Visit(
+      [](const auto& engine) { return engine.NumThreads(); });
 }
 
 Result<QueryResponse> ThreadedRouter::Execute(const QueryRequest& request,
                                               const QueryOutput& out) const {
-  return ExecuteRequest(request, out, impl_->num_vertices,
-                        PoolRunner{impl_.get(), request.options.num_threads});
+  const uint32_t cap = request.options.num_threads;
+  return ExecuteRequest(request, out,
+                        EngineRunner{&impl_->engine, impl_->router, cap});
 }
 
 Status ThreadedRouter::DistanceMatrixInto(std::span<const Vertex> sources,

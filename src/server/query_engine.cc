@@ -39,13 +39,12 @@ constexpr size_t kDeadlineCheckQueries = 1024;
 /// everyone. Without a deadline Expired() is a single branch.
 class DeadlineGate {
  public:
-  explicit DeadlineGate(const EngineCallOptions& call)
-      : enabled_(call.has_deadline), at_(call.deadline) {}
+  explicit DeadlineGate(const Deadline& deadline) : deadline_(deadline) {}
 
   bool Expired() {
-    if (!enabled_) return false;
+    if (!deadline_.enabled) return false;
     if (expired_.load(std::memory_order_relaxed)) return true;
-    if (std::chrono::steady_clock::now() >= at_) {
+    if (deadline_.Expired()) {
       expired_.store(true, std::memory_order_relaxed);
       return true;
     }
@@ -55,10 +54,40 @@ class DeadlineGate {
   bool expired() const { return expired_.load(std::memory_order_relaxed); }
 
  private:
-  const bool enabled_;
-  const std::chrono::steady_clock::time_point at_;
+  const Deadline deadline_;
   std::atomic<bool> expired_{false};
 };
+
+/// The loop under the pairwise and one-to-many entry points: splits `count`
+/// independent queries into `shards` contiguous shards over `pool` (inline
+/// on the caller when there is one), has `answer(begin, end)` fill each
+/// shard's slice of the output, and reports every finished shard to
+/// `call.on_written`. Without a deadline a shard is one `answer` call; with
+/// one, the shard is cut into poll-sized chunks. Returns false iff the
+/// deadline expired before every shard finished.
+template <typename Answer>
+bool ShardAndPoll(ThreadPool& pool, size_t shards, size_t count,
+                  const EngineCallOptions& call, const Answer& answer) {
+  DeadlineGate gate(call.deadline);
+  const auto run = [&](size_t begin, size_t end) {
+    const size_t step =
+        call.deadline.enabled ? kDeadlineCheckQueries : end - begin;
+    for (size_t chunk = begin; chunk < end; chunk += step) {
+      if (gate.Expired()) return;
+      answer(chunk, std::min(end, chunk + step));
+    }
+    call.on_written(begin, end);
+  };
+  if (shards <= 1) {
+    run(0, count);
+  } else {
+    pool.ParallelFor(shards, [&](size_t s) {
+      const ShardRange r = ShardOf(count, shards, s);
+      run(r.begin, r.end);
+    });
+  }
+  return !gate.expired();
+}
 
 }  // namespace
 
@@ -92,61 +121,23 @@ bool BasicQueryEngine<Index>::PointPairsInto(
     std::span<const Vertex> sources, std::span<const Vertex> targets,
     Dist* out, const EngineCallOptions& call) const {
   const size_t n = std::min(sources.size(), targets.size());
-  DeadlineGate gate(call);
-  const auto run = [&](size_t begin, size_t end) {
-    for (size_t chunk = begin; chunk < end;
-         chunk += kDeadlineCheckQueries) {
-      if (gate.Expired()) return;
-      const size_t stop = std::min(end, chunk + kDeadlineCheckQueries);
-      index_->PointPairsInto(sources.subspan(chunk, stop - chunk),
-                             targets.subspan(chunk, stop - chunk),
-                             out + chunk);
-    }
-    call.on_written(begin, end);
+  const auto answer = [&](size_t begin, size_t end) {
+    index_->PointPairsInto(sources.subspan(begin, end - begin),
+                           targets.subspan(begin, end - begin), out + begin);
   };
-  const size_t shards = NumShards(n, call.max_threads);
-  if (shards <= 1) {
-    run(0, n);
-  } else {
-    pool_.ParallelFor(shards, [&](size_t s) {
-      const ShardRange r = ShardOf(n, shards, s);
-      run(r.begin, r.end);
-    });
-  }
-  return !gate.expired();
+  return ShardAndPoll(pool_, NumShards(n, call.max_threads), n, call, answer);
 }
 
 template <typename Index>
 bool BasicQueryEngine<Index>::BatchQueryInto(
     Vertex source, std::span<const Vertex> targets, Dist* out,
     const EngineCallOptions& call) const {
-  if (targets.empty()) return true;
-  DeadlineGate gate(call);
-  const size_t shards = NumShards(targets.size(), call.max_threads);
-  // Each shard answers contiguous slices of the target list through the
-  // index's single-call batch — fully independent, writing disjoint ranges
-  // of `out`. Without a deadline a shard is one slice; with one, the slice
-  // is cut into poll-sized chunks.
-  const auto run = [&](size_t begin, size_t end) {
-    const size_t step =
-        call.has_deadline ? kDeadlineCheckQueries : end - begin;
-    for (size_t chunk = begin; chunk < end; chunk += step) {
-      if (gate.Expired()) return;
-      const size_t stop = std::min(end, chunk + step);
-      index_->BatchQueryInto(source, targets.subspan(chunk, stop - chunk),
-                             out + chunk);
-    }
-    call.on_written(begin, end);
+  const auto answer = [&](size_t begin, size_t end) {
+    index_->BatchQueryInto(source, targets.subspan(begin, end - begin),
+                           out + begin);
   };
-  if (shards <= 1) {
-    run(0, targets.size());
-  } else {
-    pool_.ParallelFor(shards, [&](size_t s) {
-      const ShardRange r = ShardOf(targets.size(), shards, s);
-      run(r.begin, r.end);
-    });
-  }
-  return !gate.expired();
+  return ShardAndPoll(pool_, NumShards(targets.size(), call.max_threads),
+                      targets.size(), call, answer);
 }
 
 template <typename Index>
@@ -154,7 +145,7 @@ bool BasicQueryEngine<Index>::DistanceMatrixInto(
     std::span<const Vertex> sources, std::span<const Vertex> targets,
     const MatrixRows& rows, const EngineCallOptions& call) const {
   if (sources.empty() || targets.empty()) return true;
-  DeadlineGate gate(call);
+  DeadlineGate gate(call.deadline);
   const auto expired = [&gate] { return gate.Expired(); };
   // At most one slice per thread: each slice resolves and sorts its own
   // sides, so finer slicing would only repeat that work and shrink the

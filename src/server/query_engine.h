@@ -29,11 +29,14 @@
 /// bookkeeping. Do not call engine methods from inside tasks running on the
 /// same engine's pool.
 ///
-/// When to prefer the engine vs. direct index calls: see
-/// docs/query_engine.md. Rule of thumb — single point queries and small
-/// batches (< ~1k queries) are faster on the index directly (a query is tens
-/// of nanoseconds; handing it to another core costs more than answering it);
-/// the engine pays off for bulk workloads.
+/// The engine is also the facade's only executor: a Router runs every
+/// request through a one-thread engine of its flavour (a ThreadPool of one
+/// starts no worker, so each call runs inline on the caller), a
+/// ThreadedRouter through a pooled one. At one thread a point query, a
+/// small batch and a matrix go straight to the index primitive; at more,
+/// workloads below min_shard_queries still run inline (a query is tens of
+/// nanoseconds; handing it to another core costs more than answering it),
+/// and the pool pays off for bulk workloads. See docs/query_engine.md.
 
 #include <chrono>
 #include <cstdint>
@@ -48,12 +51,33 @@
 
 namespace hc2l {
 
+/// A request's absolute deadline, resolved once when the request starts.
+struct Deadline {
+  bool enabled = false;
+  std::chrono::steady_clock::time_point at{};
+
+  /// The deadline `budget` from now. Zero means unlimited; a negative
+  /// budget (a caller's remaining time that already ran out) is an expired
+  /// deadline, not an absent one.
+  static Deadline From(std::chrono::nanoseconds budget) {
+    Deadline d;
+    if (budget.count() != 0) {
+      d.enabled = true;
+      d.at = std::chrono::steady_clock::now() + budget;
+    }
+    return d;
+  }
+
+  bool Expired() const {
+    return enabled && std::chrono::steady_clock::now() >= at;
+  }
+};
+
 /// Per-call controls of the span-output engine entry points.
 struct EngineCallOptions {
-  /// When true, workers poll `deadline` at chunk boundaries (every one to
-  /// two thousand queries) and abandon remaining work once it passes.
-  bool has_deadline = false;
-  std::chrono::steady_clock::time_point deadline{};
+  /// When enabled, workers poll it at chunk boundaries (every thousand or
+  /// so queries) and abandon remaining work once it passes.
+  Deadline deadline;
   /// Caps shards in flight (and thus worker concurrency) for this call;
   /// 0 = no cap beyond the pool size, 1 = fully inline on the caller.
   uint32_t max_threads = 0;

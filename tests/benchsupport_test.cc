@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <string>
 
+#include "benchsupport/bench_json.h"
 #include "benchsupport/evaluation.h"
 #include "benchsupport/table_printer.h"
 #include "benchsupport/workload.h"
@@ -13,6 +17,7 @@
 namespace hc2l {
 namespace {
 
+using ::hc2l::testing::FileBytes;
 using ::hc2l::testing::MakeGrid;
 using ::hc2l::testing::MakePath;
 
@@ -94,6 +99,89 @@ TEST(TablePrinterTest, FormatsNumbers) {
   EXPECT_EQ(FormatSeconds(12.345), "12.35");
   EXPECT_EQ(FormatSeconds(1234.6), "1235");
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
+}
+
+/// A temporary file for one merge test, removed by the test.
+std::string MergeTempPath(const char* name) {
+  const char* dir = std::getenv("TMPDIR");
+  return std::string(dir != nullptr ? dir : "/tmp") + "/hc2l_merge_" + name +
+         ".json";
+}
+
+size_t Occurrences(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(MergeBenchSectionTest, ReplacingAMiddleSectionKeepsEveryOther) {
+  // The committed snapshot's order: "large_graph" sits between "route" and
+  // "server_load", with "update_latency" and "parallel" after them.
+  const std::string path = MergeTempPath("middle");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "{\n  \"bench\": \"micro_query\",\n"
+           "  \"datasets\": {\"grid48\": {\"ns\": 1.5}},\n"
+           "  \"route\": {\"api\": \"router\", \"hops\": [1, 2]},\n"
+           "  \"large_graph\": {\n    \"shards\": 3\n  },\n"
+           "  \"server_load\": {\"qps\": 9.5, \"note\": \"a } in text\"},\n"
+           "  \"update_latency\": {\"datasets\": {}},\n"
+           "  \"parallel\": {\"curve\": [{\"threads\": 1}]}\n}\n";
+  }
+  ASSERT_TRUE(MergeBenchSection(path, "large_graph", "{\"shards\": 4}"));
+  ASSERT_TRUE(MergeBenchSection(path, "large_graph", "{\"shards\": 5}"));
+  const std::string merged = FileBytes(path);
+  std::remove(path.c_str());
+  for (const char* key : {"bench", "datasets", "route", "large_graph",
+                          "server_load", "update_latency", "parallel"}) {
+    std::string top_level = "\n  \"";  // a member of the outer object
+    top_level += key;
+    top_level += "\":";
+    EXPECT_EQ(Occurrences(merged, top_level), 1u) << key << " in\n" << merged;
+  }
+  const std::string in_place =
+      "\"large_graph\": {\"shards\": 5},\n  \"server_load\": {\"qps\": 9.5";
+  EXPECT_NE(merged.find(in_place), std::string::npos) << merged;
+  EXPECT_EQ(merged.find("\"shards\": 3"), std::string::npos) << merged;
+  EXPECT_EQ(merged.find("\"shards\": 4"), std::string::npos) << merged;
+}
+
+TEST(MergeBenchSectionTest, NewKeyIsAppended) {
+  const std::string path = MergeTempPath("append");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "{\n  \"bench\": \"micro_query\",\n  \"queries\": 8\n}\n";
+  }
+  ASSERT_TRUE(MergeBenchSection(path, "parallel", "{\"threads\": [1, 2]}"));
+  const std::string merged = FileBytes(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(merged,
+            "{\n  \"bench\": \"micro_query\",\n  \"queries\": 8,\n"
+            "  \"parallel\": {\"threads\": [1, 2]}\n}\n");
+}
+
+TEST(MergeBenchSectionTest, MissingFileStartsFresh) {
+  const std::string path = MergeTempPath("fresh");
+  std::remove(path.c_str());
+  ASSERT_TRUE(MergeBenchSection(path, "route", "{\"queries\": 4}"));
+  const std::string merged = FileBytes(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(merged, "{\n  \"route\": {\"queries\": 4}\n}\n");
+}
+
+TEST(MergeBenchSectionTest, NonObjectFileIsLeftAlone) {
+  const std::string path = MergeTempPath("garbage");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "{\"cut\": {\"short\": ";
+  }
+  EXPECT_FALSE(MergeBenchSection(path, "route", "{}"));
+  const std::string kept = FileBytes(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(kept, "{\"cut\": {\"short\": ");
 }
 
 TEST(SelectedDatasetsTest, HonoursEnvironmentFilter) {

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -465,6 +467,35 @@ TEST(RouterThreaded, MatchesSequentialFacade) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(router->WithThreads(100000).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+/// Threads of this process: the entries of /proc/self/task.
+size_t ProcessThreads() {
+  const auto tasks = std::filesystem::directory_iterator("/proc/self/task");
+  return static_cast<size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+TEST(RouterThreads, InlineEngineStartsNoThread) {
+  // A Router is the query engine at one thread: a pool of one starts no
+  // worker, so building a router and running every request kind on it
+  // leaves the process's thread count where it was.
+  const std::vector<Vertex> targets = {0, 5, 17, 42, 63, 99};
+  const std::vector<std::pair<Vertex, Vertex>> pairs = {{0, 99}, {17, 42}};
+  for (const bool directed : {false, true}) {
+    SCOPED_TRACE(directed ? "directed" : "undirected");
+    const size_t before = ProcessThreads();
+    Result<Router> router = directed ? Router::Build(TestDigraph(10, 10, 3))
+                                     : Router::Build(TestGraph(10, 10, 3));
+    ASSERT_TRUE(router.ok()) << router.status().ToString();
+    EXPECT_TRUE(PointQueries(*router, pairs).ok());
+    EXPECT_TRUE(BatchQuery(*router, 0, targets).ok());
+    EXPECT_TRUE(DistanceMatrix(*router, targets, targets).ok());
+    EXPECT_TRUE(KNearest(*router, 0, targets, 3).ok());
+    std::vector<Vertex> path(router->NumVertices());
+    Dist weight = kInfDist;
+    EXPECT_TRUE(router->RouteInto(0, 99, path, &weight).ok());
+    EXPECT_EQ(ProcessThreads(), before);
+  }
 }
 
 TEST(RouterUpdateWeights, RepairsAsideAndLeavesTheOriginalServing) {
